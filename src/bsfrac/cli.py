@@ -15,7 +15,6 @@ import sys
 import click
 
 from . import __version__
-from .checks import SUITES, Config, run_suite
 from .errors import BsfracError
 from .msm import FunctionKind, MsmParams, Side, msm_bs_closed_form, msm_power_image
 from .pathway import (
@@ -25,7 +24,7 @@ from .pathway import (
     pathway_density,
     pathway_power_image,
 )
-from .series import bessel_first_kind, bessel_struve_kernel, struve
+from .series import bessel_first_kind, bessel_struve_kernel, linspace, struve
 from .wright import WrightSpec, wright_eval
 
 FUNCTIONS = ("S", "J", "I", "H", "L", "wright", "msm-left", "msm-right",
@@ -169,7 +168,8 @@ def _with_params(cmd):
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write output to a file instead of stdout")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="accepted for compatibility; has no effect (checks run serially)")
 @click.option("--seed-grid", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file overriding verification grids")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -177,7 +177,7 @@ def _with_params(cmd):
 @click.pass_context
 def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
     """Special-function evaluation and identity verification."""
-    ctx.obj = {"tol": tol, "format": fmt, "out": out, "threads": threads,
+    ctx.obj = {"tol": tol, "format": fmt, "out": out,
                "seed_grid": seed_grid, "config_path": config_path}
 
 
@@ -206,10 +206,7 @@ def _parse_range(text: str):
         raise click.UsageError(f"bad range {text!r}; use start:stop:count") from exc
     if count < 1:
         raise click.UsageError("range count must be at least 1")
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    return linspace(start, stop, count)
 
 
 @main.command("table")
@@ -236,12 +233,13 @@ def table_cmd(ctx, function, x_range, **opts):
 @click.pass_context
 def verify_cmd(ctx, suite):
     """Run a verification suite and emit its machine-readable report."""
+    from .checks import SUITES, Config, run_suite  # eval and table never need it
+
     if suite not in SUITES:
         raise click.UsageError(
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}")
     cfg = Config.load(ctx.obj["config_path"], ctx.obj["seed_grid"])
-    report = run_suite(suite, tolerance_override=ctx.obj["tol"], config=cfg,
-                       threads=max(1, ctx.obj["threads"]))
+    report = run_suite(suite, tolerance_override=ctx.obj["tol"], config=cfg)
     doc = report.to_dict()
     for check in doc["checks"]:
         click.echo(f"{check['id']}: {check['status']} "

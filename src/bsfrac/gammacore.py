@@ -11,17 +11,14 @@ from fractions import Fraction
 from ._backend import kernels
 from .errors import PoleError
 
-POLE_TOL = 1e-12
+POLE_TOL = kernels.POLE_TOL
 _MAX_EXACT_INT = 171  # gamma(172) overflows a double
-
-
-def _nearest_int(x: float) -> int:
-    return int(round(x))
+_HALF_LN_PI = 0.5723649429247001  # log(pi)/2
 
 
 def is_pole(x: float) -> bool:
     """True when x is within POLE_TOL of a nonpositive integer."""
-    r = _nearest_int(x)
+    r = round(x)
     return r <= 0 and abs(x - r) <= POLE_TOL
 
 
@@ -74,9 +71,9 @@ def gamma_ratio(numerators, denominators) -> float:
         num = 1
         den = 1
         for v in nums:
-            num *= math.factorial(_nearest_int(v) - 1)
+            num *= math.factorial(round(v) - 1)
         for d in dens:
-            den *= math.factorial(_nearest_int(d) - 1)
+            den *= math.factorial(round(d) - 1)
         return float(Fraction(num, den))
 
     acc = 0.0
@@ -94,7 +91,7 @@ def gamma_ratio(numerators, denominators) -> float:
 
 def _all_small_ints(values) -> bool:
     for v in values:
-        r = _nearest_int(v)
+        r = round(v)
         if not (1 <= r <= _MAX_EXACT_INT and abs(v - r) <= POLE_TOL):
             return False
     return True

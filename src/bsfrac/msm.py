@@ -9,6 +9,11 @@ Three independent routes are provided for every image:
 * direct double-exponential quadrature of the defining integrals in the
   F3-collapse regimes (``msm_quadrature``).
 
+Each side's gamma arguments are written once, in the table
+``_gamma_args``: the power image's gamma ratio, the Wright-series spec,
+and the validity precondition shared by all three routes are derived
+from it.
+
 The right-hand kernel carries the Appell arguments in the order
 ``(1 - x/t, 1 - t/x)``: of the two conventions in circulation this is
 the one consistent with the right-hand power-image gamma ratio and its
@@ -23,12 +28,10 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import DomainUnsupportedError, PreconditionError
-from .gammacore import gamma_ratio, ln_gamma_signed
+from .gammacore import _HALF_LN_PI, gamma_ratio, ln_gamma_signed
 from .quadrature import exp_sinh, tanh_sinh
 from .series import TERM_CAP, SeriesEval
 from .wright import WrightSpec, wright_eval
-
-_HALF_LN_PI = 0.5723649429247001
 
 
 class Side(enum.Enum):
@@ -136,41 +139,42 @@ class ClosedFormImage:
                           w.terms_used, w.converged)
 
 
-def _left_condition(p: MsmParams, rho: float) -> float:
-    return max(0.0, p.alpha + p.alpha_prime + p.beta - p.gamma,
-               p.alpha_prime - p.beta_prime)
+def _gamma_args(side: Side, p: MsmParams, rho: float):
+    """The side's table: numerator and denominator gamma arguments of the
+    power image of t^(rho-1) (Saigo & Maeda 1998).
+
+    Every argument moves by +1 per kernel-series term (rho -> rho+n on
+    the left, rho -> rho-n on the right), so the Wright-series image
+    carries each with slope 1.  The image exists exactly when every
+    numerator argument is positive; that check runs here, for every
+    route, and the series shift only strengthens its margin.
+    """
+    if side is Side.LEFT:
+        nums = (rho, rho + p.gamma - p.alpha - p.alpha_prime - p.beta,
+                rho + p.beta_prime - p.alpha_prime)
+        dens = (rho + p.beta_prime, rho + p.gamma - p.alpha - p.alpha_prime,
+                rho + p.gamma - p.alpha_prime - p.beta)
+    else:
+        nums = (1.0 - rho - p.beta, 1.0 - rho + p.alpha + p.alpha_prime - p.gamma,
+                1.0 - rho + p.alpha + p.beta_prime - p.gamma)
+        dens = (1.0 - rho, 1.0 - rho + p.alpha + p.alpha_prime + p.beta_prime - p.gamma,
+                1.0 - rho + p.alpha - p.beta)
+    if not all(a > 0.0 for a in nums):  # min() would let a NaN through
+        raise PreconditionError(
+            f"{side.value} image of t^(rho-1) needs positive gamma arguments "
+            f"{nums!r}, got rho={rho!r}")
+    return nums, dens
 
 
-def _right_condition(p: MsmParams, rho: float) -> float:
-    return 1.0 + min(-p.beta, p.alpha + p.alpha_prime - p.gamma,
-                     p.alpha + p.beta_prime - p.gamma)
+def _power(p: MsmParams, rho: float) -> float:
+    """Exponent of x shared by both sides' images."""
+    return rho + p.gamma - p.alpha - p.alpha_prime - 1.0
 
 
 def msm_power_image(side: Side, params: MsmParams, rho: float) -> ClosedFormImage:
     """Closed-form image of t^(rho-1) under the chosen operator."""
-    p = params
-    if side is Side.LEFT:
-        bound = _left_condition(p, rho)
-        if not rho > bound:
-            raise PreconditionError(
-                f"left power image needs rho > {bound!r}, got {rho!r}")
-        pref = gamma_ratio(
-            (rho, rho + p.gamma - p.alpha - p.alpha_prime - p.beta,
-             rho + p.beta_prime - p.alpha_prime),
-            (rho + p.beta_prime, rho + p.gamma - p.alpha - p.alpha_prime,
-             rho + p.gamma - p.alpha_prime - p.beta))
-    else:
-        bound = _right_condition(p, rho)
-        if not rho < bound:
-            raise PreconditionError(
-                f"right power image needs rho < {bound!r}, got {rho!r}")
-        pref = gamma_ratio(
-            (1.0 - rho - p.beta, 1.0 - rho + p.alpha + p.alpha_prime - p.gamma,
-             1.0 - rho + p.alpha + p.beta_prime - p.gamma),
-            (1.0 - rho, 1.0 - rho + p.alpha + p.alpha_prime + p.beta_prime - p.gamma,
-             1.0 - rho + p.alpha - p.beta))
-    power = rho + p.gamma - p.alpha - p.alpha_prime - 1.0
-    return ClosedFormImage(pref, power, WrightSpec((), ()), 0.0,
+    pref = gamma_ratio(*_gamma_args(side, params, rho))
+    return ClosedFormImage(pref, _power(params, rho), WrightSpec((), ()), 0.0,
                            inverse_argument=(side is Side.RIGHT))
 
 
@@ -185,37 +189,15 @@ def msm_bs_closed_form(side: Side, params: MsmParams, kind: FunctionKind,
     """
     if kind.family == "monomial":
         raise ValueError("monomial images come from msm_power_image")
-    p = params
-    rho = kind.rho
     nu = kind.nu
     if lam is None:
         lam = kind.lam
-    if side is Side.LEFT:
-        bound = _left_condition(p, rho)
-        if not rho > bound:  # shift rho+n only strengthens the margin
-            raise PreconditionError(
-                f"left image needs rho > {bound!r}, got {rho!r}")
-        upper = ((0.5, 0.5), (rho, 1.0),
-                 (rho + p.gamma - p.alpha - p.alpha_prime - p.beta, 1.0),
-                 (rho + p.beta_prime - p.alpha_prime, 1.0))
-        lower = ((nu + 1.0, 0.5), (rho + p.beta_prime, 1.0),
-                 (rho + p.gamma - p.alpha - p.alpha_prime, 1.0),
-                 (rho + p.gamma - p.alpha_prime - p.beta, 1.0))
-    else:
-        bound = _right_condition(p, rho)
-        if not rho < bound:  # shift rho-n only strengthens the margin
-            raise PreconditionError(
-                f"right image needs rho < {bound!r}, got {rho!r}")
-        upper = ((0.5, 0.5), (1.0 - rho - p.beta, 1.0),
-                 (1.0 - rho + p.alpha + p.alpha_prime - p.gamma, 1.0),
-                 (1.0 - rho + p.alpha + p.beta_prime - p.gamma, 1.0))
-        lower = ((nu + 1.0, 0.5), (1.0 - rho, 1.0),
-                 (1.0 - rho + p.alpha + p.alpha_prime + p.beta_prime - p.gamma, 1.0),
-                 (1.0 - rho + p.alpha - p.beta, 1.0))
+    nums, dens = _gamma_args(side, params, kind.rho)
+    spec = WrightSpec(((0.5, 0.5),) + tuple((a, 1.0) for a in nums),
+                      ((nu + 1.0, 0.5),) + tuple((b, 1.0) for b in dens))
     lg = ln_gamma_signed(nu + 1.0)
     pref = lg.sign * math.exp(lg.log_abs - _HALF_LN_PI)
-    power = rho + p.gamma - p.alpha - p.alpha_prime - 1.0
-    return ClosedFormImage(pref, power, WrightSpec(upper, lower), lam,
+    return ClosedFormImage(pref, _power(params, kind.rho), spec, lam,
                            inverse_argument=(side is Side.RIGHT))
 
 
@@ -239,14 +221,11 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     rho = kind.rho
     lam = kind.lam
     want_kernel = kind.family != "monomial"
+    _gamma_args(side, p, rho)  # the integral converges where the image exists
     if side is Side.LEFT:
         if not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):
             raise DomainUnsupportedError(
                 "left quadrature needs alpha'=0 or beta'=0 to collapse the kernel")
-        bound = _left_condition(p, rho)
-        if not rho > bound:
-            raise PreconditionError(
-                f"left integral needs rho > {bound!r}, got {rho!r}")
         p0 = rho - p.alpha_prime - 1.0
         gm1 = p.gamma - 1.0
         a_, b_, c_ = p.alpha, p.beta, p.gamma
@@ -266,10 +245,6 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
         if not (p.alpha == 0.0 or p.beta == 0.0):
             raise DomainUnsupportedError(
                 "right quadrature needs alpha=0 or beta=0 to collapse the kernel")
-        bound = _right_condition(p, rho)
-        if not rho < bound:
-            raise PreconditionError(
-                f"right integral needs rho < {bound!r}, got {rho!r}")
         p0 = rho - p.alpha - 1.0
         gm1 = p.gamma - 1.0
         a_, b_, c_ = p.alpha_prime, p.beta_prime, p.gamma

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import PreconditionError
-from .gammacore import gamma_ratio, ln_gamma_signed
+from .gammacore import _HALF_LN_PI, gamma_ratio, ln_gamma_signed
 from .msm import ClosedFormImage, FunctionKind
 from .quadrature import tanh_sinh
 from .series import TERM_CAP, SeriesEval
 from .wright import WrightSpec
-
-_HALF_LN_PI = 0.5723649429247001
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,15 @@ DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
 
 
+def linspace(start: float, stop: float, count: int) -> list[float]:
+    """count evenly spaced evaluation points from start to stop; the
+    table sweeps and the verification grids both use it."""
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count)]
+
+
 @dataclass(frozen=True)
 class SeriesEval:
     """A series value with a truncation-error bound.

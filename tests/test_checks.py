@@ -59,12 +59,6 @@ def test_rerun_is_identical_except_wall_time():
         json.dumps(_strip_wall(b), sort_keys=True)
 
 
-def test_threaded_run_matches_serial():
-    a = run_suite("msm-lemmas", threads=1).to_dict()
-    b = run_suite("msm-lemmas", threads=4).to_dict()
-    assert _strip_wall(a) == _strip_wall(b)
-
-
 def test_tolerance_override_forces_failure():
     rep = run_suite("kernel-identities", tolerance_override=1e-30)
     statuses = [c["status"] for c in rep.to_dict()["checks"]]

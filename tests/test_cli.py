@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
+import bsfrac
 from bsfrac.cli import main
 
 import oracles
@@ -145,6 +149,16 @@ def test_verify_threads_matches_serial():
     da.pop("wall_ms")
     db.pop("wall_ms")
     assert da == db
+
+
+def test_cli_import_leaves_the_harness_unloaded():
+    # eval and table never need the verification harness
+    src = os.path.dirname(os.path.dirname(bsfrac.__file__))
+    code = "import sys, bsfrac.cli; print('bsfrac.checks' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_csv_uses_17_significant_digits():

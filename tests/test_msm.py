@@ -176,3 +176,65 @@ class TestClosedForm:
     def test_monomial_kind_rejected(self):
         with pytest.raises(ValueError):
             msm_bs_closed_form(Side.LEFT, GENERIC, FunctionKind.monomial(1.5))
+
+
+# (side, params, bound on rho): one case per numerator gamma argument that
+# can bind; alpha'=0 / beta'=0 (left) and alpha=0 / beta=0 (right) keep the
+# quadrature route defined
+BOUND_CASES = [
+    (Side.LEFT, MsmParams(0.4, 0.0, 0.3, 0.2, 0.9), 0.0),
+    (Side.LEFT, MsmParams(0.5, 0.0, 0.6, 0.1, 0.8), 0.3),
+    (Side.LEFT, MsmParams(0.1, 0.5, 0.2, 0.0, 1.5), 0.5),
+    (Side.RIGHT, MsmParams(0.0, 0.2, 1.5, 0.4, 1.1), -0.5),
+    (Side.RIGHT, MsmParams(0.0, 0.2, 0.1, 0.4, 1.1), 0.1),
+    (Side.RIGHT, MsmParams(0.2, 0.6, 0.0, 0.3, 1.0), 0.5),
+]
+
+
+def _outside(side, bound, margin):
+    return bound - margin if side is Side.LEFT else bound + margin
+
+
+class TestSharedPrecondition:
+    @pytest.mark.parametrize("side,params,bound", BOUND_CASES)
+    @pytest.mark.parametrize("past", [1e-9, "nan"])
+    def test_every_route_rejects_the_same_rho(self, side, params, bound, past):
+        rho = math.nan if past == "nan" else _outside(side, bound, past)
+        with pytest.raises(PreconditionError):
+            msm_power_image(side, params, rho)
+        with pytest.raises(PreconditionError):
+            msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, 0.25, 1.0))
+        with pytest.raises(PreconditionError):
+            msm_quadrature(side, params, FunctionKind.monomial(rho), 1.0)
+
+    @pytest.mark.parametrize("side,params,bound", BOUND_CASES)
+    def test_images_exist_just_inside_the_bound(self, side, params, bound):
+        rho = _outside(side, bound, -1e-6)
+        assert msm_power_image(side, params, rho).prefactor > 0.0
+        img = msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, 0.25, 1.0))
+        assert len(img.spec.upper) == len(img.spec.lower) == 4
+
+
+class TestZeroScale:
+    @pytest.mark.parametrize("side,rho", [(Side.LEFT, 1.3), (Side.RIGHT, -1.7)])
+    def test_reduces_to_power_image_in_one_term(self, side, rho):
+        kind = FunctionKind.bs_kernel(rho, 0.25, 1.0)
+        img = msm_bs_closed_form(side, GENERIC, kind, lam=0.0)
+        power = msm_power_image(side, GENERIC, rho)
+        for x in (0.6, 1.0, 2.5):
+            r = img.value_at(x)
+            assert r.terms_used == 1
+            assert math.isclose(r.value, power.value_at(x).value, rel_tol=1e-14)
+
+
+class TestNanParameter:
+    @pytest.mark.parametrize("side,rho", [(Side.LEFT, 1.5), (Side.RIGHT, -1.5)])
+    def test_nan_order_parameter_is_rejected(self, side, rho):
+        # only some gamma arguments turn NaN, so a min() over them could pass
+        params = MsmParams(math.nan, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(PreconditionError):
+            msm_power_image(side, params, rho)
+        with pytest.raises(PreconditionError):
+            msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, 0.25, 1.0))
+        with pytest.raises(PreconditionError):
+            msm_quadrature(side, params, FunctionKind.monomial(rho), 1.0)
