@@ -19,8 +19,17 @@ from typing import Callable
 
 from . import __version__ as _version
 from .errors import UnknownSuiteError
-from .gammacore import _HALF_LN_PI, gamma_ratio
-from .msm import FunctionKind, MsmParams, Side, msm_bs_closed_form, msm_power_image, msm_quadrature
+from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio
+from .msm import (
+    FunctionKind,
+    MsmParams,
+    Side,
+    _gamma_args,
+    _power,
+    msm_bs_closed_form,
+    msm_power_image,
+    msm_quadrature,
+)
 from .pathway import (
     PathwayDensityParams,
     PathwayParams,
@@ -333,19 +342,56 @@ def _run_l2(cfg: Config, tol: float) -> dict:
 # --- operator kernel-image theorems ------------------------------------------
 
 def _kernel_coeff(nu: float, n: int) -> float:
+    """n-th coefficient of S_nu(u) = sum c_n u**n, evaluated directly."""
     return gamma_ratio((nu + 1.0, 0.5 * (n + 1.0)), (0.5 * n + nu + 1.0,)) \
         / (math.sqrt(math.pi) * math.factorial(n))
 
 
-def _termwise_msm(side: Side, params: MsmParams, rho: float, nu: float,
-                  lam: float, x: float, n_terms: int = 60) -> float:
-    total = 0.0
+def _termwise(nums, dens, nu: float, w: float, n_terms: int = 60) -> float:
+    """The termwise oracle: sum over n < n_terms of c_n * R_n * w**n.
+
+    c_n is the n-th kernel-series coefficient (``_kernel_coeff``) and
+    R_n = prod Gamma(a+n) / prod Gamma(b+n) over a in nums, b in dens is
+    the gamma ratio of the power image of the n-th kernel term.  Both run
+    as Pochhammer recurrences,
+
+        c_{n+2} = c_n / ((n+2)(n+2nu+2)),   R_{n+1} = R_n prod(a+n) / prod(b+n),
+
+    from c_0, c_1 and R_0 evaluated directly.  A term whose predecessor
+    has a gamma argument within a pole's reach (<= POLE_TOL) is evaluated
+    directly as well, so numerator poles raise PoleError and
+    reciprocal-gamma zeros stay confined to their own term, exactly as in
+    a term-by-term evaluation.
+    """
+    coeffs = []
     for n in range(n_terms):
-        shifted = rho + n if side is Side.LEFT else rho - n
-        img = msm_power_image(side, params, shifted)
-        total += (_kernel_coeff(nu, n) * lam ** n * img.prefactor
-                  * x ** img.power_of_x)
+        if n < 2 or 0.5 * n + nu <= POLE_TOL:  # Gamma(n/2 + nu) in c_{n-2}
+            coeffs.append(_kernel_coeff(nu, n))
+        else:
+            coeffs.append(coeffs[n - 2] / (n * (n + 2.0 * nu)))
+    lowest = min(nums + dens)
+    ratio = gamma_ratio(nums, dens)
+    total = coeffs[0] * ratio
+    for n in range(1, n_terms):
+        k = n - 1
+        if lowest + k <= POLE_TOL:
+            ratio = gamma_ratio([a + n for a in nums], [b + n for b in dens])
+        else:
+            for a in nums:
+                ratio *= a + k
+            for b in dens:
+                ratio /= b + k
+        total += coeffs[n] * ratio * w ** n
     return total
+
+
+def _termwise_msm(side: Side, params: MsmParams, rho: float, nu: float,
+                  lam: float, x: float) -> float:
+    """Oracle for the MSM image of t^(rho-1) S_nu(lam t^(+-1)): each side's
+    gamma arguments all move by +1 per kernel term."""
+    nums, dens = _gamma_args(side, params, rho)
+    w = lam * x if side is Side.LEFT else lam / x
+    return x ** _power(params, rho) * _termwise(nums, dens, nu, w)
 
 
 def _theorem_grid(cfg: Config, side: Side):
@@ -516,12 +562,13 @@ def _run_l3(cfg: Config, tol: float) -> dict:
 
 
 def _termwise_pathway(params: PathwayParams, sigma: float, nu: float,
-                      lam: float, x: float, n_terms: int = 60) -> float:
-    total = 0.0
-    for n in range(n_terms):
-        img = pathway_power_image(params, sigma + n)
-        total += _kernel_coeff(nu, n) * lam ** n * img.prefactor * x ** img.power_of_x
-    return total
+                      lam: float, x: float) -> float:
+    """Oracle for the pathway image of t^(sigma-1) S_nu(lam t): the power
+    image's ratio Gamma(sigma+n)/Gamma(1+c+sigma+n) carries the kernel
+    term n, the rest is a constant factor and the power of x."""
+    c = params.kernel_exponent
+    front = gamma_ratio((1.0 + c,), ()) / params.cut ** sigma * x ** (params.eta + sigma)
+    return front * _termwise((sigma,), (1.0 + c + sigma,), nu, lam * x / params.cut)
 
 
 def _run_t7(cfg: Config, tol: float) -> dict:

@@ -2,7 +2,10 @@
 verification suites.
 
 Exit codes: 0 on success (all verification expectations met), 1 on a
-verification failure or numerical error, 2 on usage errors.
+verification failure or numerical error, 2 on usage errors.  A numerical
+error (an overflow, a term-cap or quadrature stall, or a non-finite
+value) is reported on stderr; a non-finite value is still printed in
+the usual stdout schema.
 """
 
 from __future__ import annotations
@@ -10,12 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 
 import click
 
 from . import __version__
-from .errors import BsfracError
+from .errors import BsfracError, QuadratureError, TermCapError
 from .msm import FunctionKind, MsmParams, Side, msm_bs_closed_form, msm_power_image
 from .pathway import (
     PathwayDensityParams,
@@ -37,6 +41,26 @@ KIND_NAMES = {
     "i0-plus-l0": "i0_plus_l0",
     "two-i1-plus-two-l1-over-t": "two_i1_plus_two_l1_over_t",
 }
+
+
+# raised when a valid request cannot be computed in double precision
+NUMERICAL_ERRORS = (OverflowError, TermCapError, QuadratureError)
+
+
+def _fail(message: str):
+    """Report a numerical failure: message on stderr, exit status 1."""
+    click.echo(f"Error: {message}", err=True)
+    sys.exit(1)
+
+
+def _compute(function: str, opts: dict, x: float):
+    """_evaluate with library errors mapped to the exit-code contract."""
+    try:
+        return _evaluate(function, opts, x)
+    except NUMERICAL_ERRORS as exc:
+        _fail(f"{function} at x={x!r}: {exc}")
+    except BsfracError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _fmt(v) -> str:
@@ -188,11 +212,10 @@ def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
 @click.pass_context
 def eval_cmd(ctx, function, x, **opts):
     """Evaluate one function at one point."""
-    try:
-        value, err, terms = _evaluate(function, opts, x)
-    except BsfracError as exc:
-        raise click.UsageError(str(exc)) from exc
+    value, err, terms = _compute(function, opts, x)
     _emit(ctx.obj, ["value", "abs_error_est", "terms_used"], [[value, err, terms]])
+    if not math.isfinite(value):
+        _fail(f"{function} at x={x!r} is not finite in double precision")
 
 
 def _parse_range(text: str):
@@ -220,12 +243,13 @@ def table_cmd(ctx, function, x_range, **opts):
     xs = _parse_range(x_range)
     rows = []
     for x in xs:
-        try:
-            value, err, _ = _evaluate(function, opts, x)
-        except BsfracError as exc:
-            raise click.UsageError(str(exc)) from exc
+        value, err, _ = _compute(function, opts, x)
         rows.append([x, value, err])
     _emit(ctx.obj, ["x", "value", "abs_error_est"], rows)
+    bad = [x for x, value, _ in rows if not math.isfinite(value)]
+    if bad:
+        _fail(f"{function} is not finite in double precision at {len(bad)} "
+              f"point(s), first x={bad[0]!r}")
 
 
 @main.command("verify")

@@ -24,6 +24,13 @@ def linspace(start: float, stop: float, count: int) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+def check_tol(tol: float):
+    """Reject a tolerance no series can meet (zero, negative or NaN)
+    before it burns the whole term cap."""
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SeriesEval:
     """A series value with a truncation-error bound.
@@ -74,10 +81,11 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     u = 0 returns exactly 1.  Negative u is summed with compensated
     (double-double) arithmetic to survive the alternating cancellation.
     """
-    if nu <= -1.0:
+    if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
         raise DomainError("kernel argument must be finite")
+    check_tol(tol)
     value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
     # the compensated-sum residual can dominate far beyond the guarantee
     # range; never report convergence the estimate does not support
@@ -88,10 +96,11 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
 def bessel_first_kind(v: float, z: float, modified: bool = False,
                       tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
     """J_v(z) (or I_v(z) when modified) by direct series; v > -1, z >= 0."""
-    if v <= -1.0:
+    if not v > -1.0:
         raise DomainError(f"order must satisfy v > -1, got {v!r}")
     if z < 0.0 or not math.isfinite(z):
         raise DomainError("argument must be finite and nonnegative")
+    check_tol(tol)
     if z == 0.0:
         if v == 0.0:
             return SeriesEval(1.0, 0.0, 1, True)
@@ -104,10 +113,11 @@ def bessel_first_kind(v: float, z: float, modified: bool = False,
 def struve(v: float, z: float, modified: bool = False,
            tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
     """H_v(z) (or L_v(z) when modified) by direct series; v > -3/2, z >= 0."""
-    if v <= -1.5:
+    if not v > -1.5:
         raise DomainError(f"order must satisfy v > -3/2, got {v!r}")
     if z < 0.0 or not math.isfinite(z):
         raise DomainError("argument must be finite and nonnegative")
+    check_tol(tol)
     if z == 0.0:
         if v > -1.0:
             return SeriesEval(0.0, 0.0, 1, True)
@@ -131,6 +141,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
         raise PoleError(f"lower parameter c={c!r} at a pole")
     if z >= 1.0 or not math.isfinite(z):
         raise DomainError(f"argument must satisfy z < 1, got {z!r}")
+    check_tol(tol)
     if z < 0.0:
         inner = gauss_2f1(a, c - b, c, z / (z - 1.0), tol, term_cap)
         scale = (1.0 - z) ** (-a)
@@ -149,6 +160,7 @@ def appell_f3(args: F3Args, tol: float = DEFAULT_TOL,
     |x|,|y| < 1 series domain evaluation is refused: any consumer needs
     the termwise-lemma route instead of a silent continuation.
     """
+    check_tol(tol)
     if args.collapses_y():
         return gauss_2f1(args.alpha, args.beta, args.gamma, args.x, tol, term_cap)
     if args.collapses_x():

@@ -82,6 +82,29 @@ S1_AT_1 = 1.5838469700965873           # mp_kernel(1, 1)
 E_MINUS_2 = 0.7182818284590452         # exp(1) - 2
 
 
+# `verify all` at the default config: (status, n_points) per check, the
+# same on both backends
+VERIFY_ALL = {
+    "L1": ("PASS", 216),
+    "L2": ("DOCUMENTED_MISMATCH", 162),
+    "L3": ("PASS", 36),
+    "T1": ("PASS", 200),
+    "T2": ("DOCUMENTED_MISMATCH", 200),
+    "T3": ("PASS", 5),
+    "T4": ("DOCUMENTED_MISMATCH", 5),
+    "T5": ("DOCUMENTED_MISMATCH", 5),
+    "T6": ("DOCUMENTED_MISMATCH", 5),
+    "T7": ("PASS", 128),
+    "T8": ("DOCUMENTED_MISMATCH", 72),
+    "e1": ("PASS", 41),
+    "e2": ("PASS", 41),
+    "r1": ("PASS", 40),
+    "r2": ("DOCUMENTED_MISMATCH", 40),
+    "W-delta": ("PASS", 26),
+    "density-norm": ("PASS", 39),
+}
+
+
 def kernel_series_coeff(nu: float, n: int) -> float:
     """Double-precision coefficient of u^n in the kernel series."""
     return float(mp.gamma(nu + 1) * mp.gamma(mp.mpf(n + 1) / 2)

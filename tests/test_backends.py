@@ -1,18 +1,21 @@
 """Cross-checks between the compiled extension and its pure-Python twin.
 
-Skipped entirely when the extension is not built.  The two backends share
+The ``ck`` fixture compiles the tracked ``_ckernels.c``; the module skips
+only when no C compiler is available.  The two backends share
 branch structure but may differ by an ulp where libm and CPython's own
 gamma implementations disagree, so comparisons are tight but not bitwise.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from bsfrac import _pykernels as pk
-
-ck = pytest.importorskip("bsfrac._ckernels")
 
 TIGHT = 5e-15
 
@@ -24,7 +27,7 @@ def _close(a, b, rel=TIGHT):
     return abs(a - b) <= rel * scale
 
 
-def test_lgamma_sign_agrees():
+def test_lgamma_sign_agrees(ck):
     rng = random.Random(99)
     pts = [rng.uniform(-170.0, 170.0) for _ in range(500)] + [0.5, -0.5, -1.5, 170.0]
     for x in pts:
@@ -36,14 +39,14 @@ def test_lgamma_sign_agrees():
         assert _close(la_p, la_c) or abs(la_p - la_c) < 1e-12
 
 
-def test_pole_predicate_agrees():
+def test_pole_predicate_agrees(ck):
     for x in (-3.0, -3.0 + 1e-13, -3.5, 0.0, 0.5, 2.0, -1e-13):
         assert pk.near_nonpositive_int(x) == ck.near_nonpositive_int(x)
 
 
 @pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.75])
 @pytest.mark.parametrize("u", [-10.0, -3.3, -0.7, 0.0, 0.4, 2.0, 12.5])
-def test_bs_series_agrees(nu, u):
+def test_bs_series_agrees(ck, nu, u):
     vp = pk.bs_series(nu, u, 1e-15, 10000)
     vc = ck.bs_series(nu, u, 1e-15, 10000)
     assert vp[2] == vc[2]  # identical term counts
@@ -55,7 +58,7 @@ def test_bs_series_agrees(nu, u):
         assert _close(vp[0], vc[0], rel=5e-12)
 
 
-def test_bessel_struve_2f1_agree():
+def test_bessel_struve_2f1_agree(ck):
     rng = random.Random(7)
     for _ in range(60):
         v = rng.uniform(-0.9, 3.0)
@@ -72,7 +75,7 @@ def test_bessel_struve_2f1_agree():
                       ck.hyp2f1_series(a, b, c, zz, 1e-15, 10000)[0])
 
 
-def test_hyp2f1_kernel_agrees():
+def test_hyp2f1_kernel_agrees(ck):
     rng = random.Random(13)
     for _ in range(80):
         a = rng.uniform(0.05, 0.6)
@@ -86,7 +89,7 @@ def test_hyp2f1_kernel_agrees():
                       ck.hyp2f1_kernel(a, b, c, z, wbar), rel=5e-13)
 
 
-def test_wright_series_agrees():
+def test_wright_series_agrees(ck):
     ua, uA = (0.5, 1.2, 1.9), (0.5, 1.0, 1.0)
     lb, lB = (1.25, 1.4, 2.0), (0.5, 1.0, 1.0)
     for z in (-2.0, 0.0, 0.3, 1.7, 25.0):
@@ -97,7 +100,7 @@ def test_wright_series_agrees():
         assert _close(vp[0], vc[0])
 
 
-def test_f3_series_agrees():
+def test_f3_series_agrees(ck):
     rng = random.Random(17)
     for _ in range(30):
         a, ap, b, bp = (rng.uniform(0.1, 1.5) for _ in range(4))
@@ -108,7 +111,7 @@ def test_f3_series_agrees():
         assert _close(vp[0], vc[0])
 
 
-def test_compiled_gamma_reconstruction_meets_bound():
+def test_compiled_gamma_reconstruction_meets_bound(ck):
     # the accuracy contract must hold for the libm-backed route as well
     import oracles
     rng = random.Random(4242)
@@ -118,3 +121,30 @@ def test_compiled_gamma_reconstruction_meets_bound():
             continue
         la, s = ck.lgamma_sign(x)
         assert oracles.rel_err(s * math.exp(la), oracles.mp_gamma(x)) <= 1e-13
+
+
+def test_verify_all_on_compiled_backend(compiled_pkg):
+    import oracles
+    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    backend = subprocess.run(
+        [sys.executable, "-c", "from bsfrac._backend import BACKEND; print(BACKEND)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert backend == "compiled"
+    proc = subprocess.run([sys.executable, "-m", "bsfrac", "--format", "json", "verify", "all"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert {c["id"]: (c["status"], c["n_points"]) for c in checks} == oracles.VERIFY_ALL
+
+
+def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):
+    # the compiled kernels return inf where the pure ones overflow: both exit 1
+    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    for args in (["eval", "S", "--nu", "0.25", "--x", "800"],
+                 ["eval", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "800"]):
+        proc = subprocess.run([sys.executable, "-m", "bsfrac", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, (args, proc.stdout, proc.stderr)
+        assert proc.stderr.startswith("Error: ")

@@ -1,9 +1,24 @@
 import json
+import math
 
+import mpmath as mp
 import pytest
 
-from bsfrac import UnknownSuiteError
-from bsfrac.checks import CHECKS, SUITES, Config, run_suite
+from bsfrac import PoleError, UnknownSuiteError
+from bsfrac.checks import (
+    CHECKS,
+    SUITES,
+    Config,
+    _termwise,
+    _termwise_msm,
+    _termwise_pathway,
+    run_suite,
+)
+from bsfrac.gammacore import gamma_ratio
+from bsfrac.msm import MsmParams, Side, msm_power_image
+from bsfrac.pathway import PathwayParams, pathway_power_image
+
+import oracles
 
 EXPECTED_IDS = {"L1", "L2", "L3", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8",
                 "e1", "e2", "r1", "r2", "W-delta", "density-norm"}
@@ -106,3 +121,114 @@ def test_check_errors_are_captured_not_raised(tmp_path):
     l1 = next(c for c in rep["checks"] if c["id"] == "L1")
     assert l1["status"] == "ERROR"
     assert "error" in l1["worst_point"]
+
+
+def test_verify_all_statuses_and_points():
+    rep = run_suite("all").to_dict()
+    checks = {c["id"]: c for c in rep["checks"]}
+    assert {k: (c["status"], c["n_points"]) for k, c in checks.items()} == oracles.VERIFY_ALL
+    for k in ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"):
+        assert checks[k]["max_rel_dev"] < 1e-14
+
+
+# --- the termwise oracle against a term-by-term evaluation and mpmath --------
+
+# -1.5 puts the kernel coefficient c_1 = 1/Gamma(0) at a reciprocal-gamma zero
+ORACLE_NUS = [-1.5, -0.5, 0.25, 1.0]
+P = MsmParams(0.3, 0.2, 0.1, 0.4, 1.1)
+PW = PathwayParams(0.7, 1.3, 0.4)
+
+
+def _direct_coeff(nu, n):
+    return gamma_ratio((nu + 1.0, 0.5 * (n + 1)), (0.5 * n + nu + 1.0,)) \
+        / (math.sqrt(math.pi) * math.factorial(n))
+
+
+def _mp_coeff(nu, n):
+    nu = mp.mpf(nu)
+    return (mp.gamma(nu + 1) * mp.gamma(mp.mpf(n + 1) / 2) * mp.rgamma(mp.mpf(n) / 2 + nu + 1)
+            / (mp.sqrt(mp.pi) * mp.factorial(n)))
+
+
+def _mp_ratio(nums, dens):
+    out = mp.mpf(1)
+    for a in nums:
+        out *= mp.gamma(a)
+    for b in dens:
+        out *= mp.rgamma(b)
+    return out
+
+
+def _mp_msm_args(side, r):
+    a, ap, b, bp, g = (mp.mpf(v) for v in (P.alpha, P.alpha_prime, P.beta, P.beta_prime, P.gamma))
+    if side is Side.LEFT:
+        return (r, r + g - a - ap - b, r + bp - ap), (r + bp, r + g - a - ap, r + g - ap - b)
+    return ((1 - r - b, 1 - r + a + ap - g, 1 - r + a + bp - g),
+            (1 - r, 1 - r + a + ap + bp - g, 1 - r + a - b))
+
+
+def _case_msm(side, nu):
+    rho, lam, x = (1.2, 1.0, 1.3) if side is Side.LEFT else (-2.0, 1.0, 0.8)
+    got = _termwise_msm(side, P, rho, nu, lam, x)
+    direct = 0.0
+    for n in range(60):
+        img = msm_power_image(side, P, rho + n if side is Side.LEFT else rho - n)
+        direct += _direct_coeff(nu, n) * lam ** n * img.prefactor * x ** img.power_of_x
+    with mp.workdps(40):
+        step = 1 if side is Side.LEFT else -1
+        power = mp.mpf(rho) + mp.mpf(P.gamma) - mp.mpf(P.alpha) - mp.mpf(P.alpha_prime) - 1
+        ref = sum(_mp_coeff(nu, n) * mp.mpf(lam) ** n
+                  * _mp_ratio(*_mp_msm_args(side, mp.mpf(rho) + step * n))
+                  * mp.mpf(x) ** (power + step * n) for n in range(60))
+    return got, direct, ref
+
+
+def _case_pathway(nu):
+    sigma, lam, x = 1.1, 1.0, 1.0
+    got = _termwise_pathway(PW, sigma, nu, lam, x)
+    direct = 0.0
+    for n in range(60):
+        img = pathway_power_image(PW, sigma + n)
+        direct += _direct_coeff(nu, n) * lam ** n * img.prefactor * x ** img.power_of_x
+    with mp.workdps(40):
+        c = mp.mpf(PW.eta) / (1 - mp.mpf(PW.pathway_alpha))
+        cut = mp.mpf(PW.a) * (1 - mp.mpf(PW.pathway_alpha))
+        s = mp.mpf(sigma)
+        ref = sum(_mp_coeff(nu, n) * mp.mpf(lam) ** n * _mp_ratio((s + n, 1 + c), (1 + c + s + n,))
+                  / cut ** (s + n) * mp.mpf(x) ** (mp.mpf(PW.eta) + s + n) for n in range(60))
+    return got, direct, ref
+
+
+def _case_poles(nu):
+    # numerator arguments cross negative non-integers, a denominator
+    # crosses the poles -2, -1, 0: its terms are exact zeros
+    nums, dens, w = (-2.5, 0.7), (-2.0, 1.3), 0.9
+    got = _termwise(nums, dens, nu, w)
+    direct = sum(_direct_coeff(nu, n) * gamma_ratio([a + n for a in nums], [b + n for b in dens])
+                 * w ** n for n in range(60))
+    with mp.workdps(40):
+        ref = sum(_mp_coeff(nu, n) * _mp_ratio([mp.mpf(a) + n for a in nums],
+                                               [mp.mpf(b) + n for b in dens])
+                  * mp.mpf(w) ** n for n in range(60))
+    return got, direct, ref
+
+
+ORACLE_CASES = {
+    "msm-left": lambda nu: _case_msm(Side.LEFT, nu),
+    "msm-right": lambda nu: _case_msm(Side.RIGHT, nu),
+    "pathway": _case_pathway,
+    "poles": _case_poles,
+}
+
+
+@pytest.mark.parametrize("nu", ORACLE_NUS)
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_termwise_oracle_matches_direct_and_mpmath(case, nu):
+    got, direct, ref = ORACLE_CASES[case](nu)
+    assert math.isclose(got, direct, rel_tol=1e-13, abs_tol=0.0)
+    assert oracles.rel_err(got, ref) <= 1e-13
+
+
+def test_termwise_oracle_keeps_numerator_poles():
+    with pytest.raises(PoleError):
+        _termwise((0.5, -2.0), (1.0,), 0.25, 0.5)

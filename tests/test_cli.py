@@ -77,6 +77,36 @@ def test_eval_bad_value_is_usage_error():
     assert res.exit_code == 2
 
 
+def test_eval_non_finite_value_is_numerical_error():
+    res = _run("eval", "S", "--nu", "0.25", "--x", "800")
+    assert res.exit_code == 1
+    assert _csv_rows(res.stdout)[0]["value"] == "inf"  # stdout schema unchanged
+    assert "not finite" in res.stderr
+
+
+def test_eval_overflow_is_numerical_error():
+    res = _run("eval", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "800")
+    assert res.exit_code == 1
+    assert "exceeds double range" in res.stderr
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_table_non_finite_value_is_numerical_error():
+    res = _run("table", "S", "--nu", "0.25", "--x", "1:800:3")
+    assert res.exit_code == 1
+    assert len(_csv_rows(res.stdout)) == 3
+    assert "1 point(s), first x=800.0" in res.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(bsfrac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bsfrac", "eval", "S", "--nu", "-0.5",
+                           "--x", "0"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(_csv_rows(proc.stdout)[0]["value"]) == 1.0
+
+
 def test_table_kernel_grid():
     res = _run("table", "S", "--nu", "0", "--x", "0:2:3")
     assert res.exit_code == 0

@@ -92,6 +92,25 @@ class TestBesselStruveKernel:
         assert a == b
 
 
+@pytest.mark.parametrize("fn", [bessel_struve_kernel, bessel_first_kind, struve])
+def test_bad_order_and_tolerance_rejected_up_front(fn):
+    # each of these once burned the whole term cap or failed inside a kernel
+    with pytest.raises(DomainError):
+        fn(math.nan, 1.0)
+    for tol in (0.0, -1e-14, math.nan):
+        with pytest.raises(DomainError):
+            fn(0.25, 1.0, tol=tol)
+
+
+def test_hypergeometric_tolerance_rejected_up_front():
+    # the F3 double series once ran its whole term cap at tol=0
+    for tol in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            gauss_2f1(0.3, 0.4, 1.2, 0.5, tol=tol)
+        with pytest.raises(DomainError):
+            appell_f3(F3Args(0.3, 0.4, 0.5, 0.6, 1.2, 0.4, 0.3), tol=tol)
+
+
 class TestBessel:
     def test_j_at_zero(self):
         assert bessel_first_kind(0.0, 0.0).value == 1.0

@@ -5,6 +5,7 @@ import pytest
 
 from bsfrac import (
     ConvergenceError,
+    DomainError,
     PoleError,
     TermCapError,
     WrightSpec,
@@ -125,6 +126,25 @@ def test_lower_pole_zeroes_term_only():
 def test_term_cap_error():
     with pytest.raises(TermCapError):
         wright_eval(WrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), 30.0, term_cap=5)
+
+
+def test_bad_inputs_rejected_up_front():
+    e_spec = WrightSpec(((1.0, 1.0),), ((1.0, 1.0),))
+    for tol in (0.0, -1e-14, math.nan):
+        with pytest.raises(DomainError):
+            wright_eval(e_spec, 1.0, tol=tol)
+    for z in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            wright_eval(e_spec, z)
+    with pytest.raises(DomainError):
+        WrightSpec(((math.nan, 1.0),), ((1.0, 1.0),))
+
+
+@pytest.mark.parametrize("z", [800.0, -800.0])
+def test_overflow_is_loud(z):
+    # e^800 and the alternating terms of e^-800 exceed double range
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        wright_eval(WrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), z)
 
 
 def test_negative_slope_rejected():
