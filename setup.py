@@ -1,30 +1,14 @@
-"""Build script: compiles the Cython hot-kernel core when a toolchain is
-available, otherwise installs pure-Python only (the package falls back to
-its twin implementation at import time)."""
+"""Build script: compiles the hot-kernel core from the shipped
+``_ckernels.c``, which is generated from ``_ckernels.pyx`` with
+``cython -3 src/bsfrac/_ckernels.pyx``.  The extension is optional: when it
+cannot be built, the package installs pure-Python only and falls back to
+its twin implementation at import time."""
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    if not os.path.exists("src/bsfrac/_ckernels.pyx"):
-        raise ImportError
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "bsfrac._ckernels",
-                ["src/bsfrac/_ckernels.pyx"],
-                # keep FP semantics identical to the pure-Python twin
-                extra_compile_args=["-O2", "-ffp-contract=off"],
-            )
-        ],
-        language_level="3",
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("bsfrac._ckernels", ["src/bsfrac/_ckernels.c"],
+              # keep FP semantics identical to the pure-Python twin
+              extra_compile_args=["-O2", "-ffp-contract=off"],
+              optional=True),
+])

@@ -15,6 +15,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from typing import Callable
 
 from . import __version__ as _version
@@ -24,6 +26,7 @@ from .msm import (
     FunctionKind,
     MsmParams,
     Side,
+    _collapsed_gap,
     _gamma_args,
     _power,
     msm_bs_closed_form,
@@ -179,44 +182,27 @@ def _new_state() -> dict:
 
 # --- kernel identity checks -------------------------------------------------
 
-def _run_e1(cfg: Config, tol: float) -> dict:
-    lo, hi, n = cfg.grids["kernel_grid"]
-    st = _new_state()
-    for u in linspace(lo, hi, int(n)):
-        got = bessel_struve_kernel(-0.5, u).value
-        _track(st, _rel(got, math.exp(u)), {"u": u})
-    return st
+def _kernel_check(grid_key: str, nu: float, want: Callable[[float], float]):
+    """Runner comparing S_nu(u) with ``want(u)`` over a linspace grid."""
+    def run(cfg: Config, tol: float) -> dict:
+        lo, hi, n = cfg.grids[grid_key]
+        st = _new_state()
+        for u in linspace(lo, hi, int(n)):
+            got = bessel_struve_kernel(nu, u).value
+            _track(st, _rel(got, want(u)), {"u": u})
+        return st
+
+    return run
 
 
-def _run_e2(cfg: Config, tol: float) -> dict:
-    lo, hi, n = cfg.grids["kernel_grid"]
-    st = _new_state()
-    for u in linspace(lo, hi, int(n)):
-        got = bessel_struve_kernel(0.5, u).value
-        want = 1.0 if u == 0.0 else math.expm1(u) / u
-        _track(st, _rel(got, want), {"u": u})
-    return st
-
-
-def _run_r1(cfg: Config, tol: float) -> dict:
-    lo, hi, n = cfg.grids["relation_grid"]
-    st = _new_state()
-    for u in linspace(lo, hi, int(n)):
-        got = bessel_struve_kernel(0.0, u).value
-        want = (bessel_first_kind(0.0, u, modified=True).value
-                + struve(0.0, u, modified=True).value)
-        _track(st, _rel(got, want), {"u": u})
-    return st
+def _i_plus_l(nu: float, u: float) -> float:
+    return (bessel_first_kind(nu, u, modified=True).value
+            + struve(nu, u, modified=True).value)
 
 
 def _run_r2(cfg: Config, tol: float) -> dict:
-    lo, hi, n = cfg.grids["relation_grid"]
-    st = _new_state()
-    for u in linspace(lo, hi, int(n)):
-        got = bessel_struve_kernel(1.0, u).value
-        i1 = bessel_first_kind(1.0, u, modified=True).value
-        l1 = struve(1.0, u, modified=True).value
-        _track(st, _rel(got, 2.0 * (i1 + l1) / u), {"u": u})
+    run = _kernel_check("relation_grid", 1.0, lambda u: 2.0 * _i_plus_l(1.0, u) / u)
+    st = run(cfg, tol)
     # the variant with the factor 2 only on the Bessel term
     u = 1.0
     s1 = bessel_struve_kernel(1.0, u).value
@@ -227,71 +213,50 @@ def _run_r2(cfg: Config, tol: float) -> dict:
 
 # --- operator power-image checks --------------------------------------------
 
-def _left_collapse_grid(cfg: Config):
+def _collapse_grid(cfg: Config, side: Side):
+    """Operator parameters whose F3 kernel collapses to a 2F1 on ``side``:
+    the first collapse parameter zero, then the second zero with the first
+    nonzero.  Sets whose 2F1 gap lies within 0.1 of an integer are left
+    out: the quadrature's connection formula has no value at an integer
+    and loses accuracy next to one."""
     g = cfg.grids
+    unprimed, primed = ("alpha", "beta"), ("alpha_prime", "beta_prime")
+    free, (first, second) = (unprimed, primed) if side is Side.LEFT else (primed, unprimed)
     pts = []
-    for gamma in g["msm_gamma"]:
-        for beta_prime in g["msm_beta_prime"]:
-            for alpha in g["msm_alpha"]:
-                for beta in g["msm_beta"]:
-                    if alpha != 0.0 and beta != 0.0 and _dist_to_int(gamma - alpha - beta) < 0.1:
-                        continue
-                    pts.append(MsmParams(alpha, 0.0, beta, beta_prime, gamma))
-    for gamma in g["msm_gamma"]:
-        for alpha_prime in g["msm_alpha_prime"]:
-            if alpha_prime == 0.0:
-                continue
-            for alpha in g["msm_alpha"]:
-                for beta in g["msm_beta"]:
-                    if alpha != 0.0 and beta != 0.0 and _dist_to_int(gamma - alpha - beta) < 0.1:
-                        continue
-                    pts.append(MsmParams(alpha, alpha_prime, beta, 0.0, gamma))
+    for zero, vary in ((first, second), (second, first)):
+        for gamma, v, a, b in product(g["msm_gamma"], g["msm_" + vary],
+                                      g["msm_" + free[0]], g["msm_" + free[1]]):
+            if vary == first and v == 0.0:
+                continue  # both zero: already in the first part
+            params = MsmParams(**{"gamma": gamma, zero: 0.0, vary: v,
+                                  free[0]: a, free[1]: b})
+            gap = _collapsed_gap(side, params)
+            if gap is None or _dist_to_int(gap) >= 0.1:
+                pts.append(params)
     return pts
 
 
-def _right_collapse_grid(cfg: Config):
-    g = cfg.grids
-    pts = []
-    for gamma in g["msm_gamma"]:
-        for beta in g["msm_beta"]:
-            for alpha_prime in g["msm_alpha_prime"]:
-                for beta_prime in g["msm_beta_prime"]:
-                    if (alpha_prime != 0.0 and beta_prime != 0.0
-                            and _dist_to_int(beta_prime - alpha_prime) < 0.1):
-                        continue
-                    pts.append(MsmParams(0.0, alpha_prime, beta, beta_prime, gamma))
-    for gamma in g["msm_gamma"]:
-        for alpha in g["msm_alpha"]:
-            if alpha == 0.0:
-                continue
-            for alpha_prime in g["msm_alpha_prime"]:
-                for beta_prime in g["msm_beta_prime"]:
-                    if (alpha_prime != 0.0 and beta_prime != 0.0
-                            and _dist_to_int(beta_prime - alpha_prime) < 0.1):
-                        continue
-                    pts.append(MsmParams(alpha, alpha_prime, 0.0, beta_prime, gamma))
-    return pts
-
-
-def _run_l1(cfg: Config, tol: float) -> dict:
+def _run_lemma(side: Side, cfg: Config, tol: float) -> dict:
+    """Power image against quadrature over the collapse grid, plus the
+    exact case: the integral of t over (0, 3) on the left, of t^(-2) over
+    (2, infinity) on the right."""
     st = _new_state()
-    for params in _left_collapse_grid(cfg):
-        for rho in cfg.grids["rho_left"]:
-            img = msm_power_image(Side.LEFT, params, rho)
-            for x in cfg.grids["x_left"]:
+    rhos, xs = ((cfg.grids["rho_left"], cfg.grids["x_left"]) if side is Side.LEFT
+                else (cfg.grids["rho_right"], cfg.grids["x_right"]))
+    for params in _collapse_grid(cfg, side):
+        for rho in rhos:
+            img = msm_power_image(side, params, rho)
+            for x in xs:
                 got = img.value_at(x).value
-                want = msm_quadrature(Side.LEFT, params, FunctionKind.monomial(rho),
+                want = msm_quadrature(side, params, FunctionKind.monomial(rho),
                                       x, tol=tol / 20.0).value
-                _track(st, _rel(got, want),
-                       {"alpha": params.alpha, "alpha_prime": params.alpha_prime,
-                        "beta": params.beta, "beta_prime": params.beta_prime,
-                        "gamma": params.gamma, "rho": rho, "x": x})
-    # degenerate elementary case: plain integration of t
-    img = msm_power_image(Side.LEFT, MsmParams(0, 0, 0, 0, 1.0), 2.0)
-    deg = _rel(img.value_at(3.0).value, 4.5)
+                _track(st, _rel(got, want), {**vars(params), "rho": rho, "x": x})
+    rho, x, exact = (2.0, 3.0, 4.5) if side is Side.LEFT else (-1.0, 2.0, 0.5)
+    plain = MsmParams(0, 0, 0, 0, 1.0)
+    img = msm_power_image(side, plain, rho)
+    deg = _rel(img.value_at(x).value, exact)
     deg = max(deg, _rel(
-        msm_quadrature(Side.LEFT, MsmParams(0, 0, 0, 0, 1.0),
-                       FunctionKind.monomial(2.0), 3.0).value, 4.5))
+        msm_quadrature(side, plain, FunctionKind.monomial(rho), x).value, exact))
     return {**st, "secondary": {"degenerate": deg}}
 
 
@@ -308,19 +273,7 @@ def _printed_right_ratio(p: MsmParams, rho: float) -> float:
 
 
 def _run_l2(cfg: Config, tol: float) -> dict:
-    st = _new_state()
-    printed_dev = math.inf
-    for params in _right_collapse_grid(cfg):
-        for rho in cfg.grids["rho_right"]:
-            img = msm_power_image(Side.RIGHT, params, rho)
-            for x in cfg.grids["x_right"]:
-                got = img.value_at(x).value
-                want = msm_quadrature(Side.RIGHT, params, FunctionKind.monomial(rho),
-                                      x, tol=tol / 20.0).value
-                _track(st, _rel(got, want),
-                       {"alpha": params.alpha, "alpha_prime": params.alpha_prime,
-                        "beta": params.beta, "beta_prime": params.beta_prime,
-                        "gamma": params.gamma, "rho": rho, "x": x})
+    out = _run_lemma(Side.RIGHT, cfg, tol)
     # variant ratio against quadrature at a probe point where it differs
     probe = MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
     rho = -1.5
@@ -328,15 +281,7 @@ def _run_l2(cfg: Config, tol: float) -> dict:
     want = msm_quadrature(Side.RIGHT, probe, FunctionKind.monomial(rho), x).value
     variant = (_printed_right_ratio(probe, rho)
                * x ** msm_power_image(Side.RIGHT, probe, rho).power_of_x)
-    printed_dev = _rel(variant, want)
-    # degenerate elementary case: integral of t^(-2) from x to infinity
-    img = msm_power_image(Side.RIGHT, MsmParams(0, 0, 0, 0, 1.0), -1.0)
-    deg = _rel(img.value_at(2.0).value, 0.5)
-    deg = max(deg, _rel(
-        msm_quadrature(Side.RIGHT, MsmParams(0, 0, 0, 0, 1.0),
-                       FunctionKind.monomial(-1.0), 2.0).value, 0.5))
-    return {**st, "secondary": {"degenerate": deg},
-            "printed_dev": printed_dev, "printed_floor": 1e-3}
+    return {**out, "printed_dev": _rel(variant, want), "printed_floor": 1e-3}
 
 
 # --- operator kernel-image theorems ------------------------------------------
@@ -410,7 +355,15 @@ def _theorem_grid(cfg: Config, side: Side):
                         yield params, nu, lam, rho, x
 
 
-def _run_theorem(side: Side, cfg: Config, tol: float, quad_tol: float) -> dict:
+def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float) -> float:
+    """Worst deviation of the closed-form images of ``kinds`` at x from
+    direct quadrature (run at tol/20)."""
+    return max(0.0, *(_rel(image(probe, kind).value_at(x).value,
+                           quadrature(probe, kind, x, tol=tol / 20.0).value)
+                      for kind in kinds))
+
+
+def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
     st = _new_state()
     for params, nu, lam, rho, x in _theorem_grid(cfg, side):
         kind = FunctionKind.bs_kernel(rho, nu, lam)
@@ -418,34 +371,24 @@ def _run_theorem(side: Side, cfg: Config, tol: float, quad_tol: float) -> dict:
         got = img.value_at(x, term_cap=cfg.term_cap).value
         want = _termwise_msm(side, params, rho, nu, lam, x)
         _track(st, _rel(got, want),
-               {"alpha": params.alpha, "alpha_prime": params.alpha_prime,
-                "beta": params.beta, "beta_prime": params.beta_prime,
-                "gamma": params.gamma, "nu": nu, "lam": lam, "rho": rho, "x": x})
+               {**vars(params), "nu": nu, "lam": lam, "rho": rho, "x": x})
     # quadrature cross-check in a collapse regime
-    quad_dev = 0.0
     if side is Side.LEFT:
         probe = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9)
         rho = 1.5
-        xs = (1.0,)
+        x = 1.0
     else:
         probe = MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
         rho = -2.0
-        xs = (2.0,)
-    for nu in (-0.5, 0.25, 1.0):
-        for x in xs:
-            kind = FunctionKind.bs_kernel(rho, nu, 0.5)
-            got = msm_bs_closed_form(side, probe, kind).value_at(x).value
-            want = msm_quadrature(side, probe, kind, x, tol=quad_tol / 20.0).value
-            quad_dev = max(quad_dev, _rel(got, want))
+        x = 2.0
+    kinds = [FunctionKind.bs_kernel(rho, nu, 0.5) for nu in (-0.5, 0.25, 1.0)]
+    quad_dev = _quad_dev(partial(msm_bs_closed_form, side), partial(msm_quadrature, side),
+                         probe, kinds, x, cfg.tolerances["theorem_quadrature"])
     return {**st, "secondary": {"theorem_quadrature": quad_dev}}
 
 
-def _run_t1(cfg: Config, tol: float) -> dict:
-    return _run_theorem(Side.LEFT, cfg, tol, cfg.tolerances["theorem_quadrature"])
-
-
 def _run_t2(cfg: Config, tol: float) -> dict:
-    out = _run_theorem(Side.RIGHT, cfg, tol, cfg.tolerances["theorem_quadrature"])
+    out = _run_theorem(Side.RIGHT, cfg, tol)
     # variant statement: order parameter missing from one numerator, stray
     # beta terms in the denominators, and the series argument lam*x
     p = MsmParams(0.3, 0.2, 0.1, 0.4, 1.1)
@@ -465,14 +408,14 @@ def _run_t2(cfg: Config, tol: float) -> dict:
     return out
 
 
-def _delegation_dev(side: Side, cfg: Config, kind: FunctionKind, nu: float) -> float:
+def _delegation_dev(cfg: Config, family: str, nu: float) -> float:
     """Special kinds must reproduce the general order-nu route exactly."""
     dev = 0.0
     for raw in cfg.grids["theorem_params"]:
         params = MsmParams(*raw)
-        rho = 1.3 if side is Side.LEFT else -2.0
-        special = msm_bs_closed_form(side, params, FunctionKind(kind.family, rho))
-        general = msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, nu, 1.0))
+        special = msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, 1.3))
+        general = msm_bs_closed_form(Side.LEFT, params,
+                                     FunctionKind.bs_kernel(1.3, nu, 1.0))
         if special != general:
             dev = max(dev, 1.0)
         a = special.value_at(1.4)
@@ -481,29 +424,20 @@ def _delegation_dev(side: Side, cfg: Config, kind: FunctionKind, nu: float) -> f
     return dev
 
 
-def _special_theorem_runner(family: str, nu: float, printed_spec_builder):
+def _special_theorem_runner(family: str, nu: float, printed):
     def run(cfg: Config, tol: float) -> dict:
         st = _new_state()
-        kind_probe = None
+        rho = 1.3
         for raw in cfg.grids["theorem_params"]:
             params = MsmParams(*raw)
-            rho = 1.3
-            kind = FunctionKind(family, rho)
-            kind_probe = (params, rho)
-            img = msm_bs_closed_form(Side.LEFT, params, kind)
+            img = msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, rho))
             got = img.value_at(1.0).value
             want = _termwise_msm(Side.LEFT, params, rho, nu, 1.0, 1.0)
-            _track(st, _rel(got, want),
-                   {"alpha": params.alpha, "alpha_prime": params.alpha_prime,
-                    "beta": params.beta, "beta_prime": params.beta_prime,
-                    "gamma": params.gamma, "rho": rho})
-        out = {**st, "secondary": {"degenerate": _delegation_dev(
-            Side.LEFT, cfg, FunctionKind(family, 1.3), nu)}}
-        if printed_spec_builder is not None:
-            params, rho = kind_probe
-            variant = printed_spec_builder(params, rho, 1.0)
-            want = _termwise_msm(Side.LEFT, params, rho, nu, 1.0, 1.0)
-            out["printed_dev"] = _rel(variant, want)
+            _track(st, _rel(got, want), {**vars(params), "rho": rho})
+        out = {**st, "secondary": {"degenerate": _delegation_dev(cfg, family, nu)}}
+        if printed is not None:
+            # the variant at the last grid point, against that point's oracle
+            out["printed_dev"] = _rel(printed(params, rho, 1.0), want)
             out["printed_floor"] = 1e-3
         return out
 
@@ -573,7 +507,6 @@ def _termwise_pathway(params: PathwayParams, sigma: float, nu: float,
 
 def _run_t7(cfg: Config, tol: float) -> dict:
     st = _new_state()
-    quad_dev = 0.0
     for params in _pathway_grid(cfg):
         for sigma in cfg.grids["pathway_sigma"]:
             for nu in (-0.5, 0.0, 0.25, 1.0):
@@ -589,12 +522,9 @@ def _run_t7(cfg: Config, tol: float) -> dict:
                             "alpha": params.pathway_alpha, "sigma": sigma,
                             "nu": nu, "lam": lam})
     probe = PathwayParams(0.7, 1.3, 0.4)
-    for nu in (-0.5, 0.25, 1.0):
-        kind = FunctionKind.bs_kernel(1.1, nu, 0.5)
-        got = pathway_bs_closed_form(probe, kind).value_at(1.0).value
-        want = pathway_quadrature(probe, kind, 1.0,
-                                  tol=cfg.tolerances["pathway_quadrature"] / 20.0).value
-        quad_dev = max(quad_dev, _rel(got, want))
+    quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
+                         [FunctionKind.bs_kernel(1.1, nu, 0.5) for nu in (-0.5, 0.25, 1.0)],
+                         1.0, cfg.tolerances["pathway_quadrature"])
     # scale zero must reduce to the power image with a single series term
     kind = FunctionKind.bs_kernel(1.1, 0.25, 0.0)
     r = pathway_bs_closed_form(probe, kind).value_at(1.4)
@@ -614,25 +544,18 @@ def _run_t8(cfg: Config, tol: float) -> dict:
             spec = WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),))
             pub = (x ** (params.eta + sigma) * math.exp(math.lgamma(1.0 + c))
                    / params.cut ** sigma * wright_eval(spec, x / params.cut).value)
-            _track(st, _rel(got, pub),
-                   {"eta": params.eta, "a": params.a,
-                    "alpha": params.pathway_alpha, "sigma": sigma, "case": 0.0})
+            point = {"eta": params.eta, "a": params.a,
+                     "alpha": params.pathway_alpha, "sigma": sigma}
+            _track(st, _rel(got, pub), {**point, "case": 0.0})
             want = _termwise_pathway(params, sigma, -0.5, 1.0, x)
-            _track(st, _rel(got, want),
-                   {"eta": params.eta, "a": params.a,
-                    "alpha": params.pathway_alpha, "sigma": sigma, "case": 1.0})
+            _track(st, _rel(got, want), {**point, "case": 1.0})
             got2 = pathway_bs_closed_form(params, FunctionKind.expm1_over_t(sigma)).value_at(x).value
             want2 = _termwise_pathway(params, sigma, 0.5, 1.0, x)
-            _track(st, _rel(got2, want2),
-                   {"eta": params.eta, "a": params.a,
-                    "alpha": params.pathway_alpha, "sigma": sigma, "case": 2.0})
+            _track(st, _rel(got2, want2), {**point, "case": 2.0})
     probe = PathwayParams(0.7, 1.3, 0.4)
-    quad_dev = 0.0
-    for kind in (FunctionKind.exp_kernel(1.2), FunctionKind.expm1_over_t(1.2)):
-        got = pathway_bs_closed_form(probe, kind).value_at(0.8).value
-        want = pathway_quadrature(probe, kind, 0.8,
-                                  tol=cfg.tolerances["pathway_quadrature"] / 20.0).value
-        quad_dev = max(quad_dev, _rel(got, want))
+    quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
+                         (FunctionKind.exp_kernel(1.2), FunctionKind.expm1_over_t(1.2)),
+                         0.8, cfg.tolerances["pathway_quadrature"])
     # variant second case: lower pair printed as (1/2, 1/2) instead of (3/2, 1/2)
     sigma, x = 1.1, 1.0
     c = probe.kernel_exponent
@@ -725,7 +648,7 @@ CHECKS = {
     "L1": CheckSpec(
         "L1", "left power image versus direct tanh-sinh quadrature "
         "(collapsed kernel), plus the exact plain-integration case",
-        "lemma_quadrature", _run_l1),
+        "lemma_quadrature", partial(_run_lemma, Side.LEFT)),
     "L2": CheckSpec(
         "L2", "right power image versus direct exp-sinh quadrature; the "
         "variant ratio with a misplaced order parameter is documented",
@@ -738,7 +661,7 @@ CHECKS = {
     "T1": CheckSpec(
         "T1", "left kernel image (4Psi4) versus the 60-term termwise "
         "power-image oracle and collapse-regime quadrature",
-        "theorem_series", _run_t1),
+        "theorem_series", partial(_run_theorem, Side.LEFT)),
     "T2": CheckSpec(
         "T2", "right kernel image versus termwise oracle and quadrature; "
         "the variant statement (stray order shifts, argument lam*x) "
@@ -777,13 +700,15 @@ CHECKS = {
         expected="DOCUMENTED_MISMATCH"),
     "e1": CheckSpec(
         "e1", "kernel at order -1/2 equals exp on [-10, 10]",
-        "kernel_exp", _run_e1),
+        "kernel_exp", _kernel_check("kernel_grid", -0.5, math.exp)),
     "e2": CheckSpec(
         "e2", "kernel at order 1/2 equals (exp(u)-1)/u on [-10, 10]",
-        "kernel_exp", _run_e2),
+        "kernel_exp",
+        _kernel_check("kernel_grid", 0.5,
+                      lambda u: 1.0 if u == 0.0 else math.expm1(u) / u)),
     "r1": CheckSpec(
         "r1", "kernel at order 0 equals I0 + L0 on (0, 20]",
-        "kernel_relation", _run_r1),
+        "kernel_relation", _kernel_check("relation_grid", 0.0, partial(_i_plus_l, 0.0))),
     "r2": CheckSpec(
         "r2", "kernel at order 1 equals 2(I1+L1)/u on (0, 20]; the "
         "variant (2I1+L1)/u misses by more than 1% at u=1",
@@ -806,8 +731,7 @@ SUITES = {
     "pathway": ("L3", "T7", "T8"),
     "wright": ("W-delta",),
     "density": ("density-norm",),
-    "all": ("L1", "L2", "L3", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8",
-            "e1", "e2", "r1", "r2", "W-delta", "density-norm"),
+    "all": tuple(CHECKS),
 }
 
 

@@ -3,9 +3,10 @@ verification suites.
 
 Exit codes: 0 on success (all verification expectations met), 1 on a
 verification failure or numerical error, 2 on usage errors.  A numerical
-error (an overflow, a term-cap or quadrature stall, or a non-finite
-value) is reported on stderr; a non-finite value is still printed in
-the usual stdout schema.
+error (an overflow, a term-cap or quadrature stall, a non-finite value,
+or a value whose series did not converge) is reported on stderr;
+non-finite and unconverged values are still printed in the usual stdout
+schema.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ def _emit(ctx_obj, headers, rows):
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue().rstrip("\n")
+    _write(ctx_obj, text)
+
+
+def _write(ctx_obj, text: str):
     out = ctx_obj.get("out")
     if out:
         with open(out, "w") as fh:
@@ -107,22 +112,20 @@ def _parse_pairs(text: str):
 
 
 def _evaluate(function: str, opts: dict, x: float):
-    """Dispatch one evaluation; returns (value, abs_error_est, terms_used)."""
+    """Dispatch one evaluation; returns (value, abs_error_est, terms_used,
+    converged)."""
     if function == "S":
         _require(opts, ["nu"])
         r = bessel_struve_kernel(opts["nu"], x)
-        return r.value, r.abs_error_est, r.terms_used
-    if function in ("J", "I", "H", "L"):
+    elif function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
         fn = bessel_first_kind if function in ("J", "I") else struve
         r = fn(opts["nu"], x, modified=function in ("I", "L"))
-        return r.value, r.abs_error_est, r.terms_used
-    if function == "wright":
+    elif function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
         r = wright_eval(spec, x)
-        return r.value, r.abs_error_est, r.terms_used
-    if function in ("msm-left", "msm-right"):
+    elif function in ("msm-left", "msm-right"):
         _require(opts, ["gamma", "rho"])
         side = Side.LEFT if function == "msm-left" else Side.RIGHT
         params = MsmParams(opts["alpha"], opts["alpha_prime"], opts["beta"],
@@ -133,8 +136,7 @@ def _evaluate(function: str, opts: dict, x: float):
         else:
             img = msm_bs_closed_form(side, params, kind)
         r = img.value_at(x)
-        return r.value, r.abs_error_est, r.terms_used
-    if function == "pathway":
+    elif function == "pathway":
         _require(opts, ["eta", "a", "pathway-alpha", "rho"])
         params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
         kind = _build_kind(opts)
@@ -143,11 +145,12 @@ def _evaluate(function: str, opts: dict, x: float):
         else:
             img = pathway_bs_closed_form(params, kind)
         r = img.value_at(x)
-        return r.value, r.abs_error_est, r.terms_used
-    _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
-    dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
-                              opts["beta_shape"], opts["a"], opts["pathway_alpha"])
-    return pathway_density(dp, x), 0.0, 1
+    else:
+        _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
+        dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
+                                  opts["beta_shape"], opts["a"], opts["pathway_alpha"])
+        return pathway_density(dp, x), 0.0, 1, True
+    return r.value, r.abs_error_est, r.terms_used, r.converged
 
 
 def _build_kind(opts) -> FunctionKind:
@@ -212,10 +215,12 @@ def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
 @click.pass_context
 def eval_cmd(ctx, function, x, **opts):
     """Evaluate one function at one point."""
-    value, err, terms = _compute(function, opts, x)
+    value, err, terms, converged = _compute(function, opts, x)
     _emit(ctx.obj, ["value", "abs_error_est", "terms_used"], [[value, err, terms]])
     if not math.isfinite(value):
         _fail(f"{function} at x={x!r} is not finite in double precision")
+    if not converged:
+        _fail(f"{function} at x={x!r} did not converge")
 
 
 def _parse_range(text: str):
@@ -241,15 +246,20 @@ def _parse_range(text: str):
 def table_cmd(ctx, function, x_range, **opts):
     """Tabulate one function over a grid of evaluation points."""
     xs = _parse_range(x_range)
-    rows = []
+    rows, unconverged = [], []
     for x in xs:
-        value, err, _ = _compute(function, opts, x)
+        value, err, _, converged = _compute(function, opts, x)
         rows.append([x, value, err])
+        if not converged:
+            unconverged.append(x)
     _emit(ctx.obj, ["x", "value", "abs_error_est"], rows)
     bad = [x for x, value, _ in rows if not math.isfinite(value)]
     if bad:
         _fail(f"{function} is not finite in double precision at {len(bad)} "
               f"point(s), first x={bad[0]!r}")
+    if unconverged:
+        _fail(f"{function} did not converge at {len(unconverged)} point(s), "
+              f"first x={unconverged[0]!r}")
 
 
 @main.command("verify")
@@ -270,21 +280,11 @@ def verify_cmd(ctx, suite):
                    f"(max_rel_dev={check['max_rel_dev']:.3e}, "
                    f"n={check['n_points']})", err=True)
     if ctx.obj["format"] == "json":
-        text = json.dumps(doc, indent=2)
+        _write(ctx.obj, json.dumps(doc, indent=2))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "status", "max_rel_dev", "n_points", "worst_point"])
-        for check in doc["checks"]:
-            point = "|".join(f"{k}={_fmt(v)}" for k, v in check["worst_point"].items())
-            writer.writerow([check["id"], check["status"],
-                             _fmt(check["max_rel_dev"]), check["n_points"], point])
-        text = buf.getvalue().rstrip("\n")
-    out = ctx.obj.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+        _emit(ctx.obj, ["id", "status", "max_rel_dev", "n_points", "worst_point"],
+              [[check["id"], check["status"], check["max_rel_dev"], check["n_points"],
+                "|".join(f"{k}={_fmt(v)}" for k, v in check["worst_point"].items())]
+               for check in doc["checks"]])
     if not report.all_expected():
         sys.exit(1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import DomainUnsupportedError, PreconditionError
-from .gammacore import _HALF_LN_PI, gamma_ratio, ln_gamma_signed
+from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .quadrature import exp_sinh, tanh_sinh
 from .series import TERM_CAP, SeriesEval
 from .wright import WrightSpec, wright_eval
@@ -178,8 +178,7 @@ def msm_power_image(side: Side, params: MsmParams, rho: float) -> ClosedFormImag
                            inverse_argument=(side is Side.RIGHT))
 
 
-def msm_bs_closed_form(side: Side, params: MsmParams, kind: FunctionKind,
-                       lam: float | None = None) -> ClosedFormImage:
+def msm_bs_closed_form(side: Side, params: MsmParams, kind: FunctionKind) -> ClosedFormImage:
     """Wright-series image of t^(rho-1) S_nu(lam*t) (left) or
     t^(rho-1) S_nu(lam/t) (right), assembled termwise from the power
     images applied to the kernel series.
@@ -190,15 +189,21 @@ def msm_bs_closed_form(side: Side, params: MsmParams, kind: FunctionKind,
     if kind.family == "monomial":
         raise ValueError("monomial images come from msm_power_image")
     nu = kind.nu
-    if lam is None:
-        lam = kind.lam
     nums, dens = _gamma_args(side, params, kind.rho)
     spec = WrightSpec(((0.5, 0.5),) + tuple((a, 1.0) for a in nums),
                       ((nu + 1.0, 0.5),) + tuple((b, 1.0) for b in dens))
     lg = ln_gamma_signed(nu + 1.0)
     pref = lg.sign * math.exp(lg.log_abs - _HALF_LN_PI)
-    return ClosedFormImage(pref, _power(params, kind.rho), spec, lam,
+    return ClosedFormImage(pref, _power(params, kind.rho), spec, kind.lam,
                            inverse_argument=(side is Side.RIGHT))
+
+
+def _collapsed_gap(side: Side, p: MsmParams) -> float | None:
+    """c - a - b of the 2F1 left by an F3 collapse, after the Pfaff
+    transform on the right; None when the 2F1 is identically one."""
+    if side is Side.LEFT:
+        return p.gamma - p.alpha - p.beta if p.alpha != 0.0 and p.beta != 0.0 else None
+    return p.beta_prime - p.alpha_prime if p.alpha_prime != 0.0 and p.beta_prime != 0.0 else None
 
 
 def _kernel_value(kind: FunctionKind, u: float) -> float:
@@ -212,8 +217,10 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
 
     Requires an F3 collapse along the whole path: alpha' = 0 or beta' = 0
     for LEFT, alpha = 0 or beta = 0 for RIGHT (the surviving 2F1 factor
-    is then evaluable at every node).  Endpoint singularities are driven
-    through the exact node-to-endpoint distances.
+    is then evaluable at every node), and a 2F1 gap (``_collapsed_gap``)
+    away from the integers, where its connection formula has no value.
+    Endpoint singularities are driven through the exact node-to-endpoint
+    distances.
     """
     if not x > 0.0:
         raise ValueError("operators are defined for x > 0")
@@ -222,10 +229,18 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     lam = kind.lam
     want_kernel = kind.family != "monomial"
     _gamma_args(side, p, rho)  # the integral converges where the image exists
+    if side is Side.LEFT and not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):
+        raise DomainUnsupportedError(
+            "left quadrature needs alpha'=0 or beta'=0 to collapse the kernel")
+    if side is Side.RIGHT and not (p.alpha == 0.0 or p.beta == 0.0):
+        raise DomainUnsupportedError(
+            "right quadrature needs alpha=0 or beta=0 to collapse the kernel")
+    gap = _collapsed_gap(side, p)
+    if gap is not None and abs(gap - round(gap)) <= POLE_TOL:
+        name = "gamma-alpha-beta" if side is Side.LEFT else "beta'-alpha'"
+        raise DomainUnsupportedError(
+            f"{side.value} quadrature needs a non-integer 2F1 gap {name}, got {gap!r}")
     if side is Side.LEFT:
-        if not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):
-            raise DomainUnsupportedError(
-                "left quadrature needs alpha'=0 or beta'=0 to collapse the kernel")
         p0 = rho - p.alpha_prime - 1.0
         gm1 = p.gamma - 1.0
         a_, b_, c_ = p.alpha, p.beta, p.gamma
@@ -242,9 +257,6 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
         quad = tanh_sinh(left_integrand, 0.0, x, tol=tol)
         pref = x ** (-p.alpha) / math.gamma(p.gamma)
     else:
-        if not (p.alpha == 0.0 or p.beta == 0.0):
-            raise DomainUnsupportedError(
-                "right quadrature needs alpha=0 or beta=0 to collapse the kernel")
         p0 = rho - p.alpha - 1.0
         gm1 = p.gamma - 1.0
         a_, b_, c_ = p.alpha_prime, p.beta_prime, p.gamma

@@ -61,8 +61,7 @@ def pathway_power_image(params: PathwayParams, beta_exp: float) -> ClosedFormIma
     return ClosedFormImage(pref, params.eta + beta_exp, WrightSpec((), ()), 0.0)
 
 
-def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind,
-                           lam: float | None = None) -> ClosedFormImage:
+def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind) -> ClosedFormImage:
     """Wright-series image of t^(sigma-1) S_nu(lam*t), termwise from the
     power image; exponential special cases delegate via nu = -1/2, 1/2."""
     if kind.family == "monomial":
@@ -71,8 +70,6 @@ def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind,
     if not sigma > 0.0:
         raise PreconditionError(f"exponent must be positive, got {sigma!r}")
     nu = kind.nu
-    if lam is None:
-        lam = kind.lam
     c = params.kernel_exponent
     lg_nu = ln_gamma_signed(nu + 1.0)
     lg_c = ln_gamma_signed(1.0 + c)
@@ -81,7 +78,7 @@ def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind,
     pref /= params.cut ** sigma
     spec = WrightSpec(((0.5, 0.5), (sigma, 1.0)),
                       ((nu + 1.0, 0.5), (1.0 + c + sigma, 1.0)))
-    return ClosedFormImage(pref, params.eta + sigma, spec, lam / params.cut)
+    return ClosedFormImage(pref, params.eta + sigma, spec, kind.lam / params.cut)
 
 
 def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,

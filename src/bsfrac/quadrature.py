@@ -11,6 +11,7 @@ nodes; the error estimate is the last level-to-level difference.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .errors import QuadratureError
 from .series import SeriesEval
@@ -57,6 +58,29 @@ def _finite_level(f, a, b, h, odd_only):
     return total, evals
 
 
+def _refine(level, tol, max_levels, name):
+    """Halve the mesh per level until two consecutive estimates agree to
+    the relative tolerance; ``level(h, odd_only)`` returns one level's
+    trapezoid sum (without the h factor) and its evaluation count."""
+    h = 0.5
+    total, n_evals = level(h, False)
+    prev = h * total
+    err = math.inf
+    for k in range(1, max_levels + 1):
+        h *= 0.5
+        part, ev = level(h, True)
+        total += part
+        n_evals += ev
+        cur = h * total
+        err = abs(cur - prev)
+        prev = cur
+        if k >= 2 and err <= tol * max(abs(cur), _TINY):
+            return SeriesEval(cur, err, n_evals, True)
+    raise QuadratureError(
+        f"{name} stalled: level difference {err!r} above tolerance "
+        f"after {max_levels} levels")
+
+
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-11,
               max_levels: int = 12) -> SeriesEval:
     """Integrate ``f(t, t-a, b-t)`` over (a, b).
@@ -67,26 +91,10 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-11,
     """
     if not b > a:
         raise ValueError("tanh_sinh requires b > a")
-    h = 0.5
-    total, n_evals = _finite_level(f, a, b, h, odd_only=False)
-    prev = h * total
-    err = math.inf
-    for level in range(1, max_levels + 1):
-        h *= 0.5
-        part, ev = _finite_level(f, a, b, h, odd_only=True)
-        total += part
-        n_evals += ev
-        cur = h * total
-        err = abs(cur - prev)
-        prev = cur
-        if level >= 2 and err <= tol * max(abs(cur), _TINY):
-            return SeriesEval(cur, err, n_evals, True)
-    raise QuadratureError(
-        f"tanh-sinh stalled: level difference {err!r} above tolerance "
-        f"after {max_levels} levels")
+    return _refine(partial(_finite_level, f, a, b), tol, max_levels, "tanh-sinh")
 
 
-def _half_inf_level(f, a, scale, h, odd_only, v_pos):
+def _half_inf_level(f, a, scale, v_pos, h, odd_only):
     total = 0.0
     evals = 0
     step = 2 if odd_only else 1
@@ -144,20 +152,4 @@ def exp_sinh(f, a: float, scale: float, tol: float = 1e-11,
     if scale <= 0.0:
         raise ValueError("exp_sinh requires a positive scale")
     v_pos = min(500.0, 690.0 - math.log(scale))
-    h = 0.5
-    total, n_evals = _half_inf_level(f, a, scale, h, False, v_pos)
-    prev = h * total
-    err = math.inf
-    for level in range(1, max_levels + 1):
-        h *= 0.5
-        part, ev = _half_inf_level(f, a, scale, h, True, v_pos)
-        total += part
-        n_evals += ev
-        cur = h * total
-        err = abs(cur - prev)
-        prev = cur
-        if level >= 2 and err <= tol * max(abs(cur), _TINY):
-            return SeriesEval(cur, err, n_evals, True)
-    raise QuadratureError(
-        f"exp-sinh stalled: level difference {err!r} above tolerance "
-        f"after {max_levels} levels")
+    return _refine(partial(_half_inf_level, f, a, scale, v_pos), tol, max_levels, "exp-sinh")

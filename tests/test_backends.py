@@ -139,11 +139,14 @@ def test_verify_all_on_compiled_backend(compiled_pkg):
 
 
 def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):
-    # the compiled kernels return inf where the pure ones overflow: both exit 1
+    # the compiled kernels return inf where the pure ones overflow: both exit 1,
+    # and so does a value flagged unconverged
     env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
     env.pop("BSFRAC_PURE_PYTHON", None)
     for args in (["eval", "S", "--nu", "0.25", "--x", "800"],
-                 ["eval", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "800"]):
+                 ["eval", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "800"],
+                 ["eval", "S", "--nu", "0.25", "--x", "-40"],
+                 ["table", "S", "--nu", "0.25", "--x=-40:-20:3"]):
         proc = subprocess.run([sys.executable, "-m", "bsfrac", *args], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, (args, proc.stdout, proc.stderr)

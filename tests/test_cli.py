@@ -98,6 +98,20 @@ def test_table_non_finite_value_is_numerical_error():
     assert "1 point(s), first x=800.0" in res.stderr
 
 
+def test_eval_unconverged_value_is_numerical_error():
+    res = _run("eval", "S", "--nu", "0.25", "--x", "-40")
+    assert res.exit_code == 1
+    assert _csv_rows(res.stdout)[0]["terms_used"] == "134"  # the row is still printed
+    assert "S at x=-40.0 did not converge" in res.stderr
+
+
+def test_table_unconverged_value_is_numerical_error():
+    res = _run("table", "S", "--nu", "0.25", "--x=-40:-20:3")
+    assert res.exit_code == 1
+    assert [r["x"] for r in _csv_rows(res.stdout)] == ["-40", "-30", "-20"]
+    assert "did not converge at 1 point(s), first x=-40.0" in res.stderr
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(bsfrac.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -151,6 +165,12 @@ def test_verify_csv_output():
     rows = _csv_rows(res.stdout)
     assert [r["id"] for r in rows] == ["e1", "e2", "r1", "r2"]
     assert rows[3]["status"] == "DOCUMENTED_MISMATCH"
+
+
+def test_verify_csv_out_file_matches_stdout(tmp_path):
+    out = tmp_path / "report.csv"
+    assert _run("--out", str(out), "verify", "kernel-identities").exit_code == 0
+    assert out.read_text() == _run("verify", "kernel-identities").stdout
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -91,6 +91,18 @@ class TestQuadrature:
         with pytest.raises(DomainUnsupportedError):
             msm_quadrature(Side.RIGHT, GENERIC, FunctionKind.monomial(-2.0), 1.0)
 
+    @pytest.mark.parametrize("side,params,rho,gap", [
+        (Side.LEFT, MsmParams(0.4, 0.0, 0.6, 0.2, 1.0), 1.5, "gamma-alpha-beta, got 0.0"),
+        (Side.RIGHT, MsmParams(0.0, 0.3, 0.2, 1.3, 1.0), -1.5, "beta'-alpha', got 1.0"),
+    ])
+    def test_integer_2f1_gap_is_unsupported(self, side, params, rho, gap):
+        # the connection formula has no value there; this used to surface
+        # as a quadrature stall with a NaN level difference
+        with pytest.raises(DomainUnsupportedError, match=gap):
+            msm_quadrature(side, params, FunctionKind.monomial(rho), 1.0)
+        with pytest.raises(DomainUnsupportedError, match=gap):
+            msm_quadrature(side, params, FunctionKind.bs_kernel(rho, 0.25, 0.5), 1.0)
+
 
 class TestClosedForm:
     def test_degenerate_exponential_image(self):
@@ -131,7 +143,7 @@ class TestClosedForm:
     def test_lambda_homogeneity(self):
         kind = FunctionKind.bs_kernel(1.2, 0.25, 0.7)
         img = msm_bs_closed_form(Side.LEFT, GENERIC, kind)
-        ref = msm_bs_closed_form(Side.LEFT, GENERIC, kind, lam=1.0)
+        ref = msm_bs_closed_form(Side.LEFT, GENERIC, FunctionKind.bs_kernel(1.2, 0.25, 1.0))
         for x in (0.5, 1.4, 2.8):
             a = img.value_at(x)
             # same evaluation with the scale folded into the argument
@@ -218,8 +230,7 @@ class TestSharedPrecondition:
 class TestZeroScale:
     @pytest.mark.parametrize("side,rho", [(Side.LEFT, 1.3), (Side.RIGHT, -1.7)])
     def test_reduces_to_power_image_in_one_term(self, side, rho):
-        kind = FunctionKind.bs_kernel(rho, 0.25, 1.0)
-        img = msm_bs_closed_form(side, GENERIC, kind, lam=0.0)
+        img = msm_bs_closed_form(side, GENERIC, FunctionKind.bs_kernel(rho, 0.25, 0.0))
         power = msm_power_image(side, GENERIC, rho)
         for x in (0.6, 1.0, 2.5):
             r = img.value_at(x)
