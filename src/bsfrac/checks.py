@@ -28,7 +28,7 @@ from .msm import (
     Side,
     _collapsed_gap,
     _gamma_args,
-    _power,
+    _GammaTable,
     msm_bs_closed_form,
     msm_power_image,
     msm_quadrature,
@@ -37,6 +37,7 @@ from .pathway import (
     PathwayDensityParams,
     PathwayParams,
     Regime,
+    _table as _pathway_table,
     pathway_bs_closed_form,
     pathway_density,
     pathway_power_image,
@@ -330,13 +331,14 @@ def _termwise(nums, dens, nu: float, w: float, n_terms: int = 60) -> float:
     return total
 
 
-def _termwise_msm(side: Side, params: MsmParams, rho: float, nu: float,
-                  lam: float, x: float) -> float:
-    """Oracle for the MSM image of t^(rho-1) S_nu(lam t^(+-1)): each side's
-    gamma arguments all move by +1 per kernel term."""
-    nums, dens = _gamma_args(side, params, rho)
-    w = lam * x if side is Side.LEFT else lam / x
-    return x ** _power(params, rho) * _termwise(nums, dens, nu, w)
+def _termwise_image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
+    """Oracle for the image of the table's power times S_nu(lam t^(+-1)):
+    the shifting arguments carry the kernel term n, the fixed ones and the
+    divisor are a constant factor."""
+    front = x ** t.power
+    if t.fixed:  # no gamma_ratio call for an empty product
+        front = gamma_ratio(t.fixed, ()) / t.divisor * front
+    return front * _termwise(t.nums, t.dens, nu, (lam / x if t.inverse else lam * x) / t.cut)
 
 
 def _theorem_grid(cfg: Config, side: Side):
@@ -369,7 +371,7 @@ def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
         kind = FunctionKind.bs_kernel(rho, nu, lam)
         img = msm_bs_closed_form(side, params, kind)
         got = img.value_at(x, term_cap=cfg.term_cap).value
-        want = _termwise_msm(side, params, rho, nu, lam, x)
+        want = _termwise_image(_gamma_args(side, params, rho), nu, lam, x)
         _track(st, _rel(got, want),
                {**vars(params), "nu": nu, "lam": lam, "rho": rho, "x": x})
     # quadrature cross-check in a collapse regime
@@ -402,39 +404,30 @@ def _run_t2(cfg: Config, tol: float) -> dict:
     pref = math.exp(math.lgamma(nu + 1.0) - _HALF_LN_PI)
     variant = (pref * x ** msm_power_image(Side.RIGHT, p, rho).power_of_x
                * wright_eval(spec, lam * x).value)
-    want = _termwise_msm(Side.RIGHT, p, rho, nu, lam, x)
+    want = _termwise_image(_gamma_args(Side.RIGHT, p, rho), nu, lam, x)
     out["printed_dev"] = _rel(variant, want)
     out["printed_floor"] = 1e-3
     return out
-
-
-def _delegation_dev(cfg: Config, family: str, nu: float) -> float:
-    """Special kinds must reproduce the general order-nu route exactly."""
-    dev = 0.0
-    for raw in cfg.grids["theorem_params"]:
-        params = MsmParams(*raw)
-        special = msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, 1.3))
-        general = msm_bs_closed_form(Side.LEFT, params,
-                                     FunctionKind.bs_kernel(1.3, nu, 1.0))
-        if special != general:
-            dev = max(dev, 1.0)
-        a = special.value_at(1.4)
-        b = general.value_at(1.4)
-        dev = max(dev, 0.0 if a == b else _rel(a.value, b.value))
-    return dev
 
 
 def _special_theorem_runner(family: str, nu: float, printed):
     def run(cfg: Config, tol: float) -> dict:
         st = _new_state()
         rho = 1.3
+        delegation = 0.0
         for raw in cfg.grids["theorem_params"]:
             params = MsmParams(*raw)
             img = msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, rho))
             got = img.value_at(1.0).value
-            want = _termwise_msm(Side.LEFT, params, rho, nu, 1.0, 1.0)
+            want = _termwise_image(_gamma_args(Side.LEFT, params, rho), nu, 1.0, 1.0)
             _track(st, _rel(got, want), {**vars(params), "rho": rho})
-        out = {**st, "secondary": {"degenerate": _delegation_dev(cfg, family, nu)}}
+            # the special kind must reproduce the general order-nu route exactly
+            general = msm_bs_closed_form(Side.LEFT, params, FunctionKind.bs_kernel(rho, nu, 1.0))
+            if img != general:
+                delegation = max(delegation, 1.0)
+            a, b = img.value_at(1.4), general.value_at(1.4)
+            delegation = max(delegation, 0.0 if a == b else _rel(a.value, b.value))
+        out = {**st, "secondary": {"degenerate": delegation}}
         if printed is not None:
             # the variant at the last grid point, against that point's oracle
             out["printed_dev"] = _rel(printed(params, rho, 1.0), want)
@@ -495,16 +488,6 @@ def _run_l3(cfg: Config, tol: float) -> dict:
     return {**st, "secondary": {"degenerate": deg}}
 
 
-def _termwise_pathway(params: PathwayParams, sigma: float, nu: float,
-                      lam: float, x: float) -> float:
-    """Oracle for the pathway image of t^(sigma-1) S_nu(lam t): the power
-    image's ratio Gamma(sigma+n)/Gamma(1+c+sigma+n) carries the kernel
-    term n, the rest is a constant factor and the power of x."""
-    c = params.kernel_exponent
-    front = gamma_ratio((1.0 + c,), ()) / params.cut ** sigma * x ** (params.eta + sigma)
-    return front * _termwise((sigma,), (1.0 + c + sigma,), nu, lam * x / params.cut)
-
-
 def _run_t7(cfg: Config, tol: float) -> dict:
     st = _new_state()
     for params in _pathway_grid(cfg):
@@ -516,7 +499,7 @@ def _run_t7(cfg: Config, tol: float) -> dict:
                         continue
                     kind = FunctionKind.bs_kernel(sigma, nu, lam)
                     got = pathway_bs_closed_form(params, kind).value_at(x).value
-                    want = _termwise_pathway(params, sigma, nu, lam, x)
+                    want = _termwise_image(_pathway_table(params, sigma), nu, lam, x)
                     _track(st, _rel(got, want),
                            {"eta": params.eta, "a": params.a,
                             "alpha": params.pathway_alpha, "sigma": sigma,
@@ -547,10 +530,10 @@ def _run_t8(cfg: Config, tol: float) -> dict:
             point = {"eta": params.eta, "a": params.a,
                      "alpha": params.pathway_alpha, "sigma": sigma}
             _track(st, _rel(got, pub), {**point, "case": 0.0})
-            want = _termwise_pathway(params, sigma, -0.5, 1.0, x)
+            want = _termwise_image(_pathway_table(params, sigma), -0.5, 1.0, x)
             _track(st, _rel(got, want), {**point, "case": 1.0})
             got2 = pathway_bs_closed_form(params, FunctionKind.expm1_over_t(sigma)).value_at(x).value
-            want2 = _termwise_pathway(params, sigma, 0.5, 1.0, x)
+            want2 = _termwise_image(_pathway_table(params, sigma), 0.5, 1.0, x)
             _track(st, _rel(got2, want2), {**point, "case": 2.0})
     probe = PathwayParams(0.7, 1.3, 0.4)
     quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
@@ -563,7 +546,7 @@ def _run_t8(cfg: Config, tol: float) -> dict:
                       ((0.5, 0.5), (1.0 + c + sigma, 1.0)))
     variant = (x ** (probe.eta + sigma) * math.exp(math.lgamma(1.0 + c))
                / (2.0 * probe.cut ** sigma) * wright_eval(spec, x / probe.cut).value)
-    want = _termwise_pathway(probe, sigma, 0.5, 1.0, x)
+    want = _termwise_image(_pathway_table(probe, sigma), 0.5, 1.0, x)
     return {**st, "secondary": {"pathway_quadrature": quad_dev},
             "printed_dev": _rel(variant, want), "printed_floor": 1e-3}
 

@@ -21,7 +21,7 @@ import click
 
 from . import __version__
 from .errors import BsfracError, QuadratureError, TermCapError
-from .msm import FunctionKind, MsmParams, Side, msm_bs_closed_form, msm_power_image
+from .msm import _SPECIAL_NU, FunctionKind, MsmParams, Side, msm_bs_closed_form, msm_power_image
 from .pathway import (
     PathwayDensityParams,
     PathwayParams,
@@ -34,14 +34,7 @@ from .wright import WrightSpec, wright_eval
 
 FUNCTIONS = ("S", "J", "I", "H", "L", "wright", "msm-left", "msm-right",
              "pathway", "density")
-KIND_NAMES = {
-    "monomial": "monomial",
-    "bs": "bs",
-    "exp": "exp",
-    "expm1-over-t": "expm1_over_t",
-    "i0-plus-l0": "i0_plus_l0",
-    "two-i1-plus-two-l1-over-t": "two_i1_plus_two_l1_over_t",
-}
+KIND_NAMES = {f.replace("_", "-"): f for f in ("monomial", "bs", *_SPECIAL_NU)}
 
 
 # raised when a valid request cannot be computed in double precision

@@ -10,9 +10,9 @@ Three independent routes are provided for every image:
   F3-collapse regimes (``msm_quadrature``).
 
 Each side's gamma arguments are written once, in the table
-``_gamma_args``: the power image's gamma ratio, the Wright-series spec,
-and the validity precondition shared by all three routes are derived
-from it.
+``_gamma_args``: the validity precondition shared by all three routes
+and both closed forms (``_power_image``, ``_kernel_image``, which build
+the pathway images too) are derived from it.
 
 The right-hand kernel carries the Appell arguments in the order
 ``(1 - x/t, 1 - t/x)``: of the two conventions in circulation this is
@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainUnsupportedError, PreconditionError
@@ -139,7 +140,22 @@ class ClosedFormImage:
                           w.terms_used, w.converged)
 
 
-def _gamma_args(side: Side, p: MsmParams, rho: float):
+class _GammaTable(NamedTuple):
+    """A power image at one exponent: prod Gamma(nums + fixed) / prod
+    Gamma(dens) / divisor * x**power.  Per kernel-series term, nums and
+    dens move by +1 and fixed does not; the kernel argument is scaled by
+    1/cut and is lam/x instead of lam*x when ``inverse``."""
+
+    nums: tuple
+    dens: tuple
+    power: float
+    inverse: bool
+    fixed: tuple = ()
+    cut: float = 1.0
+    divisor: float = 1.0
+
+
+def _gamma_args(side: Side, p: MsmParams, rho: float) -> _GammaTable:
     """The side's table: numerator and denominator gamma arguments of the
     power image of t^(rho-1) (Saigo & Maeda 1998).
 
@@ -163,39 +179,41 @@ def _gamma_args(side: Side, p: MsmParams, rho: float):
         raise PreconditionError(
             f"{side.value} image of t^(rho-1) needs positive gamma arguments "
             f"{nums!r}, got rho={rho!r}")
-    return nums, dens
+    return _GammaTable(nums, dens, rho + p.gamma - p.alpha - p.alpha_prime - 1.0,
+                       side is Side.RIGHT)
 
 
-def _power(p: MsmParams, rho: float) -> float:
-    """Exponent of x shared by both sides' images."""
-    return rho + p.gamma - p.alpha - p.alpha_prime - 1.0
+def _power_image(t: _GammaTable) -> ClosedFormImage:
+    return ClosedFormImage(gamma_ratio(t.nums + t.fixed, t.dens) / t.divisor, t.power,
+                           WrightSpec((), ()), 0.0, t.inverse)
+
+
+def _kernel_image(t: _GammaTable, kind: FunctionKind) -> ClosedFormImage:
+    """Wright-series image of t^(rho-1) S_nu(lam t^(+-1)), termwise from
+    the table: the kernel pairs (1/2, 1/2) over (nu+1, 1/2) join its
+    arguments with slope 1.  Special kinds delegate with nu fixed at -1/2,
+    1/2, 0 or 1; they are never separate formulas."""
+    if kind.family == "monomial":
+        raise ValueError("monomial images come from the power image")
+    acc, sign = 0.0, 1  # 0.0 + a and a / 1.0 are exact: MSM defaults cost no rounding
+    for a in (kind.nu + 1.0,) + t.fixed:
+        lg = ln_gamma_signed(a)
+        acc += lg.log_abs
+        sign *= lg.sign
+    spec = WrightSpec(((0.5, 0.5),) + tuple((a, 1.0) for a in t.nums),
+                      ((kind.nu + 1.0, 0.5),) + tuple((b, 1.0) for b in t.dens))
+    return ClosedFormImage(sign * math.exp(acc - _HALF_LN_PI) / t.divisor, t.power, spec,
+                           kind.lam / t.cut, t.inverse)
 
 
 def msm_power_image(side: Side, params: MsmParams, rho: float) -> ClosedFormImage:
     """Closed-form image of t^(rho-1) under the chosen operator."""
-    pref = gamma_ratio(*_gamma_args(side, params, rho))
-    return ClosedFormImage(pref, _power(params, rho), WrightSpec((), ()), 0.0,
-                           inverse_argument=(side is Side.RIGHT))
+    return _power_image(_gamma_args(side, params, rho))
 
 
 def msm_bs_closed_form(side: Side, params: MsmParams, kind: FunctionKind) -> ClosedFormImage:
-    """Wright-series image of t^(rho-1) S_nu(lam*t) (left) or
-    t^(rho-1) S_nu(lam/t) (right), assembled termwise from the power
-    images applied to the kernel series.
-
-    Special kinds delegate with nu fixed at -1/2, 1/2, 0 or 1; they are
-    never separate formulas.
-    """
-    if kind.family == "monomial":
-        raise ValueError("monomial images come from msm_power_image")
-    nu = kind.nu
-    nums, dens = _gamma_args(side, params, kind.rho)
-    spec = WrightSpec(((0.5, 0.5),) + tuple((a, 1.0) for a in nums),
-                      ((nu + 1.0, 0.5),) + tuple((b, 1.0) for b in dens))
-    lg = ln_gamma_signed(nu + 1.0)
-    pref = lg.sign * math.exp(lg.log_abs - _HALF_LN_PI)
-    return ClosedFormImage(pref, _power(params, kind.rho), spec, kind.lam,
-                           inverse_argument=(side is Side.RIGHT))
+    """Image of t^(rho-1) S_nu(lam*t) (left) or t^(rho-1) S_nu(lam/t) (right)."""
+    return _kernel_image(_gamma_args(side, params, kind.rho), kind)
 
 
 def _collapsed_gap(side: Side, p: MsmParams) -> float | None:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import PreconditionError
-from .gammacore import _HALF_LN_PI, gamma_ratio, ln_gamma_signed
-from .msm import ClosedFormImage, FunctionKind
+from .gammacore import gamma_ratio
+from .msm import ClosedFormImage, FunctionKind, _GammaTable, _kernel_image, _power_image
 from .quadrature import tanh_sinh
 from .series import TERM_CAP, SeriesEval
-from .wright import WrightSpec
 
 
 @dataclass(frozen=True)
@@ -51,34 +50,26 @@ class PathwayParams:
         return self.a * (1.0 - self.pathway_alpha)
 
 
+def _table(params: PathwayParams, sigma: float) -> _GammaTable:
+    """The power image of t^(sigma-1), a Beta integral, as a gamma table:
+    Gamma(sigma) Gamma(1+c) / Gamma(1+c+sigma) / cut**sigma * x**(eta+sigma)
+    with c the kernel exponent; Gamma(1+c) does not shift with the series."""
+    if not sigma > 0.0:
+        raise PreconditionError(f"exponent must be positive, got {sigma!r}")
+    c = params.kernel_exponent
+    return _GammaTable((sigma,), (1.0 + c + sigma,), params.eta + sigma, False,
+                       fixed=(1.0 + c,), cut=params.cut, divisor=params.cut ** sigma)
+
+
 def pathway_power_image(params: PathwayParams, beta_exp: float) -> ClosedFormImage:
     """Image of t^(beta_exp - 1): a Beta integral in closed form."""
-    if not beta_exp > 0.0:
-        raise PreconditionError(f"exponent must be positive, got {beta_exp!r}")
-    c = params.kernel_exponent
-    pref = gamma_ratio((beta_exp, 1.0 + c), (1.0 + c + beta_exp,))
-    pref /= params.cut ** beta_exp
-    return ClosedFormImage(pref, params.eta + beta_exp, WrightSpec((), ()), 0.0)
+    return _power_image(_table(params, beta_exp))
 
 
 def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind) -> ClosedFormImage:
     """Wright-series image of t^(sigma-1) S_nu(lam*t), termwise from the
     power image; exponential special cases delegate via nu = -1/2, 1/2."""
-    if kind.family == "monomial":
-        raise ValueError("monomial images come from pathway_power_image")
-    sigma = kind.rho
-    if not sigma > 0.0:
-        raise PreconditionError(f"exponent must be positive, got {sigma!r}")
-    nu = kind.nu
-    c = params.kernel_exponent
-    lg_nu = ln_gamma_signed(nu + 1.0)
-    lg_c = ln_gamma_signed(1.0 + c)
-    pref = lg_nu.sign * lg_c.sign * math.exp(
-        lg_nu.log_abs + lg_c.log_abs - _HALF_LN_PI)
-    pref /= params.cut ** sigma
-    spec = WrightSpec(((0.5, 0.5), (sigma, 1.0)),
-                      ((nu + 1.0, 0.5), (1.0 + c + sigma, 1.0)))
-    return ClosedFormImage(pref, params.eta + sigma, spec, kind.lam / params.cut)
+    return _kernel_image(_table(params, kind.rho), kind)
 
 
 def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
@@ -87,8 +78,7 @@ def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
     if not x > 0.0:
         raise ValueError("the operator is defined for x > 0")
     sigma = kind.rho
-    if not sigma > 0.0:
-        raise PreconditionError(f"exponent must be positive, got {sigma!r}")
+    _table(params, sigma)  # the integral converges where the image exists
     upper = x / params.cut
     c = params.kernel_exponent
     p0 = sigma - 1.0

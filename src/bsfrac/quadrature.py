@@ -98,46 +98,28 @@ def _half_inf_level(f, a, scale, v_pos, h, odd_only):
     total = 0.0
     evals = 0
     step = 2 if odd_only else 1
-    k0 = 1 if odd_only else 0
-    # k = 0 node (level 0 only)
-    if not odd_only:
-        d = scale
-        w = d * _HALF_PI
-        fv = f(a + d, d)
+    if not odd_only:  # the k = 0 node, on the coarse level only
+        fv = f(a + scale, scale)
         evals += 1
         if fv != 0.0:
-            total += w * fv
-        k0 = 1
-    # ascending side (t -> infinity)
-    k = k0
-    while True:
-        u = k * h
-        v = _HALF_PI * math.sinh(u)
-        if v > v_pos:
-            break
-        d = scale * math.exp(v)
-        w = d * _HALF_PI * math.cosh(u)
-        fv = f(a + d, d)
-        evals += 1
-        if fv != 0.0:
-            total += w * fv
-        k += step
-    # descending side (t -> a)
-    k = -k0
-    while True:
-        u = k * h
-        v = _HALF_PI * math.sinh(u)
-        if v < -_V_MAX:
-            break
-        d = scale * math.exp(v)
-        if d <= 0.0:
-            break
-        w = d * _HALF_PI * math.cosh(u)
-        fv = f(a + d, d)
-        evals += 1
-        if fv != 0.0:
-            total += w * fv
-        k -= step
+            total += scale * _HALF_PI * fv
+    # ascending side (t -> infinity) while v <= v_pos, then descending
+    # (t -> a) while v >= -_V_MAX; d <= 0 can only occur on the way down
+    for k, stride, lo, hi in ((1, step, -math.inf, v_pos), (-1, -step, -_V_MAX, math.inf)):
+        while True:
+            u = k * h
+            v = _HALF_PI * math.sinh(u)
+            if not lo <= v <= hi:
+                break
+            d = scale * math.exp(v)
+            if d <= 0.0:
+                break
+            w = d * _HALF_PI * math.cosh(u)
+            fv = f(a + d, d)
+            evals += 1
+            if fv != 0.0:
+                total += w * fv
+            k += stride
     return total, evals
 
 

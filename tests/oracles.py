@@ -37,16 +37,21 @@ def mp_2f1(a, b, c, z):
 
 
 def mp_f3(a, ap, b, bp, g, x, y, terms=120):
-    """Appell F3 by truncated double series; needs |x|, |y| < 1."""
+    """Appell F3 by truncated double series; needs |x|, |y| < 1.
+
+    The terms (a)_m (b)_m (a')_n (b')_n x^m y^n / ((g)_{m+n} m! n!) are
+    built by running products in m and in n."""
+    a, ap, b, bp, g, x, y = (mp.mpf(v) for v in (a, ap, b, bp, g, x, y))
     total = mp.mpf(0)
+    pm = mp.mpf(1)  # (a)_m (b)_m x^m / ((g)_m m!)
     for m in range(terms):
-        pm = mp.rf(a, m) * mp.rf(b, m) * mp.mpf(x) ** m / mp.factorial(m)
         if pm == 0:
             break
+        t = pm
         for n in range(terms):
-            t = (pm * mp.rf(ap, n) * mp.rf(bp, n) * mp.mpf(y) ** n
-                 / (mp.rf(g, m + n) * mp.factorial(n)))
             total += t
+            t *= (ap + n) * (bp + n) * y / ((g + m + n) * (n + 1))
+        pm *= (a + m) * (b + m) * x / ((g + m) * (m + 1))
     return total
 
 

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,19 @@ def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, (args, proc.stdout, proc.stderr)
         assert proc.stderr.startswith("Error: ")
+
+
+def test_acceptance_suite_on_compiled_backend(compiled_pkg):
+    # bsfrac is imported before pytest puts src/ on sys.path, so the suite
+    # runs on the compiled copy; the backend it ran on is printed last
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    code = ("import sys, pytest; from bsfrac import _backend; "
+            "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]); "
+            "print(_backend.BACKEND); sys.exit(status)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tests / "test_acceptance.py")],
+                          env=env, cwd=tests.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split()[-1] == "compiled"

@@ -10,13 +10,12 @@ from bsfrac.checks import (
     SUITES,
     Config,
     _termwise,
-    _termwise_msm,
-    _termwise_pathway,
+    _termwise_image,
     run_suite,
 )
 from bsfrac.gammacore import gamma_ratio
-from bsfrac.msm import MsmParams, Side, msm_power_image
-from bsfrac.pathway import PathwayParams, pathway_power_image
+from bsfrac.msm import MsmParams, Side, _gamma_args, msm_power_image
+from bsfrac.pathway import PathwayParams, _table, pathway_power_image
 
 import oracles
 
@@ -169,7 +168,7 @@ def _mp_msm_args(side, r):
 
 def _case_msm(side, nu):
     rho, lam, x = (1.2, 1.0, 1.3) if side is Side.LEFT else (-2.0, 1.0, 0.8)
-    got = _termwise_msm(side, P, rho, nu, lam, x)
+    got = _termwise_image(_gamma_args(side, P, rho), nu, lam, x)
     direct = 0.0
     for n in range(60):
         img = msm_power_image(side, P, rho + n if side is Side.LEFT else rho - n)
@@ -185,7 +184,7 @@ def _case_msm(side, nu):
 
 def _case_pathway(nu):
     sigma, lam, x = 1.1, 1.0, 1.0
-    got = _termwise_pathway(PW, sigma, nu, lam, x)
+    got = _termwise_image(_table(PW, sigma), nu, lam, x)
     direct = 0.0
     for n in range(60):
         img = pathway_power_image(PW, sigma + n)

@@ -67,3 +67,26 @@ def test_determinism():
     a = tanh_sinh(f, 0.0, 2.0)
     b = tanh_sinh(f, 0.0, 2.0)
     assert a == b
+
+
+# Exact outputs of both DE rules, pinned so a refactor of the node sweeps
+# cannot move a single bit: (value, abs_error_est, terms_used).
+@pytest.mark.parametrize("rule, want", [
+    (lambda: tanh_sinh(lambda t, da, db: da ** -0.5 * db ** 0.3, 0.0, 2.0),
+     (2.973654746794206, 7.993605777301127e-15, 93)),
+    (lambda: exp_sinh(lambda t, d: math.exp(-t), 0.0, 1.0),
+     (0.9999999999999998, 1.1102230246251565e-16, 391)),
+    (lambda: exp_sinh(lambda t, d: t ** -2.5, 2.0, 2.0),
+     (0.23570226039551584, 8.049116928532385e-16, 98)),
+], ids=["tanh-sinh", "exp-sinh-decay", "exp-sinh-power"])
+def test_golden_outputs(rule, want):
+    r = rule()
+    assert (r.value, r.abs_error_est, r.terms_used) == want
+    assert r.converged
+
+
+def test_exp_sinh_golden_stall_at_huge_scale():
+    # scale > e^690 makes the ascending cutoff negative: only the k = 0
+    # node and the descending side contribute, each with its own stop rule
+    with pytest.raises(QuadratureError, match=r"level difference 3\.5269999690057396e-05 "):
+        exp_sinh(lambda t, d: math.exp(-d / 1e300) / 1e300, 0.0, 1e300)
