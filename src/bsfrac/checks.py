@@ -37,9 +37,9 @@ from .pathway import (
     PathwayDensityParams,
     PathwayParams,
     Regime,
+    _density,
     _table as _pathway_table,
     pathway_bs_closed_form,
-    pathway_density,
     pathway_power_image,
     pathway_quadrature,
 )
@@ -293,32 +293,36 @@ def _kernel_coeff(nu: float, n: int) -> float:
         / (math.sqrt(math.pi) * math.factorial(n))
 
 
-def _termwise(nums, dens, nu: float, w: float, n_terms: int = 60) -> float:
-    """The termwise oracle: sum over n < n_terms of c_n * R_n * w**n.
-
-    c_n is the n-th kernel-series coefficient (``_kernel_coeff``) and
-    R_n = prod Gamma(a+n) / prod Gamma(b+n) over a in nums, b in dens is
-    the gamma ratio of the power image of the n-th kernel term.  Both run
-    as Pochhammer recurrences,
-
-        c_{n+2} = c_n / ((n+2)(n+2nu+2)),   R_{n+1} = R_n prod(a+n) / prod(b+n),
-
-    from c_0, c_1 and R_0 evaluated directly.  A term whose predecessor
-    has a gamma argument within a pole's reach (<= POLE_TOL) is evaluated
-    directly as well, so numerator poles raise PoleError and
-    reciprocal-gamma zeros stay confined to their own term, exactly as in
-    a term-by-term evaluation.
-    """
+def _kernel_coeffs(nu: float, n_terms: int = 60) -> list:
+    """c_n for n < n_terms by the Pochhammer recurrence
+    c_{n+2} = c_n / ((n+2)(n+2nu+2)) from c_0 and c_1; a coefficient whose
+    predecessor has Gamma(n/2 + nu) within a pole's reach (<= POLE_TOL)
+    is evaluated directly (``_kernel_coeff``)."""
     coeffs = []
     for n in range(n_terms):
         if n < 2 or 0.5 * n + nu <= POLE_TOL:  # Gamma(n/2 + nu) in c_{n-2}
             coeffs.append(_kernel_coeff(nu, n))
         else:
             coeffs.append(coeffs[n - 2] / (n * (n + 2.0 * nu)))
+    return coeffs
+
+
+def _term_products(nums, dens, coeffs: list) -> list:
+    """The termwise oracle's terms without their powers: c_n * R_n.
+
+    c_n are the kernel-series coefficients (``_kernel_coeffs``) and
+    R_n = prod Gamma(a+n) / prod Gamma(b+n) over a in nums, b in dens is
+    the gamma ratio of the power image of the n-th kernel term, run as
+    the Pochhammer recurrence R_{n+1} = R_n prod(a+n) / prod(b+n) from
+    R_0 evaluated directly.  A term whose predecessor has a gamma argument
+    within a pole's reach (<= POLE_TOL) is evaluated directly as well, so
+    numerator poles raise PoleError and reciprocal-gamma zeros stay
+    confined to their own term, exactly as in a term-by-term evaluation.
+    """
     lowest = min(nums + dens)
     ratio = gamma_ratio(nums, dens)
-    total = coeffs[0] * ratio
-    for n in range(1, n_terms):
+    products = [coeffs[0] * ratio]
+    for n in range(1, len(coeffs)):
         k = n - 1
         if lowest + k <= POLE_TOL:
             ratio = gamma_ratio([a + n for a in nums], [b + n for b in dens])
@@ -327,18 +331,53 @@ def _termwise(nums, dens, nu: float, w: float, n_terms: int = 60) -> float:
                 ratio *= a + k
             for b in dens:
                 ratio /= b + k
-        total += coeffs[n] * ratio * w ** n
+        products.append(coeffs[n] * ratio)
+    return products
+
+
+def _termwise_sum(products: list, w: float) -> float:
+    total = products[0]
+    for n in range(1, len(products)):
+        total += products[n] * w ** n
     return total
 
 
+def _termwise(nums, dens, nu: float, w: float, n_terms: int = 60) -> float:
+    """The termwise oracle: sum over n < n_terms of c_n * R_n * w**n
+    (``_term_products``)."""
+    return _termwise_sum(_term_products(nums, dens, _kernel_coeffs(nu, n_terms)), w)
+
+
+def _image_oracle():
+    """A termwise image oracle for one check runner: the coefficients c_n
+    of each nu, and the products c_n R_n and the constant factor of each
+    (gamma table, nu), are built on first use and reused at every
+    (lam, x) the runner asks for."""
+    coeffs, built = {}, {}
+
+    def image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
+        """Oracle for the image of the table's power times S_nu(lam t^(+-1)):
+        the shifting arguments carry the kernel term n, the fixed ones and
+        the divisor are a constant factor."""
+        key = (t, nu)
+        if key not in built:
+            # no gamma_ratio call for an empty product
+            fixed = gamma_ratio(t.fixed, ()) / t.divisor if t.fixed else None
+            if nu not in coeffs:
+                coeffs[nu] = _kernel_coeffs(nu)
+            built[key] = fixed, _term_products(t.nums, t.dens, coeffs[nu])
+        fixed, products = built[key]
+        front = x ** t.power
+        if fixed is not None:
+            front = fixed * front
+        return front * _termwise_sum(products, (lam / x if t.inverse else lam * x) / t.cut)
+
+    return image
+
+
 def _termwise_image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
-    """Oracle for the image of the table's power times S_nu(lam t^(+-1)):
-    the shifting arguments carry the kernel term n, the fixed ones and the
-    divisor are a constant factor."""
-    front = x ** t.power
-    if t.fixed:  # no gamma_ratio call for an empty product
-        front = gamma_ratio(t.fixed, ()) / t.divisor * front
-    return front * _termwise(t.nums, t.dens, nu, (lam / x if t.inverse else lam * x) / t.cut)
+    """One call of a fresh ``_image_oracle``: nothing is kept."""
+    return _image_oracle()(t, nu, lam, x)
 
 
 def _theorem_grid(cfg: Config, side: Side):
@@ -367,11 +406,12 @@ def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float) -> float:
 
 def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
     st = _new_state()
+    oracle = _image_oracle()  # each (params, nu, rho) serves every (lam, x)
     for params, nu, lam, rho, x in _theorem_grid(cfg, side):
         kind = FunctionKind.bs_kernel(rho, nu, lam)
         img = msm_bs_closed_form(side, params, kind)
         got = img.value_at(x, term_cap=cfg.term_cap).value
-        want = _termwise_image(_gamma_args(side, params, rho), nu, lam, x)
+        want = oracle(_gamma_args(side, params, rho), nu, lam, x)
         _track(st, _rel(got, want),
                {**vars(params), "nu": nu, "lam": lam, "rho": rho, "x": x})
     # quadrature cross-check in a collapse regime
@@ -415,11 +455,12 @@ def _special_theorem_runner(family: str, nu: float, printed):
         st = _new_state()
         rho = 1.3
         delegation = 0.0
+        oracle = _image_oracle()  # one nu: the coefficients c_n serve every set
         for raw in cfg.grids["theorem_params"]:
             params = MsmParams(*raw)
             img = msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, rho))
             got = img.value_at(1.0).value
-            want = _termwise_image(_gamma_args(Side.LEFT, params, rho), nu, 1.0, 1.0)
+            want = oracle(_gamma_args(Side.LEFT, params, rho), nu, 1.0, 1.0)
             _track(st, _rel(got, want), {**vars(params), "rho": rho})
             # the special kind must reproduce the general order-nu route exactly
             general = msm_bs_closed_form(Side.LEFT, params, FunctionKind.bs_kernel(rho, nu, 1.0))
@@ -490,6 +531,7 @@ def _run_l3(cfg: Config, tol: float) -> dict:
 
 def _run_t7(cfg: Config, tol: float) -> dict:
     st = _new_state()
+    oracle = _image_oracle()  # each (params, sigma, nu) serves every lam
     for params in _pathway_grid(cfg):
         for sigma in cfg.grids["pathway_sigma"]:
             for nu in (-0.5, 0.0, 0.25, 1.0):
@@ -499,7 +541,7 @@ def _run_t7(cfg: Config, tol: float) -> dict:
                         continue
                     kind = FunctionKind.bs_kernel(sigma, nu, lam)
                     got = pathway_bs_closed_form(params, kind).value_at(x).value
-                    want = _termwise_image(_pathway_table(params, sigma), nu, lam, x)
+                    want = oracle(_pathway_table(params, sigma), nu, lam, x)
                     _track(st, _rel(got, want),
                            {"eta": params.eta, "a": params.a,
                             "alpha": params.pathway_alpha, "sigma": sigma,
@@ -518,6 +560,7 @@ def _run_t7(cfg: Config, tol: float) -> dict:
 
 def _run_t8(cfg: Config, tol: float) -> dict:
     st = _new_state()
+    oracle = _image_oracle()  # the coefficients c_n of nu = -1/2, 1/2 serve every set
     for params in _pathway_grid(cfg):
         for sigma in cfg.grids["pathway_sigma"]:
             x = 1.0
@@ -530,10 +573,10 @@ def _run_t8(cfg: Config, tol: float) -> dict:
             point = {"eta": params.eta, "a": params.a,
                      "alpha": params.pathway_alpha, "sigma": sigma}
             _track(st, _rel(got, pub), {**point, "case": 0.0})
-            want = _termwise_image(_pathway_table(params, sigma), -0.5, 1.0, x)
+            want = oracle(_pathway_table(params, sigma), -0.5, 1.0, x)
             _track(st, _rel(got, want), {**point, "case": 1.0})
             got2 = pathway_bs_closed_form(params, FunctionKind.expm1_over_t(sigma)).value_at(x).value
-            want2 = _termwise_image(_pathway_table(params, sigma), 0.5, 1.0, x)
+            want2 = oracle(_pathway_table(params, sigma), 0.5, 1.0, x)
             _track(st, _rel(got2, want2), {**point, "case": 2.0})
     probe = PathwayParams(0.7, 1.3, 0.4)
     quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
@@ -546,7 +589,7 @@ def _run_t8(cfg: Config, tol: float) -> dict:
                       ((0.5, 0.5), (1.0 + c + sigma, 1.0)))
     variant = (x ** (probe.eta + sigma) * math.exp(math.lgamma(1.0 + c))
                / (2.0 * probe.cut ** sigma) * wright_eval(spec, x / probe.cut).value)
-    want = _termwise_image(_pathway_table(probe, sigma), 0.5, 1.0, x)
+    want = oracle(_pathway_table(probe, sigma), 0.5, 1.0, x)
     return {**st, "secondary": {"pathway_quadrature": quad_dev},
             "printed_dev": _rel(variant, want), "printed_floor": 1e-3}
 
@@ -579,11 +622,11 @@ def _run_w_delta(cfg: Config, tol: float) -> dict:
 # --- density normalization ------------------------------------------------------
 
 def _density_norm(dp: PathwayDensityParams) -> float:
+    density = _density(dp)
     if dp.regime is Regime.SUB:
-        half = tanh_sinh(lambda t, da, db: pathway_density(dp, t),
-                         0.0, dp.support_radius, tol=1e-9)
+        half = tanh_sinh(lambda t, da, db: density(t), 0.0, dp.support_radius, tol=1e-9)
     else:
-        half = exp_sinh(lambda t, d: pathway_density(dp, t), 0.0, 1.0, tol=1e-9)
+        half = exp_sinh(lambda t, d: density(t), 0.0, 1.0, tol=1e-9)
     return 2.0 * half.value
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._backend import kernels
-from .errors import DomainUnsupportedError, PreconditionError
+from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .quadrature import exp_sinh, tanh_sinh
 from .series import TERM_CAP, SeriesEval
@@ -82,9 +82,9 @@ class FunctionKind:
 
     def __post_init__(self):
         if self.family not in ("monomial", "bs") and self.family not in _SPECIAL_NU:
-            raise ValueError(f"unknown integrand family {self.family!r}")
+            raise DomainError(f"unknown integrand family {self.family!r}")
         if self.family == "bs" and not self.nu > -1.0:
-            raise ValueError(f"kernel order must exceed -1, got {self.nu!r}")
+            raise DomainError(f"kernel order must exceed -1, got {self.nu!r}")
         if self.family in _SPECIAL_NU:
             object.__setattr__(self, "nu", _SPECIAL_NU[self.family])
             object.__setattr__(self, "lam", 1.0)
@@ -224,9 +224,50 @@ def _collapsed_gap(side: Side, p: MsmParams) -> float | None:
     return p.beta_prime - p.alpha_prime if p.alpha_prime != 0.0 and p.beta_prime != 0.0 else None
 
 
-def _kernel_value(kind: FunctionKind, u: float) -> float:
-    value, _, _, _ = kernels.bs_series(kind.nu, u, 1e-15, TERM_CAP)
-    return value
+def _gamma_ratio4(lgamma_sign, n1, n2, d1, d2) -> float:
+    """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)) exactly as the 2F1
+    kernel forms its connection coefficients: the same four signed
+    log-gammas, in the same order, summed in the same order."""
+    (l1, s1), (l2, s2), (l3, s3), (l4, s4) = map(lgamma_sign, (n1, n2, d1, d2))
+    return s1 * s2 * s3 * s4 * math.exp(l1 + l2 - l3 - l4)
+
+
+def _hyp2f1_evaluator(a: float, b: float, c: float):
+    """(z, wbar) -> ``kernels.hyp2f1_kernel(a, b, c, z, wbar)``, bit for bit.
+
+    The kernel's connection formula (z > 0.75, in powers of wbar = 1 - z)
+    recomputes its two gamma-ratio coefficients at every call; here each
+    route's pair, for b and for the Pfaff-transformed c - b, is computed
+    once, on the route's first use, and the kernel is only called on the
+    small argument wbar, where it sums its direct series.
+    """
+    hyp2f1 = kernels.hyp2f1_kernel
+    if a == 0.0 or b == 0.0:
+        return lambda z, wbar: 1.0
+    lgamma_sign = kernels.lgamma_sign
+    coeffs = {}
+
+    def connection(b_, scale, wbar):
+        if b_ not in coeffs:
+            s = c - a - b_
+            coeffs[b_] = (s, _gamma_ratio4(lgamma_sign, c, s, c - a, c - b_),
+                          _gamma_ratio4(lgamma_sign, c, -s, a, b_))
+        s, p1, p2 = coeffs[b_]
+        f1 = hyp2f1(a, b_, 1.0 - s, wbar, 0.0)
+        f2 = hyp2f1(c - a, c - b_, 1.0 + s, wbar, 0.0)
+        return scale * (p1 * f1 + wbar ** s * p2 * f2)
+
+    def evaluate(z, wbar):
+        if z < 0.0:
+            t = 1.0 - z
+            if z / (z - 1.0) <= 0.75:
+                return hyp2f1(a, b, c, z, wbar)
+            return connection(c - b, t ** (-a), 1.0 / t)
+        if z <= 0.75:
+            return hyp2f1(a, b, c, z, wbar)
+        return connection(b, 1.0, 1.0 - z if wbar <= 0.0 else wbar)
+
+    return evaluate
 
 
 def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
@@ -239,14 +280,16 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     away from the integers, where its connection formula has no value.
     Endpoint singularities are driven through the exact node-to-endpoint
     distances.
+
+    The integrand is built once per integral: the exponents, the kernel
+    order and the 2F1 evaluator (``_hyp2f1_evaluator``, whose connection
+    coefficients are computed once) are fixed before the first node, and
+    the 2F1 factor is left out when the collapse makes it identically one.
     """
     if not x > 0.0:
         raise ValueError("operators are defined for x > 0")
     p = params
-    rho = kind.rho
-    lam = kind.lam
-    want_kernel = kind.family != "monomial"
-    _gamma_args(side, p, rho)  # the integral converges where the image exists
+    _gamma_args(side, p, kind.rho)  # the integral converges where the image exists
     if side is Side.LEFT and not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):
         raise DomainUnsupportedError(
             "left quadrature needs alpha'=0 or beta'=0 to collapse the kernel")
@@ -258,37 +301,41 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
         name = "gamma-alpha-beta" if side is Side.LEFT else "beta'-alpha'"
         raise DomainUnsupportedError(
             f"{side.value} quadrature needs a non-integer 2F1 gap {name}, got {gap!r}")
+    # the 2F1 parameters, the power of t (left: of the distance to 0) and
+    # the power of 1/x in the front factor
     if side is Side.LEFT:
-        p0 = rho - p.alpha_prime - 1.0
-        gm1 = p.gamma - 1.0
-        a_, b_, c_ = p.alpha, p.beta, p.gamma
+        a_, b_, p0, x_exp = p.alpha, p.beta, kind.rho - p.alpha_prime - 1.0, p.alpha
+    else:
+        a_, b_, p0, x_exp = p.alpha_prime, p.beta_prime, kind.rho - p.alpha - 1.0, p.alpha_prime
+    gm1 = p.gamma - 1.0
+    hyp = None if gap is None else _hyp2f1_evaluator(a_, b_, p.gamma)
+    lam, nu = kind.lam, kind.nu
+    bs_series = kernels.bs_series if kind.family != "monomial" else None
 
+    if side is Side.LEFT:
         def left_integrand(t, da, db):
             val = da ** p0 if p0 != 0.0 else 1.0
             if gm1 != 0.0:
                 val *= db ** gm1
-            val *= kernels.hyp2f1_kernel(a_, b_, c_, db / x, da / x)
-            if want_kernel:
-                val *= _kernel_value(kind, lam * da)
+            if hyp is not None:
+                val *= hyp(db / x, da / x)
+            if bs_series is not None:
+                val *= bs_series(nu, lam * da, 1e-15, TERM_CAP)[0]
             return val
 
         quad = tanh_sinh(left_integrand, 0.0, x, tol=tol)
-        pref = x ** (-p.alpha) / math.gamma(p.gamma)
     else:
-        p0 = rho - p.alpha - 1.0
-        gm1 = p.gamma - 1.0
-        a_, b_, c_ = p.alpha_prime, p.beta_prime, p.gamma
-
         def right_integrand(t, d):
             val = t ** p0
             if gm1 != 0.0:
                 val *= d ** gm1
-            val *= kernels.hyp2f1_kernel(a_, b_, c_, -d / x, 0.0)
-            if want_kernel:
-                val *= _kernel_value(kind, lam / t)
+            if hyp is not None:
+                val *= hyp(-d / x, 0.0)
+            if bs_series is not None:
+                val *= bs_series(nu, lam / t, 1e-15, TERM_CAP)[0]
             return val
 
         quad = exp_sinh(right_integrand, x, x, tol=tol)
-        pref = x ** (-p.alpha_prime) / math.gamma(p.gamma)
+    pref = x ** (-x_exp) / math.gamma(p.gamma)
     return SeriesEval(pref * quad.value, abs(pref) * quad.abs_error_est,
                       quad.terms_used, quad.converged)

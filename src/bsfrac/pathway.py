@@ -82,16 +82,15 @@ def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
     upper = x / params.cut
     c = params.kernel_exponent
     p0 = sigma - 1.0
-    lam = kind.lam
-    want_kernel = kind.family != "monomial"
+    lam, nu = kind.lam, kind.nu
+    bs_series = kernels.bs_series if kind.family != "monomial" else None
 
     def integrand(t, da, db):
         val = da ** p0 if p0 != 0.0 else 1.0
         if c != 0.0:
             val *= (db / upper) ** c
-        if want_kernel:
-            kv, _, _, _ = kernels.bs_series(kind.nu, lam * da, 1e-15, TERM_CAP)
-            val *= kv
+        if bs_series is not None:
+            val *= bs_series(nu, lam * da, 1e-15, TERM_CAP)[0]
         return val
 
     quad = tanh_sinh(integrand, 0.0, upper, tol=tol)
@@ -164,36 +163,51 @@ def pathway_norm_const(dp: PathwayDensityParams) -> float:
     return 0.5 * dp.delta * (dp.a * dp.beta_shape) ** gd / math.gamma(gd)
 
 
-def pathway_density(dp: PathwayDensityParams, x: float) -> float:
-    """Density value at x; zero outside the SUB-regime support."""
+def _density(dp: PathwayDensityParams):
+    """x -> the density at x, with the normalizing constant, the regime
+    and its coefficients computed once."""
     c = pathway_norm_const(dp)
-    ax = abs(x)
-    if ax == 0.0:
-        if dp.gamma_shape == 1.0:
-            return c
-        return 0.0 if dp.gamma_shape > 1.0 else math.inf
-    if dp.regime is Regime.SUB:
-        base = 1.0 - dp.a * (1.0 - dp.pathway_alpha) * ax ** dp.delta
-        if base <= 0.0:
-            return 0.0
-        expo = dp.beta_shape / (1.0 - dp.pathway_alpha)
-        return c * ax ** (dp.gamma_shape - 1.0) * base ** expo
-    la = math.log(ax)
-    if dp.regime is Regime.SUPER:
-        k = dp.a * (dp.pathway_alpha - 1.0)
-        be = dp.beta_shape / (dp.pathway_alpha - 1.0)
-        if la > 200.0:
-            # far tail: the +1 in the base is negligible; work in logs so
-            # the power prefactor and the tail cannot overflow separately
-            log_f = math.log(c) + (dp.gamma_shape - 1.0) * la - be * (math.log(k) + dp.delta * la)
-            return math.exp(log_f) if log_f > -745.0 else 0.0
-        tail = (1.0 + k * ax ** dp.delta) ** -be
+    at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
+    regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
+    if regime is Regime.SUB:
+        k, expo = dp.a * (1.0 - dp.pathway_alpha), dp.beta_shape / (1.0 - dp.pathway_alpha)
+    elif regime is Regime.SUPER:
+        k, expo = dp.a * (dp.pathway_alpha - 1.0), dp.beta_shape / (dp.pathway_alpha - 1.0)
+    else:
+        rate = -dp.a * dp.beta_shape
+
+    def density(x):
+        ax = abs(x)
+        if ax == 0.0:
+            return at_zero
+        if regime is Regime.SUB:
+            base = 1.0 - k * ax ** delta
+            if base <= 0.0:
+                return 0.0
+            return c * ax ** g1 * base ** expo
+        la = math.log(ax)
+        if regime is Regime.SUPER:
+            if la > 200.0:
+                # far tail: the +1 in the base is negligible; work in logs so
+                # the power prefactor and the tail cannot overflow separately
+                log_f = math.log(c) + g1 * la - expo * (math.log(k) + delta * la)
+                return math.exp(log_f) if log_f > -745.0 else 0.0
+            tail = (1.0 + k * ax ** delta) ** -expo
+        else:
+            if la > 200.0:
+                return 0.0  # exponential tail underflows beyond any power prefactor
+            tail = math.exp(rate * ax ** delta)
         if tail == 0.0:
             return 0.0
-        return c * ax ** (dp.gamma_shape - 1.0) * tail
-    if la > 200.0:
-        return 0.0  # exponential tail underflows beyond any power prefactor
-    tail = math.exp(-dp.a * dp.beta_shape * ax ** dp.delta)
-    if tail == 0.0:
-        return 0.0
-    return c * ax ** (dp.gamma_shape - 1.0) * tail
+        return c * ax ** g1 * tail
+
+    return density
+
+
+def pathway_density(dp: PathwayDensityParams, x: float) -> float:
+    """Density value at x; zero outside the SUB-regime support.
+
+    The normalizing constant and the regime's coefficients are computed
+    once per call here; code that evaluates one density at many points
+    (``checks._density_norm``) builds ``_density(dp)`` once instead."""
+    return _density(dp)(x)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PoleError
-from .gammacore import is_pole
+from .gammacore import _HALF_LN_PI, is_pole
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
@@ -72,6 +72,18 @@ class F3Args:
         return abs(self.x) < 1.0 and abs(self.y) < 1.0
 
 
+_LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
+
+
+def _log_peak_term(nu: float, u: float) -> float:
+    """log of the term c_n u**n of S_nu(u) at n = floor(u), next to the
+    largest one.  For u > 0 every term is positive, so any one of them
+    bounds the sum from below."""
+    n = math.floor(u)
+    return (math.lgamma(nu + 1.0) + math.lgamma(0.5 * (n + 1.0)) - _HALF_LN_PI
+            - math.lgamma(n + 1.0) - math.lgamma(0.5 * n + nu + 1.0) + n * math.log(u))
+
+
 def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
                          term_cap: int = TERM_CAP) -> SeriesEval:
     """Bessel-Struve kernel S_nu(u), entire in u, for nu > -1.
@@ -80,13 +92,21 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     ``Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1))``;
     u = 0 returns exactly 1.  Negative u is summed with compensated
     (double-double) arithmetic to survive the alternating cancellation.
+    Raises OverflowError when the series is not finite in double
+    precision; at large positive u that is known, before any summing,
+    from one term of the all-positive series.
     """
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
         raise DomainError("kernel argument must be finite")
     check_tol(tol)
-    value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
+    if u > 600.0 and _log_peak_term(nu, u) > _LOG_OVERFLOW:
+        value = math.inf  # summing would only burn the term cap
+    else:
+        value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
+    if not math.isfinite(value):
+        raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     # the compensated-sum residual can dominate far beyond the guarantee
     # range; never report convergence the estimate does not support
     converged = bool(ok) and err <= tol * max(abs(value), 5e-324)

@@ -154,6 +154,38 @@ def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):
         assert proc.stderr.startswith("Error: ")
 
 
+def test_kernel_overflow_on_compiled_backend(compiled_pkg):
+    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    code = ("from bsfrac import _backend, bessel_struve_kernel as S\n"
+            "for nu, u in ((-0.75, 710.0), (0.25, 800.0)):\n"
+            "    try:\n"
+            "        print(S(nu, u))\n"
+            "    except OverflowError as exc:\n"
+            "        print('OverflowError', exc)\n"
+            "r = S(0.25, 700.0)\n"
+            "print(r.converged, repr(r.value), _backend.BACKEND)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["OverflowError Bessel-Struve series at u=710.0 exceeds double range",
+                   "OverflowError Bessel-Struve series at u=800.0 exceeds double range",
+                   "True 6.410481518224758e+301 compiled"]
+
+
+def test_pinned_densities_on_compiled_backend(compiled_pkg):
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    code = ("import sys, pytest; from bsfrac import _backend; "
+            "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]); "
+            "print(_backend.BACKEND); sys.exit(status)")
+    target = str(tests / "test_pathway.py") + "::test_density_values_are_pinned"
+    proc = subprocess.run([sys.executable, "-c", code, target], env=env, cwd=tests.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split()[-1] == "compiled"
+
+
 def test_acceptance_suite_on_compiled_backend(compiled_pkg):
     # bsfrac is imported before pytest puts src/ on sys.path, so the suite
     # runs on the compiled copy; the backend it ran on is printed last

@@ -78,10 +78,18 @@ def test_eval_bad_value_is_usage_error():
 
 
 def test_eval_non_finite_value_is_numerical_error():
-    res = _run("eval", "S", "--nu", "0.25", "--x", "800")
+    res = _run("eval", "I", "--nu", "-0.5", "--x", "0")
     assert res.exit_code == 1
     assert _csv_rows(res.stdout)[0]["value"] == "inf"  # stdout schema unchanged
     assert "not finite" in res.stderr
+
+
+def test_eval_kernel_overflow_is_numerical_error():
+    # reported like wright: no row, exit 1, the library message on stderr
+    res = _run("eval", "S", "--nu", "0.25", "--x", "800")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert "S at x=800.0: Bessel-Struve series at u=800.0 exceeds double range" in res.stderr
 
 
 def test_eval_overflow_is_numerical_error():
@@ -92,10 +100,28 @@ def test_eval_overflow_is_numerical_error():
 
 
 def test_table_non_finite_value_is_numerical_error():
-    res = _run("table", "S", "--nu", "0.25", "--x", "1:800:3")
+    res = _run("table", "I", "--nu", "-0.5", "--x", "0:2:3")
     assert res.exit_code == 1
     assert len(_csv_rows(res.stdout)) == 3
-    assert "1 point(s), first x=800.0" in res.stderr
+    assert "1 point(s), first x=0.0" in res.stderr
+
+
+def test_table_kernel_overflow_is_numerical_error():
+    res = _run("table", "S", "--nu", "0.25", "--x", "1:800:3")
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert "S at x=800.0:" in res.stderr and "exceeds double range" in res.stderr
+
+
+def test_bad_kernel_order_is_usage_error():
+    for args in (["msm-left", "--gamma", "1", "--rho", "1.5"],
+                 ["pathway", "--eta", "0.5", "--a", "1.3", "--pathway-alpha", "0.4",
+                  "--rho", "1.1"]):
+        res = _run("eval", *args, "--kind", "bs", "--nu", "-2", "--x", "1")
+        assert res.exit_code == 2, res.output
+        assert "Error: kernel order must exceed -1, got -2.0" in res.stderr
+        assert "Traceback" not in res.output
+        assert isinstance(res.exception, SystemExit)
 
 
 def test_eval_unconverged_value_is_numerical_error():

@@ -17,6 +17,8 @@ from bsfrac import (
     pathway_quadrature,
 )
 
+from bsfrac._backend import BACKEND
+
 import oracles
 
 SIMPLE = PathwayParams(1.0, 1.0, 0.0)
@@ -179,3 +181,37 @@ class TestDensity:
                                   limit=200)
             total *= 2.0
         assert abs(total - 1.0) <= 1e-6
+
+
+# pathway_density values pinned bit for bit: all three regimes, x = 0 with
+# gamma_shape <, = and > 1, points on both sides of the SUB support edge,
+# and the log|x| > 200 tails of SUPER and LIMIT.  The backends' lgamma may
+# differ by an ulp in the normalizing constant, so a row whose values then
+# differ carries its compiled-backend values as well.
+DENSITY_GOLDEN = [
+    (PathwayDensityParams(1.5, 1.5, 2.0, 0.8, 0.4), [0.0, 0.3, -1.1, 1.6, 1.7, -2.5],
+     [0.0, 0.649758191102438, 0.1110912905647388, 1.4031978302009091e-05, 0.0, 0.0],
+     None),
+    (PathwayDensityParams(1.0, 2.0, 1.0, 1.0, 0.0), [0.0, 0.5, -0.999, 1.0],
+     [0.7500000000000002, 0.5625000000000002, 0.0014992499999999802, 0.0],
+     [0.75, 0.5625, 0.0014992499999999798, 0.0]),
+    (PathwayDensityParams(1.5, 1.5, 2.0, 0.8, 1.6), [0.0, 0.7, -3.0, 40.0, 1e90],
+     [0.0, 0.3077500437121381, 0.022475021727139707, 5.829963395319702e-07, 0.0],
+     [0.0, 0.30775004371213804, 0.022475021727139704, 5.829963395319701e-07, 0.0]),
+    (PathwayDensityParams(0.8, 1.0, 2.0, 1.3, 2.0), [0.0, 2.5, -1e90, 1e130, 1e200],
+     [math.inf, 0.026594855886284838, 3.414104409583623e-199, 3.414104409583582e-287, 0.0],
+     [math.inf, 0.02659485588628482, 3.414104409583623e-199, 3.414104409583582e-287, 0.0]),
+    (PathwayDensityParams(1.0, 2.0, 0.5, 1.0, 1.0), [0.0, 0.5, -2.0, 50.0, 1e100],
+     [0.39894228040143276, 0.3520653267642996, 0.05399096651318807, 0.0, 0.0],
+     None),
+    (PathwayDensityParams(0.7, 1.2, 1.5, 0.9, 1.0), [0.0, 0.25, -3.0, 1e90],
+     [math.inf, 0.5487692743811357, 0.002165763506440477, 0.0],
+     None),
+]
+
+
+@pytest.mark.parametrize("dp, xs, want, want_compiled", DENSITY_GOLDEN)
+def test_density_values_are_pinned(dp, xs, want, want_compiled):
+    if BACKEND == "compiled" and want_compiled is not None:
+        want = want_compiled
+    assert [pathway_density(dp, x) for x in xs] == want

@@ -86,6 +86,16 @@ class TestBesselStruveKernel:
         with pytest.raises(DomainError):
             bessel_struve_kernel(0.5, math.inf)
 
+    def test_overflow_is_loud(self):
+        # never a non-finite value: e^710 overflows the converged sum, at
+        # u = 800 one term already exceeds the double range before summing,
+        # and at u = -800 the alternating terms overflow into NaN
+        for nu, u in ((-0.75, 710.0), (0.25, 800.0), (0.25, 1e300), (0.25, -800.0)):
+            with pytest.raises(OverflowError, match="exceeds double range"):
+                bessel_struve_kernel(nu, u)
+        r = bessel_struve_kernel(0.25, 700.0)
+        assert r.converged and r.value == 6.410481518224758e+301
+
     def test_deterministic(self):
         a = bessel_struve_kernel(0.3, 5.1)
         b = bessel_struve_kernel(0.3, 5.1)
