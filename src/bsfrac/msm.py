@@ -227,7 +227,11 @@ def _collapsed_gap(side: Side, p: MsmParams) -> float | None:
 def _gamma_ratio4(lgamma_sign, n1, n2, d1, d2) -> float:
     """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)) exactly as the 2F1
     kernel forms its connection coefficients: the same four signed
-    log-gammas, in the same order, summed in the same order."""
+    log-gammas, in the same order, summed in the same order.  A
+    denominator at a pole of Gamma (an exact nonpositive integer) gives
+    0.0, since 1/Gamma vanishes there; the kernel has no value there."""
+    if any(d <= 0.0 and float(d).is_integer() for d in (d1, d2)):
+        return 0.0
     (l1, s1), (l2, s2), (l3, s3), (l4, s4) = map(lgamma_sign, (n1, n2, d1, d2))
     return s1 * s2 * s3 * s4 * math.exp(l1 + l2 - l3 - l4)
 
@@ -240,6 +244,11 @@ def _hyp2f1_evaluator(a: float, b: float, c: float):
     route's pair, for b and for the Pfaff-transformed c - b, is computed
     once, on the route's first use, and the kernel is only called on the
     small argument wbar, where it sums its direct series.
+
+    The one exception: where c - a, c - b, a or b is an exact nonpositive
+    integer, the kernel fails (a math domain error on the pure backend,
+    NaN on the compiled one), while here that coefficient is 0.0
+    (``_gamma_ratio4``), which is the limit the connection formula takes.
     """
     hyp2f1 = kernels.hyp2f1_kernel
     if a == 0.0 or b == 0.0:

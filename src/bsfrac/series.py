@@ -76,9 +76,10 @@ _LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
 
 
 def _log_peak_term(nu: float, u: float) -> float:
-    """log of the term c_n u**n of S_nu(u) at n = floor(u), next to the
-    largest one.  For u > 0 every term is positive, so any one of them
-    bounds the sum from below."""
+    """log of the term c_n u**n of S_nu(u) at n = floor(u) > 0, next to
+    the largest one.  For u > 0 every term is positive, so any one of
+    them bounds the sum from below; at -u the terms have the same
+    magnitudes, and one beyond the double range turns the sum into NaN."""
     n = math.floor(u)
     return (math.lgamma(nu + 1.0) + math.lgamma(0.5 * (n + 1.0)) - _HALF_LN_PI
             - math.lgamma(n + 1.0) - math.lgamma(0.5 * n + nu + 1.0) + n * math.log(u))
@@ -93,15 +94,15 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     u = 0 returns exactly 1.  Negative u is summed with compensated
     (double-double) arithmetic to survive the alternating cancellation.
     Raises OverflowError when the series is not finite in double
-    precision; at large positive u that is known, before any summing,
-    from one term of the all-positive series.
+    precision; at large |u| that is known, before any summing, from the
+    magnitude of one term (``_log_peak_term``).
     """
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
         raise DomainError("kernel argument must be finite")
     check_tol(tol)
-    if u > 600.0 and _log_peak_term(nu, u) > _LOG_OVERFLOW:
+    if abs(u) > 600.0 and _log_peak_term(nu, abs(u)) > _LOG_OVERFLOW:
         value = math.inf  # summing would only burn the term cap
     else:
         value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)

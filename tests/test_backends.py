@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,27 @@ def test_verify_all_on_compiled_backend(compiled_pkg):
     assert proc.returncode == 0, proc.stderr
     checks = json.loads(proc.stdout)["checks"]
     assert {c["id"]: (c["status"], c["n_points"]) for c in checks} == oracles.VERIFY_ALL
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_verify_all_report_is_pinned(backend, request):
+    # every byte of `verify all` but its wall time, against the committed
+    # report of each backend (tests/data/verify_all.<backend>.json); a change
+    # that means to alter the report regenerates these files
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    if backend == "compiled":
+        env["PYTHONPATH"] = str(request.getfixturevalue("compiled_pkg"))
+        env.pop("BSFRAC_PURE_PYTHON", None)
+    else:
+        env["PYTHONPATH"] = str(tests.parent / "src")
+        env["BSFRAC_PURE_PYTHON"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "bsfrac", "--format", "json", "verify", "all"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report, n = re.subn(r',\n  "wall_ms": [^\n]*\n', "\n", proc.stdout)
+    assert n == 1
+    assert report == (tests / "data" / f"verify_all.{backend}.json").read_text()
 
 
 def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):

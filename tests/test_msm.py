@@ -282,3 +282,20 @@ def test_hyp2f1_evaluator_is_the_kernel_bit_for_bit(backend, request, monkeypatc
         evaluate = msm._hyp2f1_evaluator(a, b, c)
         for z, wbar in HYP2F1_POINTS:
             assert evaluate(z, wbar) == kernels.hyp2f1_kernel(a, b, c, z, wbar), (a, b, c, z)
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize("rho", [1.5, 1.2])
+@pytest.mark.parametrize("x", [1.0, 0.7])
+def test_2f1_coefficient_at_a_reciprocal_gamma_zero(backend, rho, x, request, monkeypatch):
+    # gamma = alpha makes c - a = 0, where the kernel's connection
+    # coefficient takes log|Gamma(0)|; 1/Gamma(0) = 0 drops that term
+    from bsfrac import _pykernels, msm
+
+    kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
+    monkeypatch.setattr(msm, "kernels", kernels)
+    params = MsmParams(0.5, 0.0, 0.3, 0.2, 0.5)
+    r = msm_quadrature(Side.LEFT, params, FunctionKind.monomial(rho), x)
+    want = msm_power_image(Side.LEFT, params, rho).value_at(x).value
+    assert r.converged
+    assert abs(r.value - want) <= 1e-12 * abs(want)

@@ -85,6 +85,44 @@ def test_golden_outputs(rule, want):
     assert r.converged
 
 
+# Edge paths of the node sweeps, pinned to the outputs of the sweeps that
+# computed every node per integral: a subnormal width whose near-endpoint
+# distance underflows to 0 (the near <= 0 stop), an endpoint singularity
+# at 1e-300 scale, and an exp-sinh scale that cuts the ascending side
+# below its e^500 cap (v_pos < 500).
+@pytest.mark.parametrize("rule, want", [
+    (lambda: tanh_sinh(lambda t, da, db: 1.0, 0.0, 1e-310),
+     (9.999999999998e-311, 5e-324, 47)),
+    (lambda: tanh_sinh(lambda t, da, db: (da / 1e-300) ** -0.5, 0.0, 1e-300),
+     (2.0000000000002262e-300, 2.546726511e-312, 57)),
+    (lambda: exp_sinh(lambda t, d: math.exp(-d / 1e200) / 1e200, 0.0, 1e200),
+     (0.9999999999999998, 2.220446049250313e-16, 366)),
+], ids=["subnormal-width", "tiny-singular", "exp-sinh-short-ascent"])
+def test_golden_edge_paths(rule, want):
+    r = rule()
+    assert (r.value, r.abs_error_est, r.terms_used) == want
+    assert r.converged
+
+
+def test_golden_stall_through_the_deep_levels():
+    # levels past the kept tables are streamed, not tabulated: all 13
+    # tanh-sinh levels as tables would hold about 9 MB
+    import tracemalloc
+
+    from bsfrac import quadrature
+
+    quadrature._table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(QuadratureError, match=r"level difference 0\.02902883225840469 "):
+            tanh_sinh(lambda t, da, db: da ** -0.9999, 0.0, 1.0, tol=1e-10, max_levels=12)
+        resident = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert resident <= 2_000_000
+
+
 def test_exp_sinh_golden_stall_at_huge_scale():
     # scale > e^690 makes the ascending cutoff negative: only the k = 0
     # node and the descending side contribute, each with its own stop rule

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -95,6 +96,26 @@ class TestBesselStruveKernel:
                 bessel_struve_kernel(nu, u)
         r = bessel_struve_kernel(0.25, 700.0)
         assert r.converged and r.value == 6.410481518224758e+301
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_large_negative_u_overflow_is_known_before_summing(
+            self, backend, request, monkeypatch):
+        from types import SimpleNamespace
+
+        from bsfrac import _pykernels, series
+
+        kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
+        fired = [(0.25, -800.0), (-0.9, -1097.5), (10.0, -1000.0)]
+        for nu, u in fired:  # the sum the test skips really is not finite
+            assert not math.isfinite(kernels.bs_series(nu, u, 1e-15, 10_000)[0])
+
+        def no_sum(*args):
+            raise AssertionError(f"bs_series{args} summed a series known to overflow")
+
+        monkeypatch.setattr(series, "kernels", SimpleNamespace(bs_series=no_sum))
+        for nu, u in fired + [(0.25, -1e300)]:
+            with pytest.raises(OverflowError, match=re.escape(f"at u={u!r} exceeds")):
+                bessel_struve_kernel(nu, u)
 
     def test_deterministic(self):
         a = bessel_struve_kernel(0.3, 5.1)
