@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from functools import partial
 
 import click
 
@@ -25,8 +26,9 @@ from .msm import _SPECIAL_NU, FunctionKind, MsmParams, Side, msm_bs_closed_form,
 from .pathway import (
     PathwayDensityParams,
     PathwayParams,
+    _density,
+    _density_error,
     pathway_bs_closed_form,
-    pathway_density,
     pathway_power_image,
 )
 from .series import bessel_first_kind, bessel_struve_kernel, linspace, struve
@@ -47,10 +49,18 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _compute(function: str, opts: dict, x: float):
-    """_evaluate with library errors mapped to the exit-code contract."""
+def _sweep(function: str, opts: dict, xs) -> list:
+    """Evaluate function at every x, built once for the whole sweep (see
+    ``_evaluator``), with library errors mapped to the exit-code contract;
+    a numerical error names the x being evaluated, or the first x while
+    the function is being built."""
+    x = xs[0]
     try:
-        return _evaluate(function, opts, x)
+        evaluate = _evaluator(function, opts)
+        results = []
+        for x in xs:  # not a comprehension: the handlers below name this x
+            results.append(evaluate(x))
+        return results
     except NUMERICAL_ERRORS as exc:
         _fail(f"{function} at x={x!r}: {exc}")
     except BsfracError as exc:
@@ -104,20 +114,32 @@ def _parse_pairs(text: str):
     return tuple(pairs)
 
 
-def _evaluate(function: str, opts: dict, x: float):
-    """Dispatch one evaluation; returns (value, abs_error_est, terms_used,
-    converged)."""
+def _evaluator(function: str, opts: dict):
+    """Build ``x -> (value, abs_error_est, terms_used, converged)`` from the
+    options: they are checked and parsed, and the image, Wright spec or
+    density constants computed, once, before the first point."""
+    if function == "density":
+        _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
+        dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
+                                  opts["beta_shape"], opts["a"], opts["pathway_alpha"])
+        density, error = _density(dp), _density_error(dp)
+
+        def density_at(x):
+            value = density(x)
+            return value, error(x, value), 1, True
+
+        return density_at
     if function == "S":
         _require(opts, ["nu"])
-        r = bessel_struve_kernel(opts["nu"], x)
+        series = partial(bessel_struve_kernel, opts["nu"])
     elif function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
         fn = bessel_first_kind if function in ("J", "I") else struve
-        r = fn(opts["nu"], x, modified=function in ("I", "L"))
+        series = partial(fn, opts["nu"], modified=function in ("I", "L"))
     elif function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
-        r = wright_eval(spec, x)
+        series = partial(wright_eval, spec)
     elif function in ("msm-left", "msm-right"):
         _require(opts, ["gamma", "rho"])
         side = Side.LEFT if function == "msm-left" else Side.RIGHT
@@ -128,8 +150,8 @@ def _evaluate(function: str, opts: dict, x: float):
             img = msm_power_image(side, params, kind.rho)
         else:
             img = msm_bs_closed_form(side, params, kind)
-        r = img.value_at(x)
-    elif function == "pathway":
+        series = img.value_at
+    else:
         _require(opts, ["eta", "a", "pathway-alpha", "rho"])
         params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
         kind = _build_kind(opts)
@@ -137,13 +159,13 @@ def _evaluate(function: str, opts: dict, x: float):
             img = pathway_power_image(params, kind.rho)
         else:
             img = pathway_bs_closed_form(params, kind)
-        r = img.value_at(x)
-    else:
-        _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
-        dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
-                                  opts["beta_shape"], opts["a"], opts["pathway_alpha"])
-        return pathway_density(dp, x), 0.0, 1, True
-    return r.value, r.abs_error_est, r.terms_used, r.converged
+        series = img.value_at
+
+    def evaluate(x):
+        r = series(x)
+        return r.value, r.abs_error_est, r.terms_used, r.converged
+
+    return evaluate
 
 
 def _build_kind(opts) -> FunctionKind:
@@ -208,7 +230,7 @@ def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
 @click.pass_context
 def eval_cmd(ctx, function, x, **opts):
     """Evaluate one function at one point."""
-    value, err, terms, converged = _compute(function, opts, x)
+    [(value, err, terms, converged)] = _sweep(function, opts, [x])
     _emit(ctx.obj, ["value", "abs_error_est", "terms_used"], [[value, err, terms]])
     if not math.isfinite(value):
         _fail(f"{function} at x={x!r} is not finite in double precision")
@@ -240,8 +262,7 @@ def table_cmd(ctx, function, x_range, **opts):
     """Tabulate one function over a grid of evaluation points."""
     xs = _parse_range(x_range)
     rows, unconverged = [], []
-    for x in xs:
-        value, err, _, converged = _compute(function, opts, x)
+    for x, (value, err, _, converged) in zip(xs, _sweep(function, opts, xs)):
         rows.append([x, value, err])
         if not converged:
             unconverged.append(x)

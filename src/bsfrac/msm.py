@@ -132,7 +132,7 @@ class ClosedFormImage:
     def value_at(self, x: float, tol: float = 1e-14,
                  term_cap: int = TERM_CAP) -> SeriesEval:
         if not x > 0.0:
-            raise ValueError("images are defined for x > 0")
+            raise DomainError(f"images are defined for x > 0, got x={x!r}")
         arg = self.argument_scale * (1.0 / x if self.inverse_argument else x)
         w = wright_eval(self.spec, arg, tol, term_cap)
         scale = self.prefactor * x ** self.power_of_x
@@ -296,7 +296,7 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     the 2F1 factor is left out when the collapse makes it identically one.
     """
     if not x > 0.0:
-        raise ValueError("operators are defined for x > 0")
+        raise DomainError(f"operators are defined for x > 0, got x={x!r}")
     p = params
     _gamma_args(side, p, kind.rho)  # the integral converges where the image exists
     if side is Side.LEFT and not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):

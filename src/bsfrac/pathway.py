@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .gammacore import gamma_ratio
 from .msm import ClosedFormImage, FunctionKind, _GammaTable, _kernel_image, _power_image
 from .quadrature import tanh_sinh
@@ -76,7 +76,7 @@ def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
                        tol: float = 1e-11) -> SeriesEval:
     """Direct tanh-sinh quadrature of the pathway integral at x > 0."""
     if not x > 0.0:
-        raise ValueError("the operator is defined for x > 0")
+        raise DomainError(f"the operator is defined for x > 0, got x={x!r}")
     sigma = kind.rho
     _table(params, sigma)  # the integral converges where the image exists
     upper = x / params.cut
@@ -143,24 +143,35 @@ class PathwayDensityParams:
         return math.inf
 
 
+def _shape(dp: PathwayDensityParams):
+    """(k, expo, nums, dens) of the regime: the density's base is
+    1 - k|x|^delta (SUB) or 1 + k|x|^delta (SUPER), raised to expo or
+    -expo, and the LIMIT tail is exp(-k|x|^delta) (expo 0); the
+    normalizing constant is delta/2 k^(gamma/delta) times the gamma ratio
+    prod Gamma(nums) / prod Gamma(dens)."""
+    gd = dp.gamma_shape / dp.delta
+    if dp.regime is Regime.LIMIT:
+        return dp.a * dp.beta_shape, 0.0, (), (gd,)
+    s = 1.0 - dp.pathway_alpha if dp.regime is Regime.SUB else dp.pathway_alpha - 1.0
+    be = dp.beta_shape / s
+    if dp.regime is Regime.SUB:
+        return dp.a * s, be, (gd + be + 1.0,), (gd, be + 1.0)
+    return dp.a * s, be, (be,), (gd, be - gd)
+
+
 def pathway_norm_const(dp: PathwayDensityParams) -> float:
     """Normalizing constant of the pathway density (three branches)."""
     gd = dp.gamma_shape / dp.delta
-    if dp.regime is Regime.SUB:
-        be = dp.beta_shape / (1.0 - dp.pathway_alpha)
-        coef = (dp.a * (1.0 - dp.pathway_alpha)) ** gd
-        return 0.5 * dp.delta * coef * gamma_ratio((gd + be + 1.0,), (gd, be + 1.0))
-    if dp.regime is Regime.SUPER:
-        be = dp.beta_shape / (dp.pathway_alpha - 1.0)
-        if not be - gd > 0.0:
-            raise PreconditionError(
-                f"type-2 branch needs beta/(alpha-1) - gamma/delta > 0, "
-                f"got {be - gd!r}")
-        coef = (dp.a * (dp.pathway_alpha - 1.0)) ** gd
-        return 0.5 * dp.delta * coef * gamma_ratio((be,), (gd, be - gd))
+    k, be, nums, dens = _shape(dp)
+    if dp.regime is Regime.SUPER and not be - gd > 0.0:
+        raise PreconditionError(
+            f"type-2 branch needs beta/(alpha-1) - gamma/delta > 0, "
+            f"got {be - gd!r}")
+    if dp.regime is not Regime.LIMIT:
+        return 0.5 * dp.delta * k ** gd * gamma_ratio(nums, dens)
     if not dp.beta_shape > 0.0:
         raise PreconditionError("the limit branch needs beta_shape > 0")
-    return 0.5 * dp.delta * (dp.a * dp.beta_shape) ** gd / math.gamma(gd)
+    return 0.5 * dp.delta * k ** gd / math.gamma(gd)
 
 
 def _density(dp: PathwayDensityParams):
@@ -169,12 +180,8 @@ def _density(dp: PathwayDensityParams):
     c = pathway_norm_const(dp)
     at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
     regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
-    if regime is Regime.SUB:
-        k, expo = dp.a * (1.0 - dp.pathway_alpha), dp.beta_shape / (1.0 - dp.pathway_alpha)
-    elif regime is Regime.SUPER:
-        k, expo = dp.a * (dp.pathway_alpha - 1.0), dp.beta_shape / (dp.pathway_alpha - 1.0)
-    else:
-        rate = -dp.a * dp.beta_shape
+    k, expo, _, _ = _shape(dp)
+    rate = -k
 
     def density(x):
         ax = abs(x)
@@ -204,10 +211,115 @@ def _density(dp: PathwayDensityParams):
     return density
 
 
+_U = 2.0 ** -53  # unit roundoff: a correctly rounded operation errs by at most this
+# error of one log-gamma, in units of 2u * max(1, |log Gamma|): both backends'
+# lgamma_sign and math.gamma measured at most 3.6 against mpmath on (6e-6, 665)
+_LGAMMA_ULPS = 8.0
+_LN_TINY = math.log(math.ulp(0.0))  # a rounding in the subnormal range errs by ulp(0)
+
+
+def _exp_up(v: float) -> float:
+    return math.exp(v) if v < 709.0 else math.inf
+
+
+def _expm1_up(v: float) -> float:
+    return math.expm1(v) if v < 709.0 else math.inf
+
+
+def _density_error(dp: PathwayDensityParams):
+    """(x, value) -> a bound on |value - f(x)|, for the value that
+    ``_density(dp)`` returned at x and the exact density f of the double
+    parameters in ``dp`` (which ``_density`` has accepted).
+
+    A running rounding bound (Higham 2002, chs. 3-4), kept out of the
+    density closure, which is also the harness's quadrature integrand.
+    Each factor of c |x|^(gamma-1) tail carries a log-space half-width:
+    the norm constant's (the errors of its log-gammas, of their arguments
+    and of k^(gamma/delta)), the powers' (one rounding plus the rounding
+    of gamma-1 and of expo times the log of the base), and the base's,
+    whose error 5u k|x|^delta is relative to 1 - k|x|^delta, so it grows
+    without bound at the SUB support edge, amplified by expo.  A value that
+    underflowed to zero, or that the SUB branch put outside the support
+    while the true base may be positive, is bounded by the largest value
+    the half-widths allow."""
+    gd = dp.gamma_shape / dp.delta
+    k, expo, nums, dens = _shape(dp)
+    regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
+    lk = math.log(k)
+    # log c and its half-width: every gamma argument is a sum of at most
+    # three of gd, expo and 1, each within 2u, and moves log Gamma by at
+    # most (|log a| + 1/a) per unit (the digamma bound for a > 0)
+    ln_c = math.log(0.5 * delta) + gd * lk
+    rel_c = (2.0 * gd + abs(gd * lk) + 6.0) * _U
+    moved = 4.0 * _U * (gd + expo + 1.0)
+    args = nums + dens
+    for i, a in enumerate(args):
+        la = kernels.lgamma_sign(a)[0]
+        ln_c += la if i < len(nums) else -la
+        rel_c += ((2.0 * _LGAMMA_ULPS + len(args)) * _U * max(1.0, abs(la))
+                  + (abs(math.log(a)) + 1.0 / a) * moved)
+
+    def error(x, value):
+        ax = abs(x)
+        if ax == 0.0:
+            return abs(value) * _expm1_up(rel_c)
+        la = math.log(ax)
+        ln_v = ln_c + g1 * la
+        # the two products, and one rounding each of |x|^(gamma-1) and the tail
+        up = down = rel_c + 6.0 * _U + _U * abs(g1 * la)
+        in_logs = regime is Regime.SUPER and la > 200.0
+        if in_logs:
+            lt = lk + delta * la  # log of k|x|^delta; the +1 dropped costs expo/(k|x|^delta)
+            ln_v -= expo * lt
+            w = (6.0 * _U * (abs(ln_c) + abs(g1 * la) + expo * (abs(lk) + delta * la) + expo)
+                 + expo * _exp_up(-lt))
+            up = down = rel_c + 2.0 * _U + w
+        elif regime is Regime.LIMIT:
+            t = math.exp(min(lk + delta * la, 700.0))  # k|x|^delta, capped to stay finite
+            ln_v -= t
+            up += 4.0 * _U * t
+            down += 4.0 * _U * t
+        else:
+            t = k * ax ** delta
+            base = 1.0 - t if regime is Regime.SUB else 1.0 + t
+            e_base = 5.0 * _U * t + _U * abs(base)  # bounds |base - exact base|
+            if base + e_base <= 0.0:
+                return 0.0  # outside the support for certain
+            if regime is Regime.SUPER:
+                r = e_base / base
+                ln_v -= expo * math.log(base)
+                up += -expo * math.log1p(-r) + 2.0 * _U * expo * math.log(base)
+                down += expo * math.log1p(r) + 2.0 * _U * expo * math.log(base)
+            elif base <= 0.0:
+                return _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0, _LN_TINY))
+            else:
+                r = e_base / base  # at r >= 1 the exact point may lie outside the support
+                rnd = 2.0 * _U * expo * abs(math.log(base))
+                ln_v += expo * math.log(base)
+                up += expo * math.log1p(r) + rnd
+                down += (-expo * math.log1p(-r) if r < 1.0 else math.inf) + rnd
+        if value == 0.0:
+            # underflow: bound the exact value itself; the factor e covers
+            # the rounding of ln_v
+            return _exp_up(max(ln_v + up + 1.0, _LN_TINY))
+        # a factor f rounded in the subnormal range errs by ulp(0)/f relative;
+        # the far SUPER tail rounds only its value
+        ln_p = g1 * la
+        lowest = ln_v if in_logs else min(ln_p, ln_c + ln_p, ln_v - ln_c - ln_p, ln_v)
+        sub = 4.0 * _exp_up(_LN_TINY - lowest)
+        up += sub
+        down += -math.log1p(-sub) if sub < 1.0 else math.inf
+        return abs(value) * max(_expm1_up(up), -math.expm1(-down))
+
+    return error
+
+
 def pathway_density(dp: PathwayDensityParams, x: float) -> float:
     """Density value at x; zero outside the SUB-regime support.
 
     The normalizing constant and the regime's coefficients are computed
     once per call here; code that evaluates one density at many points
-    (``checks._density_norm``) builds ``_density(dp)`` once instead."""
+    (``checks._density_norm``, and the CLI's ``eval`` and ``table``, which
+    also build ``_density_error(dp)`` once) builds ``_density(dp)`` once
+    instead."""
     return _density(dp)(x)

@@ -5,7 +5,7 @@ diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._backend import kernels
 from .errors import ConvergenceError, DomainError, PoleError, TermCapError
@@ -19,28 +19,39 @@ class WrightSpec:
     """Numerator/denominator (coefficient, slope) pairs of a pPsi_q series.
 
     Slopes must be nonnegative reals (every spec generated by the
-    operator theorems uses 1/2 or 1).
+    operator theorems uses 1/2 or 1).  The slope sum ``delta`` and the
+    kernel's four columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once,
+    here, for every evaluation of the spec.
     """
 
     upper: tuple[Pair, ...]
     lower: tuple[Pair, ...]
+    delta: float = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "upper", tuple((float(a), float(A)) for a, A in self.upper))
-        object.__setattr__(self, "lower", tuple((float(b), float(B)) for b, B in self.lower))
-        for coeff, slope in self.upper + self.lower:
+        upper = tuple((float(a), float(A)) for a, A in self.upper)
+        lower = tuple((float(b), float(B)) for b, B in self.lower)
+        for coeff, slope in upper + lower:
             if slope < 0.0 or not math.isfinite(slope):
                 raise DomainError(f"slopes must be finite and >= 0, got {slope!r}")
             if not math.isfinite(coeff):
                 raise DomainError(f"coefficients must be finite, got {coeff!r}")
+        ua, uA = tuple(zip(*upper)) or ((), ())
+        lb, lB = tuple(zip(*lower)) or ((), ())
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "delta", math.fsum(lB) - math.fsum(uA))
+        object.__setattr__(self, "columns", (ua, uA, lb, lB))
 
 
 def wright_delta(spec: WrightSpec) -> float:
-    """Sum of lower slopes minus sum of upper slopes.
+    """Sum of lower slopes minus sum of upper slopes, as stored on the
+    spec when it was built.
 
     The series defines an entire function whenever the result exceeds -1.
     """
-    return math.fsum(B for _, B in spec.lower) - math.fsum(A for _, A in spec.upper)
+    return spec.delta
 
 
 def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
@@ -54,19 +65,15 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
     OverflowError when the value is not finite in double precision, and
     TermCapError when the cap is reached before the tolerance.
     """
-    delta = wright_delta(spec)
+    delta = spec.delta
     if delta <= -1.0:
         raise ConvergenceError(
             f"wright series diverges: delta={delta!r} must exceed -1")
     if not math.isfinite(z):
         raise DomainError(f"wright argument must be finite, got {z!r}")
     check_tol(tol)
-    ua = tuple(a for a, _ in spec.upper)
-    uA = tuple(A for _, A in spec.upper)
-    lb = tuple(b for b, _ in spec.lower)
-    lB = tuple(B for _, B in spec.lower)
     try:
-        value, err, terms, status = kernels.wright_series(ua, uA, lb, lB, z, tol, term_cap)
+        value, err, terms, status = kernels.wright_series(*spec.columns, z, tol, term_cap)
     except OverflowError:  # the pure kernels overflow in math.exp
         value, status = math.inf, 0
     if status == 2:

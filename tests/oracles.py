@@ -71,6 +71,24 @@ def mp_gamma(x):
     return mp.gamma(mp.mpf(x))
 
 
+def mp_density(gamma_shape, delta, beta_shape, a, pathway_alpha, x):
+    """The pathway density of the double parameters, taken as exact."""
+    g, d, b, a, al = map(mp.mpf, (gamma_shape, delta, beta_shape, a, pathway_alpha))
+    ax = abs(mp.mpf(x))
+    if al == 1:
+        k = a * b
+        return d / 2 * k ** (g / d) / mp.gamma(g / d) * ax ** (g - 1) * mp.exp(-k * ax ** d)
+    k, be = a * abs(1 - al), b / abs(1 - al)
+    if al < 1:
+        base = 1 - k * ax ** d
+        if base <= 0:
+            return mp.mpf(0)
+        ratio = mp.gamma(g / d + be + 1) / (mp.gamma(g / d) * mp.gamma(be + 1))
+        return d / 2 * k ** (g / d) * ratio * ax ** (g - 1) * base ** be
+    ratio = mp.gamma(be) / (mp.gamma(g / d) * mp.gamma(be - g / d))
+    return d / 2 * k ** (g / d) * ratio * ax ** (g - 1) * (1 + k * ax ** d) ** -be
+
+
 def rel_err(got, want) -> float:
     """Relative deviation of a float against an mpmath reference."""
     w = mp.mpf(want) if not isinstance(want, mp.mpf) else want

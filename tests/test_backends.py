@@ -194,31 +194,33 @@ def test_kernel_overflow_on_compiled_backend(compiled_pkg):
                    "True 6.410481518224758e+301 compiled"]
 
 
-def test_pinned_densities_on_compiled_backend(compiled_pkg):
+def _pytest_on_compiled(compiled_pkg, *args):
+    # bsfrac is imported before pytest puts src/ on sys.path, so the tests
+    # run on the compiled copy; the backend they ran on is printed last
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
     env.pop("BSFRAC_PURE_PYTHON", None)
     code = ("import sys, pytest; from bsfrac import _backend; "
-            "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]); "
+            "status = pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]); "
             "print(_backend.BACKEND); sys.exit(status)")
-    target = str(tests / "test_pathway.py") + "::test_density_values_are_pinned"
-    proc = subprocess.run([sys.executable, "-c", code, target], env=env, cwd=tests.parent,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=tests.parent,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.split()[-1] == "compiled"
 
 
+def test_pinned_densities_on_compiled_backend(compiled_pkg):
+    _pytest_on_compiled(compiled_pkg, "tests/test_pathway.py::test_density_values_are_pinned")
+
+
+def test_density_error_bound_on_compiled_backend(compiled_pkg):
+    _pytest_on_compiled(compiled_pkg, "tests/test_pathway.py::test_density_error_bound_holds")
+
+
+def test_cli_sweeps_on_compiled_backend(compiled_pkg):
+    # table rows against eval, the sweep error paths and the build counts
+    _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "sweep")
+
+
 def test_acceptance_suite_on_compiled_backend(compiled_pkg):
-    # bsfrac is imported before pytest puts src/ on sys.path, so the suite
-    # runs on the compiled copy; the backend it ran on is printed last
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
-    env.pop("BSFRAC_PURE_PYTHON", None)
-    code = ("import sys, pytest; from bsfrac import _backend; "
-            "status = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]]); "
-            "print(_backend.BACKEND); sys.exit(status)")
-    proc = subprocess.run([sys.executable, "-c", code, str(tests / "test_acceptance.py")],
-                          env=env, cwd=tests.parent, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.split()[-1] == "compiled"
+    _pytest_on_compiled(compiled_pkg, "tests/test_acceptance.py")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import bsfrac
@@ -242,3 +243,110 @@ def test_csv_uses_17_significant_digits():
     value = _csv_rows(res.stdout)[0]["value"]
     mantissa = value.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
     assert len(mantissa) >= 16
+
+
+_MSM = ("--alpha", "0.3", "--alpha-prime", "0.2", "--beta", "0.1", "--beta-prime", "0.4",
+        "--gamma", "1.1")
+_PATHWAY = ("--eta", "0.5", "--a", "1.3", "--pathway-alpha", "0.4")
+# every function of the CLI, with options and a sweep range
+SWEEPS = {
+    "S": (("--nu", "0.25"), "-3:5:7"),
+    "J": (("--nu", "0.3"), "0:12:7"),
+    "I": (("--nu", "0.7"), "0:6:7"),
+    "H": (("--nu", "0.3"), "0:12:7"),
+    "L": (("--nu", "0.7"), "0:6:7"),
+    "wright": (("--upper", "0.5,0.5;1.2,1", "--lower", "1.25,0.5;1.9,1"), "-6:6:7"),
+    "msm-left": (_MSM + ("--rho", "1.5", "--kind", "bs", "--nu", "0.25"), "0.25:3:7"),
+    "msm-right": (_MSM + ("--rho", "-1.3", "--kind", "exp"), "0.5:4:7"),
+    "pathway": (_PATHWAY + ("--rho", "1.1", "--kind", "bs", "--nu", "0.25"), "0.25:2:7"),
+    "density": (("--gamma-shape", "1.5", "--delta", "1.5", "--beta-shape", "2.0", "--a", "0.8",
+                 "--pathway-alpha", "0.4"), "-1.5:1.5:7"),
+}
+
+
+def test_sweeps_cover_every_function():
+    from bsfrac.cli import FUNCTIONS
+    assert sorted(SWEEPS) == sorted(FUNCTIONS)
+
+
+@pytest.mark.parametrize("function", sorted(SWEEPS))
+def test_sweep_rows_match_eval(function):
+    # a table builds its function once per sweep; each row must still be
+    # the eval at that x, byte for byte
+    opts, grid = SWEEPS[function]
+    res = _run("table", function, "--x", grid, *opts)
+    assert res.exit_code == 0, res.output
+    rows = _csv_rows(res.stdout)
+    assert len(rows) == 7
+    for row in rows:
+        one = _run("eval", function, f"--x={float(row['x'])!r}", *opts)
+        assert one.exit_code == 0, one.output
+        [point] = _csv_rows(one.stdout)
+        assert (point["value"], point["abs_error_est"]) == (row["value"], row["abs_error_est"])
+
+
+# (args, exit code, stdout is empty, stderr line); x <= 0 in an operator
+# image is a usage error
+SWEEP_ERRORS = [
+    (("table", "msm-left", "--rho", "1.5", "--x", "1:2:3"), 2, True,
+     "Error: missing required option(s): --gamma"),
+    (("table", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "1:800:3"), 1, True,
+     "Error: wright at x=800.0: wright series at z=800.0 exceeds double range"),
+    (("table", "msm-left", "--gamma", "1.1", "--rho", "1.5", "--kind", "bs", "--nu", "200",
+      "--x", "2:3:3"), 1, True, "Error: msm-left at x=2.0: math range error"),
+    (("table", "S", "--nu", "0.25", "--x=-40:-20:3"), 1, False,
+     "Error: S did not converge at 1 point(s), first x=-40.0"),
+    (("eval", "msm-left", "--x=-1", "--alpha", "0.3", "--gamma", "1.1", "--rho", "1.5"), 2, True,
+     "Error: images are defined for x > 0, got x=-1.0"),
+    (("eval", "msm-right", "--x=-1", "--alpha", "0.3", "--gamma", "1.1", "--rho", "-1.5"), 2,
+     True, "Error: images are defined for x > 0, got x=-1.0"),
+    (("eval", "pathway", "--x", "0", *_PATHWAY, "--rho", "1.1"), 2, True,
+     "Error: images are defined for x > 0, got x=0.0"),
+    (("table", "msm-left", "--x=1:-1:3", "--alpha", "0.3", "--gamma", "1.1", "--rho", "1.5",
+      "--kind", "bs", "--nu", "0.25"), 2, True,
+     "Error: images are defined for x > 0, got x=0.0"),
+    (("table", "pathway", "--x=-1:1:3", *_PATHWAY, "--rho", "1.1"), 2, True,
+     "Error: images are defined for x > 0, got x=-1.0"),
+]
+
+
+@pytest.mark.parametrize("args, code, no_rows, message", SWEEP_ERRORS)
+def test_sweep_error_paths(args, code, no_rows, message):
+    res = _run(*args)
+    assert res.exit_code == code, res.output
+    assert (res.stdout == "") == no_rows
+    assert message in res.stderr.splitlines()
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("function", ["msm-left", "pathway", "wright", "density"])
+def test_sweep_builds_once(function, monkeypatch):
+    # the gamma-argument tables, Wright specs and density norm constants
+    # are built once per sweep, whatever its length
+    from bsfrac import msm, pathway
+    from bsfrac.wright import WrightSpec
+
+    builds = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            builds.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(msm, "_gamma_args")
+    counted(pathway, "_table")
+    counted(pathway, "pathway_norm_const")
+    counted(WrightSpec, "__post_init__")
+    opts, grid = SWEEPS[function]
+    start, stop, _ = grid.split(":")
+    counts = []
+    for count in (1, 200):
+        builds.clear()
+        assert _run("table", function, "--x", f"{start}:{stop}:{count}", *opts).exit_code == 0
+        counts.append(sorted(builds))
+    assert counts[0] == counts[1] != []

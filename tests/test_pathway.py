@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 from scipy.integrate import quad as scipy_quad
 
@@ -215,3 +216,56 @@ def test_density_values_are_pinned(dp, xs, want, want_compiled):
     if BACKEND == "compiled" and want_compiled is not None:
         want = want_compiled
     assert [pathway_density(dp, x) for x in xs] == want
+
+
+# parameter sets of the three regimes for the density's error bound, with
+# the relative bound allowed away from the SUB edge and the far tails: the
+# SUB ones reach their support edge (one with beta_shape = 0, where the
+# density jumps to zero there, one with a large base exponent), the SUPER
+# and LIMIT ones their log|x| > 200 tails and subnormal values (the SUPER
+# one with exponent 20 near x = 5e15); in the last SUPER one the gamma
+# argument beta/(alpha-1) - gamma/delta is 1e-7, so the rounding of
+# beta/(alpha-1) moves the norm constant by 3e-10
+BOUND_CASES = [
+    ((1.5, 1.5, 2.0, 0.8, 0.4), 1e-12),
+    ((1.0, 2.0, 1.0, 1.0, 0.0), 1e-12),
+    ((3.0, 0.7, 25.0, 2.0, -1.5), 1e-12),
+    ((1.27, 1.29, 0.0, 0.47, 0.68), 1e-12),
+    ((1.5, 1.5, 2.0, 0.8, 1.6), 1e-12),
+    ((0.8, 1.0, 2.0, 1.3, 2.0), 1e-12),
+    ((1.0, 2.0, 1.0, 1.0, 2.0), 1e-12),
+    ((4.0, 0.5, 9.0, 2.5, 1.5), 1e-12),
+    ((0.5, 1.0, 20.0, 1.0, 2.0), 1e-12),
+    ((1.0, 1.0, (1.7 - 1.0) * (1.0 + 1e-7), 1.0, 1.7), 1e-7),
+    ((1.0, 2.0, 0.5, 1.0, 1.0), 1e-12),
+    ((0.7, 1.2, 1.5, 0.9, 1.0), 1e-12),
+    ((6.0, 0.3, 2.0, 0.2, 1.0), 1e-12),
+]
+SUB_EDGE = (0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-15, 1.5)
+TAIL = (0.01, 0.3, 1.0, 3.0, 10.0, 100.0, 1e5, 2e15, 5e15, 1e30, 1e52, 1e90, 1e130, 1e200)
+
+
+@pytest.mark.parametrize("params, rel_limit", BOUND_CASES)
+def test_density_error_bound_holds(params, rel_limit):
+    # the CLI's abs_error_est for a density value bounds its distance to the
+    # 40-digit density of the same double parameters; away from the SUB edge
+    # and the far tails it is also no looser than rel_limit
+    from bsfrac.pathway import _density, _density_error
+
+    dp = PathwayDensityParams(*params)
+    density, error = _density(dp), _density_error(dp)
+    if dp.regime is Regime.SUB:
+        xs = [f * dp.support_radius for f in SUB_EDGE]
+        interior = 0.7 * dp.support_radius
+    else:
+        xs, interior = list(TAIL), 10.0
+    rng = random.Random(repr(params))
+    xs += [rng.uniform(0.0, interior) for _ in range(20)]
+    if dp.gamma_shape >= 1.0:  # below 1 the density is infinite at 0
+        xs.append(0.0)
+    for x in xs + [-x for x in xs]:
+        value = density(x)
+        bound = error(x, value)
+        assert abs(mp.mpf(value) - oracles.mp_density(*params, x)) <= bound, (x, value, bound)
+        if abs(x) <= interior and value != 0.0:
+            assert bound <= rel_limit * value, (x, value, bound)
