@@ -22,16 +22,14 @@ import click
 
 from . import __version__
 from .errors import BsfracError, QuadratureError, TermCapError
-from .msm import _SPECIAL_NU, FunctionKind, MsmParams, Side, msm_bs_closed_form, msm_power_image
-from .pathway import (
-    PathwayDensityParams,
-    PathwayParams,
-    _density,
-    _density_error,
-    pathway_bs_closed_form,
-    pathway_power_image,
+from .series import (
+    _SPECIAL_NU,
+    SeriesEval,
+    bessel_first_kind,
+    bessel_struve_kernel,
+    linspace,
+    struve,
 )
-from .series import bessel_first_kind, bessel_struve_kernel, linspace, struve
 from .wright import WrightSpec, wright_eval
 
 FUNCTIONS = ("S", "J", "I", "H", "L", "wright", "msm-left", "msm-right",
@@ -67,23 +65,24 @@ def _sweep(function: str, opts: dict, xs) -> list:
         raise click.UsageError(str(exc)) from exc
 
 
+_NUMBER = "%.17g"  # every float the CLI prints: enough digits to round-trip
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return _NUMBER % v
     return str(v)
 
 
 def _emit(ctx_obj, headers, rows):
-    fmt = ctx_obj["format"]
-    if fmt == "json":
+    """Write rows of numbers (floats, and counts below 2**53) as JSON or
+    CSV.  No number needs CSV quoting, so each CSV row is one ``%``
+    template: the same text ``csv.writer`` makes of ``_fmt`` of each."""
+    if ctx_obj["format"] == "json":
         text = json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue().rstrip("\n")
+        template = ",".join([_NUMBER] * len(headers))
+        text = "\n".join([",".join(headers), *[template % row for row in rows]])
     _write(ctx_obj, text)
 
 
@@ -115,10 +114,13 @@ def _parse_pairs(text: str):
 
 
 def _evaluator(function: str, opts: dict):
-    """Build ``x -> (value, abs_error_est, terms_used, converged)`` from the
-    options: they are checked and parsed, and the image, Wright spec or
-    density constants computed, once, before the first point."""
+    """Build ``x -> SeriesEval`` from the options: they are checked and
+    parsed, and the image, Wright spec or density constants computed,
+    once, before the first point.  The operator modules are imported only
+    by the branches that use them, so a cold ``eval S`` never loads them."""
     if function == "density":
+        from .pathway import PathwayDensityParams, _density, _density_error
+
         _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
         dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
                                   opts["beta_shape"], opts["a"], opts["pathway_alpha"])
@@ -126,49 +128,44 @@ def _evaluator(function: str, opts: dict):
 
         def density_at(x):
             value = density(x)
-            return value, error(x, value), 1, True
+            return SeriesEval(value, error(x, value), 1, True)
 
         return density_at
     if function == "S":
         _require(opts, ["nu"])
-        series = partial(bessel_struve_kernel, opts["nu"])
-    elif function in ("J", "I", "H", "L"):
+        return partial(bessel_struve_kernel, opts["nu"])
+    if function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
         fn = bessel_first_kind if function in ("J", "I") else struve
-        series = partial(fn, opts["nu"], modified=function in ("I", "L"))
-    elif function == "wright":
+        return partial(fn, opts["nu"], modified=function in ("I", "L"))
+    if function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
-        series = partial(wright_eval, spec)
-    elif function in ("msm-left", "msm-right"):
+        return partial(wright_eval, spec)
+    if function in ("msm-left", "msm-right"):
+        from .msm import MsmParams, Side, msm_bs_closed_form, msm_power_image
+
         _require(opts, ["gamma", "rho"])
         side = Side.LEFT if function == "msm-left" else Side.RIGHT
         params = MsmParams(opts["alpha"], opts["alpha_prime"], opts["beta"],
                            opts["beta_prime"], opts["gamma"])
         kind = _build_kind(opts)
         if kind.family == "monomial":
-            img = msm_power_image(side, params, kind.rho)
-        else:
-            img = msm_bs_closed_form(side, params, kind)
-        series = img.value_at
-    else:
-        _require(opts, ["eta", "a", "pathway-alpha", "rho"])
-        params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
-        kind = _build_kind(opts)
-        if kind.family == "monomial":
-            img = pathway_power_image(params, kind.rho)
-        else:
-            img = pathway_bs_closed_form(params, kind)
-        series = img.value_at
+            return msm_power_image(side, params, kind.rho).value_at
+        return msm_bs_closed_form(side, params, kind).value_at
+    from .pathway import PathwayParams, pathway_bs_closed_form, pathway_power_image
 
-    def evaluate(x):
-        r = series(x)
-        return r.value, r.abs_error_est, r.terms_used, r.converged
-
-    return evaluate
+    _require(opts, ["eta", "a", "pathway-alpha", "rho"])
+    params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
+    kind = _build_kind(opts)
+    if kind.family == "monomial":
+        return pathway_power_image(params, kind.rho).value_at
+    return pathway_bs_closed_form(params, kind).value_at
 
 
-def _build_kind(opts) -> FunctionKind:
+def _build_kind(opts):
+    from .msm import FunctionKind
+
     family = KIND_NAMES[opts["kind"]]
     if family == "bs":
         _require(opts, ["nu"])
@@ -230,11 +227,12 @@ def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
 @click.pass_context
 def eval_cmd(ctx, function, x, **opts):
     """Evaluate one function at one point."""
-    [(value, err, terms, converged)] = _sweep(function, opts, [x])
-    _emit(ctx.obj, ["value", "abs_error_est", "terms_used"], [[value, err, terms]])
-    if not math.isfinite(value):
+    [r] = _sweep(function, opts, [x])
+    _emit(ctx.obj, ["value", "abs_error_est", "terms_used"],
+          [(r.value, r.abs_error_est, r.terms_used)])
+    if not math.isfinite(r.value):
         _fail(f"{function} at x={x!r} is not finite in double precision")
-    if not converged:
+    if not r.converged:
         _fail(f"{function} at x={x!r} did not converge")
 
 
@@ -261,13 +259,11 @@ def _parse_range(text: str):
 def table_cmd(ctx, function, x_range, **opts):
     """Tabulate one function over a grid of evaluation points."""
     xs = _parse_range(x_range)
-    rows, unconverged = [], []
-    for x, (value, err, _, converged) in zip(xs, _sweep(function, opts, xs)):
-        rows.append([x, value, err])
-        if not converged:
-            unconverged.append(x)
-    _emit(ctx.obj, ["x", "value", "abs_error_est"], rows)
-    bad = [x for x, value, _ in rows if not math.isfinite(value)]
+    results = _sweep(function, opts, xs)
+    _emit(ctx.obj, ["x", "value", "abs_error_est"],
+          [(x, r.value, r.abs_error_est) for x, r in zip(xs, results)])
+    bad = [x for x, r in zip(xs, results) if not math.isfinite(r.value)]
+    unconverged = [x for x, r in zip(xs, results) if not r.converged]
     if bad:
         _fail(f"{function} is not finite in double precision at {len(bad)} "
               f"point(s), first x={bad[0]!r}")
@@ -295,10 +291,14 @@ def verify_cmd(ctx, suite):
                    f"n={check['n_points']})", err=True)
     if ctx.obj["format"] == "json":
         _write(ctx.obj, json.dumps(doc, indent=2))
-    else:
-        _emit(ctx.obj, ["id", "status", "max_rel_dev", "n_points", "worst_point"],
-              [[check["id"], check["status"], check["max_rel_dev"], check["n_points"],
-                "|".join(f"{k}={_fmt(v)}" for k, v in check["worst_point"].items())]
-               for check in doc["checks"]])
+    else:  # string cells may need quoting: csv.writer, not the number template
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "status", "max_rel_dev", "n_points", "worst_point"])
+        for check in doc["checks"]:
+            worst = "|".join(f"{k}={_fmt(v)}" for k, v in check["worst_point"].items())
+            writer.writerow([_fmt(v) for v in (check["id"], check["status"],
+                                               check["max_rel_dev"], check["n_points"], worst)])
+        _write(ctx.obj, buf.getvalue().rstrip("\n"))
     if not report.all_expected():
         sys.exit(1)

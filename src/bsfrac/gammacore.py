@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._backend import kernels
 from .errors import PoleError
@@ -14,6 +13,10 @@ from .errors import PoleError
 POLE_TOL = kernels.POLE_TOL
 _MAX_EXACT_INT = 171  # gamma(172) overflows a double
 _HALF_LN_PI = 0.5723649429247001  # log(pi)/2
+_U = 2.0 ** -53  # unit roundoff: a correctly rounded operation errs by at most this
+# error of one log-gamma, in units of 2u * max(1, |log Gamma|): both backends'
+# lgamma_sign and math.gamma measured at most 3.6 against mpmath on (6e-6, 665)
+_LGAMMA_ULPS = 8.0
 
 
 def is_pole(x: float) -> bool:
@@ -68,6 +71,8 @@ def gamma_ratio(numerators, denominators) -> float:
         nums.append(v)
 
     if _all_small_ints(nums) and _all_small_ints(dens):
+        from fractions import Fraction  # only here: a cold CLI call never needs it
+
         num = 1
         den = 1
         for v in nums:

@@ -31,7 +31,7 @@ from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .quadrature import exp_sinh, tanh_sinh
-from .series import TERM_CAP, SeriesEval
+from .series import _SPECIAL_NU, TERM_CAP, SeriesEval
 from .wright import WrightSpec, wright_eval
 
 
@@ -55,14 +55,6 @@ class MsmParams:
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise PreconditionError(f"gamma must be positive, got {self.gamma!r}")
-
-
-_SPECIAL_NU = {
-    "exp": -0.5,
-    "expm1_over_t": 0.5,
-    "i0_plus_l0": 0.0,
-    "two_i1_plus_two_l1_over_t": 1.0,
-}
 
 
 @dataclass(frozen=True)

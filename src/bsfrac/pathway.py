@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import DomainError, PreconditionError
-from .gammacore import gamma_ratio
+from .gammacore import _LGAMMA_ULPS, _U, gamma_ratio
 from .msm import ClosedFormImage, FunctionKind, _GammaTable, _kernel_image, _power_image
 from .quadrature import tanh_sinh
 from .series import TERM_CAP, SeriesEval
@@ -181,7 +181,7 @@ def _density(dp: PathwayDensityParams):
     at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
     regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
     k, expo, _, _ = _shape(dp)
-    rate = -k
+    ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
 
     def density(x):
         ax = abs(x)
@@ -192,29 +192,34 @@ def _density(dp: PathwayDensityParams):
             if base <= 0.0:
                 return 0.0
             return c * ax ** g1 * base ** expo
+        # beyond log|x| = 200, and wherever the tail underflows, the value is
+        # taken in logs: the power prefactor and the tail must not overflow,
+        # or round to zero, apart
         la = math.log(ax)
         if regime is Regime.SUPER:
-            if la > 200.0:
-                # far tail: the +1 in the base is negligible; work in logs so
-                # the power prefactor and the tail cannot overflow separately
-                log_f = math.log(c) + g1 * la - expo * (math.log(k) + delta * la)
-                return math.exp(log_f) if log_f > -745.0 else 0.0
-            tail = (1.0 + k * ax ** delta) ** -expo
+            if la > 200.0:  # far tail: the +1 in the base is negligible
+                log_tail = -expo * (lk + delta * la)
+            else:
+                base = 1.0 + k * ax ** delta
+                tail = base ** -expo
+                if tail >= _TINY:
+                    return c * ax ** g1 * tail
+                log_tail = -expo * math.log(base)
+        elif la > 200.0:
+            log_tail = -math.exp(min(lk + delta * la, 709.0))
         else:
-            if la > 200.0:
-                return 0.0  # exponential tail underflows beyond any power prefactor
-            tail = math.exp(rate * ax ** delta)
-        if tail == 0.0:
-            return 0.0
-        return c * ax ** g1 * tail
+            t = k * ax ** delta
+            tail = math.exp(-t)
+            if tail >= _TINY:
+                return c * ax ** g1 * tail
+            log_tail = -t
+        log_f = ln_c + g1 * la + log_tail
+        return math.exp(log_f) if log_f > -745.0 else 0.0
 
     return density
 
 
-_U = 2.0 ** -53  # unit roundoff: a correctly rounded operation errs by at most this
-# error of one log-gamma, in units of 2u * max(1, |log Gamma|): both backends'
-# lgamma_sign and math.gamma measured at most 3.6 against mpmath on (6e-6, 665)
-_LGAMMA_ULPS = 8.0
+_TINY = 2.0 ** -1022  # smallest normal double; a tail below it is taken in logs
 _LN_TINY = math.log(math.ulp(0.0))  # a rounding in the subnormal range errs by ulp(0)
 
 
@@ -267,18 +272,25 @@ def _density_error(dp: PathwayDensityParams):
         ln_v = ln_c + g1 * la
         # the two products, and one rounding each of |x|^(gamma-1) and the tail
         up = down = rel_c + 6.0 * _U + _U * abs(g1 * la)
-        in_logs = regime is Regime.SUPER and la > 200.0
-        if in_logs:
+        far = la > 200.0
+        # where the density took its value in logs (far tails, or a tail that
+        # underflows), only its final exp rounds, but each term of the log sum
+        # errs by a few u of its size; ln_tail bounds the tail's |log|
+        in_logs = False
+        if regime is Regime.SUPER and far:
             lt = lk + delta * la  # log of k|x|^delta; the +1 dropped costs expo/(k|x|^delta)
             ln_v -= expo * lt
-            w = (6.0 * _U * (abs(ln_c) + abs(g1 * la) + expo * (abs(lk) + delta * la) + expo)
-                 + expo * _exp_up(-lt))
-            up = down = rel_c + 2.0 * _U + w
+            up = down = rel_c + expo * _exp_up(-lt)
+            in_logs, ln_tail = True, expo * (abs(lk) + delta * la + 1.0)
         elif regime is Regime.LIMIT:
             t = math.exp(min(lk + delta * la, 700.0))  # k|x|^delta, capped to stay finite
             ln_v -= t
-            up += 4.0 * _U * t
-            down += 4.0 * _U * t
+            # beyond log|x| = 200 the density takes t from this exp, whose
+            # argument errs by about u(|log k| + 2 delta log|x|)
+            e_t = 4.0 * _U * t * (abs(lk) + delta * la + 2.0 if far else 1.0)
+            up += e_t
+            down += e_t
+            in_logs, ln_tail = far or math.exp(-k * ax ** delta) < _TINY, t
         else:
             t = k * ax ** delta
             base = 1.0 - t if regime is Regime.SUB else 1.0 + t
@@ -290,6 +302,7 @@ def _density_error(dp: PathwayDensityParams):
                 ln_v -= expo * math.log(base)
                 up += -expo * math.log1p(-r) + 2.0 * _U * expo * math.log(base)
                 down += expo * math.log1p(r) + 2.0 * _U * expo * math.log(base)
+                in_logs, ln_tail = base ** -expo < _TINY, expo * math.log(base)
             elif base <= 0.0:
                 return _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0, _LN_TINY))
             else:
@@ -298,6 +311,10 @@ def _density_error(dp: PathwayDensityParams):
                 ln_v += expo * math.log(base)
                 up += expo * math.log1p(r) + rnd
                 down += (-expo * math.log1p(-r) if r < 1.0 else math.inf) + rnd
+        if in_logs:
+            w = 2.0 * _U + 6.0 * _U * (abs(ln_c) + abs(g1 * la) + ln_tail)
+            up += w
+            down += w
         if value == 0.0:
             # underflow: bound the exact value itself; the factor e covers
             # the rounding of ln_v

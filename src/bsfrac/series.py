@@ -6,13 +6,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PoleError
-from .gammacore import _HALF_LN_PI, is_pole
+from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _U, is_pole
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
+# integrand families that pin the kernel order, named by what S_nu(t)
+# becomes there; ``msm.FunctionKind`` and the CLI's ``--kind`` read them
+_SPECIAL_NU = {
+    "exp": -0.5,
+    "expm1_over_t": 0.5,
+    "i0_plus_l0": 0.0,
+    "two_i1_plus_two_l1_over_t": 1.0,
+}
 
 
 def linspace(start: float, stop: float, count: int) -> list[float]:
@@ -31,13 +40,18 @@ def check_tol(tol: float):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class SeriesEval:
-    """A series value with a truncation-error bound.
+class SeriesEval(NamedTuple):
+    """A series value with an error bound.
 
-    ``abs_error_est`` bounds the discarded tail; when ``converged`` is
-    true it does not exceed ``tol * |value|`` for the requested relative
-    tolerance.  Identical inputs always produce bit-identical results.
+    ``abs_error_est`` bounds the discarded tail, and for the modified
+    Bessel and Struve functions I and L the rounding as well; when
+    ``converged`` is true the tail bound does not exceed ``tol * |value|``
+    for the requested relative tolerance.  Identical inputs always produce
+    bit-identical results.
+
+    A NamedTuple, because it is built once per evaluation and a tuple is
+    the cheapest immutable record.  Read its fields by name and do not
+    unpack it: a field with a default may be appended.
     """
 
     value: float
@@ -114,6 +128,23 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     return SeriesEval(value, err, terms, converged)
 
 
+def _positive_series_rounding(value: float, terms: int, order: float, z: float,
+                              gamma_args) -> float:
+    """A bound on the rounding error of the I and L series, whose terms are
+    all positive, so that their sum is ``value`` (Higham 2002, ch. 4).  The
+    first term, exp(order log(z/2) - sum of log Gamma(gamma_args)), errs by
+    a few u per operation and per unit of each log; each recurrence step
+    adds at most 6u to a term's relative error (the two sums in k + v + c,
+    three products and a quotient), and each addition u of the partial sum."""
+    if not 0.0 < value < math.inf:
+        return 0.0  # nothing finite to bound: every term underflowed, or one overflowed
+    first = 5.0 * abs(order * math.log(0.5 * z)) + 1.0
+    for a in gamma_args:
+        lg = abs(math.lgamma(a))
+        first += (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, lg) + a * abs(math.log(a)) + 1.0
+    return value * _U * (first + 8.0 * terms)
+
+
 def bessel_first_kind(v: float, z: float, modified: bool = False,
                       tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
     """J_v(z) (or I_v(z) when modified) by direct series; v > -1, z >= 0."""
@@ -128,6 +159,8 @@ def bessel_first_kind(v: float, z: float, modified: bool = False,
         value = 0.0 if v > 0.0 else math.inf
         return SeriesEval(value, 0.0, 1, True)
     value, err, terms, ok = kernels.bessel_series(v, z, int(modified), tol, term_cap)
+    if modified:
+        err += _positive_series_rounding(value, terms, v, z, (v + 1.0,))
     return SeriesEval(value, err, terms, bool(ok))
 
 
@@ -148,6 +181,8 @@ def struve(v: float, z: float, modified: bool = False,
             return SeriesEval(value, 0.0, 1, True)
         return SeriesEval(math.inf, 0.0, 1, True)
     value, err, terms, ok = kernels.struve_series(v, z, int(modified), tol, term_cap)
+    if modified:
+        err += _positive_series_rounding(value, terms, v + 1.0, z, (1.5, v + 1.5))
     return SeriesEval(value, err, terms, bool(ok))
 
 

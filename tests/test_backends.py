@@ -217,6 +217,10 @@ def test_density_error_bound_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_pathway.py::test_density_error_bound_holds")
 
 
+def test_modified_error_bound_on_compiled_backend(compiled_pkg):
+    _pytest_on_compiled(compiled_pkg, "tests/test_series.py::test_modified_error_bound_holds")
+
+
 def test_cli_sweeps_on_compiled_backend(compiled_pkg):
     # table rows against eval, the sweep error paths and the build counts
     _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "sweep")

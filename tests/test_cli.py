@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsfrac
 from bsfrac.cli import main
@@ -229,13 +232,58 @@ def test_verify_threads_matches_serial():
 
 
 def test_cli_import_leaves_the_harness_unloaded():
-    # eval and table never need the verification harness
+    # eval and table never need the verification harness, and a cold eval of
+    # S, J-L or wright never needs the operators, the quadrature or fractions;
+    # the package's exports still all resolve, the lazy ones on first access
     src = os.path.dirname(os.path.dirname(bsfrac.__file__))
-    code = "import sys, bsfrac.cli; print('bsfrac.checks' in sys.modules)"
+    code = ("import sys, bsfrac.cli\n"
+            "print(sorted(m for m in ('bsfrac.checks', 'bsfrac.msm', 'bsfrac.pathway',\n"
+            "                         'bsfrac.quadrature', 'fractions') if m in sys.modules))\n"
+            "names = {}\n"
+            "exec('from bsfrac import *', names)\n"
+            "print(sorted(set(bsfrac.__all__) - set(names)), "
+            "sorted(set(bsfrac.__all__) - set(dir(bsfrac))))\n"
+            "print(all(getattr(bsfrac, n) is names[n] for n in bsfrac.__all__))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split("\n")[:3] == ["[]", "[] []", "True"]
+    assert bsfrac.msm_power_image is bsfrac.msm.msm_power_image
+    with pytest.raises(AttributeError):
+        bsfrac.no_such_name
+
+
+def _csv_writer_text(headers, rows):
+    # what eval and table wrote through csv.writer, each value as "%.17g"
+    # if a float and str() otherwise, before rows became one template
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue().rstrip("\n") + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+                1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+                0.1, 1e16, 1e17, 123456789012345680.0]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(_FLOATS, _FLOATS, st.integers(0, 2 ** 53)), min_size=1, max_size=4)
+    .map(lambda rows: (["value", "abs_error_est", "terms_used"], rows)),
+    st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=4)
+    .map(lambda rows: (["x", "value", "abs_error_est"], rows))))
+def test_row_template_matches_csv_writer(table):
+    from bsfrac.cli import _emit
+
+    headers, rows = table
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit({"format": "csv", "out": None}, headers, rows)
+    assert buf.getvalue() == _csv_writer_text(headers, rows)
 
 
 def test_csv_uses_17_significant_digits():

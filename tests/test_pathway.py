@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -240,9 +241,10 @@ BOUND_CASES = [
     ((1.0, 2.0, 0.5, 1.0, 1.0), 1e-12),
     ((0.7, 1.2, 1.5, 0.9, 1.0), 1e-12),
     ((6.0, 0.3, 2.0, 0.2, 1.0), 1e-12),
+    ((1.0, 0.01, 1.0, 1.0, 1.0), 1e-12),
 ]
 SUB_EDGE = (0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-15, 1.5)
-TAIL = (0.01, 0.3, 1.0, 3.0, 10.0, 100.0, 1e5, 2e15, 5e15, 1e30, 1e52, 1e90, 1e130, 1e200)
+TAIL = (0.01, 0.3, 1.0, 3.0, 10.0, 100.0, 1e5, 2e15, 5e15, 1e30, 1e50, 1e52, 1e90, 1e130, 1e200)
 
 
 @pytest.mark.parametrize("params, rel_limit", BOUND_CASES)
@@ -266,6 +268,9 @@ def test_density_error_bound_holds(params, rel_limit):
     for x in xs + [-x for x in xs]:
         value = density(x)
         bound = error(x, value)
-        assert abs(mp.mpf(value) - oracles.mp_density(*params, x)) <= bound, (x, value, bound)
+        ref = oracles.mp_density(*params, x)
+        assert abs(mp.mpf(value) - ref) <= bound, (x, value, bound)
+        if ref >= sys.float_info.min:  # a normal double never underflows to zero
+            assert value > 0.0, (x, ref)
         if abs(x) <= interior and value != 0.0:
             assert bound <= rel_limit * value, (x, value, bound)

@@ -2,6 +2,7 @@ import math
 import random
 import re
 
+import mpmath as mp
 import pytest
 
 from bsfrac import (
@@ -9,6 +10,7 @@ from bsfrac import (
     DomainUnsupportedError,
     F3Args,
     PoleError,
+    SeriesEval,
     appell_f3,
     bessel_first_kind,
     bessel_struve_kernel,
@@ -17,6 +19,18 @@ from bsfrac import (
 )
 
 import oracles
+
+
+def test_series_eval_is_an_immutable_record():
+    r = SeriesEval(1.5, 2e-16, 7, True)
+    assert SeriesEval._fields == ("value", "abs_error_est", "terms_used", "converged")
+    assert (r.value, r.abs_error_est, r.terms_used, r.converged) == (1.5, 2e-16, 7, True)
+    assert repr(r) == "SeriesEval(value=1.5, abs_error_est=2e-16, terms_used=7, converged=True)"
+    assert r == SeriesEval(1.5, 2e-16, 7, True)
+    assert r != SeriesEval(1.5, 2e-16, 7, False)
+    assert hash(r) == hash(SeriesEval(1.5, 2e-16, 7, True))
+    with pytest.raises(AttributeError):
+        r.value = 2.0
 
 
 class TestBesselStruveKernel:
@@ -201,6 +215,23 @@ class TestStruve:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             struve(-1.6, 1.0)
+
+
+# the modified functions' abs_error_est adds a rounding bound to the tail
+# bound: it holds against 40-digit mpmath on z = k/16 in (0, 20], with
+# small z, and is no looser than 1e-13 relative
+IL_BOUND_CASES = [(bessel_first_kind, oracles.mp_bessel, nu) for nu in (-0.9, 0.0, 0.7, 2.3)]
+IL_BOUND_CASES += [(struve, oracles.mp_struve, nu) for nu in (-1.4, -0.9, 0.0, 0.7, 2.3)]
+
+
+@pytest.mark.parametrize("fn, ref, nu", IL_BOUND_CASES,
+                         ids=[f"{fn.__name__}-{nu}" for fn, _, nu in IL_BOUND_CASES])
+def test_modified_error_bound_holds(fn, ref, nu):
+    for z in [1e-8, 1e-3] + [k / 16 for k in range(1, 321)]:
+        r = fn(nu, z, modified=True)
+        assert r.converged
+        assert abs(mp.mpf(r.value) - ref(nu, z, True)) <= r.abs_error_est, (z, r)
+        assert r.abs_error_est <= 1e-13 * r.value, (z, r)
 
 
 class TestGauss2F1:
