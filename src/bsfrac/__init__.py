@@ -25,7 +25,7 @@ from .series import (
     gauss_2f1,
     struve,
 )
-from .wright import WrightSpec, wright_delta, wright_eval
+from .wright import WrightSpec, wright_delta, wright_eval, wright_evaluator
 
 # exports of the operator and quadrature modules, which load on first
 # access (PEP 562): a cold ``bsfrac eval S`` or ``wright`` never needs them
@@ -100,5 +100,6 @@ __all__ = [
     "tanh_sinh",
     "wright_delta",
     "wright_eval",
+    "wright_evaluator",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from .series import (
     linspace,
     struve,
 )
-from .wright import WrightSpec, wright_eval
+from .wright import WrightSpec, wright_evaluator
 
 FUNCTIONS = ("S", "J", "I", "H", "L", "wright", "msm-left", "msm-right",
              "pathway", "density")
@@ -141,7 +141,7 @@ def _evaluator(function: str, opts: dict):
     if function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
-        return partial(wright_eval, spec)
+        return wright_evaluator(spec)
     if function in ("msm-left", "msm-right"):
         from .msm import MsmParams, Side, msm_bs_closed_form, msm_power_image
 
@@ -151,16 +151,16 @@ def _evaluator(function: str, opts: dict):
                            opts["beta_prime"], opts["gamma"])
         kind = _build_kind(opts)
         if kind.family == "monomial":
-            return msm_power_image(side, params, kind.rho).value_at
-        return msm_bs_closed_form(side, params, kind).value_at
+            return msm_power_image(side, params, kind.rho).evaluator()
+        return msm_bs_closed_form(side, params, kind).evaluator()
     from .pathway import PathwayParams, pathway_bs_closed_form, pathway_power_image
 
     _require(opts, ["eta", "a", "pathway-alpha", "rho"])
     params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
     kind = _build_kind(opts)
     if kind.family == "monomial":
-        return pathway_power_image(params, kind.rho).value_at
-    return pathway_bs_closed_form(params, kind).value_at
+        return pathway_power_image(params, kind.rho).evaluator()
+    return pathway_bs_closed_form(params, kind).evaluator()
 
 
 def _build_kind(opts):

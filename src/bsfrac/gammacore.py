@@ -14,6 +14,7 @@ POLE_TOL = kernels.POLE_TOL
 _MAX_EXACT_INT = 171  # gamma(172) overflows a double
 _HALF_LN_PI = 0.5723649429247001  # log(pi)/2
 _U = 2.0 ** -53  # unit roundoff: a correctly rounded operation errs by at most this
+_TINY = 2.0 ** -1022  # smallest normal double
 # error of one log-gamma, in units of 2u * max(1, |log Gamma|): both backends'
 # lgamma_sign and math.gamma measured at most 3.6 against mpmath on (6e-6, 665)
 _LGAMMA_ULPS = 8.0

@@ -25,14 +25,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .quadrature import exp_sinh, tanh_sinh
-from .series import _SPECIAL_NU, TERM_CAP, SeriesEval
-from .wright import WrightSpec, wright_eval
+from .series import _SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval
+from .wright import WrightSpec, wright_eval, wright_evaluator
 
 
 class Side(enum.Enum):
@@ -121,12 +122,23 @@ class ClosedFormImage:
     argument_scale: float
     inverse_argument: bool = False
 
-    def value_at(self, x: float, tol: float = 1e-14,
+    def value_at(self, x: float, tol: float = DEFAULT_TOL,
                  term_cap: int = TERM_CAP) -> SeriesEval:
+        """The image at one x, through ``wright_eval`` (one kernel call):
+        the path for a single point, which the verification harness takes.
+        A sweep over many x uses ``evaluator``."""
+        return self._scaled(x, partial(wright_eval, self.spec, tol=tol, term_cap=term_cap))
+
+    def evaluator(self, tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP):
+        """``x -> value_at(x, tol, term_cap)``, bit for bit, with the Wright
+        series' term table built once for every x (``wright_evaluator``):
+        the path for a sweep, which the CLI's ``eval`` and ``table`` take."""
+        return partial(self._scaled, psi=wright_evaluator(self.spec, tol, term_cap))
+
+    def _scaled(self, x: float, psi) -> SeriesEval:
         if not x > 0.0:
             raise DomainError(f"images are defined for x > 0, got x={x!r}")
-        arg = self.argument_scale * (1.0 / x if self.inverse_argument else x)
-        w = wright_eval(self.spec, arg, tol, term_cap)
+        w = psi(self.argument_scale * (1.0 / x if self.inverse_argument else x))
         scale = self.prefactor * x ** self.power_of_x
         return SeriesEval(scale * w.value, abs(scale) * w.abs_error_est,
                           w.terms_used, w.converged)

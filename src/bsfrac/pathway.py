@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import DomainError, PreconditionError
-from .gammacore import _LGAMMA_ULPS, _U, gamma_ratio
+from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio
 from .msm import ClosedFormImage, FunctionKind, _GammaTable, _kernel_image, _power_image
 from .quadrature import tanh_sinh
 from .series import TERM_CAP, SeriesEval
@@ -182,22 +182,26 @@ def _density(dp: PathwayDensityParams):
     regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
     k, expo, _, _ = _shape(dp)
     ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
+    far_la, pow_max = _log_route(delta)
 
     def density(x):
         ax = abs(x)
         if ax == 0.0:
             return at_zero
         if regime is Regime.SUB:
+            if ax > pow_max and lk + delta * math.log(ax) > 0.0:
+                return 0.0  # k|x|^delta > 1 in logs, where |x|**delta overflows
             base = 1.0 - k * ax ** delta
             if base <= 0.0:
                 return 0.0
             return c * ax ** g1 * base ** expo
-        # beyond log|x| = 200, and wherever the tail underflows, the value is
-        # taken in logs: the power prefactor and the tail must not overflow,
-        # or round to zero, apart
+        # in the far tail, and wherever the tail is below the smallest
+        # normal double, the value is taken in logs: the power prefactor and
+        # the tail must not overflow, or round to zero, apart
         la = math.log(ax)
+        far = la > far_la
         if regime is Regime.SUPER:
-            if la > 200.0:  # far tail: the +1 in the base is negligible
+            if far:  # the +1 in the base is negligible
                 log_tail = -expo * (lk + delta * la)
             else:
                 base = 1.0 + k * ax ** delta
@@ -205,7 +209,7 @@ def _density(dp: PathwayDensityParams):
                 if tail >= _TINY:
                     return c * ax ** g1 * tail
                 log_tail = -expo * math.log(base)
-        elif la > 200.0:
+        elif far:
             log_tail = -math.exp(min(lk + delta * la, 709.0))
         else:
             t = k * ax ** delta
@@ -219,7 +223,16 @@ def _density(dp: PathwayDensityParams):
     return density
 
 
-_TINY = 2.0 ** -1022  # smallest normal double; a tail below it is taken in logs
+def _log_route(delta: float) -> tuple[float, float]:
+    """(far, pow_max): beyond log|x| = far, 200 or less where |x|**delta
+    would overflow, the SUPER and LIMIT densities are taken in logs; beyond
+    |x| = pow_max, |x|**delta would overflow, and the SUB density decides
+    its support in logs.  ``_density`` and ``_density_error`` decide by
+    the same two numbers."""
+    la_max = 709.0 / delta  # |x|**delta is below exp(709) up to log|x| = la_max
+    return min(200.0, la_max), math.exp(la_max) if la_max < 709.0 else math.inf
+
+
 _LN_TINY = math.log(math.ulp(0.0))  # a rounding in the subnormal range errs by ulp(0)
 
 
@@ -251,6 +264,7 @@ def _density_error(dp: PathwayDensityParams):
     k, expo, nums, dens = _shape(dp)
     regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
     lk = math.log(k)
+    far_la, pow_max = _log_route(delta)
     # log c and its half-width: every gamma argument is a sum of at most
     # three of gd, expo and 1, each within 2u, and moves log Gamma by at
     # most (|log a| + 1/a) per unit (the digamma bound for a > 0)
@@ -272,7 +286,7 @@ def _density_error(dp: PathwayDensityParams):
         ln_v = ln_c + g1 * la
         # the two products, and one rounding each of |x|^(gamma-1) and the tail
         up = down = rel_c + 6.0 * _U + _U * abs(g1 * la)
-        far = la > 200.0
+        far = la > far_la
         # where the density took its value in logs (far tails, or a tail that
         # underflows), only its final exp rounds, but each term of the log sum
         # errs by a few u of its size; ln_tail bounds the tail's |log|
@@ -285,12 +299,14 @@ def _density_error(dp: PathwayDensityParams):
         elif regime is Regime.LIMIT:
             t = math.exp(min(lk + delta * la, 700.0))  # k|x|^delta, capped to stay finite
             ln_v -= t
-            # beyond log|x| = 200 the density takes t from this exp, whose
+            # in the far tail the density takes t from this exp, whose
             # argument errs by about u(|log k| + 2 delta log|x|)
             e_t = 4.0 * _U * t * (abs(lk) + delta * la + 2.0 if far else 1.0)
             up += e_t
             down += e_t
             in_logs, ln_tail = far or math.exp(-k * ax ** delta) < _TINY, t
+        elif regime is Regime.SUB and ax > pow_max and lk + delta * la > 0.0:
+            return 0.0  # outside the support, as the density decided
         else:
             t = k * ax ** delta
             base = 1.0 - t if regime is Regime.SUB else 1.0 + t

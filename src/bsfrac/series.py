@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PoleError
-from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _U, is_pole
+from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _TINY, _U, is_pole
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
@@ -43,8 +43,8 @@ def check_tol(tol: float):
 class SeriesEval(NamedTuple):
     """A series value with an error bound.
 
-    ``abs_error_est`` bounds the discarded tail, and for the modified
-    Bessel and Struve functions I and L the rounding as well; when
+    ``abs_error_est`` bounds the discarded tail, and for the Bessel and
+    Struve functions J, I, H and L the rounding as well; when
     ``converged`` is true the tail bound does not exceed ``tol * |value|``
     for the requested relative tolerance.  Identical inputs always produce
     bit-identical results.
@@ -128,21 +128,64 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     return SeriesEval(value, err, terms, converged)
 
 
+# below this z, 0.5 * z can round (to zero at the smallest subnormal) and
+# (z/2)**2 underflows, so the J/I and H/L series are their leading term
+_HALF_ROUNDS = 2.0 ** -1021
+_LN2 = math.log(2.0)
+_ULP0 = math.ulp(0.0)
+
+
+def _log_half(z: float) -> float:
+    """log(z/2), without rounding z/2 where it is subnormal."""
+    return math.log(0.5 * z) if z >= _HALF_ROUNDS else math.log(z) - _LN2
+
+
 def _positive_series_rounding(value: float, terms: int, order: float, z: float,
                               gamma_args) -> float:
-    """A bound on the rounding error of the I and L series, whose terms are
-    all positive, so that their sum is ``value`` (Higham 2002, ch. 4).  The
+    """A bound on the rounding error of a sum of ``terms`` positive terms
+    of the I or L series, which sum to ``value`` (Higham 2002, ch. 4).  The
     first term, exp(order log(z/2) - sum of log Gamma(gamma_args)), errs by
     a few u per operation and per unit of each log; each recurrence step
     adds at most 6u to a term's relative error (the two sums in k + v + c,
-    three products and a quotient), and each addition u of the partial sum."""
-    if not 0.0 < value < math.inf:
-        return 0.0  # nothing finite to bound: every term underflowed, or one overflowed
-    first = 5.0 * abs(order * math.log(0.5 * z)) + 1.0
+    three products and a quotient), and each addition u of the partial sum.
+    Below the smallest normal double each term also errs by up to ulp(0)."""
+    if not value < math.inf:
+        return math.inf  # a term overflowed: nothing finite to bound
+    if not value > 0.0:
+        return terms * _ULP0  # every term underflowed
+    first = 5.0 * abs(order * _log_half(z)) + 1.0
     for a in gamma_args:
         lg = abs(math.lgamma(a))
         first += (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, lg) + a * abs(math.log(a)) + 1.0
-    return value * _U * (first + 8.0 * terms)
+    units = first + 8.0 * terms
+    if value < _TINY:  # value * _U would underflow
+        return value * (_U * units) + terms * _ULP0
+    return value * _U * units
+
+
+def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
+                 order: float, gamma_args) -> SeriesEval:
+    """The J/I (``bessel_series``) or H/L (``struve_series``) series at
+    z > 0, whose leading term is (z/2)**order / prod Gamma(gamma_args), with
+    a rounding bound added to the kernel's tail bound.  The J and H terms
+    have the I and L terms' magnitudes, so the modified series' value is
+    their sum of |terms|: one more kernel call.  Where 0.5 * z can round
+    the series is its leading term, taken here in logs on both backends."""
+    if z < _HALF_ROUNDS:
+        ln_t = order * _log_half(z)
+        for a in gamma_args:
+            ln_t -= kernels.lgamma_sign(a)[0]
+        try:
+            value = math.exp(ln_t)
+        except OverflowError:
+            return SeriesEval(math.inf, math.inf, 1, False)
+        return SeriesEval(value, _positive_series_rounding(value, 1, order, z, gamma_args),
+                          1, True)
+    value, err, terms, ok = kernel(v, z, int(modified), tol, term_cap)
+    # a non-finite J or H has no finite bound: no second kernel call
+    total = value if modified or not math.isfinite(value) else kernel(v, z, 1, tol, term_cap)[0]
+    err += _positive_series_rounding(total, terms, order, z, gamma_args)
+    return SeriesEval(value, err, terms, bool(ok))
 
 
 def bessel_first_kind(v: float, z: float, modified: bool = False,
@@ -158,10 +201,7 @@ def bessel_first_kind(v: float, z: float, modified: bool = False,
             return SeriesEval(1.0, 0.0, 1, True)
         value = 0.0 if v > 0.0 else math.inf
         return SeriesEval(value, 0.0, 1, True)
-    value, err, terms, ok = kernels.bessel_series(v, z, int(modified), tol, term_cap)
-    if modified:
-        err += _positive_series_rounding(value, terms, v, z, (v + 1.0,))
-    return SeriesEval(value, err, terms, bool(ok))
+    return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, v, (v + 1.0,))
 
 
 def struve(v: float, z: float, modified: bool = False,
@@ -180,10 +220,8 @@ def struve(v: float, z: float, modified: bool = False,
             value = 1.0 / (math.gamma(1.5) * math.gamma(0.5))
             return SeriesEval(value, 0.0, 1, True)
         return SeriesEval(math.inf, 0.0, 1, True)
-    value, err, terms, ok = kernels.struve_series(v, z, int(modified), tol, term_cap)
-    if modified:
-        err += _positive_series_rounding(value, terms, v + 1.0, z, (1.5, v + 1.5))
-    return SeriesEval(value, err, terms, bool(ok))
+    return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap,
+                        v + 1.0, (1.5, v + 1.5))
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,

@@ -221,6 +221,12 @@ def test_modified_error_bound_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_series.py::test_modified_error_bound_holds")
 
 
+def test_wright_evaluator_on_compiled_backend(compiled_pkg):
+    # the term table against the compiled kernel, bit for bit, its lgamma
+    # count and its stop at the first overflowing term
+    _pytest_on_compiled(compiled_pkg, "tests/test_wright.py", "-k", "evaluator")
+
+
 def test_cli_sweeps_on_compiled_backend(compiled_pkg):
     # table rows against eval, the sweep error paths and the build counts
     _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "sweep")

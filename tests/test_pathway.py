@@ -226,7 +226,9 @@ def test_density_values_are_pinned(dp, xs, want, want_compiled):
 # and LIMIT ones their log|x| > 200 tails and subnormal values (the SUPER
 # one with exponent 20 near x = 5e15); in the last SUPER one the gamma
 # argument beta/(alpha-1) - gamma/delta is 1e-7, so the rounding of
-# beta/(alpha-1) moves the norm constant by 3e-10
+# beta/(alpha-1) moves the norm constant by 3e-10; the three with delta = 4
+# (SUB, LIMIT, SUPER) take x = 1e80, where |x|**delta overflows below
+# log|x| = 200
 BOUND_CASES = [
     ((1.5, 1.5, 2.0, 0.8, 0.4), 1e-12),
     ((1.0, 2.0, 1.0, 1.0, 0.0), 1e-12),
@@ -242,6 +244,9 @@ BOUND_CASES = [
     ((0.7, 1.2, 1.5, 0.9, 1.0), 1e-12),
     ((6.0, 0.3, 2.0, 0.2, 1.0), 1e-12),
     ((1.0, 0.01, 1.0, 1.0, 1.0), 1e-12),
+    ((1.5, 4.0, 9.0, 1.0, 0.5), 1e-12),
+    ((1.5, 4.0, 9.0, 1.0, 1.0), 1e-12),
+    ((1.5, 4.0, 9.0, 1.0, 1.5), 1e-12),
 ]
 SUB_EDGE = (0.01, 0.3, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12, 1 - 1e-15, 1.0, 1 + 1e-15, 1.5)
 TAIL = (0.01, 0.3, 1.0, 3.0, 10.0, 100.0, 1e5, 2e15, 5e15, 1e30, 1e50, 1e52, 1e90, 1e130, 1e200)
@@ -251,7 +256,7 @@ TAIL = (0.01, 0.3, 1.0, 3.0, 10.0, 100.0, 1e5, 2e15, 5e15, 1e30, 1e50, 1e52, 1e9
 def test_density_error_bound_holds(params, rel_limit):
     # the CLI's abs_error_est for a density value bounds its distance to the
     # 40-digit density of the same double parameters; away from the SUB edge
-    # and the far tails it is also no looser than rel_limit
+    # and the far tails it is also no looser than rel_limit of a normal value
     from bsfrac.pathway import _density, _density_error
 
     dp = PathwayDensityParams(*params)
@@ -262,7 +267,7 @@ def test_density_error_bound_holds(params, rel_limit):
     else:
         xs, interior = list(TAIL), 10.0
     rng = random.Random(repr(params))
-    xs += [rng.uniform(0.0, interior) for _ in range(20)]
+    xs += [rng.uniform(0.0, interior) for _ in range(20)] + [1e80]
     if dp.gamma_shape >= 1.0:  # below 1 the density is infinite at 0
         xs.append(0.0)
     for x in xs + [-x for x in xs]:
@@ -272,5 +277,5 @@ def test_density_error_bound_holds(params, rel_limit):
         assert abs(mp.mpf(value) - ref) <= bound, (x, value, bound)
         if ref >= sys.float_info.min:  # a normal double never underflows to zero
             assert value > 0.0, (x, ref)
-        if abs(x) <= interior and value != 0.0:
+        if abs(x) <= interior and value >= sys.float_info.min:  # subnormals carry fewer digits
             assert bound <= rel_limit * value, (x, value, bound)

@@ -217,21 +217,34 @@ class TestStruve:
             struve(-1.6, 1.0)
 
 
-# the modified functions' abs_error_est adds a rounding bound to the tail
-# bound: it holds against 40-digit mpmath on z = k/16 in (0, 20], with
-# small z, and is no looser than 1e-13 relative
-IL_BOUND_CASES = [(bessel_first_kind, oracles.mp_bessel, nu) for nu in (-0.9, 0.0, 0.7, 2.3)]
-IL_BOUND_CASES += [(struve, oracles.mp_struve, nu) for nu in (-1.4, -0.9, 0.0, 0.7, 2.3)]
+# the J, I, H and L functions' abs_error_est adds a rounding bound to the
+# tail bound: it holds against 40-digit mpmath on z = k/16 in (0, 20], at
+# small z, and at subnormal z, where 0.5 * z rounds (to zero at the
+# smallest); on the grid it is no looser than 1e-13 of the sum of |terms|,
+# which is the modified function's value (J and H alternate with the I and
+# L magnitudes)
+IL_BOUND_CASES = [(bessel_first_kind, oracles.mp_bessel, nu, modified)
+                  for modified in (True, False) for nu in (-0.9, 0.0, 0.7, 2.3)]
+IL_BOUND_CASES += [(struve, oracles.mp_struve, nu, modified)
+                   for modified in (True, False) for nu in (-1.4, -0.9, 0.0, 0.7, 2.3)]
 
 
-@pytest.mark.parametrize("fn, ref, nu", IL_BOUND_CASES,
-                         ids=[f"{fn.__name__}-{nu}" for fn, _, nu in IL_BOUND_CASES])
-def test_modified_error_bound_holds(fn, ref, nu):
-    for z in [1e-8, 1e-3] + [k / 16 for k in range(1, 321)]:
-        r = fn(nu, z, modified=True)
+def _bound_id(fn, nu, modified):
+    if modified:
+        return f"{fn.__name__}-{nu}"
+    return f"{fn.__name__}-{'J' if fn is bessel_first_kind else 'H'}-{nu}"
+
+
+@pytest.mark.parametrize("fn, ref, nu, modified", IL_BOUND_CASES,
+                         ids=[_bound_id(fn, nu, m) for fn, _, nu, m in IL_BOUND_CASES])
+def test_modified_error_bound_holds(fn, ref, nu, modified):
+    grid = [1e-8, 1e-3] + [k / 16 for k in range(1, 321)]
+    for z in [5e-324, 1e-323, 2.0 ** -1022] + grid:
+        r = fn(nu, z, modified=modified)
         assert r.converged
-        assert abs(mp.mpf(r.value) - ref(nu, z, True)) <= r.abs_error_est, (z, r)
-        assert r.abs_error_est <= 1e-13 * r.value, (z, r)
+        assert abs(mp.mpf(r.value) - ref(nu, z, modified)) <= r.abs_error_est, (z, r)
+        if z in grid:
+            assert r.abs_error_est <= 1e-13 * fn(nu, z, modified=True).value, (z, r)
 
 
 class TestGauss2F1:

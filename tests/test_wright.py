@@ -1,18 +1,31 @@
 import math
 import random
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsfrac import (
+    BsfracError,
     ConvergenceError,
     DomainError,
     PoleError,
     TermCapError,
     WrightSpec,
+    _pykernels,
     pochhammer,
+    wright,
     wright_delta,
     wright_eval,
+    wright_evaluator,
 )
+from bsfrac._backend import BACKEND
+from bsfrac.cli import main
+from bsfrac.series import DEFAULT_TOL, TERM_CAP, linspace
 
 import oracles
 
@@ -150,3 +163,104 @@ def test_overflow_is_loud(z):
 def test_negative_slope_rejected():
     with pytest.raises(ValueError):
         WrightSpec(((1.0, -0.5),), ((1.0, 1.0),))
+
+
+# coefficients that put upper parameters on gamma poles and kill lower
+# terms, slopes of the theorems and between, and arguments from far
+# negative through zero and tiny
+_COEFFS = st.one_of(st.sampled_from([0.0, -1.0, -2.0, -3.0, -0.5, -2.5, 0.5, 1.0, 1.2]),
+                    st.floats(-6.0, 6.0))
+_SLOPES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                    st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+_PAIRS = st.lists(st.tuples(_COEFFS, _SLOPES), max_size=4).map(tuple)
+_ARGS = st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, 1e-300, -1e-300]))
+
+
+def _outcome(evaluate, z):
+    """Every field of the result, bit for bit (repr round-trips a float),
+    or the error class."""
+    try:
+        return tuple(map(repr, evaluate(z)))
+    except (BsfracError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_PAIRS, _PAIRS, st.lists(_ARGS, min_size=1, max_size=12),
+       st.sampled_from([TERM_CAP, 40, 6]))
+def test_evaluator_matches_wright_eval(upper, lower, zs, term_cap):
+    # one table per spec, many points; a small cap reaches the cap path
+    spec = WrightSpec(upper, lower)
+    evaluate = wright_evaluator(spec, term_cap=term_cap)
+    for z in zs:
+        got = _outcome(evaluate, z)
+        want = _outcome(lambda z: wright_eval(spec, z, DEFAULT_TOL, term_cap), z)
+        if BACKEND == "compiled" and got is OverflowError and want is PoleError:
+            # the compiled kernel sums on past an overflowing term and can
+            # reach an upper pole; the pure kernel, like the table, stops
+            want = _outcome(lambda z: wright._result(
+                z, DEFAULT_TOL, term_cap, _pykernels.wright_series, *spec.columns, z,
+                DEFAULT_TOL, term_cap), z)
+        assert got == want, (spec, z, term_cap)
+
+
+def _count_lgamma(monkeypatch):
+    """Record every lgamma_sign argument the Wright module passes."""
+    kernels, calls = wright.kernels, []
+
+    def lgamma_sign(x):
+        calls.append(x)
+        return kernels.lgamma_sign(x)
+
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(
+        lgamma_sign=lgamma_sign, near_nonpositive_int=kernels.near_nonpositive_int,
+        wright_series=kernels.wright_series))
+    return calls
+
+
+def test_evaluator_tabulates_each_term_once(monkeypatch):
+    # a 200-point sweep computes each term's p+q+1 log-gammas once, up to
+    # the longest series' stopping term
+    calls = _count_lgamma(monkeypatch)
+    evaluate = wright_evaluator(THEOREM_SPEC)
+    results = [evaluate(z) for z in linspace(-10.0, 10.0, 200)]
+    assert 0 < len(calls) <= 9 * (max(r.terms_used for r in results) + 1)
+
+
+def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
+    # e^z at z = -800: term k = 800^k/k! first exceeds the double range at
+    # k0; no row beyond it is built (the compiled kernel would sum its cap)
+    k0 = next(k for k in range(1000) if k * math.log(800.0) - math.lgamma(k + 1.0) > 709.79)
+    calls = _count_lgamma(monkeypatch)
+    res = CliRunner().invoke(main, ["eval", "wright", "--x=-800", "--upper", "1,1",
+                                    "--lower", "1,1"])
+    assert res.exit_code == 1
+    assert res.stderr == ("Error: wright at x=-800.0: wright series at z=-800.0 "
+                          "exceeds double range\n")
+    assert 3 * (k0 - 1) < len(calls) <= 3 * (k0 + 1)
+
+
+def test_evaluator_shared_by_threads():
+    # threads sweeping one evaluator grow its table at once; every value
+    # must still be the kernel's
+    zs = linspace(-30.0, 30.0, 61)
+    want = [wright_eval(THEOREM_SPEC, z) for z in zs]
+    evaluate = wright_evaluator(THEOREM_SPEC)
+    results = {}
+
+    def sweep(i):
+        results[i] = [evaluate(z) for z in (zs if i % 2 else zs[::-1])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(6):
+        assert results[i] == (want if i % 2 else want[::-1])
