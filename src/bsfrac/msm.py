@@ -129,11 +129,11 @@ class ClosedFormImage:
         A sweep over many x uses ``evaluator``."""
         return self._scaled(x, partial(wright_eval, self.spec, tol=tol, term_cap=term_cap))
 
-    def evaluator(self, tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP):
-        """``x -> value_at(x, tol, term_cap)``, bit for bit, with the Wright
-        series' term table built once for every x (``wright_evaluator``):
-        the path for a sweep, which the CLI's ``eval`` and ``table`` take."""
-        return partial(self._scaled, psi=wright_evaluator(self.spec, tol, term_cap))
+    def evaluator(self):
+        """``x -> value_at(x)``, bit for bit, with the Wright series' term
+        table built once for every x (``wright_evaluator``): the path for a
+        sweep, which the CLI's ``eval`` and ``table`` take."""
+        return partial(self._scaled, psi=wright_evaluator(self.spec))
 
     def _scaled(self, x: float, psi) -> SeriesEval:
         if not x > 0.0:

@@ -227,6 +227,11 @@ def test_wright_evaluator_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_wright.py", "-k", "evaluator")
 
 
+def test_image_evaluator_on_compiled_backend(compiled_pkg):
+    # the images' sweep path against value_at on the compiled kernel
+    _pytest_on_compiled(compiled_pkg, "tests/test_msm.py", "-k", "image_evaluator")
+
+
 def test_cli_sweeps_on_compiled_backend(compiled_pkg):
     # table rows against eval, the sweep error paths and the build counts
     _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "sweep")

@@ -3,14 +3,20 @@ import math
 import pytest
 
 from bsfrac import (
+    BsfracError,
+    ClosedFormImage,
     DomainUnsupportedError,
     FunctionKind,
     MsmParams,
+    PathwayParams,
     PreconditionError,
     Side,
+    WrightSpec,
     msm_bs_closed_form,
     msm_power_image,
     msm_quadrature,
+    pathway_bs_closed_form,
+    pathway_power_image,
 )
 
 import oracles
@@ -299,3 +305,45 @@ def test_2f1_coefficient_at_a_reciprocal_gamma_zero(backend, rho, x, request, mo
     want = msm_power_image(Side.LEFT, params, rho).value_at(x).value
     assert r.converged
     assert abs(r.value - want) <= 1e-12 * abs(want)
+
+
+# left and right MSM images, a lower parameter rho + beta' = -1 whose
+# first two terms are dead, pathway images, plain power images and a
+# hand-built spec whose upper parameter hits a pole at k = 1
+DEAD_LOWER = MsmParams(0.3, -2.5, 0.1, -2.0, 1.1)
+PATHWAY = PathwayParams(0.5, 1.0, 0.3)
+IMAGES = {
+    "msm-left": msm_bs_closed_form(Side.LEFT, GENERIC, FunctionKind.bs_kernel(1.3, 0.7)),
+    "msm-right": msm_bs_closed_form(Side.RIGHT, GENERIC, FunctionKind.bs_kernel(-0.5, 0.2, 2.0)),
+    "msm-dead-lower": msm_bs_closed_form(Side.LEFT, DEAD_LOWER, FunctionKind.bs_kernel(1.0, 0.5)),
+    "msm-exp": msm_bs_closed_form(Side.LEFT, GENERIC, FunctionKind.exp_kernel(1.5)),
+    "msm-power": msm_power_image(Side.RIGHT, GENERIC, -0.5),
+    "pathway": pathway_bs_closed_form(PATHWAY, FunctionKind.bs_kernel(1.2, 0.5, 2.0)),
+    "pathway-i0-l0": pathway_bs_closed_form(PATHWAY, FunctionKind.i0_plus_l0(0.8)),
+    "pathway-power": pathway_power_image(PATHWAY, 1.5),
+    "upper-pole": ClosedFormImage(1.5, 0.5, WrightSpec(((-1.5, 0.5),), ((1.0, 1.0),)), -3.0),
+}
+# tiny and huge x overflow the series (1/x for right images), x <= 0 and
+# NaN are outside the domain
+IMAGE_XS = (1e-300, 1e-12, 0.05, 0.3, 1.0, 2.5, 17.0, 40.0, 800.0, 1e10, 1e300,
+            math.inf, math.nan, 0.0, -1.0)
+
+
+def _image_outcome(evaluate, x):
+    """Every field of the result, bit for bit (repr round-trips a float),
+    or the error class and message."""
+    try:
+        return tuple(map(repr, evaluate(x)))
+    except (BsfracError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(IMAGES))
+def test_image_evaluator_matches_value_at(name):
+    # the sweep path (one term table for every x) against the one-shot
+    # path the verification harness takes
+    img = IMAGES[name]
+    evaluate = img.evaluator()
+    got = [_image_outcome(evaluate, x) for x in IMAGE_XS]
+    want = [_image_outcome(img.value_at, x) for x in IMAGE_XS]
+    assert got == want
