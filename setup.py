@@ -1,8 +1,8 @@
-"""Build script: compiles the hot-kernel core from the shipped
-``_ckernels.c``, which is generated from ``_ckernels.pyx`` with
-``cython -3 src/bsfrac/_ckernels.pyx``.  The extension is optional: when it
-cannot be built, the package installs pure-Python only and falls back to
-its twin implementation at import time."""
+"""Build script: compiles the hot-kernel core from ``_ckernels.c``, which
+is written by hand against the CPython C API as the twin of
+``_pykernels.py``; only a C compiler is needed.  The extension is optional:
+when it cannot be built, the package installs pure-Python only and falls
+back to its twin implementation at import time."""
 
 from setuptools import Extension, setup
 

@@ -1,14915 +1,639 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O2",
-            "-ffp-contract=off"
-        ],
-        "name": "bsfrac._ckernels",
-        "sources": [
-            "src/bsfrac/_ckernels.pyx"
-        ]
-    },
-    "module_name": "bsfrac._ckernels"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__bsfrac___ckernels
-#define __PYX_HAVE_API__bsfrac___ckernels
-/* Early includes */
-#include <math.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/bsfrac/_ckernels.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_ctuple_double__and_int;
-typedef struct __pyx_ctuple_double__and_int __pyx_ctuple_double__and_int;
-struct __pyx_ctuple_double__and_double;
-typedef struct __pyx_ctuple_double__and_double __pyx_ctuple_double__and_double;
-
-/* "bsfrac/_ckernels.pyx":45
- * 
- * 
- * cdef inline (double, int) _lgamma_sign_c(double x) nogil:             # <<<<<<<<<<<<<<
- *     cdef double d, s
- *     cdef long long n
-*/
-struct __pyx_ctuple_double__and_int {
-  double f0;
-  int f1;
-};
-
-/* "bsfrac/_ckernels.pyx":72
- * # --- double-double primitives ---
- * 
- * cdef inline (double, double) _two_sum(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s = a + b
- *     cdef double bb = s - a
-*/
-struct __pyx_ctuple_double__and_double {
-  double f0;
-  double f1;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* ErrOccurredWithGIL.proto */
-static CYTHON_INLINE int __Pyx_ErrOccurredWithGIL(void);
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* PyDictVersioning.proto (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by CLineInTraceback) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.math" */
-
-/* Module declarations from "bsfrac._ckernels" */
-static double __pyx_v_6bsfrac_9_ckernels_POLE_TOL_C;
-static double __pyx_v_6bsfrac_9_ckernels__PI;
-static double __pyx_v_6bsfrac_9_ckernels__PI_LO;
-static double __pyx_v_6bsfrac_9_ckernels__SPLIT;
-static double __pyx_v_6bsfrac_9_ckernels__HALF_LN_PI;
-static CYTHON_INLINE double __pyx_f_6bsfrac_9_ckernels__round_half_even(double); /*proto*/
-static CYTHON_INLINE int __pyx_f_6bsfrac_9_ckernels__near_nonpos_int(double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_int __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__two_sum(double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__quick_two_sum(double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__two_prod(double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_add(double, double, double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_mul(double, double, double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_mul_d(double, double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_div_d(double, double, double); /*proto*/
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_div(double, double, double, double); /*proto*/
-static __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__bs_odd_prefactor_dd(double); /*proto*/
-static double __pyx_f_6bsfrac_9_ckernels__hyp2f1_tail(double, double, double, double, double, PY_LONG_LONG); /*proto*/
-static double __pyx_f_6bsfrac_9_ckernels__gamma_ratio_c(double, double, double, double); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "bsfrac._ckernels"
-extern int __pyx_module_is_main_bsfrac___ckernels;
-int __pyx_module_is_main_bsfrac___ckernels = 0;
-
-/* Implementation of "bsfrac._ckernels" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_numeric_kernels_Twin_of[] = "Compiled numeric kernels.\n\nTwin of ``bsfrac._pykernels``: identical branch structure and FP\noperation order so both backends agree to the last few ulps (libm and\nCPython's own gamma/lgamma may differ by one ulp).  See the pure module\nfor the contract comments; this file only mirrors it.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_near_nonpositive_int(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_2lgamma_sign(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_4bs_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_u, double __pyx_v_tol, int __pyx_v_cap); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_6bessel_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_v, double __pyx_v_z, int __pyx_v_modified, double __pyx_v_tol, int __pyx_v_cap); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_8struve_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_v, double __pyx_v_z, int __pyx_v_modified, double __pyx_v_tol, int __pyx_v_cap); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_10hyp2f1_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, double __pyx_v_tol, int __pyx_v_cap); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_12hyp2f1_kernel(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, double __pyx_v_wbar); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_14wright_series(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_ua, PyObject *__pyx_v_uA, PyObject *__pyx_v_lb, PyObject *__pyx_v_lB, double __pyx_v_z, double __pyx_v_tol, int __pyx_v_cap); /* proto */
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_16f3_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_ap, double __pyx_v_b, double __pyx_v_bp, double __pyx_v_g, double __pyx_v_x, double __pyx_v_y, double __pyx_v_tol, int __pyx_v_cap); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[9];
-  PyObject *__pyx_string_tab[112];
-  PyObject *__pyx_number_tab[5];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_at_most_32_parameter_pairs_are_s __pyx_string_tab[1]
-#define __pyx_kp_u_src_bsfrac__ckernels_pyx __pyx_string_tab[2]
-#define __pyx_n_u_POLE_TOL __pyx_string_tab[3]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[4]
-#define __pyx_n_u_a __pyx_string_tab[5]
-#define __pyx_n_u_acc __pyx_string_tab[6]
-#define __pyx_n_u_annotate __pyx_string_tab[7]
-#define __pyx_n_u_ap __pyx_string_tab[8]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[9]
-#define __pyx_n_u_b __pyx_string_tab[10]
-#define __pyx_n_u_bessel_series __pyx_string_tab[11]
-#define __pyx_n_u_bp __pyx_string_tab[12]
-#define __pyx_n_u_bs_series __pyx_string_tab[13]
-#define __pyx_n_u_bsfrac__ckernels __pyx_string_tab[14]
-#define __pyx_n_u_c __pyx_string_tab[15]
-#define __pyx_n_u_cap __pyx_string_tab[16]
-#define __pyx_n_u_ch __pyx_string_tab[17]
-#define __pyx_n_u_cl __pyx_string_tab[18]
-#define __pyx_n_u_clB __pyx_string_tab[19]
-#define __pyx_n_u_clb __pyx_string_tab[20]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[21]
-#define __pyx_n_u_cuA __pyx_string_tab[22]
-#define __pyx_n_u_cua __pyx_string_tab[23]
-#define __pyx_n_u_dead __pyx_string_tab[24]
-#define __pyx_n_u_e __pyx_string_tab[25]
-#define __pyx_n_u_eh __pyx_string_tab[26]
-#define __pyx_n_u_el __pyx_string_tab[27]
-#define __pyx_n_u_f1 __pyx_string_tab[28]
-#define __pyx_n_u_f2 __pyx_string_tab[29]
-#define __pyx_n_u_f3_series __pyx_string_tab[30]
-#define __pyx_n_u_func __pyx_string_tab[31]
-#define __pyx_n_u_g __pyx_string_tab[32]
-#define __pyx_n_u_half __pyx_string_tab[33]
-#define __pyx_n_u_have_prev __pyx_string_tab[34]
-#define __pyx_n_u_hyp2f1_kernel __pyx_string_tab[35]
-#define __pyx_n_u_hyp2f1_series __pyx_string_tab[36]
-#define __pyx_n_u_i __pyx_string_tab[37]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[38]
-#define __pyx_n_u_items __pyx_string_tab[39]
-#define __pyx_n_u_j __pyx_string_tab[40]
-#define __pyx_n_u_k __pyx_string_tab[41]
-#define __pyx_n_u_lB __pyx_string_tab[42]
-#define __pyx_n_u_la __pyx_string_tab[43]
-#define __pyx_n_u_la1 __pyx_string_tab[44]
-#define __pyx_n_u_la2 __pyx_string_tab[45]
-#define __pyx_n_u_lb __pyx_string_tab[46]
-#define __pyx_n_u_lgamma_sign __pyx_string_tab[47]
-#define __pyx_n_u_lk __pyx_string_tab[48]
-#define __pyx_n_u_lnz __pyx_string_tab[49]
-#define __pyx_n_u_m __pyx_string_tab[50]
-#define __pyx_n_u_main __pyx_string_tab[51]
-#define __pyx_n_u_modified __pyx_string_tab[52]
-#define __pyx_n_u_module __pyx_string_tab[53]
-#define __pyx_n_u_n __pyx_string_tab[54]
-#define __pyx_n_u_n_terms __pyx_string_tab[55]
-#define __pyx_n_u_name __pyx_string_tab[56]
-#define __pyx_n_u_near_nonpositive_int __pyx_string_tab[57]
-#define __pyx_n_u_nu __pyx_string_tab[58]
-#define __pyx_n_u_o __pyx_string_tab[59]
-#define __pyx_n_u_oh __pyx_string_tab[60]
-#define __pyx_n_u_ol __pyx_string_tab[61]
-#define __pyx_n_u_p __pyx_string_tab[62]
-#define __pyx_n_u_p1 __pyx_string_tab[63]
-#define __pyx_n_u_p2 __pyx_string_tab[64]
-#define __pyx_n_u_pop __pyx_string_tab[65]
-#define __pyx_n_u_prev __pyx_string_tab[66]
-#define __pyx_n_u_prev_row __pyx_string_tab[67]
-#define __pyx_n_u_q __pyx_string_tab[68]
-#define __pyx_n_u_qualname __pyx_string_tab[69]
-#define __pyx_n_u_r __pyx_string_tab[70]
-#define __pyx_n_u_row __pyx_string_tab[71]
-#define __pyx_n_u_s __pyx_string_tab[72]
-#define __pyx_n_u_scale __pyx_string_tab[73]
-#define __pyx_n_u_set_name __pyx_string_tab[74]
-#define __pyx_n_u_setdefault __pyx_string_tab[75]
-#define __pyx_n_u_sg __pyx_string_tab[76]
-#define __pyx_n_u_sh __pyx_string_tab[77]
-#define __pyx_n_u_sig __pyx_string_tab[78]
-#define __pyx_n_u_sl __pyx_string_tab[79]
-#define __pyx_n_u_struve_series __pyx_string_tab[80]
-#define __pyx_n_u_sum_abs __pyx_string_tab[81]
-#define __pyx_n_u_t __pyx_string_tab[82]
-#define __pyx_n_u_t0n __pyx_string_tab[83]
-#define __pyx_n_u_test __pyx_string_tab[84]
-#define __pyx_n_u_th __pyx_string_tab[85]
-#define __pyx_n_u_tl __pyx_string_tab[86]
-#define __pyx_n_u_tn __pyx_string_tab[87]
-#define __pyx_n_u_tol __pyx_string_tab[88]
-#define __pyx_n_u_total __pyx_string_tab[89]
-#define __pyx_n_u_u __pyx_string_tab[90]
-#define __pyx_n_u_u2h __pyx_string_tab[91]
-#define __pyx_n_u_u2l __pyx_string_tab[92]
-#define __pyx_n_u_uA __pyx_string_tab[93]
-#define __pyx_n_u_ua __pyx_string_tab[94]
-#define __pyx_n_u_v __pyx_string_tab[95]
-#define __pyx_n_u_values __pyx_string_tab[96]
-#define __pyx_n_u_wbar __pyx_string_tab[97]
-#define __pyx_n_u_wright_series __pyx_string_tab[98]
-#define __pyx_n_u_x __pyx_string_tab[99]
-#define __pyx_n_u_y __pyx_string_tab[100]
-#define __pyx_n_u_z __pyx_string_tab[101]
-#define __pyx_n_u_zsign __pyx_string_tab[102]
-#define __pyx_kp_b_iso88591_1A_1A_r_3c_2Q_j_U_1_1E_1A_1E_1A __pyx_string_tab[103]
-#define __pyx_kp_b_iso88591_1A_4q __pyx_string_tab[104]
-#define __pyx_kp_b_iso88591_4q __pyx_string_tab[105]
-#define __pyx_kp_b_iso88591_A_A_q_q_Ba_Rs_Bc_Bb_4r_3c_2V2Q __pyx_string_tab[106]
-#define __pyx_kp_b_iso88591_a_Q_1_q_A_A_a_1_A_hb_Rr_Cr_3b_b __pyx_string_tab[107]
-#define __pyx_kp_b_iso88591_r_A_uE_A_r_1_E_Qa_A_Bb_Bb_q_A_A __pyx_string_tab[108]
-#define __pyx_kp_b_iso88591_r_D_2S_Cr_A_q_r_1_D_Bb_Bc_2Q_t2 __pyx_string_tab[109]
-#define __pyx_kp_b_iso88591_t2Q_1Bb_1Bb_1F_A_Rq_t1_AQ_Ba_Rr __pyx_string_tab[110]
-#define __pyx_kp_b_iso88591_t2Q_nAQ_nARr_2Rr_b_1F_D_Rq_t1_A __pyx_string_tab[111]
-#define __pyx_float_0_0 __pyx_number_tab[0]
-#define __pyx_float_1_0 __pyx_number_tab[1]
-#define __pyx_int_0 __pyx_number_tab[2]
-#define __pyx_int_1 __pyx_number_tab[3]
-#define __pyx_int_2 __pyx_number_tab[4]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<9; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<112; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<9; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<112; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "bsfrac/_ckernels.pyx":22
- * 
- * 
- * cdef inline double _round_half_even(double x) nogil:             # <<<<<<<<<<<<<<
- *     # match Python round(): ties to even
- *     cdef double f = floor(x)
-*/
-
-static CYTHON_INLINE double __pyx_f_6bsfrac_9_ckernels__round_half_even(double __pyx_v_x) {
-  double __pyx_v_f;
-  double __pyx_v_d;
-  double __pyx_r;
-  int __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":24
- * cdef inline double _round_half_even(double x) nogil:
- *     # match Python round(): ties to even
- *     cdef double f = floor(x)             # <<<<<<<<<<<<<<
- *     cdef double d = x - f
- *     if d > 0.5:
-*/
-  __pyx_v_f = floor(__pyx_v_x);
-
-  /* "bsfrac/_ckernels.pyx":25
- *     # match Python round(): ties to even
- *     cdef double f = floor(x)
- *     cdef double d = x - f             # <<<<<<<<<<<<<<
- *     if d > 0.5:
- *         return f + 1.0
-*/
-  __pyx_v_d = (__pyx_v_x - __pyx_v_f);
-
-  /* "bsfrac/_ckernels.pyx":26
- *     cdef double f = floor(x)
- *     cdef double d = x - f
- *     if d > 0.5:             # <<<<<<<<<<<<<<
- *         return f + 1.0
- *     if d < 0.5:
-*/
-  __pyx_t_1 = (__pyx_v_d > 0.5);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":27
- *     cdef double d = x - f
- *     if d > 0.5:
- *         return f + 1.0             # <<<<<<<<<<<<<<
- *     if d < 0.5:
- *         return f
-*/
-    __pyx_r = (__pyx_v_f + 1.0);
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":26
- *     cdef double f = floor(x)
- *     cdef double d = x - f
- *     if d > 0.5:             # <<<<<<<<<<<<<<
- *         return f + 1.0
- *     if d < 0.5:
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":28
- *     if d > 0.5:
- *         return f + 1.0
- *     if d < 0.5:             # <<<<<<<<<<<<<<
- *         return f
- *     if f == 2.0 * floor(0.5 * f):
-*/
-  __pyx_t_1 = (__pyx_v_d < 0.5);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":29
- *         return f + 1.0
- *     if d < 0.5:
- *         return f             # <<<<<<<<<<<<<<
- *     if f == 2.0 * floor(0.5 * f):
- *         return f
-*/
-    __pyx_r = __pyx_v_f;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":28
- *     if d > 0.5:
- *         return f + 1.0
- *     if d < 0.5:             # <<<<<<<<<<<<<<
- *         return f
- *     if f == 2.0 * floor(0.5 * f):
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":30
- *     if d < 0.5:
- *         return f
- *     if f == 2.0 * floor(0.5 * f):             # <<<<<<<<<<<<<<
- *         return f
- *     return f + 1.0
-*/
-  __pyx_t_1 = (__pyx_v_f == (2.0 * floor((0.5 * __pyx_v_f))));
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":31
- *         return f
- *     if f == 2.0 * floor(0.5 * f):
- *         return f             # <<<<<<<<<<<<<<
- *     return f + 1.0
- * 
-*/
-    __pyx_r = __pyx_v_f;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":30
- *     if d < 0.5:
- *         return f
- *     if f == 2.0 * floor(0.5 * f):             # <<<<<<<<<<<<<<
- *         return f
- *     return f + 1.0
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":32
- *     if f == 2.0 * floor(0.5 * f):
- *         return f
- *     return f + 1.0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_f + 1.0);
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":22
- * 
- * 
- * cdef inline double _round_half_even(double x) nogil:             # <<<<<<<<<<<<<<
- *     # match Python round(): ties to even
- *     cdef double f = floor(x)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":35
- * 
- * 
- * cdef inline bint _near_nonpos_int(double x) nogil:             # <<<<<<<<<<<<<<
- *     cdef double r = _round_half_even(x)
- *     return r <= 0.0 and fabs(x - r) <= POLE_TOL_C
-*/
-
-static CYTHON_INLINE int __pyx_f_6bsfrac_9_ckernels__near_nonpos_int(double __pyx_v_x) {
-  double __pyx_v_r;
-  int __pyx_r;
-  double __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":36
- * 
- * cdef inline bint _near_nonpos_int(double x) nogil:
- *     cdef double r = _round_half_even(x)             # <<<<<<<<<<<<<<
- *     return r <= 0.0 and fabs(x - r) <= POLE_TOL_C
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__round_half_even(__pyx_v_x); if (unlikely(__pyx_t_1 == ((double)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 36, __pyx_L1_error)
-  __pyx_v_r = __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":37
- * cdef inline bint _near_nonpos_int(double x) nogil:
- *     cdef double r = _round_half_even(x)
- *     return r <= 0.0 and fabs(x - r) <= POLE_TOL_C             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3 = (__pyx_v_r <= 0.0);
-  if (__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L3_bool_binop_done;
-  }
-  __pyx_t_3 = (fabs((__pyx_v_x - __pyx_v_r)) <= __pyx_v_6bsfrac_9_ckernels_POLE_TOL_C);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L3_bool_binop_done:;
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":35
- * 
- * 
- * cdef inline bint _near_nonpos_int(double x) nogil:             # <<<<<<<<<<<<<<
- *     cdef double r = _round_half_even(x)
- *     return r <= 0.0 and fabs(x - r) <= POLE_TOL_C
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._near_nonpos_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":40
- * 
- * 
- * def near_nonpositive_int(double x):             # <<<<<<<<<<<<<<
- *     """True when x is within POLE_TOL of a gamma pole."""
- *     return bool(_near_nonpos_int(x))
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_1near_nonpositive_int(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_near_nonpositive_int, "True when x is within POLE_TOL of a gamma pole.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_1near_nonpositive_int = {"near_nonpositive_int", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_1near_nonpositive_int, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_near_nonpositive_int};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_1near_nonpositive_int(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("near_nonpositive_int (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 40, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 40, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "near_nonpositive_int", 0) < (0)) __PYX_ERR(0, 40, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("near_nonpositive_int", 1, 1, 1, i); __PYX_ERR(0, 40, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 40, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 40, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("near_nonpositive_int", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 40, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.near_nonpositive_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_near_nonpositive_int(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_near_nonpositive_int(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("near_nonpositive_int", 0);
-
-  /* "bsfrac/_ckernels.pyx":42
- * def near_nonpositive_int(double x):
- *     """True when x is within POLE_TOL of a gamma pole."""
- *     return bool(_near_nonpos_int(x))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__near_nonpos_int(__pyx_v_x); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 42, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyBool_FromLong((!(!__pyx_t_1))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 42, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_r = __pyx_t_2;
-  __pyx_t_2 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":40
- * 
- * 
- * def near_nonpositive_int(double x):             # <<<<<<<<<<<<<<
- *     """True when x is within POLE_TOL of a gamma pole."""
- *     return bool(_near_nonpos_int(x))
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_AddTraceback("bsfrac._ckernels.near_nonpositive_int", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":45
- * 
- * 
- * cdef inline (double, int) _lgamma_sign_c(double x) nogil:             # <<<<<<<<<<<<<<
- *     cdef double d, s
- *     cdef long long n
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_int __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(double __pyx_v_x) {
-  double __pyx_v_d;
-  double __pyx_v_s;
-  PY_LONG_LONG __pyx_v_n;
-  int __pyx_v_sign;
-  __pyx_ctuple_double__and_int __pyx_r;
-  int __pyx_t_1;
-  __pyx_ctuple_double__and_int __pyx_t_2;
-  int __pyx_t_3;
-  double __pyx_t_4;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":49
- *     cdef long long n
- *     cdef int sign
- *     if x > 0.0:             # <<<<<<<<<<<<<<
- *         if 1e-280 < x < 171.6:
- *             return log(tgamma(x)), 1
-*/
-  __pyx_t_1 = (__pyx_v_x > 0.0);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":50
- *     cdef int sign
- *     if x > 0.0:
- *         if 1e-280 < x < 171.6:             # <<<<<<<<<<<<<<
- *             return log(tgamma(x)), 1
- *         return lgamma(x), 1
-*/
-    __pyx_t_1 = (1e-280 < __pyx_v_x);
-    if (__pyx_t_1) {
-      __pyx_t_1 = (__pyx_v_x < 171.6);
-    }
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":51
- *     if x > 0.0:
- *         if 1e-280 < x < 171.6:
- *             return log(tgamma(x)), 1             # <<<<<<<<<<<<<<
- *         return lgamma(x), 1
- *     n = <long long> floor(x)
-*/
-      __pyx_t_2.f0 = log(tgamma(__pyx_v_x));
-      __pyx_t_2.f1 = 1;
-      __pyx_r = __pyx_t_2;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":50
- *     cdef int sign
- *     if x > 0.0:
- *         if 1e-280 < x < 171.6:             # <<<<<<<<<<<<<<
- *             return log(tgamma(x)), 1
- *         return lgamma(x), 1
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":52
- *         if 1e-280 < x < 171.6:
- *             return log(tgamma(x)), 1
- *         return lgamma(x), 1             # <<<<<<<<<<<<<<
- *     n = <long long> floor(x)
- *     sign = -1 if n % 2 != 0 else 1
-*/
-    __pyx_t_2.f0 = lgamma(__pyx_v_x);
-    __pyx_t_2.f1 = 1;
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":49
- *     cdef long long n
- *     cdef int sign
- *     if x > 0.0:             # <<<<<<<<<<<<<<
- *         if 1e-280 < x < 171.6:
- *             return log(tgamma(x)), 1
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":53
- *             return log(tgamma(x)), 1
- *         return lgamma(x), 1
- *     n = <long long> floor(x)             # <<<<<<<<<<<<<<
- *     sign = -1 if n % 2 != 0 else 1
- *     d = fabs(x - _round_half_even(x))
-*/
-  __pyx_v_n = ((PY_LONG_LONG)floor(__pyx_v_x));
-
-  /* "bsfrac/_ckernels.pyx":54
- *         return lgamma(x), 1
- *     n = <long long> floor(x)
- *     sign = -1 if n % 2 != 0 else 1             # <<<<<<<<<<<<<<
- *     d = fabs(x - _round_half_even(x))
- *     s = sin(_PI * d)
-*/
-  __pyx_t_1 = ((__pyx_v_n % 2) != 0);
-  if (__pyx_t_1) {
-    __pyx_t_3 = -1;
-  } else {
-    __pyx_t_3 = 1;
-  }
-  __pyx_v_sign = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":55
- *     n = <long long> floor(x)
- *     sign = -1 if n % 2 != 0 else 1
- *     d = fabs(x - _round_half_even(x))             # <<<<<<<<<<<<<<
- *     s = sin(_PI * d)
- *     if -x <= 170.5:
-*/
-  __pyx_t_4 = __pyx_f_6bsfrac_9_ckernels__round_half_even(__pyx_v_x); if (unlikely(__pyx_t_4 == ((double)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 55, __pyx_L1_error)
-  __pyx_v_d = fabs((__pyx_v_x - __pyx_t_4));
-
-  /* "bsfrac/_ckernels.pyx":56
- *     sign = -1 if n % 2 != 0 else 1
- *     d = fabs(x - _round_half_even(x))
- *     s = sin(_PI * d)             # <<<<<<<<<<<<<<
- *     if -x <= 170.5:
- *         return log(_PI / (s * (-x) * tgamma(-x))), sign
-*/
-  __pyx_v_s = sin((__pyx_v_6bsfrac_9_ckernels__PI * __pyx_v_d));
-
-  /* "bsfrac/_ckernels.pyx":57
- *     d = fabs(x - _round_half_even(x))
- *     s = sin(_PI * d)
- *     if -x <= 170.5:             # <<<<<<<<<<<<<<
- *         return log(_PI / (s * (-x) * tgamma(-x))), sign
- *     return log(_PI) - log(s) - lgamma(1.0 - x), sign
-*/
-  __pyx_t_1 = ((-__pyx_v_x) <= 170.5);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":58
- *     s = sin(_PI * d)
- *     if -x <= 170.5:
- *         return log(_PI / (s * (-x) * tgamma(-x))), sign             # <<<<<<<<<<<<<<
- *     return log(_PI) - log(s) - lgamma(1.0 - x), sign
- * 
-*/
-    __pyx_t_2.f0 = log((__pyx_v_6bsfrac_9_ckernels__PI / ((__pyx_v_s * (-__pyx_v_x)) * tgamma((-__pyx_v_x)))));
-    __pyx_t_2.f1 = __pyx_v_sign;
-    __pyx_r = __pyx_t_2;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":57
- *     d = fabs(x - _round_half_even(x))
- *     s = sin(_PI * d)
- *     if -x <= 170.5:             # <<<<<<<<<<<<<<
- *         return log(_PI / (s * (-x) * tgamma(-x))), sign
- *     return log(_PI) - log(s) - lgamma(1.0 - x), sign
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":59
- *     if -x <= 170.5:
- *         return log(_PI / (s * (-x) * tgamma(-x))), sign
- *     return log(_PI) - log(s) - lgamma(1.0 - x), sign             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2.f0 = ((log(__pyx_v_6bsfrac_9_ckernels__PI) - log(__pyx_v_s)) - lgamma((1.0 - __pyx_v_x)));
-  __pyx_t_2.f1 = __pyx_v_sign;
-  __pyx_r = __pyx_t_2;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":45
- * 
- * 
- * cdef inline (double, int) _lgamma_sign_c(double x) nogil:             # <<<<<<<<<<<<<<
- *     cdef double d, s
- *     cdef long long n
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._lgamma_sign_c", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":62
- * 
- * 
- * def lgamma_sign(double x):             # <<<<<<<<<<<<<<
- *     """(log|Gamma(x)|, sign) for real non-pole x."""
- *     cdef double la
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_3lgamma_sign(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_2lgamma_sign, "(log|Gamma(x)|, sign) for real non-pole x.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_3lgamma_sign = {"lgamma_sign", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_3lgamma_sign, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_2lgamma_sign};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_3lgamma_sign(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_x;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("lgamma_sign (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_x,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 62, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 62, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "lgamma_sign", 0) < (0)) __PYX_ERR(0, 62, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("lgamma_sign", 1, 1, 1, i); __PYX_ERR(0, 62, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 62, __pyx_L3_error)
-    }
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 62, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("lgamma_sign", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 62, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.lgamma_sign", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_2lgamma_sign(__pyx_self, __pyx_v_x);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_2lgamma_sign(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_x) {
-  double __pyx_v_la;
-  int __pyx_v_sg;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __pyx_ctuple_double__and_int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("lgamma_sign", 0);
-
-  /* "bsfrac/_ckernels.pyx":66
- *     cdef double la
- *     cdef int sg
- *     la, sg = _lgamma_sign_c(x)             # <<<<<<<<<<<<<<
- *     return la, sg
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_x); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 66, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la = __pyx_t_2;
-  __pyx_v_sg = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":67
- *     cdef int sg
- *     la, sg = _lgamma_sign_c(x)
- *     return la, sg             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = PyFloat_FromDouble(__pyx_v_la); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 67, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = __Pyx_PyLong_From_int(__pyx_v_sg); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 67, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = PyTuple_New(2); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 67, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 67, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_5);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 67, __pyx_L1_error);
-  __pyx_t_4 = 0;
-  __pyx_t_5 = 0;
-  __pyx_r = __pyx_t_6;
-  __pyx_t_6 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":62
- * 
- * 
- * def lgamma_sign(double x):             # <<<<<<<<<<<<<<
- *     """(log|Gamma(x)|, sign) for real non-pole x."""
- *     cdef double la
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("bsfrac._ckernels.lgamma_sign", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":72
- * # --- double-double primitives ---
- * 
- * cdef inline (double, double) _two_sum(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s = a + b
- *     cdef double bb = s - a
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__two_sum(double __pyx_v_a, double __pyx_v_b) {
-  double __pyx_v_s;
-  double __pyx_v_bb;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":73
- * 
- * cdef inline (double, double) _two_sum(double a, double b) nogil:
- *     cdef double s = a + b             # <<<<<<<<<<<<<<
- *     cdef double bb = s - a
- *     return s, (a - (s - bb)) + (b - bb)
-*/
-  __pyx_v_s = (__pyx_v_a + __pyx_v_b);
-
-  /* "bsfrac/_ckernels.pyx":74
- * cdef inline (double, double) _two_sum(double a, double b) nogil:
- *     cdef double s = a + b
- *     cdef double bb = s - a             # <<<<<<<<<<<<<<
- *     return s, (a - (s - bb)) + (b - bb)
- * 
-*/
-  __pyx_v_bb = (__pyx_v_s - __pyx_v_a);
-
-  /* "bsfrac/_ckernels.pyx":75
- *     cdef double s = a + b
- *     cdef double bb = s - a
- *     return s, (a - (s - bb)) + (b - bb)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1.f0 = __pyx_v_s;
-  __pyx_t_1.f1 = ((__pyx_v_a - (__pyx_v_s - __pyx_v_bb)) + (__pyx_v_b - __pyx_v_bb));
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":72
- * # --- double-double primitives ---
- * 
- * cdef inline (double, double) _two_sum(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s = a + b
- *     cdef double bb = s - a
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":78
- * 
- * 
- * cdef inline (double, double) _quick_two_sum(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s = a + b
- *     return s, b - (s - a)
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__quick_two_sum(double __pyx_v_a, double __pyx_v_b) {
-  double __pyx_v_s;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":79
- * 
- * cdef inline (double, double) _quick_two_sum(double a, double b) nogil:
- *     cdef double s = a + b             # <<<<<<<<<<<<<<
- *     return s, b - (s - a)
- * 
-*/
-  __pyx_v_s = (__pyx_v_a + __pyx_v_b);
-
-  /* "bsfrac/_ckernels.pyx":80
- * cdef inline (double, double) _quick_two_sum(double a, double b) nogil:
- *     cdef double s = a + b
- *     return s, b - (s - a)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1.f0 = __pyx_v_s;
-  __pyx_t_1.f1 = (__pyx_v_b - (__pyx_v_s - __pyx_v_a));
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":78
- * 
- * 
- * cdef inline (double, double) _quick_two_sum(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s = a + b
- *     return s, b - (s - a)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":83
- * 
- * 
- * cdef inline (double, double) _two_prod(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double p = a * b
- *     cdef double ta = _SPLIT * a
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__two_prod(double __pyx_v_a, double __pyx_v_b) {
-  double __pyx_v_p;
-  double __pyx_v_ta;
-  double __pyx_v_ahi;
-  double __pyx_v_alo;
-  double __pyx_v_tb;
-  double __pyx_v_bhi;
-  double __pyx_v_blo;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":84
- * 
- * cdef inline (double, double) _two_prod(double a, double b) nogil:
- *     cdef double p = a * b             # <<<<<<<<<<<<<<
- *     cdef double ta = _SPLIT * a
- *     cdef double ahi = ta - (ta - a)
-*/
-  __pyx_v_p = (__pyx_v_a * __pyx_v_b);
-
-  /* "bsfrac/_ckernels.pyx":85
- * cdef inline (double, double) _two_prod(double a, double b) nogil:
- *     cdef double p = a * b
- *     cdef double ta = _SPLIT * a             # <<<<<<<<<<<<<<
- *     cdef double ahi = ta - (ta - a)
- *     cdef double alo = a - ahi
-*/
-  __pyx_v_ta = (__pyx_v_6bsfrac_9_ckernels__SPLIT * __pyx_v_a);
-
-  /* "bsfrac/_ckernels.pyx":86
- *     cdef double p = a * b
- *     cdef double ta = _SPLIT * a
- *     cdef double ahi = ta - (ta - a)             # <<<<<<<<<<<<<<
- *     cdef double alo = a - ahi
- *     cdef double tb = _SPLIT * b
-*/
-  __pyx_v_ahi = (__pyx_v_ta - (__pyx_v_ta - __pyx_v_a));
-
-  /* "bsfrac/_ckernels.pyx":87
- *     cdef double ta = _SPLIT * a
- *     cdef double ahi = ta - (ta - a)
- *     cdef double alo = a - ahi             # <<<<<<<<<<<<<<
- *     cdef double tb = _SPLIT * b
- *     cdef double bhi = tb - (tb - b)
-*/
-  __pyx_v_alo = (__pyx_v_a - __pyx_v_ahi);
-
-  /* "bsfrac/_ckernels.pyx":88
- *     cdef double ahi = ta - (ta - a)
- *     cdef double alo = a - ahi
- *     cdef double tb = _SPLIT * b             # <<<<<<<<<<<<<<
- *     cdef double bhi = tb - (tb - b)
- *     cdef double blo = b - bhi
-*/
-  __pyx_v_tb = (__pyx_v_6bsfrac_9_ckernels__SPLIT * __pyx_v_b);
-
-  /* "bsfrac/_ckernels.pyx":89
- *     cdef double alo = a - ahi
- *     cdef double tb = _SPLIT * b
- *     cdef double bhi = tb - (tb - b)             # <<<<<<<<<<<<<<
- *     cdef double blo = b - bhi
- *     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-*/
-  __pyx_v_bhi = (__pyx_v_tb - (__pyx_v_tb - __pyx_v_b));
-
-  /* "bsfrac/_ckernels.pyx":90
- *     cdef double tb = _SPLIT * b
- *     cdef double bhi = tb - (tb - b)
- *     cdef double blo = b - bhi             # <<<<<<<<<<<<<<
- *     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
- * 
-*/
-  __pyx_v_blo = (__pyx_v_b - __pyx_v_bhi);
-
-  /* "bsfrac/_ckernels.pyx":91
- *     cdef double bhi = tb - (tb - b)
- *     cdef double blo = b - bhi
- *     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1.f0 = __pyx_v_p;
-  __pyx_t_1.f1 = (((((__pyx_v_ahi * __pyx_v_bhi) - __pyx_v_p) + (__pyx_v_ahi * __pyx_v_blo)) + (__pyx_v_alo * __pyx_v_bhi)) + (__pyx_v_alo * __pyx_v_blo));
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":83
- * 
- * 
- * cdef inline (double, double) _two_prod(double a, double b) nogil:             # <<<<<<<<<<<<<<
- *     cdef double p = a * b
- *     cdef double ta = _SPLIT * a
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":94
- * 
- * 
- * cdef inline (double, double) _dd_add(double xh, double xl, double yh, double yl) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s, e
- *     s, e = _two_sum(xh, yh)
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_add(double __pyx_v_xh, double __pyx_v_xl, double __pyx_v_yh, double __pyx_v_yl) {
-  double __pyx_v_s;
-  double __pyx_v_e;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-  double __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":96
- * cdef inline (double, double) _dd_add(double xh, double xl, double yh, double yl) nogil:
- *     cdef double s, e
- *     s, e = _two_sum(xh, yh)             # <<<<<<<<<<<<<<
- *     e += xl + yl
- *     return _quick_two_sum(s, e)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__two_sum(__pyx_v_xh, __pyx_v_yh); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 96, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_s = __pyx_t_2;
-  __pyx_v_e = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":97
- *     cdef double s, e
- *     s, e = _two_sum(xh, yh)
- *     e += xl + yl             # <<<<<<<<<<<<<<
- *     return _quick_two_sum(s, e)
- * 
-*/
-  __pyx_v_e = (__pyx_v_e + (__pyx_v_xl + __pyx_v_yl));
-
-  /* "bsfrac/_ckernels.pyx":98
- *     s, e = _two_sum(xh, yh)
- *     e += xl + yl
- *     return _quick_two_sum(s, e)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__quick_two_sum(__pyx_v_s, __pyx_v_e); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 98, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":94
- * 
- * 
- * cdef inline (double, double) _dd_add(double xh, double xl, double yh, double yl) nogil:             # <<<<<<<<<<<<<<
- *     cdef double s, e
- *     s, e = _two_sum(xh, yh)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._dd_add", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":101
- * 
- * 
- * cdef inline (double, double) _dd_mul(double xh, double xl, double yh, double yl) nogil:             # <<<<<<<<<<<<<<
- *     cdef double p, e
- *     p, e = _two_prod(xh, yh)
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_mul(double __pyx_v_xh, double __pyx_v_xl, double __pyx_v_yh, double __pyx_v_yl) {
-  double __pyx_v_p;
-  double __pyx_v_e;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-  double __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":103
- * cdef inline (double, double) _dd_mul(double xh, double xl, double yh, double yl) nogil:
- *     cdef double p, e
- *     p, e = _two_prod(xh, yh)             # <<<<<<<<<<<<<<
- *     e += xh * yl + xl * yh
- *     return _quick_two_sum(p, e)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__two_prod(__pyx_v_xh, __pyx_v_yh); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 103, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_p = __pyx_t_2;
-  __pyx_v_e = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":104
- *     cdef double p, e
- *     p, e = _two_prod(xh, yh)
- *     e += xh * yl + xl * yh             # <<<<<<<<<<<<<<
- *     return _quick_two_sum(p, e)
- * 
-*/
-  __pyx_v_e = (__pyx_v_e + ((__pyx_v_xh * __pyx_v_yl) + (__pyx_v_xl * __pyx_v_yh)));
-
-  /* "bsfrac/_ckernels.pyx":105
- *     p, e = _two_prod(xh, yh)
- *     e += xh * yl + xl * yh
- *     return _quick_two_sum(p, e)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__quick_two_sum(__pyx_v_p, __pyx_v_e); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 105, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":101
- * 
- * 
- * cdef inline (double, double) _dd_mul(double xh, double xl, double yh, double yl) nogil:             # <<<<<<<<<<<<<<
- *     cdef double p, e
- *     p, e = _two_prod(xh, yh)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._dd_mul", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":108
- * 
- * 
- * cdef inline (double, double) _dd_mul_d(double xh, double xl, double d) nogil:             # <<<<<<<<<<<<<<
- *     cdef double p, e
- *     p, e = _two_prod(xh, d)
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_mul_d(double __pyx_v_xh, double __pyx_v_xl, double __pyx_v_d) {
-  double __pyx_v_p;
-  double __pyx_v_e;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-  double __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":110
- * cdef inline (double, double) _dd_mul_d(double xh, double xl, double d) nogil:
- *     cdef double p, e
- *     p, e = _two_prod(xh, d)             # <<<<<<<<<<<<<<
- *     e += xl * d
- *     return _quick_two_sum(p, e)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__two_prod(__pyx_v_xh, __pyx_v_d); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 110, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_p = __pyx_t_2;
-  __pyx_v_e = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":111
- *     cdef double p, e
- *     p, e = _two_prod(xh, d)
- *     e += xl * d             # <<<<<<<<<<<<<<
- *     return _quick_two_sum(p, e)
- * 
-*/
-  __pyx_v_e = (__pyx_v_e + (__pyx_v_xl * __pyx_v_d));
-
-  /* "bsfrac/_ckernels.pyx":112
- *     p, e = _two_prod(xh, d)
- *     e += xl * d
- *     return _quick_two_sum(p, e)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__quick_two_sum(__pyx_v_p, __pyx_v_e); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 112, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":108
- * 
- * 
- * cdef inline (double, double) _dd_mul_d(double xh, double xl, double d) nogil:             # <<<<<<<<<<<<<<
- *     cdef double p, e
- *     p, e = _two_prod(xh, d)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._dd_mul_d", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":115
- * 
- * 
- * cdef inline (double, double) _dd_div_d(double xh, double xl, double d) nogil:             # <<<<<<<<<<<<<<
- *     cdef double q1 = xh / d
- *     cdef double p, e
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_div_d(double __pyx_v_xh, double __pyx_v_xl, double __pyx_v_d) {
-  double __pyx_v_q1;
-  double __pyx_v_p;
-  double __pyx_v_e;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-  double __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":116
- * 
- * cdef inline (double, double) _dd_div_d(double xh, double xl, double d) nogil:
- *     cdef double q1 = xh / d             # <<<<<<<<<<<<<<
- *     cdef double p, e
- *     p, e = _two_prod(q1, d)
-*/
-  __pyx_v_q1 = (__pyx_v_xh / __pyx_v_d);
-
-  /* "bsfrac/_ckernels.pyx":118
- *     cdef double q1 = xh / d
- *     cdef double p, e
- *     p, e = _two_prod(q1, d)             # <<<<<<<<<<<<<<
- *     return _quick_two_sum(q1, ((xh - p) + (xl - e)) / d)
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__two_prod(__pyx_v_q1, __pyx_v_d); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 118, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_p = __pyx_t_2;
-  __pyx_v_e = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":119
- *     cdef double p, e
- *     p, e = _two_prod(q1, d)
- *     return _quick_two_sum(q1, ((xh - p) + (xl - e)) / d)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__quick_two_sum(__pyx_v_q1, (((__pyx_v_xh - __pyx_v_p) + (__pyx_v_xl - __pyx_v_e)) / __pyx_v_d)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 119, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":115
- * 
- * 
- * cdef inline (double, double) _dd_div_d(double xh, double xl, double d) nogil:             # <<<<<<<<<<<<<<
- *     cdef double q1 = xh / d
- *     cdef double p, e
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._dd_div_d", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":122
- * 
- * 
- * cdef inline (double, double) _dd_div(double xh, double xl, double yh, double yl) nogil:             # <<<<<<<<<<<<<<
- *     cdef double q1 = xh / yh
- *     cdef double ph, pl, rh, rl, q2, qh, ql
-*/
-
-static CYTHON_INLINE __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__dd_div(double __pyx_v_xh, double __pyx_v_xl, double __pyx_v_yh, double __pyx_v_yl) {
-  double __pyx_v_q1;
-  double __pyx_v_ph;
-  double __pyx_v_pl;
-  double __pyx_v_rh;
-  double __pyx_v_rl;
-  double __pyx_v_q2;
-  double __pyx_v_qh;
-  double __pyx_v_ql;
-  __pyx_ctuple_double__and_double __pyx_r;
-  __pyx_ctuple_double__and_double __pyx_t_1;
-  double __pyx_t_2;
-  double __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":123
- * 
- * cdef inline (double, double) _dd_div(double xh, double xl, double yh, double yl) nogil:
- *     cdef double q1 = xh / yh             # <<<<<<<<<<<<<<
- *     cdef double ph, pl, rh, rl, q2, qh, ql
- *     ph, pl = _dd_mul_d(yh, yl, q1)
-*/
-  __pyx_v_q1 = (__pyx_v_xh / __pyx_v_yh);
-
-  /* "bsfrac/_ckernels.pyx":125
- *     cdef double q1 = xh / yh
- *     cdef double ph, pl, rh, rl, q2, qh, ql
- *     ph, pl = _dd_mul_d(yh, yl, q1)             # <<<<<<<<<<<<<<
- *     rh, rl = _dd_add(xh, xl, -ph, -pl)
- *     q2 = rh / yh
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_yh, __pyx_v_yl, __pyx_v_q1); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 125, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_ph = __pyx_t_2;
-  __pyx_v_pl = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":126
- *     cdef double ph, pl, rh, rl, q2, qh, ql
- *     ph, pl = _dd_mul_d(yh, yl, q1)
- *     rh, rl = _dd_add(xh, xl, -ph, -pl)             # <<<<<<<<<<<<<<
- *     q2 = rh / yh
- *     ph, pl = _dd_mul_d(yh, yl, q2)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__dd_add(__pyx_v_xh, __pyx_v_xl, (-__pyx_v_ph), (-__pyx_v_pl)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 126, __pyx_L1_error)
-  __pyx_t_3 = __pyx_t_1.f0;
-  __pyx_t_2 = __pyx_t_1.f1;
-  __pyx_v_rh = __pyx_t_3;
-  __pyx_v_rl = __pyx_t_2;
-
-  /* "bsfrac/_ckernels.pyx":127
- *     ph, pl = _dd_mul_d(yh, yl, q1)
- *     rh, rl = _dd_add(xh, xl, -ph, -pl)
- *     q2 = rh / yh             # <<<<<<<<<<<<<<
- *     ph, pl = _dd_mul_d(yh, yl, q2)
- *     rh, rl = _dd_add(rh, rl, -ph, -pl)
-*/
-  __pyx_v_q2 = (__pyx_v_rh / __pyx_v_yh);
-
-  /* "bsfrac/_ckernels.pyx":128
- *     rh, rl = _dd_add(xh, xl, -ph, -pl)
- *     q2 = rh / yh
- *     ph, pl = _dd_mul_d(yh, yl, q2)             # <<<<<<<<<<<<<<
- *     rh, rl = _dd_add(rh, rl, -ph, -pl)
- *     qh, ql = _quick_two_sum(q1, q2)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_yh, __pyx_v_yl, __pyx_v_q2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 128, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_ph = __pyx_t_2;
-  __pyx_v_pl = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":129
- *     q2 = rh / yh
- *     ph, pl = _dd_mul_d(yh, yl, q2)
- *     rh, rl = _dd_add(rh, rl, -ph, -pl)             # <<<<<<<<<<<<<<
- *     qh, ql = _quick_two_sum(q1, q2)
- *     return _dd_add(qh, ql, rh / yh, 0.0)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__dd_add(__pyx_v_rh, __pyx_v_rl, (-__pyx_v_ph), (-__pyx_v_pl)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 129, __pyx_L1_error)
-  __pyx_t_3 = __pyx_t_1.f0;
-  __pyx_t_2 = __pyx_t_1.f1;
-  __pyx_v_rh = __pyx_t_3;
-  __pyx_v_rl = __pyx_t_2;
-
-  /* "bsfrac/_ckernels.pyx":130
- *     ph, pl = _dd_mul_d(yh, yl, q2)
- *     rh, rl = _dd_add(rh, rl, -ph, -pl)
- *     qh, ql = _quick_two_sum(q1, q2)             # <<<<<<<<<<<<<<
- *     return _dd_add(qh, ql, rh / yh, 0.0)
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__quick_two_sum(__pyx_v_q1, __pyx_v_q2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 130, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_qh = __pyx_t_2;
-  __pyx_v_ql = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":131
- *     rh, rl = _dd_add(rh, rl, -ph, -pl)
- *     qh, ql = _quick_two_sum(q1, q2)
- *     return _dd_add(qh, ql, rh / yh, 0.0)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__dd_add(__pyx_v_qh, __pyx_v_ql, (__pyx_v_rh / __pyx_v_yh), 0.0); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 131, __pyx_L1_error)
-  __pyx_r = __pyx_t_1;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":122
- * 
- * 
- * cdef inline (double, double) _dd_div(double xh, double xl, double yh, double yl) nogil:             # <<<<<<<<<<<<<<
- *     cdef double q1 = xh / yh
- *     cdef double ph, pl, rh, rl, q2, qh, ql
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._dd_div", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":134
- * 
- * 
- * cdef (double, double) _bs_odd_prefactor_dd(double nu) nogil:             # <<<<<<<<<<<<<<
- *     cdef double tn = 2.0 * nu
- *     cdef long long m2, m, j
-*/
-
-static __pyx_ctuple_double__and_double __pyx_f_6bsfrac_9_ckernels__bs_odd_prefactor_dd(double __pyx_v_nu) {
-  double __pyx_v_tn;
-  PY_LONG_LONG __pyx_v_m2;
-  PY_LONG_LONG __pyx_v_m;
-  PY_LONG_LONG __pyx_v_j;
-  double __pyx_v_ch;
-  double __pyx_v_cl;
-  double __pyx_v_la1;
-  double __pyx_v_la2;
-  CYTHON_UNUSED int __pyx_v_sg;
-  __pyx_ctuple_double__and_double __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  __pyx_ctuple_double__and_double __pyx_t_3;
-  double __pyx_t_4;
-  double __pyx_t_5;
-  __pyx_ctuple_double__and_int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":135
- * 
- * cdef (double, double) _bs_odd_prefactor_dd(double nu) nogil:
- *     cdef double tn = 2.0 * nu             # <<<<<<<<<<<<<<
- *     cdef long long m2, m, j
- *     cdef double ch, cl, la1, la2
-*/
-  __pyx_v_tn = (2.0 * __pyx_v_nu);
-
-  /* "bsfrac/_ckernels.pyx":139
- *     cdef double ch, cl, la1, la2
- *     cdef int sg
- *     if tn == floor(tn) and fabs(nu) < 90.0:             # <<<<<<<<<<<<<<
- *         m2 = <long long> tn
- *         if m2 % 2 != 0:
-*/
-  __pyx_t_2 = (__pyx_v_tn == floor(__pyx_v_tn));
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (fabs(__pyx_v_nu) < 90.0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":140
- *     cdef int sg
- *     if tn == floor(tn) and fabs(nu) < 90.0:
- *         m2 = <long long> tn             # <<<<<<<<<<<<<<
- *         if m2 % 2 != 0:
- *             m = (m2 + 1) // 2
-*/
-    __pyx_v_m2 = ((PY_LONG_LONG)__pyx_v_tn);
-
-    /* "bsfrac/_ckernels.pyx":141
- *     if tn == floor(tn) and fabs(nu) < 90.0:
- *         m2 = <long long> tn
- *         if m2 % 2 != 0:             # <<<<<<<<<<<<<<
- *             m = (m2 + 1) // 2
- *             ch = 1.0
-*/
-    __pyx_t_1 = ((__pyx_v_m2 % 2) != 0);
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":142
- *         m2 = <long long> tn
- *         if m2 % 2 != 0:
- *             m = (m2 + 1) // 2             # <<<<<<<<<<<<<<
- *             ch = 1.0
- *             cl = 0.0
-*/
-      __pyx_v_m = ((__pyx_v_m2 + 1) / 2);
-
-      /* "bsfrac/_ckernels.pyx":143
- *         if m2 % 2 != 0:
- *             m = (m2 + 1) // 2
- *             ch = 1.0             # <<<<<<<<<<<<<<
- *             cl = 0.0
- *             j = 1
-*/
-      __pyx_v_ch = 1.0;
-
-      /* "bsfrac/_ckernels.pyx":144
- *             m = (m2 + 1) // 2
- *             ch = 1.0
- *             cl = 0.0             # <<<<<<<<<<<<<<
- *             j = 1
- *             while j <= m:
-*/
-      __pyx_v_cl = 0.0;
-
-      /* "bsfrac/_ckernels.pyx":145
- *             ch = 1.0
- *             cl = 0.0
- *             j = 1             # <<<<<<<<<<<<<<
- *             while j <= m:
- *                 ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0)
-*/
-      __pyx_v_j = 1;
-
-      /* "bsfrac/_ckernels.pyx":146
- *             cl = 0.0
- *             j = 1
- *             while j <= m:             # <<<<<<<<<<<<<<
- *                 ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0)
- *                 ch, cl = _dd_div_d(ch, cl, 2.0 * j)
-*/
-      while (1) {
-        __pyx_t_1 = (__pyx_v_j <= __pyx_v_m);
-        if (!__pyx_t_1) break;
-
-        /* "bsfrac/_ckernels.pyx":147
- *             j = 1
- *             while j <= m:
- *                 ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0)             # <<<<<<<<<<<<<<
- *                 ch, cl = _dd_div_d(ch, cl, 2.0 * j)
- *                 j += 1
-*/
-        __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_ch, __pyx_v_cl, ((2.0 * __pyx_v_j) - 1.0)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 147, __pyx_L1_error)
-        __pyx_t_4 = __pyx_t_3.f0;
-        __pyx_t_5 = __pyx_t_3.f1;
-        __pyx_v_ch = __pyx_t_4;
-        __pyx_v_cl = __pyx_t_5;
-
-        /* "bsfrac/_ckernels.pyx":148
- *             while j <= m:
- *                 ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0)
- *                 ch, cl = _dd_div_d(ch, cl, 2.0 * j)             # <<<<<<<<<<<<<<
- *                 j += 1
- *             return ch, cl
-*/
-        __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__dd_div_d(__pyx_v_ch, __pyx_v_cl, (2.0 * __pyx_v_j)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 148, __pyx_L1_error)
-        __pyx_t_5 = __pyx_t_3.f0;
-        __pyx_t_4 = __pyx_t_3.f1;
-        __pyx_v_ch = __pyx_t_5;
-        __pyx_v_cl = __pyx_t_4;
-
-        /* "bsfrac/_ckernels.pyx":149
- *                 ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0)
- *                 ch, cl = _dd_div_d(ch, cl, 2.0 * j)
- *                 j += 1             # <<<<<<<<<<<<<<
- *             return ch, cl
- *         m = m2 // 2
-*/
-        __pyx_v_j = (__pyx_v_j + 1);
-      }
-
-      /* "bsfrac/_ckernels.pyx":150
- *                 ch, cl = _dd_div_d(ch, cl, 2.0 * j)
- *                 j += 1
- *             return ch, cl             # <<<<<<<<<<<<<<
- *         m = m2 // 2
- *         ch, cl = _dd_div(2.0, 0.0, _PI, _PI_LO)
-*/
-      __pyx_t_3.f0 = __pyx_v_ch;
-      __pyx_t_3.f1 = __pyx_v_cl;
-      __pyx_r = __pyx_t_3;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":141
- *     if tn == floor(tn) and fabs(nu) < 90.0:
- *         m2 = <long long> tn
- *         if m2 % 2 != 0:             # <<<<<<<<<<<<<<
- *             m = (m2 + 1) // 2
- *             ch = 1.0
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":151
- *                 j += 1
- *             return ch, cl
- *         m = m2 // 2             # <<<<<<<<<<<<<<
- *         ch, cl = _dd_div(2.0, 0.0, _PI, _PI_LO)
- *         j = 1
-*/
-    __pyx_v_m = (__pyx_v_m2 / 2);
-
-    /* "bsfrac/_ckernels.pyx":152
- *             return ch, cl
- *         m = m2 // 2
- *         ch, cl = _dd_div(2.0, 0.0, _PI, _PI_LO)             # <<<<<<<<<<<<<<
- *         j = 1
- *         while j <= m:
-*/
-    __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__dd_div(2.0, 0.0, __pyx_v_6bsfrac_9_ckernels__PI, __pyx_v_6bsfrac_9_ckernels__PI_LO); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 152, __pyx_L1_error)
-    __pyx_t_4 = __pyx_t_3.f0;
-    __pyx_t_5 = __pyx_t_3.f1;
-    __pyx_v_ch = __pyx_t_4;
-    __pyx_v_cl = __pyx_t_5;
-
-    /* "bsfrac/_ckernels.pyx":153
- *         m = m2 // 2
- *         ch, cl = _dd_div(2.0, 0.0, _PI, _PI_LO)
- *         j = 1             # <<<<<<<<<<<<<<
- *         while j <= m:
- *             ch, cl = _dd_mul_d(ch, cl, <double> j)
-*/
-    __pyx_v_j = 1;
-
-    /* "bsfrac/_ckernels.pyx":154
- *         ch, cl = _dd_div(2.0, 0.0, _PI, _PI_LO)
- *         j = 1
- *         while j <= m:             # <<<<<<<<<<<<<<
- *             ch, cl = _dd_mul_d(ch, cl, <double> j)
- *             ch, cl = _dd_div_d(ch, cl, j + 0.5)
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_j <= __pyx_v_m);
-      if (!__pyx_t_1) break;
-
-      /* "bsfrac/_ckernels.pyx":155
- *         j = 1
- *         while j <= m:
- *             ch, cl = _dd_mul_d(ch, cl, <double> j)             # <<<<<<<<<<<<<<
- *             ch, cl = _dd_div_d(ch, cl, j + 0.5)
- *             j += 1
-*/
-      __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_ch, __pyx_v_cl, ((double)__pyx_v_j)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 155, __pyx_L1_error)
-      __pyx_t_5 = __pyx_t_3.f0;
-      __pyx_t_4 = __pyx_t_3.f1;
-      __pyx_v_ch = __pyx_t_5;
-      __pyx_v_cl = __pyx_t_4;
-
-      /* "bsfrac/_ckernels.pyx":156
- *         while j <= m:
- *             ch, cl = _dd_mul_d(ch, cl, <double> j)
- *             ch, cl = _dd_div_d(ch, cl, j + 0.5)             # <<<<<<<<<<<<<<
- *             j += 1
- *         return ch, cl
-*/
-      __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__dd_div_d(__pyx_v_ch, __pyx_v_cl, (__pyx_v_j + 0.5)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 156, __pyx_L1_error)
-      __pyx_t_4 = __pyx_t_3.f0;
-      __pyx_t_5 = __pyx_t_3.f1;
-      __pyx_v_ch = __pyx_t_4;
-      __pyx_v_cl = __pyx_t_5;
-
-      /* "bsfrac/_ckernels.pyx":157
- *             ch, cl = _dd_mul_d(ch, cl, <double> j)
- *             ch, cl = _dd_div_d(ch, cl, j + 0.5)
- *             j += 1             # <<<<<<<<<<<<<<
- *         return ch, cl
- *     la1, sg = _lgamma_sign_c(nu + 1.0)
-*/
-      __pyx_v_j = (__pyx_v_j + 1);
-    }
-
-    /* "bsfrac/_ckernels.pyx":158
- *             ch, cl = _dd_div_d(ch, cl, j + 0.5)
- *             j += 1
- *         return ch, cl             # <<<<<<<<<<<<<<
- *     la1, sg = _lgamma_sign_c(nu + 1.0)
- *     la2, sg = _lgamma_sign_c(nu + 1.5)
-*/
-    __pyx_t_3.f0 = __pyx_v_ch;
-    __pyx_t_3.f1 = __pyx_v_cl;
-    __pyx_r = __pyx_t_3;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":139
- *     cdef double ch, cl, la1, la2
- *     cdef int sg
- *     if tn == floor(tn) and fabs(nu) < 90.0:             # <<<<<<<<<<<<<<
- *         m2 = <long long> tn
- *         if m2 % 2 != 0:
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":159
- *             j += 1
- *         return ch, cl
- *     la1, sg = _lgamma_sign_c(nu + 1.0)             # <<<<<<<<<<<<<<
- *     la2, sg = _lgamma_sign_c(nu + 1.5)
- *     return exp(la1 - la2 - _HALF_LN_PI), 0.0
-*/
-  __pyx_t_6 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c((__pyx_v_nu + 1.0)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 159, __pyx_L1_error)
-  __pyx_t_5 = __pyx_t_6.f0;
-  __pyx_t_7 = __pyx_t_6.f1;
-  __pyx_v_la1 = __pyx_t_5;
-  __pyx_v_sg = __pyx_t_7;
-
-  /* "bsfrac/_ckernels.pyx":160
- *         return ch, cl
- *     la1, sg = _lgamma_sign_c(nu + 1.0)
- *     la2, sg = _lgamma_sign_c(nu + 1.5)             # <<<<<<<<<<<<<<
- *     return exp(la1 - la2 - _HALF_LN_PI), 0.0
- * 
-*/
-  __pyx_t_6 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c((__pyx_v_nu + 1.5)); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 160, __pyx_L1_error)
-  __pyx_t_5 = __pyx_t_6.f0;
-  __pyx_t_7 = __pyx_t_6.f1;
-  __pyx_v_la2 = __pyx_t_5;
-  __pyx_v_sg = __pyx_t_7;
-
-  /* "bsfrac/_ckernels.pyx":161
- *     la1, sg = _lgamma_sign_c(nu + 1.0)
- *     la2, sg = _lgamma_sign_c(nu + 1.5)
- *     return exp(la1 - la2 - _HALF_LN_PI), 0.0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3.f0 = exp(((__pyx_v_la1 - __pyx_v_la2) - __pyx_v_6bsfrac_9_ckernels__HALF_LN_PI));
-  __pyx_t_3.f1 = 0.0;
-  __pyx_r = __pyx_t_3;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":134
- * 
- * 
- * cdef (double, double) _bs_odd_prefactor_dd(double nu) nogil:             # <<<<<<<<<<<<<<
- *     cdef double tn = 2.0 * nu
- *     cdef long long m2, m, j
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._bs_odd_prefactor_dd", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":164
- * 
- * 
- * def bs_series(double nu, double u, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Bessel-Struve kernel power series (interleaved even/odd chains)."""
- *     cdef double ch, cl, e, o, s, prev, u2h, u2l
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_5bs_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_4bs_series, "Bessel-Struve kernel power series (interleaved even/odd chains).");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_5bs_series = {"bs_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_5bs_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_4bs_series};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_5bs_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_nu;
-  double __pyx_v_u;
-  double __pyx_v_tol;
-  int __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("bs_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_nu,&__pyx_mstate_global->__pyx_n_u_u,&__pyx_mstate_global->__pyx_n_u_tol,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 164, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 164, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 164, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 164, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 164, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "bs_series", 0) < (0)) __PYX_ERR(0, 164, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 4; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("bs_series", 1, 4, 4, i); __PYX_ERR(0, 164, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 4)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 164, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 164, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 164, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 164, __pyx_L3_error)
-    }
-    __pyx_v_nu = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_nu == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L3_error)
-    __pyx_v_u = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_u == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L3_error)
-    __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyLong_As_int(values[3]); if (unlikely((__pyx_v_cap == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 164, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("bs_series", 1, 4, 4, __pyx_nargs); __PYX_ERR(0, 164, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.bs_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_4bs_series(__pyx_self, __pyx_v_nu, __pyx_v_u, __pyx_v_tol, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_4bs_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_nu, double __pyx_v_u, double __pyx_v_tol, int __pyx_v_cap) {
-  double __pyx_v_ch;
-  double __pyx_v_cl;
-  double __pyx_v_e;
-  double __pyx_v_o;
-  double __pyx_v_s;
-  double __pyx_v_prev;
-  double __pyx_v_u2h;
-  double __pyx_v_u2l;
-  double __pyx_v_eh;
-  double __pyx_v_el;
-  double __pyx_v_oh;
-  double __pyx_v_ol;
-  double __pyx_v_sh;
-  double __pyx_v_sl;
-  double __pyx_v_th;
-  double __pyx_v_tl;
-  double __pyx_v_sum_abs;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_n;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  __pyx_ctuple_double__and_double __pyx_t_2;
-  double __pyx_t_3;
-  double __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("bs_series", 0);
-
-  /* "bsfrac/_ckernels.pyx":169
- *     cdef double eh, el, oh, ol, sh, sl, th, tl, sum_abs
- *     cdef long long k, n
- *     if u == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0, 0.0, 1, 1
- *     if u > 0.0:
-*/
-  __pyx_t_1 = (__pyx_v_u == 0.0);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":170
- *     cdef long long k, n
- *     if u == 0.0:
- *         return 1.0, 0.0, 1, 1             # <<<<<<<<<<<<<<
- *     if u > 0.0:
- *         ch, cl = _bs_odd_prefactor_dd(nu)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_tuple[0]);
-    __pyx_r = __pyx_mstate_global->__pyx_tuple[0];
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":169
- *     cdef double eh, el, oh, ol, sh, sl, th, tl, sum_abs
- *     cdef long long k, n
- *     if u == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0, 0.0, 1, 1
- *     if u > 0.0:
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":171
- *     if u == 0.0:
- *         return 1.0, 0.0, 1, 1
- *     if u > 0.0:             # <<<<<<<<<<<<<<
- *         ch, cl = _bs_odd_prefactor_dd(nu)
- *         e = 1.0
-*/
-  __pyx_t_1 = (__pyx_v_u > 0.0);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":172
- *         return 1.0, 0.0, 1, 1
- *     if u > 0.0:
- *         ch, cl = _bs_odd_prefactor_dd(nu)             # <<<<<<<<<<<<<<
- *         e = 1.0
- *         o = u * ch
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__bs_odd_prefactor_dd(__pyx_v_nu); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 172, __pyx_L1_error)
-    __pyx_t_3 = __pyx_t_2.f0;
-    __pyx_t_4 = __pyx_t_2.f1;
-    __pyx_v_ch = __pyx_t_3;
-    __pyx_v_cl = __pyx_t_4;
-
-    /* "bsfrac/_ckernels.pyx":173
- *     if u > 0.0:
- *         ch, cl = _bs_odd_prefactor_dd(nu)
- *         e = 1.0             # <<<<<<<<<<<<<<
- *         o = u * ch
- *         s = e + o
-*/
-    __pyx_v_e = 1.0;
-
-    /* "bsfrac/_ckernels.pyx":174
- *         ch, cl = _bs_odd_prefactor_dd(nu)
- *         e = 1.0
- *         o = u * ch             # <<<<<<<<<<<<<<
- *         s = e + o
- *         prev = o
-*/
-    __pyx_v_o = (__pyx_v_u * __pyx_v_ch);
-
-    /* "bsfrac/_ckernels.pyx":175
- *         e = 1.0
- *         o = u * ch
- *         s = e + o             # <<<<<<<<<<<<<<
- *         prev = o
- *         k = 0
-*/
-    __pyx_v_s = (__pyx_v_e + __pyx_v_o);
-
-    /* "bsfrac/_ckernels.pyx":176
- *         o = u * ch
- *         s = e + o
- *         prev = o             # <<<<<<<<<<<<<<
- *         k = 0
- *         n = 2
-*/
-    __pyx_v_prev = __pyx_v_o;
-
-    /* "bsfrac/_ckernels.pyx":177
- *         s = e + o
- *         prev = o
- *         k = 0             # <<<<<<<<<<<<<<
- *         n = 2
- *         while n < cap:
-*/
-    __pyx_v_k = 0;
-
-    /* "bsfrac/_ckernels.pyx":178
- *         prev = o
- *         k = 0
- *         n = 2             # <<<<<<<<<<<<<<
- *         while n < cap:
- *             e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0))
-*/
-    __pyx_v_n = 2;
-
-    /* "bsfrac/_ckernels.pyx":179
- *         k = 0
- *         n = 2
- *         while n < cap:             # <<<<<<<<<<<<<<
- *             e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0))
- *             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_n < __pyx_v_cap);
-      if (!__pyx_t_1) break;
-
-      /* "bsfrac/_ckernels.pyx":180
- *         n = 2
- *         while n < cap:
- *             e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0))             # <<<<<<<<<<<<<<
- *             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
- *             k += 1
-*/
-      __pyx_v_e = (__pyx_v_e * (((__pyx_v_u * __pyx_v_u) * (__pyx_v_k + 0.5)) / ((((2.0 * __pyx_v_k) + 1.0) * ((2.0 * __pyx_v_k) + 2.0)) * ((__pyx_v_k + __pyx_v_nu) + 1.0))));
-
-      /* "bsfrac/_ckernels.pyx":181
- *         while n < cap:
- *             e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0))
- *             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))             # <<<<<<<<<<<<<<
- *             k += 1
- *             if fabs(prev) <= 0.5 * tol * fabs(s) and e < 0.5 * prev:
-*/
-      __pyx_v_o = (__pyx_v_o * (((__pyx_v_u * __pyx_v_u) * (__pyx_v_k + 1.0)) / ((((2.0 * __pyx_v_k) + 2.0) * ((2.0 * __pyx_v_k) + 3.0)) * ((__pyx_v_k + __pyx_v_nu) + 1.5))));
-
-      /* "bsfrac/_ckernels.pyx":182
- *             e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0))
- *             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
- *             k += 1             # <<<<<<<<<<<<<<
- *             if fabs(prev) <= 0.5 * tol * fabs(s) and e < 0.5 * prev:
- *                 return s, 2.0 * prev, n, 1
-*/
-      __pyx_v_k = (__pyx_v_k + 1);
-
-      /* "bsfrac/_ckernels.pyx":183
- *             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
- *             k += 1
- *             if fabs(prev) <= 0.5 * tol * fabs(s) and e < 0.5 * prev:             # <<<<<<<<<<<<<<
- *                 return s, 2.0 * prev, n, 1
- *             s += e
-*/
-      __pyx_t_5 = (fabs(__pyx_v_prev) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_s)));
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_1 = __pyx_t_5;
-        goto __pyx_L8_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_v_e < (0.5 * __pyx_v_prev));
-      __pyx_t_1 = __pyx_t_5;
-      __pyx_L8_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "bsfrac/_ckernels.pyx":184
- *             k += 1
- *             if fabs(prev) <= 0.5 * tol * fabs(s) and e < 0.5 * prev:
- *                 return s, 2.0 * prev, n, 1             # <<<<<<<<<<<<<<
- *             s += e
- *             if e <= 0.5 * tol * s and o < 0.5 * e:
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_6 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 184, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __pyx_t_7 = PyFloat_FromDouble((2.0 * __pyx_v_prev)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 184, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 184, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 184, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_GIVEREF(__pyx_t_6);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 184, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_7);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 184, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_8);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 184, __pyx_L1_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 184, __pyx_L1_error);
-        __pyx_t_6 = 0;
-        __pyx_t_7 = 0;
-        __pyx_t_8 = 0;
-        __pyx_r = __pyx_t_9;
-        __pyx_t_9 = 0;
-        goto __pyx_L0;
-
-        /* "bsfrac/_ckernels.pyx":183
- *             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
- *             k += 1
- *             if fabs(prev) <= 0.5 * tol * fabs(s) and e < 0.5 * prev:             # <<<<<<<<<<<<<<
- *                 return s, 2.0 * prev, n, 1
- *             s += e
-*/
-      }
-
-      /* "bsfrac/_ckernels.pyx":185
- *             if fabs(prev) <= 0.5 * tol * fabs(s) and e < 0.5 * prev:
- *                 return s, 2.0 * prev, n, 1
- *             s += e             # <<<<<<<<<<<<<<
- *             if e <= 0.5 * tol * s and o < 0.5 * e:
- *                 return s, 2.0 * e, n + 1, 1
-*/
-      __pyx_v_s = (__pyx_v_s + __pyx_v_e);
-
-      /* "bsfrac/_ckernels.pyx":186
- *                 return s, 2.0 * prev, n, 1
- *             s += e
- *             if e <= 0.5 * tol * s and o < 0.5 * e:             # <<<<<<<<<<<<<<
- *                 return s, 2.0 * e, n + 1, 1
- *             s += o
-*/
-      __pyx_t_5 = (__pyx_v_e <= ((0.5 * __pyx_v_tol) * __pyx_v_s));
-      if (__pyx_t_5) {
-      } else {
-        __pyx_t_1 = __pyx_t_5;
-        goto __pyx_L11_bool_binop_done;
-      }
-      __pyx_t_5 = (__pyx_v_o < (0.5 * __pyx_v_e));
-      __pyx_t_1 = __pyx_t_5;
-      __pyx_L11_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "bsfrac/_ckernels.pyx":187
- *             s += e
- *             if e <= 0.5 * tol * s and o < 0.5 * e:
- *                 return s, 2.0 * e, n + 1, 1             # <<<<<<<<<<<<<<
- *             s += o
- *             prev = o
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_9 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 187, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_8 = PyFloat_FromDouble((2.0 * __pyx_v_e)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 187, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_8);
-        __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_n + 1)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 187, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_7);
-        __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 187, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_6);
-        __Pyx_GIVEREF(__pyx_t_9);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 187, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_8);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 187, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_7);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_7) != (0)) __PYX_ERR(0, 187, __pyx_L1_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 187, __pyx_L1_error);
-        __pyx_t_9 = 0;
-        __pyx_t_8 = 0;
-        __pyx_t_7 = 0;
-        __pyx_r = __pyx_t_6;
-        __pyx_t_6 = 0;
-        goto __pyx_L0;
-
-        /* "bsfrac/_ckernels.pyx":186
- *                 return s, 2.0 * prev, n, 1
- *             s += e
- *             if e <= 0.5 * tol * s and o < 0.5 * e:             # <<<<<<<<<<<<<<
- *                 return s, 2.0 * e, n + 1, 1
- *             s += o
-*/
-      }
-
-      /* "bsfrac/_ckernels.pyx":188
- *             if e <= 0.5 * tol * s and o < 0.5 * e:
- *                 return s, 2.0 * e, n + 1, 1
- *             s += o             # <<<<<<<<<<<<<<
- *             prev = o
- *             n += 2
-*/
-      __pyx_v_s = (__pyx_v_s + __pyx_v_o);
-
-      /* "bsfrac/_ckernels.pyx":189
- *                 return s, 2.0 * e, n + 1, 1
- *             s += o
- *             prev = o             # <<<<<<<<<<<<<<
- *             n += 2
- *         return s, 2.0 * fabs(prev), n, 0
-*/
-      __pyx_v_prev = __pyx_v_o;
-
-      /* "bsfrac/_ckernels.pyx":190
- *             s += o
- *             prev = o
- *             n += 2             # <<<<<<<<<<<<<<
- *         return s, 2.0 * fabs(prev), n, 0
- *     u2h, u2l = _two_prod(u, u)
-*/
-      __pyx_v_n = (__pyx_v_n + 2);
-    }
-
-    /* "bsfrac/_ckernels.pyx":191
- *             prev = o
- *             n += 2
- *         return s, 2.0 * fabs(prev), n, 0             # <<<<<<<<<<<<<<
- *     u2h, u2l = _two_prod(u, u)
- *     eh = 1.0
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_6 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 191, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_prev))); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 191, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 191, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_8);
-    __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 191, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_9);
-    __Pyx_GIVEREF(__pyx_t_6);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 191, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_7);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 191, __pyx_L1_error);
-    __Pyx_GIVEREF(__pyx_t_8);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 191, __pyx_L1_error);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-    __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 191, __pyx_L1_error);
-    __pyx_t_6 = 0;
-    __pyx_t_7 = 0;
-    __pyx_t_8 = 0;
-    __pyx_r = __pyx_t_9;
-    __pyx_t_9 = 0;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":171
- *     if u == 0.0:
- *         return 1.0, 0.0, 1, 1
- *     if u > 0.0:             # <<<<<<<<<<<<<<
- *         ch, cl = _bs_odd_prefactor_dd(nu)
- *         e = 1.0
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":192
- *             n += 2
- *         return s, 2.0 * fabs(prev), n, 0
- *     u2h, u2l = _two_prod(u, u)             # <<<<<<<<<<<<<<
- *     eh = 1.0
- *     el = 0.0
-*/
-  __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__two_prod(__pyx_v_u, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 192, __pyx_L1_error)
-  __pyx_t_4 = __pyx_t_2.f0;
-  __pyx_t_3 = __pyx_t_2.f1;
-  __pyx_v_u2h = __pyx_t_4;
-  __pyx_v_u2l = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":193
- *         return s, 2.0 * fabs(prev), n, 0
- *     u2h, u2l = _two_prod(u, u)
- *     eh = 1.0             # <<<<<<<<<<<<<<
- *     el = 0.0
- *     ch, cl = _bs_odd_prefactor_dd(nu)
-*/
-  __pyx_v_eh = 1.0;
-
-  /* "bsfrac/_ckernels.pyx":194
- *     u2h, u2l = _two_prod(u, u)
- *     eh = 1.0
- *     el = 0.0             # <<<<<<<<<<<<<<
- *     ch, cl = _bs_odd_prefactor_dd(nu)
- *     oh, ol = _dd_mul_d(ch, cl, u)
-*/
-  __pyx_v_el = 0.0;
-
-  /* "bsfrac/_ckernels.pyx":195
- *     eh = 1.0
- *     el = 0.0
- *     ch, cl = _bs_odd_prefactor_dd(nu)             # <<<<<<<<<<<<<<
- *     oh, ol = _dd_mul_d(ch, cl, u)
- *     sh, sl = _dd_add(eh, el, oh, ol)
-*/
-  __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__bs_odd_prefactor_dd(__pyx_v_nu); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 195, __pyx_L1_error)
-  __pyx_t_3 = __pyx_t_2.f0;
-  __pyx_t_4 = __pyx_t_2.f1;
-  __pyx_v_ch = __pyx_t_3;
-  __pyx_v_cl = __pyx_t_4;
-
-  /* "bsfrac/_ckernels.pyx":196
- *     el = 0.0
- *     ch, cl = _bs_odd_prefactor_dd(nu)
- *     oh, ol = _dd_mul_d(ch, cl, u)             # <<<<<<<<<<<<<<
- *     sh, sl = _dd_add(eh, el, oh, ol)
- *     sum_abs = 1.0 + fabs(oh)
-*/
-  __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_ch, __pyx_v_cl, __pyx_v_u); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 196, __pyx_L1_error)
-  __pyx_t_4 = __pyx_t_2.f0;
-  __pyx_t_3 = __pyx_t_2.f1;
-  __pyx_v_oh = __pyx_t_4;
-  __pyx_v_ol = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":197
- *     ch, cl = _bs_odd_prefactor_dd(nu)
- *     oh, ol = _dd_mul_d(ch, cl, u)
- *     sh, sl = _dd_add(eh, el, oh, ol)             # <<<<<<<<<<<<<<
- *     sum_abs = 1.0 + fabs(oh)
- *     prev = fabs(oh)
-*/
-  __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_add(__pyx_v_eh, __pyx_v_el, __pyx_v_oh, __pyx_v_ol); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 197, __pyx_L1_error)
-  __pyx_t_3 = __pyx_t_2.f0;
-  __pyx_t_4 = __pyx_t_2.f1;
-  __pyx_v_sh = __pyx_t_3;
-  __pyx_v_sl = __pyx_t_4;
-
-  /* "bsfrac/_ckernels.pyx":198
- *     oh, ol = _dd_mul_d(ch, cl, u)
- *     sh, sl = _dd_add(eh, el, oh, ol)
- *     sum_abs = 1.0 + fabs(oh)             # <<<<<<<<<<<<<<
- *     prev = fabs(oh)
- *     k = 0
-*/
-  __pyx_v_sum_abs = (1.0 + fabs(__pyx_v_oh));
-
-  /* "bsfrac/_ckernels.pyx":199
- *     sh, sl = _dd_add(eh, el, oh, ol)
- *     sum_abs = 1.0 + fabs(oh)
- *     prev = fabs(oh)             # <<<<<<<<<<<<<<
- *     k = 0
- *     n = 2
-*/
-  __pyx_v_prev = fabs(__pyx_v_oh);
-
-  /* "bsfrac/_ckernels.pyx":200
- *     sum_abs = 1.0 + fabs(oh)
- *     prev = fabs(oh)
- *     k = 0             # <<<<<<<<<<<<<<
- *     n = 2
- *     while n < cap:
-*/
-  __pyx_v_k = 0;
-
-  /* "bsfrac/_ckernels.pyx":201
- *     prev = fabs(oh)
- *     k = 0
- *     n = 2             # <<<<<<<<<<<<<<
- *     while n < cap:
- *         th, tl = _dd_mul(eh, el, u2h, u2l)
-*/
-  __pyx_v_n = 2;
-
-  /* "bsfrac/_ckernels.pyx":202
- *     k = 0
- *     n = 2
- *     while n < cap:             # <<<<<<<<<<<<<<
- *         th, tl = _dd_mul(eh, el, u2h, u2l)
- *         th, tl = _dd_mul_d(th, tl, k + 0.5)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_n < __pyx_v_cap);
-    if (!__pyx_t_1) break;
-
-    /* "bsfrac/_ckernels.pyx":203
- *     n = 2
- *     while n < cap:
- *         th, tl = _dd_mul(eh, el, u2h, u2l)             # <<<<<<<<<<<<<<
- *         th, tl = _dd_mul_d(th, tl, k + 0.5)
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 1.0) * (2.0 * k + 2.0))
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_mul(__pyx_v_eh, __pyx_v_el, __pyx_v_u2h, __pyx_v_u2l); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 203, __pyx_L1_error)
-    __pyx_t_4 = __pyx_t_2.f0;
-    __pyx_t_3 = __pyx_t_2.f1;
-    __pyx_v_th = __pyx_t_4;
-    __pyx_v_tl = __pyx_t_3;
-
-    /* "bsfrac/_ckernels.pyx":204
- *     while n < cap:
- *         th, tl = _dd_mul(eh, el, u2h, u2l)
- *         th, tl = _dd_mul_d(th, tl, k + 0.5)             # <<<<<<<<<<<<<<
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 1.0) * (2.0 * k + 2.0))
- *         eh, el = _dd_div_d(th, tl, k + nu + 1.0)
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_th, __pyx_v_tl, (__pyx_v_k + 0.5)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 204, __pyx_L1_error)
-    __pyx_t_3 = __pyx_t_2.f0;
-    __pyx_t_4 = __pyx_t_2.f1;
-    __pyx_v_th = __pyx_t_3;
-    __pyx_v_tl = __pyx_t_4;
-
-    /* "bsfrac/_ckernels.pyx":205
- *         th, tl = _dd_mul(eh, el, u2h, u2l)
- *         th, tl = _dd_mul_d(th, tl, k + 0.5)
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 1.0) * (2.0 * k + 2.0))             # <<<<<<<<<<<<<<
- *         eh, el = _dd_div_d(th, tl, k + nu + 1.0)
- *         th, tl = _dd_mul(oh, ol, u2h, u2l)
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_div_d(__pyx_v_th, __pyx_v_tl, (((2.0 * __pyx_v_k) + 1.0) * ((2.0 * __pyx_v_k) + 2.0))); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 205, __pyx_L1_error)
-    __pyx_t_4 = __pyx_t_2.f0;
-    __pyx_t_3 = __pyx_t_2.f1;
-    __pyx_v_th = __pyx_t_4;
-    __pyx_v_tl = __pyx_t_3;
-
-    /* "bsfrac/_ckernels.pyx":206
- *         th, tl = _dd_mul_d(th, tl, k + 0.5)
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 1.0) * (2.0 * k + 2.0))
- *         eh, el = _dd_div_d(th, tl, k + nu + 1.0)             # <<<<<<<<<<<<<<
- *         th, tl = _dd_mul(oh, ol, u2h, u2l)
- *         th, tl = _dd_mul_d(th, tl, k + 1.0)
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_div_d(__pyx_v_th, __pyx_v_tl, ((__pyx_v_k + __pyx_v_nu) + 1.0)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 206, __pyx_L1_error)
-    __pyx_t_3 = __pyx_t_2.f0;
-    __pyx_t_4 = __pyx_t_2.f1;
-    __pyx_v_eh = __pyx_t_3;
-    __pyx_v_el = __pyx_t_4;
-
-    /* "bsfrac/_ckernels.pyx":207
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 1.0) * (2.0 * k + 2.0))
- *         eh, el = _dd_div_d(th, tl, k + nu + 1.0)
- *         th, tl = _dd_mul(oh, ol, u2h, u2l)             # <<<<<<<<<<<<<<
- *         th, tl = _dd_mul_d(th, tl, k + 1.0)
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 2.0) * (2.0 * k + 3.0))
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_mul(__pyx_v_oh, __pyx_v_ol, __pyx_v_u2h, __pyx_v_u2l); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 207, __pyx_L1_error)
-    __pyx_t_4 = __pyx_t_2.f0;
-    __pyx_t_3 = __pyx_t_2.f1;
-    __pyx_v_th = __pyx_t_4;
-    __pyx_v_tl = __pyx_t_3;
-
-    /* "bsfrac/_ckernels.pyx":208
- *         eh, el = _dd_div_d(th, tl, k + nu + 1.0)
- *         th, tl = _dd_mul(oh, ol, u2h, u2l)
- *         th, tl = _dd_mul_d(th, tl, k + 1.0)             # <<<<<<<<<<<<<<
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 2.0) * (2.0 * k + 3.0))
- *         oh, ol = _dd_div_d(th, tl, k + nu + 1.5)
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_mul_d(__pyx_v_th, __pyx_v_tl, (__pyx_v_k + 1.0)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 208, __pyx_L1_error)
-    __pyx_t_3 = __pyx_t_2.f0;
-    __pyx_t_4 = __pyx_t_2.f1;
-    __pyx_v_th = __pyx_t_3;
-    __pyx_v_tl = __pyx_t_4;
-
-    /* "bsfrac/_ckernels.pyx":209
- *         th, tl = _dd_mul(oh, ol, u2h, u2l)
- *         th, tl = _dd_mul_d(th, tl, k + 1.0)
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 2.0) * (2.0 * k + 3.0))             # <<<<<<<<<<<<<<
- *         oh, ol = _dd_div_d(th, tl, k + nu + 1.5)
- *         k += 1
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_div_d(__pyx_v_th, __pyx_v_tl, (((2.0 * __pyx_v_k) + 2.0) * ((2.0 * __pyx_v_k) + 3.0))); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 209, __pyx_L1_error)
-    __pyx_t_4 = __pyx_t_2.f0;
-    __pyx_t_3 = __pyx_t_2.f1;
-    __pyx_v_th = __pyx_t_4;
-    __pyx_v_tl = __pyx_t_3;
-
-    /* "bsfrac/_ckernels.pyx":210
- *         th, tl = _dd_mul_d(th, tl, k + 1.0)
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 2.0) * (2.0 * k + 3.0))
- *         oh, ol = _dd_div_d(th, tl, k + nu + 1.5)             # <<<<<<<<<<<<<<
- *         k += 1
- *         if prev <= 0.5 * tol * fabs(sh) and fabs(eh) < 0.5 * prev:
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_div_d(__pyx_v_th, __pyx_v_tl, ((__pyx_v_k + __pyx_v_nu) + 1.5)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 210, __pyx_L1_error)
-    __pyx_t_3 = __pyx_t_2.f0;
-    __pyx_t_4 = __pyx_t_2.f1;
-    __pyx_v_oh = __pyx_t_3;
-    __pyx_v_ol = __pyx_t_4;
-
-    /* "bsfrac/_ckernels.pyx":211
- *         th, tl = _dd_div_d(th, tl, (2.0 * k + 2.0) * (2.0 * k + 3.0))
- *         oh, ol = _dd_div_d(th, tl, k + nu + 1.5)
- *         k += 1             # <<<<<<<<<<<<<<
- *         if prev <= 0.5 * tol * fabs(sh) and fabs(eh) < 0.5 * prev:
- *             return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-
-    /* "bsfrac/_ckernels.pyx":212
- *         oh, ol = _dd_div_d(th, tl, k + nu + 1.5)
- *         k += 1
- *         if prev <= 0.5 * tol * fabs(sh) and fabs(eh) < 0.5 * prev:             # <<<<<<<<<<<<<<
- *             return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1
- *         sh, sl = _dd_add(sh, sl, eh, el)
-*/
-    __pyx_t_5 = (__pyx_v_prev <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_sh)));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L16_bool_binop_done;
-    }
-    __pyx_t_5 = (fabs(__pyx_v_eh) < (0.5 * __pyx_v_prev));
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L16_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":213
- *         k += 1
- *         if prev <= 0.5 * tol * fabs(sh) and fabs(eh) < 0.5 * prev:
- *             return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1             # <<<<<<<<<<<<<<
- *         sh, sl = _dd_add(sh, sl, eh, el)
- *         sum_abs += fabs(eh)
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_9 = PyFloat_FromDouble(__pyx_v_sh); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 213, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_8 = PyFloat_FromDouble(((2.0 * __pyx_v_prev) + (7.9e-31 * __pyx_v_sum_abs))); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 213, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 213, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 213, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 213, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_8);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 213, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_7) != (0)) __PYX_ERR(0, 213, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 213, __pyx_L1_error);
-      __pyx_t_9 = 0;
-      __pyx_t_8 = 0;
-      __pyx_t_7 = 0;
-      __pyx_r = __pyx_t_6;
-      __pyx_t_6 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":212
- *         oh, ol = _dd_div_d(th, tl, k + nu + 1.5)
- *         k += 1
- *         if prev <= 0.5 * tol * fabs(sh) and fabs(eh) < 0.5 * prev:             # <<<<<<<<<<<<<<
- *             return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1
- *         sh, sl = _dd_add(sh, sl, eh, el)
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":214
- *         if prev <= 0.5 * tol * fabs(sh) and fabs(eh) < 0.5 * prev:
- *             return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1
- *         sh, sl = _dd_add(sh, sl, eh, el)             # <<<<<<<<<<<<<<
- *         sum_abs += fabs(eh)
- *         if fabs(eh) <= 0.5 * tol * fabs(sh) and fabs(oh) < 0.5 * fabs(eh):
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_add(__pyx_v_sh, __pyx_v_sl, __pyx_v_eh, __pyx_v_el); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L1_error)
-    __pyx_t_4 = __pyx_t_2.f0;
-    __pyx_t_3 = __pyx_t_2.f1;
-    __pyx_v_sh = __pyx_t_4;
-    __pyx_v_sl = __pyx_t_3;
-
-    /* "bsfrac/_ckernels.pyx":215
- *             return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1
- *         sh, sl = _dd_add(sh, sl, eh, el)
- *         sum_abs += fabs(eh)             # <<<<<<<<<<<<<<
- *         if fabs(eh) <= 0.5 * tol * fabs(sh) and fabs(oh) < 0.5 * fabs(eh):
- *             return sh, 2.0 * fabs(eh) + 7.9e-31 * sum_abs, n + 1, 1
-*/
-    __pyx_v_sum_abs = (__pyx_v_sum_abs + fabs(__pyx_v_eh));
-
-    /* "bsfrac/_ckernels.pyx":216
- *         sh, sl = _dd_add(sh, sl, eh, el)
- *         sum_abs += fabs(eh)
- *         if fabs(eh) <= 0.5 * tol * fabs(sh) and fabs(oh) < 0.5 * fabs(eh):             # <<<<<<<<<<<<<<
- *             return sh, 2.0 * fabs(eh) + 7.9e-31 * sum_abs, n + 1, 1
- *         sh, sl = _dd_add(sh, sl, oh, ol)
-*/
-    __pyx_t_5 = (fabs(__pyx_v_eh) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_sh)));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L19_bool_binop_done;
-    }
-    __pyx_t_5 = (fabs(__pyx_v_oh) < (0.5 * fabs(__pyx_v_eh)));
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L19_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":217
- *         sum_abs += fabs(eh)
- *         if fabs(eh) <= 0.5 * tol * fabs(sh) and fabs(oh) < 0.5 * fabs(eh):
- *             return sh, 2.0 * fabs(eh) + 7.9e-31 * sum_abs, n + 1, 1             # <<<<<<<<<<<<<<
- *         sh, sl = _dd_add(sh, sl, oh, ol)
- *         sum_abs += fabs(oh)
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_6 = PyFloat_FromDouble(__pyx_v_sh); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 217, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = PyFloat_FromDouble(((2.0 * fabs(__pyx_v_eh)) + (7.9e-31 * __pyx_v_sum_abs))); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 217, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG((__pyx_v_n + 1)); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 217, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 217, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_GIVEREF(__pyx_t_6);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 217, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 217, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_8);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 217, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 217, __pyx_L1_error);
-      __pyx_t_6 = 0;
-      __pyx_t_7 = 0;
-      __pyx_t_8 = 0;
-      __pyx_r = __pyx_t_9;
-      __pyx_t_9 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":216
- *         sh, sl = _dd_add(sh, sl, eh, el)
- *         sum_abs += fabs(eh)
- *         if fabs(eh) <= 0.5 * tol * fabs(sh) and fabs(oh) < 0.5 * fabs(eh):             # <<<<<<<<<<<<<<
- *             return sh, 2.0 * fabs(eh) + 7.9e-31 * sum_abs, n + 1, 1
- *         sh, sl = _dd_add(sh, sl, oh, ol)
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":218
- *         if fabs(eh) <= 0.5 * tol * fabs(sh) and fabs(oh) < 0.5 * fabs(eh):
- *             return sh, 2.0 * fabs(eh) + 7.9e-31 * sum_abs, n + 1, 1
- *         sh, sl = _dd_add(sh, sl, oh, ol)             # <<<<<<<<<<<<<<
- *         sum_abs += fabs(oh)
- *         prev = fabs(oh)
-*/
-    __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__dd_add(__pyx_v_sh, __pyx_v_sl, __pyx_v_oh, __pyx_v_ol); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 218, __pyx_L1_error)
-    __pyx_t_3 = __pyx_t_2.f0;
-    __pyx_t_4 = __pyx_t_2.f1;
-    __pyx_v_sh = __pyx_t_3;
-    __pyx_v_sl = __pyx_t_4;
-
-    /* "bsfrac/_ckernels.pyx":219
- *             return sh, 2.0 * fabs(eh) + 7.9e-31 * sum_abs, n + 1, 1
- *         sh, sl = _dd_add(sh, sl, oh, ol)
- *         sum_abs += fabs(oh)             # <<<<<<<<<<<<<<
- *         prev = fabs(oh)
- *         n += 2
-*/
-    __pyx_v_sum_abs = (__pyx_v_sum_abs + fabs(__pyx_v_oh));
-
-    /* "bsfrac/_ckernels.pyx":220
- *         sh, sl = _dd_add(sh, sl, oh, ol)
- *         sum_abs += fabs(oh)
- *         prev = fabs(oh)             # <<<<<<<<<<<<<<
- *         n += 2
- *     return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 0
-*/
-    __pyx_v_prev = fabs(__pyx_v_oh);
-
-    /* "bsfrac/_ckernels.pyx":221
- *         sum_abs += fabs(oh)
- *         prev = fabs(oh)
- *         n += 2             # <<<<<<<<<<<<<<
- *     return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 0
- * 
-*/
-    __pyx_v_n = (__pyx_v_n + 2);
-  }
-
-  /* "bsfrac/_ckernels.pyx":222
- *         prev = fabs(oh)
- *         n += 2
- *     return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_9 = PyFloat_FromDouble(__pyx_v_sh); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_8 = PyFloat_FromDouble(((2.0 * __pyx_v_prev) + (7.9e-31 * __pyx_v_sum_abs))); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_7 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 222, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 222, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_8);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 222, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_7) != (0)) __PYX_ERR(0, 222, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 222, __pyx_L1_error);
-  __pyx_t_9 = 0;
-  __pyx_t_8 = 0;
-  __pyx_t_7 = 0;
-  __pyx_r = __pyx_t_6;
-  __pyx_t_6 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":164
- * 
- * 
- * def bs_series(double nu, double u, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Bessel-Struve kernel power series (interleaved even/odd chains)."""
- *     cdef double ch, cl, e, o, s, prev, u2h, u2l
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("bsfrac._ckernels.bs_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":225
- * 
- * 
- * def bessel_series(double v, double z, int modified, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_7bessel_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_6bessel_series, "J_v (modified=0) or I_v (modified=1) by direct series; z > 0.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_7bessel_series = {"bessel_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_7bessel_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_6bessel_series};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_7bessel_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_v;
-  double __pyx_v_z;
-  int __pyx_v_modified;
-  double __pyx_v_tol;
-  int __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("bessel_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_v,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_modified,&__pyx_mstate_global->__pyx_n_u_tol,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 225, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 225, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 225, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 225, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 225, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 225, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "bessel_series", 0) < (0)) __PYX_ERR(0, 225, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("bessel_series", 1, 5, 5, i); __PYX_ERR(0, 225, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 225, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 225, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 225, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 225, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 225, __pyx_L3_error)
-    }
-    __pyx_v_v = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_v == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 225, __pyx_L3_error)
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 225, __pyx_L3_error)
-    __pyx_v_modified = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_modified == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 225, __pyx_L3_error)
-    __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 225, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyLong_As_int(values[4]); if (unlikely((__pyx_v_cap == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 225, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("bessel_series", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 225, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.bessel_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_6bessel_series(__pyx_self, __pyx_v_v, __pyx_v_z, __pyx_v_modified, __pyx_v_tol, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_6bessel_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_v, double __pyx_v_z, int __pyx_v_modified, double __pyx_v_tol, int __pyx_v_cap) {
-  double __pyx_v_half;
-  double __pyx_v_la;
-  double __pyx_v_t;
-  double __pyx_v_q;
-  double __pyx_v_s;
-  double __pyx_v_tn;
-  CYTHON_UNUSED int __pyx_v_sg;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_n;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __pyx_ctuple_double__and_int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("bessel_series", 0);
-
-  /* "bsfrac/_ckernels.pyx":227
- * def bessel_series(double v, double z, int modified, double tol, int cap):
- *     """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z             # <<<<<<<<<<<<<<
- *     cdef double la, t, q, s, tn
- *     cdef int sg
-*/
-  __pyx_v_half = (0.5 * __pyx_v_z);
-
-  /* "bsfrac/_ckernels.pyx":231
- *     cdef int sg
- *     cdef long long k, n
- *     la, sg = _lgamma_sign_c(v + 1.0)             # <<<<<<<<<<<<<<
- *     t = exp(v * log(half) - la)
- *     q = half * half
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c((__pyx_v_v + 1.0)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 231, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la = __pyx_t_2;
-  __pyx_v_sg = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":232
- *     cdef long long k, n
- *     la, sg = _lgamma_sign_c(v + 1.0)
- *     t = exp(v * log(half) - la)             # <<<<<<<<<<<<<<
- *     q = half * half
- *     if not modified:
-*/
-  __pyx_v_t = exp(((__pyx_v_v * log(__pyx_v_half)) - __pyx_v_la));
-
-  /* "bsfrac/_ckernels.pyx":233
- *     la, sg = _lgamma_sign_c(v + 1.0)
- *     t = exp(v * log(half) - la)
- *     q = half * half             # <<<<<<<<<<<<<<
- *     if not modified:
- *         q = -q
-*/
-  __pyx_v_q = (__pyx_v_half * __pyx_v_half);
-
-  /* "bsfrac/_ckernels.pyx":234
- *     t = exp(v * log(half) - la)
- *     q = half * half
- *     if not modified:             # <<<<<<<<<<<<<<
- *         q = -q
- *     s = t
-*/
-  __pyx_t_4 = (!(__pyx_v_modified != 0));
-  if (__pyx_t_4) {
-
-    /* "bsfrac/_ckernels.pyx":235
- *     q = half * half
- *     if not modified:
- *         q = -q             # <<<<<<<<<<<<<<
- *     s = t
- *     k = 0
-*/
-    __pyx_v_q = (-__pyx_v_q);
-
-    /* "bsfrac/_ckernels.pyx":234
- *     t = exp(v * log(half) - la)
- *     q = half * half
- *     if not modified:             # <<<<<<<<<<<<<<
- *         q = -q
- *     s = t
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":236
- *     if not modified:
- *         q = -q
- *     s = t             # <<<<<<<<<<<<<<
- *     k = 0
- *     n = 1
-*/
-  __pyx_v_s = __pyx_v_t;
-
-  /* "bsfrac/_ckernels.pyx":237
- *         q = -q
- *     s = t
- *     k = 0             # <<<<<<<<<<<<<<
- *     n = 1
- *     while n < cap:
-*/
-  __pyx_v_k = 0;
-
-  /* "bsfrac/_ckernels.pyx":238
- *     s = t
- *     k = 0
- *     n = 1             # <<<<<<<<<<<<<<
- *     while n < cap:
- *         tn = t * q / ((k + 1.0) * (k + v + 1.0))
-*/
-  __pyx_v_n = 1;
-
-  /* "bsfrac/_ckernels.pyx":239
- *     k = 0
- *     n = 1
- *     while n < cap:             # <<<<<<<<<<<<<<
- *         tn = t * q / ((k + 1.0) * (k + v + 1.0))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_n < __pyx_v_cap);
-    if (!__pyx_t_4) break;
-
-    /* "bsfrac/_ckernels.pyx":240
- *     n = 1
- *     while n < cap:
- *         tn = t * q / ((k + 1.0) * (k + v + 1.0))             # <<<<<<<<<<<<<<
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1
-*/
-    __pyx_v_tn = ((__pyx_v_t * __pyx_v_q) / ((__pyx_v_k + 1.0) * ((__pyx_v_k + __pyx_v_v) + 1.0)));
-
-    /* "bsfrac/_ckernels.pyx":241
- *     while n < cap:
- *         tn = t * q / ((k + 1.0) * (k + v + 1.0))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
-*/
-    __pyx_t_5 = (fabs(__pyx_v_t) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_s)));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (fabs(__pyx_v_tn) < (0.5 * fabs(__pyx_v_t)));
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "bsfrac/_ckernels.pyx":242
- *         tn = t * q / ((k + 1.0) * (k + v + 1.0))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1             # <<<<<<<<<<<<<<
- *         t = tn
- *         s += t
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_6 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 242, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_t))); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 242, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 242, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 242, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_GIVEREF(__pyx_t_6);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 242, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 242, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_8);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 242, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 242, __pyx_L1_error);
-      __pyx_t_6 = 0;
-      __pyx_t_7 = 0;
-      __pyx_t_8 = 0;
-      __pyx_r = __pyx_t_9;
-      __pyx_t_9 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":241
- *     while n < cap:
- *         tn = t * q / ((k + 1.0) * (k + v + 1.0))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":243
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn             # <<<<<<<<<<<<<<
- *         s += t
- *         k += 1
-*/
-    __pyx_v_t = __pyx_v_tn;
-
-    /* "bsfrac/_ckernels.pyx":244
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
- *         s += t             # <<<<<<<<<<<<<<
- *         k += 1
- *         n += 1
-*/
-    __pyx_v_s = (__pyx_v_s + __pyx_v_t);
-
-    /* "bsfrac/_ckernels.pyx":245
- *         t = tn
- *         s += t
- *         k += 1             # <<<<<<<<<<<<<<
- *         n += 1
- *         if t == 0.0:
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-
-    /* "bsfrac/_ckernels.pyx":246
- *         s += t
- *         k += 1
- *         n += 1             # <<<<<<<<<<<<<<
- *         if t == 0.0:
- *             return s, 0.0, n, 1
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-
-    /* "bsfrac/_ckernels.pyx":247
- *         k += 1
- *         n += 1
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             return s, 0.0, n, 1
- *     return s, 2.0 * fabs(t), n, 0
-*/
-    __pyx_t_4 = (__pyx_v_t == 0.0);
-    if (__pyx_t_4) {
-
-      /* "bsfrac/_ckernels.pyx":248
- *         n += 1
- *         if t == 0.0:
- *             return s, 0.0, n, 1             # <<<<<<<<<<<<<<
- *     return s, 2.0 * fabs(t), n, 0
- * 
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_9 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 248, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 248, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_7 = PyTuple_New(4); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 248, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 248, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_float_0_0);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 1, __pyx_mstate_global->__pyx_float_0_0) != (0)) __PYX_ERR(0, 248, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_8);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 248, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 248, __pyx_L1_error);
-      __pyx_t_9 = 0;
-      __pyx_t_8 = 0;
-      __pyx_r = __pyx_t_7;
-      __pyx_t_7 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":247
- *         k += 1
- *         n += 1
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             return s, 0.0, n, 1
- *     return s, 2.0 * fabs(t), n, 0
-*/
-    }
-  }
-
-  /* "bsfrac/_ckernels.pyx":249
- *         if t == 0.0:
- *             return s, 0.0, n, 1
- *     return s, 2.0 * fabs(t), n, 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_t))); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 249, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_7) != (0)) __PYX_ERR(0, 249, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_8);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 249, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_9) != (0)) __PYX_ERR(0, 249, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 249, __pyx_L1_error);
-  __pyx_t_7 = 0;
-  __pyx_t_8 = 0;
-  __pyx_t_9 = 0;
-  __pyx_r = __pyx_t_6;
-  __pyx_t_6 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":225
- * 
- * 
- * def bessel_series(double v, double z, int modified, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("bsfrac._ckernels.bessel_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":252
- * 
- * 
- * def struve_series(double v, double z, int modified, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """H_v (modified=0) or L_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_9struve_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_8struve_series, "H_v (modified=0) or L_v (modified=1) by direct series; z > 0.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_9struve_series = {"struve_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_9struve_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_8struve_series};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_9struve_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_v;
-  double __pyx_v_z;
-  int __pyx_v_modified;
-  double __pyx_v_tol;
-  int __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("struve_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_v,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_modified,&__pyx_mstate_global->__pyx_n_u_tol,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 252, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 252, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 252, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 252, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 252, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 252, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "struve_series", 0) < (0)) __PYX_ERR(0, 252, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("struve_series", 1, 5, 5, i); __PYX_ERR(0, 252, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 252, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 252, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 252, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 252, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 252, __pyx_L3_error)
-    }
-    __pyx_v_v = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_v == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 252, __pyx_L3_error)
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 252, __pyx_L3_error)
-    __pyx_v_modified = __Pyx_PyLong_As_int(values[2]); if (unlikely((__pyx_v_modified == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 252, __pyx_L3_error)
-    __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 252, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyLong_As_int(values[4]); if (unlikely((__pyx_v_cap == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 252, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("struve_series", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 252, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.struve_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_8struve_series(__pyx_self, __pyx_v_v, __pyx_v_z, __pyx_v_modified, __pyx_v_tol, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_8struve_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_v, double __pyx_v_z, int __pyx_v_modified, double __pyx_v_tol, int __pyx_v_cap) {
-  double __pyx_v_half;
-  double __pyx_v_la1;
-  double __pyx_v_la2;
-  double __pyx_v_t;
-  double __pyx_v_q;
-  double __pyx_v_s;
-  double __pyx_v_tn;
-  CYTHON_UNUSED int __pyx_v_sg;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_n;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  __pyx_ctuple_double__and_int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  PyObject *__pyx_t_9 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("struve_series", 0);
-
-  /* "bsfrac/_ckernels.pyx":254
- * def struve_series(double v, double z, int modified, double tol, int cap):
- *     """H_v (modified=0) or L_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z             # <<<<<<<<<<<<<<
- *     cdef double la1, la2, t, q, s, tn
- *     cdef int sg
-*/
-  __pyx_v_half = (0.5 * __pyx_v_z);
-
-  /* "bsfrac/_ckernels.pyx":258
- *     cdef int sg
- *     cdef long long k, n
- *     la1, sg = _lgamma_sign_c(1.5)             # <<<<<<<<<<<<<<
- *     la2, sg = _lgamma_sign_c(v + 1.5)
- *     t = exp((v + 1.0) * log(half) - la1 - la2)
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(1.5); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 258, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la1 = __pyx_t_2;
-  __pyx_v_sg = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":259
- *     cdef long long k, n
- *     la1, sg = _lgamma_sign_c(1.5)
- *     la2, sg = _lgamma_sign_c(v + 1.5)             # <<<<<<<<<<<<<<
- *     t = exp((v + 1.0) * log(half) - la1 - la2)
- *     q = half * half
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c((__pyx_v_v + 1.5)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 259, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la2 = __pyx_t_2;
-  __pyx_v_sg = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":260
- *     la1, sg = _lgamma_sign_c(1.5)
- *     la2, sg = _lgamma_sign_c(v + 1.5)
- *     t = exp((v + 1.0) * log(half) - la1 - la2)             # <<<<<<<<<<<<<<
- *     q = half * half
- *     if not modified:
-*/
-  __pyx_v_t = exp(((((__pyx_v_v + 1.0) * log(__pyx_v_half)) - __pyx_v_la1) - __pyx_v_la2));
-
-  /* "bsfrac/_ckernels.pyx":261
- *     la2, sg = _lgamma_sign_c(v + 1.5)
- *     t = exp((v + 1.0) * log(half) - la1 - la2)
- *     q = half * half             # <<<<<<<<<<<<<<
- *     if not modified:
- *         q = -q
-*/
-  __pyx_v_q = (__pyx_v_half * __pyx_v_half);
-
-  /* "bsfrac/_ckernels.pyx":262
- *     t = exp((v + 1.0) * log(half) - la1 - la2)
- *     q = half * half
- *     if not modified:             # <<<<<<<<<<<<<<
- *         q = -q
- *     s = t
-*/
-  __pyx_t_4 = (!(__pyx_v_modified != 0));
-  if (__pyx_t_4) {
-
-    /* "bsfrac/_ckernels.pyx":263
- *     q = half * half
- *     if not modified:
- *         q = -q             # <<<<<<<<<<<<<<
- *     s = t
- *     k = 0
-*/
-    __pyx_v_q = (-__pyx_v_q);
-
-    /* "bsfrac/_ckernels.pyx":262
- *     t = exp((v + 1.0) * log(half) - la1 - la2)
- *     q = half * half
- *     if not modified:             # <<<<<<<<<<<<<<
- *         q = -q
- *     s = t
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":264
- *     if not modified:
- *         q = -q
- *     s = t             # <<<<<<<<<<<<<<
- *     k = 0
- *     n = 1
-*/
-  __pyx_v_s = __pyx_v_t;
-
-  /* "bsfrac/_ckernels.pyx":265
- *         q = -q
- *     s = t
- *     k = 0             # <<<<<<<<<<<<<<
- *     n = 1
- *     while n < cap:
-*/
-  __pyx_v_k = 0;
-
-  /* "bsfrac/_ckernels.pyx":266
- *     s = t
- *     k = 0
- *     n = 1             # <<<<<<<<<<<<<<
- *     while n < cap:
- *         tn = t * q / ((k + 1.5) * (k + v + 1.5))
-*/
-  __pyx_v_n = 1;
-
-  /* "bsfrac/_ckernels.pyx":267
- *     k = 0
- *     n = 1
- *     while n < cap:             # <<<<<<<<<<<<<<
- *         tn = t * q / ((k + 1.5) * (k + v + 1.5))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
-*/
-  while (1) {
-    __pyx_t_4 = (__pyx_v_n < __pyx_v_cap);
-    if (!__pyx_t_4) break;
-
-    /* "bsfrac/_ckernels.pyx":268
- *     n = 1
- *     while n < cap:
- *         tn = t * q / ((k + 1.5) * (k + v + 1.5))             # <<<<<<<<<<<<<<
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1
-*/
-    __pyx_v_tn = ((__pyx_v_t * __pyx_v_q) / ((__pyx_v_k + 1.5) * ((__pyx_v_k + __pyx_v_v) + 1.5)));
-
-    /* "bsfrac/_ckernels.pyx":269
- *     while n < cap:
- *         tn = t * q / ((k + 1.5) * (k + v + 1.5))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
-*/
-    __pyx_t_5 = (fabs(__pyx_v_t) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_s)));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_4 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (fabs(__pyx_v_tn) < (0.5 * fabs(__pyx_v_t)));
-    __pyx_t_4 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_4) {
-
-      /* "bsfrac/_ckernels.pyx":270
- *         tn = t * q / ((k + 1.5) * (k + v + 1.5))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1             # <<<<<<<<<<<<<<
- *         t = tn
- *         s += t
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_6 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 270, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_7 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_t))); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 270, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 270, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 270, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_GIVEREF(__pyx_t_6);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 270, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_7);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_7) != (0)) __PYX_ERR(0, 270, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_8);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 270, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 270, __pyx_L1_error);
-      __pyx_t_6 = 0;
-      __pyx_t_7 = 0;
-      __pyx_t_8 = 0;
-      __pyx_r = __pyx_t_9;
-      __pyx_t_9 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":269
- *     while n < cap:
- *         tn = t * q / ((k + 1.5) * (k + v + 1.5))
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":271
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn             # <<<<<<<<<<<<<<
- *         s += t
- *         k += 1
-*/
-    __pyx_v_t = __pyx_v_tn;
-
-    /* "bsfrac/_ckernels.pyx":272
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
- *         s += t             # <<<<<<<<<<<<<<
- *         k += 1
- *         n += 1
-*/
-    __pyx_v_s = (__pyx_v_s + __pyx_v_t);
-
-    /* "bsfrac/_ckernels.pyx":273
- *         t = tn
- *         s += t
- *         k += 1             # <<<<<<<<<<<<<<
- *         n += 1
- *         if t == 0.0:
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-
-    /* "bsfrac/_ckernels.pyx":274
- *         s += t
- *         k += 1
- *         n += 1             # <<<<<<<<<<<<<<
- *         if t == 0.0:
- *             return s, 0.0, n, 1
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-
-    /* "bsfrac/_ckernels.pyx":275
- *         k += 1
- *         n += 1
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             return s, 0.0, n, 1
- *     return s, 2.0 * fabs(t), n, 0
-*/
-    __pyx_t_4 = (__pyx_v_t == 0.0);
-    if (__pyx_t_4) {
-
-      /* "bsfrac/_ckernels.pyx":276
- *         n += 1
- *         if t == 0.0:
- *             return s, 0.0, n, 1             # <<<<<<<<<<<<<<
- *     return s, 2.0 * fabs(t), n, 0
- * 
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_9 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 276, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_8 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 276, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_8);
-      __pyx_t_7 = PyTuple_New(4); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 276, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_GIVEREF(__pyx_t_9);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 276, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_float_0_0);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 1, __pyx_mstate_global->__pyx_float_0_0) != (0)) __PYX_ERR(0, 276, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_8);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 2, __pyx_t_8) != (0)) __PYX_ERR(0, 276, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_7, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 276, __pyx_L1_error);
-      __pyx_t_9 = 0;
-      __pyx_t_8 = 0;
-      __pyx_r = __pyx_t_7;
-      __pyx_t_7 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":275
- *         k += 1
- *         n += 1
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             return s, 0.0, n, 1
- *     return s, 2.0 * fabs(t), n, 0
-*/
-    }
-  }
-
-  /* "bsfrac/_ckernels.pyx":277
- *         if t == 0.0:
- *             return s, 0.0, n, 1
- *     return s, 2.0 * fabs(t), n, 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_7 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 277, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_t_8 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_t))); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 277, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_8);
-  __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 277, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_9);
-  __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 277, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __Pyx_GIVEREF(__pyx_t_7);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_7) != (0)) __PYX_ERR(0, 277, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_8);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_8) != (0)) __PYX_ERR(0, 277, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_9);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_9) != (0)) __PYX_ERR(0, 277, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 277, __pyx_L1_error);
-  __pyx_t_7 = 0;
-  __pyx_t_8 = 0;
-  __pyx_t_9 = 0;
-  __pyx_r = __pyx_t_6;
-  __pyx_t_6 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":252
- * 
- * 
- * def struve_series(double v, double z, int modified, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """H_v (modified=0) or L_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_AddTraceback("bsfrac._ckernels.struve_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":280
- * 
- * 
- * def hyp2f1_series(double a, double b, double c, double z, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."""
- *     cdef double s = 1.0
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_11hyp2f1_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_10hyp2f1_series, "Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule).");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_11hyp2f1_series = {"hyp2f1_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_11hyp2f1_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_10hyp2f1_series};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_11hyp2f1_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_c;
-  double __pyx_v_z;
-  double __pyx_v_tol;
-  int __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[6] = {0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("hyp2f1_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_c,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_tol,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 280, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 280, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 280, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 280, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 280, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 280, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 280, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "hyp2f1_series", 0) < (0)) __PYX_ERR(0, 280, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 6; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("hyp2f1_series", 1, 6, 6, i); __PYX_ERR(0, 280, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 6)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 280, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 280, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 280, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 280, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 280, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 280, __pyx_L3_error)
-    }
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L3_error)
-    __pyx_v_c = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_c == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L3_error)
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L3_error)
-    __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyLong_As_int(values[5]); if (unlikely((__pyx_v_cap == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 280, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("hyp2f1_series", 1, 6, 6, __pyx_nargs); __PYX_ERR(0, 280, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.hyp2f1_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_10hyp2f1_series(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, __pyx_v_tol, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_10hyp2f1_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, double __pyx_v_tol, int __pyx_v_cap) {
-  double __pyx_v_s;
-  double __pyx_v_t;
-  double __pyx_v_tn;
-  PY_LONG_LONG __pyx_v_k;
-  PY_LONG_LONG __pyx_v_n;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hyp2f1_series", 0);
-
-  /* "bsfrac/_ckernels.pyx":282
- * def hyp2f1_series(double a, double b, double c, double z, double tol, int cap):
- *     """Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."""
- *     cdef double s = 1.0             # <<<<<<<<<<<<<<
- *     cdef double t = 1.0
- *     cdef double tn
-*/
-  __pyx_v_s = 1.0;
-
-  /* "bsfrac/_ckernels.pyx":283
- *     """Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."""
- *     cdef double s = 1.0
- *     cdef double t = 1.0             # <<<<<<<<<<<<<<
- *     cdef double tn
- *     cdef long long k = 0
-*/
-  __pyx_v_t = 1.0;
-
-  /* "bsfrac/_ckernels.pyx":285
- *     cdef double t = 1.0
- *     cdef double tn
- *     cdef long long k = 0             # <<<<<<<<<<<<<<
- *     cdef long long n = 1
- *     while n < cap:
-*/
-  __pyx_v_k = 0;
-
-  /* "bsfrac/_ckernels.pyx":286
- *     cdef double tn
- *     cdef long long k = 0
- *     cdef long long n = 1             # <<<<<<<<<<<<<<
- *     while n < cap:
- *         tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-*/
-  __pyx_v_n = 1;
-
-  /* "bsfrac/_ckernels.pyx":287
- *     cdef long long k = 0
- *     cdef long long n = 1
- *     while n < cap:             # <<<<<<<<<<<<<<
- *         tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if tn == 0.0:
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_n < __pyx_v_cap);
-    if (!__pyx_t_1) break;
-
-    /* "bsfrac/_ckernels.pyx":288
- *     cdef long long n = 1
- *     while n < cap:
- *         tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z             # <<<<<<<<<<<<<<
- *         if tn == 0.0:
- *             return s, 0.0, n, 1
-*/
-    __pyx_v_tn = ((((__pyx_v_t * (__pyx_v_a + __pyx_v_k)) * (__pyx_v_b + __pyx_v_k)) / ((__pyx_v_c + __pyx_v_k) * (__pyx_v_k + 1.0))) * __pyx_v_z);
-
-    /* "bsfrac/_ckernels.pyx":289
- *     while n < cap:
- *         tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if tn == 0.0:             # <<<<<<<<<<<<<<
- *             return s, 0.0, n, 1
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
-*/
-    __pyx_t_1 = (__pyx_v_tn == 0.0);
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":290
- *         tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if tn == 0.0:
- *             return s, 0.0, n, 1             # <<<<<<<<<<<<<<
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_2 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 290, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 290, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 290, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 290, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_float_0_0);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_mstate_global->__pyx_float_0_0) != (0)) __PYX_ERR(0, 290, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 290, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 290, __pyx_L1_error);
-      __pyx_t_2 = 0;
-      __pyx_t_3 = 0;
-      __pyx_r = __pyx_t_4;
-      __pyx_t_4 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":289
- *     while n < cap:
- *         tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if tn == 0.0:             # <<<<<<<<<<<<<<
- *             return s, 0.0, n, 1
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":291
- *         if tn == 0.0:
- *             return s, 0.0, n, 1
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
-*/
-    __pyx_t_5 = (fabs(__pyx_v_t) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_s)));
-    if (__pyx_t_5) {
-    } else {
-      __pyx_t_1 = __pyx_t_5;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_5 = (fabs(__pyx_v_tn) < (0.5 * fabs(__pyx_v_t)));
-    __pyx_t_1 = __pyx_t_5;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":292
- *             return s, 0.0, n, 1
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1             # <<<<<<<<<<<<<<
- *         t = tn
- *         s += t
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_4 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 292, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_3 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_t))); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 292, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_2 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 292, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 292, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 292, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_3) != (0)) __PYX_ERR(0, 292, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_2) != (0)) __PYX_ERR(0, 292, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 292, __pyx_L1_error);
-      __pyx_t_4 = 0;
-      __pyx_t_3 = 0;
-      __pyx_t_2 = 0;
-      __pyx_r = __pyx_t_6;
-      __pyx_t_6 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":291
- *         if tn == 0.0:
- *             return s, 0.0, n, 1
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":293
- *         if fabs(t) <= 0.5 * tol * fabs(s) and fabs(tn) < 0.5 * fabs(t):
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn             # <<<<<<<<<<<<<<
- *         s += t
- *         k += 1
-*/
-    __pyx_v_t = __pyx_v_tn;
-
-    /* "bsfrac/_ckernels.pyx":294
- *             return s, 2.0 * fabs(t), n, 1
- *         t = tn
- *         s += t             # <<<<<<<<<<<<<<
- *         k += 1
- *         n += 1
-*/
-    __pyx_v_s = (__pyx_v_s + __pyx_v_t);
-
-    /* "bsfrac/_ckernels.pyx":295
- *         t = tn
- *         s += t
- *         k += 1             # <<<<<<<<<<<<<<
- *         n += 1
- *     return s, 2.0 * fabs(t), n, 0
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-
-    /* "bsfrac/_ckernels.pyx":296
- *         s += t
- *         k += 1
- *         n += 1             # <<<<<<<<<<<<<<
- *     return s, 2.0 * fabs(t), n, 0
- * 
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-  }
-
-  /* "bsfrac/_ckernels.pyx":297
- *         k += 1
- *         n += 1
- *     return s, 2.0 * fabs(t), n, 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_6 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 297, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_2 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_t))); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 297, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 297, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 297, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 297, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 297, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_t_3) != (0)) __PYX_ERR(0, 297, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 297, __pyx_L1_error);
-  __pyx_t_6 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_3 = 0;
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":280
- * 
- * 
- * def hyp2f1_series(double a, double b, double c, double z, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."""
- *     cdef double s = 1.0
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("bsfrac._ckernels.hyp2f1_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":300
- * 
- * 
- * cdef double _hyp2f1_tail(double a, double b, double c, double z,             # <<<<<<<<<<<<<<
- *                          double tol, long long cap) nogil:
- *     cdef double s = 1.0
-*/
-
-static double __pyx_f_6bsfrac_9_ckernels__hyp2f1_tail(double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, double __pyx_v_tol, PY_LONG_LONG __pyx_v_cap) {
-  double __pyx_v_s;
-  double __pyx_v_t;
-  double __pyx_v_r;
-  PY_LONG_LONG __pyx_v_k;
-  double __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "bsfrac/_ckernels.pyx":302
- * cdef double _hyp2f1_tail(double a, double b, double c, double z,
- *                          double tol, long long cap) nogil:
- *     cdef double s = 1.0             # <<<<<<<<<<<<<<
- *     cdef double t = 1.0
- *     cdef double r
-*/
-  __pyx_v_s = 1.0;
-
-  /* "bsfrac/_ckernels.pyx":303
- *                          double tol, long long cap) nogil:
- *     cdef double s = 1.0
- *     cdef double t = 1.0             # <<<<<<<<<<<<<<
- *     cdef double r
- *     cdef long long k = 0
-*/
-  __pyx_v_t = 1.0;
-
-  /* "bsfrac/_ckernels.pyx":305
- *     cdef double t = 1.0
- *     cdef double r
- *     cdef long long k = 0             # <<<<<<<<<<<<<<
- *     while k < cap:
- *         t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-*/
-  __pyx_v_k = 0;
-
-  /* "bsfrac/_ckernels.pyx":306
- *     cdef double r
- *     cdef long long k = 0
- *     while k < cap:             # <<<<<<<<<<<<<<
- *         t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if t == 0.0:
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_k < __pyx_v_cap);
-    if (!__pyx_t_1) break;
-
-    /* "bsfrac/_ckernels.pyx":307
- *     cdef long long k = 0
- *     while k < cap:
- *         t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z             # <<<<<<<<<<<<<<
- *         if t == 0.0:
- *             return s
-*/
-    __pyx_v_t = (__pyx_v_t * ((((__pyx_v_a + __pyx_v_k) * (__pyx_v_b + __pyx_v_k)) / ((__pyx_v_c + __pyx_v_k) * (__pyx_v_k + 1.0))) * __pyx_v_z));
-
-    /* "bsfrac/_ckernels.pyx":308
- *     while k < cap:
- *         t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             return s
- *         s += t
-*/
-    __pyx_t_1 = (__pyx_v_t == 0.0);
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":309
- *         t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if t == 0.0:
- *             return s             # <<<<<<<<<<<<<<
- *         s += t
- *         k += 1
-*/
-      __pyx_r = __pyx_v_s;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":308
- *     while k < cap:
- *         t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             return s
- *         s += t
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":310
- *         if t == 0.0:
- *             return s
- *         s += t             # <<<<<<<<<<<<<<
- *         k += 1
- *         r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
-*/
-    __pyx_v_s = (__pyx_v_s + __pyx_v_t);
-
-    /* "bsfrac/_ckernels.pyx":311
- *             return s
- *         s += t
- *         k += 1             # <<<<<<<<<<<<<<
- *         r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
- *         if r < 0.97 and fabs(t) * r / (1.0 - r) <= tol * fabs(s):
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-
-    /* "bsfrac/_ckernels.pyx":312
- *         s += t
- *         k += 1
- *         r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)             # <<<<<<<<<<<<<<
- *         if r < 0.97 and fabs(t) * r / (1.0 - r) <= tol * fabs(s):
- *             return s
-*/
-    __pyx_v_r = fabs(((((__pyx_v_a + __pyx_v_k) * (__pyx_v_b + __pyx_v_k)) / ((__pyx_v_c + __pyx_v_k) * (__pyx_v_k + 1.0))) * __pyx_v_z));
-
-    /* "bsfrac/_ckernels.pyx":313
- *         k += 1
- *         r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
- *         if r < 0.97 and fabs(t) * r / (1.0 - r) <= tol * fabs(s):             # <<<<<<<<<<<<<<
- *             return s
- *     return s
-*/
-    __pyx_t_2 = (__pyx_v_r < 0.97);
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L7_bool_binop_done;
-    }
-    __pyx_t_2 = (((fabs(__pyx_v_t) * __pyx_v_r) / (1.0 - __pyx_v_r)) <= (__pyx_v_tol * fabs(__pyx_v_s)));
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L7_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":314
- *         r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
- *         if r < 0.97 and fabs(t) * r / (1.0 - r) <= tol * fabs(s):
- *             return s             # <<<<<<<<<<<<<<
- *     return s
- * 
-*/
-      __pyx_r = __pyx_v_s;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":313
- *         k += 1
- *         r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
- *         if r < 0.97 and fabs(t) * r / (1.0 - r) <= tol * fabs(s):             # <<<<<<<<<<<<<<
- *             return s
- *     return s
-*/
-    }
-  }
-
-  /* "bsfrac/_ckernels.pyx":315
- *         if r < 0.97 and fabs(t) * r / (1.0 - r) <= tol * fabs(s):
- *             return s
- *     return s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_s;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":300
- * 
- * 
- * cdef double _hyp2f1_tail(double a, double b, double c, double z,             # <<<<<<<<<<<<<<
- *                          double tol, long long cap) nogil:
- *     cdef double s = 1.0
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":318
- * 
- * 
- * cdef double _gamma_ratio_c(double n1, double n2, double d1, double d2) nogil:             # <<<<<<<<<<<<<<
- *     cdef double acc = 0.0
- *     cdef double la
-*/
-
-static double __pyx_f_6bsfrac_9_ckernels__gamma_ratio_c(double __pyx_v_n1, double __pyx_v_n2, double __pyx_v_d1, double __pyx_v_d2) {
-  double __pyx_v_acc;
-  double __pyx_v_la;
-  int __pyx_v_sg;
-  int __pyx_v_s;
-  double __pyx_r;
-  __pyx_ctuple_double__and_int __pyx_t_1;
-  double __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "bsfrac/_ckernels.pyx":319
- * 
- * cdef double _gamma_ratio_c(double n1, double n2, double d1, double d2) nogil:
- *     cdef double acc = 0.0             # <<<<<<<<<<<<<<
- *     cdef double la
- *     cdef int sg = 1
-*/
-  __pyx_v_acc = 0.0;
-
-  /* "bsfrac/_ckernels.pyx":321
- *     cdef double acc = 0.0
- *     cdef double la
- *     cdef int sg = 1             # <<<<<<<<<<<<<<
- *     cdef int s
- *     la, s = _lgamma_sign_c(n1)
-*/
-  __pyx_v_sg = 1;
-
-  /* "bsfrac/_ckernels.pyx":323
- *     cdef int sg = 1
- *     cdef int s
- *     la, s = _lgamma_sign_c(n1)             # <<<<<<<<<<<<<<
- *     acc += la
- *     sg *= s
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_n1); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 323, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la = __pyx_t_2;
-  __pyx_v_s = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":324
- *     cdef int s
- *     la, s = _lgamma_sign_c(n1)
- *     acc += la             # <<<<<<<<<<<<<<
- *     sg *= s
- *     la, s = _lgamma_sign_c(n2)
-*/
-  __pyx_v_acc = (__pyx_v_acc + __pyx_v_la);
-
-  /* "bsfrac/_ckernels.pyx":325
- *     la, s = _lgamma_sign_c(n1)
- *     acc += la
- *     sg *= s             # <<<<<<<<<<<<<<
- *     la, s = _lgamma_sign_c(n2)
- *     acc += la
-*/
-  __pyx_v_sg = (__pyx_v_sg * __pyx_v_s);
-
-  /* "bsfrac/_ckernels.pyx":326
- *     acc += la
- *     sg *= s
- *     la, s = _lgamma_sign_c(n2)             # <<<<<<<<<<<<<<
- *     acc += la
- *     sg *= s
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_n2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 326, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la = __pyx_t_2;
-  __pyx_v_s = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":327
- *     sg *= s
- *     la, s = _lgamma_sign_c(n2)
- *     acc += la             # <<<<<<<<<<<<<<
- *     sg *= s
- *     la, s = _lgamma_sign_c(d1)
-*/
-  __pyx_v_acc = (__pyx_v_acc + __pyx_v_la);
-
-  /* "bsfrac/_ckernels.pyx":328
- *     la, s = _lgamma_sign_c(n2)
- *     acc += la
- *     sg *= s             # <<<<<<<<<<<<<<
- *     la, s = _lgamma_sign_c(d1)
- *     acc -= la
-*/
-  __pyx_v_sg = (__pyx_v_sg * __pyx_v_s);
-
-  /* "bsfrac/_ckernels.pyx":329
- *     acc += la
- *     sg *= s
- *     la, s = _lgamma_sign_c(d1)             # <<<<<<<<<<<<<<
- *     acc -= la
- *     sg *= s
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_d1); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 329, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la = __pyx_t_2;
-  __pyx_v_s = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":330
- *     sg *= s
- *     la, s = _lgamma_sign_c(d1)
- *     acc -= la             # <<<<<<<<<<<<<<
- *     sg *= s
- *     la, s = _lgamma_sign_c(d2)
-*/
-  __pyx_v_acc = (__pyx_v_acc - __pyx_v_la);
-
-  /* "bsfrac/_ckernels.pyx":331
- *     la, s = _lgamma_sign_c(d1)
- *     acc -= la
- *     sg *= s             # <<<<<<<<<<<<<<
- *     la, s = _lgamma_sign_c(d2)
- *     acc -= la
-*/
-  __pyx_v_sg = (__pyx_v_sg * __pyx_v_s);
-
-  /* "bsfrac/_ckernels.pyx":332
- *     acc -= la
- *     sg *= s
- *     la, s = _lgamma_sign_c(d2)             # <<<<<<<<<<<<<<
- *     acc -= la
- *     sg *= s
-*/
-  __pyx_t_1 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_d2); if (unlikely(__Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 332, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1.f0;
-  __pyx_t_3 = __pyx_t_1.f1;
-  __pyx_v_la = __pyx_t_2;
-  __pyx_v_s = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":333
- *     sg *= s
- *     la, s = _lgamma_sign_c(d2)
- *     acc -= la             # <<<<<<<<<<<<<<
- *     sg *= s
- *     return sg * exp(acc)
-*/
-  __pyx_v_acc = (__pyx_v_acc - __pyx_v_la);
-
-  /* "bsfrac/_ckernels.pyx":334
- *     la, s = _lgamma_sign_c(d2)
- *     acc -= la
- *     sg *= s             # <<<<<<<<<<<<<<
- *     return sg * exp(acc)
- * 
-*/
-  __pyx_v_sg = (__pyx_v_sg * __pyx_v_s);
-
-  /* "bsfrac/_ckernels.pyx":335
- *     acc -= la
- *     sg *= s
- *     return sg * exp(acc)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (__pyx_v_sg * exp(__pyx_v_acc));
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":318
- * 
- * 
- * cdef double _gamma_ratio_c(double n1, double n2, double d1, double d2) nogil:             # <<<<<<<<<<<<<<
- *     cdef double acc = 0.0
- *     cdef double la
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("bsfrac._ckernels._gamma_ratio_c", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":338
- * 
- * 
- * def hyp2f1_kernel(double a, double b, double c, double z, double wbar):             # <<<<<<<<<<<<<<
- *     """2F1 for quadrature integrands: full real axis z < 1."""
- *     cdef double t, scale, s, p1, p2, f1, f2
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_13hyp2f1_kernel(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_12hyp2f1_kernel, "2F1 for quadrature integrands: full real axis z < 1.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_13hyp2f1_kernel = {"hyp2f1_kernel", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_13hyp2f1_kernel, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_12hyp2f1_kernel};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_13hyp2f1_kernel(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_a;
-  double __pyx_v_b;
-  double __pyx_v_c;
-  double __pyx_v_z;
-  double __pyx_v_wbar;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("hyp2f1_kernel (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_c,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_wbar,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 338, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 338, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 338, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 338, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 338, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 338, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "hyp2f1_kernel", 0) < (0)) __PYX_ERR(0, 338, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("hyp2f1_kernel", 1, 5, 5, i); __PYX_ERR(0, 338, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 338, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 338, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 338, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 338, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 338, __pyx_L3_error)
-    }
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L3_error)
-    __pyx_v_c = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_c == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L3_error)
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L3_error)
-    __pyx_v_wbar = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_wbar == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 338, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("hyp2f1_kernel", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 338, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.hyp2f1_kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_12hyp2f1_kernel(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, __pyx_v_wbar);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_12hyp2f1_kernel(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_b, double __pyx_v_c, double __pyx_v_z, double __pyx_v_wbar) {
-  double __pyx_v_t;
-  double __pyx_v_scale;
-  double __pyx_v_s;
-  double __pyx_v_p1;
-  double __pyx_v_p2;
-  double __pyx_v_f1;
-  double __pyx_v_f2;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  double __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("hyp2f1_kernel", 0);
-
-  /* "bsfrac/_ckernels.pyx":341
- *     """2F1 for quadrature integrands: full real axis z < 1."""
- *     cdef double t, scale, s, p1, p2, f1, f2
- *     if a == 0.0 or b == 0.0 or z == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     if z < 0.0:
-*/
-  __pyx_t_2 = (__pyx_v_a == 0.0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_b == 0.0);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_z == 0.0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":342
- *     cdef double t, scale, s, p1, p2, f1, f2
- *     if a == 0.0 or b == 0.0 or z == 0.0:
- *         return 1.0             # <<<<<<<<<<<<<<
- *     if z < 0.0:
- *         t = 1.0 - z
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_mstate_global->__pyx_float_1_0);
-    __pyx_r = __pyx_mstate_global->__pyx_float_1_0;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":341
- *     """2F1 for quadrature integrands: full real axis z < 1."""
- *     cdef double t, scale, s, p1, p2, f1, f2
- *     if a == 0.0 or b == 0.0 or z == 0.0:             # <<<<<<<<<<<<<<
- *         return 1.0
- *     if z < 0.0:
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":343
- *     if a == 0.0 or b == 0.0 or z == 0.0:
- *         return 1.0
- *     if z < 0.0:             # <<<<<<<<<<<<<<
- *         t = 1.0 - z
- *         b = c - b
-*/
-  __pyx_t_1 = (__pyx_v_z < 0.0);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":344
- *         return 1.0
- *     if z < 0.0:
- *         t = 1.0 - z             # <<<<<<<<<<<<<<
- *         b = c - b
- *         z = z / (z - 1.0)
-*/
-    __pyx_v_t = (1.0 - __pyx_v_z);
-
-    /* "bsfrac/_ckernels.pyx":345
- *     if z < 0.0:
- *         t = 1.0 - z
- *         b = c - b             # <<<<<<<<<<<<<<
- *         z = z / (z - 1.0)
- *         wbar = 1.0 / t
-*/
-    __pyx_v_b = (__pyx_v_c - __pyx_v_b);
-
-    /* "bsfrac/_ckernels.pyx":346
- *         t = 1.0 - z
- *         b = c - b
- *         z = z / (z - 1.0)             # <<<<<<<<<<<<<<
- *         wbar = 1.0 / t
- *         scale = pow(t, -a)
-*/
-    __pyx_v_z = (__pyx_v_z / (__pyx_v_z - 1.0));
-
-    /* "bsfrac/_ckernels.pyx":347
- *         b = c - b
- *         z = z / (z - 1.0)
- *         wbar = 1.0 / t             # <<<<<<<<<<<<<<
- *         scale = pow(t, -a)
- *     else:
-*/
-    __pyx_v_wbar = (1.0 / __pyx_v_t);
-
-    /* "bsfrac/_ckernels.pyx":348
- *         z = z / (z - 1.0)
- *         wbar = 1.0 / t
- *         scale = pow(t, -a)             # <<<<<<<<<<<<<<
- *     else:
- *         scale = 1.0
-*/
-    __pyx_v_scale = pow(__pyx_v_t, (-__pyx_v_a));
-
-    /* "bsfrac/_ckernels.pyx":343
- *     if a == 0.0 or b == 0.0 or z == 0.0:
- *         return 1.0
- *     if z < 0.0:             # <<<<<<<<<<<<<<
- *         t = 1.0 - z
- *         b = c - b
-*/
-    goto __pyx_L7;
-  }
-
-  /* "bsfrac/_ckernels.pyx":350
- *         scale = pow(t, -a)
- *     else:
- *         scale = 1.0             # <<<<<<<<<<<<<<
- *         if wbar <= 0.0:
- *             wbar = 1.0 - z
-*/
-  /*else*/ {
-    __pyx_v_scale = 1.0;
-
-    /* "bsfrac/_ckernels.pyx":351
- *     else:
- *         scale = 1.0
- *         if wbar <= 0.0:             # <<<<<<<<<<<<<<
- *             wbar = 1.0 - z
- *     if z <= 0.75:
-*/
-    __pyx_t_1 = (__pyx_v_wbar <= 0.0);
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":352
- *         scale = 1.0
- *         if wbar <= 0.0:
- *             wbar = 1.0 - z             # <<<<<<<<<<<<<<
- *     if z <= 0.75:
- *         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
-*/
-      __pyx_v_wbar = (1.0 - __pyx_v_z);
-
-      /* "bsfrac/_ckernels.pyx":351
- *     else:
- *         scale = 1.0
- *         if wbar <= 0.0:             # <<<<<<<<<<<<<<
- *             wbar = 1.0 - z
- *     if z <= 0.75:
-*/
-    }
-  }
-  __pyx_L7:;
-
-  /* "bsfrac/_ckernels.pyx":353
- *         if wbar <= 0.0:
- *             wbar = 1.0 - z
- *     if z <= 0.75:             # <<<<<<<<<<<<<<
- *         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
- *     s = c - a - b
-*/
-  __pyx_t_1 = (__pyx_v_z <= 0.75);
-  if (__pyx_t_1) {
-
-    /* "bsfrac/_ckernels.pyx":354
- *             wbar = 1.0 - z
- *     if z <= 0.75:
- *         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)             # <<<<<<<<<<<<<<
- *     s = c - a - b
- *     p1 = _gamma_ratio_c(c, s, c - a, c - b)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__hyp2f1_tail(__pyx_v_a, __pyx_v_b, __pyx_v_c, __pyx_v_z, 1e-16, 0x2710); if (unlikely(__pyx_t_3 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 354, __pyx_L1_error)
-    __pyx_t_4 = PyFloat_FromDouble((__pyx_v_scale * __pyx_t_3)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 354, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    goto __pyx_L0;
-
-    /* "bsfrac/_ckernels.pyx":353
- *         if wbar <= 0.0:
- *             wbar = 1.0 - z
- *     if z <= 0.75:             # <<<<<<<<<<<<<<
- *         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
- *     s = c - a - b
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":355
- *     if z <= 0.75:
- *         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
- *     s = c - a - b             # <<<<<<<<<<<<<<
- *     p1 = _gamma_ratio_c(c, s, c - a, c - b)
- *     p2 = _gamma_ratio_c(c, -s, a, b)
-*/
-  __pyx_v_s = ((__pyx_v_c - __pyx_v_a) - __pyx_v_b);
-
-  /* "bsfrac/_ckernels.pyx":356
- *         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
- *     s = c - a - b
- *     p1 = _gamma_ratio_c(c, s, c - a, c - b)             # <<<<<<<<<<<<<<
- *     p2 = _gamma_ratio_c(c, -s, a, b)
- *     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
-*/
-  __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__gamma_ratio_c(__pyx_v_c, __pyx_v_s, (__pyx_v_c - __pyx_v_a), (__pyx_v_c - __pyx_v_b)); if (unlikely(__pyx_t_3 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 356, __pyx_L1_error)
-  __pyx_v_p1 = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":357
- *     s = c - a - b
- *     p1 = _gamma_ratio_c(c, s, c - a, c - b)
- *     p2 = _gamma_ratio_c(c, -s, a, b)             # <<<<<<<<<<<<<<
- *     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
- *     f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
-*/
-  __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__gamma_ratio_c(__pyx_v_c, (-__pyx_v_s), __pyx_v_a, __pyx_v_b); if (unlikely(__pyx_t_3 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 357, __pyx_L1_error)
-  __pyx_v_p2 = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":358
- *     p1 = _gamma_ratio_c(c, s, c - a, c - b)
- *     p2 = _gamma_ratio_c(c, -s, a, b)
- *     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)             # <<<<<<<<<<<<<<
- *     f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
- *     return scale * (p1 * f1 + pow(wbar, s) * p2 * f2)
-*/
-  __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__hyp2f1_tail(__pyx_v_a, __pyx_v_b, (1.0 - __pyx_v_s), __pyx_v_wbar, 1e-16, 0x2710); if (unlikely(__pyx_t_3 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 358, __pyx_L1_error)
-  __pyx_v_f1 = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":359
- *     p2 = _gamma_ratio_c(c, -s, a, b)
- *     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
- *     f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)             # <<<<<<<<<<<<<<
- *     return scale * (p1 * f1 + pow(wbar, s) * p2 * f2)
- * 
-*/
-  __pyx_t_3 = __pyx_f_6bsfrac_9_ckernels__hyp2f1_tail((__pyx_v_c - __pyx_v_a), (__pyx_v_c - __pyx_v_b), (1.0 + __pyx_v_s), __pyx_v_wbar, 1e-16, 0x2710); if (unlikely(__pyx_t_3 == ((double)-1) && PyErr_Occurred())) __PYX_ERR(0, 359, __pyx_L1_error)
-  __pyx_v_f2 = __pyx_t_3;
-
-  /* "bsfrac/_ckernels.pyx":360
- *     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
- *     f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
- *     return scale * (p1 * f1 + pow(wbar, s) * p2 * f2)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = PyFloat_FromDouble((__pyx_v_scale * ((__pyx_v_p1 * __pyx_v_f1) + ((pow(__pyx_v_wbar, __pyx_v_s) * __pyx_v_p2) * __pyx_v_f2)))); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 360, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":338
- * 
- * 
- * def hyp2f1_kernel(double a, double b, double c, double z, double wbar):             # <<<<<<<<<<<<<<
- *     """2F1 for quadrature integrands: full real axis z < 1."""
- *     cdef double t, scale, s, p1, p2, f1, f2
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("bsfrac._ckernels.hyp2f1_kernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":363
- * 
- * 
- * def wright_series(ua, uA, lb, lB, double z, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Generalized Wright series, terms assembled in log space."""
- *     cdef double cua[32]
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_15wright_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_14wright_series, "Generalized Wright series, terms assembled in log space.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_15wright_series = {"wright_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_15wright_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_14wright_series};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_15wright_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_ua = 0;
-  PyObject *__pyx_v_uA = 0;
-  PyObject *__pyx_v_lb = 0;
-  PyObject *__pyx_v_lB = 0;
-  double __pyx_v_z;
-  double __pyx_v_tol;
-  int __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[7] = {0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("wright_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_ua,&__pyx_mstate_global->__pyx_n_u_uA,&__pyx_mstate_global->__pyx_n_u_lb,&__pyx_mstate_global->__pyx_n_u_lB,&__pyx_mstate_global->__pyx_n_u_z,&__pyx_mstate_global->__pyx_n_u_tol,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 363, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 363, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "wright_series", 0) < (0)) __PYX_ERR(0, 363, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 7; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("wright_series", 1, 7, 7, i); __PYX_ERR(0, 363, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 7)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 363, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 363, __pyx_L3_error)
-    }
-    __pyx_v_ua = values[0];
-    __pyx_v_uA = values[1];
-    __pyx_v_lb = values[2];
-    __pyx_v_lB = values[3];
-    __pyx_v_z = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_z == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 363, __pyx_L3_error)
-    __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 363, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyLong_As_int(values[6]); if (unlikely((__pyx_v_cap == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 363, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("wright_series", 1, 7, 7, __pyx_nargs); __PYX_ERR(0, 363, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.wright_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_14wright_series(__pyx_self, __pyx_v_ua, __pyx_v_uA, __pyx_v_lb, __pyx_v_lB, __pyx_v_z, __pyx_v_tol, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_14wright_series(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_ua, PyObject *__pyx_v_uA, PyObject *__pyx_v_lb, PyObject *__pyx_v_lB, double __pyx_v_z, double __pyx_v_tol, int __pyx_v_cap) {
-  double __pyx_v_cua[32];
-  double __pyx_v_cuA[32];
-  double __pyx_v_clb[32];
-  double __pyx_v_clB[32];
-  Py_ssize_t __pyx_v_p;
-  Py_ssize_t __pyx_v_q;
-  Py_ssize_t __pyx_v_i;
-  Py_ssize_t __pyx_v_j;
-  double __pyx_v_lnz;
-  int __pyx_v_zsign;
-  double __pyx_v_s;
-  double __pyx_v_prev;
-  int __pyx_v_have_prev;
-  int __pyx_v_dead;
-  PY_LONG_LONG __pyx_v_k;
-  double __pyx_v_acc;
-  double __pyx_v_g;
-  double __pyx_v_la;
-  double __pyx_v_t;
-  double __pyx_v_lk;
-  int __pyx_v_sg;
-  int __pyx_v_sig;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  size_t __pyx_t_6;
-  Py_ssize_t __pyx_t_7;
-  Py_ssize_t __pyx_t_8;
-  double __pyx_t_9;
-  int __pyx_t_10;
-  PyObject *__pyx_t_11 = NULL;
-  __pyx_ctuple_double__and_int __pyx_t_12;
-  PyObject *__pyx_t_13 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("wright_series", 0);
-
-  /* "bsfrac/_ckernels.pyx":369
- *     cdef double clb[32]
- *     cdef double clB[32]
- *     cdef Py_ssize_t p = len(ua)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t q = len(lb)
- *     cdef Py_ssize_t i, j
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_ua); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 369, __pyx_L1_error)
-  __pyx_v_p = __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":370
- *     cdef double clB[32]
- *     cdef Py_ssize_t p = len(ua)
- *     cdef Py_ssize_t q = len(lb)             # <<<<<<<<<<<<<<
- *     cdef Py_ssize_t i, j
- *     if p > 32 or q > 32:
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_lb); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 370, __pyx_L1_error)
-  __pyx_v_q = __pyx_t_1;
-
-  /* "bsfrac/_ckernels.pyx":372
- *     cdef Py_ssize_t q = len(lb)
- *     cdef Py_ssize_t i, j
- *     if p > 32 or q > 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("at most 32 parameter pairs are supported")
- *     for i in range(p):
-*/
-  __pyx_t_3 = (__pyx_v_p > 32);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_q > 32);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "bsfrac/_ckernels.pyx":373
- *     cdef Py_ssize_t i, j
- *     if p > 32 or q > 32:
- *         raise ValueError("at most 32 parameter pairs are supported")             # <<<<<<<<<<<<<<
- *     for i in range(p):
- *         cua[i] = ua[i]
-*/
-    __pyx_t_5 = NULL;
-    __pyx_t_6 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_5, __pyx_mstate_global->__pyx_kp_u_at_most_32_parameter_pairs_are_s};
-      __pyx_t_4 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_6, (2-__pyx_t_6) | (__pyx_t_6*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 373, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-    }
-    __Pyx_Raise(__pyx_t_4, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __PYX_ERR(0, 373, __pyx_L1_error)
-
-    /* "bsfrac/_ckernels.pyx":372
- *     cdef Py_ssize_t q = len(lb)
- *     cdef Py_ssize_t i, j
- *     if p > 32 or q > 32:             # <<<<<<<<<<<<<<
- *         raise ValueError("at most 32 parameter pairs are supported")
- *     for i in range(p):
-*/
-  }
-
-  /* "bsfrac/_ckernels.pyx":374
- *     if p > 32 or q > 32:
- *         raise ValueError("at most 32 parameter pairs are supported")
- *     for i in range(p):             # <<<<<<<<<<<<<<
- *         cua[i] = ua[i]
- *         cuA[i] = uA[i]
-*/
-  __pyx_t_1 = __pyx_v_p;
-  __pyx_t_7 = __pyx_t_1;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_i = __pyx_t_8;
-
-    /* "bsfrac/_ckernels.pyx":375
- *         raise ValueError("at most 32 parameter pairs are supported")
- *     for i in range(p):
- *         cua[i] = ua[i]             # <<<<<<<<<<<<<<
- *         cuA[i] = uA[i]
- *     for j in range(q):
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_ua, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 375, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_9 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 375, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_cua[__pyx_v_i]) = __pyx_t_9;
-
-    /* "bsfrac/_ckernels.pyx":376
- *     for i in range(p):
- *         cua[i] = ua[i]
- *         cuA[i] = uA[i]             # <<<<<<<<<<<<<<
- *     for j in range(q):
- *         clb[j] = lb[j]
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_uA, __pyx_v_i, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 376, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_9 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 376, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_cuA[__pyx_v_i]) = __pyx_t_9;
-  }
-
-  /* "bsfrac/_ckernels.pyx":377
- *         cua[i] = ua[i]
- *         cuA[i] = uA[i]
- *     for j in range(q):             # <<<<<<<<<<<<<<
- *         clb[j] = lb[j]
- *         clB[j] = lB[j]
-*/
-  __pyx_t_1 = __pyx_v_q;
-  __pyx_t_7 = __pyx_t_1;
-  for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-    __pyx_v_j = __pyx_t_8;
-
-    /* "bsfrac/_ckernels.pyx":378
- *         cuA[i] = uA[i]
- *     for j in range(q):
- *         clb[j] = lb[j]             # <<<<<<<<<<<<<<
- *         clB[j] = lB[j]
- *     cdef double lnz = log(fabs(z)) if z != 0.0 else 0.0
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_lb, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 378, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_9 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 378, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_clb[__pyx_v_j]) = __pyx_t_9;
-
-    /* "bsfrac/_ckernels.pyx":379
- *     for j in range(q):
- *         clb[j] = lb[j]
- *         clB[j] = lB[j]             # <<<<<<<<<<<<<<
- *     cdef double lnz = log(fabs(z)) if z != 0.0 else 0.0
- *     cdef int zsign = -1 if z < 0.0 else 1
-*/
-    __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_lB, __pyx_v_j, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 379, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_9 = __Pyx_PyFloat_AsDouble(__pyx_t_4); if (unlikely((__pyx_t_9 == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 379, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    (__pyx_v_clB[__pyx_v_j]) = __pyx_t_9;
-  }
-
-  /* "bsfrac/_ckernels.pyx":380
- *         clb[j] = lb[j]
- *         clB[j] = lB[j]
- *     cdef double lnz = log(fabs(z)) if z != 0.0 else 0.0             # <<<<<<<<<<<<<<
- *     cdef int zsign = -1 if z < 0.0 else 1
- *     cdef double s = 0.0
-*/
-  __pyx_t_2 = (__pyx_v_z != 0.0);
-  if (__pyx_t_2) {
-    __pyx_t_9 = log(fabs(__pyx_v_z));
-  } else {
-    __pyx_t_9 = 0.0;
-  }
-  __pyx_v_lnz = __pyx_t_9;
-
-  /* "bsfrac/_ckernels.pyx":381
- *         clB[j] = lB[j]
- *     cdef double lnz = log(fabs(z)) if z != 0.0 else 0.0
- *     cdef int zsign = -1 if z < 0.0 else 1             # <<<<<<<<<<<<<<
- *     cdef double s = 0.0
- *     cdef double prev = 0.0
-*/
-  __pyx_t_2 = (__pyx_v_z < 0.0);
-  if (__pyx_t_2) {
-    __pyx_t_10 = -1;
-  } else {
-    __pyx_t_10 = 1;
-  }
-  __pyx_v_zsign = __pyx_t_10;
-
-  /* "bsfrac/_ckernels.pyx":382
- *     cdef double lnz = log(fabs(z)) if z != 0.0 else 0.0
- *     cdef int zsign = -1 if z < 0.0 else 1
- *     cdef double s = 0.0             # <<<<<<<<<<<<<<
- *     cdef double prev = 0.0
- *     cdef bint have_prev = 0
-*/
-  __pyx_v_s = 0.0;
-
-  /* "bsfrac/_ckernels.pyx":383
- *     cdef int zsign = -1 if z < 0.0 else 1
- *     cdef double s = 0.0
- *     cdef double prev = 0.0             # <<<<<<<<<<<<<<
- *     cdef bint have_prev = 0
- *     cdef bint dead
-*/
-  __pyx_v_prev = 0.0;
-
-  /* "bsfrac/_ckernels.pyx":384
- *     cdef double s = 0.0
- *     cdef double prev = 0.0
- *     cdef bint have_prev = 0             # <<<<<<<<<<<<<<
- *     cdef bint dead
- *     cdef long long k = 0
-*/
-  __pyx_v_have_prev = 0;
-
-  /* "bsfrac/_ckernels.pyx":386
- *     cdef bint have_prev = 0
- *     cdef bint dead
- *     cdef long long k = 0             # <<<<<<<<<<<<<<
- *     cdef double acc, g, la, t, lk
- *     cdef int sg, sig
-*/
-  __pyx_v_k = 0;
-
-  /* "bsfrac/_ckernels.pyx":389
- *     cdef double acc, g, la, t, lk
- *     cdef int sg, sig
- *     while k < cap:             # <<<<<<<<<<<<<<
- *         acc = 0.0
- *         sg = 1
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_k < __pyx_v_cap);
-    if (!__pyx_t_2) break;
-
-    /* "bsfrac/_ckernels.pyx":390
- *     cdef int sg, sig
- *     while k < cap:
- *         acc = 0.0             # <<<<<<<<<<<<<<
- *         sg = 1
- *         dead = 0
-*/
-    __pyx_v_acc = 0.0;
-
-    /* "bsfrac/_ckernels.pyx":391
- *     while k < cap:
- *         acc = 0.0
- *         sg = 1             # <<<<<<<<<<<<<<
- *         dead = 0
- *         for i in range(p):
-*/
-    __pyx_v_sg = 1;
-
-    /* "bsfrac/_ckernels.pyx":392
- *         acc = 0.0
- *         sg = 1
- *         dead = 0             # <<<<<<<<<<<<<<
- *         for i in range(p):
- *             g = cua[i] + cuA[i] * k
-*/
-    __pyx_v_dead = 0;
-
-    /* "bsfrac/_ckernels.pyx":393
- *         sg = 1
- *         dead = 0
- *         for i in range(p):             # <<<<<<<<<<<<<<
- *             g = cua[i] + cuA[i] * k
- *             if _near_nonpos_int(g):
-*/
-    __pyx_t_1 = __pyx_v_p;
-    __pyx_t_7 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_i = __pyx_t_8;
-
-      /* "bsfrac/_ckernels.pyx":394
- *         dead = 0
- *         for i in range(p):
- *             g = cua[i] + cuA[i] * k             # <<<<<<<<<<<<<<
- *             if _near_nonpos_int(g):
- *                 return <double> k, 0.0, k, 2
-*/
-      __pyx_v_g = ((__pyx_v_cua[__pyx_v_i]) + ((__pyx_v_cuA[__pyx_v_i]) * __pyx_v_k));
-
-      /* "bsfrac/_ckernels.pyx":395
- *         for i in range(p):
- *             g = cua[i] + cuA[i] * k
- *             if _near_nonpos_int(g):             # <<<<<<<<<<<<<<
- *                 return <double> k, 0.0, k, 2
- *             la, sig = _lgamma_sign_c(g)
-*/
-      __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__near_nonpos_int(__pyx_v_g); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L1_error)
-      if (__pyx_t_2) {
-
-        /* "bsfrac/_ckernels.pyx":396
- *             g = cua[i] + cuA[i] * k
- *             if _near_nonpos_int(g):
- *                 return <double> k, 0.0, k, 2             # <<<<<<<<<<<<<<
- *             la, sig = _lgamma_sign_c(g)
- *             acc += la
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_4 = PyFloat_FromDouble(((double)__pyx_v_k)); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 396, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_k); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 396, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_11 = PyTuple_New(4); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 396, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __Pyx_GIVEREF(__pyx_t_4);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 396, __pyx_L1_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_float_0_0);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 1, __pyx_mstate_global->__pyx_float_0_0) != (0)) __PYX_ERR(0, 396, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_5);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 396, __pyx_L1_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_2);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_2);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 3, __pyx_mstate_global->__pyx_int_2) != (0)) __PYX_ERR(0, 396, __pyx_L1_error);
-        __pyx_t_4 = 0;
-        __pyx_t_5 = 0;
-        __pyx_r = __pyx_t_11;
-        __pyx_t_11 = 0;
-        goto __pyx_L0;
-
-        /* "bsfrac/_ckernels.pyx":395
- *         for i in range(p):
- *             g = cua[i] + cuA[i] * k
- *             if _near_nonpos_int(g):             # <<<<<<<<<<<<<<
- *                 return <double> k, 0.0, k, 2
- *             la, sig = _lgamma_sign_c(g)
-*/
-      }
-
-      /* "bsfrac/_ckernels.pyx":397
- *             if _near_nonpos_int(g):
- *                 return <double> k, 0.0, k, 2
- *             la, sig = _lgamma_sign_c(g)             # <<<<<<<<<<<<<<
- *             acc += la
- *             sg *= sig
-*/
-      __pyx_t_12 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_g); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 397, __pyx_L1_error)
-      __pyx_t_9 = __pyx_t_12.f0;
-      __pyx_t_10 = __pyx_t_12.f1;
-      __pyx_v_la = __pyx_t_9;
-      __pyx_v_sig = __pyx_t_10;
-
-      /* "bsfrac/_ckernels.pyx":398
- *                 return <double> k, 0.0, k, 2
- *             la, sig = _lgamma_sign_c(g)
- *             acc += la             # <<<<<<<<<<<<<<
- *             sg *= sig
- *         for j in range(q):
-*/
-      __pyx_v_acc = (__pyx_v_acc + __pyx_v_la);
-
-      /* "bsfrac/_ckernels.pyx":399
- *             la, sig = _lgamma_sign_c(g)
- *             acc += la
- *             sg *= sig             # <<<<<<<<<<<<<<
- *         for j in range(q):
- *             g = clb[j] + clB[j] * k
-*/
-      __pyx_v_sg = (__pyx_v_sg * __pyx_v_sig);
-    }
-
-    /* "bsfrac/_ckernels.pyx":400
- *             acc += la
- *             sg *= sig
- *         for j in range(q):             # <<<<<<<<<<<<<<
- *             g = clb[j] + clB[j] * k
- *             if _near_nonpos_int(g):
-*/
-    __pyx_t_1 = __pyx_v_q;
-    __pyx_t_7 = __pyx_t_1;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_j = __pyx_t_8;
-
-      /* "bsfrac/_ckernels.pyx":401
- *             sg *= sig
- *         for j in range(q):
- *             g = clb[j] + clB[j] * k             # <<<<<<<<<<<<<<
- *             if _near_nonpos_int(g):
- *                 dead = 1
-*/
-      __pyx_v_g = ((__pyx_v_clb[__pyx_v_j]) + ((__pyx_v_clB[__pyx_v_j]) * __pyx_v_k));
-
-      /* "bsfrac/_ckernels.pyx":402
- *         for j in range(q):
- *             g = clb[j] + clB[j] * k
- *             if _near_nonpos_int(g):             # <<<<<<<<<<<<<<
- *                 dead = 1
- *                 break
-*/
-      __pyx_t_2 = __pyx_f_6bsfrac_9_ckernels__near_nonpos_int(__pyx_v_g); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 402, __pyx_L1_error)
-      if (__pyx_t_2) {
-
-        /* "bsfrac/_ckernels.pyx":403
- *             g = clb[j] + clB[j] * k
- *             if _near_nonpos_int(g):
- *                 dead = 1             # <<<<<<<<<<<<<<
- *                 break
- *             la, sig = _lgamma_sign_c(g)
-*/
-        __pyx_v_dead = 1;
-
-        /* "bsfrac/_ckernels.pyx":404
- *             if _near_nonpos_int(g):
- *                 dead = 1
- *                 break             # <<<<<<<<<<<<<<
- *             la, sig = _lgamma_sign_c(g)
- *             acc -= la
-*/
-        goto __pyx_L16_break;
-
-        /* "bsfrac/_ckernels.pyx":402
- *         for j in range(q):
- *             g = clb[j] + clB[j] * k
- *             if _near_nonpos_int(g):             # <<<<<<<<<<<<<<
- *                 dead = 1
- *                 break
-*/
-      }
-
-      /* "bsfrac/_ckernels.pyx":405
- *                 dead = 1
- *                 break
- *             la, sig = _lgamma_sign_c(g)             # <<<<<<<<<<<<<<
- *             acc -= la
- *             sg *= sig
-*/
-      __pyx_t_12 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c(__pyx_v_g); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 405, __pyx_L1_error)
-      __pyx_t_9 = __pyx_t_12.f0;
-      __pyx_t_10 = __pyx_t_12.f1;
-      __pyx_v_la = __pyx_t_9;
-      __pyx_v_sig = __pyx_t_10;
-
-      /* "bsfrac/_ckernels.pyx":406
- *                 break
- *             la, sig = _lgamma_sign_c(g)
- *             acc -= la             # <<<<<<<<<<<<<<
- *             sg *= sig
- *         if dead:
-*/
-      __pyx_v_acc = (__pyx_v_acc - __pyx_v_la);
-
-      /* "bsfrac/_ckernels.pyx":407
- *             la, sig = _lgamma_sign_c(g)
- *             acc -= la
- *             sg *= sig             # <<<<<<<<<<<<<<
- *         if dead:
- *             t = 0.0
-*/
-      __pyx_v_sg = (__pyx_v_sg * __pyx_v_sig);
-    }
-    __pyx_L16_break:;
-
-    /* "bsfrac/_ckernels.pyx":408
- *             acc -= la
- *             sg *= sig
- *         if dead:             # <<<<<<<<<<<<<<
- *             t = 0.0
- *         else:
-*/
-    if (__pyx_v_dead) {
-
-      /* "bsfrac/_ckernels.pyx":409
- *             sg *= sig
- *         if dead:
- *             t = 0.0             # <<<<<<<<<<<<<<
- *         else:
- *             if z == 0.0 and k > 0:
-*/
-      __pyx_v_t = 0.0;
-
-      /* "bsfrac/_ckernels.pyx":408
- *             acc -= la
- *             sg *= sig
- *         if dead:             # <<<<<<<<<<<<<<
- *             t = 0.0
- *         else:
-*/
-      goto __pyx_L18;
-    }
-
-    /* "bsfrac/_ckernels.pyx":411
- *             t = 0.0
- *         else:
- *             if z == 0.0 and k > 0:             # <<<<<<<<<<<<<<
- *                 return s, 0.0, k, 0
- *             lk, sig = _lgamma_sign_c(k + 1.0)
-*/
-    /*else*/ {
-      __pyx_t_3 = (__pyx_v_z == 0.0);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_2 = __pyx_t_3;
-        goto __pyx_L20_bool_binop_done;
-      }
-      __pyx_t_3 = (__pyx_v_k > 0);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_L20_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "bsfrac/_ckernels.pyx":412
- *         else:
- *             if z == 0.0 and k > 0:
- *                 return s, 0.0, k, 0             # <<<<<<<<<<<<<<
- *             lk, sig = _lgamma_sign_c(k + 1.0)
- *             t = sg * exp(acc + k * lnz - lk)
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __pyx_t_11 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 412, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_k); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 412, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_5);
-        __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 412, __pyx_L1_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_GIVEREF(__pyx_t_11);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_11) != (0)) __PYX_ERR(0, 412, __pyx_L1_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_float_0_0);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_mstate_global->__pyx_float_0_0) != (0)) __PYX_ERR(0, 412, __pyx_L1_error);
-        __Pyx_GIVEREF(__pyx_t_5);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 412, __pyx_L1_error);
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 412, __pyx_L1_error);
-        __pyx_t_11 = 0;
-        __pyx_t_5 = 0;
-        __pyx_r = __pyx_t_4;
-        __pyx_t_4 = 0;
-        goto __pyx_L0;
-
-        /* "bsfrac/_ckernels.pyx":411
- *             t = 0.0
- *         else:
- *             if z == 0.0 and k > 0:             # <<<<<<<<<<<<<<
- *                 return s, 0.0, k, 0
- *             lk, sig = _lgamma_sign_c(k + 1.0)
-*/
-      }
-
-      /* "bsfrac/_ckernels.pyx":413
- *             if z == 0.0 and k > 0:
- *                 return s, 0.0, k, 0
- *             lk, sig = _lgamma_sign_c(k + 1.0)             # <<<<<<<<<<<<<<
- *             t = sg * exp(acc + k * lnz - lk)
- *             if zsign < 0 and k % 2 != 0:
-*/
-      __pyx_t_12 = __pyx_f_6bsfrac_9_ckernels__lgamma_sign_c((__pyx_v_k + 1.0)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 413, __pyx_L1_error)
-      __pyx_t_9 = __pyx_t_12.f0;
-      __pyx_t_10 = __pyx_t_12.f1;
-      __pyx_v_lk = __pyx_t_9;
-      __pyx_v_sig = __pyx_t_10;
-
-      /* "bsfrac/_ckernels.pyx":414
- *                 return s, 0.0, k, 0
- *             lk, sig = _lgamma_sign_c(k + 1.0)
- *             t = sg * exp(acc + k * lnz - lk)             # <<<<<<<<<<<<<<
- *             if zsign < 0 and k % 2 != 0:
- *                 t = -t
-*/
-      __pyx_v_t = (__pyx_v_sg * exp(((__pyx_v_acc + (__pyx_v_k * __pyx_v_lnz)) - __pyx_v_lk)));
-
-      /* "bsfrac/_ckernels.pyx":415
- *             lk, sig = _lgamma_sign_c(k + 1.0)
- *             t = sg * exp(acc + k * lnz - lk)
- *             if zsign < 0 and k % 2 != 0:             # <<<<<<<<<<<<<<
- *                 t = -t
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):
-*/
-      __pyx_t_3 = (__pyx_v_zsign < 0);
-      if (__pyx_t_3) {
-      } else {
-        __pyx_t_2 = __pyx_t_3;
-        goto __pyx_L23_bool_binop_done;
-      }
-      __pyx_t_3 = ((__pyx_v_k % 2) != 0);
-      __pyx_t_2 = __pyx_t_3;
-      __pyx_L23_bool_binop_done:;
-      if (__pyx_t_2) {
-
-        /* "bsfrac/_ckernels.pyx":416
- *             t = sg * exp(acc + k * lnz - lk)
- *             if zsign < 0 and k % 2 != 0:
- *                 t = -t             # <<<<<<<<<<<<<<
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):
- *             return s, 2.0 * fabs(prev), k, 0
-*/
-        __pyx_v_t = (-__pyx_v_t);
-
-        /* "bsfrac/_ckernels.pyx":415
- *             lk, sig = _lgamma_sign_c(k + 1.0)
- *             t = sg * exp(acc + k * lnz - lk)
- *             if zsign < 0 and k % 2 != 0:             # <<<<<<<<<<<<<<
- *                 t = -t
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):
-*/
-      }
-    }
-    __pyx_L18:;
-
-    /* "bsfrac/_ckernels.pyx":417
- *             if zsign < 0 and k % 2 != 0:
- *                 t = -t
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(prev), k, 0
- *         s += t
-*/
-    if (__pyx_v_have_prev) {
-    } else {
-      __pyx_t_2 = __pyx_v_have_prev;
-      goto __pyx_L26_bool_binop_done;
-    }
-    __pyx_t_3 = (fabs(__pyx_v_prev) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_s)));
-    if (__pyx_t_3) {
-    } else {
-      __pyx_t_2 = __pyx_t_3;
-      goto __pyx_L26_bool_binop_done;
-    }
-    __pyx_t_3 = (fabs(__pyx_v_t) < (0.5 * fabs(__pyx_v_prev)));
-    __pyx_t_2 = __pyx_t_3;
-    __pyx_L26_bool_binop_done:;
-    if (__pyx_t_2) {
-
-      /* "bsfrac/_ckernels.pyx":418
- *                 t = -t
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):
- *             return s, 2.0 * fabs(prev), k, 0             # <<<<<<<<<<<<<<
- *         s += t
- *         if t == 0.0:
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_4 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 418, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_prev))); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 418, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_11 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_k); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 418, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __pyx_t_13 = PyTuple_New(4); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 418, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_13);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 418, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_5);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 418, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_11);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 2, __pyx_t_11) != (0)) __PYX_ERR(0, 418, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_13, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 418, __pyx_L1_error);
-      __pyx_t_4 = 0;
-      __pyx_t_5 = 0;
-      __pyx_t_11 = 0;
-      __pyx_r = __pyx_t_13;
-      __pyx_t_13 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":417
- *             if zsign < 0 and k % 2 != 0:
- *                 t = -t
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):             # <<<<<<<<<<<<<<
- *             return s, 2.0 * fabs(prev), k, 0
- *         s += t
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":419
- *         if have_prev and fabs(prev) <= 0.5 * tol * fabs(s) and fabs(t) < 0.5 * fabs(prev):
- *             return s, 2.0 * fabs(prev), k, 0
- *         s += t             # <<<<<<<<<<<<<<
- *         if t == 0.0:
- *             have_prev = 0
-*/
-    __pyx_v_s = (__pyx_v_s + __pyx_v_t);
-
-    /* "bsfrac/_ckernels.pyx":420
- *             return s, 2.0 * fabs(prev), k, 0
- *         s += t
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             have_prev = 0
- *         else:
-*/
-    __pyx_t_2 = (__pyx_v_t == 0.0);
-    if (__pyx_t_2) {
-
-      /* "bsfrac/_ckernels.pyx":421
- *         s += t
- *         if t == 0.0:
- *             have_prev = 0             # <<<<<<<<<<<<<<
- *         else:
- *             prev = t
-*/
-      __pyx_v_have_prev = 0;
-
-      /* "bsfrac/_ckernels.pyx":420
- *             return s, 2.0 * fabs(prev), k, 0
- *         s += t
- *         if t == 0.0:             # <<<<<<<<<<<<<<
- *             have_prev = 0
- *         else:
-*/
-      goto __pyx_L29;
-    }
-
-    /* "bsfrac/_ckernels.pyx":423
- *             have_prev = 0
- *         else:
- *             prev = t             # <<<<<<<<<<<<<<
- *             have_prev = 1
- *         k += 1
-*/
-    /*else*/ {
-      __pyx_v_prev = __pyx_v_t;
-
-      /* "bsfrac/_ckernels.pyx":424
- *         else:
- *             prev = t
- *             have_prev = 1             # <<<<<<<<<<<<<<
- *         k += 1
- *     return s, 2.0 * fabs(prev), k, 1
-*/
-      __pyx_v_have_prev = 1;
-    }
-    __pyx_L29:;
-
-    /* "bsfrac/_ckernels.pyx":425
- *             prev = t
- *             have_prev = 1
- *         k += 1             # <<<<<<<<<<<<<<
- *     return s, 2.0 * fabs(prev), k, 1
- * 
-*/
-    __pyx_v_k = (__pyx_v_k + 1);
-  }
-
-  /* "bsfrac/_ckernels.pyx":426
- *             have_prev = 1
- *         k += 1
- *     return s, 2.0 * fabs(prev), k, 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_13 = PyFloat_FromDouble(__pyx_v_s); if (unlikely(!__pyx_t_13)) __PYX_ERR(0, 426, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_13);
-  __pyx_t_11 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_prev))); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 426, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_11);
-  __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_k); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 426, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 426, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_GIVEREF(__pyx_t_13);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_13) != (0)) __PYX_ERR(0, 426, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_11);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_t_11) != (0)) __PYX_ERR(0, 426, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_5);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 426, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 426, __pyx_L1_error);
-  __pyx_t_13 = 0;
-  __pyx_t_11 = 0;
-  __pyx_t_5 = 0;
-  __pyx_r = __pyx_t_4;
-  __pyx_t_4 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":363
- * 
- * 
- * def wright_series(ua, uA, lb, lB, double z, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Generalized Wright series, terms assembled in log space."""
- *     cdef double cua[32]
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_13);
-  __Pyx_AddTraceback("bsfrac._ckernels.wright_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bsfrac/_ckernels.pyx":429
- * 
- * 
- * def f3_series(double a, double ap, double b, double bp, double g,             # <<<<<<<<<<<<<<
- *               double x, double y, double tol, int cap):
- *     """Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_17f3_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_6bsfrac_9_ckernels_16f3_series, "Appell F3 double series, row-by-row in the y index; |x|,|y| < 1.");
-static PyMethodDef __pyx_mdef_6bsfrac_9_ckernels_17f3_series = {"f3_series", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_6bsfrac_9_ckernels_17f3_series, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_6bsfrac_9_ckernels_16f3_series};
-static PyObject *__pyx_pw_6bsfrac_9_ckernels_17f3_series(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  double __pyx_v_a;
-  double __pyx_v_ap;
-  double __pyx_v_b;
-  double __pyx_v_bp;
-  double __pyx_v_g;
-  double __pyx_v_x;
-  double __pyx_v_y;
-  double __pyx_v_tol;
-  int __pyx_v_cap;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[9] = {0,0,0,0,0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("f3_series (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_ap,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_bp,&__pyx_mstate_global->__pyx_n_u_g,&__pyx_mstate_global->__pyx_n_u_x,&__pyx_mstate_global->__pyx_n_u_y,&__pyx_mstate_global->__pyx_n_u_tol,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 429, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  9:
-        values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  8:
-        values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  7:
-        values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  6:
-        values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 429, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "f3_series", 0) < (0)) __PYX_ERR(0, 429, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 9; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("f3_series", 1, 9, 9, i); __PYX_ERR(0, 429, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 9)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[5] = __Pyx_ArgRef_FASTCALL(__pyx_args, 5);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[5])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[6] = __Pyx_ArgRef_FASTCALL(__pyx_args, 6);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[6])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[7] = __Pyx_ArgRef_FASTCALL(__pyx_args, 7);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[7])) __PYX_ERR(0, 429, __pyx_L3_error)
-      values[8] = __Pyx_ArgRef_FASTCALL(__pyx_args, 8);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[8])) __PYX_ERR(0, 429, __pyx_L3_error)
-    }
-    __pyx_v_a = __Pyx_PyFloat_AsDouble(values[0]); if (unlikely((__pyx_v_a == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 429, __pyx_L3_error)
-    __pyx_v_ap = __Pyx_PyFloat_AsDouble(values[1]); if (unlikely((__pyx_v_ap == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 429, __pyx_L3_error)
-    __pyx_v_b = __Pyx_PyFloat_AsDouble(values[2]); if (unlikely((__pyx_v_b == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 429, __pyx_L3_error)
-    __pyx_v_bp = __Pyx_PyFloat_AsDouble(values[3]); if (unlikely((__pyx_v_bp == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 429, __pyx_L3_error)
-    __pyx_v_g = __Pyx_PyFloat_AsDouble(values[4]); if (unlikely((__pyx_v_g == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 429, __pyx_L3_error)
-    __pyx_v_x = __Pyx_PyFloat_AsDouble(values[5]); if (unlikely((__pyx_v_x == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 430, __pyx_L3_error)
-    __pyx_v_y = __Pyx_PyFloat_AsDouble(values[6]); if (unlikely((__pyx_v_y == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 430, __pyx_L3_error)
-    __pyx_v_tol = __Pyx_PyFloat_AsDouble(values[7]); if (unlikely((__pyx_v_tol == (double)-1) && PyErr_Occurred())) __PYX_ERR(0, 430, __pyx_L3_error)
-    __pyx_v_cap = __Pyx_PyLong_As_int(values[8]); if (unlikely((__pyx_v_cap == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 430, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("f3_series", 1, 9, 9, __pyx_nargs); __PYX_ERR(0, 429, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bsfrac._ckernels.f3_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_6bsfrac_9_ckernels_16f3_series(__pyx_self, __pyx_v_a, __pyx_v_ap, __pyx_v_b, __pyx_v_bp, __pyx_v_g, __pyx_v_x, __pyx_v_y, __pyx_v_tol, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_6bsfrac_9_ckernels_16f3_series(CYTHON_UNUSED PyObject *__pyx_self, double __pyx_v_a, double __pyx_v_ap, double __pyx_v_b, double __pyx_v_bp, double __pyx_v_g, double __pyx_v_x, double __pyx_v_y, double __pyx_v_tol, int __pyx_v_cap) {
-  double __pyx_v_total;
-  double __pyx_v_t0n;
-  PY_LONG_LONG __pyx_v_n_terms;
-  double __pyx_v_prev_row;
-  int __pyx_v_have_prev;
-  PY_LONG_LONG __pyx_v_n;
-  PY_LONG_LONG __pyx_v_m;
-  double __pyx_v_t;
-  double __pyx_v_row;
-  double __pyx_v_r;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PyObject *__pyx_t_3 = NULL;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("f3_series", 0);
-
-  /* "bsfrac/_ckernels.pyx":432
- *               double x, double y, double tol, int cap):
- *     """Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."""
- *     cdef double total = 0.0             # <<<<<<<<<<<<<<
- *     cdef double t0n = 1.0
- *     cdef long long n_terms = 0
-*/
-  __pyx_v_total = 0.0;
-
-  /* "bsfrac/_ckernels.pyx":433
- *     """Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."""
- *     cdef double total = 0.0
- *     cdef double t0n = 1.0             # <<<<<<<<<<<<<<
- *     cdef long long n_terms = 0
- *     cdef double prev_row = 0.0
-*/
-  __pyx_v_t0n = 1.0;
-
-  /* "bsfrac/_ckernels.pyx":434
- *     cdef double total = 0.0
- *     cdef double t0n = 1.0
- *     cdef long long n_terms = 0             # <<<<<<<<<<<<<<
- *     cdef double prev_row = 0.0
- *     cdef bint have_prev = 0
-*/
-  __pyx_v_n_terms = 0;
-
-  /* "bsfrac/_ckernels.pyx":435
- *     cdef double t0n = 1.0
- *     cdef long long n_terms = 0
- *     cdef double prev_row = 0.0             # <<<<<<<<<<<<<<
- *     cdef bint have_prev = 0
- *     cdef long long n = 0
-*/
-  __pyx_v_prev_row = 0.0;
-
-  /* "bsfrac/_ckernels.pyx":436
- *     cdef long long n_terms = 0
- *     cdef double prev_row = 0.0
- *     cdef bint have_prev = 0             # <<<<<<<<<<<<<<
- *     cdef long long n = 0
- *     cdef long long m
-*/
-  __pyx_v_have_prev = 0;
-
-  /* "bsfrac/_ckernels.pyx":437
- *     cdef double prev_row = 0.0
- *     cdef bint have_prev = 0
- *     cdef long long n = 0             # <<<<<<<<<<<<<<
- *     cdef long long m
- *     cdef double t, row, r
-*/
-  __pyx_v_n = 0;
-
-  /* "bsfrac/_ckernels.pyx":440
- *     cdef long long m
- *     cdef double t, row, r
- *     while n_terms < cap:             # <<<<<<<<<<<<<<
- *         t = t0n
- *         row = t
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_n_terms < __pyx_v_cap);
-    if (!__pyx_t_1) break;
-
-    /* "bsfrac/_ckernels.pyx":441
- *     cdef double t, row, r
- *     while n_terms < cap:
- *         t = t0n             # <<<<<<<<<<<<<<
- *         row = t
- *         n_terms += 1
-*/
-    __pyx_v_t = __pyx_v_t0n;
-
-    /* "bsfrac/_ckernels.pyx":442
- *     while n_terms < cap:
- *         t = t0n
- *         row = t             # <<<<<<<<<<<<<<
- *         n_terms += 1
- *         m = 0
-*/
-    __pyx_v_row = __pyx_v_t;
-
-    /* "bsfrac/_ckernels.pyx":443
- *         t = t0n
- *         row = t
- *         n_terms += 1             # <<<<<<<<<<<<<<
- *         m = 0
- *         while n_terms < cap:
-*/
-    __pyx_v_n_terms = (__pyx_v_n_terms + 1);
-
-    /* "bsfrac/_ckernels.pyx":444
- *         row = t
- *         n_terms += 1
- *         m = 0             # <<<<<<<<<<<<<<
- *         while n_terms < cap:
- *             t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0))
-*/
-    __pyx_v_m = 0;
-
-    /* "bsfrac/_ckernels.pyx":445
- *         n_terms += 1
- *         m = 0
- *         while n_terms < cap:             # <<<<<<<<<<<<<<
- *             t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0))
- *             if t == 0.0:
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_n_terms < __pyx_v_cap);
-      if (!__pyx_t_1) break;
-
-      /* "bsfrac/_ckernels.pyx":446
- *         m = 0
- *         while n_terms < cap:
- *             t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0))             # <<<<<<<<<<<<<<
- *             if t == 0.0:
- *                 break
-*/
-      __pyx_v_t = ((((__pyx_v_t * (__pyx_v_a + __pyx_v_m)) * (__pyx_v_b + __pyx_v_m)) * __pyx_v_x) / (((__pyx_v_g + __pyx_v_m) + __pyx_v_n) * (__pyx_v_m + 1.0)));
-
-      /* "bsfrac/_ckernels.pyx":447
- *         while n_terms < cap:
- *             t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0))
- *             if t == 0.0:             # <<<<<<<<<<<<<<
- *                 break
- *             row += t
-*/
-      __pyx_t_1 = (__pyx_v_t == 0.0);
-      if (__pyx_t_1) {
-
-        /* "bsfrac/_ckernels.pyx":448
- *             t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0))
- *             if t == 0.0:
- *                 break             # <<<<<<<<<<<<<<
- *             row += t
- *             n_terms += 1
-*/
-        goto __pyx_L6_break;
-
-        /* "bsfrac/_ckernels.pyx":447
- *         while n_terms < cap:
- *             t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0))
- *             if t == 0.0:             # <<<<<<<<<<<<<<
- *                 break
- *             row += t
-*/
-      }
-
-      /* "bsfrac/_ckernels.pyx":449
- *             if t == 0.0:
- *                 break
- *             row += t             # <<<<<<<<<<<<<<
- *             n_terms += 1
- *             m += 1
-*/
-      __pyx_v_row = (__pyx_v_row + __pyx_v_t);
-
-      /* "bsfrac/_ckernels.pyx":450
- *                 break
- *             row += t
- *             n_terms += 1             # <<<<<<<<<<<<<<
- *             m += 1
- *             r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)))
-*/
-      __pyx_v_n_terms = (__pyx_v_n_terms + 1);
-
-      /* "bsfrac/_ckernels.pyx":451
- *             row += t
- *             n_terms += 1
- *             m += 1             # <<<<<<<<<<<<<<
- *             r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)))
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):
-*/
-      __pyx_v_m = (__pyx_v_m + 1);
-
-      /* "bsfrac/_ckernels.pyx":452
- *             n_terms += 1
- *             m += 1
- *             r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)))             # <<<<<<<<<<<<<<
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):
- *                 break
-*/
-      __pyx_v_r = fabs(((((__pyx_v_a + __pyx_v_m) * (__pyx_v_b + __pyx_v_m)) * __pyx_v_x) / (((__pyx_v_g + __pyx_v_m) + __pyx_v_n) * (__pyx_v_m + 1.0))));
-
-      /* "bsfrac/_ckernels.pyx":453
- *             m += 1
- *             r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)))
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):             # <<<<<<<<<<<<<<
- *                 break
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):
-*/
-      __pyx_t_2 = (__pyx_v_r < 0.97);
-      if (__pyx_t_2) {
-      } else {
-        __pyx_t_1 = __pyx_t_2;
-        goto __pyx_L9_bool_binop_done;
-      }
-      __pyx_t_2 = (((fabs(__pyx_v_t) * __pyx_v_r) / (1.0 - __pyx_v_r)) <= ((0.25 * __pyx_v_tol) * (fabs(__pyx_v_total) + fabs(__pyx_v_row))));
-      __pyx_t_1 = __pyx_t_2;
-      __pyx_L9_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "bsfrac/_ckernels.pyx":454
- *             r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)))
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):
- *                 break             # <<<<<<<<<<<<<<
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):
- *             return total, 2.0 * fabs(prev_row), n_terms, 1
-*/
-        goto __pyx_L6_break;
-
-        /* "bsfrac/_ckernels.pyx":453
- *             m += 1
- *             r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)))
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):             # <<<<<<<<<<<<<<
- *                 break
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):
-*/
-      }
-    }
-    __pyx_L6_break:;
-
-    /* "bsfrac/_ckernels.pyx":455
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):
- *                 break
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):             # <<<<<<<<<<<<<<
- *             return total, 2.0 * fabs(prev_row), n_terms, 1
- *         total += row
-*/
-    if (__pyx_v_have_prev) {
-    } else {
-      __pyx_t_1 = __pyx_v_have_prev;
-      goto __pyx_L12_bool_binop_done;
-    }
-    __pyx_t_2 = (fabs(__pyx_v_prev_row) <= ((0.5 * __pyx_v_tol) * fabs(__pyx_v_total)));
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L12_bool_binop_done;
-    }
-    __pyx_t_2 = (fabs(__pyx_v_row) < (0.5 * fabs(__pyx_v_prev_row)));
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L12_bool_binop_done:;
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":456
- *                 break
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):
- *             return total, 2.0 * fabs(prev_row), n_terms, 1             # <<<<<<<<<<<<<<
- *         total += row
- *         if row == 0.0:
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_3 = PyFloat_FromDouble(__pyx_v_total); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 456, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_4 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_prev_row))); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 456, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n_terms); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 456, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_6 = PyTuple_New(4); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 456, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __Pyx_GIVEREF(__pyx_t_3);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 456, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 456, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_5);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 456, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_6, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 456, __pyx_L1_error);
-      __pyx_t_3 = 0;
-      __pyx_t_4 = 0;
-      __pyx_t_5 = 0;
-      __pyx_r = __pyx_t_6;
-      __pyx_t_6 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":455
- *             if r < 0.97 and fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)):
- *                 break
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):             # <<<<<<<<<<<<<<
- *             return total, 2.0 * fabs(prev_row), n_terms, 1
- *         total += row
-*/
-    }
-
-    /* "bsfrac/_ckernels.pyx":457
- *         if have_prev and fabs(prev_row) <= 0.5 * tol * fabs(total) and fabs(row) < 0.5 * fabs(prev_row):
- *             return total, 2.0 * fabs(prev_row), n_terms, 1
- *         total += row             # <<<<<<<<<<<<<<
- *         if row == 0.0:
- *             have_prev = 0
-*/
-    __pyx_v_total = (__pyx_v_total + __pyx_v_row);
-
-    /* "bsfrac/_ckernels.pyx":458
- *             return total, 2.0 * fabs(prev_row), n_terms, 1
- *         total += row
- *         if row == 0.0:             # <<<<<<<<<<<<<<
- *             have_prev = 0
- *         else:
-*/
-    __pyx_t_1 = (__pyx_v_row == 0.0);
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":459
- *         total += row
- *         if row == 0.0:
- *             have_prev = 0             # <<<<<<<<<<<<<<
- *         else:
- *             prev_row = row
-*/
-      __pyx_v_have_prev = 0;
-
-      /* "bsfrac/_ckernels.pyx":458
- *             return total, 2.0 * fabs(prev_row), n_terms, 1
- *         total += row
- *         if row == 0.0:             # <<<<<<<<<<<<<<
- *             have_prev = 0
- *         else:
-*/
-      goto __pyx_L15;
-    }
-
-    /* "bsfrac/_ckernels.pyx":461
- *             have_prev = 0
- *         else:
- *             prev_row = row             # <<<<<<<<<<<<<<
- *             have_prev = 1
- *         t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0))
-*/
-    /*else*/ {
-      __pyx_v_prev_row = __pyx_v_row;
-
-      /* "bsfrac/_ckernels.pyx":462
- *         else:
- *             prev_row = row
- *             have_prev = 1             # <<<<<<<<<<<<<<
- *         t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0))
- *         n += 1
-*/
-      __pyx_v_have_prev = 1;
-    }
-    __pyx_L15:;
-
-    /* "bsfrac/_ckernels.pyx":463
- *             prev_row = row
- *             have_prev = 1
- *         t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0))             # <<<<<<<<<<<<<<
- *         n += 1
- *         if t0n == 0.0:
-*/
-    __pyx_v_t0n = ((((__pyx_v_t0n * (__pyx_v_ap + __pyx_v_n)) * (__pyx_v_bp + __pyx_v_n)) * __pyx_v_y) / ((__pyx_v_g + __pyx_v_n) * (__pyx_v_n + 1.0)));
-
-    /* "bsfrac/_ckernels.pyx":464
- *             have_prev = 1
- *         t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0))
- *         n += 1             # <<<<<<<<<<<<<<
- *         if t0n == 0.0:
- *             return total, 0.0, n_terms, 1
-*/
-    __pyx_v_n = (__pyx_v_n + 1);
-
-    /* "bsfrac/_ckernels.pyx":465
- *         t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0))
- *         n += 1
- *         if t0n == 0.0:             # <<<<<<<<<<<<<<
- *             return total, 0.0, n_terms, 1
- *     return total, 2.0 * fabs(prev_row), n_terms, 0
-*/
-    __pyx_t_1 = (__pyx_v_t0n == 0.0);
-    if (__pyx_t_1) {
-
-      /* "bsfrac/_ckernels.pyx":466
- *         n += 1
- *         if t0n == 0.0:
- *             return total, 0.0, n_terms, 1             # <<<<<<<<<<<<<<
- *     return total, 2.0 * fabs(prev_row), n_terms, 0
-*/
-      __Pyx_XDECREF(__pyx_r);
-      __pyx_t_6 = PyFloat_FromDouble(__pyx_v_total); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_6);
-      __pyx_t_5 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n_terms); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 466, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __Pyx_GIVEREF(__pyx_t_6);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_6) != (0)) __PYX_ERR(0, 466, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_float_0_0);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_float_0_0);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, __pyx_mstate_global->__pyx_float_0_0) != (0)) __PYX_ERR(0, 466, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_5);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, __pyx_t_5) != (0)) __PYX_ERR(0, 466, __pyx_L1_error);
-      __Pyx_INCREF(__pyx_mstate_global->__pyx_int_1);
-      __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_mstate_global->__pyx_int_1) != (0)) __PYX_ERR(0, 466, __pyx_L1_error);
-      __pyx_t_6 = 0;
-      __pyx_t_5 = 0;
-      __pyx_r = __pyx_t_4;
-      __pyx_t_4 = 0;
-      goto __pyx_L0;
-
-      /* "bsfrac/_ckernels.pyx":465
- *         t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0))
- *         n += 1
- *         if t0n == 0.0:             # <<<<<<<<<<<<<<
- *             return total, 0.0, n_terms, 1
- *     return total, 2.0 * fabs(prev_row), n_terms, 0
-*/
-    }
-  }
-
-  /* "bsfrac/_ckernels.pyx":467
- *         if t0n == 0.0:
- *             return total, 0.0, n_terms, 1
- *     return total, 2.0 * fabs(prev_row), n_terms, 0             # <<<<<<<<<<<<<<
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_4 = PyFloat_FromDouble(__pyx_v_total); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 467, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_t_5 = PyFloat_FromDouble((2.0 * fabs(__pyx_v_prev_row))); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 467, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_5);
-  __pyx_t_6 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_n_terms); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 467, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_6);
-  __pyx_t_3 = PyTuple_New(4); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 467, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_4);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 467, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_5);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_5) != (0)) __PYX_ERR(0, 467, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_6);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 2, __pyx_t_6) != (0)) __PYX_ERR(0, 467, __pyx_L1_error);
-  __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 3, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 467, __pyx_L1_error);
-  __pyx_t_4 = 0;
-  __pyx_t_5 = 0;
-  __pyx_t_6 = 0;
-  __pyx_r = __pyx_t_3;
-  __pyx_t_3 = 0;
-  goto __pyx_L0;
-
-  /* "bsfrac/_ckernels.pyx":429
- * 
- * 
- * def f3_series(double a, double ap, double b, double bp, double g,             # <<<<<<<<<<<<<<
- *               double x, double y, double tol, int cap):
- *     """Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("bsfrac._ckernels.f3_series", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__ckernels(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__ckernels},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_ckernels",
-      __pyx_k_Compiled_numeric_kernels_Twin_of, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__ckernels(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__ckernels(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__ckernels(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_ckernels' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_ckernels" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__ckernels", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_bsfrac___ckernels) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "bsfrac._ckernels")) {
-      if (unlikely((PyDict_SetItemString(modules, "bsfrac._ckernels", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "bsfrac/_ckernels.pyx":13
- *                         sinh, sqrt, tgamma)
- * 
- * cdef double POLE_TOL_C = 1e-12             # <<<<<<<<<<<<<<
- * cdef double _PI = 3.141592653589793
- * cdef double _PI_LO = 1.2246467991473532e-16
-*/
-  __pyx_v_6bsfrac_9_ckernels_POLE_TOL_C = 1e-12;
-
-  /* "bsfrac/_ckernels.pyx":14
- * 
- * cdef double POLE_TOL_C = 1e-12
- * cdef double _PI = 3.141592653589793             # <<<<<<<<<<<<<<
- * cdef double _PI_LO = 1.2246467991473532e-16
- * cdef double _SPLIT = 134217729.0
-*/
-  __pyx_v_6bsfrac_9_ckernels__PI = 3.141592653589793;
-
-  /* "bsfrac/_ckernels.pyx":15
- * cdef double POLE_TOL_C = 1e-12
- * cdef double _PI = 3.141592653589793
- * cdef double _PI_LO = 1.2246467991473532e-16             # <<<<<<<<<<<<<<
- * cdef double _SPLIT = 134217729.0
- * cdef double _HALF_LN_PI = 0.5723649429247001
-*/
-  __pyx_v_6bsfrac_9_ckernels__PI_LO = 1.2246467991473532e-16;
-
-  /* "bsfrac/_ckernels.pyx":16
- * cdef double _PI = 3.141592653589793
- * cdef double _PI_LO = 1.2246467991473532e-16
- * cdef double _SPLIT = 134217729.0             # <<<<<<<<<<<<<<
- * cdef double _HALF_LN_PI = 0.5723649429247001
- * 
-*/
-  __pyx_v_6bsfrac_9_ckernels__SPLIT = 134217729.0;
-
-  /* "bsfrac/_ckernels.pyx":17
- * cdef double _PI_LO = 1.2246467991473532e-16
- * cdef double _SPLIT = 134217729.0
- * cdef double _HALF_LN_PI = 0.5723649429247001             # <<<<<<<<<<<<<<
- * 
- * POLE_TOL = POLE_TOL_C
-*/
-  __pyx_v_6bsfrac_9_ckernels__HALF_LN_PI = 0.5723649429247001;
-
-  /* "bsfrac/_ckernels.pyx":19
- * cdef double _HALF_LN_PI = 0.5723649429247001
- * 
- * POLE_TOL = POLE_TOL_C             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_2 = PyFloat_FromDouble(__pyx_v_6bsfrac_9_ckernels_POLE_TOL_C); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 19, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_POLE_TOL, __pyx_t_2) < (0)) __PYX_ERR(0, 19, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":40
- * 
- * 
- * def near_nonpositive_int(double x):             # <<<<<<<<<<<<<<
- *     """True when x is within POLE_TOL of a gamma pole."""
- *     return bool(_near_nonpos_int(x))
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_1near_nonpositive_int, 0, __pyx_mstate_global->__pyx_n_u_near_nonpositive_int, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_near_nonpositive_int, __pyx_t_2) < (0)) __PYX_ERR(0, 40, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":62
- * 
- * 
- * def lgamma_sign(double x):             # <<<<<<<<<<<<<<
- *     """(log|Gamma(x)|, sign) for real non-pole x."""
- *     cdef double la
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_3lgamma_sign, 0, __pyx_mstate_global->__pyx_n_u_lgamma_sign, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 62, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_lgamma_sign, __pyx_t_2) < (0)) __PYX_ERR(0, 62, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":164
- * 
- * 
- * def bs_series(double nu, double u, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Bessel-Struve kernel power series (interleaved even/odd chains)."""
- *     cdef double ch, cl, e, o, s, prev, u2h, u2l
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_5bs_series, 0, __pyx_mstate_global->__pyx_n_u_bs_series, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 164, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bs_series, __pyx_t_2) < (0)) __PYX_ERR(0, 164, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":225
- * 
- * 
- * def bessel_series(double v, double z, int modified, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_7bessel_series, 0, __pyx_mstate_global->__pyx_n_u_bessel_series, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 225, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bessel_series, __pyx_t_2) < (0)) __PYX_ERR(0, 225, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":252
- * 
- * 
- * def struve_series(double v, double z, int modified, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """H_v (modified=0) or L_v (modified=1) by direct series; z > 0."""
- *     cdef double half = 0.5 * z
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_9struve_series, 0, __pyx_mstate_global->__pyx_n_u_struve_series, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 252, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_struve_series, __pyx_t_2) < (0)) __PYX_ERR(0, 252, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":280
- * 
- * 
- * def hyp2f1_series(double a, double b, double c, double z, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."""
- *     cdef double s = 1.0
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_11hyp2f1_series, 0, __pyx_mstate_global->__pyx_n_u_hyp2f1_series, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[5])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 280, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_hyp2f1_series, __pyx_t_2) < (0)) __PYX_ERR(0, 280, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":338
- * 
- * 
- * def hyp2f1_kernel(double a, double b, double c, double z, double wbar):             # <<<<<<<<<<<<<<
- *     """2F1 for quadrature integrands: full real axis z < 1."""
- *     cdef double t, scale, s, p1, p2, f1, f2
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_13hyp2f1_kernel, 0, __pyx_mstate_global->__pyx_n_u_hyp2f1_kernel, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[6])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 338, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_hyp2f1_kernel, __pyx_t_2) < (0)) __PYX_ERR(0, 338, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":363
- * 
- * 
- * def wright_series(ua, uA, lb, lB, double z, double tol, int cap):             # <<<<<<<<<<<<<<
- *     """Generalized Wright series, terms assembled in log space."""
- *     cdef double cua[32]
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_15wright_series, 0, __pyx_mstate_global->__pyx_n_u_wright_series, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_wright_series, __pyx_t_2) < (0)) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":429
- * 
- * 
- * def f3_series(double a, double ap, double b, double bp, double g,             # <<<<<<<<<<<<<<
- *               double x, double y, double tol, int cap):
- *     """Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_6bsfrac_9_ckernels_17f3_series, 0, __pyx_mstate_global->__pyx_n_u_f3_series, NULL, __pyx_mstate_global->__pyx_n_u_bsfrac__ckernels, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[8])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 429, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_f3_series, __pyx_t_2) < (0)) __PYX_ERR(0, 429, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bsfrac/_ckernels.pyx":1
- * # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled numeric kernels.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init bsfrac._ckernels", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init bsfrac._ckernels");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "bsfrac/_ckernels.pyx":170
- *     cdef long long k, n
- *     if u == 0.0:
- *         return 1.0, 0.0, 1, 1             # <<<<<<<<<<<<<<
- *     if u > 0.0:
- *         ch, cl = _bs_odd_prefactor_dd(nu)
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(4, __pyx_mstate_global->__pyx_float_1_0, __pyx_mstate_global->__pyx_float_0_0, __pyx_mstate_global->__pyx_int_1, __pyx_mstate_global->__pyx_int_1); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 170, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{40},{24},{8},{20},{1},{3},{12},{2},{18},{1},{13},{2},{9},{16},{1},{3},{2},{2},{3},{3},{18},{3},{3},{4},{1},{2},{2},{2},{2},{9},{8},{1},{4},{9},{13},{13},{1},{13},{5},{1},{1},{2},{2},{3},{3},{2},{11},{2},{3},{1},{8},{8},{10},{1},{7},{8},{20},{2},{1},{2},{2},{1},{2},{2},{3},{4},{8},{1},{12},{1},{3},{1},{5},{12},{10},{2},{2},{3},{2},{13},{7},{1},{3},{8},{2},{2},{2},{3},{5},{1},{3},{3},{2},{2},{1},{6},{4},{13},{1},{1},{1},{5},{580},{22},{16},{195},{439},{872},{289},{248},{267}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1714 bytes) */
-const char* const cstring = "BZh91AY&SYf4\034D\000\002\020\377\377\377\377\377\377\377\341\377\260\277\305\377\353\277\377\377\364@@@@@@@@@@@@@\000@\000`\006\275\360\024\003\200(\356\010\2405\300b$\244\036\240\001\232\236\t2\0330&\223I\241\351\r\000\000\332 4h4\320h\3202\031\006\210\023F\200OS\324\364D\311\265OJ~T\375Q\344\217\324A\221\350\215\000\001\210\032\014\004\304\032\017(\365\030\340\000\000\006\200\000\000\032\000h\000\006\200\000\032\000\000\000\004\210\222P\320\310z\200\r24d\006@\315&F\203M\001\243 hh\320\320\014\236\247\247\251\0008\000\000\001\240\000\000\006\200\032\000\001\240\000\006\200\000\000\001\"F\202@MD\032\000\000\000\000\000\000\000\000\001\221\246\232\006\200\3654\272\330l\223[K\212\340&*\365\265\2211\n\262\242a3\362I\016\034*\2543\\+VB/E@\252\013\245`\222R%\022\224\213\373\377\0163\376i l\033\023m\261\242\345\321{\231\336\203D\035\020\272\267H+Ue$\203F\216\224\221\006\220@\021kV\240\316\010 L\033\033\030\312Y]\210M\2416\024\004\272-\010\226\240k\2001\261\266U\005)A\264\243L\326\251m\252\335\020\366\233\"\233z\307\305\310\202\303\254D;\254\220\221\203\010\260jY\311\205\253 \230\321\220\310\031X\306\233T\241J5YXZ\265\3531\242\301r\265F\243T\r1\3305^Bx\211\024+\215\227\245u\272\362\276[[\262\350\273\027\022U\235\264;5XQf\212\305\025W\202\204\241\"\212\210\271u$\204\222V\362J%\022\210;*rs\237\303\241\302\016\034\345\315\3764\3126\210\330*\033\367\206\332\311\274\271\014\206\340^\246M_\326\267K\205\200\300\265\201\220\3426-g\221\257\"\310\214\206L\344\221\022\004\245\"\225!\223m\313\334\275J\225/wC\264\330A&\005\200\274\024c\206CU/\016\005,\302\254\276\201T\210(),\257\242%\022\244*c\217\005\222\262\013#\013\347\220\t{\240\266\216\377I\317\372\371|t;S+\0066n\330U\246\326\266Y\211\266X)R\347*\302\262*+ \301\304\030\003r\312\302\302\302X\014\037q\256\352\312\300N\232\371g3Q{\357Z\363\235\013\333\0059\256\261\370\316'\234\354s\371\034\236.dp\331\251\034\234\277\302\226?\303%9\223\016\327i\251\022\016O\305 4\306\345\243\375>-\222\265\215`\342\245\000\377\246\212\270W@\220\377""\276\027I\351K\016V[UD\356ZCgv\352Q\344\232\312i\332Z\265\021\204\03201\317@.\024\323\315\227%f\212\317E\363\002\240\025\000\007\020\364E$\301\030\\\344)\007:\221\021O\355\216\305i\323\315\373\274\236O{\307<\243X\315\353\244\345\005)\024\205 \214[\20633\206\005\255\031_\"\267\035l\315z\t\201 \217!5FW\232\267\320\301EE\310\360.\030\307\030~\304X\022\347\014\355R\024J=|\031\033\231\213\265\327;3?\227b\005y\250\263\326\327\004T\244T\305\350zh\305+Ls9\031\235<9\313y\345[\0172\025\274\251nX\257\022e\232A\377'=\212 cnGo~\265!\2179\270\324\223i\036\204\270\333R\353\023Ip\337%\326$\301\262\323\263 1\"\327P\n\254^\361m\307\221\215\305EXcf\315\251\200(\020\3204\354P\006\224\250\224\020\020Ca\215\3538\007O\035s\332\244[\030o6\362\237WL\343\331\026\344\266 \336-\340vh\340\034\003\272\333\222\274\365\345IcY\342\000([\245\212\347a\0073\\Z\026s\272}\365\013\242\004HDD\2121(\373!\322\303\243\300\252!hD\227\336\233\313HL\220\300\032\346A\347\020\002\000\240B\005\214c\003<*\245\364\036\356$\357B\314\036\210\206E\370\205\261\325t\366\250\"@\347Lsk\022/\214\3368\036\306\366\266\360q9\225!\213\237\253\325JG\335\341=\324\220D\001\242\022\034pt\030\024\006\226\212\322a\311<\304K\010`\217\020\2179\360\024+\306L\004!`\231\251,\361\226\233P,\215\006\r\203yc\210\006\275&\252^L\261\214`\340p\020\326\215\356O\225\254\365\031\223\000\376\3615)\230j\374V\263A\220_\005\266PlG\354\341_7\316-\274\224K\213\225\006\006\000>Q\305\te\n2H\220\204\305$A\014\367hq\241\266q\335'F\224T\231D\031\024>e\376\026\n\324\312\201\270u\220h\206\237/\245\251,[\002'\204\304\244u\214\243g`|\317h\" `i\014\203\220\316\240\360\364\321\324\274\306 \026\275:\341_L\030bE\024\"\211!\010\257\345\323\236\020\027\231\334-`\316\221dE@~\243j\221x\234\313\346\031\255\026b\013V\370Hls\207\205\024]\271\341Z3\016\221\214<g\212\023\004\216%\310KR\355\035\013}\022$\305r\324\222;\246`\031\305\352\r!0d\021\244~\005\023\213\251%\371g\006\227x\316\244\244M:P,\340+\264\006\202\245\tl\315E\014\202IA0b\202\216\344a)%``-\356\\,PW\000J0\321\230""\343\037\356\244\222\372\033<bA\371R\211\004\242fb\034\247yL\230\004\356\247\367>\007\236\211\313\"\2311j\013\206\270#3\024\244\023M\262\370\024W[r\203u\021$\345\024\2127\005\261\030I\203\r\305\220\005\273\214\262rNJVF>C\033F\301\2644\361\261l&\302\236\256\032\274\233\354\312\372\025\353\347\034\3476\005\340\263M\252\373vE\333V\220\235\253\3161\305\235+LmJ\345eW\257^\262\010\325\254+\005\225\214\266\353[\252j\345\345\325\025\256\030A\226R\020\002&\001\353,@Ym\200\177\366\n\000u\033o\237\210]GJx\007b\023\332p\350\013=\235\305\310\025&\034\023\200mx6{u$\3430\252)\005\223\321\023(;\207\212\020\020\210\024\362I-1kQ\324n\316\257\246\245\257R\244\324+B\324\274A\024/2\256U\336\205\"Y2\311*M\3510RiD\324!\225tq\027\210\240\351X\"\255\\\265.UR\256=\n\326\035J\330xSr\223\213~X\251\233\323]4\304\224e\030\346\022\240\314\014\377\305\334\221N\024$\031\215\007\021\000";
-    PyObject *data = __Pyx_DecompressString(cstring, 1714, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1767 bytes) */
-const char* const cstring = "x\332\335V\313r\333F\0265\037\262%\213\266\304\207\242\274fF\244\354\231d\343\014 j\\3\233\024))\223E*\t)\332\216+\025\243\032 (\322\006_\350\206l\271f\341%\226X\366\022K,\261\344\222K.\271\344R\237\340O\230\323\335 %\325<*IU6\251\"Q\335\215\356\333\367\236{\316\275\370\222\260\275\376\220\262\275\003}oD\\\322\267\231\355b\324s\351\036q\355=\352\215FC\227\331m\352Z_\230\264\343\022\353\013\303ze\273\003\333\241\217F\027o\276\377\356\233\023\243\365\3357\206\361\375\305\033\374\217{\0263\276\265\337\260\246\335!\304\262\014\203\014\006CF\230\215\321\210\320\213\201\325\033>\262\206\356\320c\275\201MM\323\246\324v\014j\273=\314F&]\016\345e\217V\227Y\026\031Y]\313\261\234\272\345\230\226\203\303Fo`0l\262Mb\275\262\274\232\345\221\266\215\237\335\265\235\216\326\321;\007\211-\303\350x\003\270r\326%N\247K\316mc\344\332\347\335\213\221\336\321\014e?\231\250\375=\243G\215\225\217=f\367\351\313WN\335!\016\321\034\242;\246sF\372}b\320\336\331\300y\345\014\336\366\r\243O\340\215\321\037\266{\235\236\335\226#\317A\320\003\370h\273}\3700\000\272x\332\3045\006\303\301hH{\254w.\202`\003o8\354\016\235\321H\033\351\243\341H8'\376\206;|=6\214\261G\034u\326\305\002\245\026\021v\251\315\022\213\030\265\001\266\3470zF\273\360\211:\224\271\036L\253h\250\3277\210I\031\373+\034d6exv\231\303\006l\3500\244\306\361<\275\353\351\216W\363\310\3719\2466}m\022\367\265\333;\353\262\304\306\233\213\267oE\264\357R\357s\267\326>\342\031\256\361\332\"\373\241\032\\f\357\274s\375\202\177\340[A!\320\203\306b\375\276\377\222\247x~\221]\367\327\374'A9\320\026\353\233\276\346\237`\203\026\324nN~\336\246\017\002\213\347\371\003N\370\353\320\2142\321\337c,\356\004\215\300\346:o\362\213(\265\310\226\304\306\335`\274\310~\314\313\227b\364\376\366\255\265M\277\342\327}\"\274\302\343\236\017\377\266\374\361b=\007\343;\001\301\366\334v\220\301-G\201\313\213\274\306O\303tX^\344\266\346[\177\342\3430\265\330\336\r.\302Lx\210[5\261\367v0\010kac\221+\302\345\\!(\3772[\343\305v\376\177\230A\304\342M\3522\267\345\273A""18\346Y^\347\246:G\371CN\205\261\345\321f\350Fyu\241\036\234\002\360\022\200p\303BXU/\266\374\363\240\t?\226\313\007!Yl\003#\221\241M\377\037A\013o\032\274\023\036\205,\322\243V\\\210\253\361x\222\231T'l\252M\217\246\356\2544k\316\330\374\2645o=\021n\036\004m^\341\307a*\334\225X(07}\335?\rR\213\334\207\034\216\313`0R/\263\233\240E;\250 \222\024\337\005\210\0328\264~km\003)\177\241X\264\351W\375\361\273\324\245\032\314\267\367`>/\3462\233x\\\252\224\312\307\335e.\357\371M\237\302n\035\264(J\21422\354Bt\020Y\210D\217\237N\364\211\364N\3602\257\334\267\371\001'b\r7\001\265e<\351\360AHB\032=\210\332q\031 \270\223\322\244)A\250\335\014\273\024\236\202g\310v-\211}\365\270\021h\tiO!\320\333B,)\301]\262\310\376\201c\327'\\\223\344\\\\\221\3633\034\252%6%C\005\202\313i70a\000)N\007\3732\227E~\224\344\322\214\322p\330\214\323q%\256\307\326\2448\251O\314ij\221P\247&Y&\263!\220\313\345\003I\225,\0203y\232\357KfV\220{\201Y5r%f\315\230N\366\021\272;\315+;\205\340\020\024\024\241\027\303\272\324\235\330Z\214\217b\017\327\265\247\373\323\326,?\373\313\274q:?}6\177\366\303\374\207\347\342\336k\364z\231\234)\3018\233h\223\177N\253S6\323f'\3133\317\347\317\177\232\377\364b\376\302\020\356>\206\304\3150\013v\377\030oL`I\370-\023F!\020E1\031\217\244\330}@\276\017\352\253x2\241\216\374\244\243Jt,Q9B4\025\270IVDM\254\210k\036\252\222\261\351?\016\036\000\221,\264\372c\264\021\203y\357\357\336Z[GE+\212\024l\371^p\"\224\274H\252\234\314\315\311<\3770l@N*O9p\322\014R\327\006I\201\271\312\253\211\014\226E\026D\205lB\313\025\220\326\006e\205\364\232\300g\007),I\350\013\323\303Yf\246Czt\336T\322\373\325\307d\032\031\352\321W@\250\225\224\206R\324\200FDB\024\321\307\252\272\010\340o\207\226\250\034\311AU\202\322\362\215\320\310\222r\251\253\003\002\363&\244SN\016I\302\311\234m\001\353%\262\317\3003\250w\303\377\300\277\200>$\234\033~>y\240\376\317\357\225\303<j\233\354\005\317QH\031\257\362\261\232>C\305\022\\j\205\330{\177%\262|R:\0007\266-\037\253\002!*\362\256\324b+\334\t\223\205\217x\031v""\231\364y|}\311\013\217%q\352\221\035\037\304mI\033!\246\3778E\261\251\366[[O\330z\210\022UM\3527\0135\030\311\202\331\251DJ\242\272\001\356*\240\322\371\023H\371k\330\357\201\362\345\233\356\225\320b\326\305\276\261P\214\202,\213\376$\216)F\214\245\335l\\\213[\223\002\252\277;-M\033Sre\035\310\313\354\257CV\237\343\342\346\204N\377\357-\212s\265Ui\254b\256\007O\300\336\257QFz\021\215\313\252<*\235\035'\035,+\213[1\254)\001]W\334\261\324\317M\245\255>7\266\244y\014\226\275\027N\\b\222Z\242\250\251X\\A\232;W\322\026\355\361_\000\366\010\300\357G\247\361\235XR.-9$\256\001?\377\010c\031\264\r\241\200\375\244\345\256\22658,Z2\026>\305\247\210hE\307r\337\323\350q\274ZV\365\266)C\023D\330\217\236\306\217\221&\000\3637(L}*\324\271\005\224\377\214j\251\303\223\264\000H4>\001\177\343z\307T\237\003\3602\203\257#\341eF\252\273\302\223\017\251\246\002\216)\330j\002\377+u\334\224\210\350\241\242\304\013`\n\3740\321\262\350\007\332o\322#\257\276\024\256z\361\177\353\2337\342\276\353\357\370\003\224\220\206@S\r\005\222y\005\201.C\330\001\304\"\031_A\005\002\340\362\357\004\212\177\003\2602S\373";
-    PyObject *data = __Pyx_DecompressString(cstring, 1767, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3488 bytes) */
-const char* const bytes = "?at most 32 parameter pairs are supportedsrc/bsfrac/_ckernels.pyxPOLE_TOL__Pyx_PyDict_NextRefaacc__annotate__apasyncio.coroutinesbbessel_seriesbpbs_seriesbsfrac._ckernelsccapchclclBclbcline_in_tracebackcuAcuadeadeehelf1f2f3_series__func__ghalfhave_prevhyp2f1_kernelhyp2f1_seriesi_is_coroutineitemsjklBlala1la2lblgamma_signlklnzm__main__modified__module__nn_terms__name__near_nonpositive_intnuooholpp1p2popprevprev_rowq__qualname__rrowsscale__set_name__setdefaultsgshsigslstruve_seriessum_abstt0n__test__thtltntoltotaluu2hu2luAuavvalueswbarwright_seriesxyzzsign\200\001\360\014\000\005\031\230\003\2301\230A\330\004\030\230\003\2301\230A\340\004\007\200r\210\022\2103\210c\220\022\2202\220Q\330\010\016\210j\230\001\230\021\330\004\010\210\005\210U\220!\2201\330\010\013\2101\210E\220\022\2201\220A\330\010\013\2101\210E\220\022\2201\220A\330\004\010\210\005\210U\220!\2201\330\010\013\2101\210E\220\022\2201\220A\330\010\013\2101\210E\220\022\2201\220A\330\004\026\220c\230\021\230$\230a\230w\240b\250\003\2509\260A\330\004\025\220Q\220e\2302\230R\230y\250\001\330\004\024\220A\330\004\027\220q\330\004\032\230!\340\004\027\220q\360\006\000\005\013\210\"\210B\210a\330\010\016\210a\330\010\r\210Q\330\010\017\210q\330\010\014\210E\220\025\220a\220q\330\014\020\220\003\2201\220C\220r\230\023\230A\230S\240\002\240!\330\014\017\320\017\037\230q\240\001\330\020\027\220y\240\003\2405\250\003\2501\330\014\020\220\006\220n\240A\240Q\330\014\023\2201\330\014\022\220!\330\010\014\210E\220\025\220a\220q\330\014\020\220\003\2201\220C\220r\230\023\230A\230S\240\002\240!\330\014\017\320\017\037\230q\240\001\330\020\027\220q\330\020\021\330\014\020\220\006\220n\240A\240Q\330\014\023\2201\330\014\022\220!\330\010\013\2101\330\014\020\220\001\340\014\017\210r\220\023\220D\230\004\230B\230b\240\001\330\020\027\220s\230%\230s\240!\330\014\020\220\006\220n\240A\240R\240r\250\021\330\014\020\220\003\2202\220S\230\001\230\024\230R\230r\240\022\2404\240r\250\021\330\014\017\210v\220R\220r\230\024\230R\230r""\240\022\2403\240a\330\020\024\220A\220Q\330\010\013\210:\220T\230\024\230Q\230f\240C\240t\2502\250T\260\022\2604\260q\270\003\2704\270t\3001\300C\300r\310\024\310R\310t\320ST\320TU\330\014\023\2203\220d\230\"\230D\240\001\240\027\250\003\2501\330\010\r\210Q\330\010\013\2102\210S\220\001\330\014\030\230\001\340\014\023\2201\330\014\030\230\001\330\010\r\210Q\330\004\013\2103\210d\220\"\220D\230\001\230\027\240\003\2401\200\001\360\010\000\005\t\210\005\210^\2301\230A\330\004\013\2104\210q\200\001\340\004\013\2104\210q\320\020 \240\001\240\021\200\001\340\004\024\220A\330\004\024\220A\340\004\027\220q\330\004\027\220q\330\004\n\210\"\210B\210a\330\010\r\210R\210s\220\"\220B\220c\230\023\230B\230b\240\003\2404\240r\250\022\2503\250c\260\022\2602\260V\2702\270Q\330\010\013\2103\210c\220\021\330\014\023\2203\220e\2303\230a\330\010\013\2104\210q\220\003\2203\220d\230\"\230D\240\002\240$\240a\240s\250$\250d\260!\2604\260r\270\024\270R\270t\3001\300A\330\014\023\2203\220d\230\"\230D\240\001\240\024\240S\250\001\330\010\014\210A\330\010\r\210Q\330\010\r\210Q\330\010\r\210Q\330\004\013\2103\210d\220\"\220D\230\001\230\024\230S\240\001\200\001\360\006\000\005\031\230\001\330\004\026\220a\330\004\035\230Q\330\004\033\2301\330\004\032\230!\330\004\027\220q\360\006\000\005\013\210(\220\"\220A\330\010\014\210A\330\010\016\210a\330\010\023\2201\330\010\014\210A\330\010\016\210h\220b\230\001\330\014\020\220\002\220#\220R\220r\230\023\230C\230r\240\022\2403\240b\250\002\250$\250b\260\002\260\"\260B\260c\270\023\270B\270b\300\001\330\014\017\210r\220\023\220A\330\020\021\330\014\023\2201\330\014\027\220q\330\014\021\220\021\330\014\020\220\004\220B\220b\230\002\230#\230S\240\002\240\"\240C\240r\250\022\2504\250r\260\022\2602\260R\260s\270#\270R\270r\300\021\330\014\017\210r\220\022\2205\230\004\230D\240\001\240\023\240B\240b\250\003\2504\250r\260\023\260C\260u\270B\270d\300#\300T\310\021\310'\320QS\320SW\320WX\320XY\330\020\021\330\010\013\210:\220T\230\024\230Q\230j\250\003\2504""\250r\260\024\260R\260t\2701\270G\3004\300t\3101\310E\320QS\320SW\320WY\320Y]\320]^\320^_\330\014\023\2207\230$\230b\240\004\240A\240[\260\t\270\021\330\010\021\220\021\330\010\013\2104\210s\220!\330\014\030\230\001\340\014\027\220q\330\014\030\230\001\330\010\016\210d\220#\220S\230\002\230#\230S\240\003\2402\240S\250\002\250\"\250D\260\002\260\"\260C\260s\270\"\270B\270a\330\010\r\210Q\330\010\013\2104\210s\220!\330\014\023\2207\230%\230y\250\001\330\004\013\2107\220$\220b\230\004\230A\230[\250\t\260\021\200\001\360\n\000\005\010\200r\210\023\210A\330\010\017\210u\220E\230\023\230A\330\004\007\200r\210\022\2101\330\010\014\210E\320\021%\240Q\240a\330\010\014\210A\330\010\014\210B\210b\220\001\330\010\014\210B\210b\220\001\330\010\017\210q\330\010\014\210A\330\010\014\210A\330\010\016\210b\220\002\220!\330\014\021\220\022\2202\220R\220s\230\"\230B\230e\2404\240t\2502\250R\250r\260\025\260c\270\024\270R\270r\300\022\3005\310\003\3102\310R\310s\320RT\320TU\330\014\021\220\022\2202\220R\220s\230\"\230B\230e\2404\240t\2502\250R\250r\260\025\260c\270\024\270R\270r\300\022\3005\310\003\3102\310R\310s\320RT\320TU\330\014\021\220\021\330\014\017\210t\2201\220F\230#\230T\240\022\2404\240r\250\024\250Q\250c\260\024\260R\260r\270\024\270R\270q\330\020\027\220s\230$\230b\240\006\240c\250\021\330\014\021\220\021\330\014\017\210r\220\023\220D\230\002\230$\230b\240\002\240$\240b\250\002\250$\250b\260\001\330\020\027\220s\230$\230b\240\003\2402\240R\240s\250!\330\014\021\220\021\330\014\023\2201\330\014\021\220\021\330\010\017\210s\220$\220b\230\004\230A\230W\240C\240q\330\004\t\210\026\210y\230\001\230\023\230A\330\004\t\210\021\330\004\t\210\021\330\004\010\210\005\320\r!\240\021\240!\330\004\010\210\005\210Y\220a\220t\2304\230q\330\004\010\210\005\210W\220A\220T\230\024\230T\240\021\330\004\016\210d\220\"\220D\230\001\230\021\330\004\013\2104\210q\220\001\330\004\010\210\001\330\004\010\210\001\330\004\n\210\"\210B\210a\330\010\014\210E\220\027\230\001\230\024\230T\240\025\240a""\330\010\014\210E\220\031\230!\2304\230t\2402\240R\240q\330\010\014\210E\220\031\230!\2304\230u\240D\250\002\250\"\250B\250e\2603\260d\270\"\270B\270b\300\001\330\010\014\210E\220\031\230!\2304\230t\2402\240R\240s\250\"\250A\330\010\014\210E\220\027\230\001\230\024\230T\240\025\240a\330\010\014\210E\220\031\230!\2304\230t\2402\240R\240q\330\010\014\210E\220\031\230!\2304\230u\240D\250\002\250\"\250B\250e\2603\260d\270\"\270B\270b\300\001\330\010\014\210E\220\031\230!\2304\230t\2402\240R\240s\250\"\250A\330\010\r\210Q\330\010\013\2105\220\003\2204\220r\230\024\230R\230t\2401\240D\250\004\250D\260\001\260\024\260R\260t\2702\270Q\330\014\023\2204\220t\2302\230U\240\"\240H\250B\250i\260s\270!\330\010\014\210E\220\027\230\001\230\024\230T\240\024\240Q\330\010\023\2204\220q\230\001\330\010\013\2104\210q\220\004\220C\220t\2302\230T\240\022\2404\240q\250\004\250D\260\004\260A\260T\270\022\2704\270r\300\024\300Q\300a\330\014\023\2204\220t\2302\230T\240\021\240$\240b\250\010\260\002\260)\2702\270R\270s\300!\330\010\014\210E\220\027\230\001\230\024\230T\240\024\240Q\330\010\023\2204\220q\230\001\330\010\017\210t\2201\220A\330\010\r\210Q\330\004\013\2104\210t\2202\220U\230\"\230H\240B\240i\250s\260!\200\001\360\006\000\005\010\200r\210\023\210D\220\003\2202\220S\230\004\230C\230r\240\023\240A\330\010\017\210q\330\004\007\200r\210\022\2101\330\010\014\210D\220\002\220!\330\010\014\210B\210b\220\001\330\010\014\210B\210c\220\022\2202\220Q\330\010\017\210t\2202\220Q\330\010\020\220\003\2201\220C\220q\230\001\340\010\020\220\001\330\010\013\2105\220\003\2201\330\014\023\2204\220r\230\021\330\004\007\200r\210\023\210A\330\010\017\210v\220R\220|\2401\240C\240s\250#\250S\260\007\260q\330\004\010\210\002\210\"\210B\210b\220\001\330\004\t\210\036\220q\230\003\2303\230b\240\002\240#\240R\240r\250\021\330\004\t\210\036\220q\230\003\2301\230C\230s\240!\330\004\t\210\034\220Q\220c\230\023\230D\240\002\240#\240V\2507\260!\330\004\t\210\034\220Q\220b\230\002\230#\230R\230r\240\023\240D\250""\002\250#\250V\2607\270!\330\004\013\2106\220\023\220C\220r\230\023\230B\230c\240\021\240&\250\003\2502\250S\260\002\260!\200\001\340\004\027\220t\2302\230Q\360\010\000\005\t\210\005\210^\2301\230B\230b\240\001\330\004\010\210\003\2101\210B\210b\220\003\2201\220F\230\"\230A\330\004\010\210\005\210R\210q\330\004\007\200t\2101\330\010\014\210A\210Q\330\004\010\210\001\330\004\010\210\001\330\004\010\210\001\330\004\n\210\"\210B\210a\330\010\r\210R\210r\220\022\2204\220r\230\022\2305\240\003\2402\240R\240r\250\022\2501\330\010\013\2104\210q\220\003\2203\220d\230\"\230D\240\002\240$\240a\240s\250$\250d\260!\2604\260r\270\024\270R\270t\3001\300A\330\014\023\2203\220d\230\"\230D\240\001\240\024\240S\250\001\330\010\014\210A\330\010\r\210Q\330\010\r\210Q\330\010\r\210Q\330\010\013\2102\210S\220\001\330\014\023\2203\220e\2303\230a\330\004\013\2103\210d\220\"\220D\230\001\230\024\230S\240\001\200\001\340\004\027\220t\2302\230Q\360\010\000\005\n\210\025\210n\230A\230Q\330\004\t\210\025\210n\230A\230R\230r\240\021\330\004\010\210\003\2102\210R\210r\220\025\220b\230\003\2301\230F\240\"\240D\250\002\250!\330\004\010\210\005\210R\210q\330\004\007\200t\2101\330\010\014\210A\210Q\330\004\010\210\001\330\004\010\210\001\330\004\010\210\001\330\004\n\210\"\210B\210a\330\010\r\210R\210r\220\022\2204\220r\230\022\2305\240\003\2402\240R\240r\250\022\2501\330\010\013\2104\210q\220\003\2203\220d\230\"\230D\240\002\240$\240a\240s\250$\250d\260!\2604\260r\270\024\270R\270t\3001\300A\330\014\023\2203\220d\230\"\230D\240\001\240\024\240S\250\001\330\010\014\210A\330\010\r\210Q\330\010\r\210Q\330\010\r\210Q\330\010\013\2102\210S\220\001\330\014\023\2203\220e\2303\230a\330\004\013\2103\210d\220\"\220D\230\001\230\024\230S\240\001";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 103; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 3) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 103; i < 112; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 112; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 103;
-      for (Py_ssize_t i=0; i<9; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab;
-    double const c_constants[] = {0.0,1.0};
-    for (int i = 0; i < 2; i++) {
-      numbertab[i] = PyFloat_FromDouble(c_constants[i]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 2;
-    int8_t const cint_constants_1[] = {0,1,2};
-    for (int i = 0; i < 3; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<5; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 4;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 40};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_near_nonpositive_int, __pyx_mstate->__pyx_kp_b_iso88591_4q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 3, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 62};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_la, __pyx_mstate->__pyx_n_u_sg};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_lgamma_sign, __pyx_mstate->__pyx_kp_b_iso88591_1A_4q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 23, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 164};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_nu, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_ch, __pyx_mstate->__pyx_n_u_cl, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_o, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_prev, __pyx_mstate->__pyx_n_u_u2h, __pyx_mstate->__pyx_n_u_u2l, __pyx_mstate->__pyx_n_u_eh, __pyx_mstate->__pyx_n_u_el, __pyx_mstate->__pyx_n_u_oh, __pyx_mstate->__pyx_n_u_ol, __pyx_mstate->__pyx_n_u_sh, __pyx_mstate->__pyx_n_u_sl, __pyx_mstate->__pyx_n_u_th, __pyx_mstate->__pyx_n_u_tl, __pyx_mstate->__pyx_n_u_sum_abs, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_bs_series, __pyx_mstate->__pyx_kp_b_iso88591_r_A_uE_A_r_1_E_Qa_A_Bb_Bb_q_A_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 14, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 225};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_modified, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_half, __pyx_mstate->__pyx_n_u_la, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_tn, __pyx_mstate->__pyx_n_u_sg, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_bessel_series, __pyx_mstate->__pyx_kp_b_iso88591_t2Q_1Bb_1Bb_1F_A_Rq_t1_AQ_Ba_Rr, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 15, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 252};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_modified, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_half, __pyx_mstate->__pyx_n_u_la1, __pyx_mstate->__pyx_n_u_la2, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_tn, __pyx_mstate->__pyx_n_u_sg, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_struve_series, __pyx_mstate->__pyx_kp_b_iso88591_t2Q_nAQ_nARr_2Rr_b_1F_D_Rq_t1_A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {6, 0, 0, 11, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 280};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_tn, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_n};
-    __pyx_mstate_global->__pyx_codeobj_tab[5] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_hyp2f1_series, __pyx_mstate->__pyx_kp_b_iso88591_A_A_q_q_Ba_Rs_Bc_Bb_4r_3c_2V2Q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[5])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 12, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 338};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_wbar, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_scale, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_p1, __pyx_mstate->__pyx_n_u_p2, __pyx_mstate->__pyx_n_u_f1, __pyx_mstate->__pyx_n_u_f2};
-    __pyx_mstate_global->__pyx_codeobj_tab[6] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_hyp2f1_kernel, __pyx_mstate->__pyx_kp_b_iso88591_r_D_2S_Cr_A_q_r_1_D_Bb_Bc_2Q_t2, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[6])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {7, 0, 0, 29, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 363};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_ua, __pyx_mstate->__pyx_n_u_uA, __pyx_mstate->__pyx_n_u_lb, __pyx_mstate->__pyx_n_u_lB, __pyx_mstate->__pyx_n_u_z, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_cua, __pyx_mstate->__pyx_n_u_cuA, __pyx_mstate->__pyx_n_u_clb, __pyx_mstate->__pyx_n_u_clB, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_q, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_lnz, __pyx_mstate->__pyx_n_u_zsign, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_prev, __pyx_mstate->__pyx_n_u_have_prev, __pyx_mstate->__pyx_n_u_dead, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_acc, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_la, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_lk, __pyx_mstate->__pyx_n_u_sg, __pyx_mstate->__pyx_n_u_sig};
-    __pyx_mstate_global->__pyx_codeobj_tab[7] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_wright_series, __pyx_mstate->__pyx_kp_b_iso88591_1A_1A_r_3c_2Q_j_U_1_1E_1A_1E_1A, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[7])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {9, 0, 0, 19, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 429};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_ap, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_bp, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_y, __pyx_mstate->__pyx_n_u_tol, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_total, __pyx_mstate->__pyx_n_u_t0n, __pyx_mstate->__pyx_n_u_n_terms, __pyx_mstate->__pyx_n_u_prev_row, __pyx_mstate->__pyx_n_u_have_prev, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_r};
-    __pyx_mstate_global->__pyx_codeobj_tab[8] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bsfrac__ckernels_pyx, __pyx_mstate->__pyx_n_u_f3_series, __pyx_mstate->__pyx_kp_b_iso88591_a_Q_1_q_A_A_a_1_A_hb_Rr_Cr_3b_b, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[8])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled numeric kernels, written against the CPython C API.
+ *
+ * Twin of bsfrac._pykernels: the same functions, signatures, branch
+ * structure and floating-point operation order, so both backends agree to
+ * the last few ulps (libm and CPython's own gamma/lgamma may differ by one
+ * ulp).  The contract comments live in the pure module; this file mirrors
+ * it.  Build with -O2 -ffp-contract=off: a fused multiply-add would round
+ * differently from the pure twin.
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <limits.h>
+#include <math.h>
 
+#define POLE_TOL_C 1e-12
+#define MAX_PAIRS 32
 
-/* #### Code section: utility_code_def ### */
+static const double PI = 3.141592653589793;
+static const double PI_LO = 1.2246467991473532e-16;
+static const double SPLIT = 134217729.0; /* 2**27 + 1, Dekker splitting constant */
+static const double HALF_LN_PI = 0.5723649429247001;
 
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
+/* --- argument parsing ---------------------------------------------------- */
 
-/* ErrOccurredWithGIL */
-static CYTHON_INLINE int __Pyx_ErrOccurredWithGIL(void) {
-  int err;
-  PyGILState_STATE _save = PyGILState_Ensure();
-  err = !!PyErr_Occurred();
-  PyGILState_Release(_save);
-  return err;
-}
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+/* Convert the positional arguments by ``fmt``, one code per argument: 'd'
+ * for a double (any number), 'i' for a C int (an integer).  Returns -1 with
+ * an exception set on a wrong count or type. */
+static int
+parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
+           const char *fmt, void **out)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
+    Py_ssize_t want = (Py_ssize_t)strlen(fmt);
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd positional arguments (%zd given)",
+                     name, want, nargs);
         return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
+    }
+    for (Py_ssize_t i = 0; i < want; i++) {
+        if (fmt[i] == 'd') {
+            double v = PyFloat_AsDouble(args[i]);
+            if (v == -1.0 && PyErr_Occurred())
+                return -1;
+            *(double *)out[i] = v;
         }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
+        else {
+            long v = PyLong_AsLong(args[i]);
+            if (v == -1 && PyErr_Occurred())
+                return -1;
+            if (v > INT_MAX || v < INT_MIN) {
+                PyErr_Format(PyExc_OverflowError, "%s() argument %zd does not fit a C int",
+                             name, i + 1);
+                return -1;
+            }
+            *(int *)out[i] = (int)v;
         }
     }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
     return 0;
 }
 
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+/* The series kernels' (value, abs_error_est, terms_used, flag) tuple. */
+static PyObject *
+series_result(double value, double err, long long terms, int flag)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
+    PyObject *items[4] = {PyFloat_FromDouble(value), PyFloat_FromDouble(err),
+                          PyLong_FromLongLong(terms), PyLong_FromLong(flag)};
+    PyObject *tuple = NULL;
+    if (items[0] && items[1] && items[2] && items[3])
+        tuple = PyTuple_New(4);
+    for (int i = 0; i < 4; i++) {
+        if (tuple)
+            PyTuple_SET_ITEM(tuple, i, items[i]);
         else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
+            Py_XDECREF(items[i]);
     }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
+    return tuple;
 }
 
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
+/* --- gamma ---------------------------------------------------------------- */
+
+/* Python round(): ties to even */
+static double
+round_half_even(double x)
 {
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
+    double f = floor(x);
+    double d = x - f;
+    if (d > 0.5)
+        return f + 1.0;
+    if (d < 0.5)
+        return f;
+    if (f == 2.0 * floor(0.5 * f))
+        return f;
+    return f + 1.0;
 }
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
+
+static int
+near_nonpos_int(double x)
 {
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
+    double r = round_half_even(x);
+    return r <= 0.0 && fabs(x - r) <= POLE_TOL_C;
 }
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
+
+/* log|Gamma(x)| for real non-pole x; the sign of Gamma(x) goes to *sign */
+static double
+lgamma_sign_c(double x, int *sign)
 {
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
+    long long n;
+    double d, s;
+    if (x > 0.0) {
+        *sign = 1;
+        if (1e-280 < x && x < 171.6)
+            return log(tgamma(x));
+        return lgamma(x);
     }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
+    n = (long long)floor(x);
+    *sign = n % 2 != 0 ? -1 : 1;
+    d = fabs(x - round_half_even(x));
+    s = sin(PI * d);
+    if (-x <= 170.5)
+        return log(PI / (s * (-x) * tgamma(-x)));
+    return log(PI) - log(s) - lgamma(1.0 - x);
 }
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
+
+static PyObject *
+near_nonpositive_int(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
+    double x;
+    void *out[] = {&x};
+    if (parse_args("near_nonpositive_int", args, nargs, "d", out) < 0)
         return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
+    return PyBool_FromLong(near_nonpos_int(x));
 }
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
 
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
+static PyObject *
+lgamma_sign(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double x, la;
+    int sg;
+    void *out[] = {&x};
+    if (parse_args("lgamma_sign", args, nargs, "d", out) < 0)
+        return NULL;
+    la = lgamma_sign_c(x, &sg);
+    return Py_BuildValue("(di)", la, sg);
 }
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
+
+/* --- double-double primitives (Dekker/Knuth error-free transforms) -------- */
+
+typedef struct {
+    double hi, lo;
+} dd;
+
+static dd
+two_sum(double a, double b)
+{
+    double s = a + b;
+    double bb = s - a;
+    return (dd){s, (a - (s - bb)) + (b - bb)};
+}
+
+static dd
+quick_two_sum(double a, double b)
+{
+    double s = a + b;
+    return (dd){s, b - (s - a)};
+}
+
+static dd
+two_prod(double a, double b)
+{
+    double p = a * b;
+    double ta = SPLIT * a;
+    double ahi = ta - (ta - a);
+    double alo = a - ahi;
+    double tb = SPLIT * b;
+    double bhi = tb - (tb - b);
+    double blo = b - bhi;
+    return (dd){p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo};
+}
+
+static dd
+dd_add(dd x, dd y)
+{
+    dd s = two_sum(x.hi, y.hi);
+    s.lo += x.lo + y.lo;
+    return quick_two_sum(s.hi, s.lo);
+}
+
+static dd
+dd_mul(dd x, dd y)
+{
+    dd p = two_prod(x.hi, y.hi);
+    p.lo += x.hi * y.lo + x.lo * y.hi;
+    return quick_two_sum(p.hi, p.lo);
+}
+
+static dd
+dd_mul_d(dd x, double d)
+{
+    dd p = two_prod(x.hi, d);
+    p.lo += x.lo * d;
+    return quick_two_sum(p.hi, p.lo);
+}
+
+static dd
+dd_div_d(dd x, double d)
+{
+    double q1 = x.hi / d;
+    dd p = two_prod(q1, d);
+    return quick_two_sum(q1, ((x.hi - p.hi) + (x.lo - p.lo)) / d);
+}
+
+static dd
+dd_div(dd x, dd y)
+{
+    double q1 = x.hi / y.hi;
+    double q2;
+    dd p = dd_mul_d(y, q1);
+    dd r = dd_add(x, (dd){-p.hi, -p.lo});
+    q2 = r.hi / y.hi;
+    p = dd_mul_d(y, q2);
+    r = dd_add(r, (dd){-p.hi, -p.lo});
+    return dd_add(quick_two_sum(q1, q2), (dd){r.hi / y.hi, 0.0});
+}
+
+/* Gamma(nu+1)/(sqrt(pi)*Gamma(nu+3/2)) as a double-double */
+static dd
+bs_odd_prefactor_dd(double nu)
+{
+    double tn = 2.0 * nu;
+    long long m2, m, j;
+    int sg;
+    dd c;
+    if (tn == floor(tn) && fabs(nu) < 90.0) {
+        m2 = (long long)tn;
+        if (m2 % 2 != 0) {
+            m = (m2 + 1) / 2;
+            c = (dd){1.0, 0.0};
+            for (j = 1; j <= m; j++) {
+                c = dd_mul_d(c, 2.0 * j - 1.0);
+                c = dd_div_d(c, 2.0 * j);
+            }
+            return c;
         }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
+        m = m2 / 2;
+        c = dd_div((dd){2.0, 0.0}, (dd){PI, PI_LO});
+        for (j = 1; j <= m; j++) {
+            c = dd_mul_d(c, (double)j);
+            c = dd_div_d(c, j + 0.5);
         }
-#endif
+        return c;
     }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
+    return (dd){exp(lgamma_sign_c(nu + 1.0, &sg) - lgamma_sign_c(nu + 1.5, &sg) - HALF_LN_PI),
+                0.0};
 }
+
+/* --- series kernels ------------------------------------------------------- */
+
 static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
+    double nu, u, tol, e, o, s, prev, sum_abs;
+    int cap;
+    long long k, n;
+    dd c, u2, ed, od, sd, t;
+    void *out[] = {&nu, &u, &tol, &cap};
+    if (parse_args("bs_series", args, nargs, "dddi", out) < 0)
+        return NULL;
+    if (u == 0.0)
+        return series_result(1.0, 0.0, 1, 1);
+    if (u > 0.0) {
+        c = bs_odd_prefactor_dd(nu);
+        e = 1.0;
+        o = u * c.hi;
+        s = e + o;
+        prev = o;
+        k = 0;
+        for (n = 2; n < cap; n += 2) {
+            e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0));
+            o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5));
+            k += 1;
+            if (fabs(prev) <= 0.5 * tol * fabs(s) && e < 0.5 * prev)
+                return series_result(s, 2.0 * prev, n, 1);
+            s += e;
+            if (e <= 0.5 * tol * s && o < 0.5 * e)
+                return series_result(s, 2.0 * e, n + 1, 1);
+            s += o;
+            prev = o;
+        }
+        return series_result(s, 2.0 * fabs(prev), n, 0);
     }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
+    u2 = two_prod(u, u);
+    ed = (dd){1.0, 0.0};
+    c = bs_odd_prefactor_dd(nu);
+    od = dd_mul_d(c, u);
+    sd = dd_add(ed, od);
+    sum_abs = 1.0 + fabs(od.hi);
+    prev = fabs(od.hi);
+    k = 0;
+    for (n = 2; n < cap; n += 2) {
+        t = dd_mul(ed, u2);
+        t = dd_mul_d(t, k + 0.5);
+        t = dd_div_d(t, (2.0 * k + 1.0) * (2.0 * k + 2.0));
+        ed = dd_div_d(t, k + nu + 1.0);
+        t = dd_mul(od, u2);
+        t = dd_mul_d(t, k + 1.0);
+        t = dd_div_d(t, (2.0 * k + 2.0) * (2.0 * k + 3.0));
+        od = dd_div_d(t, k + nu + 1.5);
+        k += 1;
+        if (prev <= 0.5 * tol * fabs(sd.hi) && fabs(ed.hi) < 0.5 * prev)
+            return series_result(sd.hi, 2.0 * prev + 7.9e-31 * sum_abs, n, 1);
+        sd = dd_add(sd, ed);
+        sum_abs += fabs(ed.hi);
+        if (fabs(ed.hi) <= 0.5 * tol * fabs(sd.hi) && fabs(od.hi) < 0.5 * fabs(ed.hi))
+            return series_result(sd.hi, 2.0 * fabs(ed.hi) + 7.9e-31 * sum_abs, n + 1, 1);
+        sd = dd_add(sd, od);
+        sum_abs += fabs(od.hi);
+        prev = fabs(od.hi);
     }
-    Py_INCREF(op->func_name);
-    return op->func_name;
+    return series_result(sd.hi, 2.0 * prev + 7.9e-31 * sum_abs, n, 0);
 }
+
+/* The J/I and H/L series from leading term t with term ratio
+ * q / ((k + c1) * (k + v + c2)). */
 static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
+bessel_type_series(double t, double q, double v, double c1, double c2, double tol, int cap)
 {
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
+    double s = t, tn;
+    long long k = 0, n;
+    for (n = 1; n < cap;) {
+        tn = t * q / ((k + c1) * (k + v + c2));
+        if (fabs(t) <= 0.5 * tol * fabs(s) && fabs(tn) < 0.5 * fabs(t))
+            return series_result(s, 2.0 * fabs(t), n, 1);
+        t = tn;
+        s += t;
+        k += 1;
+        n += 1;
+        if (t == 0.0)
+            return series_result(s, 0.0, n, 1);
     }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    return series_result(s, 2.0 * fabs(t), n, 0);
 }
+
 static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
+bessel_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
+    double v, z, tol, half, q;
+    int modified, cap, sg;
+    void *out[] = {&v, &z, &modified, &tol, &cap};
+    if (parse_args("bessel_series", args, nargs, "ddidi", out) < 0)
+        return NULL;
+    half = 0.5 * z;
+    q = half * half;
+    if (!modified)
+        q = -q;
+    return bessel_type_series(exp(v * log(half) - lgamma_sign_c(v + 1.0, &sg)), q, v, 1.0,
+                              1.0, tol, cap);
 }
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
+
+static PyObject *
+struve_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
+    double v, z, tol, half, q, la1;
+    int modified, cap, sg;
+    void *out[] = {&v, &z, &modified, &tol, &cap};
+    if (parse_args("struve_series", args, nargs, "ddidi", out) < 0)
+        return NULL;
+    half = 0.5 * z;
+    la1 = lgamma_sign_c(1.5, &sg);
+    q = half * half;
+    if (!modified)
+        q = -q;
+    return bessel_type_series(
+        exp((v + 1.0) * log(half) - la1 - lgamma_sign_c(v + 1.5, &sg)), q, v, 1.5, 1.5, tol,
+        cap);
+}
+
+static PyObject *
+hyp2f1_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double a, b, c, z, tol, s = 1.0, t = 1.0, tn;
+    int cap;
+    long long k = 0, n;
+    void *out[] = {&a, &b, &c, &z, &tol, &cap};
+    if (parse_args("hyp2f1_series", args, nargs, "dddddi", out) < 0)
+        return NULL;
+    for (n = 1; n < cap; n++) {
+        tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z;
+        if (tn == 0.0)
+            return series_result(s, 0.0, n, 1);
+        if (fabs(t) <= 0.5 * tol * fabs(s) && fabs(tn) < 0.5 * fabs(t))
+            return series_result(s, 2.0 * fabs(t), n, 1);
+        t = tn;
+        s += t;
+        k += 1;
     }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
+    return series_result(s, 2.0 * fabs(t), n, 0);
 }
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
+
+/* Direct 2F1 series with a geometric tail bound; needs |z| < 0.97 */
+static double
+hyp2f1_tail(double a, double b, double c, double z, double tol, long long cap)
 {
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
+    double s = 1.0, t = 1.0, r;
+    long long k = 0;
+    while (k < cap) {
+        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z;
+        if (t == 0.0)
+            return s;
+        s += t;
+        k += 1;
+        r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z);
+        if (r < 0.97 && fabs(t) * r / (1.0 - r) <= tol * fabs(s))
+            return s;
     }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
+    return s;
 }
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
+
+static double
+gamma_ratio_c(double n1, double n2, double d1, double d2)
 {
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
+    double acc = 0.0;
+    int sg = 1, s;
+    acc += lgamma_sign_c(n1, &s);
+    sg *= s;
+    acc += lgamma_sign_c(n2, &s);
+    sg *= s;
+    acc -= lgamma_sign_c(d1, &s);
+    sg *= s;
+    acc -= lgamma_sign_c(d2, &s);
+    sg *= s;
+    return sg * exp(acc);
 }
+
 static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
+hyp2f1_kernel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
+    double a, b, c, z, wbar, t, scale, s, p1, p2, f1, f2;
+    void *out[] = {&a, &b, &c, &z, &wbar};
+    if (parse_args("hyp2f1_kernel", args, nargs, "ddddd", out) < 0)
+        return NULL;
+    if (a == 0.0 || b == 0.0 || z == 0.0)
+        return PyFloat_FromDouble(1.0);
+    if (z < 0.0) {
+        t = 1.0 - z;
+        b = c - b;
+        z = z / (z - 1.0);
+        wbar = 1.0 / t;
+        scale = pow(t, -a);
+    }
     else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
+        scale = 1.0;
+        if (wbar <= 0.0)
+            wbar = 1.0 - z;
     }
-    #endif
-    Py_DECREF(res);
-    return result;
+    if (z <= 0.75)
+        return PyFloat_FromDouble(scale * hyp2f1_tail(a, b, c, z, 1e-16, 10000));
+    s = c - a - b;
+    p1 = gamma_ratio_c(c, s, c - a, c - b);
+    p2 = gamma_ratio_c(c, -s, a, b);
+    f1 = hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000);
+    f2 = hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000);
+    return PyFloat_FromDouble(scale * (p1 * f1 + pow(wbar, s) * p2 * f2));
 }
+
+/* Copy the numbers of sequence ``seq`` into ``dst``; at most MAX_PAIRS. */
 static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
+read_column(PyObject *seq, double *dst, Py_ssize_t n)
 {
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *item = PySequence_GetItem(seq, i);
+        if (item == NULL)
             return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
+        dst[i] = PyFloat_AsDouble(item);
+        Py_DECREF(item);
+        if (dst[i] == -1.0 && PyErr_Occurred())
+            return -1;
     }
     return 0;
 }
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
 
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* PyDictVersioning (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by CLineInTraceback) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
+static PyObject *
+wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
+    double ua[MAX_PAIRS], uA[MAX_PAIRS], lb[MAX_PAIRS], lB[MAX_PAIRS];
+    double z, tol, lnz, s = 0.0, prev = 0.0, acc, g, t, lk;
+    int cap, zsign, sg, sig, have_prev = 0, dead;
+    Py_ssize_t p, q, i, j;
+    long long k;
+    void *out[] = {&z, &tol, &cap};
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError,
+                     "wright_series() takes exactly 7 positional arguments (%zd given)", nargs);
+        return NULL;
     }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
+    if (parse_args("wright_series", args + 4, 3, "ddi", out) < 0)
+        return NULL;
+    p = PySequence_Size(args[0]);
+    if (p < 0)
+        return NULL;
+    q = PySequence_Size(args[2]);
+    if (q < 0)
+        return NULL;
+    if (p > MAX_PAIRS || q > MAX_PAIRS) {
+        PyErr_SetString(PyExc_ValueError, "at most 32 parameter pairs are supported");
+        return NULL;
     }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
+    if (read_column(args[0], ua, p) < 0 || read_column(args[1], uA, p) < 0
+        || read_column(args[2], lb, q) < 0 || read_column(args[3], lB, q) < 0)
+        return NULL;
+    lnz = z != 0.0 ? log(fabs(z)) : 0.0;
+    zsign = z < 0.0 ? -1 : 1;
+    for (k = 0; k < cap; k++) {
+        acc = 0.0;
+        sg = 1;
+        dead = 0;
+        for (i = 0; i < p; i++) {
+            g = ua[i] + uA[i] * k;
+            if (near_nonpos_int(g))
+                return series_result((double)k, 0.0, k, 2);
+            acc += lgamma_sign_c(g, &sig);
+            sg *= sig;
         }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
+        for (j = 0; j < q; j++) {
+            g = lb[j] + lB[j] * k;
+            if (near_nonpos_int(g)) {
+                dead = 1;
                 break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
+            }
+            acc -= lgamma_sign_c(g, &sig);
+            sg *= sig;
         }
-        __Pyx_cached_runtime_version = version;
+        if (dead)
+            t = 0.0;
+        else {
+            if (z == 0.0 && k > 0)
+                return series_result(s, 0.0, k, 0);
+            lk = lgamma_sign_c(k + 1.0, &sig);
+            t = sg * exp(acc + k * lnz - lk);
+            if (zsign < 0 && k % 2 != 0)
+                t = -t;
+        }
+        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && fabs(t) < 0.5 * fabs(prev))
+            return series_result(s, 2.0 * fabs(prev), k, 0);
+        s += t;
+        if (t == 0.0)
+            have_prev = 0;
+        else {
+            prev = t;
+            have_prev = 1;
+        }
     }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
+    return series_result(s, 2.0 * fabs(prev), k, 1);
 }
 
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
+static PyObject *
+f3_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double a, ap, b, bp, g, x, y, tol;
+    double total = 0.0, t0n = 1.0, prev_row = 0.0, t, row, r;
+    int cap, have_prev = 0;
+    long long n_terms = 0, n = 0, m;
+    void *out[] = {&a, &ap, &b, &bp, &g, &x, &y, &tol, &cap};
+    if (parse_args("f3_series", args, nargs, "ddddddddi", out) < 0)
+        return NULL;
+    while (n_terms < cap) {
+        t = t0n;
+        row = t;
+        n_terms += 1;
+        m = 0;
+        while (n_terms < cap) {
+            t = t * (a + m) * (b + m) * x / ((g + m + n) * (m + 1.0));
+            if (t == 0.0)
+                break;
+            row += t;
+            n_terms += 1;
+            m += 1;
+            r = fabs((a + m) * (b + m) * x / ((g + m + n) * (m + 1.0)));
+            if (r < 0.97 && fabs(t) * r / (1.0 - r) <= 0.25 * tol * (fabs(total) + fabs(row)))
+                break;
+        }
+        if (have_prev && fabs(prev_row) <= 0.5 * tol * fabs(total)
+            && fabs(row) < 0.5 * fabs(prev_row))
+            return series_result(total, 2.0 * fabs(prev_row), n_terms, 1);
+        total += row;
+        if (row == 0.0)
+            have_prev = 0;
+        else {
+            prev_row = row;
+            have_prev = 1;
+        }
+        t0n = t0n * (ap + n) * (bp + n) * y / ((g + n) * (n + 1.0));
+        n += 1;
+        if (t0n == 0.0)
+            return series_result(total, 0.0, n_terms, 1);
     }
+    return series_result(total, 2.0 * fabs(prev_row), n_terms, 0);
 }
 
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
+/* --- module --------------------------------------------------------------- */
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
+#define FASTCALL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
+static PyMethodDef methods[] = {
+    FASTCALL(near_nonpositive_int, "True when x is within POLE_TOL of a gamma pole."),
+    FASTCALL(lgamma_sign, "(log|Gamma(x)|, sign) for real non-pole x."),
+    FASTCALL(bs_series, "Bessel-Struve kernel power series (interleaved even/odd chains)."),
+    FASTCALL(bessel_series, "J_v (modified=0) or I_v (modified=1) by direct series; z > 0."),
+    FASTCALL(struve_series, "H_v (modified=0) or L_v (modified=1) by direct series; z > 0."),
+    FASTCALL(hyp2f1_series, "Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."),
+    FASTCALL(hyp2f1_kernel, "2F1 for quadrature integrands: full real axis z < 1."),
+    FASTCALL(wright_series, "Generalized Wright series, terms assembled in log space."),
+    FASTCALL(f3_series,
+             "Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "bsfrac._ckernels",
+    .m_doc = "Compiled numeric kernels: the C twin of bsfrac._pykernels.",
+    .m_size = -1,
+    .m_methods = methods,
+};
+
+PyMODINIT_FUNC
+PyInit__ckernels(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    PyObject *tol;
+    if (m == NULL)
+        return NULL;
+    tol = PyFloat_FromDouble(POLE_TOL_C);
+    if (tol == NULL || PyModule_AddObject(m, "POLE_TOL", tol) < 0) {
+        Py_XDECREF(tol);
+        Py_DECREF(m);
         return NULL;
     }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
+    return m;
 }
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

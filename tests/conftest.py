@@ -27,7 +27,7 @@ def compiled_pkg(tmp_path_factory):
         pytest.skip("no C compiler to build the compiled backend")
     root = tmp_path_factory.mktemp("compiled")
     shutil.copytree(SRC / "bsfrac", root / "bsfrac",
-                    ignore=shutil.ignore_patterns("*.so", "*.c", "*.pyx", "__pycache__"))
+                    ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__"))
     so = root / "bsfrac" / EXTENSION
     proc = subprocess.run(
         [cc, *CFLAGS, "-I" + sysconfig.get_paths()["include"],
