@@ -10,6 +10,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <limits.h>
 #include <math.h>
 
@@ -20,6 +21,7 @@ static const double PI = 3.141592653589793;
 static const double PI_LO = 1.2246467991473532e-16;
 static const double SPLIT = 134217729.0; /* 2**27 + 1, Dekker splitting constant */
 static const double HALF_LN_PI = 0.5723649429247001;
+static const double U = 1.1102230246251565e-16; /* unit roundoff, 2**-53 */
 
 /* --- argument parsing ---------------------------------------------------- */
 
@@ -186,14 +188,6 @@ dd_add(dd x, dd y)
 }
 
 static dd
-dd_mul(dd x, dd y)
-{
-    dd p = two_prod(x.hi, y.hi);
-    p.lo += x.hi * y.lo + x.lo * y.hi;
-    return quick_two_sum(p.hi, p.lo);
-}
-
-static dd
 dd_mul_d(dd x, double d)
 {
     dd p = two_prod(x.hi, d);
@@ -255,13 +249,116 @@ bs_odd_prefactor_dd(double nu)
 
 /* --- series kernels ------------------------------------------------------- */
 
+/* S_nu(-x) for x > 0: the positive-term series of _pykernels._bs_negative,
+ * with its running error bound, in the same operation order. */
+static PyObject *
+bs_negative(double nu, double x, double tol, int cap)
+{
+    double a = nu + 0.5, ftop, M, t, s, sa, tj, r, tail, b, err, m, c, bp, den, up, down;
+    double spread, dist, werr, w, d, k, w_top, low, shift, mean, value, bound, *bs, *errs;
+    long long top, j, n, peak;
+    if (a == 0.0) {
+        value = exp(-x); /* within one ulp, or below the normal range */
+        bound = 2.0 * U * value + (value < DBL_MIN ? 5e-324 : 0.0);
+        return series_result(value, bound, 1, bound <= tol * value);
+    }
+    /* beyond N the weights fall below e^-40 of the peak's */
+    ftop = x + 9.0 * sqrt(x) + 25.0;
+    if (!(ftop < cap)) /* NaN too */
+        return series_result(0.0, INFINITY, 0, 0);
+    top = (long long)ftop;
+    M = a + top;
+    t = 1.0 / M;
+    s = t;
+    sa = fabs(t);
+    tj = 0.0;
+    j = 0;
+    for (;;) {
+        t *= (nu - (j + 0.5)) / (M + (j + 1.0));
+        j += 1;
+        if (fabs(t) <= 0.125 * U * fabs(s))
+            break;
+        if (top + j >= cap)
+            return series_result(0.0, INFINITY, top + j, 0);
+        s += t;
+        sa += fabs(t);
+        tj += j * fabs(t);
+    }
+    r = (nu - (j + 0.5)) / (M + (j + 1.0));
+    tail = r <= 0.0 ? fabs(t) : fabs(t) * (1.0 + 1.0 / (1.0 - r));
+    b = 2.0 * s;
+    err = 2.0 * ((3.0 + j) * sa + 6.0 * tj + tail / U);
+    bs = PyMem_Malloc(2 * (top + 1) * sizeof(double));
+    if (bs == NULL)
+        return PyErr_NoMemory();
+    errs = bs + top + 1;
+    bs[top] = b;
+    errs[top] = err;
+    for (n = top - 1; n > 0; n--) {
+        m = a + n;
+        c = (m + a) * 0.5;
+        err = c * (err + 4.0 * b) / m;
+        b = (1.0 + c * b) / m;
+        err += 4.0 * b;
+        bs[n] = b;
+        errs[n] = err;
+    }
+    err += 4.0 * b;
+    b = (1.0 + a * b) / a;
+    bs[0] = b;
+    errs[0] = err + 4.0 * fabs(b);
+    peak = (long long)floor(x);
+    if (peak > top)
+        peak = top;
+    bp = bs[peak];
+    den = 1.0;
+    up = down = spread = dist = 0.0;
+    werr = errs[peak];
+    w = 1.0;
+    for (n = peak + 1; n <= top; n++) {
+        w = w * x / n;
+        d = bs[n] - bp;
+        den += w;
+        up += w * d;
+        k = w * (n - peak);
+        spread += k * fabs(d);
+        dist += k;
+        werr += w * errs[n];
+    }
+    w_top = w;
+    w = 1.0;
+    for (n = peak - 1; n >= 0; n--) {
+        w = w * (n + 1) / x;
+        d = bs[n] - bp;
+        den += w;
+        down += w * d;
+        k = w * (peak - n);
+        spread += k * fabs(d);
+        dist += k;
+        werr += w * errs[n];
+    }
+    low = w * fabs(bs[0] - bp);
+    shift = (up + down) / den;
+    mean = bp + shift;
+    value = mean / bs[0];
+    shift = fabs(shift);
+    bound = (werr + (top - peak + 2.0) * fabs(up) + (peak + 2.0) * (fabs(down) + 2.0 * low)
+             + 2.0 * (spread + dist * shift)) / den;
+    bound = U * (bound + (top + 2.0) * shift + fabs(mean));
+    r = x / (top + 2.0);
+    bound += (fabs(bs[top]) + fabs(mean)) * w_top * (x / (top + 1.0)) / (1.0 - r) / den;
+    bound = fabs(value) * (bound / fabs(mean) + U * (errs[0] / fabs(bs[0]) + 1.0));
+    PyMem_Free(bs);
+    return series_result(value, bound, top + 1 + j, bound <= tol * fabs(value));
+}
+
 static PyObject *
 bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double nu, u, tol, e, o, s, prev, sum_abs;
+    double nu, u, tol, e, o, s, prev;
     int cap;
     long long k, n;
-    dd c, u2, ed, od, sd, t;
+    dd c;
     void *out[] = {&nu, &u, &tol, &cap};
     if (parse_args("bs_series", args, nargs, "dddi", out) < 0)
         return NULL;
@@ -288,35 +385,7 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         }
         return series_result(s, 2.0 * fabs(prev), n, 0);
     }
-    u2 = two_prod(u, u);
-    ed = (dd){1.0, 0.0};
-    c = bs_odd_prefactor_dd(nu);
-    od = dd_mul_d(c, u);
-    sd = dd_add(ed, od);
-    sum_abs = 1.0 + fabs(od.hi);
-    prev = fabs(od.hi);
-    k = 0;
-    for (n = 2; n < cap; n += 2) {
-        t = dd_mul(ed, u2);
-        t = dd_mul_d(t, k + 0.5);
-        t = dd_div_d(t, (2.0 * k + 1.0) * (2.0 * k + 2.0));
-        ed = dd_div_d(t, k + nu + 1.0);
-        t = dd_mul(od, u2);
-        t = dd_mul_d(t, k + 1.0);
-        t = dd_div_d(t, (2.0 * k + 2.0) * (2.0 * k + 3.0));
-        od = dd_div_d(t, k + nu + 1.5);
-        k += 1;
-        if (prev <= 0.5 * tol * fabs(sd.hi) && fabs(ed.hi) < 0.5 * prev)
-            return series_result(sd.hi, 2.0 * prev + 7.9e-31 * sum_abs, n, 1);
-        sd = dd_add(sd, ed);
-        sum_abs += fabs(ed.hi);
-        if (fabs(ed.hi) <= 0.5 * tol * fabs(sd.hi) && fabs(od.hi) < 0.5 * fabs(ed.hi))
-            return series_result(sd.hi, 2.0 * fabs(ed.hi) + 7.9e-31 * sum_abs, n + 1, 1);
-        sd = dd_add(sd, od);
-        sum_abs += fabs(od.hi);
-        prev = fabs(od.hi);
-    }
-    return series_result(sd.hi, 2.0 * prev + 7.9e-31 * sum_abs, n, 0);
+    return bs_negative(nu, -u, tol, cap);
 }
 
 /* The J/I and H/L series from leading term t with term ratio
@@ -538,6 +607,8 @@ wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
             t = sg * exp(acc + k * lnz - lk);
             if (zsign < 0 && k % 2 != 0)
                 t = -t;
+            if (!isfinite(t))
+                return series_result(s + t, INFINITY, k + 1, 0);
         }
         if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && fabs(t) < 0.5 * fabs(prev))
             return series_result(s, 2.0 * fabs(prev), k, 0);

@@ -1,15 +1,18 @@
 """Pure-Python numeric kernels.
 
-Twin of the compiled extension ``bsfrac._ckernels``; the two must stay
-semantically identical (same branch structure, same FP operation order) so
-results agree across backends.  Public modules wrap these kernels with
-domain checks and typed results; nothing here raises library exceptions.
+Twin of the compiled extension ``bsfrac._ckernels``, which is written by
+hand in C; the two must stay semantically identical (same branch
+structure, same FP operation order) so results agree across backends.
+Public modules wrap these kernels with domain checks and typed results;
+nothing here raises library exceptions.
 
 Series evaluators return ``(value, abs_error_est, terms_used, flag)``
 tuples.  The shared truncation rule: stop once the last added term t
 satisfies ``|t| <= 0.5 * tol * |sum|`` and the next term is below
 ``|t| / 2``; the reported bound is ``2 * |t|`` (geometric tail once the
-factorial denominator dominates).
+factorial denominator dominates).  The Bessel-Struve kernel at negative
+argument is the exception: a fixed number of positive terms, and a
+running bound on their rounding (``_bs_negative``).
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _PI_HI = 3.141592653589793
 _PI_LO = 1.2246467991473532e-16
 _HALF_LN_PI = 0.5723649429247001
+_U = 2.0 ** -53  # unit roundoff
+_TINY = 2.0 ** -1022  # smallest normal double
+_ULP0 = 5e-324  # smallest subnormal: a rounding error below _TINY
 
 
 def near_nonpositive_int(x):
@@ -81,12 +87,6 @@ def _dd_add(xh, xl, yh, yl):
     return _quick_two_sum(s, e)
 
 
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    return _quick_two_sum(p, e)
-
-
 def _dd_mul_d(xh, xl, d):
     p, e = _two_prod(xh, d)
     e += xl * d
@@ -115,8 +115,8 @@ def _bs_odd_prefactor_dd(nu):
     """Gamma(nu+1)/(sqrt(pi)*Gamma(nu+3/2)) as a double-double.
 
     Exact rational (or rational/pi) recurrences when 2*nu is an integer;
-    plain double precision otherwise (the low word is then zero and the
-    compensated negative-argument sum is limited by this constant).
+    plain double precision otherwise (the low word is then zero).  The
+    positive-argument sum uses its high word.
     """
     tn = 2.0 * nu
     if tn == math.floor(tn) and abs(nu) < 90.0:
@@ -146,11 +146,12 @@ def _bs_odd_prefactor_dd(nu):
 
 
 def bs_series(nu, u, tol, cap):
-    """Bessel-Struve kernel power series (interleaved even/odd chains).
+    """Bessel-Struve kernel S_nu(u).
 
-    Nonnegative u sums in plain doubles (all terms positive).  Negative u
-    alternates with exponentially large intermediate terms, so the sum and
-    term recurrences run in double-double arithmetic.
+    Positive u sums the power series (interleaved even/odd chains) in plain
+    doubles: all terms are positive.  At negative u that series alternates
+    with exponentially large terms, so ``_bs_negative`` sums a series of
+    positive terms instead.
     """
     if u == 0.0:
         return 1.0, 0.0, 1, 1
@@ -175,36 +176,132 @@ def bs_series(nu, u, tol, cap):
             prev = o
             n += 2
         return s, 2.0 * abs(prev), n, 0
-    u2h, u2l = _two_prod(u, u)
-    eh, el = 1.0, 0.0
-    ch, cl = _bs_odd_prefactor_dd(nu)
-    oh, ol = _dd_mul_d(ch, cl, u)
-    sh, sl = _dd_add(eh, el, oh, ol)
-    sum_abs = 1.0 + abs(oh)
-    prev = abs(oh)
-    k = 0
-    n = 2
-    while n < cap:
-        th, tl = _dd_mul(eh, el, u2h, u2l)
-        th, tl = _dd_mul_d(th, tl, k + 0.5)
-        th, tl = _dd_div_d(th, tl, (2.0 * k + 1.0) * (2.0 * k + 2.0))
-        eh, el = _dd_div_d(th, tl, k + nu + 1.0)
-        th, tl = _dd_mul(oh, ol, u2h, u2l)
-        th, tl = _dd_mul_d(th, tl, k + 1.0)
-        th, tl = _dd_div_d(th, tl, (2.0 * k + 2.0) * (2.0 * k + 3.0))
-        oh, ol = _dd_div_d(th, tl, k + nu + 1.5)
-        k += 1
-        if prev <= 0.5 * tol * abs(sh) and abs(eh) < 0.5 * prev:
-            return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 1
-        sh, sl = _dd_add(sh, sl, eh, el)
-        sum_abs += abs(eh)
-        if abs(eh) <= 0.5 * tol * abs(sh) and abs(oh) < 0.5 * abs(eh):
-            return sh, 2.0 * abs(eh) + 7.9e-31 * sum_abs, n + 1, 1
-        sh, sl = _dd_add(sh, sl, oh, ol)
-        sum_abs += abs(oh)
-        prev = abs(oh)
-        n += 2
-    return sh, 2.0 * prev + 7.9e-31 * sum_abs, n, 0
+    return _bs_negative(nu, -u, tol, cap)
+
+
+def _bs_negative(nu, x, tol, cap):
+    """S_nu(-x) for x > 0 by a series of positive terms, with a running
+    bound on its rounding error.
+
+    With s = 1 - t in S_nu(u) = C int_0^1 (1-t^2)^(nu-1/2) e^(ut) dt (DLMF
+    10.32.2 with 11.5.2), ``S_nu(-x) = C 2^(nu-1/2) e^-x sum_n x^n/n! B(a+n)``
+    where a = nu + 1/2 and ``B(m) = int_0^1 s^(m-1) (1-s/2)^(nu-1/2) ds``.
+    S_nu(0) = 1 makes the prefactor 1/B(a), and with e^-x = 1/sum_n x^n/n!
+
+        S_nu(-x) = sum_n w_n b_n / (b_0 sum_n w_n),   b_n = 2^a B(a+n),
+
+    for any weights w_n proportional to x^n/n!: no gamma function and no
+    exponential.  b runs downward by ``b(m) = (1 + (m+a)/2 b(m+1)) / m``,
+    which adds two positive numbers (for m > 0) and damps the error carried
+    in; it starts at m = a + N from ``b(M) = 2 sum_j T_j``, T_0 = 1/M,
+    ``T_(j+1) = T_j (nu-1/2-j) / (M+j+1)`` (the binomial series of the
+    integrand about s = 1).  The weights are built outward from the peak
+    p = floor(x) with w_p = 1, so a weight's relative error grows with
+    |n - p|, not with n, and nothing overflows at any x.  The weighted mean
+    is summed as b_p plus the mean of b_n - b_p, which is small.
+
+    Every term is positive, except b_0 when -1 < nu < -1/2.  The returned
+    bound adds, in units of the unit roundoff u: each b_n's running error
+    bound (``err``: the start series' terms, sum and tail, then 4u per
+    recurrence step for the rounded m, (m+a)/2, product, sum and quotient,
+    with the carried error scaled by the step's damping), the weights'
+    errors (2u per step from the peak, felt only through b_n - mean), the
+    rounding of the sums, and the Poisson tail beyond n = N (Higham 2002,
+    ch. 3-4).  N plus the start series' length counts against ``cap``:
+    past it the result is (0, inf) with flag 0.  For nu = -1/2 (a = 0) the
+    sum is the exact limit e^-x.
+    """
+    a = nu + 0.5
+    if a == 0.0:
+        value = math.exp(-x)  # within one ulp, or below the normal range
+        bound = 2.0 * _U * value + (_ULP0 if value < _TINY else 0.0)
+        return value, bound, 1, int(bound <= tol * value)
+    # beyond N the weights fall below e^-40 of the peak's
+    top = x + 9.0 * math.sqrt(x) + 25.0
+    if not top < cap:  # NaN too
+        return 0.0, math.inf, 0, 0
+    top = int(top)
+    M = a + top
+    t = 1.0 / M
+    s = t
+    sa = abs(t)  # sum of |T_j|: T_j errs by at most (3 + 6j) u
+    tj = 0.0     # sum of j |T_j|
+    j = 0
+    while True:
+        t *= (nu - (j + 0.5)) / (M + (j + 1.0))
+        j += 1
+        if abs(t) <= 0.125 * _U * abs(s):
+            break
+        if top + j >= cap:
+            return 0.0, math.inf, top + j, 0
+        s += t
+        sa += abs(t)
+        tj += j * abs(t)
+    # the rest falls geometrically while positive (ratio r, which falls
+    # too), then alternates in sign and falls: at most |t| (1 + 1/(1 - r))
+    r = (nu - (j + 0.5)) / (M + (j + 1.0))
+    tail = abs(t) if r <= 0.0 else abs(t) * (1.0 + 1.0 / (1.0 - r))
+    b = 2.0 * s
+    # err: a bound on |b_n - true b_n|, in units of u
+    err = 2.0 * ((3.0 + j) * sa + 6.0 * tj + tail / _U)
+    bs = [0.0] * (top + 1)
+    errs = [0.0] * (top + 1)
+    bs[top] = b
+    errs[top] = err
+    for n in range(top - 1, 0, -1):
+        m = a + n
+        c = (m + a) * 0.5
+        err = c * (err + 4.0 * b) / m
+        b = (1.0 + c * b) / m
+        err += 4.0 * b
+        bs[n] = b
+        errs[n] = err
+    err += 4.0 * b  # n = 0: m = (m+a)/2 = a, and 1 + a b_1 may cancel
+    b = (1.0 + a * b) / a
+    bs[0] = b
+    errs[0] = err + 4.0 * abs(b)
+    peak = min(math.floor(x), top)
+    bp = bs[peak]
+    den = 1.0
+    up = down = 0.0  # sums of w_n (b_n - b_p) above and below the peak
+    spread = 0.0     # sum of w_n |n-p| |b_n - b_p|
+    dist = 0.0       # sum of w_n |n-p|
+    werr = errs[peak]  # sum of w_n err_n
+    w = 1.0
+    for n in range(peak + 1, top + 1):
+        w = w * x / n
+        d = bs[n] - bp
+        den += w
+        up += w * d
+        k = w * (n - peak)
+        spread += k * abs(d)
+        dist += k
+        werr += w * errs[n]
+    w_top = w
+    w = 1.0
+    for n in range(peak - 1, -1, -1):
+        w = w * (n + 1) / x
+        d = bs[n] - bp
+        den += w
+        down += w * d
+        k = w * (peak - n)
+        spread += k * abs(d)
+        dist += k
+        werr += w * errs[n]
+    low = w * abs(bs[0] - bp)  # w_0 |b_0 - b_p|; b_0 may lie below b_p
+    shift = (up + down) / den
+    mean = bp + shift
+    value = mean / bs[0]
+    shift = abs(shift)
+    bound = (werr                                        # the b_n
+             + (top - peak + 2.0) * abs(up)              # up: products, sums
+             + (peak + 2.0) * (abs(down) + 2.0 * low)    # down
+             + 2.0 * (spread + dist * shift)) / den      # the weights
+    bound = _U * (bound + (top + 2.0) * shift + abs(mean))  # den, quotient, sums
+    r = x / (top + 2.0)
+    bound += (abs(bs[top]) + abs(mean)) * w_top * (x / (top + 1.0)) / (1.0 - r) / den
+    bound = abs(value) * (bound / abs(mean) + _U * (errs[0] / abs(bs[0]) + 1.0))
+    return value, bound, top + 1 + j, int(bound <= tol * abs(value))
 
 
 def bessel_series(v, z, modified, tol, cap):
@@ -343,7 +440,9 @@ def wright_series(ua, uA, lb, lB, z, tol, cap):
     Returns (value, abs_error_est, terms_used, status) with status 0 on
     convergence, 1 on term-cap exhaustion, 2 when an upper parameter
     ``a_i + A_i*k`` lands on a gamma pole (value then carries the k).
-    Lower-parameter poles zero the affected term (reciprocal gamma).
+    Lower-parameter poles zero the affected term (reciprocal gamma).  The
+    first term beyond the double range ends the sum at once, with status 0
+    and a non-finite value.
     """
     p = len(ua)
     q = len(lb)
@@ -382,9 +481,14 @@ def wright_series(ua, uA, lb, lB, z, tol, cap):
             if z == 0.0 and k > 0:
                 return s, 0.0, k, 0
             lk, _ = lgamma_sign(k + 1.0)
-            t = sg * math.exp(acc + k * lnz - lk)
+            try:
+                t = sg * math.exp(acc + k * lnz - lk)
+            except OverflowError:
+                t = sg * math.inf
             if zsign < 0 and k % 2 != 0:
                 t = -t
+            if not math.isfinite(t):
+                return s + t, math.inf, k + 1, 0
         if have_prev and abs(prev) <= 0.5 * tol * abs(s) and abs(t) < 0.5 * abs(prev):
             return s, 2.0 * abs(prev), k, 0
         s += t

@@ -44,7 +44,8 @@ class SeriesEval(NamedTuple):
     """A series value with an error bound.
 
     ``abs_error_est`` bounds the discarded tail, and for the Bessel and
-    Struve functions J, I, H and L the rounding as well; when
+    Struve functions J, I, H and L and the kernel S at u < 0 the rounding
+    as well; when
     ``converged`` is true the tail bound does not exceed ``tol * |value|``
     for the requested relative tolerance.  Identical inputs always produce
     bit-identical results.
@@ -92,8 +93,7 @@ _LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
 def _log_peak_term(nu: float, u: float) -> float:
     """log of the term c_n u**n of S_nu(u) at n = floor(u) > 0, next to
     the largest one.  For u > 0 every term is positive, so any one of
-    them bounds the sum from below; at -u the terms have the same
-    magnitudes, and one beyond the double range turns the sum into NaN."""
+    them bounds the sum from below."""
     n = math.floor(u)
     return (math.lgamma(nu + 1.0) + math.lgamma(0.5 * (n + 1.0)) - _HALF_LN_PI
             - math.lgamma(n + 1.0) - math.lgamma(0.5 * n + nu + 1.0) + n * math.log(u))
@@ -103,27 +103,31 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
                          term_cap: int = TERM_CAP) -> SeriesEval:
     """Bessel-Struve kernel S_nu(u), entire in u, for nu > -1.
 
-    Power series with coefficients
-    ``Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1))``;
-    u = 0 returns exactly 1.  Negative u is summed with compensated
-    (double-double) arithmetic to survive the alternating cancellation.
-    Raises OverflowError when the series is not finite in double
-    precision; at large |u| that is known, before any summing, from the
-    magnitude of one term (``_log_peak_term``).
+    u = 0 returns exactly 1.  Positive u sums the power series with
+    coefficients ``Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1))``,
+    all positive; it raises OverflowError when the series is not finite in
+    double precision, which at large u is known, before any summing, from
+    the magnitude of one term (``_log_peak_term``).  Negative u, where that
+    series alternates, is summed as a series of positive terms built from
+    the integral representation (DLMF 10.32.2 with 11.5.2), with a running
+    bound on its rounding error: S_nu(-x) is finite and decays like
+    2 Gamma(nu+1) / (sqrt(pi) Gamma(nu+1/2) x), so it never overflows.  Its
+    bound includes the rounding; it is unconverged where that bound exceeds
+    ``tol * |value|``, as near a zero of S for -1 < nu < -1/2, or where the
+    sum would need more than ``term_cap`` terms.
     """
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
         raise DomainError("kernel argument must be finite")
     check_tol(tol)
-    if abs(u) > 600.0 and _log_peak_term(nu, abs(u)) > _LOG_OVERFLOW:
+    if u > 600.0 and _log_peak_term(nu, u) > _LOG_OVERFLOW:
         value = math.inf  # summing would only burn the term cap
     else:
         value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
     if not math.isfinite(value):
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
-    # the compensated-sum residual can dominate far beyond the guarantee
-    # range; never report convergence the estimate does not support
+    # never report convergence the estimate does not support
     converged = bool(ok) and err <= tol * max(abs(value), 5e-324)
     return SeriesEval(value, err, terms, converged)
 
@@ -164,13 +168,26 @@ def _positive_series_rounding(value: float, terms: int, order: float, z: float,
 
 
 def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
-                 order: float, gamma_args) -> SeriesEval:
+                 order: float, gamma_args, term_args) -> SeriesEval:
     """The J/I (``bessel_series``) or H/L (``struve_series``) series at
     z > 0, whose leading term is (z/2)**order / prod Gamma(gamma_args), with
     a rounding bound added to the kernel's tail bound.  The J and H terms
     have the I and L terms' magnitudes, so the modified series' value is
     their sum of |terms|: one more kernel call.  Where 0.5 * z can round
-    the series is its leading term, taken here in logs on both backends."""
+    the series is its leading term, taken here in logs on both backends.
+
+    Term k has magnitude t_k = (z/2)**(order+2k) / prod Gamma(a+k) over
+    ``term_args``, and the kernel forms t_k (z/2)**2 on its way to the next
+    term.  Where that product is beyond the double range at k = floor(z/2),
+    next to the largest term, the I or L sum is inf and the J or H sum NaN:
+    that is returned without summing, which would only burn the term cap."""
+    if z > 700.0:
+        k = math.floor(0.5 * z)
+        ln_t = (order + 2.0 * k + 2.0) * math.log(0.5 * z)
+        for a in term_args:
+            ln_t -= math.lgamma(a + k)
+        if ln_t > _LOG_OVERFLOW:
+            return SeriesEval(math.inf if modified else math.nan, math.inf, 0, False)
     if z < _HALF_ROUNDS:
         ln_t = order * _log_half(z)
         for a in gamma_args:
@@ -201,7 +218,8 @@ def bessel_first_kind(v: float, z: float, modified: bool = False,
             return SeriesEval(1.0, 0.0, 1, True)
         value = 0.0 if v > 0.0 else math.inf
         return SeriesEval(value, 0.0, 1, True)
-    return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, v, (v + 1.0,))
+    return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, v, (v + 1.0,),
+                        (1.0, v + 1.0))
 
 
 def struve(v: float, z: float, modified: bool = False,
@@ -221,7 +239,7 @@ def struve(v: float, z: float, modified: bool = False,
             return SeriesEval(value, 0.0, 1, True)
         return SeriesEval(math.inf, 0.0, 1, True)
     return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap,
-                        v + 1.0, (1.5, v + 1.5))
+                        v + 1.0, (1.5, v + 1.5), (1.5, v + 1.5))
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,

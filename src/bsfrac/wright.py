@@ -70,7 +70,7 @@ def _result(z: float, tol: float, term_cap: int, series, *args) -> SeriesEval:
     its status or value calls for."""
     try:
         value, err, terms, status = series(*args)
-    except OverflowError:  # the pure kernels overflow in math.exp
+    except OverflowError:  # the sweep's table overflows in math.exp
         value, status = math.inf, 0
     if status == 2:
         raise PoleError(
@@ -113,8 +113,8 @@ def wright_evaluator(spec: WrightSpec, tol: float = DEFAULT_TOL, term_cap: int =
     from the kernel's ``lgamma_sign`` and ``near_nonpositive_int`` calls,
     in its order, and are added as the points need them; a point then
     forms ``sign * exp(acc + k*log|z| - log k!)`` and applies the kernel's
-    stopping rule.  The first non-finite term raises OverflowError at once,
-    as on the pure backend (the compiled kernel runs its term cap first).
+    stopping rule.  The first term beyond the double range raises
+    OverflowError at once, where the kernel stops its sum.
 
     Building the rows costs about one pure kernel call, or about six
     compiled ones, so from the second point of a spec on the table wins

@@ -17,22 +17,27 @@ CFLAGS = ["-shared", "-fPIC", "-O2", "-fwrapv", "-fno-strict-aliasing",
 EXTENSION = "_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")
 
 
+def compile_ckernels(so, *extra_flags):
+    """Compile the tracked ``_ckernels.c`` into ``so``; skips the calling
+    test only when there is no C compiler."""
+    cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    if not cc:
+        pytest.skip("no C compiler to build the compiled backend")
+    return subprocess.run(
+        [cc, *CFLAGS, *extra_flags, "-I" + sysconfig.get_paths()["include"],
+         str(SRC / "bsfrac" / "_ckernels.c"), "-o", str(so)],
+        capture_output=True, text=True)
+
+
 @pytest.fixture(scope="session")
 def compiled_pkg(tmp_path_factory):
     """A directory holding a copy of the package with the tracked
     ``_ckernels.c`` compiled in; put it on PYTHONPATH to run the compiled
     backend.  Skips only when there is no C compiler."""
-    cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if not cc:
-        pytest.skip("no C compiler to build the compiled backend")
     root = tmp_path_factory.mktemp("compiled")
     shutil.copytree(SRC / "bsfrac", root / "bsfrac",
                     ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__"))
-    so = root / "bsfrac" / EXTENSION
-    proc = subprocess.run(
-        [cc, *CFLAGS, "-I" + sysconfig.get_paths()["include"],
-         str(SRC / "bsfrac" / "_ckernels.c"), "-o", str(so)],
-        capture_output=True, text=True)
+    proc = compile_ckernels(root / "bsfrac" / EXTENSION)
     if proc.returncode != 0:
         pytest.fail(f"compiling _ckernels.c failed:\n{proc.stderr}")
     return root

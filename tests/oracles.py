@@ -6,6 +6,7 @@ closed forms); none of it shares code with the library paths under test.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -22,6 +23,32 @@ def mp_kernel(nu, u, terms=250):
         s += (u ** n * mp.gamma(nu + 1) * mp.gamma(mp.mpf(n + 1) / 2)
               / (mp.sqrt(mp.pi) * mp.factorial(n) * mp.gamma(mp.mpf(n) / 2 + nu + 1)))
     return s
+
+
+@functools.cache
+def mp_kernel_left(nu, x):
+    """S_nu(-x) for x > 0 as Gamma(nu+1) (2/x)^nu (I_nu(x) - L_nu(x)).
+
+    I and L each grow like e^x, so up to x = 60 their difference is taken
+    at x/ln(10) + 30 digits; beyond, from the large-x expansion of
+    I_-nu - L_nu (DLMF 11.6.2) and I_nu = I_-nu - (2/pi) sin(nu pi) K_nu
+    (DLMF 10.27.2), whose smallest term is near e^-x.
+    """
+    with mp.workdps(int(x / 2.302585) + 30 if x <= 60.0 else 40):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        if x <= 60:
+            diff = mp.besseli(nu, x) - mp.struvel(nu, x)
+        else:
+            half, diff, k = x / 2, mp.mpf(0), 0
+            while True:
+                t = ((-1) ** k * mp.gamma(k + mp.mpf(0.5)) * half ** (nu - 2 * k - 1)
+                     * mp.rgamma(nu + mp.mpf(0.5) - k) / mp.pi)
+                if k and abs(t) < mp.mpf(10) ** -25 * abs(diff):
+                    break
+                diff += t
+                k += 1
+            diff -= 2 / mp.pi * mp.sin(nu * mp.pi) * mp.besselk(nu, x)
+        return +(mp.gamma(nu + 1) * (2 / x) ** nu * diff)
 
 
 def mp_bessel(v, z, modified):

@@ -29,6 +29,13 @@ def _close(a, b, rel=TIGHT):
     return abs(a - b) <= rel * scale
 
 
+def test_c_twin_compiles_without_warnings(tmp_path):
+    # the C twin is written by hand: any warning of -Wall -Wextra fails
+    from conftest import compile_ckernels
+    proc = compile_ckernels(tmp_path / "_ckernels.so", "-Wall", "-Wextra", "-Werror")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lgamma_sign_agrees(ck):
     rng = random.Random(99)
     pts = [rng.uniform(-170.0, 170.0) for _ in range(500)] + [0.5, -0.5, -1.5, 170.0]
@@ -51,13 +58,14 @@ def test_pole_predicate_agrees(ck):
 def test_bs_series_agrees(ck, nu, u):
     vp = pk.bs_series(nu, u, 1e-15, 10000)
     vc = ck.bs_series(nu, u, 1e-15, 10000)
-    assert vp[2] == vc[2]  # identical term counts
-    if 2.0 * nu == round(2.0 * nu) or u >= 0.0:
-        assert _close(vp[0], vc[0])
-    else:
-        # generic orders at negative arguments: the plain-double odd-chain
-        # prefactor amplifies the one-ulp gamma difference
-        assert _close(vp[0], vc[0], rel=5e-12)
+    assert (vp[2], vp[3]) == (vc[2], vc[3])  # identical term counts and flags
+    assert _close(vp[0], vc[0]) and _close(vp[1], vc[1])
+
+
+@pytest.mark.parametrize("nu", [0.25, 2.3, 9.7, -0.75])
+@pytest.mark.parametrize("u", [-20.0, -40.0, -300.0, math.nan])
+def test_bs_series_agrees_far_left(ck, nu, u):
+    test_bs_series_agrees(ck, nu, u)
 
 
 def test_bessel_struve_2f1_agree(ck):
@@ -100,6 +108,16 @@ def test_wright_series_agrees(ck):
         assert vp[3] == vc[3]
         assert vp[2] == vc[2]
         assert _close(vp[0], vc[0])
+    # both stop at the first term beyond the double range: term 0 here, with
+    # an upper pole at term 1, and for e^-800 the first k with 800^k/k! > DBL_MAX
+    for args in (((-3.5,), (0.5,), (-171.5,), (0.0,), 0.5),
+                 ((1.0,), (1.0,), (1.0,), (1.0,), -800.0)):
+        vp = pk.wright_series(*args, 1e-14, 10000)
+        vc = ck.wright_series(*args, 1e-14, 10000)
+        assert vp[1:] == vc[1:] and vp[1] == math.inf
+        assert not (math.isfinite(vp[0]) or math.isfinite(vc[0]))
+    k0 = next(k for k in range(2000) if k * math.log(800.0) - math.lgamma(k + 1.0) > 709.79)
+    assert k0 <= vp[2] <= k0 + 2
 
 
 def test_f3_series_agrees(ck):
@@ -168,8 +186,9 @@ def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):
     env.pop("BSFRAC_PURE_PYTHON", None)
     for args in (["eval", "S", "--nu", "0.25", "--x", "800"],
                  ["eval", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "800"],
-                 ["eval", "S", "--nu", "0.25", "--x", "-40"],
-                 ["table", "S", "--nu", "0.25", "--x=-40:-20:3"]):
+                 ["eval", "S", "--nu", "-0.75", "--x", "-1"],
+                 ["table", "S", "--nu", "-0.75", "--x=-1:-5:3"],
+                 ["eval", "J", "--nu", "0", "--x", "1500"]):
         proc = subprocess.run([sys.executable, "-m", "bsfrac", *args], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, (args, proc.stdout, proc.stderr)

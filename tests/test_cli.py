@@ -129,17 +129,19 @@ def test_bad_kernel_order_is_usage_error():
 
 
 def test_eval_unconverged_value_is_numerical_error():
-    res = _run("eval", "S", "--nu", "0.25", "--x", "-40")
+    # S_-0.75 has a zero near u = -1.09: at u = -1 the rounding bound
+    # exceeds tol * |S|
+    res = _run("eval", "S", "--nu", "-0.75", "--x", "-1")
     assert res.exit_code == 1
-    assert _csv_rows(res.stdout)[0]["terms_used"] == "134"  # the row is still printed
-    assert "S at x=-40.0 did not converge" in res.stderr
+    assert _csv_rows(res.stdout)[0]["terms_used"] == "63"  # the row is still printed
+    assert "S at x=-1.0 did not converge" in res.stderr
 
 
 def test_table_unconverged_value_is_numerical_error():
-    res = _run("table", "S", "--nu", "0.25", "--x=-40:-20:3")
+    res = _run("table", "S", "--nu", "-0.75", "--x=-1:-5:3")
     assert res.exit_code == 1
-    assert [r["x"] for r in _csv_rows(res.stdout)] == ["-40", "-30", "-20"]
-    assert "did not converge at 1 point(s), first x=-40.0" in res.stderr
+    assert [r["x"] for r in _csv_rows(res.stdout)] == ["-1", "-3", "-5"]
+    assert "did not converge at 1 point(s), first x=-1.0" in res.stderr
 
 
 def test_python_dash_m_runs_the_cli():
@@ -342,8 +344,8 @@ SWEEP_ERRORS = [
      "Error: wright at x=800.0: wright series at z=800.0 exceeds double range"),
     (("table", "msm-left", "--gamma", "1.1", "--rho", "1.5", "--kind", "bs", "--nu", "200",
       "--x", "2:3:3"), 1, True, "Error: msm-left at x=2.0: math range error"),
-    (("table", "S", "--nu", "0.25", "--x=-40:-20:3"), 1, False,
-     "Error: S did not converge at 1 point(s), first x=-40.0"),
+    (("table", "S", "--nu", "-0.75", "--x=-1:-5:3"), 1, False,
+     "Error: S did not converge at 1 point(s), first x=-1.0"),
     (("eval", "msm-left", "--x=-1", "--alpha", "0.3", "--gamma", "1.1", "--rho", "1.5"), 2, True,
      "Error: images are defined for x > 0, got x=-1.0"),
     (("eval", "msm-right", "--x=-1", "--alpha", "0.3", "--gamma", "1.1", "--rho", "-1.5"), 2,

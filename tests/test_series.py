@@ -102,34 +102,45 @@ class TestBesselStruveKernel:
             bessel_struve_kernel(0.5, math.inf)
 
     def test_overflow_is_loud(self):
-        # never a non-finite value: e^710 overflows the converged sum, at
-        # u = 800 one term already exceeds the double range before summing,
-        # and at u = -800 the alternating terms overflow into NaN
-        for nu, u in ((-0.75, 710.0), (0.25, 800.0), (0.25, 1e300), (0.25, -800.0)):
+        # never a non-finite value: e^710 overflows the converged sum, and
+        # at u = 800 one term already exceeds the double range before summing
+        for nu, u in ((-0.75, 710.0), (0.25, 800.0), (0.25, 1e300)):
             with pytest.raises(OverflowError, match="exceeds double range"):
                 bessel_struve_kernel(nu, u)
         r = bessel_struve_kernel(0.25, 700.0)
         assert r.converged and r.value == 6.410481518224758e+301
+        # at u < 0 S decays like 1/|u|: S_0.25(-800) is about 1e-3
+        r = bessel_struve_kernel(0.25, -800.0)
+        assert r.converged and abs(r.value - 1.0433e-3) < 1e-7
+        assert abs(r.value - oracles.mp_kernel_left(0.25, 800.0)) <= r.abs_error_est
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
-    def test_large_negative_u_overflow_is_known_before_summing(
-            self, backend, request, monkeypatch):
-        from types import SimpleNamespace
-
+    def test_large_negative_u_is_summed_within_its_bound(self, backend, request, monkeypatch):
+        # where the alternating power series overflows, the positive-term
+        # series converges; past the term cap nothing is summed
         from bsfrac import _pykernels, series
 
         kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
-        fired = [(0.25, -800.0), (-0.9, -1097.5), (10.0, -1000.0)]
-        for nu, u in fired:  # the sum the test skips really is not finite
-            assert not math.isfinite(kernels.bs_series(nu, u, 1e-15, 10_000)[0])
+        monkeypatch.setattr(series, "kernels", kernels)
+        for nu, u in ((0.25, -800.0), (-0.9, -1097.5), (10.0, -1000.0)):
+            r = bessel_struve_kernel(nu, u)
+            assert r.converged, (nu, u, r)
+            assert abs(r.value - oracles.mp_kernel_left(nu, -u)) <= r.abs_error_est, (nu, u)
+        assert bessel_struve_kernel(0.25, -1e300) == SeriesEval(0.0, math.inf, 0, False)
 
-        def no_sum(*args):
-            raise AssertionError(f"bs_series{args} summed a series known to overflow")
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_negative_u_within_bound(self, backend, request, monkeypatch):
+        # |value - S| <= abs_error_est against mpmath, converged or not
+        from bsfrac import _pykernels, series
 
-        monkeypatch.setattr(series, "kernels", SimpleNamespace(bs_series=no_sum))
-        for nu, u in fired + [(0.25, -1e300)]:
-            with pytest.raises(OverflowError, match=re.escape(f"at u={u!r} exceeds")):
-                bessel_struve_kernel(nu, u)
+        kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
+        monkeypatch.setattr(series, "kernels", kernels)
+        for nu in (-0.9, -0.75, -0.6, 0.25, 0.7, 2.3, 9.7):
+            for u in (-1e-9, -0.3, -1.1, -2.5, -7.0, -20.0, -47.0, -120.0, -999.5):
+                r = bessel_struve_kernel(nu, u)
+                err = abs(mp.mpf(r.value) - oracles.mp_kernel_left(nu, -u))
+                assert err <= r.abs_error_est, (nu, u, r, err)
+                assert r.converged or nu < -0.5, (nu, u, r)
 
     def test_deterministic(self):
         a = bessel_struve_kernel(0.3, 5.1)
@@ -245,6 +256,33 @@ def test_modified_error_bound_holds(fn, ref, nu, modified):
         assert abs(mp.mpf(r.value) - ref(nu, z, modified)) <= r.abs_error_est, (z, r)
         if z in grid:
             assert r.abs_error_est <= 1e-13 * fn(nu, z, modified=True).value, (z, r)
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_bessel_overflow_is_known_before_summing(backend, request, monkeypatch):
+    # the kernels' terms leave the double range, and their sums end in inf
+    # (I, L) or NaN (J, H) after the whole term cap; one term shows it first
+    from types import SimpleNamespace
+
+    from bsfrac import _pykernels, series
+
+    kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
+    cases = [(fn, kernel, v, z) for fn, kernel in ((bessel_first_kind, kernels.bessel_series),
+                                                   (struve, kernels.struve_series))
+             for v in (0.0, 2.5) for z in (712.0, 1500.0)]
+    for _, kernel, v, z in cases:  # the sums the wrapper skips really are not finite
+        assert not math.isfinite(kernel(v, z, 0, 1e-14, 10_000)[0])
+        assert kernel(v, z, 1, 1e-14, 10_000)[0] == math.inf
+
+    def no_sum(*args):
+        raise AssertionError(f"summed a series known to overflow: {args}")
+
+    monkeypatch.setattr(series, "kernels", SimpleNamespace(bessel_series=no_sum,
+                                                           struve_series=no_sum))
+    for fn, _, v, z in cases:
+        j, i = fn(v, z), fn(v, z, modified=True)
+        assert math.isnan(j.value) and i.value == math.inf, (fn, v, z)
+        assert not (j.converged or i.converged)
 
 
 class TestGauss2F1:

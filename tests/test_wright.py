@@ -16,14 +16,12 @@ from bsfrac import (
     PoleError,
     TermCapError,
     WrightSpec,
-    _pykernels,
     pochhammer,
     wright,
     wright_delta,
     wright_eval,
     wright_evaluator,
 )
-from bsfrac._backend import BACKEND
 from bsfrac.cli import main
 from bsfrac.series import DEFAULT_TOL, TERM_CAP, linspace
 
@@ -160,6 +158,16 @@ def test_overflow_is_loud(z):
         wright_eval(WrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), z)
 
 
+def test_kernel_stops_at_the_first_overflowing_term():
+    # term 0, Gamma(-3.5)/Gamma(-171.5), is beyond the double range and
+    # term 1 hits an upper pole: the sum ends at term 0, not at the pole
+    spec = WrightSpec(((-3.5, 0.5),), ((-171.5, 0.0),))
+    value, err, terms, status = wright.kernels.wright_series(*spec.columns, 0.5, 1e-14, 10_000)
+    assert (math.isfinite(value), err, terms, status) == (False, math.inf, 1, 0)
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        wright_eval(spec, 0.5)
+
+
 def test_negative_slope_rejected():
     with pytest.raises(ValueError):
         WrightSpec(((1.0, -0.5),), ((1.0, 1.0),))
@@ -195,12 +203,6 @@ def test_evaluator_matches_wright_eval(upper, lower, zs, term_cap):
     for z in zs:
         got = _outcome(evaluate, z)
         want = _outcome(lambda z: wright_eval(spec, z, DEFAULT_TOL, term_cap), z)
-        if BACKEND == "compiled" and got is OverflowError and want is PoleError:
-            # the compiled kernel sums on past an overflowing term and can
-            # reach an upper pole; the pure kernel, like the table, stops
-            want = _outcome(lambda z: wright._result(
-                z, DEFAULT_TOL, term_cap, _pykernels.wright_series, *spec.columns, z,
-                DEFAULT_TOL, term_cap), z)
         assert got == want, (spec, z, term_cap)
 
 
