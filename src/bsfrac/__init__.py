@@ -21,6 +21,7 @@ from .series import (
     SeriesEval,
     appell_f3,
     bessel_first_kind,
+    bessel_struve_evaluator,
     bessel_struve_kernel,
     gauss_2f1,
     struve,
@@ -82,6 +83,7 @@ __all__ = [
     "WrightSpec",
     "appell_f3",
     "bessel_first_kind",
+    "bessel_struve_evaluator",
     "bessel_struve_kernel",
     "exp_sinh",
     "gamma_ratio",

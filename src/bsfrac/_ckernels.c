@@ -60,6 +60,31 @@ parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
+/* parse_args for a kernel whose ``fmt`` arguments may be followed by a
+ * table: *table is that argument, a borrowed reference of type ``type``,
+ * or NULL where it is absent or None. */
+static int
+parse_table_args(const char *name, PyObject *const *args, Py_ssize_t nargs, const char *fmt,
+                 void **out, PyTypeObject *type, PyObject **table)
+{
+    Py_ssize_t want = (Py_ssize_t)strlen(fmt);
+    *table = NULL;
+    if (nargs != want && nargs != want + 1) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd or %zd positional arguments (%zd given)",
+                     name, want, want + 1, nargs);
+        return -1;
+    }
+    if (nargs > want && args[want] != Py_None) {
+        if (!PyObject_TypeCheck(args[want], type)) {
+            PyErr_Format(PyExc_TypeError, "%s() table must be a %s or None, not %.200s", name,
+                         type->tp_name, Py_TYPE(args[want])->tp_name);
+            return -1;
+        }
+        *table = args[want];
+    }
+    return parse_args(name, args, want, fmt, out);
+}
+
 /* The series kernels' (value, abs_error_est, terms_used, flag) tuple. */
 static PyObject *
 series_result(double value, double err, long long terms, int flag)
@@ -106,7 +131,6 @@ near_nonpos_int(double x)
 static double
 lgamma_sign_c(double x, int *sign)
 {
-    long long n;
     double d, s;
     if (x > 0.0) {
         *sign = 1;
@@ -114,8 +138,8 @@ lgamma_sign_c(double x, int *sign)
             return log(tgamma(x));
         return lgamma(x);
     }
-    n = (long long)floor(x);
-    *sign = n % 2 != 0 ? -1 : 1;
+    /* the parity of floor(x), which need not fit an integer type */
+    *sign = fmod(floor(x), 2.0) != 0.0 ? -1 : 1;
     d = fabs(x - round_half_even(x));
     s = sin(PI * d);
     if (-x <= 170.5)
@@ -352,6 +376,10 @@ bs_negative(double nu, double x, double tol, int cap)
     return series_result(value, bound, top + 1 + j, bound <= tol * fabs(value));
 }
 
+/* The optional table is checked to be a dict and otherwise ignored.  What
+ * the pure twin keeps in it is a fraction of this kernel's time (about
+ * 1 us a point on the benchmark's S rows), and reading the 2N b_n and
+ * their bounds back as Python floats would cost about as much. */
 static PyObject *
 bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -359,8 +387,9 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     int cap;
     long long k, n;
     dd c;
+    PyObject *table;
     void *out[] = {&nu, &u, &tol, &cap};
-    if (parse_args("bs_series", args, nargs, "dddi", out) < 0)
+    if (parse_table_args("bs_series", args, nargs, "dddi", out, &PyDict_Type, &table) < 0)
         return NULL;
     if (u == 0.0)
         return series_result(1.0, 0.0, 1, 1);
@@ -547,21 +576,100 @@ read_column(PyObject *seq, double *dst, Py_ssize_t n)
     return 0;
 }
 
+/* Row k of a Wright table, as _pykernels._wright_row: row[] gets the sign,
+ * the sign at z < 0, acc and log k!.  Returns 0, or 1 where a lower
+ * parameter kills the term (row[] unset), or 2 where an upper one hits a
+ * gamma pole. */
+static int
+wright_row(const double *ua, const double *uA, Py_ssize_t p, const double *lb,
+           const double *lB, Py_ssize_t q, long long k, double *row)
+{
+    double acc = 0.0, sg = 1.0, g;
+    int sig;
+    for (Py_ssize_t i = 0; i < p; i++) {
+        g = ua[i] + uA[i] * k;
+        if (near_nonpos_int(g))
+            return 2;
+        acc += lgamma_sign_c(g, &sig);
+        sg *= sig;
+    }
+    for (Py_ssize_t j = 0; j < q; j++) {
+        g = lb[j] + lB[j] * k;
+        if (near_nonpos_int(g))
+            return 1;
+        acc -= lgamma_sign_c(g, &sig);
+        sg *= sig;
+    }
+    row[0] = sg;
+    row[1] = k % 2 != 0 ? -sg : sg;
+    row[2] = acc;
+    row[3] = lgamma_sign_c(k + 1.0, &sig);
+    return 0;
+}
+
+/* A stored row: 0 with row[] filled, 1 for None (a killed term), or -1
+ * with TypeError or ValueError set when the item is not a row. */
+static int
+read_row(PyObject *item, double *row)
+{
+    if (item == Py_None)
+        return 1;
+    if (!PyTuple_Check(item)) {
+        PyErr_Format(PyExc_TypeError, "wright_series() table rows must be tuples or None, not %.200s",
+                     Py_TYPE(item)->tp_name);
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(item) != 4) {
+        PyErr_Format(PyExc_ValueError, "wright_series() table rows must have 4 items, not %zd",
+                     PyTuple_GET_SIZE(item));
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < 4; i++) {
+        PyObject *v = PyTuple_GET_ITEM(item, i);
+        if (!PyFloat_Check(v)) {
+            PyErr_Format(PyExc_TypeError, "wright_series() table rows must hold floats, not %.200s",
+                         Py_TYPE(v)->tp_name);
+            return -1;
+        }
+        row[i] = PyFloat_AS_DOUBLE(v);
+    }
+    return 0;
+}
+
+/* Append row k (``kind`` 0 or 1, as wright_row returns it) unless the
+ * table no longer has k rows: another thread may have added the same row
+ * while this one was being built. */
+static int
+store_row(PyObject *rows, long long k, int kind, const double *row)
+{
+    int rc = 0;
+    PyObject *item = kind ? Py_NewRef(Py_None)
+                          : Py_BuildValue("(dddd)", row[0], row[1], row[2], row[3]);
+    if (item == NULL)
+        return -1;
+    if (PyList_GET_SIZE(rows) == k)
+        rc = PyList_Append(rows, item);
+    Py_DECREF(item);
+    return rc;
+}
+
 static PyObject *
 wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double ua[MAX_PAIRS], uA[MAX_PAIRS], lb[MAX_PAIRS], lB[MAX_PAIRS];
-    double z, tol, lnz, s = 0.0, prev = 0.0, acc, g, t, lk;
-    int cap, zsign, sg, sig, have_prev = 0, dead;
-    Py_ssize_t p, q, i, j;
+    double ua[MAX_PAIRS], uA[MAX_PAIRS], lb[MAX_PAIRS], lB[MAX_PAIRS], row[4];
+    double z, tol, lnz, s = 0.0, prev = 0.0, t;
+    int cap, zneg, have_prev = 0, kind;
+    Py_ssize_t p, q;
     long long k;
+    PyObject *rows;
     void *out[] = {&z, &tol, &cap};
-    if (nargs != 7) {
+    if (nargs < 4) {
         PyErr_Format(PyExc_TypeError,
-                     "wright_series() takes exactly 7 positional arguments (%zd given)", nargs);
+                     "wright_series() takes 7 or 8 positional arguments (%zd given)", nargs);
         return NULL;
     }
-    if (parse_args("wright_series", args + 4, 3, "ddi", out) < 0)
+    if (parse_table_args("wright_series", args + 4, nargs - 4, "ddi", out, &PyList_Type, &rows)
+        < 0)
         return NULL;
     p = PySequence_Size(args[0]);
     if (p < 0)
@@ -577,36 +685,26 @@ wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
         || read_column(args[2], lb, q) < 0 || read_column(args[3], lB, q) < 0)
         return NULL;
     lnz = z != 0.0 ? log(fabs(z)) : 0.0;
-    zsign = z < 0.0 ? -1 : 1;
+    zneg = z < 0.0; /* the row's sign for this z */
     for (k = 0; k < cap; k++) {
-        acc = 0.0;
-        sg = 1;
-        dead = 0;
-        for (i = 0; i < p; i++) {
-            g = ua[i] + uA[i] * k;
-            if (near_nonpos_int(g))
+        if (rows != NULL && k < PyList_GET_SIZE(rows)) {
+            kind = read_row(PyList_GET_ITEM(rows, k), row);
+            if (kind < 0)
+                return NULL;
+        }
+        else {
+            kind = wright_row(ua, uA, p, lb, lB, q, k, row);
+            if (kind == 2)
                 return series_result((double)k, 0.0, k, 2);
-            acc += lgamma_sign_c(g, &sig);
-            sg *= sig;
+            if (rows != NULL && store_row(rows, k, kind, row) < 0)
+                return NULL;
         }
-        for (j = 0; j < q; j++) {
-            g = lb[j] + lB[j] * k;
-            if (near_nonpos_int(g)) {
-                dead = 1;
-                break;
-            }
-            acc -= lgamma_sign_c(g, &sig);
-            sg *= sig;
-        }
-        if (dead)
+        if (kind == 1)
             t = 0.0;
         else {
             if (z == 0.0 && k > 0)
                 return series_result(s, 0.0, k, 0);
-            lk = lgamma_sign_c(k + 1.0, &sig);
-            t = sg * exp(acc + k * lnz - lk);
-            if (zsign < 0 && k % 2 != 0)
-                t = -t;
+            t = row[zneg] * exp(row[2] + k * lnz - row[3]);
             if (!isfinite(t))
                 return series_result(s + t, INFINITY, k + 1, 0);
         }

@@ -13,6 +13,13 @@ satisfies ``|t| <= 0.5 * tol * |sum|`` and the next term is below
 factorial denominator dominates).  The Bessel-Struve kernel at negative
 argument is the exception: a fixed number of positive terms, and a
 running bound on their rounding (``_bs_negative``).
+
+``bs_series`` and ``wright_series`` take an optional last argument, a
+table that a sweep of one order or one spec passes to every call: the
+kernel keeps in it what does not depend on the point, and reads it back at
+the next point.  A table-fed call returns the one-shot call's bits.  An
+entry, once made, equals what any other call would store under its key,
+so threads may share a table.
 """
 
 from __future__ import annotations
@@ -145,41 +152,83 @@ def _bs_odd_prefactor_dd(nu):
     return math.exp(la1 - la2 - _HALF_LN_PI), 0.0
 
 
-def bs_series(nu, u, tol, cap):
+def bs_series(nu, u, tol, cap, table=None):
     """Bessel-Struve kernel S_nu(u).
 
     Positive u sums the power series (interleaved even/odd chains) in plain
     doubles: all terms are positive.  At negative u that series alternates
     with exponentially large terms, so ``_bs_negative`` sums a series of
     positive terms instead.
+
+    ``table``, a dict, is optional: a sweep of one nu passes the same one
+    to every call, and the kernel keeps in it what depends on nu alone
+    (``_bs_positive``, ``_bs_negative``).  A table-fed call returns the
+    bits of a one-shot call, whatever the table holds of earlier points,
+    and threads may share a table.
     """
     if u == 0.0:
         return 1.0, 0.0, 1, 1
     if u > 0.0:
-        ch, _ = _bs_odd_prefactor_dd(nu)
-        e = 1.0
-        o = u * ch
-        s = e + o
+        return _bs_positive(nu, u, tol, cap, table)
+    return _bs_negative(nu, -u, tol, cap, table)
+
+
+def _entry(table, key, make):
+    """``table[key]``, stored on first use as ``make()``; with no table, a
+    fresh ``make()``.  Racing threads may each make one: the first stored
+    is kept, and the others are equal to it."""
+    if table is None:
+        return make()
+    entry = table.get(key)
+    return entry if entry is not None else table.setdefault(key, make())
+
+
+def _bs_positive(nu, u, tol, cap, table):
+    """S_nu(u) for u > 0.  The table keeps the odd chain's prefactor and,
+    per step k, the numerator and denominator of each chain's factor, so
+    that a step runs the floating-point operations of the one-shot sum;
+    rows are added as points need them, each at its own index, so that
+    racing threads store equal rows."""
+    ch, rows = _entry(table, "positive", lambda: (_bs_odd_prefactor_dd(nu)[0], []))
+    uu = u * u
+    half_tol = 0.5 * tol
+    e = 1.0
+    o = u * ch
+    s = e + o
+    prev = o
+    have = len(rows)
+    k = 0
+    n = 2
+    while n < cap:
+        if k < have:
+            he, de, ho, do = rows[k]
+        else:
+            he, de, ho, do = row = (
+                k + 0.5, (2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0),
+                k + 1.0, (2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
+            if table is not None:
+                rows[k:k + 1] = (row,)
+                have = len(rows)
+        e *= uu * he / de
+        o *= uu * ho / do
+        k += 1
+        if abs(prev) <= half_tol * abs(s) and e < 0.5 * prev:
+            return s, 2.0 * prev, n, 1
+        s += e
+        if e <= half_tol * s and o < 0.5 * e:
+            return s, 2.0 * e, n + 1, 1
+        s += o
         prev = o
-        k = 0
-        n = 2
-        while n < cap:
-            e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0))
-            o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
-            k += 1
-            if abs(prev) <= 0.5 * tol * abs(s) and e < 0.5 * prev:
-                return s, 2.0 * prev, n, 1
-            s += e
-            if e <= 0.5 * tol * s and o < 0.5 * e:
-                return s, 2.0 * e, n + 1, 1
-            s += o
-            prev = o
-            n += 2
-        return s, 2.0 * abs(prev), n, 0
-    return _bs_negative(nu, -u, tol, cap)
+        n += 2
+    return s, 2.0 * abs(prev), n, 0
 
 
-def _bs_negative(nu, x, tol, cap):
+# the most b_n sequences a table keeps (one per N); past it the newest is
+# dropped, which in a monotone sweep is the one no later point needs
+_BS_SEQUENCES = 32
+
+
+def _bs_negative(nu, x, tol, cap, table):
     """S_nu(-x) for x > 0 by a series of positive terms, with a running
     bound on its rounding error.
 
@@ -210,6 +259,9 @@ def _bs_negative(nu, x, tol, cap):
     ch. 3-4).  N plus the start series' length counts against ``cap``:
     past it the result is (0, inf) with flag 0.  For nu = -1/2 (a = 0) the
     sum is the exact limit e^-x.
+
+    The b_n and their bounds depend on nu and N alone (``_bs_sequence``):
+    a table keeps them per N, for up to ``_BS_SEQUENCES`` values of N.
     """
     a = nu + 0.5
     if a == 0.0:
@@ -221,6 +273,67 @@ def _bs_negative(nu, x, tol, cap):
     if not top < cap:  # NaN too
         return 0.0, math.inf, 0, 0
     top = int(top)
+    seqs = None if table is None else _entry(table, "negative", dict)
+    seq = None if seqs is None else seqs.get(top)
+    if seq is None:
+        seq = _bs_sequence(nu, a, top, cap)
+        if seq is None:
+            return 0.0, math.inf, cap, 0
+        if seqs is not None:
+            if len(seqs) >= _BS_SEQUENCES:
+                seqs.popitem()
+            seqs[top] = seq
+    bs, errs, j = seq
+    # the start series stops at its j-th term, and N + j counts against cap
+    if top + j > cap:
+        return 0.0, math.inf, cap, 0
+    peak = min(math.floor(x), top)
+    bp = bs[peak]
+    den = 1.0
+    up = down = 0.0  # sums of w_n (b_n - b_p) above and below the peak
+    spread = 0.0     # sum of w_n |n-p| |b_n - b_p|
+    dist = 0.0       # sum of w_n |n-p|
+    werr = errs[peak]  # sum of w_n err_n
+    w = 1.0
+    for n, b, e in zip(range(peak + 1, top + 1), bs[peak + 1:], errs[peak + 1:]):
+        w = w * x / n
+        d = b - bp
+        den += w
+        up += w * d
+        k = w * (n - peak)
+        spread += k * abs(d)
+        dist += k
+        werr += w * e
+    w_top = w
+    w = 1.0
+    for n, b, e in zip(range(peak - 1, -1, -1), reversed(bs[:peak]), reversed(errs[:peak])):
+        w = w * (n + 1) / x
+        d = b - bp
+        den += w
+        down += w * d
+        k = w * (peak - n)
+        spread += k * abs(d)
+        dist += k
+        werr += w * e
+    low = w * abs(bs[0] - bp)  # w_0 |b_0 - b_p|; b_0 may lie below b_p
+    shift = (up + down) / den
+    mean = bp + shift
+    value = mean / bs[0]
+    shift = abs(shift)
+    bound = (werr                                        # the b_n
+             + (top - peak + 2.0) * abs(up)              # up: products, sums
+             + (peak + 2.0) * (abs(down) + 2.0 * low)    # down
+             + 2.0 * (spread + dist * shift)) / den      # the weights
+    bound = _U * (bound + (top + 2.0) * shift + abs(mean))  # den, quotient, sums
+    r = x / (top + 2.0)
+    bound += (abs(bs[top]) + abs(mean)) * w_top * (x / (top + 1.0)) / (1.0 - r) / den
+    bound = abs(value) * (bound / abs(mean) + _U * (errs[0] / abs(bs[0]) + 1.0))
+    return value, bound, top + 1 + j, int(bound <= tol * abs(value))
+
+
+def _bs_sequence(nu, a, top, cap):
+    """(b_n, their error bounds in units of u, the start series' length j)
+    for n = 0..N, N = ``top``; None where N + j would reach ``cap`` first."""
     M = a + top
     t = 1.0 / M
     s = t
@@ -233,7 +346,7 @@ def _bs_negative(nu, x, tol, cap):
         if abs(t) <= 0.125 * _U * abs(s):
             break
         if top + j >= cap:
-            return 0.0, math.inf, top + j, 0
+            return None
         s += t
         sa += abs(t)
         tj += j * abs(t)
@@ -260,48 +373,7 @@ def _bs_negative(nu, x, tol, cap):
     b = (1.0 + a * b) / a
     bs[0] = b
     errs[0] = err + 4.0 * abs(b)
-    peak = min(math.floor(x), top)
-    bp = bs[peak]
-    den = 1.0
-    up = down = 0.0  # sums of w_n (b_n - b_p) above and below the peak
-    spread = 0.0     # sum of w_n |n-p| |b_n - b_p|
-    dist = 0.0       # sum of w_n |n-p|
-    werr = errs[peak]  # sum of w_n err_n
-    w = 1.0
-    for n in range(peak + 1, top + 1):
-        w = w * x / n
-        d = bs[n] - bp
-        den += w
-        up += w * d
-        k = w * (n - peak)
-        spread += k * abs(d)
-        dist += k
-        werr += w * errs[n]
-    w_top = w
-    w = 1.0
-    for n in range(peak - 1, -1, -1):
-        w = w * (n + 1) / x
-        d = bs[n] - bp
-        den += w
-        down += w * d
-        k = w * (peak - n)
-        spread += k * abs(d)
-        dist += k
-        werr += w * errs[n]
-    low = w * abs(bs[0] - bp)  # w_0 |b_0 - b_p|; b_0 may lie below b_p
-    shift = (up + down) / den
-    mean = bp + shift
-    value = mean / bs[0]
-    shift = abs(shift)
-    bound = (werr                                        # the b_n
-             + (top - peak + 2.0) * abs(up)              # up: products, sums
-             + (peak + 2.0) * (abs(down) + 2.0 * low)    # down
-             + 2.0 * (spread + dist * shift)) / den      # the weights
-    bound = _U * (bound + (top + 2.0) * shift + abs(mean))  # den, quotient, sums
-    r = x / (top + 2.0)
-    bound += (abs(bs[top]) + abs(mean)) * w_top * (x / (top + 1.0)) / (1.0 - r) / den
-    bound = abs(value) * (bound / abs(mean) + _U * (errs[0] / abs(bs[0]) + 1.0))
-    return value, bound, top + 1 + j, int(bound <= tol * abs(value))
+    return bs, errs, j
 
 
 def bessel_series(v, z, modified, tol, cap):
@@ -434,7 +506,7 @@ def hyp2f1_kernel(a, b, c, z, wbar):
     return scale * (p1 * f1 + wbar ** s * p2 * f2)
 
 
-def wright_series(ua, uA, lb, lB, z, tol, cap):
+def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
     """Generalized Wright series, terms assembled in log space.
 
     Returns (value, abs_error_est, terms_used, status) with status 0 on
@@ -443,53 +515,63 @@ def wright_series(ua, uA, lb, lB, z, tol, cap):
     Lower-parameter poles zero the affected term (reciprocal gamma).  The
     first term beyond the double range ends the sum at once, with status 0
     and a non-finite value.
+
+    Of term k only ``k*log|z|`` depends on z.  The rest is row k: ``(sign,
+    sign at z < 0, acc, log k!)``, where acc is the signed sum of the
+    term's log-gammas, the signs are the floats +1.0 or -1.0 and the second
+    folds in the odd-term flip of z < 0 (an exact negation), or None where
+    a lower parameter kills the term.  ``table``, a list of rows, is
+    optional: a sweep of one spec passes the same one to every call, and
+    the kernel reads its rows and appends the ones a point needs next, each
+    at its own index, so that racing threads store equal rows.  A
+    table-fed call returns the bits of a one-shot call.
     """
-    p = len(ua)
-    q = len(lb)
     lnz = math.log(abs(z)) if z != 0.0 else 0.0
-    zsign = -1 if z < 0.0 else 1
-    s = 0.0
-    prev = 0.0
+    sign = 1 if z < 0.0 else 0  # the row's sign for this z
+    half_tol = 0.5 * tol
+    exp = math.exp
+    s = prev = 0.0
     have_prev = False
-    k = 0
-    while k < cap:
-        acc = 0.0
-        sg = 1
-        dead = False
-        i = 0
-        while i < p:
-            g = ua[i] + uA[i] * k
-            if near_nonpositive_int(g):
-                return float(k), 0.0, k, 2
-            la, sig = lgamma_sign(g)
-            acc += la
-            sg *= sig
-            i += 1
-        j = 0
-        while j < q:
-            g = lb[j] + lB[j] * k
-            if near_nonpositive_int(g):
-                dead = True
-                break
-            la, sig = lgamma_sign(g)
-            acc -= la
-            sg *= sig
-            j += 1
-        if dead:
+    have = 0 if table is None else len(table)
+    for k in range(cap):
+        if k < have:
+            row = table[k]
+        else:
+            acc = 0.0
+            sg = 1.0
+            # g > POLE_TOL is never near a pole: most g skip the call
+            for a, A in zip(ua, uA):
+                g = a + A * k
+                if g <= POLE_TOL and near_nonpositive_int(g):
+                    return float(k), 0.0, k, 2
+                la, sig = lgamma_sign(g)
+                acc += la
+                sg *= sig
+            for b, B in zip(lb, lB):
+                g = b + B * k
+                if g <= POLE_TOL and near_nonpositive_int(g):
+                    row = None
+                    break
+                la, sig = lgamma_sign(g)
+                acc -= la
+                sg *= sig
+            else:
+                row = (sg, -sg if k % 2 else sg, acc, lgamma_sign(k + 1.0)[0])
+            if table is not None:
+                table[k:k + 1] = (row,)
+                have = len(table)
+        if row is None:
             t = 0.0
         else:
-            if z == 0.0 and k > 0:
+            if k and z == 0.0:
                 return s, 0.0, k, 0
-            lk, _ = lgamma_sign(k + 1.0)
             try:
-                t = sg * math.exp(acc + k * lnz - lk)
+                t = row[sign] * exp(row[2] + k * lnz - row[3])
             except OverflowError:
-                t = sg * math.inf
-            if zsign < 0 and k % 2 != 0:
-                t = -t
+                t = row[sign] * math.inf
             if not math.isfinite(t):
                 return s + t, math.inf, k + 1, 0
-        if have_prev and abs(prev) <= 0.5 * tol * abs(s) and abs(t) < 0.5 * abs(prev):
+        if have_prev and abs(prev) <= half_tol * abs(s) and abs(t) < 0.5 * abs(prev):
             return s, 2.0 * abs(prev), k, 0
         s += t
         if t == 0.0:
@@ -497,8 +579,7 @@ def wright_series(ua, uA, lb, lB, z, tol, cap):
         else:
             prev = t
             have_prev = True
-        k += 1
-    return s, 2.0 * abs(prev), k, 1
+    return s, 2.0 * abs(prev), max(cap, 0), 1
 
 
 def f3_series(a, ap, b, bp, g, x, y, tol, cap):

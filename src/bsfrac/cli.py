@@ -26,7 +26,7 @@ from .series import (
     _SPECIAL_NU,
     SeriesEval,
     bessel_first_kind,
-    bessel_struve_kernel,
+    bessel_struve_evaluator,
     linspace,
     struve,
 )
@@ -133,7 +133,7 @@ def _evaluator(function: str, opts: dict):
         return density_at
     if function == "S":
         _require(opts, ["nu"])
-        return partial(bessel_struve_kernel, opts["nu"])
+        return bessel_struve_evaluator(opts["nu"])
     if function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
         fn = bessel_first_kind if function in ("J", "I") else struve

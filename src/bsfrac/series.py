@@ -115,7 +115,30 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     bound includes the rounding; it is unconverged where that bound exceeds
     ``tol * |value|``, as near a zero of S for -1 < nu < -1/2, or where the
     sum would need more than ``term_cap`` terms.
+
+    One kernel call per point: the path for a single point.  A sweep of
+    one order over many points uses ``bessel_struve_evaluator``.
     """
+    return _bessel_struve(nu, u, tol, term_cap, None)
+
+
+def bessel_struve_evaluator(nu: float, tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP):
+    """``u -> bessel_struve_kernel(nu, u, tol, term_cap)``, bit for bit, for
+    a sweep of one order over many points.
+
+    The evaluator owns a table and passes it to every ``kernels.bs_series``
+    call; the pure kernel keeps in it what depends on nu alone: the
+    positive series' prefactor and step factors, and the b_n of the
+    negative-u series for each length N.  The compiled kernel ignores it,
+    as its own sums cost about what reading the table back would.  A shared
+    evaluator is safe across threads.  The CLI's ``eval`` and ``table``
+    take this path.
+    """
+    table: dict = {}
+    return lambda u: _bessel_struve(nu, u, tol, term_cap, table)
+
+
+def _bessel_struve(nu: float, u: float, tol: float, term_cap: int, table) -> SeriesEval:
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
@@ -124,7 +147,7 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     if u > 600.0 and _log_peak_term(nu, u) > _LOG_OVERFLOW:
         value = math.inf  # summing would only burn the term cap
     else:
-        value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
+        value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap, table)
     if not math.isfinite(value):
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     # never report convergence the estimate does not support

@@ -11,8 +11,10 @@ import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -258,3 +260,109 @@ def test_cli_sweeps_on_compiled_backend(compiled_pkg):
 
 def test_acceptance_suite_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_acceptance.py")
+
+
+# A seeded sweep of every kernel of a build under UBSan, in a child: one
+# undefined operation (an out-of-range cast, a signed overflow, a bad
+# shift) aborts it.  Table-fed calls must give the one-shot bits, and the
+# results must match the pure twin's.
+UBSAN_SWEEP = r"""
+import math, random
+from bsfrac import _backend, _ckernels as ck, _pykernels as pk
+
+assert _backend.BACKEND == "compiled"
+rng = random.Random(1234)
+calls = 0
+
+def close(a, b, rel=5e-15):
+    return a == b or (math.isnan(a) and math.isnan(b)) or abs(a - b) <= rel * max(abs(a), abs(b))
+
+def bits(result):
+    return tuple(map(repr, result))
+
+def floats(n, lo, hi):
+    return [rng.uniform(lo, hi) for _ in range(n)]
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1e300, -2.0 ** 63, -2.0 ** 63 - 2048.0,
+           -1.7e308, 1.7e308, math.inf, -math.inf, math.nan]
+for x in floats(300, -170.0, 170.0) + SPECIAL + [-(2.0 ** k) - 0.5 for k in range(1, 52)]:
+    calls += 2
+    ck.near_nonpositive_int(x)
+    if not (x > 0.0 or x == x):
+        continue
+    la, sg = ck.lgamma_sign(x)
+    if x <= 0.0 and math.isfinite(x):
+        assert sg == (-1 if math.floor(x) % 2 else 1), x
+        if -x <= 170.0 and not pk.near_nonpositive_int(x):
+            assert sg == pk.lgamma_sign(x)[1] and close(la, pk.lgamma_sign(x)[0], 1e-12), x
+
+for nu in [-0.9, -0.5, 0.0, 0.25, 0.5, 2.3, 9.7, 40.0, 89.5, 1e300] + floats(4, -0.99, 30.0):
+    us = floats(40, -60.0, 60.0) + [-1000.0, 650.0] + SPECIAL
+    for cap in (10000, 60, 1, 0, -5):
+        table = {}
+        for u in us:
+            calls += 2
+            one = ck.bs_series(nu, u, 1e-14, cap)
+            assert bits(ck.bs_series(nu, u, 1e-14, cap, table)) == bits(one), (nu, u, cap)
+            if cap == 10000 and -60.0 <= u <= 60.0 and nu < 50.0:
+                calls += 1
+                want = pk.bs_series(nu, u, 1e-14, cap)
+                # the generic-order prefactor goes through each backend's gamma
+                assert one[2:] == want[2:] and close(one[0], want[0], 1e-12), (nu, u)
+
+for _ in range(150):
+    v, z, m = rng.uniform(-0.9, 3.0), rng.choice(floats(1, 0.01, 30.0) + SPECIAL), rng.random() < 0.5
+    for kernel in (ck.bessel_series, ck.struve_series):
+        calls += 1
+        kernel(v, z, m, 1e-15, rng.choice([10000, 5, 0]))
+    a, b, c = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3)
+    calls += 3
+    ck.hyp2f1_series(a, b, c, rng.choice([rng.uniform(0.0, 0.9), math.nan]), 1e-15, 10000)
+    w = rng.choice([rng.uniform(-50, 0.9), 1 - 1e-9, -1e300, math.nan])
+    ck.hyp2f1_kernel(a, b, c, w, 1.0 - w)
+    ck.f3_series(a, b, c, a, abs(c) + 0.5, rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
+                 1e-13, rng.choice([10000, 3]))
+
+COEFFS = [0.0, -1.0, -2.0, -0.5, 0.5, 1.0, 1.2, -3.0, -1e300, 1e300]
+def pairs():
+    return [(rng.choice(COEFFS) if rng.random() < 0.4 else rng.uniform(-6, 6),
+             rng.choice([0.0, 0.5, 1.0]) if rng.random() < 0.5 else rng.uniform(0, 2))
+            for _ in range(rng.randrange(0, 5))]
+for _ in range(300):
+    up, lo = pairs(), pairs()
+    cols = ([a for a, _ in up], [A for _, A in up], [b for b, _ in lo], [B for _, B in lo])
+    cap, rows = rng.choice([10000, 40, 6, 0, -1]), []
+    for z in floats(6, -60.0, 60.0) + [0.0, 1e-300, -1e-300, 800.0, -800.0, 1e300]:
+        calls += 2
+        one = ck.wright_series(*cols, z, 1e-14, cap)
+        assert bits(ck.wright_series(*cols, z, 1e-14, cap, rows)) == bits(one), (up, lo, z)
+ua, uA, lb, lB = (0.5, 1.2, 1.9), (0.5, 1.0, 1.0), (1.25, 1.4, 2.0), (0.5, 1.0, 1.0)
+for z in (-2.0, 0.0, 0.3, 1.7, 25.0):
+    calls += 1
+    vc, vp = ck.wright_series(ua, uA, lb, lB, z, 1e-14, 10000), pk.wright_series(ua, uA, lb, lB, z, 1e-14, 10000)
+    assert vc[2:] == vp[2:] and close(vc[0], vp[0])
+print(calls)
+"""
+
+
+def test_kernels_have_no_undefined_behaviour(tmp_path):
+    from conftest import compile_ckernels
+    flags = ["-fsanitize=undefined,float-cast-overflow", "-fno-sanitize-recover=all"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    cc = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    if cc is None or subprocess.run([cc, *flags, str(probe), "-o", str(tmp_path / "probe")],
+                                    capture_output=True).returncode != 0:
+        pytest.skip("the C compiler cannot link the undefined-behaviour sanitizer")
+    pkg = tmp_path / "bsfrac"
+    shutil.copytree(Path(pk.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("*.so", "*.c", "__pycache__"))
+    proc = compile_ckernels(pkg / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")),
+                            *flags)
+    assert proc.returncode == 0, proc.stderr
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    proc = subprocess.run([sys.executable, "-c", UBSAN_SWEEP], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and "runtime error" not in proc.stderr, proc.stderr[-2000:]
+    assert int(proc.stdout) > 15_000

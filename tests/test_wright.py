@@ -206,40 +206,40 @@ def test_evaluator_matches_wright_eval(upper, lower, zs, term_cap):
         assert got == want, (spec, z, term_cap)
 
 
-def _count_lgamma(monkeypatch):
-    """Record every lgamma_sign argument the Wright module passes."""
-    kernels, calls = wright.kernels, []
+def _record_tables(monkeypatch):
+    """Record the table of every kernel call the Wright module makes."""
+    kernels, tables = wright.kernels, []
 
-    def lgamma_sign(x):
-        calls.append(x)
-        return kernels.lgamma_sign(x)
+    def wright_series(*args):
+        tables.append(args[7])
+        return kernels.wright_series(*args)
 
-    monkeypatch.setattr(wright, "kernels", SimpleNamespace(
-        lgamma_sign=lgamma_sign, near_nonpositive_int=kernels.near_nonpositive_int,
-        wright_series=kernels.wright_series))
-    return calls
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
+    return tables
 
 
 def test_evaluator_tabulates_each_term_once(monkeypatch):
-    # a 200-point sweep computes each term's p+q+1 log-gammas once, up to
+    # a 200-point sweep shares one table, which holds one row per term up to
     # the longest series' stopping term
-    calls = _count_lgamma(monkeypatch)
+    tables = _record_tables(monkeypatch)
     evaluate = wright_evaluator(THEOREM_SPEC)
     results = [evaluate(z) for z in linspace(-10.0, 10.0, 200)]
-    assert 0 < len(calls) <= 9 * (max(r.terms_used for r in results) + 1)
+    assert len(tables) == 200 and all(t is tables[0] for t in tables)
+    assert 0 < len(tables[0]) <= max(r.terms_used for r in results) + 1
 
 
 def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
     # e^z at z = -800: term k = 800^k/k! first exceeds the double range at
-    # k0; no row beyond it is built (the compiled kernel would sum its cap)
+    # k0; no row beyond it is built
     k0 = next(k for k in range(1000) if k * math.log(800.0) - math.lgamma(k + 1.0) > 709.79)
-    calls = _count_lgamma(monkeypatch)
+    tables = _record_tables(monkeypatch)
     res = CliRunner().invoke(main, ["eval", "wright", "--x=-800", "--upper", "1,1",
                                     "--lower", "1,1"])
     assert res.exit_code == 1
     assert res.stderr == ("Error: wright at x=-800.0: wright series at z=-800.0 "
                           "exceeds double range\n")
-    assert 3 * (k0 - 1) < len(calls) <= 3 * (k0 + 1)
+    assert len(tables) == 1
+    assert k0 - 1 < len(tables[0]) <= k0 + 1
 
 
 def test_evaluator_shared_by_threads():
