@@ -43,12 +43,13 @@ def check_tol(tol: float):
 class SeriesEval(NamedTuple):
     """A series value with an error bound.
 
-    ``abs_error_est`` bounds the discarded tail, and for the Bessel and
-    Struve functions J, I, H and L and the kernel S at u < 0 the rounding
-    as well; when
-    ``converged`` is true the tail bound does not exceed ``tol * |value|``
-    for the requested relative tolerance.  Identical inputs always produce
-    bit-identical results.
+    ``abs_error_est`` bounds the discarded tail and the rounding.  When
+    ``converged`` is true the tail bound (for J, I, H, L and S at u > 0) or
+    the whole bound (for S at u < 0) does not exceed ``tol * |value|`` for
+    the requested relative tolerance.  For the Gauss, Appell and Wright
+    series the bound is the tail estimate alone.
+    Identical inputs always produce bit-identical results, whether a
+    function is called once or through a sweep's evaluator.
 
     A NamedTuple, because it is built once per evaluation and a tuple is
     the cheapest immutable record.  Read its fields by name and do not
@@ -116,10 +117,14 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     ``tol * |value|``, as near a zero of S for -1 < nu < -1/2, or where the
     sum would need more than ``term_cap`` terms.
 
+    At u > 0 the bound adds the rounding of the positive sum
+    (``_bs_positive_rounding``) to the tail estimate, and ``converged``
+    tests the tail estimate alone, as for I and L.
+
     One kernel call per point: the path for a single point.  A sweep of
     one order over many points uses ``bessel_struve_evaluator``.
     """
-    return _bessel_struve(nu, u, tol, term_cap, None)
+    return _bessel_struve(nu, u, tol, term_cap, None, None)
 
 
 def bessel_struve_evaluator(nu: float, tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP):
@@ -132,13 +137,16 @@ def bessel_struve_evaluator(nu: float, tol: float = DEFAULT_TOL, term_cap: int =
     negative-u series for each length N.  The compiled kernel ignores it,
     as its own sums cost about what reading the table back would.  A shared
     evaluator is safe across threads.  The CLI's ``eval`` and ``table``
-    take this path.
+    take this path.  The u-free part of the rounding bound at u > 0 is
+    computed with the table, once.
     """
-    table: dict = {}
-    return lambda u: _bessel_struve(nu, u, tol, term_cap, table)
+    table = {}
+    units = _bs_prefactor_units(nu) if nu > -1.0 else None
+    return lambda u: _bessel_struve(nu, u, tol, term_cap, table, units)
 
 
-def _bessel_struve(nu: float, u: float, tol: float, term_cap: int, table) -> SeriesEval:
+def _bessel_struve(nu: float, u: float, tol: float, term_cap: int, table,
+                   units) -> SeriesEval:
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
@@ -152,7 +160,35 @@ def _bessel_struve(nu: float, u: float, tol: float, term_cap: int, table) -> Ser
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     # never report convergence the estimate does not support
     converged = bool(ok) and err <= tol * max(abs(value), 5e-324)
+    if u > 0.0:
+        if units is None:
+            units = _bs_prefactor_units(nu)
+        err += _bs_positive_rounding(value, terms, units)
     return SeriesEval(value, err, terms, converged)
+
+
+def _gamma_units(a: float) -> float:
+    """The relative error, in units of u, of a term that takes Gamma(a), a > 0,
+    through the log-gamma kernel, with room for the operations around it."""
+    return (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, abs(math.lgamma(a))) + a * abs(math.log(a)) + 1.0
+
+
+def _bs_prefactor_units(nu: float) -> float:
+    """The relative error, in units of u, of the odd chain's first term
+    u * Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)), for any way the kernel forms
+    the prefactor: it depends on nu alone."""
+    return _gamma_units(nu + 1.0) + _gamma_units(nu + 1.5) + 2.0
+
+
+def _bs_positive_rounding(value: float, terms: int, units: float) -> float:
+    """A bound on the rounding error of the kernel's sum of ``terms``
+    positive terms of S_nu(u), u > 0, which sum to ``value`` >= 1 (Higham
+    2002, ch. 4).  The even chain starts at 1 and the odd chain at a term
+    that errs by ``units`` u; each step of a chain multiplies by u*u times
+    a quotient of a rounded numerator and a denominator of three factors,
+    at most 7u more per step and so 3.5u per term, and each addition errs
+    by u of the partial sum."""
+    return value * _U * (units + 5.0 * terms)
 
 
 # below this z, 0.5 * z can round (to zero at the smallest subnormal) and
@@ -182,8 +218,7 @@ def _positive_series_rounding(value: float, terms: int, order: float, z: float,
         return terms * _ULP0  # every term underflowed
     first = 5.0 * abs(order * _log_half(z)) + 1.0
     for a in gamma_args:
-        lg = abs(math.lgamma(a))
-        first += (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, lg) + a * abs(math.log(a)) + 1.0
+        first += _gamma_units(a)
     units = first + 8.0 * terms
     if value < _TINY:  # value * _U would underflow
         return value * (_U * units) + terms * _ULP0

@@ -26,6 +26,33 @@ def mp_kernel(nu, u, terms=250):
 
 
 @functools.cache
+def _kernel_coeffs(nu):
+    """The coefficients c_n of S_nu(u) = sum c_n u^n, extended on demand by
+    c_(n+2) = c_n / (2 (n+2) (n/2 + nu + 1)) from c_0 = 1 and
+    c_1 = Gamma(nu+1) / (sqrt(pi) Gamma(nu+3/2))."""
+    nu = mp.mpf(nu)
+    return [mp.mpf(1), mp.gamma(nu + 1) / (mp.sqrt(mp.pi) * mp.gamma(nu + mp.mpf(1.5)))], nu
+
+
+@functools.cache
+def mp_kernel_right(nu, u):
+    """S_nu(u) for u >= 0 by its series of positive terms, to 25 digits."""
+    c, mnu = _kernel_coeffs(nu)
+    with mp.workdps(25):
+        u = mp.mpf(u)
+        s, p, n = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            if n == len(c):
+                c.append(c[n - 2] / (2 * n * ((n - 2) / mp.mpf(2) + mnu + 1)))
+            t = c[n] * p
+            s += t
+            if n > 2 * u + 10 and t < mp.mpf(10) ** -27 * s:
+                return +s
+            p *= u
+            n += 1
+
+
+@functools.cache
 def mp_kernel_left(nu, x):
     """S_nu(-x) for x > 0 as Gamma(nu+1) (2/x)^nu (I_nu(x) - L_nu(x)).
 

@@ -142,6 +142,27 @@ class TestBesselStruveKernel:
                 assert err <= r.abs_error_est, (nu, u, r, err)
                 assert r.converged or nu < -0.5, (nu, u, r)
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_positive_u_within_bound(self, backend, request, monkeypatch):
+        # the bound adds the positive sum's rounding to its tail estimate:
+        # near u = 0.05-0.1 the error is up to twice the tail estimate alone
+        from bsfrac import _pykernels, series
+
+        kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
+        monkeypatch.setattr(series, "kernels", kernels)
+        cases = [(0.25, 0.046875), (2.3, 0.109375)]
+        cases += [(nu, k / 16) for nu in (0.0, 0.25, 2.3, 9.7) for k in range(1, 321)]
+        for nu, u in cases:
+            r = bessel_struve_kernel(nu, u)
+            assert r.converged, (nu, u, r)
+            err = abs(mp.mpf(r.value) - oracles.mp_kernel_right(nu, u))
+            assert err <= r.abs_error_est, (nu, u, r, err)
+        # the tail estimate alone missed these two
+        for nu, u in cases[:2]:
+            r = bessel_struve_kernel(nu, u)
+            tail = kernels.bs_series(nu, u, 1e-14, 10_000)[1]
+            assert tail < abs(mp.mpf(r.value) - oracles.mp_kernel_right(nu, u)) < r.abs_error_est
+
     def test_deterministic(self):
         a = bessel_struve_kernel(0.3, 5.1)
         b = bessel_struve_kernel(0.3, 5.1)
