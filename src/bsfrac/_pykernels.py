@@ -174,11 +174,9 @@ def bs_series(nu, u, tol, cap, table=None):
 
 
 def _entry(table, key, make):
-    """``table[key]``, stored on first use as ``make()``; with no table, a
-    fresh ``make()``.  Racing threads may each make one: the first stored
-    is kept, and the others are equal to it."""
-    if table is None:
-        return make()
+    """``table[key]``, stored on first use as ``make()``.  Racing threads
+    may each make one: the first stored is kept, and the others are equal
+    to it."""
     entry = table.get(key)
     return entry if entry is not None else table.setdefault(key, make())
 
@@ -189,25 +187,29 @@ def _bs_positive(nu, u, tol, cap, table):
     that a step runs the floating-point operations of the one-shot sum;
     rows are added as points need them, each at its own index, so that
     racing threads store equal rows."""
-    ch, rows = _entry(table, "positive", lambda: (_bs_odd_prefactor_dd(nu)[0], []))
+    if table is None:
+        ch, rows = _bs_odd_prefactor_dd(nu)[0], None
+    else:
+        ch, rows = _entry(table, "positive", lambda: (_bs_odd_prefactor_dd(nu)[0], []))
     uu = u * u
     half_tol = 0.5 * tol
     e = 1.0
     o = u * ch
     s = e + o
     prev = o
-    have = len(rows)
+    have = 0 if rows is None else len(rows)
     k = 0
     n = 2
     while n < cap:
         if k < have:
             he, de, ho, do = rows[k]
         else:
-            he, de, ho, do = row = (
-                k + 0.5, (2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0),
-                k + 1.0, (2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5))
-            if table is not None:
-                rows[k:k + 1] = (row,)
+            he = k + 0.5
+            de = (2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0)
+            ho = k + 1.0
+            do = (2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5)
+            if rows is not None:
+                rows[k:k + 1] = ((he, de, ho, do),)
                 have = len(rows)
         e *= uu * he / de
         o *= uu * ho / do
@@ -223,8 +225,10 @@ def _bs_positive(nu, u, tol, cap, table):
     return s, 2.0 * abs(prev), n, 0
 
 
-# the most b_n sequences a table keeps (one per N); past it the newest is
-# dropped, which in a monotone sweep is the one no later point needs
+# the most b_n sequences a table keeps (one per N), so that a long sweep's
+# table stays small: a new one replaces the one stored last, which in a
+# monotone sweep no later point needs.  Racing threads may leave one more
+# or one fewer; every sequence stored is still the right one.
 _BS_SEQUENCES = 32
 
 
@@ -295,26 +299,26 @@ def _bs_negative(nu, x, tol, cap, table):
     dist = 0.0       # sum of w_n |n-p|
     werr = errs[peak]  # sum of w_n err_n
     w = 1.0
-    for n, b, e in zip(range(peak + 1, top + 1), bs[peak + 1:], errs[peak + 1:]):
+    for n in range(peak + 1, top + 1):
         w = w * x / n
-        d = b - bp
+        d = bs[n] - bp
         den += w
         up += w * d
         k = w * (n - peak)
         spread += k * abs(d)
         dist += k
-        werr += w * e
+        werr += w * errs[n]
     w_top = w
     w = 1.0
-    for n, b, e in zip(range(peak - 1, -1, -1), reversed(bs[:peak]), reversed(errs[:peak])):
+    for n in range(peak - 1, -1, -1):
         w = w * (n + 1) / x
-        d = b - bp
+        d = bs[n] - bp
         den += w
         down += w * d
         k = w * (peak - n)
         spread += k * abs(d)
         dist += k
-        werr += w * e
+        werr += w * errs[n]
     low = w * abs(bs[0] - bp)  # w_0 |b_0 - b_p|; b_0 may lie below b_p
     shift = (up + down) / den
     mean = bp + shift

@@ -243,7 +243,7 @@ def test_modified_error_bound_on_compiled_backend(compiled_pkg):
 
 
 def test_wright_evaluator_on_compiled_backend(compiled_pkg):
-    # the term table against the compiled kernel, bit for bit, its lgamma
+    # the term table against the compiled kernel, bit for bit, its row
     # count and its stop at the first overflowing term
     _pytest_on_compiled(compiled_pkg, "tests/test_wright.py", "-k", "evaluator")
 

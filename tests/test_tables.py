@@ -4,6 +4,7 @@
 every kernel call of a sweep.  A table-fed call must return the bits of
 the one-shot call, whatever order the points fill the table in and however
 many threads share it; the compiled kernels must refuse a malformed table.
+tests/test_wright.py checks the Wright evaluator the same way.
 """
 
 import math
@@ -15,14 +16,11 @@ import pytest
 
 from bsfrac import (
     BsfracError,
-    WrightSpec,
     bessel_struve_evaluator,
     bessel_struve_kernel,
-    wright_eval,
-    wright_evaluator,
 )
 from bsfrac import _pykernels as pk
-from bsfrac import series, wright
+from bsfrac import series
 
 import oracles
 
@@ -36,11 +34,9 @@ US = ([-1000.0, -999.5, -300.0, -47.25, -20.0, -5e-324, -0.0, 0.0, 5e-324, 1e-31
 
 @pytest.fixture(params=["pure", "compiled"])
 def kernels(request, monkeypatch):
-    """The kernel module of one backend, installed in the S and Wright
-    modules."""
+    """The kernel module of one backend, installed in the S module."""
     module = pk if request.param == "pure" else request.getfixturevalue("ck")
     monkeypatch.setattr(series, "kernels", module)
-    monkeypatch.setattr(wright, "kernels", module)
     return module
 
 
@@ -80,11 +76,15 @@ def test_s_table_bits_do_not_depend_on_fill_order(kernels):
         assert [backward(u) for u in us] == want == [forward(u) for u in us]
 
 
-def _shared_by_threads(evaluate, xs, want):
+def test_s_table_shared_by_threads(kernels):
+    # as test_wright.test_evaluator_shared_by_threads for the Wright table
+    us = oracles.linspace(-40.0, 40.0, 161)
+    want = [bessel_struve_kernel(2.3, u) for u in us]
+    evaluate = bessel_struve_evaluator(2.3)
     results = {}
 
     def sweep(i):
-        results[i] = [evaluate(x) for x in (xs if i % 2 else xs[::-1])]
+        results[i] = [evaluate(u) for u in (us if i % 2 else us[::-1])]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -99,19 +99,6 @@ def _shared_by_threads(evaluate, xs, want):
     assert not any(t.is_alive() for t in threads)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
-
-
-def test_s_table_shared_by_threads(kernels):
-    us = oracles.linspace(-40.0, 40.0, 161)
-    want = [bessel_struve_kernel(2.3, u) for u in us]
-    _shared_by_threads(bessel_struve_evaluator(2.3), us, want)
-
-
-def test_wright_table_shared_by_threads(kernels):
-    spec = WrightSpec(((0.5, 0.5), (1.2, 1.0)), ((1.25, 0.5), (1.9, 1.0)))
-    zs = oracles.linspace(-30.0, 30.0, 61)
-    want = [wright_eval(spec, z) for z in zs]
-    _shared_by_threads(wright_evaluator(spec), zs, want)
 
 
 # test_backends.test_wright_series_agrees's inputs
