@@ -576,8 +576,8 @@ read_column(PyObject *seq, double *dst, Py_ssize_t n)
     return 0;
 }
 
-/* Row k of a Wright table, as _pykernels._wright_row: row[] gets the sign,
- * the sign at z < 0, acc and log k!.  Returns 0, or 1 where a lower
+/* Row k of a Wright table, as the pure twin builds it: row[] gets the
+ * sign, the sign at z < 0, acc and log k!.  Returns 0, or 1 where a lower
  * parameter kills the term (row[] unset), or 2 where an upper one hits a
  * gamma pole. */
 static int
@@ -636,9 +636,9 @@ read_row(PyObject *item, double *row)
     return 0;
 }
 
-/* Append row k (``kind`` 0 or 1, as wright_row returns it) unless the
- * table no longer has k rows: another thread may have added the same row
- * while this one was being built. */
+/* Append row k (``kind`` 0 or 1, as wright_row returns it) only while the
+ * table holds exactly k rows: building the tuple may run other threads,
+ * which may have appended this same row meanwhile. */
 static int
 store_row(PyObject *rows, long long k, int kind, const double *row)
 {
