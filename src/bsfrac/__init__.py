@@ -17,13 +17,10 @@ from .errors import (
 )
 from .gammacore import SignedLogGamma, gamma_ratio, ln_gamma_signed, pochhammer
 from .series import (
-    F3Args,
     SeriesEval,
-    appell_f3,
     bessel_first_kind,
     bessel_struve_evaluator,
     bessel_struve_kernel,
-    gauss_2f1,
     struve,
 )
 from .wright import WrightSpec, wright_delta, wright_eval, wright_evaluator
@@ -66,7 +63,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "DomainUnsupportedError",
-    "F3Args",
     "FunctionKind",
     "MsmParams",
     "PathwayDensityParams",
@@ -81,13 +77,11 @@ __all__ = [
     "TermCapError",
     "UnknownSuiteError",
     "WrightSpec",
-    "appell_f3",
     "bessel_first_kind",
     "bessel_struve_evaluator",
     "bessel_struve_kernel",
     "exp_sinh",
     "gamma_ratio",
-    "gauss_2f1",
     "ln_gamma_signed",
     "msm_bs_closed_form",
     "msm_power_image",

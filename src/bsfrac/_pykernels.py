@@ -14,12 +14,12 @@ factorial denominator dominates).  The Bessel-Struve kernel at negative
 argument is the exception: a fixed number of positive terms, and a
 running bound on their rounding (``_bs_negative``).
 
-``bs_series`` and ``wright_series`` take an optional last argument, a
-table that a sweep of one order or one spec passes to every call: the
-kernel keeps in it what does not depend on the point, and reads it back at
-the next point.  A table-fed call returns the one-shot call's bits.  An
-entry, once made, equals what any other call would store under its key,
-so threads may share a table.
+``bs_series``, ``wright_series`` and ``hyp2f1_kernel`` take an optional
+last argument, a table that a sweep of one order, one spec or one integral
+passes to every call: the kernel keeps in it what does not depend on the
+point, and reads it back at the next point.  A table-fed call returns the
+one-shot call's bits.  An entry, once made, equals what any other call
+would store under its key, so threads may share a table.
 """
 
 from __future__ import annotations
@@ -380,19 +380,14 @@ def _bs_sequence(nu, a, top, cap):
     return bs, errs, j
 
 
-def bessel_series(v, z, modified, tol, cap):
-    """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
-    half = 0.5 * z
-    la, _ = lgamma_sign(v + 1.0)
-    t = math.exp(v * math.log(half) - la)
-    q = half * half
-    if not modified:
-        q = -q
+def _bessel_type_series(t, q, v, c1, c2, tol, cap):
+    """The J/I and H/L series from leading term t with term ratio
+    ``q / ((k + c1) * (k + v + c2))``."""
     s = t
     k = 0
     n = 1
     while n < cap:
-        tn = t * q / ((k + 1.0) * (k + v + 1.0))
+        tn = t * q / ((k + c1) * (k + v + c2))
         if abs(t) <= 0.5 * tol * abs(s) and abs(tn) < 0.5 * abs(t):
             return s, 2.0 * abs(t), n, 1
         t = tn
@@ -402,6 +397,17 @@ def bessel_series(v, z, modified, tol, cap):
         if t == 0.0:
             return s, 0.0, n, 1
     return s, 2.0 * abs(t), n, 0
+
+
+def bessel_series(v, z, modified, tol, cap):
+    """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
+    half = 0.5 * z
+    la, _ = lgamma_sign(v + 1.0)
+    t = math.exp(v * math.log(half) - la)
+    q = half * half
+    if not modified:
+        q = -q
+    return _bessel_type_series(t, q, v, 1.0, 1.0, tol, cap)
 
 
 def struve_series(v, z, modified, tol, cap):
@@ -413,39 +419,7 @@ def struve_series(v, z, modified, tol, cap):
     q = half * half
     if not modified:
         q = -q
-    s = t
-    k = 0
-    n = 1
-    while n < cap:
-        tn = t * q / ((k + 1.5) * (k + v + 1.5))
-        if abs(t) <= 0.5 * tol * abs(s) and abs(tn) < 0.5 * abs(t):
-            return s, 2.0 * abs(t), n, 1
-        t = tn
-        s += t
-        k += 1
-        n += 1
-        if t == 0.0:
-            return s, 0.0, n, 1
-    return s, 2.0 * abs(t), n, 0
-
-
-def hyp2f1_series(a, b, c, z, tol, cap):
-    """Gauss series for 2F1 on 0 <= z < 1 (contract truncation rule)."""
-    s = 1.0
-    t = 1.0
-    k = 0
-    n = 1
-    while n < cap:
-        tn = t * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        if tn == 0.0:
-            return s, 0.0, n, 1  # terminating (polynomial) case
-        if abs(t) <= 0.5 * tol * abs(s) and abs(tn) < 0.5 * abs(t):
-            return s, 2.0 * abs(t), n, 1
-        t = tn
-        s += t
-        k += 1
-        n += 1
-    return s, 2.0 * abs(t), n, 0
+    return _bessel_type_series(t, q, v, 1.5, 1.5, tol, cap)
 
 
 def _hyp2f1_tail(a, b, c, z, tol, cap):
@@ -465,28 +439,35 @@ def _hyp2f1_tail(a, b, c, z, tol, cap):
     return s
 
 
-def _gamma_ratio_d(nums, dens):
-    acc = 0.0
-    sg = 1
-    for v in nums:
-        la, sig = lgamma_sign(v)
-        acc += la
-        sg *= sig
-    for v in dens:
-        la, sig = lgamma_sign(v)
-        acc -= la
-        sg *= sig
-    return sg * math.exp(acc)
+def _gamma_ratio_d(n1, n2, d1, d2):
+    """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)) from four signed
+    log-gammas; 0.0 where d1 or d2 is an exact nonpositive integer, a zero
+    of 1/Gamma, which is the limit the connection formula takes there."""
+    if (d1 <= 0.0 and d1 == math.floor(d1)) or (d2 <= 0.0 and d2 == math.floor(d2)):
+        return 0.0
+    l1, s1 = lgamma_sign(n1)
+    l2, s2 = lgamma_sign(n2)
+    l3, s3 = lgamma_sign(d1)
+    l4, s4 = lgamma_sign(d2)
+    return s1 * s2 * s3 * s4 * math.exp(l1 + l2 - l3 - l4)
 
 
-def hyp2f1_kernel(a, b, c, z, wbar):
+def hyp2f1_kernel(a, b, c, z, wbar, table=None):
     """2F1 for quadrature integrands: full real axis z < 1.
 
-    ``wbar`` must equal 1-z (pass it when z is close to 1 so the small
-    distance is not lost to cancellation; pass 0.0 < never happens < or
-    any consistent value otherwise).  Routes: direct series for z <= 0.75,
+    ``wbar`` is 1-z, passed exactly where z is close to 1 so that the small
+    distance is not lost to cancellation; 0.0 (or less) has the kernel form
+    1-z itself, and z < 0 ignores it.  Routes: direct series for z <= 0.75,
     connection formula in powers of 1-z for z > 0.75 (requires c-a-b away
-    from integers), Pfaff transform for z < 0.
+    from integers), Pfaff transform for z < 0, ahead of either.  A
+    connection coefficient whose denominator holds Gamma at a pole (c-a,
+    c-b, a or b an exact nonpositive integer) is 0.0.
+
+    ``table``, a dict, is optional: the quadrature of one integral passes
+    the same one to every call, and the kernel keeps in it each route's
+    ``(s, p1, p2)``, s = c-a-b and the two coefficients, keyed by b after
+    the Pfaff transform.  One table serves one (a, b, c); a table-fed call
+    returns the bits of a one-shot call, and threads may share a table.
     """
     if a == 0.0 or b == 0.0 or z == 0.0:
         return 1.0
@@ -502,9 +483,13 @@ def hyp2f1_kernel(a, b, c, z, wbar):
             wbar = 1.0 - z
     if z <= 0.75:
         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
-    s = c - a - b
-    p1 = _gamma_ratio_d((c, s), (c - a, c - b))
-    p2 = _gamma_ratio_d((c, -s), (a, b))
+    coeffs = None if table is None else table.get(b)
+    if coeffs is None:
+        s = c - a - b
+        coeffs = s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b)
+        if table is not None:
+            table[b] = coeffs
+    s, p1, p2 = coeffs
     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
     f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
     return scale * (p1 * f1 + wbar ** s * p2 * f2)

@@ -228,61 +228,6 @@ def _collapsed_gap(side: Side, p: MsmParams) -> float | None:
     return p.beta_prime - p.alpha_prime if p.alpha_prime != 0.0 and p.beta_prime != 0.0 else None
 
 
-def _gamma_ratio4(lgamma_sign, n1, n2, d1, d2) -> float:
-    """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)) exactly as the 2F1
-    kernel forms its connection coefficients: the same four signed
-    log-gammas, in the same order, summed in the same order.  A
-    denominator at a pole of Gamma (an exact nonpositive integer) gives
-    0.0, since 1/Gamma vanishes there; the kernel has no value there."""
-    if any(d <= 0.0 and float(d).is_integer() for d in (d1, d2)):
-        return 0.0
-    (l1, s1), (l2, s2), (l3, s3), (l4, s4) = map(lgamma_sign, (n1, n2, d1, d2))
-    return s1 * s2 * s3 * s4 * math.exp(l1 + l2 - l3 - l4)
-
-
-def _hyp2f1_evaluator(a: float, b: float, c: float):
-    """(z, wbar) -> ``kernels.hyp2f1_kernel(a, b, c, z, wbar)``, bit for bit.
-
-    The kernel's connection formula (z > 0.75, in powers of wbar = 1 - z)
-    recomputes its two gamma-ratio coefficients at every call; here each
-    route's pair, for b and for the Pfaff-transformed c - b, is computed
-    once, on the route's first use, and the kernel is only called on the
-    small argument wbar, where it sums its direct series.
-
-    The one exception: where c - a, c - b, a or b is an exact nonpositive
-    integer, the kernel fails (a math domain error on the pure backend,
-    NaN on the compiled one), while here that coefficient is 0.0
-    (``_gamma_ratio4``), which is the limit the connection formula takes.
-    """
-    hyp2f1 = kernels.hyp2f1_kernel
-    if a == 0.0 or b == 0.0:
-        return lambda z, wbar: 1.0
-    lgamma_sign = kernels.lgamma_sign
-    coeffs = {}
-
-    def connection(b_, scale, wbar):
-        if b_ not in coeffs:
-            s = c - a - b_
-            coeffs[b_] = (s, _gamma_ratio4(lgamma_sign, c, s, c - a, c - b_),
-                          _gamma_ratio4(lgamma_sign, c, -s, a, b_))
-        s, p1, p2 = coeffs[b_]
-        f1 = hyp2f1(a, b_, 1.0 - s, wbar, 0.0)
-        f2 = hyp2f1(c - a, c - b_, 1.0 + s, wbar, 0.0)
-        return scale * (p1 * f1 + wbar ** s * p2 * f2)
-
-    def evaluate(z, wbar):
-        if z < 0.0:
-            t = 1.0 - z
-            if z / (z - 1.0) <= 0.75:
-                return hyp2f1(a, b, c, z, wbar)
-            return connection(c - b, t ** (-a), 1.0 / t)
-        if z <= 0.75:
-            return hyp2f1(a, b, c, z, wbar)
-        return connection(b, 1.0, 1.0 - z if wbar <= 0.0 else wbar)
-
-    return evaluate
-
-
 def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
                    x: float, tol: float = 1e-10) -> SeriesEval:
     """Direct double-exponential quadrature of the defining integral.
@@ -294,10 +239,11 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     Endpoint singularities are driven through the exact node-to-endpoint
     distances.
 
-    The integrand is built once per integral: the exponents, the kernel
-    order and the 2F1 evaluator (``_hyp2f1_evaluator``, whose connection
-    coefficients are computed once) are fixed before the first node, and
-    the 2F1 factor is left out when the collapse makes it identically one.
+    The integrand is built once per integral: the exponents and the kernel
+    order are fixed before the first node, every 2F1 call gets the same
+    table (``kernels.hyp2f1_kernel`` keeps its connection coefficients
+    there), and the 2F1 factor is left out when the collapse makes it
+    identically one.
     """
     if not x > 0.0:
         raise DomainError(f"operators are defined for x > 0, got x={x!r}")
@@ -321,7 +267,9 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     else:
         a_, b_, p0, x_exp = p.alpha_prime, p.beta_prime, kind.rho - p.alpha - 1.0, p.alpha_prime
     gm1 = p.gamma - 1.0
-    hyp = None if gap is None else _hyp2f1_evaluator(a_, b_, p.gamma)
+    c_ = p.gamma
+    hyp2f1 = None if gap is None else kernels.hyp2f1_kernel
+    table = {}  # the 2F1's connection coefficients, shared by every node
     lam, nu = kind.lam, kind.nu
     bs_series = kernels.bs_series if kind.family != "monomial" else None
 
@@ -330,8 +278,8 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
             val = da ** p0 if p0 != 0.0 else 1.0
             if gm1 != 0.0:
                 val *= db ** gm1
-            if hyp is not None:
-                val *= hyp(db / x, da / x)
+            if hyp2f1 is not None:
+                val *= hyp2f1(a_, b_, c_, db / x, da / x, table)
             if bs_series is not None:
                 val *= bs_series(nu, lam * da, 1e-15, TERM_CAP)[0]
             return val
@@ -342,8 +290,8 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
             val = t ** p0
             if gm1 != 0.0:
                 val *= d ** gm1
-            if hyp is not None:
-                val *= hyp(-d / x, 0.0)
+            if hyp2f1 is not None:
+                val *= hyp2f1(a_, b_, c_, -d / x, 0.0, table)
             if bs_series is not None:
                 val *= bs_series(nu, lam / t, 1e-15, TERM_CAP)[0]
             return val

@@ -1,16 +1,19 @@
-"""Series evaluation of the Bessel-Struve kernel, Bessel and Struve
-functions, Gauss 2F1, and Appell F3 on its series/collapse domains.
+"""Series evaluation of the Bessel-Struve kernel and of the Bessel and
+Struve functions, with error bounds that include the rounding.
+
+The hypergeometric functions of the operators have no wrapper here: the
+quadrature route calls ``kernels.hyp2f1_kernel`` directly (``msm``), and
+the Wright series live in ``wright``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._backend import kernels
-from .errors import DomainError, DomainUnsupportedError, PoleError
-from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _TINY, _U, is_pole
+from .errors import DomainError
+from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _TINY, _U
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
@@ -46,8 +49,8 @@ class SeriesEval(NamedTuple):
     ``abs_error_est`` bounds the discarded tail and the rounding.  When
     ``converged`` is true the tail bound (for J, I, H, L and S at u > 0) or
     the whole bound (for S at u < 0) does not exceed ``tol * |value|`` for
-    the requested relative tolerance.  For the Gauss, Appell and Wright
-    series the bound is the tail estimate alone.
+    the requested relative tolerance.  For the Wright series the bound is
+    the tail estimate alone.
     Identical inputs always produce bit-identical results, whether a
     function is called once or through a sweep's evaluator.
 
@@ -60,32 +63,6 @@ class SeriesEval(NamedTuple):
     abs_error_est: float
     terms_used: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class F3Args:
-    """Parameters and arguments of an Appell F3 evaluation."""
-
-    alpha: float
-    alpha_prime: float
-    beta: float
-    beta_prime: float
-    gamma: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if is_pole(self.gamma):
-            raise PoleError(f"F3 lower parameter gamma={self.gamma!r} at a pole")
-
-    def collapses_y(self) -> bool:
-        return self.alpha_prime == 0.0 or self.beta_prime == 0.0
-
-    def collapses_x(self) -> bool:
-        return self.alpha == 0.0 or self.beta == 0.0
-
-    def in_series_domain(self) -> bool:
-        return abs(self.x) < 1.0 and abs(self.y) < 1.0
 
 
 _LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
@@ -175,8 +152,14 @@ def _gamma_units(a: float) -> float:
 
 def _bs_prefactor_units(nu: float) -> float:
     """The relative error, in units of u, of the odd chain's first term
-    u * Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)), for any way the kernel forms
-    the prefactor: it depends on nu alone."""
+    u * Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)): it depends on nu alone.
+
+    Where 2 nu is an integer and |nu| < 90, the kernel's exact branch of
+    ``_bs_odd_prefactor_dd`` forms the prefactor by rational recurrences
+    in double-double, whose high word is within 1u; the product with u
+    adds 1u.  Elsewhere the prefactor goes through two log-gammas."""
+    if abs(nu) < 90.0 and (2.0 * nu).is_integer():
+        return 2.0
     return _gamma_units(nu + 1.0) + _gamma_units(nu + 1.5) + 2.0
 
 
@@ -298,49 +281,3 @@ def struve(v: float, z: float, modified: bool = False,
         return SeriesEval(math.inf, 0.0, 1, True)
     return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap,
                         v + 1.0, (1.5, v + 1.5), (1.5, v + 1.5))
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
-    """Gauss hypergeometric 2F1(a, b; c; z) for z < 1.
-
-    Direct series on [0, 1); the Pfaff transform z -> z/(z-1) maps
-    negative arguments into (0, 1).  c must stay off the gamma poles.
-    """
-    if is_pole(c):
-        raise PoleError(f"lower parameter c={c!r} at a pole")
-    if z >= 1.0 or not math.isfinite(z):
-        raise DomainError(f"argument must satisfy z < 1, got {z!r}")
-    check_tol(tol)
-    if z < 0.0:
-        inner = gauss_2f1(a, c - b, c, z / (z - 1.0), tol, term_cap)
-        scale = (1.0 - z) ** (-a)
-        return SeriesEval(scale * inner.value, abs(scale) * inner.abs_error_est,
-                          inner.terms_used, inner.converged)
-    value, err, terms, ok = kernels.hyp2f1_series(a, b, c, z, tol, term_cap)
-    return SeriesEval(value, err, terms, bool(ok))
-
-
-def appell_f3(args: F3Args, tol: float = DEFAULT_TOL,
-              term_cap: int = TERM_CAP) -> SeriesEval:
-    """Appell F3 via its double series or a 2F1 parameter collapse.
-
-    A zero alpha'/beta' kills the y sum (result is 2F1 in x), a zero
-    alpha/beta kills the x sum.  Outside both the collapse cases and the
-    |x|,|y| < 1 series domain evaluation is refused: any consumer needs
-    the termwise-lemma route instead of a silent continuation.
-    """
-    check_tol(tol)
-    if args.collapses_y():
-        return gauss_2f1(args.alpha, args.beta, args.gamma, args.x, tol, term_cap)
-    if args.collapses_x():
-        return gauss_2f1(args.alpha_prime, args.beta_prime, args.gamma, args.y,
-                         tol, term_cap)
-    if not args.in_series_domain():
-        raise DomainUnsupportedError(
-            f"F3 arguments x={args.x!r}, y={args.y!r} outside the series domain "
-            "and no parameter collapse applies")
-    value, err, terms, ok = kernels.f3_series(
-        args.alpha, args.alpha_prime, args.beta, args.beta_prime, args.gamma,
-        args.x, args.y, tol, term_cap)
-    return SeriesEval(value, err, terms, bool(ok))

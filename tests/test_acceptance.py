@@ -23,7 +23,8 @@ from bsfrac import (
     wright_delta,
     wright_eval,
 )
-from bsfrac.checks import run_suite
+from bsfrac.checks import _termwise_image, run_suite
+from bsfrac.msm import _gamma_args
 
 import oracles
 
@@ -102,16 +103,6 @@ def test_criterion_03_power_images_vs_quadrature():
             "points; degenerate cases within 1e-14", failures)
 
 
-def _termwise(side, params, rho, nu, lam, x):
-    total = 0.0
-    for n in range(60):
-        shifted = rho + n if side is Side.LEFT else rho - n
-        img = msm_power_image(side, params, shifted)
-        total += (oracles.kernel_series_coeff(nu, n) * lam ** n
-                  * img.prefactor * x ** img.power_of_x)
-    return total
-
-
 def test_criterion_04_kernel_image_theorems():
     failures = []
     grid = [
@@ -125,13 +116,13 @@ def test_criterion_04_kernel_image_theorems():
                 img = msm_bs_closed_form(Side.LEFT, params,
                                          FunctionKind.bs_kernel(rho_l, nu, lam))
                 if abs(lam * x) <= 2.0:
-                    want = _termwise(Side.LEFT, params, rho_l, nu, lam, x)
+                    want = _termwise_image(_gamma_args(Side.LEFT, params, rho_l), nu, lam, x)
                     if _rel(img.value_at(x).value, want) > 1e-10:
                         failures.append(("left", nu, lam, x))
                 img = msm_bs_closed_form(Side.RIGHT, params,
                                          FunctionKind.bs_kernel(rho_r, nu, lam))
                 if abs(lam / x) <= 2.0:
-                    want = _termwise(Side.RIGHT, params, rho_r, nu, lam, x)
+                    want = _termwise_image(_gamma_args(Side.RIGHT, params, rho_r), nu, lam, x)
                     if _rel(img.value_at(x).value, want) > 1e-10:
                         failures.append(("right", nu, lam, x))
     left = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9)

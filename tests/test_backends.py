@@ -82,9 +82,9 @@ def test_bessel_struve_2f1_agree(ck):
         assert _close(pk.struve_series(v, z, m, 1e-15, 10000)[0],
                       ck.struve_series(v, z, m, 1e-15, 10000)[0], rel=1e-12)
         a, b, c = rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.5, 3)
-        zz = rng.uniform(0.0, 0.7)
-        assert _close(pk.hyp2f1_series(a, b, c, zz, 1e-15, 10000)[0],
-                      ck.hyp2f1_series(a, b, c, zz, 1e-15, 10000)[0])
+        zz = rng.uniform(0.0, 0.7)  # the 2F1's direct series
+        assert _close(pk.hyp2f1_kernel(a, b, c, zz, 1.0 - zz),
+                      ck.hyp2f1_kernel(a, b, c, zz, 1.0 - zz))
 
 
 def test_hyp2f1_kernel_agrees(ck):
@@ -315,11 +315,13 @@ for _ in range(150):
     for kernel in (ck.bessel_series, ck.struve_series):
         calls += 1
         kernel(v, z, m, 1e-15, rng.choice([10000, 5, 0]))
-    a, b, c = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3)
-    calls += 3
-    ck.hyp2f1_series(a, b, c, rng.choice([rng.uniform(0.0, 0.9), math.nan]), 1e-15, 10000)
-    w = rng.choice([rng.uniform(-50, 0.9), 1 - 1e-9, -1e300, math.nan])
-    ck.hyp2f1_kernel(a, b, c, w, 1.0 - w)
+    a, b, c = rng.uniform(-2, 2), rng.choice([rng.uniform(-2, 2), -1.0, -2.0]), rng.uniform(-3, 3)
+    table = {}
+    for w in [rng.uniform(-50, 0.9), rng.uniform(0.75, 1.0), 1 - 1e-9, -1e300, math.nan]:
+        calls += 2
+        one = ck.hyp2f1_kernel(a, b, c, w, 1.0 - w)
+        assert repr(ck.hyp2f1_kernel(a, b, c, w, 1.0 - w, table)) == repr(one), (a, b, c, w)
+    calls += 1
     ck.f3_series(a, b, c, a, abs(c) + 0.5, rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
                  1e-13, rng.choice([10000, 3]))
 
@@ -341,6 +343,13 @@ for z in (-2.0, 0.0, 0.3, 1.7, 25.0):
     calls += 1
     vc, vp = ck.wright_series(ua, uA, lb, lB, z, 1e-14, 10000), pk.wright_series(ua, uA, lb, lB, z, 1e-14, 10000)
     assert vc[2:] == vp[2:] and close(vc[0], vp[0])
+calls += 1
+try:
+    ck.hyp2f1_kernel(0.3, 0.4, 1.2, 0.9, 0.1, [])
+except TypeError:
+    pass
+else:
+    raise AssertionError("hyp2f1_kernel took a list as its table")
 print(calls)
 """
 

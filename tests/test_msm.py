@@ -257,39 +257,6 @@ class TestNanParameter:
             msm_quadrature(side, params, FunctionKind.monomial(rho), 1.0)
 
 
-def _collapsed_2f1_sets():
-    """(a, b, c) of the 2F1 left by the collapse on the L1/L2 grids:
-    (alpha, beta, gamma) on the left, (alpha', beta', gamma) on the right."""
-    from bsfrac.checks import Config, _collapse_grid
-
-    sets = set()
-    for side in Side:
-        for p in _collapse_grid(Config(), side):
-            a, b = (p.alpha, p.beta) if side is Side.LEFT else (p.alpha_prime, p.beta_prime)
-            sets.add((a, b, p.gamma))
-    return sorted(sets)
-
-
-# (z, wbar): the direct series, the connection formula with the exact
-# complement 1 - z, and the Pfaff transform from negative z
-HYP2F1_POINTS = ([(z, 1.0 - z) for z in (0.3, 0.75, 0.76, 0.9, 1.0 - 1e-8)]
-                 + [(z, 0.0) for z in (-0.1, -3.0, -1e6)])
-
-
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_hyp2f1_evaluator_is_the_kernel_bit_for_bit(backend, request, monkeypatch):
-    from bsfrac import _pykernels, msm
-
-    kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
-    monkeypatch.setattr(msm, "kernels", kernels)
-    sets = _collapsed_2f1_sets()
-    assert any(a * b != 0.0 for a, b, _ in sets) and any(a * b == 0.0 for a, b, _ in sets)
-    for a, b, c in sets:
-        evaluate = msm._hyp2f1_evaluator(a, b, c)
-        for z, wbar in HYP2F1_POINTS:
-            assert evaluate(z, wbar) == kernels.hyp2f1_kernel(a, b, c, z, wbar), (a, b, c, z)
-
-
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 @pytest.mark.parametrize("rho", [1.5, 1.2])
 @pytest.mark.parametrize("x", [1.0, 0.7])

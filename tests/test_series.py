@@ -7,16 +7,12 @@ import pytest
 
 from bsfrac import (
     DomainError,
-    DomainUnsupportedError,
-    F3Args,
-    PoleError,
     SeriesEval,
-    appell_f3,
     bessel_first_kind,
     bessel_struve_kernel,
-    gauss_2f1,
     struve,
 )
+from bsfrac import _pykernels
 
 import oracles
 
@@ -151,7 +147,9 @@ class TestBesselStruveKernel:
         kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
         monkeypatch.setattr(series, "kernels", kernels)
         cases = [(0.25, 0.046875), (2.3, 0.109375)]
-        cases += [(nu, k / 16) for nu in (0.0, 0.25, 2.3, 9.7) for k in range(1, 321)]
+        # 2 nu an integer (-1/2, 0, 1/2, 1, 2) takes the double-double prefactor
+        cases += [(nu, k / 16) for nu in (-0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 2.3, 9.7)
+                  for k in range(1, 321)]
         for nu, u in cases:
             r = bessel_struve_kernel(nu, u)
             assert r.converged, (nu, u, r)
@@ -177,15 +175,6 @@ def test_bad_order_and_tolerance_rejected_up_front(fn):
     for tol in (0.0, -1e-14, math.nan):
         with pytest.raises(DomainError):
             fn(0.25, 1.0, tol=tol)
-
-
-def test_hypergeometric_tolerance_rejected_up_front():
-    # the F3 double series once ran its whole term cap at tol=0
-    for tol in (0.0, math.nan):
-        with pytest.raises(DomainError):
-            gauss_2f1(0.3, 0.4, 1.2, 0.5, tol=tol)
-        with pytest.raises(DomainError):
-            appell_f3(F3Args(0.3, 0.4, 0.5, 0.6, 1.2, 0.4, 0.3), tol=tol)
 
 
 class TestBessel:
@@ -306,77 +295,117 @@ def test_bessel_overflow_is_known_before_summing(backend, request, monkeypatch):
         assert not (j.converged or i.converged)
 
 
+def _both_kernels(request):
+    """The pure kernel module and the compiled one."""
+    return _pykernels, request.getfixturevalue("ck")
+
+
 class TestGauss2F1:
-    def test_binomial_reduction(self):
-        r = gauss_2f1(2.0, 1.5, 1.5, 0.25)
-        assert math.isclose(r.value, (1.0 - 0.25) ** -2.0, rel_tol=1e-12)
+    """``kernels.hyp2f1_kernel`` on both backends against closed forms and
+    mpmath: its direct series, the Pfaff transform at z < 0 and the
+    connection formula at z > 0.75, where wbar = 1 - z is passed exactly."""
 
-    def test_log_reduction(self):
-        r = gauss_2f1(1.0, 1.0, 2.0, 0.5)
-        assert math.isclose(r.value, -math.log(0.5) / 0.5, rel_tol=1e-12)
+    def test_binomial_reduction(self, request):
+        for kernels in _both_kernels(request):
+            got = kernels.hyp2f1_kernel(2.0, 1.5, 1.5, 0.25, 0.75)
+            assert math.isclose(got, (1.0 - 0.25) ** -2.0, rel_tol=1e-12)
 
-    def test_at_zero(self):
-        assert gauss_2f1(0.3, 0.7, 1.1, 0.0).value == 1.0
+    def test_log_reduction(self, request):
+        for kernels in _both_kernels(request):
+            got = kernels.hyp2f1_kernel(1.0, 1.0, 2.0, 0.5, 0.5)
+            assert math.isclose(got, -math.log(0.5) / 0.5, rel_tol=1e-12)
 
-    def test_pfaff_negative_arguments(self):
+    def test_at_zero(self, request):
+        for kernels in _both_kernels(request):
+            assert kernels.hyp2f1_kernel(0.3, 0.7, 1.1, 0.0, 1.0) == 1.0
+
+    def test_pfaff_negative_arguments(self, request):
         rng = random.Random(17)
         for _ in range(20):
             a = rng.uniform(0.1, 2.0)
             b = rng.uniform(0.1, 2.0)
             c = rng.uniform(0.5, 3.0)
             z = -rng.uniform(0.01, 30.0)
-            r = gauss_2f1(a, b, c, z)
-            assert oracles.rel_err(r.value, oracles.mp_2f1(a, b, c, z)) <= 1e-11
+            want = oracles.mp_2f1(a, b, c, z)
+            for kernels in _both_kernels(request):
+                got = kernels.hyp2f1_kernel(a, b, c, z, 0.0)
+                assert oracles.rel_err(got, want) <= 1e-11, (kernels, a, b, c, z)
 
-    def test_domain_and_pole_errors(self):
-        with pytest.raises(DomainError):
-            gauss_2f1(1.0, 1.0, 2.0, 1.0)
-        with pytest.raises(PoleError):
-            gauss_2f1(1.0, 1.0, -2.0, 0.5)
+    def test_connection_branch(self, request):
+        rng = random.Random(19)
+        for _ in range(20):
+            a = rng.uniform(0.1, 2.0)
+            b = rng.uniform(0.1, 2.0)
+            c = rng.uniform(0.5, 3.0)
+            if abs((c - a - b) - round(c - a - b)) < 0.05:
+                continue  # the connection formula needs c - a - b off the integers
+            wbar = 2.0 ** -rng.randrange(3, 40)  # exact, as is z = 1 - wbar
+            want = oracles.mp_2f1(a, b, c, 1.0 - wbar)
+            for kernels in _both_kernels(request):
+                got = kernels.hyp2f1_kernel(a, b, c, 1.0 - wbar, wbar)
+                assert oracles.rel_err(got, want) <= 1e-11, (kernels, a, b, c, wbar)
+
+    # a connection coefficient over Gamma at a pole is 0.0: c - a = -1,
+    # c - b = -1, a = -2 (a polynomial), and after the Pfaff transform of
+    # z = -9 to 0.9, b -> c - b = -2
+    RGAMMA_ZEROS = [(1.5, 0.3, 0.5, 0.9, 0.1), (0.3, 2.5, 1.5, 0.8, 0.2),
+                    (-2.0, 0.7, 1.3, 0.9, 0.1), (0.4, 3.5, 1.5, -9.0, 0.0)]
+
+    def test_reciprocal_gamma_zero_coefficients(self, request):
+        for a, b, c, z, wbar in self.RGAMMA_ZEROS:
+            want = oracles.mp_2f1(a, b, c, z)
+            for kernels in _both_kernels(request):
+                got = kernels.hyp2f1_kernel(a, b, c, z, wbar)
+                assert oracles.rel_err(got, want) <= 1e-11, (kernels, a, b, c, z, got)
 
 
 class TestAppellF3:
-    def test_collapse_matches_2f1_even_with_wild_y(self):
-        args = F3Args(0.7, 0.0, 0.4, 0.9, 1.2, 0.3, -7.0)
-        want = gauss_2f1(0.7, 0.4, 1.2, 0.3)
-        got = appell_f3(args)
-        assert got.value == want.value
+    """``kernels.f3_series`` on both backends."""
 
-    def test_x_collapse(self):
-        args = F3Args(0.0, 0.5, 0.8, 0.25, 1.1, 0.9, 0.4)
-        want = gauss_2f1(0.5, 0.25, 1.1, 0.4)
-        assert appell_f3(args).value == want.value
+    def test_collapse_matches_2f1_even_with_wild_y(self, request):
+        # alpha' = 0 ends the y sum after its first row, whatever y is
+        for kernels in _both_kernels(request):
+            got = kernels.f3_series(0.7, 0.0, 0.4, 0.9, 1.2, 0.3, -7.0, 1e-14, 10_000)
+            want = kernels.hyp2f1_kernel(0.7, 0.4, 1.2, 0.3, 0.7)
+            assert math.isclose(got[0], want, rel_tol=1e-13) and got[3] == 1
 
-    def test_origin(self):
-        assert appell_f3(F3Args(0.3, 0.4, 0.5, 0.6, 1.2, 0.0, 0.0)).value == 1.0
+    def test_x_collapse(self, request):
+        # alpha = 0 leaves T(0, n) alone in each row: a 2F1 in y
+        for kernels in _both_kernels(request):
+            got = kernels.f3_series(0.0, 0.5, 0.8, 0.25, 1.1, 0.9, 0.4, 1e-14, 10_000)
+            want = kernels.hyp2f1_kernel(0.5, 0.25, 1.1, 0.4, 0.6)
+            assert math.isclose(got[0], want, rel_tol=1e-13) and got[3] == 1
 
-    def test_symmetry_grid(self):
+    def test_origin(self, request):
+        for kernels in _both_kernels(request):
+            assert kernels.f3_series(0.3, 0.4, 0.5, 0.6, 1.2, 0.0, 0.0, 1e-14, 10_000)[0] == 1.0
+
+    def test_symmetry_grid(self, request):
         rng = random.Random(23)
         for _ in range(15):
             a, ap, b, bp = (rng.uniform(0.1, 1.5) for _ in range(4))
             g = rng.uniform(0.8, 2.5)
             x = rng.uniform(-0.45, 0.45)
             y = rng.uniform(-0.45, 0.45)
-            lhs = appell_f3(F3Args(a, ap, b, bp, g, x, y))
-            rhs = appell_f3(F3Args(ap, a, bp, b, g, y, x))
-            assert math.isclose(lhs.value, rhs.value, rel_tol=1e-12)
+            for kernels in _both_kernels(request):
+                lhs = kernels.f3_series(a, ap, b, bp, g, x, y, 1e-14, 10_000)[0]
+                rhs = kernels.f3_series(ap, a, bp, b, g, y, x, 1e-14, 10_000)[0]
+                assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
-    def test_against_mpmath_double_series(self):
+    def test_against_mpmath_double_series(self, request):
         rng = random.Random(29)
         for _ in range(10):
             a, ap, b, bp = (rng.uniform(0.1, 1.5) for _ in range(4))
             g = rng.uniform(0.8, 2.5)
             x = rng.uniform(-0.6, 0.6)
             y = rng.uniform(-0.6, 0.6)
-            got = appell_f3(F3Args(a, ap, b, bp, g, x, y))
             want = oracles.mp_f3(a, ap, b, bp, g, x, y)
-            assert oracles.rel_err(got.value, want) <= 1e-11
+            for kernels in _both_kernels(request):
+                got = kernels.f3_series(a, ap, b, bp, g, x, y, 1e-14, 10_000)[0]
+                assert oracles.rel_err(got, want) <= 1e-11
 
-    def test_unsupported_domain(self):
-        with pytest.raises(DomainUnsupportedError):
-            appell_f3(F3Args(0.3, 0.4, 0.5, 0.6, 1.2, 0.5, -7.0))
-
-    def test_converged_estimates_bound(self):
-        r = appell_f3(F3Args(0.3, 0.4, 0.5, 0.6, 1.2, 0.4, 0.3), tol=1e-12)
-        assert r.converged
-        assert r.abs_error_est <= 1e-12 * abs(r.value)
+    def test_converged_estimates_bound(self, request):
+        for kernels in _both_kernels(request):
+            value, err, _, ok = kernels.f3_series(0.3, 0.4, 0.5, 0.6, 1.2, 0.4, 0.3, 1e-12,
+                                                  10_000)
+            assert ok and err <= 1e-12 * abs(value)

@@ -1,9 +1,10 @@
-"""Per-sweep tables of the S and Wright kernels, on both backends.
+"""Per-sweep tables of the S, Wright and 2F1 kernels, on both backends.
 
 ``bessel_struve_evaluator`` and ``wright_evaluator`` pass one table to
-every kernel call of a sweep.  A table-fed call must return the bits of
-the one-shot call, whatever order the points fill the table in and however
-many threads share it; the compiled kernels must refuse a malformed table.
+every kernel call of a sweep, and ``msm_quadrature`` one to every 2F1 call
+of an integral.  A table-fed call must return the bits of the one-shot
+call, whatever order the points fill the table in and however many
+threads share it; the compiled kernels must refuse a malformed table.
 tests/test_wright.py checks the Wright evaluator the same way.
 """
 
@@ -101,6 +102,78 @@ def test_s_table_shared_by_threads(kernels):
         assert results[i] == (want if i % 2 else want[::-1])
 
 
+def _collapsed_2f1_sets():
+    """(a, b, c) of the 2F1 left by the collapse on the L1/L2 grids:
+    (alpha, beta, gamma) on the left, (alpha', beta', gamma) on the right."""
+    from bsfrac import Side
+    from bsfrac.checks import Config, _collapse_grid
+
+    sets = set()
+    for side in Side:
+        for p in _collapse_grid(Config(), side):
+            a, b = (p.alpha, p.beta) if side is Side.LEFT else (p.alpha_prime, p.beta_prime)
+            sets.add((a, b, p.gamma))
+    return sorted(sets)
+
+
+# (z, wbar): the direct series, the connection formula with the exact
+# complement 1 - z, and the Pfaff transform from negative z, ahead of the
+# direct series (-0.1) or of the connection formula
+HYP2F1_POINTS = ([(z, 1.0 - z) for z in (0.3, 0.75, 0.76, 0.9, 1.0 - 1e-8)]
+                 + [(z, 0.0) for z in (-0.1, -3.0, -1e6)])
+
+
+def _hyp2f1_bits(kernels, a, b, c, points, *table):
+    return [repr(kernels.hyp2f1_kernel(a, b, c, z, wbar, *table)) for z, wbar in points]
+
+
+def test_2f1_table_returns_one_shot_bits(kernels):
+    # one table per (a, b, c), as one integral uses it: filled in the
+    # points' order and read back, and filled in a shuffled order
+    sets = _collapsed_2f1_sets()
+    assert any(a * b != 0.0 for a, b, _ in sets) and any(a * b == 0.0 for a, b, _ in sets)
+    rng = random.Random(31)
+    for a, b, c in sets:
+        want = _hyp2f1_bits(kernels, a, b, c, HYP2F1_POINTS)
+        shared = {}
+        for _ in range(2):
+            assert _hyp2f1_bits(kernels, a, b, c, HYP2F1_POINTS, shared) == want, (a, b, c)
+        order = list(range(len(HYP2F1_POINTS)))
+        rng.shuffle(order)
+        reordered = {}
+        got = _hyp2f1_bits(kernels, a, b, c, [HYP2F1_POINTS[i] for i in order], reordered)
+        assert got == [want[i] for i in order], (a, b, c, order)
+        assert reordered == shared
+        # the pure twin keeps one entry per connection route: b, and c - b
+        # after the Pfaff transform; the compiled one keeps none
+        assert set(shared) == (set() if kernels is not pk or a * b == 0.0 else {b, c - b})
+
+
+def test_2f1_table_shared_by_threads(kernels):
+    points = [(z, 1.0 - z) for z in oracles.linspace(0.76, 0.99, 24)]
+    points += [(z, 0.0) for z in oracles.linspace(-40.0, -3.5, 24)]
+    want = _hyp2f1_bits(kernels, 0.3, 0.45, 1.1, points)
+    table, results = {}, {}
+
+    def sweep(i):
+        ordered = points if i % 2 else points[::-1]
+        results[i] = _hyp2f1_bits(kernels, 0.3, 0.45, 1.1, ordered, table)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(6):
+        assert results[i] == (want if i % 2 else want[::-1])
+
+
 # test_backends.test_wright_series_agrees's inputs
 WRIGHT_COLUMNS = ((0.5, 1.2, 1.9), (0.5, 1.0, 1.0), (1.25, 1.4, 2.0), (0.5, 1.0, 1.0))
 WRIGHT_ZS = (-2.0, 0.0, 0.3, 1.7, 25.0)
@@ -149,6 +222,8 @@ def test_compiled_kernel_refuses_a_malformed_wright_table(ck, rows):
 def test_compiled_kernel_refuses_a_malformed_s_table(ck, table):
     with pytest.raises(TypeError):
         ck.bs_series(0.25, -3.0, 1e-14, 10_000, table)
+    with pytest.raises(TypeError):
+        ck.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, table)
 
 
 def test_table_arguments_are_optional_and_last(kernels):
@@ -156,6 +231,10 @@ def test_table_arguments_are_optional_and_last(kernels):
         0.25, 3.0, 1e-14, 10_000)
     assert kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, None) == \
         kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000)
+    assert kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, None) == \
+        kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1)
+    with pytest.raises(TypeError):
+        kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, {}, None)
     with pytest.raises(TypeError):
         kernels.bs_series(0.25, 3.0, 1e-14, 10_000, {}, None)
     with pytest.raises(TypeError):
