@@ -18,7 +18,6 @@
 #define MAX_PAIRS 32
 
 static const double PI = 3.141592653589793;
-static const double PI_LO = 1.2246467991473532e-16;
 static const double SPLIT = 134217729.0; /* 2**27 + 1, Dekker splitting constant */
 static const double HALF_LN_PI = 0.5723649429247001;
 static const double U = 1.1102230246251565e-16; /* unit roundoff, 2**-53 */
@@ -123,8 +122,9 @@ round_half_even(double x)
 static int
 near_nonpos_int(double x)
 {
-    double r = round_half_even(x);
-    return r <= 0.0 && fabs(x - r) <= POLE_TOL_C;
+    /* r <= 0 and |x - r| <= tol, r the nearest integer, is x <= tol and
+     * |x - r| <= tol; there is no pole at NaN or at +-inf */
+    return -INFINITY < x && x <= POLE_TOL_C && fabs(x - round_half_even(x)) <= POLE_TOL_C;
 }
 
 /* log|Gamma(x)| for real non-pole x; the sign of Gamma(x) goes to *sign */
@@ -176,14 +176,6 @@ typedef struct {
 } dd;
 
 static dd
-two_sum(double a, double b)
-{
-    double s = a + b;
-    double bb = s - a;
-    return (dd){s, (a - (s - bb)) + (b - bb)};
-}
-
-static dd
 quick_two_sum(double a, double b)
 {
     double s = a + b;
@@ -204,14 +196,6 @@ two_prod(double a, double b)
 }
 
 static dd
-dd_add(dd x, dd y)
-{
-    dd s = two_sum(x.hi, y.hi);
-    s.lo += x.lo + y.lo;
-    return quick_two_sum(s.hi, s.lo);
-}
-
-static dd
 dd_mul_d(dd x, double d)
 {
     dd p = two_prod(x.hi, d);
@@ -227,48 +211,29 @@ dd_div_d(dd x, double d)
     return quick_two_sum(q1, ((x.hi - p.hi) + (x.lo - p.lo)) / d);
 }
 
-static dd
-dd_div(dd x, dd y)
-{
-    double q1 = x.hi / y.hi;
-    double q2;
-    dd p = dd_mul_d(y, q1);
-    dd r = dd_add(x, (dd){-p.hi, -p.lo});
-    q2 = r.hi / y.hi;
-    p = dd_mul_d(y, q2);
-    r = dd_add(r, (dd){-p.hi, -p.lo});
-    return dd_add(quick_two_sum(q1, q2), (dd){r.hi / y.hi, 0.0});
-}
+/* 2/pi as a double-double: the correctly rounded double and the remainder */
+static const dd TWO_OVER_PI = {0.6366197723675814, -3.935735335036497e-17};
 
-/* Gamma(nu+1)/(sqrt(pi)*Gamma(nu+3/2)) as a double-double */
-static dd
-bs_odd_prefactor_dd(double nu)
+/* Gamma(nu+1)/(sqrt(pi)*Gamma(nu+3/2)), the odd chain's prefactor: the high
+ * word of a double-double recurrence where 2*nu is an integer and |nu| < 90 */
+static double
+bs_odd_prefactor(double nu)
 {
     double tn = 2.0 * nu;
-    long long m2, m, j;
-    int sg;
+    long long m2, j;
+    int sg, odd;
     dd c;
     if (tn == floor(tn) && fabs(nu) < 90.0) {
         m2 = (long long)tn;
-        if (m2 % 2 != 0) {
-            m = (m2 + 1) / 2;
-            c = (dd){1.0, 0.0};
-            for (j = 1; j <= m; j++) {
-                c = dd_mul_d(c, 2.0 * j - 1.0);
-                c = dd_div_d(c, 2.0 * j);
-            }
-            return c;
+        odd = m2 % 2 != 0;
+        c = odd ? (dd){1.0, 0.0} : TWO_OVER_PI;
+        for (j = 1; j <= (m2 + 1) / 2; j++) {
+            c = dd_mul_d(c, odd ? 2.0 * j - 1.0 : (double)j);
+            c = dd_div_d(c, odd ? 2.0 * j : j + 0.5);
         }
-        m = m2 / 2;
-        c = dd_div((dd){2.0, 0.0}, (dd){PI, PI_LO});
-        for (j = 1; j <= m; j++) {
-            c = dd_mul_d(c, (double)j);
-            c = dd_div_d(c, j + 0.5);
-        }
-        return c;
+        return c.hi;
     }
-    return (dd){exp(lgamma_sign_c(nu + 1.0, &sg) - lgamma_sign_c(nu + 1.5, &sg) - HALF_LN_PI),
-                0.0};
+    return exp(lgamma_sign_c(nu + 1.0, &sg) - lgamma_sign_c(nu + 1.5, &sg) - HALF_LN_PI);
 }
 
 /* --- series kernels ------------------------------------------------------- */
@@ -386,7 +351,6 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     double nu, u, tol, e, o, s, prev;
     int cap;
     long long k, n;
-    dd c;
     PyObject *table;
     void *out[] = {&nu, &u, &tol, &cap};
     if (parse_table_args("bs_series", args, nargs, "dddi", out, &PyDict_Type, &table) < 0)
@@ -394,9 +358,8 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (u == 0.0)
         return series_result(1.0, 0.0, 1, 1);
     if (u > 0.0) {
-        c = bs_odd_prefactor_dd(nu);
         e = 1.0;
-        o = u * c.hi;
+        o = u * bs_odd_prefactor(nu);
         s = e + o;
         prev = o;
         k = 0;
@@ -665,7 +628,7 @@ wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     if (q < 0)
         return NULL;
     if (p > MAX_PAIRS || q > MAX_PAIRS) {
-        PyErr_SetString(PyExc_ValueError, "at most 32 parameter pairs are supported");
+        PyErr_Format(PyExc_ValueError, "at most %d parameter pairs are supported", MAX_PAIRS);
         return NULL;
     }
     if (read_column(args[0], ua, p) < 0 || read_column(args[1], uA, p) < 0
@@ -780,15 +743,10 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    PyObject *tol;
-    if (m == NULL)
-        return NULL;
-    tol = PyFloat_FromDouble(POLE_TOL_C);
-    if (tol == NULL || PyModule_AddObject(m, "POLE_TOL", tol) < 0) {
-        Py_XDECREF(tol);
-        Py_DECREF(m);
-        return NULL;
-    }
+    PyObject *m = PyModule_Create(&module), *tol = PyFloat_FromDouble(POLE_TOL_C);
+    if (m == NULL || tol == NULL || PyModule_AddObjectRef(m, "POLE_TOL", tol) < 0
+        || PyModule_AddIntConstant(m, "MAX_PAIRS", MAX_PAIRS) < 0)
+        Py_CLEAR(m);
+    Py_XDECREF(tol);
     return m;
 }

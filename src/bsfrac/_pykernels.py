@@ -18,8 +18,8 @@ running bound on their rounding (``_bs_negative``).
 last argument, a table that a sweep of one order, one spec or one integral
 passes to every call: the kernel keeps in it what does not depend on the
 point, and reads it back at the next point.  A table-fed call returns the
-one-shot call's bits.  An entry, once made, equals what any other call
-would store under its key, so threads may share a table.
+one-shot call's bits.  An entry, once made, holds what any call that
+reads it would compute, so threads may share a table.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from __future__ import annotations
 import math
 
 POLE_TOL = 1e-12
+MAX_PAIRS = 32  # the most upper pairs, and the most lower ones, wright_series takes
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-_PI_HI = 3.141592653589793
-_PI_LO = 1.2246467991473532e-16
+# 2/pi as a double-double: the correctly rounded double and the remainder
+_TWO_OVER_PI = (0.6366197723675814, -3.935735335036497e-17)
 _HALF_LN_PI = 0.5723649429247001
 _U = 2.0 ** -53  # unit roundoff
 _TINY = 2.0 ** -1022  # smallest normal double
@@ -37,9 +38,10 @@ _ULP0 = 5e-324  # smallest subnormal: a rounding error below _TINY
 
 
 def near_nonpositive_int(x):
-    """True when x is within POLE_TOL of a gamma pole."""
-    r = round(x)
-    return r <= 0 and abs(x - r) <= POLE_TOL
+    """True when x is within POLE_TOL of a gamma pole; False at NaN and
+    at +-inf.  With r = round(x), r <= 0 and |x - r| <= POLE_TOL is the
+    same as x <= POLE_TOL and |x - r| <= POLE_TOL."""
+    return -math.inf < x <= POLE_TOL and abs(x - round(x)) <= POLE_TOL
 
 
 def lgamma_sign(x):
@@ -66,12 +68,6 @@ def lgamma_sign(x):
 
 # --- double-double helpers (Dekker/Knuth error-free transforms) ---
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _quick_two_sum(a, b):
     s = a + b
     return s, b - (s - a)
@@ -88,12 +84,6 @@ def _two_prod(a, b):
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    return _quick_two_sum(s, e)
-
-
 def _dd_mul_d(xh, xl, d):
     p, e = _two_prod(xh, d)
     e += xl * d
@@ -107,49 +97,28 @@ def _dd_div_d(xh, xl, d):
     return _quick_two_sum(q1, q2)
 
 
-def _dd_div(xh, xl, yh, yl):
-    q1 = xh / yh
-    ph, pl = _dd_mul_d(yh, yl, q1)
-    rh, rl = _dd_add(xh, xl, -ph, -pl)
-    q2 = rh / yh
-    ph, pl = _dd_mul_d(yh, yl, q2)
-    rh, rl = _dd_add(rh, rl, -ph, -pl)
-    qh, ql = _quick_two_sum(q1, q2)
-    return _dd_add(qh, ql, rh / yh, 0.0)
+def _bs_odd_prefactor(nu):
+    """Gamma(nu+1)/(sqrt(pi)*Gamma(nu+3/2)), the odd chain's prefactor.
 
-
-def _bs_odd_prefactor_dd(nu):
-    """Gamma(nu+1)/(sqrt(pi)*Gamma(nu+3/2)) as a double-double.
-
-    Exact rational (or rational/pi) recurrences when 2*nu is an integer;
-    plain double precision otherwise (the low word is then zero).  The
-    positive-argument sum uses its high word.
+    Where 2*nu is an integer and |nu| < 90, exact rational (or rational
+    times 2/pi) recurrences in double-double, whose high word is returned;
+    two log-gammas otherwise.
     """
     tn = 2.0 * nu
     if tn == math.floor(tn) and abs(nu) < 90.0:
+        # nu = m - 1/2: c(0) = 1, c(m) = c(m-1) * (2m - 1) / (2m), so that
+        # c = binomial(2m, m) / 4**m; nu = m: c(0) = 2/pi, c(m) = c(m-1) *
+        # m / (m + 1/2).  Either way m = (2 nu + 1) // 2.
         m2 = int(tn)
-        if m2 % 2 != 0:
-            # nu = m - 1/2: c = binomial(2m, m) / 4**m
-            m = (m2 + 1) // 2
-            ch, cl = 1.0, 0.0
-            j = 1
-            while j <= m:
-                ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0)
-                ch, cl = _dd_div_d(ch, cl, 2.0 * j)
-                j += 1
-            return ch, cl
-        # nu = m >= 0 integer: c(0) = 2/pi, c(m) = c(m-1) * m / (m + 1/2)
-        m = m2 // 2
-        ch, cl = _dd_div(2.0, 0.0, _PI_HI, _PI_LO)
-        j = 1
-        while j <= m:
-            ch, cl = _dd_mul_d(ch, cl, float(j))
-            ch, cl = _dd_div_d(ch, cl, j + 0.5)
-            j += 1
-        return ch, cl
+        odd = m2 % 2 != 0
+        ch, cl = (1.0, 0.0) if odd else _TWO_OVER_PI
+        for j in range(1, (m2 + 1) // 2 + 1):
+            ch, cl = _dd_mul_d(ch, cl, 2.0 * j - 1.0 if odd else float(j))
+            ch, cl = _dd_div_d(ch, cl, 2.0 * j if odd else j + 0.5)
+        return ch
     la1, _ = lgamma_sign(nu + 1.0)
     la2, _ = lgamma_sign(nu + 1.5)
-    return math.exp(la1 - la2 - _HALF_LN_PI), 0.0
+    return math.exp(la1 - la2 - _HALF_LN_PI)
 
 
 def bs_series(nu, u, tol, cap, table=None):
@@ -161,24 +130,18 @@ def bs_series(nu, u, tol, cap, table=None):
     positive terms instead.
 
     ``table``, a dict, is optional: a sweep of one nu passes the same one
-    to every call, and the kernel keeps in it what depends on nu alone
-    (``_bs_positive``, ``_bs_negative``).  A table-fed call returns the
-    bits of a one-shot call, whatever the table holds of earlier points,
-    and threads may share a table.
+    to every call, and the kernel keeps in it what depends on nu alone:
+    the positive series' prefactor and step factors (``_bs_positive``) and
+    one b_n sequence of the negative-u series, the last N built
+    (``_bs_negative``).  A table-fed call returns the bits of a one-shot
+    call, whatever the table holds of earlier points, and threads may
+    share a table.
     """
     if u == 0.0:
         return 1.0, 0.0, 1, 1
     if u > 0.0:
         return _bs_positive(nu, u, tol, cap, table)
     return _bs_negative(nu, -u, tol, cap, table)
-
-
-def _entry(table, key, make):
-    """``table[key]``, stored on first use as ``make()``.  Racing threads
-    may each make one: the first stored is kept, and the others are equal
-    to it."""
-    entry = table.get(key)
-    return entry if entry is not None else table.setdefault(key, make())
 
 
 def _bs_positive(nu, u, tol, cap, table):
@@ -188,9 +151,11 @@ def _bs_positive(nu, u, tol, cap, table):
     rows are added as points need them, each at its own index, so that
     racing threads store equal rows."""
     if table is None:
-        ch, rows = _bs_odd_prefactor_dd(nu)[0], None
+        ch, rows = _bs_odd_prefactor(nu), None
     else:
-        ch, rows = _entry(table, "positive", lambda: (_bs_odd_prefactor_dd(nu)[0], []))
+        # racing threads may each make an entry: the first stored is kept
+        ch, rows = (table.get("positive")
+                    or table.setdefault("positive", (_bs_odd_prefactor(nu), [])))
     uu = u * u
     half_tol = 0.5 * tol
     e = 1.0
@@ -223,13 +188,6 @@ def _bs_positive(nu, u, tol, cap, table):
         prev = o
         n += 2
     return s, 2.0 * abs(prev), n, 0
-
-
-# the most b_n sequences a table keeps (one per N), so that a long sweep's
-# table stays small: a new one replaces the one stored last, which in a
-# monotone sweep no later point needs.  Racing threads may leave one more
-# or one fewer; every sequence stored is still the right one.
-_BS_SEQUENCES = 32
 
 
 def _bs_negative(nu, x, tol, cap, table):
@@ -265,7 +223,10 @@ def _bs_negative(nu, x, tol, cap, table):
     sum is the exact limit e^-x.
 
     The b_n and their bounds depend on nu and N alone (``_bs_sequence``):
-    a table keeps them per N, for up to ``_BS_SEQUENCES`` values of N.
+    a table keeps one sequence, under its N, and a point of another N
+    replaces it.  N grows with x, so a monotone sweep builds each N's
+    sequence once; any other order, or racing threads, at worst build it
+    once a point, as a one-shot call does.
     """
     a = nu + 0.5
     if a == 0.0:
@@ -277,17 +238,14 @@ def _bs_negative(nu, x, tol, cap, table):
     if not top < cap:  # NaN too
         return 0.0, math.inf, 0, 0
     top = int(top)
-    seqs = None if table is None else _entry(table, "negative", dict)
-    seq = None if seqs is None else seqs.get(top)
-    if seq is None:
+    seq = None if table is None else table.get("negative")
+    if seq is None or seq[0] != top:
         seq = _bs_sequence(nu, a, top, cap)
         if seq is None:
             return 0.0, math.inf, cap, 0
-        if seqs is not None:
-            if len(seqs) >= _BS_SEQUENCES:
-                seqs.popitem()
-            seqs[top] = seq
-    bs, errs, j = seq
+        if table is not None:
+            table["negative"] = seq
+    _, bs, errs, j = seq
     # the start series stops at its j-th term, and N + j counts against cap
     if top + j > cap:
         return 0.0, math.inf, cap, 0
@@ -336,8 +294,9 @@ def _bs_negative(nu, x, tol, cap, table):
 
 
 def _bs_sequence(nu, a, top, cap):
-    """(b_n, their error bounds in units of u, the start series' length j)
-    for n = 0..N, N = ``top``; None where N + j would reach ``cap`` first."""
+    """(N, b_n, their error bounds in units of u, the start series' length
+    j) for n = 0..N, N = ``top``; None where N + j would reach ``cap``
+    first."""
     M = a + top
     t = 1.0 / M
     s = t
@@ -377,7 +336,7 @@ def _bs_sequence(nu, a, top, cap):
     b = (1.0 + a * b) / a
     bs[0] = b
     errs[0] = err + 4.0 * abs(b)
-    return bs, errs, j
+    return top, bs, errs, j
 
 
 def _bessel_type_series(t, q, v, c1, c2, tol, cap):
@@ -514,7 +473,12 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
     the kernel reads its rows and appends the ones a point needs next, each
     at its own index, so that racing threads store equal rows.  A
     table-fed call returns the bits of a one-shot call.
+
+    More than ``MAX_PAIRS`` upper or lower pairs raise ValueError, as in
+    the compiled twin, which keeps the columns in fixed arrays.
     """
+    if len(ua) > MAX_PAIRS or len(lb) > MAX_PAIRS:
+        raise ValueError(f"at most {MAX_PAIRS} parameter pairs are supported")
     lnz = math.log(abs(z)) if z != 0.0 else 0.0
     sign = 1 if z < 0.0 else 0  # the row's sign for this z
     half_tol = 0.5 * tol

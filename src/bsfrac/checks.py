@@ -44,7 +44,7 @@ from .pathway import (
     pathway_quadrature,
 )
 from .quadrature import exp_sinh, tanh_sinh
-from .series import bessel_first_kind, bessel_struve_kernel, linspace, struve
+from .series import TERM_CAP, bessel_first_kind, bessel_struve_kernel, linspace, struve
 from .wright import WrightSpec, wright_delta, wright_eval
 
 DEFAULT_TOLERANCES = {
@@ -91,14 +91,12 @@ DEFAULT_GRIDS = {
     "density_seed": 2718,
 }
 
-TERM_CAP_DEFAULT = 10_000
-
 
 @dataclass
 class Config:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     grids: dict = field(default_factory=lambda: dict(DEFAULT_GRIDS))
-    term_cap: int = TERM_CAP_DEFAULT
+    term_cap: int = TERM_CAP
 
     @classmethod
     def load(cls, path: str | None = None, seed_grid: str | None = None) -> "Config":

@@ -19,7 +19,8 @@ class DomainError(BsfracError, ValueError):
 
 
 class DomainUnsupportedError(BsfracError):
-    """No evaluation route exists (e.g. Appell F3 outside series and collapse domains)."""
+    """No evaluation route exists (e.g. MSM quadrature where the kernel does
+    not collapse to one 2F1, or where that 2F1's gap c-a-b is an integer)."""
 
 
 class ConvergenceError(BsfracError):

@@ -21,9 +21,9 @@ _LGAMMA_ULPS = 8.0
 
 
 def is_pole(x: float) -> bool:
-    """True when x is within POLE_TOL of a nonpositive integer."""
-    r = round(x)
-    return r <= 0 and abs(x - r) <= POLE_TOL
+    """True when x is within POLE_TOL of a nonpositive integer; False at
+    NaN and at +-inf.  The kernel's predicate, under its library name."""
+    return kernels.near_nonpositive_int(x)
 
 
 @dataclass(frozen=True)

@@ -118,11 +118,14 @@ class PathwayDensityParams:
     pathway_alpha: float
 
     def __post_init__(self):
+        for name in ("gamma_shape", "delta", "beta_shape", "a", "pathway_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise PreconditionError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.gamma_shape > 0.0:
             raise PreconditionError("gamma_shape must be positive")
         if not self.delta > 0.0:
             raise PreconditionError("delta must be positive")
-        if self.beta_shape < 0.0:
+        if not self.beta_shape >= 0.0:
             raise PreconditionError("beta_shape must be nonnegative")
         if not self.a > 0.0:
             raise PreconditionError("a must be positive")

@@ -110,8 +110,10 @@ def bessel_struve_evaluator(nu: float, tol: float = DEFAULT_TOL, term_cap: int =
 
     The evaluator owns a table and passes it to every ``kernels.bs_series``
     call; the pure kernel keeps in it what depends on nu alone: the
-    positive series' prefactor and step factors, and the b_n of the
-    negative-u series for each length N.  The compiled kernel ignores it,
+    positive series' prefactor and step factors, and one b_n sequence of
+    the negative-u series, that of the last length N built.  N grows with
+    |u|, so a monotone sweep builds each N's sequence once, and any other
+    order at worst once a point.  The compiled kernel ignores the table,
     as its own sums cost about what reading the table back would.  A shared
     evaluator is safe across threads.  The CLI's ``eval`` and ``table``
     take this path.  The u-free part of the rounding bound at u > 0 is
@@ -155,9 +157,9 @@ def _bs_prefactor_units(nu: float) -> float:
     u * Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)): it depends on nu alone.
 
     Where 2 nu is an integer and |nu| < 90, the kernel's exact branch of
-    ``_bs_odd_prefactor_dd`` forms the prefactor by rational recurrences
-    in double-double, whose high word is within 1u; the product with u
-    adds 1u.  Elsewhere the prefactor goes through two log-gammas."""
+    ``_bs_odd_prefactor`` forms the prefactor by rational recurrences in
+    double-double, whose high word is within 1u; the product with u adds
+    1u.  Elsewhere the prefactor goes through two log-gammas."""
     if abs(nu) < 90.0 and (2.0 * nu).is_integer():
         return 2.0
     return _gamma_units(nu + 1.0) + _gamma_units(nu + 1.5) + 2.0

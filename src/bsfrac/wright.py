@@ -12,6 +12,7 @@ from .errors import ConvergenceError, DomainError, PoleError, TermCapError
 from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, check_tol
 
 Pair = tuple[float, float]
+MAX_PAIRS = kernels.MAX_PAIRS  # the most upper pairs, and lower ones, a kernel takes
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,8 @@ class WrightSpec:
     """Numerator/denominator (coefficient, slope) pairs of a pPsi_q series.
 
     Slopes must be nonnegative reals (every spec generated by the
-    operator theorems uses 1/2 or 1).  The slope sum ``delta`` and the
+    operator theorems uses 1/2 or 1), and each side holds at most
+    ``MAX_PAIRS`` pairs.  The slope sum ``delta`` and the
     kernel's four columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once,
     here, for every evaluation of the spec.
     """
@@ -32,6 +34,9 @@ class WrightSpec:
     def __post_init__(self):
         upper = tuple((float(a), float(A)) for a, A in self.upper)
         lower = tuple((float(b), float(B)) for b, B in self.lower)
+        if max(len(upper), len(lower)) > MAX_PAIRS:
+            raise DomainError(f"at most {MAX_PAIRS} upper and {MAX_PAIRS} lower pairs are "
+                              f"supported, got {len(upper)} and {len(lower)}")
         for coeff, slope in upper + lower:
             if slope < 0.0 or not math.isfinite(slope):
                 raise DomainError(f"slopes must be finite and >= 0, got {slope!r}")

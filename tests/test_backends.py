@@ -51,11 +51,32 @@ def test_lgamma_sign_agrees(ck):
 
 
 def test_pole_predicate_agrees(ck):
+    from bsfrac.gammacore import is_pole
     for x in (-3.0, -3.0 + 1e-13, -3.5, 0.0, 0.5, 2.0, -1e-13):
-        assert pk.near_nonpositive_int(x) == ck.near_nonpositive_int(x)
+        assert pk.near_nonpositive_int(x) == ck.near_nonpositive_int(x) == is_pole(x)
+    # no pole at NaN or +-inf: the pure twin once raised there
+    for x in (math.nan, math.inf, -math.inf):
+        assert pk.near_nonpositive_int(x) is ck.near_nonpositive_int(x) is is_pole(x) is False
 
 
-@pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.75])
+def test_pair_limit_agrees(ck):
+    # both twins take at most MAX_PAIRS upper and MAX_PAIRS lower pairs;
+    # the pure one once summed any number of them
+    assert pk.MAX_PAIRS == ck.MAX_PAIRS == 32
+    for p, q in ((32, 32), (33, 33), (33, 0), (0, 33)):
+        cols = ((1.0,) * p, (0.0,) * p, (1.5,) * q, (0.0,) * q)
+        if max(p, q) <= 32:
+            assert pk.wright_series(*cols, 0.5, 1e-14, 10000) == \
+                ck.wright_series(*cols, 0.5, 1e-14, 10000)
+            continue
+        for kernels in (pk, ck):
+            with pytest.raises(ValueError, match="^at most 32 parameter pairs are supported$"):
+                kernels.wright_series(*cols, 0.5, 1e-14, 10000)
+
+
+# 7, 40, 89 and 89.5 take the double-double prefactor near the end of its
+# branch (|nu| < 90)
+@pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.75, 7.0, 40.0, 89.0, 89.5])
 @pytest.mark.parametrize("u", [-10.0, -3.3, -0.7, 0.0, 0.4, 2.0, 12.5])
 def test_bs_series_agrees(ck, nu, u):
     vp = pk.bs_series(nu, u, 1e-15, 10000)
@@ -230,6 +251,10 @@ def _pytest_on_compiled(compiled_pkg, *args):
     assert proc.stdout.split()[-1] == "compiled"
 
 
+def test_wright_pair_limit_on_compiled_backend(compiled_pkg):
+    _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "pair_limit")
+
+
 def test_pinned_densities_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_pathway.py::test_density_values_are_pinned")
 
@@ -296,7 +321,7 @@ for x in floats(300, -170.0, 170.0) + SPECIAL + [-(2.0 ** k) - 0.5 for k in rang
         if -x <= 170.0 and not pk.near_nonpositive_int(x):
             assert sg == pk.lgamma_sign(x)[1] and close(la, pk.lgamma_sign(x)[0], 1e-12), x
 
-for nu in [-0.9, -0.5, 0.0, 0.25, 0.5, 2.3, 9.7, 40.0, 89.5, 1e300] + floats(4, -0.99, 30.0):
+for nu in [-0.9, -0.5, 0.0, 0.25, 0.5, 2.3, 7.0, 9.7, 40.0, 89.0, 89.5, 1e300] + floats(4, -0.99, 30.0):
     us = floats(40, -60.0, 60.0) + [-1000.0, 650.0] + SPECIAL
     for cap in (10000, 60, 1, 0, -5):
         table = {}
@@ -304,7 +329,7 @@ for nu in [-0.9, -0.5, 0.0, 0.25, 0.5, 2.3, 9.7, 40.0, 89.5, 1e300] + floats(4, 
             calls += 2
             one = ck.bs_series(nu, u, 1e-14, cap)
             assert bits(ck.bs_series(nu, u, 1e-14, cap, table)) == bits(one), (nu, u, cap)
-            if cap == 10000 and -60.0 <= u <= 60.0 and nu < 50.0:
+            if cap == 10000 and -60.0 <= u <= 60.0 and (nu < 50.0 or nu in (89.0, 89.5)):
                 calls += 1
                 want = pk.bs_series(nu, u, 1e-14, cap)
                 # the generic-order prefactor goes through each backend's gamma

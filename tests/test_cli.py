@@ -117,6 +117,36 @@ def test_table_kernel_overflow_is_numerical_error():
     assert "S at x=800.0:" in res.stderr and "exceeds double range" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_wright_pair_limit_is_a_usage_error(command):
+    # 33 pairs once ran on the pure backend and ended in a traceback on the
+    # compiled one; both backends' kernels take at most 32 per side
+    x = "0.5" if command == "eval" else "0.5:1:2"
+    for n_upper, n_lower in ((33, 33), (33, 1), (1, 33)):
+        res = _run(command, "wright", "--upper", ";".join(["1.0,0"] * n_upper),
+                   "--lower", ";".join(["1.5,0"] * n_lower), "--x", x)
+        assert res.exit_code == 2, res.output
+        assert (f"Error: at most 32 upper and 32 lower pairs are supported, "
+                f"got {n_upper} and {n_lower}") in res.stderr
+        assert isinstance(res.exception, SystemExit)
+    res = _run(command, "wright", "--upper", ";".join(["1.0,0"] * 32),
+               "--lower", ";".join(["1.5,0"] * 32), "--x", x)
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("name", ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
+def test_non_finite_density_parameter_is_usage_error(name):
+    opts = {"gamma-shape": "1", "delta": "1", "beta-shape": "1", "a": "1",
+            "pathway-alpha": "0.5"}
+    for bad in ("nan", "inf", "-inf"):
+        args = [a for key, value in dict(opts, **{name: bad}).items()
+                for a in (f"--{key}", value)]
+        res = _run("eval", "density", *args, "--x", "0.5")
+        assert res.exit_code == 2, (bad, res.output)
+        assert f"Error: {name.replace('-', '_')} must be finite" in res.stderr
+        assert isinstance(res.exception, SystemExit)
+
+
 def test_bad_kernel_order_is_usage_error():
     for args in (["msm-left", "--gamma", "1", "--rho", "1.5"],
                  ["pathway", "--eta", "0.5", "--a", "1.3", "--pathway-alpha", "0.4",

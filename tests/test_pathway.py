@@ -119,6 +119,16 @@ class TestOperator:
 
 
 class TestDensity:
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, index, bad):
+        # a NaN pathway_alpha once took the LIMIT branch, and a NaN or
+        # infinite beta_shape failed inside the gamma functions
+        args = [1.0, 1.0, 1.0, 1.0, 0.5]
+        args[index] = bad
+        with pytest.raises(PreconditionError, match="must be finite"):
+            PathwayDensityParams(*args)
+
     def test_triangular(self):
         dp = PathwayDensityParams(1.0, 1.0, 1.0, 1.0, 0.0)
         assert dp.regime is Regime.SUB

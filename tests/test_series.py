@@ -177,6 +177,15 @@ def test_bad_order_and_tolerance_rejected_up_front(fn):
             fn(0.25, 1.0, tol=tol)
 
 
+def test_two_over_pi_is_correctly_rounded():
+    # the integer-order prefactor starts from 2/pi: a double-double whose
+    # high word is 2/pi rounded and whose low word is the remainder rounded
+    with mp.workdps(60):
+        two_over_pi = 2 / mp.pi
+        hi = float(two_over_pi)
+        assert _pykernels._TWO_OVER_PI == (hi, float(two_over_pi - hi))
+
+
 class TestBessel:
     def test_j_at_zero(self):
         assert bessel_first_kind(0.0, 0.0).value == 1.0

@@ -77,6 +77,28 @@ def test_s_table_bits_do_not_depend_on_fill_order(kernels):
         assert [backward(u) for u in us] == want == [forward(u) for u in us]
 
 
+def test_s_table_builds_each_sequence_once_in_a_monotone_sweep(monkeypatch):
+    # the pure table keeps the b_n sequence of one length N, and a point of
+    # another N replaces it: N moves one way in a monotone sweep, so each
+    # distinct N is built once, falling or rising
+    monkeypatch.setattr(series, "kernels", pk)
+    built, build = [], pk._bs_sequence
+
+    def counted(nu, a, top, cap):
+        built.append(top)
+        return build(nu, a, top, cap)
+
+    monkeypatch.setattr(pk, "_bs_sequence", counted)
+    us = oracles.linspace(-60.0, -0.125, 479)
+    lengths = {int(-u + 9.0 * math.sqrt(-u) + 25.0) for u in us}
+    for sweep in (us, us[::-1]):
+        built.clear()
+        evaluate = bessel_struve_evaluator(2.3)
+        for u in sweep:
+            evaluate(u)
+        assert sorted(built) == sorted(lengths), built
+
+
 def test_s_table_shared_by_threads(kernels):
     # as test_wright.test_evaluator_shared_by_threads for the Wright table
     us = oracles.linspace(-40.0, 40.0, 161)
