@@ -23,7 +23,7 @@ from .series import (
     bessel_struve_kernel,
     struve,
 )
-from .wright import WrightSpec, wright_delta, wright_eval, wright_evaluator
+from .wright import WrightSpec, wright_delta, wright_eval
 
 # exports of the operator and quadrature modules, which load on first
 # access (PEP 562): a cold ``bsfrac eval S`` or ``wright`` never needs them
@@ -96,6 +96,5 @@ __all__ = [
     "tanh_sinh",
     "wright_delta",
     "wright_eval",
-    "wright_evaluator",
     "__version__",
 ]

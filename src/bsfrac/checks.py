@@ -340,12 +340,6 @@ def _termwise_sum(products: list, w: float) -> float:
     return total
 
 
-def _termwise(nums, dens, nu: float, w: float, n_terms: int = 60) -> float:
-    """The termwise oracle: sum over n < n_terms of c_n * R_n * w**n
-    (``_term_products``)."""
-    return _termwise_sum(_term_products(nums, dens, _kernel_coeffs(nu, n_terms)), w)
-
-
 def _image_oracle():
     """A termwise image oracle for one check runner: the coefficients c_n
     of each nu, and the products c_n R_n and the constant factor of each

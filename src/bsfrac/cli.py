@@ -30,7 +30,7 @@ from .series import (
     linspace,
     struve,
 )
-from .wright import WrightSpec, wright_evaluator
+from .wright import WrightSpec, wright_eval
 
 FUNCTIONS = ("S", "J", "I", "H", "L", "wright", "msm-left", "msm-right",
              "pathway", "density")
@@ -116,7 +116,8 @@ def _parse_pairs(text: str):
 def _evaluator(function: str, opts: dict):
     """Build ``x -> SeriesEval`` from the options: they are checked and
     parsed, and the image, Wright spec or density constants computed,
-    once, before the first point.  The operator modules are imported only
+    once, before the first point: a Wright, MSM or pathway sweep shares
+    one spec and its term table.  The operator modules are imported only
     by the branches that use them, so a cold ``eval S`` never loads them."""
     if function == "density":
         from .pathway import PathwayDensityParams, _density, _density_error
@@ -141,7 +142,7 @@ def _evaluator(function: str, opts: dict):
     if function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
-        return wright_evaluator(spec)
+        return partial(wright_eval, spec)
     if function in ("msm-left", "msm-right"):
         from .msm import MsmParams, Side, msm_bs_closed_form, msm_power_image
 
@@ -151,16 +152,16 @@ def _evaluator(function: str, opts: dict):
                            opts["beta_prime"], opts["gamma"])
         kind = _build_kind(opts)
         if kind.family == "monomial":
-            return msm_power_image(side, params, kind.rho).evaluator()
-        return msm_bs_closed_form(side, params, kind).evaluator()
+            return msm_power_image(side, params, kind.rho).value_at
+        return msm_bs_closed_form(side, params, kind).value_at
     from .pathway import PathwayParams, pathway_bs_closed_form, pathway_power_image
 
     _require(opts, ["eta", "a", "pathway-alpha", "rho"])
     params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
     kind = _build_kind(opts)
     if kind.family == "monomial":
-        return pathway_power_image(params, kind.rho).evaluator()
-    return pathway_bs_closed_form(params, kind).evaluator()
+        return pathway_power_image(params, kind.rho).value_at
+    return pathway_bs_closed_form(params, kind).value_at
 
 
 def _build_kind(opts):

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 POLE_TOL = kernels.POLE_TOL
 _MAX_EXACT_INT = 171  # gamma(172) overflows a double
@@ -38,16 +38,24 @@ class SignedLogGamma:
         return self.sign * math.exp(self.log_abs)
 
 
-def ln_gamma_signed(x: float) -> SignedLogGamma:
-    """Signed log-gamma of a real argument.
+def _finite(x: float) -> float:
+    """x, or DomainError for a NaN or infinite gamma argument (the twins'
+    ``lgamma_sign`` disagree there)."""
+    if not math.isfinite(x):
+        raise DomainError(f"gamma argument must be finite, got {x!r}")
+    return x
 
-    Raises PoleError when x is within 1e-12 of a nonpositive integer.
-    Reconstruction ``sign * exp(log_abs)`` is accurate to better than
-    1e-13 relative for |x| <= 170.
+
+def ln_gamma_signed(x: float) -> SignedLogGamma:
+    """Signed log-gamma of a finite real argument.
+
+    Raises PoleError when x is within 1e-12 of a nonpositive integer, and
+    DomainError at NaN and +-inf.  Reconstruction ``sign * exp(log_abs)``
+    is accurate to better than 1e-13 relative for |x| <= 170.
     """
     if is_pole(x):
         raise PoleError(f"gamma pole at x={x!r}")
-    log_abs, sign = kernels.lgamma_sign(x)
+    log_abs, sign = kernels.lgamma_sign(_finite(x))
     return SignedLogGamma(log_abs, sign)
 
 
@@ -58,18 +66,16 @@ def gamma_ratio(numerators, denominators) -> float:
     PoleError; a denominator pole forces the ratio to exactly 0
     (reciprocal-gamma convention).  All-integer arguments short-circuit
     to exact factorial arithmetic, so degenerate operator cases come out
-    exact.  Raises OverflowError when the result is not representable.
+    exact.  Raises DomainError when an argument is NaN or infinite, and
+    OverflowError when the result is not representable.
     """
-    dens = []
-    for d in denominators:
-        if is_pole(d):
-            return 0.0
-        dens.append(d)
-    nums = []
-    for v in numerators:
+    dens = [_finite(d) for d in denominators]
+    nums = [_finite(v) for v in numerators]
+    if any(is_pole(d) for d in dens):
+        return 0.0
+    for v in nums:
         if is_pole(v):
             raise PoleError(f"gamma pole in numerator at {v!r}")
-        nums.append(v)
 
     if _all_small_ints(nums) and _all_small_ints(dens):
         from fractions import Fraction  # only here: a cold CLI call never needs it

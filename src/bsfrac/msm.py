@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from ._backend import kernels
@@ -33,7 +32,7 @@ from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .quadrature import exp_sinh, tanh_sinh
 from .series import _SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval
-from .wright import WrightSpec, wright_eval, wright_evaluator
+from .wright import WrightSpec, wright_eval
 
 
 class Side(enum.Enum):
@@ -43,9 +42,17 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
+def _check_finite(params):
+    """Refuse a NaN or infinite field of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise PreconditionError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MsmParams:
-    """The five operator parameters; gamma must be positive."""
+    """The five operator parameters: finite, and gamma positive."""
 
     alpha: float
     alpha_prime: float
@@ -54,6 +61,7 @@ class MsmParams:
     gamma: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.gamma > 0.0:
             raise PreconditionError(f"gamma must be positive, got {self.gamma!r}")
 
@@ -124,21 +132,12 @@ class ClosedFormImage:
 
     def value_at(self, x: float, tol: float = DEFAULT_TOL,
                  term_cap: int = TERM_CAP) -> SeriesEval:
-        """The image at one x, through ``wright_eval`` (one kernel call):
-        the path for a single point, which the verification harness takes.
-        A sweep over many x uses ``evaluator``."""
-        return self._scaled(x, partial(wright_eval, self.spec, tol=tol, term_cap=term_cap))
-
-    def evaluator(self):
-        """``x -> value_at(x)``, bit for bit, with the Wright series' term
-        table built once for every x (``wright_evaluator``): the path for a
-        sweep, which the CLI's ``eval`` and ``table`` take."""
-        return partial(self._scaled, psi=wright_evaluator(self.spec))
-
-    def _scaled(self, x: float, psi) -> SeriesEval:
+        """The image at x, through ``wright_eval``: a sweep over many x
+        reuses the spec's term table (``WrightSpec.rows``)."""
         if not x > 0.0:
             raise DomainError(f"images are defined for x > 0, got x={x!r}")
-        w = psi(self.argument_scale * (1.0 / x if self.inverse_argument else x))
+        z = self.argument_scale * (1.0 / x if self.inverse_argument else x)
+        w = wright_eval(self.spec, z, tol, term_cap)
         scale = self.prefactor * x ** self.power_of_x
         return SeriesEval(scale * w.value, abs(scale) * w.abs_error_est,
                           w.terms_used, w.converged)

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 from ._backend import kernels
 from .errors import DomainError, PreconditionError
 from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio
-from .msm import ClosedFormImage, FunctionKind, _GammaTable, _kernel_image, _power_image
+from .msm import (ClosedFormImage, FunctionKind, _check_finite, _GammaTable, _kernel_image,
+                  _power_image)
 from .quadrature import tanh_sinh
 from .series import TERM_CAP, SeriesEval
 
 
 @dataclass(frozen=True)
 class PathwayParams:
-    """Operator parameters: scale a > 0, pathway_alpha < 1, and
+    """Operator parameters, all finite: scale a > 0, pathway_alpha < 1, and
     eta/(1-pathway_alpha) > -1 so the kernel stays integrable."""
 
     eta: float
@@ -31,6 +32,7 @@ class PathwayParams:
     pathway_alpha: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.a > 0.0:
             raise PreconditionError(f"scale a must be positive, got {self.a!r}")
         if not self.pathway_alpha < 1.0:
@@ -118,9 +120,7 @@ class PathwayDensityParams:
     pathway_alpha: float
 
     def __post_init__(self):
-        for name in ("gamma_shape", "delta", "beta_shape", "a", "pathway_alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise PreconditionError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite(self)
         if not self.gamma_shape > 0.0:
             raise PreconditionError("gamma_shape must be positive")
         if not self.delta > 0.0:

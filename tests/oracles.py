@@ -188,16 +188,19 @@ def kernel_series_coeff(nu: float, n: int) -> float:
                  / (mp.sqrt(mp.pi) * mp.factorial(n) * mp.gamma(mp.mpf(n) / 2 + nu + 1)))
 
 
-def termwise_image(power_image, coeffs, scales):
-    """Sum of coefficient-weighted power images: the termwise-lemma oracle.
+def termwise_image(power_image, nu: float, lam: float, x: float, n_terms: int = 60) -> float:
+    """The termwise-lemma oracle: the image of t^(rho-1) S_nu(lam t^(+-1))
+    at x as the sum over n < n_terms of c_n lam^n times the power image of
+    the n-th kernel-series term at x.
 
-    ``power_image(n)`` returns the image value of the n-th shifted power
-    at the evaluation point; ``coeffs[n]`` and ``scales[n]`` carry the
-    series coefficient and the lambda power.
+    ``power_image(n)`` returns that power image (a ``ClosedFormImage`` of
+    t^(rho+n-1) for left operators, t^(rho-n-1) for right ones); c_n is
+    ``kernel_series_coeff(nu, n)``.
     """
     total = 0.0
-    for n, c in enumerate(coeffs):
-        total += c * scales[n] * power_image(n)
+    for n in range(n_terms):
+        img = power_image(n)
+        total += kernel_series_coeff(nu, n) * lam ** n * img.prefactor * x ** img.power_of_x
     return total
 
 

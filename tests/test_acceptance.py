@@ -176,11 +176,8 @@ def test_criterion_07_pathway_theorems():
     for nu in (-0.5, 0.0, 0.25, 0.5, 1.0):
         kind = FunctionKind.bs_kernel(1.1, nu, 0.5)
         img = pathway_bs_closed_form(params, kind)
-        total = 0.0
-        for n in range(60):
-            pimg = pathway_power_image(params, 1.1 + n)
-            total += (oracles.kernel_series_coeff(nu, n) * 0.5 ** n
-                      * pimg.prefactor * 1.0 ** pimg.power_of_x)
+        total = oracles.termwise_image(lambda n: pathway_power_image(params, 1.1 + n),
+                                       nu, 0.5, 1.0)
         if _rel(img.value_at(1.0).value, total) > 1e-10:
             failures.append(("termwise", nu))
         got = img.value_at(1.0).value

@@ -268,19 +268,29 @@ def test_modified_error_bound_on_compiled_backend(compiled_pkg):
 
 
 def test_wright_evaluator_on_compiled_backend(compiled_pkg):
-    # the term table against the compiled kernel, bit for bit, its row
-    # count and its stop at the first overflowing term
+    # a spec's term table against the compiled kernel, bit for bit, its row
+    # count, its stop at the first overflowing term and its sharing by threads
     _pytest_on_compiled(compiled_pkg, "tests/test_wright.py", "-k", "evaluator")
 
 
 def test_image_evaluator_on_compiled_backend(compiled_pkg):
-    # the images' sweep path against value_at on the compiled kernel
+    # an image's shared table against a fresh one per x on the compiled kernel
     _pytest_on_compiled(compiled_pkg, "tests/test_msm.py", "-k", "image_evaluator")
+
+
+def test_non_finite_gamma_argument_on_compiled_backend(compiled_pkg):
+    # the compiled lgamma_sign returns (nan, -1) where the wrappers refuse
+    _pytest_on_compiled(compiled_pkg, "tests/test_gammacore.py", "-k", "non_finite")
 
 
 def test_cli_sweeps_on_compiled_backend(compiled_pkg):
     # table rows against eval, the sweep error paths and the build counts
     _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "sweep")
+
+
+def test_tracer_contract_on_compiled_backend(compiled_pkg):
+    # every name the bench tracer patches exists, and it leaves no patch behind
+    _pytest_on_compiled(compiled_pkg, "tests/test_tracer.py")
 
 
 def test_acceptance_suite_on_compiled_backend(compiled_pkg):

@@ -9,12 +9,11 @@ from bsfrac.checks import (
     CHECKS,
     SUITES,
     Config,
-    _termwise,
     _termwise_image,
     run_suite,
 )
 from bsfrac.gammacore import gamma_ratio
-from bsfrac.msm import MsmParams, Side, _gamma_args, msm_power_image
+from bsfrac.msm import MsmParams, Side, _GammaTable, _gamma_args, msm_power_image
 from bsfrac.pathway import PathwayParams, _table, pathway_power_image
 
 import oracles
@@ -200,9 +199,10 @@ def _case_pathway(nu):
 
 def _case_poles(nu):
     # numerator arguments cross negative non-integers, a denominator
-    # crosses the poles -2, -1, 0: its terms are exact zeros
+    # crosses the poles -2, -1, 0: its terms are exact zeros; a table of
+    # power 0 at x = 1 makes the image the bare sum at w = lam
     nums, dens, w = (-2.5, 0.7), (-2.0, 1.3), 0.9
-    got = _termwise(nums, dens, nu, w)
+    got = _termwise_image(_GammaTable(nums, dens, 0.0, False), nu, w, 1.0)
     direct = sum(_direct_coeff(nu, n) * gamma_ratio([a + n for a in nums], [b + n for b in dens])
                  * w ** n for n in range(60))
     with mp.workdps(40):
@@ -230,4 +230,4 @@ def test_termwise_oracle_matches_direct_and_mpmath(case, nu):
 
 def test_termwise_oracle_keeps_numerator_poles():
     with pytest.raises(PoleError):
-        _termwise((0.5, -2.0), (1.0,), 0.25, 0.5)
+        _termwise_image(_GammaTable((0.5, -2.0), (1.0,), 0.0, False), 0.25, 0.5, 1.0)

@@ -134,17 +134,38 @@ def test_wright_pair_limit_is_a_usage_error(command):
     assert res.exit_code == 0, res.output
 
 
-@pytest.mark.parametrize("name", ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
-def test_non_finite_density_parameter_is_usage_error(name):
-    opts = {"gamma-shape": "1", "delta": "1", "beta-shape": "1", "a": "1",
-            "pathway-alpha": "0.5"}
+# valid options of each parameter class's function, at the point --x
+PARAM_OPTS = {
+    "density": {"gamma-shape": "1", "delta": "1", "beta-shape": "1", "a": "1",
+                "pathway-alpha": "0.5", "x": "0.5"},
+    "msm-left": {"alpha": "0.3", "alpha-prime": "0.2", "beta": "0.1", "beta-prime": "0.4",
+                 "gamma": "1.1", "rho": "1.5", "x": "1"},
+    "pathway": {"eta": "0.5", "a": "1.3", "pathway-alpha": "0.4", "rho": "1.1", "kind": "bs",
+                "nu": "0.25", "x": "0.5"},
+}
+
+
+def _assert_non_finite_refused(function, name):
     for bad in ("nan", "inf", "-inf"):
-        args = [a for key, value in dict(opts, **{name: bad}).items()
-                for a in (f"--{key}", value)]
-        res = _run("eval", "density", *args, "--x", "0.5")
+        opts = dict(PARAM_OPTS[function], **{name: bad})
+        res = _run("eval", function, *(f"--{key}={value}" for key, value in opts.items()))
         assert res.exit_code == 2, (bad, res.output)
         assert f"Error: {name.replace('-', '_')} must be finite" in res.stderr
         assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("name", ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
+def test_non_finite_density_parameter_is_usage_error(name):
+    _assert_non_finite_refused("density", name)
+
+
+@pytest.mark.parametrize("function,name", [
+    *(("msm-left", n) for n in ("alpha", "alpha-prime", "beta", "beta-prime", "gamma")),
+    *(("pathway", n) for n in ("eta", "a", "pathway-alpha"))])
+def test_non_finite_operator_parameter_is_usage_error(function, name):
+    # an infinite scale or pathway alpha once printed 0,0,1 and exited 0,
+    # an infinite MSM order printed nan,nan,1 and exited 1
+    _assert_non_finite_refused(function, name)
 
 
 def test_bad_kernel_order_is_usage_error():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsfrac import PoleError, gamma_ratio, ln_gamma_signed, pochhammer
+from bsfrac import DomainError, PoleError, gamma_ratio, ln_gamma_signed, pochhammer
 from bsfrac.gammacore import is_pole
 
 import oracles
@@ -32,6 +32,18 @@ def test_sign_pattern(x, sign):
 def test_pole_error(x):
     with pytest.raises(PoleError):
         ln_gamma_signed(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_is_domain_error(x):
+    # the pure kernel raised from math.floor there, and the compiled one
+    # returned (nan, -1) at NaN and -inf; neither value is a pole
+    assert is_pole(x) is False
+    with pytest.raises(DomainError, match="^gamma argument must be finite"):
+        ln_gamma_signed(x)
+    for nums, dens in (([x], [1.0]), ([1.0], [x]), ([x], [0.0]), ([1.5, x], [])):
+        with pytest.raises(DomainError, match="^gamma argument must be finite"):
+            gamma_ratio(nums, dens)
 
 
 def test_just_outside_pole_tolerance():

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,18 +27,6 @@ ZEROS_G1 = MsmParams(0.0, 0.0, 0.0, 0.0, 1.0)
 LEFT_COLLAPSE = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9)
 RIGHT_COLLAPSE = MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
 GENERIC = MsmParams(0.3, 0.2, 0.1, 0.4, 1.1)
-
-
-def termwise_oracle(side, params, rho, nu, lam, x, n_terms=60):
-    """Power image applied to each kernel-series term, then summed."""
-    total = 0.0
-    for n in range(n_terms):
-        c = oracles.kernel_series_coeff(nu, n)
-        shifted = rho + n if side is Side.LEFT else rho - n
-        img = msm_power_image(side, params, shifted)
-        scale = lam ** n * (x ** n if side is Side.LEFT else x ** -n)
-        total += c * scale * img.prefactor * x ** (img.power_of_x - (n if side is Side.LEFT else -n))
-    return total
 
 
 class TestPowerImage:
@@ -121,7 +111,8 @@ class TestClosedForm:
         img = msm_bs_closed_form(Side.LEFT, GENERIC, kind)
         for x in (1.0, 2.0):
             got = img.value_at(x).value
-            want = termwise_oracle(Side.LEFT, GENERIC, 1.2, 0.25, 0.5, x)
+            want = oracles.termwise_image(
+                lambda n: msm_power_image(Side.LEFT, GENERIC, 1.2 + n), 0.25, 0.5, x)
             assert math.isclose(got, want, rel_tol=1e-10)
 
     def test_right_generic_termwise_oracle(self):
@@ -129,7 +120,8 @@ class TestClosedForm:
         img = msm_bs_closed_form(Side.RIGHT, GENERIC, kind)
         for x in (1.0, 2.0):
             got = img.value_at(x).value
-            want = termwise_oracle(Side.RIGHT, GENERIC, -2.0, 0.25, 0.5, x)
+            want = oracles.termwise_image(
+                lambda n: msm_power_image(Side.RIGHT, GENERIC, -2.0 - n), 0.25, 0.5, x)
             assert math.isclose(got, want, rel_tol=1e-10)
 
     def test_left_collapse_matches_quadrature(self):
@@ -245,10 +237,21 @@ class TestZeroScale:
 
 
 class TestNanParameter:
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, index, bad):
+        # an infinite order once gave NaN images instead of an error
+        args = [0.3, 0.2, 0.1, 0.4, 1.1]
+        args[index] = bad
+        with pytest.raises(PreconditionError, match="must be finite"):
+            MsmParams(*args)
+
     @pytest.mark.parametrize("side,rho", [(Side.LEFT, 1.5), (Side.RIGHT, -1.5)])
     def test_nan_order_parameter_is_rejected(self, side, rho):
-        # only some gamma arguments turn NaN, so a min() over them could pass
-        params = MsmParams(math.nan, 0.0, 0.0, 0.0, 1.0)
+        # only some gamma arguments turn NaN, so a min() over them could
+        # pass; every route refuses a NaN order that skipped MsmParams' check
+        params = SimpleNamespace(alpha=math.nan, alpha_prime=0.0, beta=0.0, beta_prime=0.0,
+                                 gamma=1.0)
         with pytest.raises(PreconditionError):
             msm_power_image(side, params, rho)
         with pytest.raises(PreconditionError):
@@ -307,10 +310,12 @@ def _image_outcome(evaluate, x):
 
 @pytest.mark.parametrize("name", sorted(IMAGES))
 def test_image_evaluator_matches_value_at(name):
-    # the sweep path (one term table for every x) against the one-shot
-    # path the verification harness takes
+    # one image swept forward and back, its spec's term table shared by
+    # every x, against a fresh image (and table) per x
     img = IMAGES[name]
-    evaluate = img.evaluator()
-    got = [_image_outcome(evaluate, x) for x in IMAGE_XS]
-    want = [_image_outcome(img.value_at, x) for x in IMAGE_XS]
-    assert got == want
+
+    def fresh(x):
+        return replace(img, spec=WrightSpec(img.spec.upper, img.spec.lower)).value_at(x)
+
+    xs = IMAGE_XS + IMAGE_XS[::-1]
+    assert [_image_outcome(img.value_at, x) for x in xs] == [_image_outcome(fresh, x) for x in xs]

@@ -27,15 +27,6 @@ SIMPLE = PathwayParams(1.0, 1.0, 0.0)
 GENERIC = PathwayParams(0.7, 1.3, 0.4)
 
 
-def termwise_oracle(params, sigma, nu, lam, x, n_terms=60):
-    total = 0.0
-    for n in range(n_terms):
-        c = oracles.kernel_series_coeff(nu, n)
-        img = pathway_power_image(params, sigma + n)
-        total += c * lam ** n * img.prefactor * x ** img.power_of_x
-    return total
-
-
 class TestOperator:
     def test_simple_monomial(self):
         r = pathway_quadrature(SIMPLE, FunctionKind.monomial(1.0), 2.0)
@@ -76,7 +67,8 @@ class TestOperator:
         img = pathway_bs_closed_form(GENERIC, kind)
         for x in (0.6, 1.0, 1.9):
             got = img.value_at(x).value
-            want = termwise_oracle(GENERIC, 1.1, 0.25, 0.5, x)
+            want = oracles.termwise_image(
+                lambda n: pathway_power_image(GENERIC, 1.1 + n), 0.25, 0.5, x)
             assert math.isclose(got, want, rel_tol=1e-10)
 
     def test_zero_scale_reduces_to_power_image(self):
@@ -116,6 +108,16 @@ class TestOperator:
             PathwayParams(-2.0, 1.0, 0.0)  # eta/(1-alpha) = -2
         with pytest.raises(PreconditionError):
             pathway_power_image(SIMPLE, 0.0)
+
+
+@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_operator_parameter_rejected(index, bad):
+    # a = inf and pathway_alpha = -inf once passed every check and gave 0
+    args = [0.7, 1.3, 0.4]
+    args[index] = bad
+    with pytest.raises(PreconditionError, match="must be finite"):
+        PathwayParams(*args)
 
 
 class TestDensity:

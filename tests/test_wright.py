@@ -20,7 +20,6 @@ from bsfrac import (
     wright,
     wright_delta,
     wright_eval,
-    wright_evaluator,
 )
 from bsfrac.cli import main
 from bsfrac.series import DEFAULT_TOL, TERM_CAP, linspace
@@ -193,17 +192,41 @@ def _outcome(evaluate, z):
         return type(exc)
 
 
+def _table_free(spec, z, term_cap):
+    """The kernel's call without a table, as ``_outcome`` gives a value."""
+    value, err, terms, status = wright.kernels.wright_series(*spec.columns, z, DEFAULT_TOL,
+                                                             term_cap)
+    return tuple(map(repr, (value, err, terms, True))) if status == 0 else status
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_PAIRS, _PAIRS, st.lists(_ARGS, min_size=1, max_size=12),
-       st.sampled_from([TERM_CAP, 40, 6]))
-def test_evaluator_matches_wright_eval(upper, lower, zs, term_cap):
-    # one table per spec, many points; a small cap reaches the cap path
+       st.sampled_from([TERM_CAP, 40, 6]), st.randoms(use_true_random=False))
+def test_evaluator_matches_wright_eval(upper, lower, zs, term_cap, rng):
+    # one spec's table shared by every point, in shuffled order, against a
+    # fresh spec per point and the kernel's table-free call; a small cap
+    # reaches the cap path
     spec = WrightSpec(upper, lower)
-    evaluate = wright_evaluator(spec, term_cap=term_cap)
+    rng.shuffle(zs)
     for z in zs:
-        got = _outcome(evaluate, z)
-        want = _outcome(lambda z: wright_eval(spec, z, DEFAULT_TOL, term_cap), z)
+        got = _outcome(lambda z: wright_eval(spec, z, DEFAULT_TOL, term_cap), z)
+        fresh = WrightSpec(upper, lower)
+        assert not fresh.rows
+        want = _outcome(lambda z: wright_eval(fresh, z, DEFAULT_TOL, term_cap), z)
         assert got == want, (spec, z, term_cap)
+        if isinstance(got, tuple):
+            assert got == _table_free(spec, z, term_cap), (spec, z, term_cap)
+
+
+def test_spec_identity_ignores_rows():
+    # two specs of the same pairs are equal, hash alike and print alike
+    # whatever their tables hold
+    spec = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
+    fresh = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
+    wright_eval(spec, 3.0)
+    assert spec.rows and not fresh.rows
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+    assert "rows" not in repr(spec)
 
 
 def _record_tables(monkeypatch):
@@ -219,13 +242,13 @@ def _record_tables(monkeypatch):
 
 
 def test_evaluator_tabulates_each_term_once(monkeypatch):
-    # a 200-point sweep shares one table, which holds one row per term up to
-    # the longest series' stopping term
+    # a 200-point sweep of one spec shares its table, which holds one row
+    # per term up to the longest series' stopping term
     tables = _record_tables(monkeypatch)
-    evaluate = wright_evaluator(THEOREM_SPEC)
-    results = [evaluate(z) for z in linspace(-10.0, 10.0, 200)]
-    assert len(tables) == 200 and all(t is tables[0] for t in tables)
-    assert 0 < len(tables[0]) <= max(r.terms_used for r in results) + 1
+    spec = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
+    results = [wright_eval(spec, z) for z in linspace(-10.0, 10.0, 200)]
+    assert len(tables) == 200 and all(t is spec.rows for t in tables)
+    assert 0 < len(spec.rows) <= max(r.terms_used for r in results) + 1
 
 
 def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
@@ -243,15 +266,16 @@ def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
 
 
 def test_evaluator_shared_by_threads():
-    # threads sweeping one evaluator grow its table at once; every value
-    # must still be the kernel's
+    # threads sweeping one spec through wright_eval grow its table at once;
+    # every value must still be the kernel's
     zs = linspace(-30.0, 30.0, 61)
-    want = [wright_eval(THEOREM_SPEC, z) for z in zs]
-    evaluate = wright_evaluator(THEOREM_SPEC)
+    spec = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
+    want = [_table_free(spec, z, TERM_CAP) for z in zs]
     results = {}
 
     def sweep(i):
-        results[i] = [evaluate(z) for z in (zs if i % 2 else zs[::-1])]
+        results[i] = [tuple(map(repr, wright_eval(spec, z)))
+                      for z in (zs if i % 2 else zs[::-1])]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -264,5 +288,6 @@ def test_evaluator_shared_by_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert spec.rows
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
