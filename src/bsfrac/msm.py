@@ -133,7 +133,7 @@ class ClosedFormImage:
     def value_at(self, x: float, tol: float = DEFAULT_TOL,
                  term_cap: int = TERM_CAP) -> SeriesEval:
         """The image at x, through ``wright_eval``: a sweep over many x
-        reuses the spec's term table (``WrightSpec.rows``)."""
+        reuses the spec's cached term table."""
         if not x > 0.0:
             raise DomainError(f"images are defined for x > 0, got x={x!r}")
         z = self.argument_scale * (1.0 / x if self.inverse_argument else x)

@@ -25,17 +25,18 @@ class WrightSpec:
     kernel's four columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once,
     here, for every evaluation of the spec.
 
-    ``rows`` is the kernel's term table of the spec, one row per term k
-    (its log-gamma sum, signs and log k!).  A row does not depend on z,
-    the tolerance or the term cap, so every ``wright_eval`` of the spec
-    shares it, across threads too; equality, hashing and repr ignore it.
+    ``_rows`` caches the kernel's term table of the spec, one row per
+    term k (its log-gamma sum, signs and log k!).  A row does not depend
+    on z, the tolerance or the term cap, so every ``wright_eval`` of the
+    spec shares it, across threads too; equality, hashing and repr ignore
+    it.  It is private: the pure kernel trusts the rows it finds.
     """
 
     upper: tuple[Pair, ...]
     lower: tuple[Pair, ...]
     delta: float = field(init=False, repr=False, compare=False)
     columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    rows: list = field(init=False, repr=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         upper = tuple((float(a), float(A)) for a, A in self.upper)
@@ -54,7 +55,7 @@ class WrightSpec:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "delta", math.fsum(lB) - math.fsum(uA))
         object.__setattr__(self, "columns", (ua, uA, lb, lB))
-        object.__setattr__(self, "rows", [])
+        object.__setattr__(self, "_rows", [])
 
 
 def wright_delta(spec: WrightSpec) -> float:
@@ -77,10 +78,9 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
     OverflowError when the value is not finite in double precision, and
     TermCapError when the cap is reached before the tolerance.
 
-    One kernel call, fed the spec's term table (``WrightSpec.rows``): it
-    reads the rows, appends those this z needs next and sums in its own
-    loop (in C on the compiled backend), with the bits of a table-free
-    call.
+    One kernel call, fed the spec's cached term table: it reads the rows,
+    appends those this z needs next and sums in its own loop (in C on the
+    compiled backend), with the bits of a table-free call.
     """
     if spec.delta <= -1.0:
         raise ConvergenceError(
@@ -89,7 +89,7 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
         raise DomainError(f"wright argument must be finite, got {z!r}")
     check_tol(tol)
     value, err, terms, status = kernels.wright_series(*spec.columns, z, tol, term_cap,
-                                                      spec.rows)
+                                                      spec._rows)
     if status == 2:
         raise PoleError(
             f"upper parameter hits a gamma pole at term k={int(value)}")

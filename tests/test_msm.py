@@ -19,6 +19,7 @@ from bsfrac import (
     msm_quadrature,
     pathway_bs_closed_form,
     pathway_power_image,
+    wright,
 )
 
 import oracles
@@ -309,13 +310,19 @@ def _image_outcome(evaluate, x):
 
 
 @pytest.mark.parametrize("name", sorted(IMAGES))
-def test_image_evaluator_matches_value_at(name):
+def test_image_evaluator_matches_value_at(name, monkeypatch):
     # one image swept forward and back, its spec's term table shared by
-    # every x, against a fresh image (and table) per x
+    # every x, against a fresh image (and table) per x and against the
+    # kernel's table-free call, errors and messages included
     img = IMAGES[name]
 
     def fresh(x):
         return replace(img, spec=WrightSpec(img.spec.upper, img.spec.lower)).value_at(x)
 
     xs = IMAGE_XS + IMAGE_XS[::-1]
-    assert [_image_outcome(img.value_at, x) for x in xs] == [_image_outcome(fresh, x) for x in xs]
+    got = [_image_outcome(img.value_at, x) for x in xs]
+    assert got == [_image_outcome(fresh, x) for x in xs]
+    kernels = wright.kernels
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(
+        wright_series=lambda *args: kernels.wright_series(*args[:7])))
+    assert got == [_image_outcome(img.value_at, x) for x in xs]

@@ -1,7 +1,7 @@
 """Per-sweep tables of the S, Wright and 2F1 kernels, on both backends.
 
 ``bessel_struve_evaluator`` passes one table to every kernel call of a
-sweep, ``wright_eval`` a spec's own table (``WrightSpec.rows``) to every
+sweep, ``wright_eval`` a spec's own table (``WrightSpec._rows``) to every
 kernel call of the spec, and ``msm_quadrature`` one to every 2F1 call of
 an integral.  A table-fed call must return the bits of the one-shot
 call, whatever order the points fill the table in and however many

@@ -193,10 +193,19 @@ def _outcome(evaluate, z):
 
 
 def _table_free(spec, z, term_cap):
-    """The kernel's call without a table, as ``_outcome`` gives a value."""
+    """The kernel's call without a table, mapped to the outcome that
+    ``_outcome`` gives for ``wright_eval`` (z is finite here)."""
+    if spec.delta <= -1.0:
+        return ConvergenceError
     value, err, terms, status = wright.kernels.wright_series(*spec.columns, z, DEFAULT_TOL,
                                                              term_cap)
-    return tuple(map(repr, (value, err, terms, True))) if status == 0 else status
+    if status == 2:
+        return PoleError
+    if not math.isfinite(value):
+        return OverflowError
+    if status == 1:
+        return TermCapError
+    return tuple(map(repr, (value, err, terms, True)))
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -211,11 +220,9 @@ def test_evaluator_matches_wright_eval(upper, lower, zs, term_cap, rng):
     for z in zs:
         got = _outcome(lambda z: wright_eval(spec, z, DEFAULT_TOL, term_cap), z)
         fresh = WrightSpec(upper, lower)
-        assert not fresh.rows
+        assert not fresh._rows
         want = _outcome(lambda z: wright_eval(fresh, z, DEFAULT_TOL, term_cap), z)
-        assert got == want, (spec, z, term_cap)
-        if isinstance(got, tuple):
-            assert got == _table_free(spec, z, term_cap), (spec, z, term_cap)
+        assert got == want == _table_free(spec, z, term_cap), (spec, z, term_cap)
 
 
 def test_spec_identity_ignores_rows():
@@ -224,7 +231,7 @@ def test_spec_identity_ignores_rows():
     spec = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
     fresh = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
     wright_eval(spec, 3.0)
-    assert spec.rows and not fresh.rows
+    assert spec._rows and not fresh._rows
     assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
     assert "rows" not in repr(spec)
 
@@ -247,8 +254,8 @@ def test_evaluator_tabulates_each_term_once(monkeypatch):
     tables = _record_tables(monkeypatch)
     spec = WrightSpec(THEOREM_SPEC.upper, THEOREM_SPEC.lower)
     results = [wright_eval(spec, z) for z in linspace(-10.0, 10.0, 200)]
-    assert len(tables) == 200 and all(t is spec.rows for t in tables)
-    assert 0 < len(spec.rows) <= max(r.terms_used for r in results) + 1
+    assert len(tables) == 200 and all(t is spec._rows for t in tables)
+    assert 0 < len(spec._rows) <= max(r.terms_used for r in results) + 1
 
 
 def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
@@ -288,6 +295,6 @@ def test_evaluator_shared_by_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert spec.rows
+    assert spec._rows
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
