@@ -19,7 +19,6 @@ from .gammacore import SignedLogGamma, gamma_ratio, ln_gamma_signed, pochhammer
 from .series import (
     SeriesEval,
     bessel_first_kind,
-    bessel_struve_evaluator,
     bessel_struve_kernel,
     struve,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "UnknownSuiteError",
     "WrightSpec",
     "bessel_first_kind",
-    "bessel_struve_evaluator",
     "bessel_struve_kernel",
     "exp_sinh",
     "gamma_ratio",

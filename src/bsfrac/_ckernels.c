@@ -5,7 +5,8 @@
  * the last few ulps (libm and CPython's own gamma/lgamma may differ by one
  * ulp).  The contract comments live in the pure module; this file mirrors
  * it.  Build with -O2 -ffp-contract=off: a fused multiply-add would round
- * differently from the pure twin.
+ * differently from the pure twin.  The pure twin's order tables have no
+ * counterpart here: these sums cost about what reading a table back would.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -60,11 +61,11 @@ parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
 }
 
 /* parse_args for a kernel whose ``fmt`` arguments may be followed by a
- * table: *table is that argument, a borrowed reference of type ``type``,
- * or NULL where it is absent or None. */
+ * table: *table is that argument, a borrowed reference to a list, or NULL
+ * where it is absent or None. */
 static int
 parse_table_args(const char *name, PyObject *const *args, Py_ssize_t nargs, const char *fmt,
-                 void **out, PyTypeObject *type, PyObject **table)
+                 void **out, PyObject **table)
 {
     Py_ssize_t want = (Py_ssize_t)strlen(fmt);
     *table = NULL;
@@ -74,9 +75,9 @@ parse_table_args(const char *name, PyObject *const *args, Py_ssize_t nargs, cons
         return -1;
     }
     if (nargs > want && args[want] != Py_None) {
-        if (!PyObject_TypeCheck(args[want], type)) {
-            PyErr_Format(PyExc_TypeError, "%s() table must be a %s or None, not %.200s", name,
-                         type->tp_name, Py_TYPE(args[want])->tp_name);
+        if (!PyList_Check(args[want])) {
+            PyErr_Format(PyExc_TypeError, "%s() table must be a list or None, not %.200s", name,
+                         Py_TYPE(args[want])->tp_name);
             return -1;
         }
         *table = args[want];
@@ -341,19 +342,14 @@ bs_negative(double nu, double x, double tol, int cap)
     return series_result(value, bound, top + 1 + j, bound <= tol * fabs(value));
 }
 
-/* The optional table is checked to be a dict and otherwise ignored.  What
- * the pure twin keeps in it is a fraction of this kernel's time (about
- * 1 us a point on the benchmark's S rows), and reading the 2N b_n and
- * their bounds back as Python floats would cost about as much. */
 static PyObject *
 bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     double nu, u, tol, e, o, s, prev;
     int cap;
     long long k, n;
-    PyObject *table;
     void *out[] = {&nu, &u, &tol, &cap};
-    if (parse_table_args("bs_series", args, nargs, "dddi", out, &PyDict_Type, &table) < 0)
+    if (parse_args("bs_series", args, nargs, "dddi", out) < 0)
         return NULL;
     if (u == 0.0)
         return series_result(1.0, 0.0, 1, 1);
@@ -474,17 +470,12 @@ gamma_ratio_c(double n1, double n2, double d1, double d2)
     return sg * exp(acc);
 }
 
-/* The optional table is checked to be a dict and otherwise ignored, as
- * for bs_series.  A connection-route call recomputes its eight log-gammas,
- * about 0.7 us on a 2-vCPU x86-64 host; verify all makes about 5,000 such
- * calls, some 4 ms of its 0.1 s. */
 static PyObject *
 hyp2f1_kernel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     double a, b, c, z, wbar, t, scale, s, p1, p2, f1, f2;
-    PyObject *table;
     void *out[] = {&a, &b, &c, &z, &wbar};
-    if (parse_table_args("hyp2f1_kernel", args, nargs, "ddddd", out, &PyDict_Type, &table) < 0)
+    if (parse_args("hyp2f1_kernel", args, nargs, "ddddd", out) < 0)
         return NULL;
     if (a == 0.0 || b == 0.0 || z == 0.0)
         return PyFloat_FromDouble(1.0);
@@ -618,8 +609,7 @@ wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
                      "wright_series() takes 7 or 8 positional arguments (%zd given)", nargs);
         return NULL;
     }
-    if (parse_table_args("wright_series", args + 4, nargs - 4, "ddi", out, &PyList_Type, &rows)
-        < 0)
+    if (parse_table_args("wright_series", args + 4, nargs - 4, "ddi", out, &rows) < 0)
         return NULL;
     p = PySequence_Size(args[0]);
     if (p < 0)

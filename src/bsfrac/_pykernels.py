@@ -14,12 +14,12 @@ factorial denominator dominates).  The Bessel-Struve kernel at negative
 argument is the exception: a fixed number of positive terms, and a
 running bound on their rounding (``_bs_negative``).
 
-``bs_series``, ``wright_series`` and ``hyp2f1_kernel`` take an optional
-last argument, a table that a sweep of one order, one spec or one integral
-passes to every call: the kernel keeps in it what does not depend on the
-point, and reads it back at the next point.  A table-fed call returns the
-one-shot call's bits.  An entry, once made, holds what any call that
-reads it would compute, so threads may share a table.
+What ``bs_series`` and ``hyp2f1_kernel`` derive from their order alone
+(nu; a, b, c after the Pfaff transform) they keep in a one-slot module
+table, which a call at another order replaces; ``wright_series`` takes a
+spec's table as an optional last argument.  An entry holds what any call
+that reads it would compute, so a call's bits never depend on the calls
+before it, and threads may share a table.
 """
 
 from __future__ import annotations
@@ -121,48 +121,47 @@ def _bs_odd_prefactor(nu):
     return math.exp(la1 - la2 - _HALF_LN_PI)
 
 
-def bs_series(nu, u, tol, cap, table=None):
+# (nu, S table) of the last order, and (a, b, c, s, p1, p2) of the last 2F1
+# connection route, b after the Pfaff transform; NaN matches no order
+_bs_slot = (math.nan, {})
+_hyp2f1_slot = (math.nan, math.nan, math.nan, 0.0, 0.0, 0.0)
+
+
+def bs_series(nu, u, tol, cap):
     """Bessel-Struve kernel S_nu(u).
 
     Positive u sums the power series (interleaved even/odd chains) in plain
     doubles: all terms are positive.  At negative u that series alternates
     with exponentially large terms, so ``_bs_negative`` sums a series of
-    positive terms instead.
-
-    ``table``, a dict, is optional: a sweep of one nu passes the same one
-    to every call, and the kernel keeps in it what depends on nu alone:
-    the positive series' prefactor and step factors (``_bs_positive``) and
-    one b_n sequence of the negative-u series, the last N built
-    (``_bs_negative``).  A table-fed call returns the bits of a one-shot
-    call, whatever the table holds of earlier points, and threads may
-    share a table.
+    positive terms instead.  The slot's table holds what depends on nu.
     """
+    global _bs_slot
     if u == 0.0:
         return 1.0, 0.0, 1, 1
+    slot = _bs_slot
+    if slot[0] != nu:
+        slot = _bs_slot = (nu, {})
     if u > 0.0:
-        return _bs_positive(nu, u, tol, cap, table)
-    return _bs_negative(nu, -u, tol, cap, table)
+        return _bs_positive(nu, u, tol, cap, slot[1])
+    return _bs_negative(nu, -u, tol, cap, slot[1])
 
 
 def _bs_positive(nu, u, tol, cap, table):
     """S_nu(u) for u > 0.  The table keeps the odd chain's prefactor and,
     per step k, the numerator and denominator of each chain's factor, so
-    that a step runs the floating-point operations of the one-shot sum;
-    rows are added as points need them, each at its own index, so that
-    racing threads store equal rows."""
-    if table is None:
-        ch, rows = _bs_odd_prefactor(nu), None
-    else:
-        # racing threads may each make an entry: the first stored is kept
-        ch, rows = (table.get("positive")
-                    or table.setdefault("positive", (_bs_odd_prefactor(nu), [])))
+    that a step runs the floating-point operations of a fresh sum; rows
+    are added as points need them, each at its own index, so that racing
+    threads store equal rows."""
+    # racing threads may each make an entry: the first stored is kept
+    ch, rows = (table.get("positive")
+                or table.setdefault("positive", (_bs_odd_prefactor(nu), [])))
     uu = u * u
     half_tol = 0.5 * tol
     e = 1.0
     o = u * ch
     s = e + o
     prev = o
-    have = 0 if rows is None else len(rows)
+    have = len(rows)
     k = 0
     n = 2
     while n < cap:
@@ -173,9 +172,8 @@ def _bs_positive(nu, u, tol, cap, table):
             de = (2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0)
             ho = k + 1.0
             do = (2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5)
-            if rows is not None:
-                rows[k:k + 1] = ((he, de, ho, do),)
-                have = len(rows)
+            rows[k:k + 1] = ((he, de, ho, do),)
+            have = len(rows)
         e *= uu * he / de
         o *= uu * ho / do
         k += 1
@@ -223,10 +221,9 @@ def _bs_negative(nu, x, tol, cap, table):
     sum is the exact limit e^-x.
 
     The b_n and their bounds depend on nu and N alone (``_bs_sequence``):
-    a table keeps one sequence, under its N, and a point of another N
-    replaces it.  N grows with x, so a monotone sweep builds each N's
-    sequence once; any other order, or racing threads, at worst build it
-    once a point, as a one-shot call does.
+    the table keeps the sequence of the last N, and N grows with x, so a
+    monotone sweep builds each N's sequence once; any other order, or
+    racing threads, at worst build it once a point.
     """
     a = nu + 0.5
     if a == 0.0:
@@ -238,13 +235,12 @@ def _bs_negative(nu, x, tol, cap, table):
     if not top < cap:  # NaN too
         return 0.0, math.inf, 0, 0
     top = int(top)
-    seq = None if table is None else table.get("negative")
+    seq = table.get("negative")
     if seq is None or seq[0] != top:
         seq = _bs_sequence(nu, a, top, cap)
         if seq is None:
             return 0.0, math.inf, cap, 0
-        if table is not None:
-            table["negative"] = seq
+        table["negative"] = seq
     _, bs, errs, j = seq
     # the start series stops at its j-th term, and N + j counts against cap
     if top + j > cap:
@@ -411,7 +407,7 @@ def _gamma_ratio_d(n1, n2, d1, d2):
     return s1 * s2 * s3 * s4 * math.exp(l1 + l2 - l3 - l4)
 
 
-def hyp2f1_kernel(a, b, c, z, wbar, table=None):
+def hyp2f1_kernel(a, b, c, z, wbar):
     """2F1 for quadrature integrands: full real axis z < 1.
 
     ``wbar`` is 1-z, passed exactly where z is close to 1 so that the small
@@ -420,14 +416,9 @@ def hyp2f1_kernel(a, b, c, z, wbar, table=None):
     connection formula in powers of 1-z for z > 0.75 (requires c-a-b away
     from integers), Pfaff transform for z < 0, ahead of either.  A
     connection coefficient whose denominator holds Gamma at a pole (c-a,
-    c-b, a or b an exact nonpositive integer) is 0.0.
-
-    ``table``, a dict, is optional: the quadrature of one integral passes
-    the same one to every call, and the kernel keeps in it each route's
-    ``(s, p1, p2)``, s = c-a-b and the two coefficients, keyed by b after
-    the Pfaff transform.  One table serves one (a, b, c); a table-fed call
-    returns the bits of a one-shot call, and threads may share a table.
+    c-b, a or b an exact nonpositive integer) is 0.0, and the slot keeps them.
     """
+    global _hyp2f1_slot
     if a == 0.0 or b == 0.0 or z == 0.0:
         return 1.0
     if z < 0.0:
@@ -442,13 +433,12 @@ def hyp2f1_kernel(a, b, c, z, wbar, table=None):
             wbar = 1.0 - z
     if z <= 0.75:
         return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
-    coeffs = None if table is None else table.get(b)
-    if coeffs is None:
+    slot = _hyp2f1_slot
+    if slot[0] != a or slot[1] != b or slot[2] != c:
         s = c - a - b
-        coeffs = s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b)
-        if table is not None:
-            table[b] = coeffs
-    s, p1, p2 = coeffs
+        slot = _hyp2f1_slot = (a, b, c, s, _gamma_ratio_d(c, s, c - a, c - b),
+                               _gamma_ratio_d(c, -s, a, b))
+    s, p1, p2 = slot[3:]
     f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
     f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
     return scale * (p1 * f1 + wbar ** s * p2 * f2)

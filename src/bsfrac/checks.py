@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable
 
 from . import __version__ as _version
-from .errors import UnknownSuiteError
+from .errors import DomainError, UnknownSuiteError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio
 from .msm import (
     FunctionKind,
@@ -44,7 +44,14 @@ from .pathway import (
     pathway_quadrature,
 )
 from .quadrature import exp_sinh, tanh_sinh
-from .series import TERM_CAP, bessel_first_kind, bessel_struve_kernel, linspace, struve
+from .series import (
+    TERM_CAP,
+    bessel_first_kind,
+    bessel_struve_kernel,
+    check_limits,
+    linspace,
+    struve,
+)
 from .wright import WrightSpec, wright_delta, wright_eval
 
 DEFAULT_TOLERANCES = {
@@ -100,22 +107,31 @@ class Config:
 
     @classmethod
     def load(cls, path: str | None = None, seed_grid: str | None = None) -> "Config":
+        """The defaults, updated from JSON files; ValueError on a file that
+        is not JSON, DomainError on one of the wrong shape or term cap."""
         cfg = cls()
         if path is not None:
             with open(path) as fh:
-                raw = json.load(fh)
-            cfg.tolerances.update(raw.get("tolerances", {}))
-            cfg.grids.update(raw.get("grids", {}))
-            cfg.term_cap = int(raw.get("term_cap", cfg.term_cap))
+                raw = _json_object(json.load(fh), "a config file")
+            cfg.tolerances.update(_json_object(raw.get("tolerances", {}), "tolerances"))
+            cfg.grids.update(_json_object(raw.get("grids", {}), "grids"))
+            cfg.term_cap = raw.get("term_cap", cfg.term_cap)
+            check_limits(term_cap=cfg.term_cap)
         if seed_grid is not None:
             with open(seed_grid) as fh:
-                cfg.grids.update(json.load(fh))
+                cfg.grids.update(_json_object(json.load(fh), "a seed-grid file"))
         return cfg
 
     def echo(self) -> dict:
         return {"tolerances": dict(self.tolerances),
                 "grids": dict(self.grids),
                 "term_cap": self.term_cap}
+
+
+def _json_object(value, what: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise DomainError(f"{what} must hold a JSON object, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)

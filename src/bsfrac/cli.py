@@ -26,7 +26,7 @@ from .series import (
     _SPECIAL_NU,
     SeriesEval,
     bessel_first_kind,
-    bessel_struve_evaluator,
+    bessel_struve_kernel,
     linspace,
     struve,
 )
@@ -134,7 +134,7 @@ def _evaluator(function: str, opts: dict):
         return density_at
     if function == "S":
         _require(opts, ["nu"])
-        return bessel_struve_evaluator(opts["nu"])
+        return partial(bessel_struve_kernel, opts["nu"])
     if function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
         fn = bessel_first_kind if function in ("J", "I") else struve
@@ -283,7 +283,10 @@ def verify_cmd(ctx, suite):
     if suite not in SUITES:
         raise click.UsageError(
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}")
-    cfg = Config.load(ctx.obj["config_path"], ctx.obj["seed_grid"])
+    try:
+        cfg = Config.load(ctx.obj["config_path"], ctx.obj["seed_grid"])
+    except ValueError as exc:  # not JSON, or not a config's shape
+        raise click.UsageError(f"bad config: {exc}") from exc
     report = run_suite(suite, tolerance_override=ctx.obj["tol"], config=cfg)
     doc = report.to_dict()
     for check in doc["checks"]:

@@ -239,10 +239,8 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     distances.
 
     The integrand is built once per integral: the exponents and the kernel
-    order are fixed before the first node, every 2F1 call gets the same
-    table (``kernels.hyp2f1_kernel`` keeps its connection coefficients
-    there), and the 2F1 factor is left out when the collapse makes it
-    identically one.
+    order are fixed before the first node, and the 2F1 factor is left out
+    when the collapse makes it identically one.
     """
     if not x > 0.0:
         raise DomainError(f"operators are defined for x > 0, got x={x!r}")
@@ -268,7 +266,6 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     gm1 = p.gamma - 1.0
     c_ = p.gamma
     hyp2f1 = None if gap is None else kernels.hyp2f1_kernel
-    table = {}  # the 2F1's connection coefficients, shared by every node
     lam, nu = kind.lam, kind.nu
     bs_series = kernels.bs_series if kind.family != "monomial" else None
 
@@ -278,7 +275,7 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
             if gm1 != 0.0:
                 val *= db ** gm1
             if hyp2f1 is not None:
-                val *= hyp2f1(a_, b_, c_, db / x, da / x, table)
+                val *= hyp2f1(a_, b_, c_, db / x, da / x)
             if bs_series is not None:
                 val *= bs_series(nu, lam * da, 1e-15, TERM_CAP)[0]
             return val
@@ -290,7 +287,7 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
             if gm1 != 0.0:
                 val *= d ** gm1
             if hyp2f1 is not None:
-                val *= hyp2f1(a_, b_, c_, -d / x, 0.0, table)
+                val *= hyp2f1(a_, b_, c_, -d / x, 0.0)
             if bs_series is not None:
                 val *= bs_series(nu, lam / t, 1e-15, TERM_CAP)[0]
             return val

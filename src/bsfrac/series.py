@@ -9,6 +9,7 @@ the Wright series live in ``wright``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from ._backend import kernels
@@ -17,6 +18,7 @@ from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _TINY, _U
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
+MAX_TERM_CAP = 2**31 - 1  # the largest C int
 # integrand families that pin the kernel order, named by what S_nu(t)
 # becomes there; ``msm.FunctionKind`` and the CLI's ``--kind`` read them
 _SPECIAL_NU = {
@@ -36,11 +38,14 @@ def linspace(start: float, stop: float, count: int) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def check_tol(tol: float):
+def check_limits(tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP):
     """Reject a tolerance no series can meet (zero, negative or NaN)
-    before it burns the whole term cap."""
+    before it burns the whole term cap, and a term cap that is not an int
+    in [1, 2**31 - 1]: the compiled kernels take it as a C int."""
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if type(term_cap) is not int or not 1 <= term_cap <= MAX_TERM_CAP:
+        raise DomainError(f"term cap must be an integer in [1, {MAX_TERM_CAP}], got {term_cap!r}")
 
 
 class SeriesEval(NamedTuple):
@@ -51,8 +56,8 @@ class SeriesEval(NamedTuple):
     the whole bound (for S at u < 0) does not exceed ``tol * |value|`` for
     the requested relative tolerance.  For the Wright series the bound is
     the tail estimate alone.
-    Identical inputs always produce bit-identical results, whether a
-    function is called once or through a sweep's evaluator.
+    Identical inputs always produce bit-identical results, whatever was
+    evaluated before.
 
     A NamedTuple, because it is built once per evaluation and a tuple is
     the cheapest immutable record.  Read its fields by name and do not
@@ -98,51 +103,24 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     (``_bs_positive_rounding``) to the tail estimate, and ``converged``
     tests the tail estimate alone, as for I and L.
 
-    One kernel call per point: the path for a single point.  A sweep of
-    one order over many points uses ``bessel_struve_evaluator``.
+    One kernel call per point: a sweep of one order reuses the pure
+    kernel's table of that order.
     """
-    return _bessel_struve(nu, u, tol, term_cap, None, None)
-
-
-def bessel_struve_evaluator(nu: float, tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP):
-    """``u -> bessel_struve_kernel(nu, u, tol, term_cap)``, bit for bit, for
-    a sweep of one order over many points.
-
-    The evaluator owns a table and passes it to every ``kernels.bs_series``
-    call; the pure kernel keeps in it what depends on nu alone: the
-    positive series' prefactor and step factors, and one b_n sequence of
-    the negative-u series, that of the last length N built.  N grows with
-    |u|, so a monotone sweep builds each N's sequence once, and any other
-    order at worst once a point.  The compiled kernel ignores the table,
-    as its own sums cost about what reading the table back would.  A shared
-    evaluator is safe across threads.  The CLI's ``eval`` and ``table``
-    take this path.  The u-free part of the rounding bound at u > 0 is
-    computed with the table, once.
-    """
-    table = {}
-    units = _bs_prefactor_units(nu) if nu > -1.0 else None
-    return lambda u: _bessel_struve(nu, u, tol, term_cap, table, units)
-
-
-def _bessel_struve(nu: float, u: float, tol: float, term_cap: int, table,
-                   units) -> SeriesEval:
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     if not math.isfinite(u):
         raise DomainError("kernel argument must be finite")
-    check_tol(tol)
+    check_limits(tol, term_cap)
     if u > 600.0 and _log_peak_term(nu, u) > _LOG_OVERFLOW:
         value = math.inf  # summing would only burn the term cap
     else:
-        value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap, table)
+        value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
     if not math.isfinite(value):
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     # never report convergence the estimate does not support
     converged = bool(ok) and err <= tol * max(abs(value), 5e-324)
     if u > 0.0:
-        if units is None:
-            units = _bs_prefactor_units(nu)
-        err += _bs_positive_rounding(value, terms, units)
+        err += _bs_positive_rounding(value, terms, _bs_prefactor_units(nu))
     return SeriesEval(value, err, terms, converged)
 
 
@@ -152,9 +130,10 @@ def _gamma_units(a: float) -> float:
     return (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, abs(math.lgamma(a))) + a * abs(math.log(a)) + 1.0
 
 
+@lru_cache(maxsize=1)
 def _bs_prefactor_units(nu: float) -> float:
     """The relative error, in units of u, of the odd chain's first term
-    u * Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)): it depends on nu alone.
+    u * Gamma(nu+1)/(sqrt(pi) Gamma(nu+3/2)), kept for the last nu.
 
     Where 2 nu is an integer and |nu| < 90, the kernel's exact branch of
     ``_bs_odd_prefactor`` forms the prefactor by rational recurrences in
@@ -255,12 +234,11 @@ def bessel_first_kind(v: float, z: float, modified: bool = False,
         raise DomainError(f"order must satisfy v > -1, got {v!r}")
     if z < 0.0 or not math.isfinite(z):
         raise DomainError("argument must be finite and nonnegative")
-    check_tol(tol)
+    check_limits(tol, term_cap)
     if z == 0.0:
-        if v == 0.0:
-            return SeriesEval(1.0, 0.0, 1, True)
-        value = 0.0 if v > 0.0 else math.inf
-        return SeriesEval(value, 0.0, 1, True)
+        if v >= 0.0:
+            return SeriesEval(1.0 if v == 0.0 else 0.0, 0.0, 1, True)
+        return SeriesEval(math.inf, math.inf, 1, False)
     return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, v, (v + 1.0,),
                         (1.0, v + 1.0))
 
@@ -272,7 +250,7 @@ def struve(v: float, z: float, modified: bool = False,
         raise DomainError(f"order must satisfy v > -3/2, got {v!r}")
     if z < 0.0 or not math.isfinite(z):
         raise DomainError("argument must be finite and nonnegative")
-    check_tol(tol)
+    check_limits(tol, term_cap)
     if z == 0.0:
         if v > -1.0:
             return SeriesEval(0.0, 0.0, 1, True)
@@ -280,6 +258,6 @@ def struve(v: float, z: float, modified: bool = False,
             # prefactor power hits zero: only the k=0 term survives
             value = 1.0 / (math.gamma(1.5) * math.gamma(0.5))
             return SeriesEval(value, 0.0, 1, True)
-        return SeriesEval(math.inf, 0.0, 1, True)
+        return SeriesEval(math.inf, math.inf, 1, False)
     return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap,
                         v + 1.0, (1.5, v + 1.5), (1.5, v + 1.5))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from ._backend import kernels
 from .errors import ConvergenceError, DomainError, PoleError, TermCapError
-from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, check_tol
+from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, check_limits
 
 Pair = tuple[float, float]
 MAX_PAIRS = kernels.MAX_PAIRS  # the most upper pairs, and lower ones, a kernel takes
@@ -87,7 +87,7 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
             f"wright series diverges: delta={spec.delta!r} must exceed -1")
     if not math.isfinite(z):
         raise DomainError(f"wright argument must be finite, got {z!r}")
-    check_tol(tol)
+    check_limits(tol, term_cap)
     value, err, terms, status = kernels.wright_series(*spec.columns, z, tol, term_cap,
                                                       spec._rows)
     if status == 2:

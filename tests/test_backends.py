@@ -293,14 +293,21 @@ def test_tracer_contract_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_tracer.py")
 
 
+def test_config_errors_on_compiled_backend(compiled_pkg):
+    # the config checks, and the largest term cap a C int holds
+    _pytest_on_compiled(compiled_pkg, "tests/test_cli.py", "-k", "config")
+
+
 def test_acceptance_suite_on_compiled_backend(compiled_pkg):
     _pytest_on_compiled(compiled_pkg, "tests/test_acceptance.py")
 
 
 # A seeded sweep of every kernel of a build under UBSan, in a child: one
 # undefined operation (an out-of-range cast, a signed overflow, a bad
-# shift) aborts it.  Table-fed calls must give the one-shot bits, and the
-# results must match the pure twin's.
+# shift) aborts it.  A call's bits must not depend on the calls before it:
+# a shuffled sweep that interleaves orders (and a spec's table-fed Wright
+# calls) must give the bits of the same call made right after a call at
+# another order; and the results must match the pure twin's.
 UBSAN_SWEEP = r"""
 import math, random
 from bsfrac import _backend, _ckernels as ck, _pykernels as pk
@@ -331,34 +338,45 @@ for x in floats(300, -170.0, 170.0) + SPECIAL + [-(2.0 ** k) - 0.5 for k in rang
         if -x <= 170.0 and not pk.near_nonpositive_int(x):
             assert sg == pk.lgamma_sign(x)[1] and close(la, pk.lgamma_sign(x)[0], 1e-12), x
 
-for nu in [-0.9, -0.5, 0.0, 0.25, 0.5, 2.3, 7.0, 9.7, 40.0, 89.0, 89.5, 1e300] + floats(4, -0.99, 30.0):
-    us = floats(40, -60.0, 60.0) + [-1000.0, 650.0] + SPECIAL
-    for cap in (10000, 60, 1, 0, -5):
-        table = {}
-        for u in us:
-            calls += 2
-            one = ck.bs_series(nu, u, 1e-14, cap)
-            assert bits(ck.bs_series(nu, u, 1e-14, cap, table)) == bits(one), (nu, u, cap)
-            if cap == 10000 and -60.0 <= u <= 60.0 and (nu < 50.0 or nu in (89.0, 89.5)):
-                calls += 1
-                want = pk.bs_series(nu, u, 1e-14, cap)
-                # the generic-order prefactor goes through each backend's gamma
-                assert one[2:] == want[2:] and close(one[0], want[0], 1e-12), (nu, u)
+def fresh(kernel, *args):
+    # kernel(*args) right after a call at another order
+    kernel(0.375 if args[0] == 0.125 else 0.125, *args[1:])
+    return kernel(*args)
 
+sweep = [(nu, u, cap)
+         for nu in [-0.9, -0.5, -0.0, 0.0, 0.25, 0.5, 2.3, 7.0, 9.7, 40.0, 89.0, 89.5, 1e300]
+         + floats(4, -0.99, 30.0)
+         for u in floats(40, -60.0, 60.0) + [-1000.0, 650.0] + SPECIAL
+         for cap in (10000, 60, 1, 0, -5)]
+rng.shuffle(sweep)
+got = [ck.bs_series(nu, u, 1e-14, cap) for nu, u, cap in sweep]
+for (nu, u, cap), result in zip(sweep, got):
+    calls += 3
+    one = fresh(ck.bs_series, nu, u, 1e-14, cap)
+    assert bits(result) == bits(one), (nu, u, cap)
+    if cap == 10000 and -60.0 <= u <= 60.0 and (nu < 50.0 or nu in (89.0, 89.5)):
+        calls += 1
+        want = pk.bs_series(nu, u, 1e-14, cap)
+        # the generic-order prefactor goes through each backend's gamma
+        assert one[2:] == want[2:] and close(one[0], want[0], 1e-12), (nu, u)
+
+sweep = []
 for _ in range(150):
     v, z, m = rng.uniform(-0.9, 3.0), rng.choice(floats(1, 0.01, 30.0) + SPECIAL), rng.random() < 0.5
     for kernel in (ck.bessel_series, ck.struve_series):
         calls += 1
         kernel(v, z, m, 1e-15, rng.choice([10000, 5, 0]))
     a, b, c = rng.uniform(-2, 2), rng.choice([rng.uniform(-2, 2), -1.0, -2.0]), rng.uniform(-3, 3)
-    table = {}
     for w in [rng.uniform(-50, 0.9), rng.uniform(0.75, 1.0), 1 - 1e-9, -1e300, math.nan]:
-        calls += 2
-        one = ck.hyp2f1_kernel(a, b, c, w, 1.0 - w)
-        assert repr(ck.hyp2f1_kernel(a, b, c, w, 1.0 - w, table)) == repr(one), (a, b, c, w)
+        sweep.append((a, b, c, w, 1.0 - w))
     calls += 1
     ck.f3_series(a, b, c, a, abs(c) + 0.5, rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
                  1e-13, rng.choice([10000, 3]))
+rng.shuffle(sweep)
+got = [ck.hyp2f1_kernel(*args) for args in sweep]
+for args, result in zip(sweep, got):
+    calls += 3
+    assert repr(result) == repr(fresh(ck.hyp2f1_kernel, *args)), args
 
 COEFFS = [0.0, -1.0, -2.0, -0.5, 0.5, 1.0, 1.2, -3.0, -1e300, 1e300]
 def pairs():
@@ -378,13 +396,15 @@ for z in (-2.0, 0.0, 0.3, 1.7, 25.0):
     calls += 1
     vc, vp = ck.wright_series(ua, uA, lb, lB, z, 1e-14, 10000), pk.wright_series(ua, uA, lb, lB, z, 1e-14, 10000)
     assert vc[2:] == vp[2:] and close(vc[0], vp[0])
-calls += 1
-try:
-    ck.hyp2f1_kernel(0.3, 0.4, 1.2, 0.9, 0.1, [])
-except TypeError:
-    pass
-else:
-    raise AssertionError("hyp2f1_kernel took a list as its table")
+for kernel, args in ((ck.bs_series, (0.25, -3.0, 1e-14, 10000)),
+                     (ck.hyp2f1_kernel, (0.3, 0.4, 1.2, 0.9, 0.1))):
+    calls += 1
+    try:
+        kernel(*args, {})
+    except TypeError:
+        pass
+    else:
+        raise AssertionError(f"{kernel.__name__} took a table")
 print(calls)
 """
 

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from bsfrac import PoleError, UnknownSuiteError
+from bsfrac import DomainError, PoleError, UnknownSuiteError
 from bsfrac.checks import (
     CHECKS,
     SUITES,
@@ -99,6 +99,18 @@ def test_config_file_roundtrip(tmp_path):
     rep = run_suite("kernel-identities", config=cfg).to_dict()
     e1 = next(c for c in rep["checks"] if c["id"] == "e1")
     assert e1["n_points"] == 5
+
+
+@pytest.mark.parametrize("raw", [[], {"term_cap": 2**31}, {"term_cap": "500"},
+                                 {"term_cap": 500.0}, {"grids": []}, {"tolerances": 1e-6}])
+def test_config_refuses_a_wrong_shape(tmp_path, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(DomainError):
+        Config.load(str(cfg_path))
+    if isinstance(raw, list):  # a seed-grid file too must hold an object
+        with pytest.raises(DomainError):
+            Config.load(None, str(cfg_path))
 
 
 def test_seed_grid_override(tmp_path):

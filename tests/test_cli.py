@@ -88,6 +88,15 @@ def test_eval_non_finite_value_is_numerical_error():
     assert "not finite" in res.stderr
 
 
+@pytest.mark.parametrize("function, nu", [("J", "-0.5"), ("H", "-1.2"), ("L", "-1.2")])
+def test_eval_infinite_value_at_zero_is_numerical_error(function, nu):
+    # once printed with a zero bound as a converged value
+    res = _run("eval", function, "--nu", nu, "--x", "0")
+    assert res.exit_code == 1
+    assert res.stdout == "value,abs_error_est,terms_used\ninf,inf,1\n"
+    assert "not finite" in res.stderr
+
+
 def test_eval_kernel_overflow_is_numerical_error():
     # reported like wright: no row, exit 1, the library message on stderr
     res = _run("eval", "S", "--nu", "0.25", "--x", "800")
@@ -275,6 +284,47 @@ def test_verify_seed_grid(tmp_path):
     assert doc["checks"][0]["n_points"] == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"term_cap": "abc"}', "term cap must be an integer in [1, 2147483647], got 'abc'"),
+    ('{"term_cap": 3000000000}', "term cap must be an integer"),
+    ('{"term_cap": 0}', "term cap must be an integer"),
+    ('{"term_cap": 500.0}', "term cap must be an integer"),
+    ('{"term_cap": true}', "term cap must be an integer"),
+    ("[1, 2]", "a config file must hold a JSON object, not list"),
+    ('{"tolerances": [1e-6]}', "tolerances must hold a JSON object, not list"),
+    ('{"grids": 3}', "grids must hold a JSON object, not int"),
+    ("{", "bad config: Expecting property name"),
+])
+def test_bad_config_is_usage_error(tmp_path, text, message):
+    # once a traceback and exit 1, and a term cap past the C int ran on the
+    # pure backend while the compiled one reported T1/T2 as ERROR
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    res = _run("--config", str(path), "verify", "msm-theorems")
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"grids"', "nope"])
+def test_bad_seed_grid_config_is_usage_error(tmp_path, text):
+    path = tmp_path / "grids.json"
+    path.write_text(text)
+    res = _run("--seed-grid", str(path), "verify", "kernel-identities")
+    assert res.exit_code == 2, res.output
+    assert "Error: bad config: " in res.stderr
+
+
+def test_config_term_cap_limits(tmp_path):
+    for cap in (1, 2**31 - 1):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"term_cap": cap}))
+        res = _run("--format", "json", "--config", str(path), "verify", "msm-theorems")
+        assert json.loads(res.stdout)["config"]["term_cap"] == cap
+        # one term is too few for the Wright images
+        assert res.exit_code == (1 if cap == 1 else 0), res.output
+
+
 def test_verify_threads_matches_serial():
     a = _run("--format", "json", "verify", "msm-lemmas")
     b = _run("--format", "json", "--threads", "3", "verify", "msm-lemmas")
@@ -408,6 +458,10 @@ SWEEP_ERRORS = [
      "Error: images are defined for x > 0, got x=0.0"),
     (("table", "pathway", "--x=-1:1:3", *_PATHWAY, "--rho", "1.1"), 2, True,
      "Error: images are defined for x > 0, got x=-1.0"),
+    (("eval", "J", "--nu", "-0.5", "--x", "0"), 1, False,
+     "Error: J at x=0.0 is not finite in double precision"),
+    (("table", "H", "--nu", "-1.2", "--x", "0:1:3"), 1, False,
+     "Error: H is not finite in double precision at 1 point(s), first x=0.0"),
 ]
 
 

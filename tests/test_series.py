@@ -177,6 +177,41 @@ def test_bad_order_and_tolerance_rejected_up_front(fn):
             fn(0.25, 1.0, tol=tol)
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def on_backend(request, monkeypatch):
+    """Install one backend's kernels in the series and Wright modules."""
+    from bsfrac import series, wright
+
+    kernels = _pykernels if request.param == "pure" else request.getfixturevalue("ck")
+    monkeypatch.setattr(series, "kernels", kernels)
+    monkeypatch.setattr(wright, "kernels", kernels)
+    return kernels
+
+
+def _wright(nu, z, **kwargs):
+    from bsfrac import WrightSpec, wright_eval
+
+    return wright_eval(WrightSpec(((1.0, 1.0),), ((nu + 1.0, 1.0),)), z, **kwargs)
+
+
+@pytest.mark.parametrize("fn", [bessel_struve_kernel, bessel_first_kind, struve, _wright])
+def test_bad_term_cap_rejected_up_front(fn, on_backend):
+    # the compiled kernels take the cap as a C int: past it they raised a
+    # bare OverflowError where the pure ones summed on
+    for term_cap in (0, -1, 2**31, 3_000_000_000, 1.5, True, "10", None):
+        with pytest.raises(DomainError, match="term cap"):
+            fn(0.25, 1.0, term_cap=term_cap)
+    assert fn(0.25, 1.0, term_cap=2**31 - 1) == fn(0.25, 1.0)
+
+
+@pytest.mark.parametrize("fn, v", [(bessel_first_kind, -0.5), (struve, -1.2)])
+def test_infinite_value_at_zero_is_not_converged(fn, v, on_backend):
+    # J_v(0) for -1 < v < 0 and H_v(0) for v < -1 are infinite: the bound
+    # is infinite too, and the value is not converged
+    for modified in (False, True):
+        assert fn(v, 0.0, modified=modified) == SeriesEval(math.inf, math.inf, 1, False)
+
+
 def test_two_over_pi_is_correctly_rounded():
     # the integer-order prefactor starts from 2/pi: a double-double whose
     # high word is 2/pi rounded and whose low word is the remainder rounded

@@ -1,11 +1,14 @@
-"""Per-sweep tables of the S, Wright and 2F1 kernels, on both backends.
+"""The kernels' order tables and the Wright spec's table, on both backends.
 
-``bessel_struve_evaluator`` passes one table to every kernel call of a
-sweep, ``wright_eval`` a spec's own table (``WrightSpec._rows``) to every
-kernel call of the spec, and ``msm_quadrature`` one to every 2F1 call of
-an integral.  A table-fed call must return the bits of the one-shot
-call, whatever order the points fill the table in and however many
-threads share it; the compiled kernels must refuse a malformed table.
+The pure ``bs_series`` and ``hyp2f1_kernel`` keep what they derive from
+their order alone (nu; a, b, c after the Pfaff transform) in a one-slot
+module table for the last order seen, and ``wright_eval`` passes a spec's
+own table (``WrightSpec._rows``) to every kernel call of the spec.  A
+call's bits must not depend on the calls before it: each is compared with
+the same call made right after a call at another order, which empties the
+slot, whatever order the points come in, however the orders interleave
+and however many threads share the slot.  The compiled twin keeps no
+slot, and both twins refuse a table argument to these two kernels.
 tests/test_wright.py checks the Wright spec's table the same way.
 """
 
@@ -16,17 +19,14 @@ import threading
 
 import pytest
 
-from bsfrac import (
-    BsfracError,
-    bessel_struve_evaluator,
-    bessel_struve_kernel,
-)
+from bsfrac import BsfracError, bessel_struve_kernel
 from bsfrac import _pykernels as pk
 from bsfrac import series
 
 import oracles
 
-NUS = [-0.9, -0.5, 0.0, 0.25, 0.5, 1.0, 2.3, 9.7, 40.0]
+NUS = [-0.9, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.3, 9.7, 40.0]
+OTHER_NU = 7.125  # an order no test sweeps: a call at it empties the slot
 # from -1000 to 700: both signs of zero, subnormals, the start of each
 # route, the bench's grid and the u > 600 overflow guard
 US = ([-1000.0, -999.5, -300.0, -47.25, -20.0, -5e-324, -0.0, 0.0, 5e-324, 1e-310,
@@ -42,40 +42,67 @@ def kernels(request, monkeypatch):
     return module
 
 
-def _outcome(evaluate, x):
+def _outcome(evaluate, *args):
     """Every field of the result, bit for bit, or the error class."""
     try:
-        return tuple(map(repr, evaluate(x)))
+        result = evaluate(*args)
     except (BsfracError, ArithmeticError) as exc:
         return type(exc)
+    return tuple(map(repr, result)) if isinstance(result, tuple) else repr(result)
+
+
+def _fresh(evaluate, order, *args):
+    """``evaluate(order, *args)`` right after a call at another order,
+    which empties the slot."""
+    _outcome(evaluate, order + 1.5, *args)
+    return _outcome(evaluate, order, *args)
+
+
+def _kernel_at(cap):
+    return lambda nu, u: series.kernels.bs_series(nu, u, 1e-14, cap)
+
+
+def _in_threads(sweep, n=6):
+    """Run ``sweep(i)`` for i < n in n threads that switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 @pytest.mark.parametrize("nu", NUS)
 def test_s_table_returns_one_shot_bits(kernels, nu):
-    # one table for the whole sweep, filled in a shuffled order, at the
-    # kernel and through the evaluator (which adds the u > 600 guard)
-    us = US[:]
-    random.Random(repr(nu)).shuffle(us)
-    table = {}
-    for cap in (10_000, 60):
-        for u in us:
-            if u <= 600.0:
-                assert (kernels.bs_series(nu, u, 1e-14, cap, table)
-                        == kernels.bs_series(nu, u, 1e-14, cap)), (nu, u, cap)
-    evaluate = bessel_struve_evaluator(nu)
-    for u in us:
-        assert _outcome(evaluate, u) == _outcome(lambda u: bessel_struve_kernel(nu, u), u), u
+    # a shuffled sweep that interleaves this order with its neighbour in
+    # NUS (-0.0 with +0.0), at the kernel with two caps and through
+    # bessel_struve_kernel, which adds the u > 600 guard and the bound's
+    # memo: every call against the same call on an empty slot
+    other = NUS[NUS.index(nu) - 1]
+    calls = [(evaluate, v, u) for v in (nu, other) for u in US
+             for evaluate in (_kernel_at(10_000), _kernel_at(60), bessel_struve_kernel)
+             if u <= 600.0 or evaluate is bessel_struve_kernel]
+    random.Random(repr(nu)).shuffle(calls)
+    got = [_outcome(*call) for call in calls]
+    for call, outcome in zip(calls, got):
+        assert outcome == _fresh(*call), call[1:]
 
 
 def test_s_table_bits_do_not_depend_on_fill_order(kernels):
     us = oracles.linspace(-60.0, 60.0, 121)
     for nu in (0.25, 2.3):
-        want = [bessel_struve_kernel(nu, u) for u in us]
-        forward, backward = bessel_struve_evaluator(nu), bessel_struve_evaluator(nu)
-        assert [forward(u) for u in us] == want
-        assert [backward(u) for u in reversed(us)] == want[::-1]
-        # and again on the full tables
-        assert [backward(u) for u in us] == want == [forward(u) for u in us]
+        want = [_fresh(bessel_struve_kernel, nu, u) for u in us]
+        _outcome(bessel_struve_kernel, OTHER_NU, 1.0)
+        assert [_outcome(bessel_struve_kernel, nu, u) for u in us] == want
+        _outcome(bessel_struve_kernel, OTHER_NU, 1.0)
+        assert [_outcome(bessel_struve_kernel, nu, u) for u in reversed(us)] == want[::-1]
+        # and again on the full table
+        assert [_outcome(bessel_struve_kernel, nu, u) for u in us] == want
 
 
 def test_s_table_builds_each_sequence_once_in_a_monotone_sweep(monkeypatch):
@@ -93,34 +120,26 @@ def test_s_table_builds_each_sequence_once_in_a_monotone_sweep(monkeypatch):
     us = oracles.linspace(-60.0, -0.125, 479)
     lengths = {int(-u + 9.0 * math.sqrt(-u) + 25.0) for u in us}
     for sweep in (us, us[::-1]):
+        bessel_struve_kernel(OTHER_NU, 1.0)  # empties the slot
         built.clear()
-        evaluate = bessel_struve_evaluator(2.3)
         for u in sweep:
-            evaluate(u)
+            bessel_struve_kernel(2.3, u)
         assert sorted(built) == sorted(lengths), built
 
 
 def test_s_table_shared_by_threads(kernels):
-    # as test_wright.test_evaluator_shared_by_threads for the Wright table
-    us = oracles.linspace(-40.0, 40.0, 161)
-    want = [bessel_struve_kernel(2.3, u) for u in us]
-    evaluate = bessel_struve_evaluator(2.3)
+    # six threads, each alternating between two orders point by point, so
+    # that the slot changes hands at every call
+    us = oracles.linspace(-40.0, 40.0, 81)
+    points = [(nu, u) for u in us for nu in (2.3, 0.25)]
+    want = [_fresh(bessel_struve_kernel, nu, u) for nu, u in points]
     results = {}
 
     def sweep(i):
-        results[i] = [evaluate(u) for u in (us if i % 2 else us[::-1])]
+        ordered = points if i % 2 else points[::-1]
+        results[i] = [_outcome(bessel_struve_kernel, nu, u) for nu, u in ordered]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _in_threads(sweep)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
 
@@ -146,53 +165,42 @@ HYP2F1_POINTS = ([(z, 1.0 - z) for z in (0.3, 0.75, 0.76, 0.9, 1.0 - 1e-8)]
                  + [(z, 0.0) for z in (-0.1, -3.0, -1e6)])
 
 
-def _hyp2f1_bits(kernels, a, b, c, points, *table):
-    return [repr(kernels.hyp2f1_kernel(a, b, c, z, wbar, *table)) for z, wbar in points]
+def _hyp2f1(a, b, c, z, wbar):
+    return series.kernels.hyp2f1_kernel(a, b, c, z, wbar)
 
 
 def test_2f1_table_returns_one_shot_bits(kernels):
-    # one table per (a, b, c), as one integral uses it: filled in the
-    # points' order and read back, and filled in a shuffled order
+    # every point of every (a, b, c) in one shuffled sweep, so that the
+    # orders interleave, against the same call on an empty slot
     sets = _collapsed_2f1_sets()
     assert any(a * b != 0.0 for a, b, _ in sets) and any(a * b == 0.0 for a, b, _ in sets)
-    rng = random.Random(31)
-    for a, b, c in sets:
-        want = _hyp2f1_bits(kernels, a, b, c, HYP2F1_POINTS)
-        shared = {}
-        for _ in range(2):
-            assert _hyp2f1_bits(kernels, a, b, c, HYP2F1_POINTS, shared) == want, (a, b, c)
-        order = list(range(len(HYP2F1_POINTS)))
-        rng.shuffle(order)
-        reordered = {}
-        got = _hyp2f1_bits(kernels, a, b, c, [HYP2F1_POINTS[i] for i in order], reordered)
-        assert got == [want[i] for i in order], (a, b, c, order)
-        assert reordered == shared
-        # the pure twin keeps one entry per connection route: b, and c - b
-        # after the Pfaff transform; the compiled one keeps none
-        assert set(shared) == (set() if kernels is not pk or a * b == 0.0 else {b, c - b})
+    calls = [(a, b, c, z, wbar) for a, b, c in sets for z, wbar in HYP2F1_POINTS]
+    random.Random(31).shuffle(calls)
+    got = [_outcome(_hyp2f1, *call) for call in calls]
+    for call, outcome in zip(calls, got):
+        assert outcome == _fresh(_hyp2f1, *call), call
+    # the pure slot keeps the last connection route's (a, b, c), b after
+    # the Pfaff transform
+    for a, b, c in sets if kernels is pk else ():
+        if a * b != 0.0:
+            pk.hyp2f1_kernel(a, b, c, -1e6, 0.0)
+            assert pk._hyp2f1_slot[:3] == (a, c - b, c)
 
 
 def test_2f1_table_shared_by_threads(kernels):
-    points = [(z, 1.0 - z) for z in oracles.linspace(0.76, 0.99, 24)]
-    points += [(z, 0.0) for z in oracles.linspace(-40.0, -3.5, 24)]
-    want = _hyp2f1_bits(kernels, 0.3, 0.45, 1.1, points)
-    table, results = {}, {}
+    zs = [(z, 1.0 - z) for z in oracles.linspace(0.76, 0.99, 24)]
+    zs += [(z, 0.0) for z in oracles.linspace(-40.0, -3.5, 24)]
+    # six threads, each alternating between two orders point by point
+    points = [(a, b, c, z, wbar) for z, wbar in zs for a, b, c in ((0.3, 0.45, 1.1),
+                                                                   (0.6, 0.2, 1.7))]
+    want = [_fresh(_hyp2f1, *point) for point in points]
+    results = {}
 
     def sweep(i):
         ordered = points if i % 2 else points[::-1]
-        results[i] = _hyp2f1_bits(kernels, 0.3, 0.45, 1.1, ordered, table)
+        results[i] = [_outcome(_hyp2f1, *point) for point in ordered]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _in_threads(sweep)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
 
@@ -241,24 +249,17 @@ def test_compiled_kernel_refuses_a_malformed_wright_table(ck, rows):
         ck.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, rows)
 
 
-@pytest.mark.parametrize("table", [[], (), 0.0, "table"], ids=repr)
-def test_compiled_kernel_refuses_a_malformed_s_table(ck, table):
+@pytest.mark.parametrize("table", [[], (), 0.0, "table", {}, None], ids=repr)
+def test_s_and_2f1_kernels_refuse_a_table(kernels, table):
+    # both twins take their arguments and no more: no table, not even None
     with pytest.raises(TypeError):
-        ck.bs_series(0.25, -3.0, 1e-14, 10_000, table)
+        kernels.bs_series(0.25, -3.0, 1e-14, 10_000, table)
     with pytest.raises(TypeError):
-        ck.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, table)
+        kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, table)
 
 
 def test_table_arguments_are_optional_and_last(kernels):
-    assert kernels.bs_series(0.25, 3.0, 1e-14, 10_000, None) == kernels.bs_series(
-        0.25, 3.0, 1e-14, 10_000)
     assert kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, None) == \
         kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000)
-    assert kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, None) == \
-        kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1)
-    with pytest.raises(TypeError):
-        kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, {}, None)
-    with pytest.raises(TypeError):
-        kernels.bs_series(0.25, 3.0, 1e-14, 10_000, {}, None)
     with pytest.raises(TypeError):
         kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, [], None)

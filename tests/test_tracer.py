@@ -63,3 +63,18 @@ def test_install_then_uninstall_restores_everything():
     assert calls["msm.ClosedFormImage.value_at"] == 2
     assert calls["kernels.wright_series"] == 5
     assert _bsfrac_state() == before
+
+
+def test_s_sweep_is_traced_at_the_wrapper():
+    # a table of S calls bessel_struve_kernel once a point, so the tracer
+    # files the wrapper's glue under series, not under the CLI
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        res = CliRunner().invoke(cli.main, ["table", "S", "--nu", "0.25", "--x=-2:2:9"])
+        assert res.exit_code == 0, res.output
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()["calls"]
+    assert calls["series.bessel_struve_kernel"] == 9
+    assert calls["kernels.bs_series"] == 9
