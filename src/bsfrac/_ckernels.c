@@ -5,8 +5,10 @@
  * the last few ulps (libm and CPython's own gamma/lgamma may differ by one
  * ulp).  The contract comments live in the pure module; this file mirrors
  * it.  Build with -O2 -ffp-contract=off: a fused multiply-add would round
- * differently from the pure twin.  The pure twin's order tables have no
- * counterpart here: these sums cost about what reading a table back would.
+ * differently from the pure twin.  Of the pure twin's order tables only
+ * the 2F1 connection coefficients have a counterpart here, a static one-slot
+ * (``hyp2f1_slot``): the other entries cost about what reading a table back
+ * would.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -470,6 +472,11 @@ gamma_ratio_c(double n1, double n2, double d1, double d2)
     return sg * exp(acc);
 }
 
+/* (a, b, c, s, p1, p2) of the last connection route, b after the Pfaff
+ * transform; NaN matches no order.  The kernel holds the GIL from start to
+ * end, so no two calls are ever inside it at once. */
+static double hyp2f1_slot[6] = {NAN, NAN, NAN, 0.0, 0.0, 0.0};
+
 static PyObject *
 hyp2f1_kernel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -493,9 +500,18 @@ hyp2f1_kernel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     }
     if (z <= 0.75)
         return PyFloat_FromDouble(scale * hyp2f1_tail(a, b, c, z, 1e-16, 10000));
-    s = c - a - b;
-    p1 = gamma_ratio_c(c, s, c - a, c - b);
-    p2 = gamma_ratio_c(c, -s, a, b);
+    if (hyp2f1_slot[0] != a || hyp2f1_slot[1] != b || hyp2f1_slot[2] != c) {
+        s = c - a - b;
+        hyp2f1_slot[0] = a;
+        hyp2f1_slot[1] = b;
+        hyp2f1_slot[2] = c;
+        hyp2f1_slot[3] = s;
+        hyp2f1_slot[4] = gamma_ratio_c(c, s, c - a, c - b);
+        hyp2f1_slot[5] = gamma_ratio_c(c, -s, a, b);
+    }
+    s = hyp2f1_slot[3];
+    p1 = hyp2f1_slot[4];
+    p2 = hyp2f1_slot[5];
     f1 = hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000);
     f2 = hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000);
     return PyFloat_FromDouble(scale * (p1 * f1 + pow(wbar, s) * p2 * f2));

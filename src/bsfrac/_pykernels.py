@@ -19,7 +19,11 @@ What ``bs_series`` and ``hyp2f1_kernel`` derive from their order alone
 table, which a call at another order replaces; ``wright_series`` takes a
 spec's table as an optional last argument.  An entry holds what any call
 that reads it would compute, so a call's bits never depend on the calls
-before it, and threads may share a table.
+before it, and threads may share a table.  The 2F1 slot holds the
+z-free factors ``(a+k)(b+k)/((c+k)(k+1))`` of the term ratios of the
+direct series and of both connection series, filled as points need them,
+and the connection coefficients; the compiled twin keeps only the
+coefficients, in a static one-slot of its own.
 """
 
 from __future__ import annotations
@@ -121,10 +125,12 @@ def _bs_odd_prefactor(nu):
     return math.exp(la1 - la2 - _HALF_LN_PI)
 
 
-# (nu, S table) of the last order, and (a, b, c, s, p1, p2) of the last 2F1
-# connection route, b after the Pfaff transform; NaN matches no order
+# (nu, S table) of the last order, and (a, b, c, direct factors, connection
+# entry) of the last 2F1 order, b after the Pfaff transform, whose
+# connection entry is empty or holds (s, p1, p2, factors of f1, of f2);
+# NaN matches no order
 _bs_slot = (math.nan, {})
-_hyp2f1_slot = (math.nan, math.nan, math.nan, 0.0, 0.0, 0.0)
+_hyp2f1_slot = (math.nan, math.nan, math.nan, [], [])
 
 
 def bs_series(nu, u, tol, cap):
@@ -377,18 +383,39 @@ def struve_series(v, z, modified, tol, cap):
     return _bessel_type_series(t, q, v, 1.5, 1.5, tol, cap)
 
 
-def _hyp2f1_tail(a, b, c, z, tol, cap):
-    """Direct 2F1 series with a geometric tail bound; needs |z| < 0.97."""
+def _hyp2f1_factor(q, a, b, c, k):
+    """Factor k of the list q of ``_hyp2f1_tail``, stored at its own
+    index, so that racing threads store equal factors."""
+    f = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+    q[k:k + 1] = (f,)
+    return f
+
+
+def _hyp2f1_tail(a, b, c, z, tol, cap, q):
+    """Direct 2F1 series with a geometric tail bound; needs |z| < 0.97.
+
+    ``q`` holds the z-free factors ``(a+k)(b+k)/((c+k)(k+1))`` of the
+    term ratios for k = 0, 1, ...; a step reads its factor, or computes and
+    adds it, and forms ``q[k] * z`` once for the term and the stop test."""
+    if not q:
+        _hyp2f1_factor(q, a, b, c, 0)
+    have = len(q)
+    f = q[0] * z
     s = 1.0
     t = 1.0
     k = 0
     while k < cap:
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        t *= f
         if t == 0.0:
             return s
         s += t
         k += 1
-        r = abs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z)
+        if k < have:
+            f = q[k] * z
+        else:
+            f = _hyp2f1_factor(q, a, b, c, k) * z
+            have = len(q)
+        r = abs(f)
         if r < 0.97 and abs(t) * r / (1.0 - r) <= tol * abs(s):
             return s
     return s
@@ -416,7 +443,9 @@ def hyp2f1_kernel(a, b, c, z, wbar):
     connection formula in powers of 1-z for z > 0.75 (requires c-a-b away
     from integers), Pfaff transform for z < 0, ahead of either.  A
     connection coefficient whose denominator holds Gamma at a pole (c-a,
-    c-b, a or b an exact nonpositive integer) is 0.0, and the slot keeps them.
+    c-b, a or b an exact nonpositive integer) is 0.0.  The slot keeps the
+    direct series' factors, and once a point takes the connection formula,
+    its coefficients and the factors of its two series.
     """
     global _hyp2f1_slot
     if a == 0.0 or b == 0.0 or z == 0.0:
@@ -431,16 +460,19 @@ def hyp2f1_kernel(a, b, c, z, wbar):
         scale = 1.0
         if wbar <= 0.0:
             wbar = 1.0 - z
-    if z <= 0.75:
-        return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
     slot = _hyp2f1_slot
     if slot[0] != a or slot[1] != b or slot[2] != c:
+        slot = _hyp2f1_slot = (a, b, c, [], [])
+    if z <= 0.75:
+        return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000, slot[3])
+    conn = slot[4]
+    if not conn:  # racing threads store equal entries at index 0
         s = c - a - b
-        slot = _hyp2f1_slot = (a, b, c, s, _gamma_ratio_d(c, s, c - a, c - b),
-                               _gamma_ratio_d(c, -s, a, b))
-    s, p1, p2 = slot[3:]
-    f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
-    f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
+        conn[0:1] = ((s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b),
+                      [], []),)
+    s, p1, p2, q1, q2 = conn[0]
+    f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000, q1)
+    f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000, q2)
     return scale * (p1 * f1 + wbar ** s * p2 * f2)
 
 
@@ -472,7 +504,7 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
     lnz = math.log(abs(z)) if z != 0.0 else 0.0
     sign = 1 if z < 0.0 else 0  # the row's sign for this z
     half_tol = 0.5 * tol
-    exp = math.exp
+    exp, log, gamma = math.exp, math.log, math.gamma
     s = prev = 0.0
     have_prev = False
     have = 0 if table is None else len(table)
@@ -482,9 +514,13 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
         else:
             acc = 0.0
             sg = 1.0
-            # g > POLE_TOL is never near a pole: most g skip the call
+            # POLE_TOL < g < 171.6 is never near a pole, and there
+            # lgamma_sign(g) is (log(gamma(g)), 1): most g take it inline
             for a, A in zip(ua, uA):
                 g = a + A * k
+                if POLE_TOL < g < 171.6:
+                    acc += log(gamma(g))
+                    continue
                 if g <= POLE_TOL and near_nonpositive_int(g):
                     return float(k), 0.0, k, 2
                 la, sig = lgamma_sign(g)
@@ -492,6 +528,9 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
                 sg *= sig
             for b, B in zip(lb, lB):
                 g = b + B * k
+                if POLE_TOL < g < 171.6:
+                    acc -= log(gamma(g))
+                    continue
                 if g <= POLE_TOL and near_nonpositive_int(g):
                     row = None
                     break
@@ -499,7 +538,8 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
                 acc -= la
                 sg *= sig
             else:
-                row = (sg, -sg if k % 2 else sg, acc, lgamma_sign(k + 1.0)[0])
+                lk = log(gamma(k + 1.0)) if k + 1.0 < 171.6 else lgamma_sign(k + 1.0)[0]
+                row = (sg, -sg if k % 2 else sg, acc, lk)
             if table is not None:
                 table[k:k + 1] = (row,)
                 have = len(table)

@@ -14,7 +14,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 from typing import Callable
@@ -108,12 +108,18 @@ class Config:
     @classmethod
     def load(cls, path: str | None = None, seed_grid: str | None = None) -> "Config":
         """The defaults, updated from JSON files; ValueError on a file that
-        is not JSON, DomainError on one of the wrong shape or term cap."""
+        is not JSON, DomainError on one of the wrong shape, term cap or
+        tolerance."""
         cfg = cls()
         if path is not None:
             with open(path) as fh:
                 raw = _json_object(json.load(fh), "a config file")
             cfg.tolerances.update(_json_object(raw.get("tolerances", {}), "tolerances"))
+            for key, tol in cfg.tolerances.items():
+                # not a bool, which is an int, nor NaN or Infinity, which json reads
+                if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
+                    raise DomainError(f"tolerance {key!r} must be a finite positive "
+                                      f"number, got {tol!r}")
             cfg.grids.update(_json_object(raw.get("grids", {}), "grids"))
             cfg.term_cap = raw.get("term_cap", cfg.term_cap)
             check_limits(term_cap=cfg.term_cap)
@@ -383,6 +389,19 @@ def _image_oracle():
     return image
 
 
+def _spec_store():
+    """A check runner's own store of Wright specs: ``share(img)`` is img
+    with the spec of the first equal image the runner shared, so that
+    every image of one spec reads and fills one term table.  The store
+    lives as long as the runner's call."""
+    specs = {}
+
+    def share(img):
+        return replace(img, spec=specs.setdefault(img.spec, img.spec))
+
+    return share
+
+
 def _termwise_image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
     """One call of a fresh ``_image_oracle``: nothing is kept."""
     return _image_oracle()(t, nu, lam, x)
@@ -404,20 +423,21 @@ def _theorem_grid(cfg: Config, side: Side):
                         yield params, nu, lam, rho, x
 
 
-def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float) -> float:
-    """Worst deviation of the closed-form images of ``kinds`` at x from
-    direct quadrature (run at tol/20)."""
-    return max(0.0, *(_rel(image(probe, kind).value_at(x).value,
+def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float, share) -> float:
+    """Worst deviation of the closed-form images of ``kinds`` at x, their
+    specs shared through ``share``, from direct quadrature (run at tol/20)."""
+    return max(0.0, *(_rel(share(image(probe, kind)).value_at(x).value,
                            quadrature(probe, kind, x, tol=tol / 20.0).value)
                       for kind in kinds))
 
 
 def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
     st = _new_state()
-    oracle = _image_oracle()  # each (params, nu, rho) serves every (lam, x)
+    # each (params, nu, rho) serves every (lam, x), in the oracle and the spec
+    oracle, share = _image_oracle(), _spec_store()
     for params, nu, lam, rho, x in _theorem_grid(cfg, side):
         kind = FunctionKind.bs_kernel(rho, nu, lam)
-        img = msm_bs_closed_form(side, params, kind)
+        img = share(msm_bs_closed_form(side, params, kind))
         got = img.value_at(x, term_cap=cfg.term_cap).value
         want = oracle(_gamma_args(side, params, rho), nu, lam, x)
         _track(st, _rel(got, want),
@@ -433,7 +453,7 @@ def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
         x = 2.0
     kinds = [FunctionKind.bs_kernel(rho, nu, 0.5) for nu in (-0.5, 0.25, 1.0)]
     quad_dev = _quad_dev(partial(msm_bs_closed_form, side), partial(msm_quadrature, side),
-                         probe, kinds, x, cfg.tolerances["theorem_quadrature"])
+                         probe, kinds, x, cfg.tolerances["theorem_quadrature"], share)
     return {**st, "secondary": {"theorem_quadrature": quad_dev}}
 
 
@@ -464,14 +484,16 @@ def _special_theorem_runner(family: str, nu: float, printed):
         rho = 1.3
         delegation = 0.0
         oracle = _image_oracle()  # one nu: the coefficients c_n serve every set
+        share = _spec_store()  # the special and the general image share a spec
         for raw in cfg.grids["theorem_params"]:
             params = MsmParams(*raw)
-            img = msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, rho))
+            img = share(msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, rho)))
             got = img.value_at(1.0).value
             want = oracle(_gamma_args(Side.LEFT, params, rho), nu, 1.0, 1.0)
             _track(st, _rel(got, want), {**vars(params), "rho": rho})
             # the special kind must reproduce the general order-nu route exactly
-            general = msm_bs_closed_form(Side.LEFT, params, FunctionKind.bs_kernel(rho, nu, 1.0))
+            general = share(msm_bs_closed_form(Side.LEFT, params,
+                                               FunctionKind.bs_kernel(rho, nu, 1.0)))
             if img != general:
                 delegation = max(delegation, 1.0)
             a, b = img.value_at(1.4), general.value_at(1.4)
@@ -540,6 +562,7 @@ def _run_l3(cfg: Config, tol: float) -> dict:
 def _run_t7(cfg: Config, tol: float) -> dict:
     st = _new_state()
     oracle = _image_oracle()  # each (params, sigma, nu) serves every lam
+    share = _spec_store()  # each (sigma, nu, kernel exponent) serves every set
     for params in _pathway_grid(cfg):
         for sigma in cfg.grids["pathway_sigma"]:
             for nu in (-0.5, 0.0, 0.25, 1.0):
@@ -548,7 +571,7 @@ def _run_t7(cfg: Config, tol: float) -> dict:
                     if abs(lam * x / params.cut) > 2.0:
                         continue
                     kind = FunctionKind.bs_kernel(sigma, nu, lam)
-                    got = pathway_bs_closed_form(params, kind).value_at(x).value
+                    got = share(pathway_bs_closed_form(params, kind)).value_at(x).value
                     want = oracle(_pathway_table(params, sigma), nu, lam, x)
                     _track(st, _rel(got, want),
                            {"eta": params.eta, "a": params.a,
@@ -557,10 +580,10 @@ def _run_t7(cfg: Config, tol: float) -> dict:
     probe = PathwayParams(0.7, 1.3, 0.4)
     quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
                          [FunctionKind.bs_kernel(1.1, nu, 0.5) for nu in (-0.5, 0.25, 1.0)],
-                         1.0, cfg.tolerances["pathway_quadrature"])
+                         1.0, cfg.tolerances["pathway_quadrature"], share)
     # scale zero must reduce to the power image with a single series term
     kind = FunctionKind.bs_kernel(1.1, 0.25, 0.0)
-    r = pathway_bs_closed_form(probe, kind).value_at(1.4)
+    r = share(pathway_bs_closed_form(probe, kind)).value_at(1.4)
     reduction = _rel(r.value, pathway_power_image(probe, 1.1).value_at(1.4).value)
     reduction = max(reduction, 0.0 if r.terms_used == 1 else 1.0)
     return {**st, "secondary": {"pathway_quadrature": quad_dev, "degenerate": reduction}}
@@ -569,11 +592,13 @@ def _run_t7(cfg: Config, tol: float) -> dict:
 def _run_t8(cfg: Config, tol: float) -> dict:
     st = _new_state()
     oracle = _image_oracle()  # the coefficients c_n of nu = -1/2, 1/2 serve every set
+    share = _spec_store()
     for params in _pathway_grid(cfg):
         for sigma in cfg.grids["pathway_sigma"]:
             x = 1.0
+            kinds = (FunctionKind.exp_kernel(sigma), FunctionKind.expm1_over_t(sigma))
+            got, got2 = (share(pathway_bs_closed_form(params, k)).value_at(x).value for k in kinds)
             # first exponential case: published form agrees with delegation
-            got = pathway_bs_closed_form(params, FunctionKind.exp_kernel(sigma)).value_at(x).value
             c = params.kernel_exponent
             spec = WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),))
             pub = (x ** (params.eta + sigma) * math.exp(math.lgamma(1.0 + c))
@@ -583,13 +608,12 @@ def _run_t8(cfg: Config, tol: float) -> dict:
             _track(st, _rel(got, pub), {**point, "case": 0.0})
             want = oracle(_pathway_table(params, sigma), -0.5, 1.0, x)
             _track(st, _rel(got, want), {**point, "case": 1.0})
-            got2 = pathway_bs_closed_form(params, FunctionKind.expm1_over_t(sigma)).value_at(x).value
             want2 = oracle(_pathway_table(params, sigma), 0.5, 1.0, x)
             _track(st, _rel(got2, want2), {**point, "case": 2.0})
     probe = PathwayParams(0.7, 1.3, 0.4)
     quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
                          (FunctionKind.exp_kernel(1.2), FunctionKind.expm1_over_t(1.2)),
-                         0.8, cfg.tolerances["pathway_quadrature"])
+                         0.8, cfg.tolerances["pathway_quadrature"], share)
     # variant second case: lower pair printed as (1/2, 1/2) instead of (3/2, 1/2)
     sigma, x = 1.1, 1.0
     c = probe.kernel_exponent

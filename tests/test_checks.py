@@ -5,6 +5,8 @@ import mpmath as mp
 import pytest
 
 from bsfrac import DomainError, PoleError, UnknownSuiteError
+from bsfrac import _pykernels as pk
+from bsfrac import series
 from bsfrac.checks import (
     CHECKS,
     SUITES,
@@ -111,6 +113,38 @@ def test_config_refuses_a_wrong_shape(tmp_path, raw):
     if isinstance(raw, list):  # a seed-grid file too must hold an object
         with pytest.raises(DomainError):
             Config.load(None, str(cfg_path))
+
+
+BAD_TOLERANCES = ["abc", -1e-8, -0.0, 0, 0.0, None, True, [1e-8], {}, math.nan, math.inf,
+                  -math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_config_refuses_a_bad_tolerance(tmp_path, tol):
+    # "abc" once ended in a TypeError from the first comparison with it, and
+    # a negative tolerance was taken and failed its checks
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tolerances": {"density_norm": 1e-3, "kernel_exp": tol}}))
+    with pytest.raises(DomainError, match="tolerance 'kernel_exp' must be a finite positive"):
+        Config.load(str(cfg_path))
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_config_tolerance_limits_on_both_backends(tmp_path, backend, request, monkeypatch):
+    # the least and the greatest finite positive tolerance, and an int, are
+    # taken, and the checks read them on either backend
+    module = pk if backend == "pure" else request.getfixturevalue("ck")
+    monkeypatch.setattr(series, "kernels", module)
+    cfg_path = tmp_path / "cfg.json"
+    for tol, status in ((5e-324, "FAIL"), (1.7976931348623157e308, "PASS"), (1, "PASS")):
+        cfg_path.write_text(json.dumps({"tolerances": {"kernel_exp": tol},
+                                        "grids": {"kernel_grid": [-2.0, 2.0, 5]}}))
+        cfg = Config.load(str(cfg_path))
+        assert cfg.tolerances["kernel_exp"] == tol
+        rep = run_suite("kernel-identities", config=cfg).to_dict()
+        assert rep["config"]["tolerances"]["kernel_exp"] == tol
+        e1 = next(c for c in rep["checks"] if c["id"] == "e1")
+        assert (e1["status"], e1["n_points"]) == (status, 5), tol
 
 
 def test_seed_grid_override(tmp_path):

@@ -306,6 +306,20 @@ def test_bad_config_is_usage_error(tmp_path, text, message):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("tol", ['"abc"', "-1e-08", "0", "0.0", "null", "true", "NaN",
+                                 "Infinity", "-Infinity", "[1e-08]"])
+def test_bad_config_tolerance_is_usage_error(tmp_path, tol):
+    # "abc" once ended in a TypeError traceback with exit 1, and a negative
+    # tolerance was taken and simply failed its checks
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tolerances": {"kernel_exp": %s}}' % tol)
+    res = _run("--config", str(path), "verify", "kernel-identities")
+    assert res.exit_code == 2, res.output
+    assert ("Error: bad config: tolerance 'kernel_exp' must be a finite positive number, got "
+            in res.stderr)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"grids"', "nope"])
 def test_bad_seed_grid_config_is_usage_error(tmp_path, text):
     path = tmp_path / "grids.json"

@@ -7,21 +7,27 @@ own table (``WrightSpec._rows``) to every kernel call of the spec.  A
 call's bits must not depend on the calls before it: each is compared with
 the same call made right after a call at another order, which empties the
 slot, whatever order the points come in, however the orders interleave
-and however many threads share the slot.  The compiled twin keeps no
-slot, and both twins refuse a table argument to these two kernels.
+and however many threads share the slot.  The compiled twin keeps only
+the 2F1 connection coefficients, in a static slot of its own, and both
+twins refuse a table argument to these two kernels.  Two tests count the
+work the tables save: the 2F1 factors one integral computes, and the
+Wright tables a theorem check builds.
 tests/test_wright.py checks the Wright spec's table the same way.
 """
 
+import collections
 import math
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
-from bsfrac import BsfracError, bessel_struve_kernel
+from bsfrac import BsfracError, FunctionKind, MsmParams, Side, bessel_struve_kernel, msm_quadrature
 from bsfrac import _pykernels as pk
-from bsfrac import series
+from bsfrac import msm, series, wright
+from bsfrac.checks import CHECKS, SUITES, Config
 
 import oracles
 
@@ -187,9 +193,31 @@ def test_2f1_table_returns_one_shot_bits(kernels):
             assert pk._hyp2f1_slot[:3] == (a, c - b, c)
 
 
+def test_2f1_table_bits_do_not_depend_on_sweep_direction(kernels):
+    # a sweep whose z rises through the direct series from 0.05 to 0.75, so
+    # that every point needs more factors than the last, then falls back and
+    # reads them; runs of one to four of its calls alternate with calls at
+    # another c, on either route, which replace the slot mid-sweep
+    zs = oracles.linspace(0.05, 0.75, 29)
+    sweep = [(0.3, 0.45, 1.1, z, 1.0 - z) for z in zs + zs[::-1]]
+    others = [(0.3, 0.45, 1.6, z, wbar) for z, wbar in HYP2F1_POINTS]
+    rng = random.Random(17)
+    calls = []
+    i = 0
+    while i < len(sweep):
+        n = rng.randint(1, 4)
+        calls += sweep[i:i + n] + [rng.choice(others)]
+        i += n
+    got = [_outcome(_hyp2f1, *call) for call in calls]
+    for call, outcome in zip(calls, got):
+        assert outcome == _fresh(_hyp2f1, *call), call
+
+
 def test_2f1_table_shared_by_threads(kernels):
-    zs = [(z, 1.0 - z) for z in oracles.linspace(0.76, 0.99, 24)]
-    zs += [(z, 0.0) for z in oracles.linspace(-40.0, -3.5, 24)]
+    # the direct series, the connection formula, and both behind the Pfaff
+    # transform
+    zs = [(z, 1.0 - z) for z in oracles.linspace(0.05, 0.99, 48)]
+    zs += [(z, 0.0) for z in oracles.linspace(-40.0, -0.05, 48)]
     # six threads, each alternating between two orders point by point
     points = [(a, b, c, z, wbar) for z, wbar in zs for a, b, c in ((0.3, 0.45, 1.1),
                                                                    (0.6, 0.2, 1.7))]
@@ -203,6 +231,41 @@ def test_2f1_table_shared_by_threads(kernels):
     _in_threads(sweep)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
+
+
+@pytest.mark.parametrize("side, params, rho, x", [
+    (Side.LEFT, MsmParams(0.4, 0.0, 0.3, 0.0, 1.1), 1.5, 1.3),
+    (Side.RIGHT, MsmParams(0.0, 0.2, 0.0, 0.45, 1.5), -1.5, 2.0),
+], ids=["left", "right"])
+def test_quadrature_computes_each_2f1_factor_once(monkeypatch, side, params, rho, x):
+    # one integral whose nodes take the direct series and both connection
+    # series of one (a, b, c): each series' factors are computed once, as
+    # many as its longest run needs (its terms and the stop test's next
+    # factor), where a factor was once computed twice per term per node
+    computed, needed, alone = collections.Counter(), {}, []
+    factor, tail = pk._hyp2f1_factor, pk._hyp2f1_tail
+
+    def counted_factor(q, *args):
+        computed[id(q)] += 1
+        return factor(q, *args)
+
+    def measured_tail(a, b, c, z, tol, cap, q):
+        alone.append([])  # the same run on an empty list, kept alive for id()
+        tail(a, b, c, z, tol, cap, alone[-1])
+        needed[id(q)] = max(needed.get(id(q), 0), len(alone[-1]))
+        return tail(a, b, c, z, tol, cap, q)
+
+    monkeypatch.setattr(pk, "_hyp2f1_factor", counted_factor)
+    monkeypatch.setattr(pk, "_hyp2f1_tail", measured_tail)
+    monkeypatch.setattr(msm, "kernels", pk)
+    pk.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1)  # empties the slot
+    computed.clear()
+    assert msm_quadrature(side, params, FunctionKind.monomial(rho), x).converged
+    _, _, _, direct, connection = pk._hyp2f1_slot
+    lists = [direct, *connection[0][3:]]
+    assert set(needed) == {id(q) for q in lists}  # one slot served every node
+    for q in lists:
+        assert computed[id(q)] == needed[id(q)] == len(q) > 1
 
 
 # test_backends.test_wright_series_agrees's inputs
@@ -231,6 +294,60 @@ def test_wright_rows_agree_across_twins(ck):
         assert vp[2:] == vc[2:]
         assert math.isclose(vp[0], vc[0], rel_tol=5e-15)
     assert len(pure_rows) == len(c_rows)
+
+
+# (a, A, k): a + A*k lands in the pole window (0, POLE_TOL] first at term k
+POLE_WINDOW = [(5e-13, 1.0, 0), (pk.POLE_TOL, 0.5, 0), (5e-324, 1.0, 0),
+               (-0.75 + 5e-13, 0.25, 3), (-2.5 + 7e-13, 1.25, 2)]
+
+
+@pytest.mark.parametrize("a, A, k", POLE_WINDOW)
+def test_wright_pole_window_is_left_alone(kernels, a, A, k):
+    # the rows take log(gamma(g)) inline only for POLE_TOL < g < 171.6; in
+    # the window an upper pair is still a pole, and a lower pair still
+    # zeroes its term, on a shared table and on a fresh one alike
+    g = a + A * k
+    assert 0.0 < g <= pk.POLE_TOL
+    zs = (0.5, -2.0, 7.0)
+    upper = ((1.2, a), (1.0, A), (1.9,), (1.0,))
+    shared = []
+    for z in zs:
+        got = kernels.wright_series(*upper, z, 1e-14, 10_000, shared)
+        assert got == (float(k), 0.0, k, 2) == kernels.wright_series(*upper, z, 1e-14, 10_000, [])
+        assert len(shared) == k
+    lower = ((1.2,), (1.0,), (1.9, a), (1.0, A))
+    shared = []
+    for z in zs:
+        value, err, terms, status = got = kernels.wright_series(*lower, z, 1e-14, 10_000, shared)
+        assert got == kernels.wright_series(*lower, z, 1e-14, 10_000, []), z
+        assert got == kernels.wright_series(*lower, z, 1e-14, 10_000), z
+        want = math.fsum(math.gamma(1.2 + j) / (math.gamma(1.9 + j) * math.gamma(a + A * j))
+                         * z ** j / math.factorial(j) for j in range(terms) if j != k)
+        assert status == 0 and math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-300), z
+    assert [j for j, row in enumerate(shared) if row is None] == [k]
+
+
+def test_msm_theorems_build_one_wright_table_per_spec(monkeypatch):
+    # every runner of verify msm-theorems hands kernels.wright_series one
+    # term table per distinct spec, however many images and points share it
+    calls = []
+
+    def wright_series(*args):
+        calls.append((args[:4], args[7]))  # keeps each table alive for id()
+        return pk.wright_series(*args)
+
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
+    cfg = Config()
+    for check_id in SUITES["msm-theorems"]:
+        calls.clear()
+        check = CHECKS[check_id]
+        check.runner(cfg, cfg.tolerances[check.tolerance_key])
+        tables = collections.defaultdict(set)
+        for columns, table in calls:
+            tables[columns].add(id(table))
+        assert all(len(ids) == 1 for ids in tables.values()), check_id
+        assert len({id(table) for _, table in calls}) == len(tables), check_id
+        assert len(calls) > len(tables), check_id
 
 
 @pytest.mark.parametrize("rows", [
