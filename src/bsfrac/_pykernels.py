@@ -126,11 +126,12 @@ def _bs_odd_prefactor(nu):
 
 
 # (nu, S table) of the last order, and (a, b, c, direct factors, connection
-# entry) of the last 2F1 order, b after the Pfaff transform, whose
-# connection entry is empty or holds (s, p1, p2, factors of f1, of f2);
-# NaN matches no order
+# entry, values) of the last 2F1 order, b after the Pfaff transform, whose
+# connection entry is empty or holds (s, p1, p2, factors of f1, of f2) and
+# whose values map z (direct) or (z, wbar) (connection), both after the
+# transform, to the unscaled sum; NaN matches no order
 _bs_slot = (math.nan, {})
-_hyp2f1_slot = (math.nan, math.nan, math.nan, [], [])
+_hyp2f1_slot = (math.nan, math.nan, math.nan, [], [], {})
 
 
 def bs_series(nu, u, tol, cap):
@@ -445,7 +446,11 @@ def hyp2f1_kernel(a, b, c, z, wbar):
     connection coefficient whose denominator holds Gamma at a pole (c-a,
     c-b, a or b an exact nonpositive integer) is 0.0.  The slot keeps the
     direct series' factors, and once a point takes the connection formula,
-    its coefficients and the factors of its two series.
+    its coefficients and the factors of its two series; it also keeps the
+    sum at every point it has summed, before the Pfaff scale, so a repeated
+    point (the same factor at every rho of an integral's parameters) is
+    summed once.  A stored sum is the one the same operations give, so the
+    bits never depend on earlier calls.
     """
     global _hyp2f1_slot
     if a == 0.0 or b == 0.0 or z == 0.0:
@@ -462,18 +467,28 @@ def hyp2f1_kernel(a, b, c, z, wbar):
             wbar = 1.0 - z
     slot = _hyp2f1_slot
     if slot[0] != a or slot[1] != b or slot[2] != c:
-        slot = _hyp2f1_slot = (a, b, c, [], [])
+        slot = _hyp2f1_slot = (a, b, c, [], [], {})
+    # a thread stores into the dict of the slot it read; racing threads
+    # store equal values
+    values = slot[5]
+    key = z if z <= 0.75 else (z, wbar)
+    v = values.get(key)
+    if v is not None:
+        return scale * v
     if z <= 0.75:
-        return scale * _hyp2f1_tail(a, b, c, z, 1e-16, 10000, slot[3])
-    conn = slot[4]
-    if not conn:  # racing threads store equal entries at index 0
-        s = c - a - b
-        conn[0:1] = ((s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b),
-                      [], []),)
-    s, p1, p2, q1, q2 = conn[0]
-    f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000, q1)
-    f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000, q2)
-    return scale * (p1 * f1 + wbar ** s * p2 * f2)
+        v = _hyp2f1_tail(a, b, c, z, 1e-16, 10000, slot[3])
+    else:
+        conn = slot[4]
+        if not conn:  # racing threads store equal entries at index 0
+            s = c - a - b
+            conn[0:1] = ((s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b),
+                          [], []),)
+        s, p1, p2, q1, q2 = conn[0]
+        f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000, q1)
+        f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000, q2)
+        v = p1 * f1 + wbar ** s * p2 * f2
+    values[key] = v
+    return scale * v
 
 
 def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):

@@ -390,14 +390,16 @@ def _image_oracle():
 
 
 def _spec_store():
-    """A check runner's own store of Wright specs: ``share(img)`` is img
-    with the spec of the first equal image the runner shared, so that
-    every image of one spec reads and fills one term table.  The store
-    lives as long as the runner's call."""
+    """A check runner's own store of Wright specs: ``share(spec)`` is the
+    first equal spec the runner shared, and ``share(img)`` is img with that
+    spec, so that every image and spec of one series reads and fills one
+    term table.  The store lives as long as the runner's call."""
     specs = {}
 
-    def share(img):
-        return replace(img, spec=specs.setdefault(img.spec, img.spec))
+    def share(item):
+        if isinstance(item, WrightSpec):
+            return specs.setdefault(item, item)
+        return replace(item, spec=specs.setdefault(item.spec, item.spec))
 
     return share
 
@@ -415,12 +417,10 @@ def _theorem_grid(cfg: Config, side: Side):
         params = MsmParams(*raw)
         for nu in g["nu"]:
             for lam in g["lam"]:
-                for rho in rhos:
-                    for x in xs:
-                        arg = lam * x if side is Side.LEFT else lam / x
-                        if abs(arg) > 2.0:
-                            continue
-                        yield params, nu, lam, rho, x
+                # the points whose kernel argument lam*x (lam/x) is within 2
+                near = [x for x in xs if abs(lam * x if side is Side.LEFT else lam / x) <= 2.0]
+                for rho in rhos if near else ():
+                    yield params, nu, lam, rho, near
 
 
 def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float, share) -> float:
@@ -433,15 +433,17 @@ def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float, share) -> f
 
 def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
     st = _new_state()
-    # each (params, nu, rho) serves every (lam, x), in the oracle and the spec
+    # each (params, nu, rho) serves every (lam, x), in the oracle and the
+    # spec, and each image every x
     oracle, share = _image_oracle(), _spec_store()
-    for params, nu, lam, rho, x in _theorem_grid(cfg, side):
-        kind = FunctionKind.bs_kernel(rho, nu, lam)
-        img = share(msm_bs_closed_form(side, params, kind))
-        got = img.value_at(x, term_cap=cfg.term_cap).value
-        want = oracle(_gamma_args(side, params, rho), nu, lam, x)
-        _track(st, _rel(got, want),
-               {**vars(params), "nu": nu, "lam": lam, "rho": rho, "x": x})
+    for params, nu, lam, rho, xs in _theorem_grid(cfg, side):
+        img = share(msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, nu, lam)))
+        table = _gamma_args(side, params, rho)
+        for x in xs:
+            got = img.value_at(x, term_cap=cfg.term_cap).value
+            want = oracle(table, nu, lam, x)
+            _track(st, _rel(got, want),
+                   {**vars(params), "nu": nu, "lam": lam, "rho": rho, "x": x})
     # quadrature cross-check in a collapse regime
     if side is Side.LEFT:
         probe = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9)
@@ -600,7 +602,7 @@ def _run_t8(cfg: Config, tol: float) -> dict:
             got, got2 = (share(pathway_bs_closed_form(params, k)).value_at(x).value for k in kinds)
             # first exponential case: published form agrees with delegation
             c = params.kernel_exponent
-            spec = WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),))
+            spec = share(WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),)))
             pub = (x ** (params.eta + sigma) * math.exp(math.lgamma(1.0 + c))
                    / params.cut ** sigma * wright_eval(spec, x / params.cut).value)
             point = {"eta": params.eta, "a": params.a,

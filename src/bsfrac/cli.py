@@ -120,7 +120,7 @@ def _evaluator(function: str, opts: dict):
     one spec and its term table.  The operator modules are imported only
     by the branches that use them, so a cold ``eval S`` never loads them."""
     if function == "density":
-        from .pathway import PathwayDensityParams, _density, _density_error
+        from .pathway import PathwayDensityParams, _check_density_x, _density, _density_error
 
         _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
         dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
@@ -128,6 +128,7 @@ def _evaluator(function: str, opts: dict):
         density, error = _density(dp), _density_error(dp)
 
         def density_at(x):
+            _check_density_x(x)
             value = density(x)
             return SeriesEval(value, error(x, value), 1, True)
 

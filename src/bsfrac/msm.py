@@ -133,8 +133,8 @@ class ClosedFormImage:
     def value_at(self, x: float, tol: float = DEFAULT_TOL,
                  term_cap: int = TERM_CAP) -> SeriesEval:
         """The image at x, through ``wright_eval``: a sweep over many x
-        reuses the spec's cached term table."""
-        if not x > 0.0:
+        reuses the spec's cached term table.  x must be finite and positive."""
+        if not 0.0 < x < math.inf:
             raise DomainError(f"images are defined for x > 0, got x={x!r}")
         z = self.argument_scale * (1.0 / x if self.inverse_argument else x)
         w = wright_eval(self.spec, z, tol, term_cap)
@@ -229,7 +229,8 @@ def _collapsed_gap(side: Side, p: MsmParams) -> float | None:
 
 def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
                    x: float, tol: float = 1e-10) -> SeriesEval:
-    """Direct double-exponential quadrature of the defining integral.
+    """Direct double-exponential quadrature of the defining integral at
+    finite x > 0.
 
     Requires an F3 collapse along the whole path: alpha' = 0 or beta' = 0
     for LEFT, alpha = 0 or beta = 0 for RIGHT (the surviving 2F1 factor
@@ -242,7 +243,7 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     order are fixed before the first node, and the 2F1 factor is left out
     when the collapse makes it identically one.
     """
-    if not x > 0.0:
+    if not 0.0 < x < math.inf:
         raise DomainError(f"operators are defined for x > 0, got x={x!r}")
     p = params
     _gamma_args(side, p, kind.rho)  # the integral converges where the image exists

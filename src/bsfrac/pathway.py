@@ -76,8 +76,8 @@ def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind) -> ClosedF
 
 def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
                        tol: float = 1e-11) -> SeriesEval:
-    """Direct tanh-sinh quadrature of the pathway integral at x > 0."""
-    if not x > 0.0:
+    """Direct tanh-sinh quadrature of the pathway integral at finite x > 0."""
+    if not 0.0 < x < math.inf:
         raise DomainError(f"the operator is defined for x > 0, got x={x!r}")
     sigma = kind.rho
     _table(params, sigma)  # the integral converges where the image exists
@@ -351,11 +351,19 @@ def _density_error(dp: PathwayDensityParams):
 
 
 def pathway_density(dp: PathwayDensityParams, x: float) -> float:
-    """Density value at x; zero outside the SUB-regime support.
+    """Density value at finite x; zero outside the SUB-regime support.
 
     The normalizing constant and the regime's coefficients are computed
     once per call here; code that evaluates one density at many points
     (``checks._density_norm``, and the CLI's ``eval`` and ``table``, which
     also build ``_density_error(dp)`` once) builds ``_density(dp)`` once
     instead."""
+    _check_density_x(x)
     return _density(dp)(x)
+
+
+def _check_density_x(x: float):
+    """Refuse a NaN or infinite x, which ``_density``, also the harness's
+    quadrature integrand, does not check."""
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"the density is defined for finite x, got x={x!r}")

@@ -519,3 +519,35 @@ def test_sweep_builds_once(function, monkeypatch):
         assert _run("table", function, "--x", f"{start}:{stop}:{count}", *opts).exit_code == 0
         counts.append(sorted(builds))
     assert counts[0] == counts[1] != []
+
+
+# runs the CLI in process on each argument list of argv[1] and prints
+# [exit code, stdout, stderr] of each
+_CLI_CHILD = """
+import json, sys
+from click.testing import CliRunner
+from bsfrac.cli import main
+runs = [CliRunner().invoke(main, args) for args in json.loads(sys.argv[1])]
+print(json.dumps([[r.exit_code, r.stdout, r.stderr] for r in runs]))
+"""
+
+
+@pytest.mark.parametrize("function, opts", [
+    *((f, SWEEPS[f][0]) for f in sorted(SWEEPS)),
+    ("msm-right", _MSM + ("--rho", "-1.3", "--kind", "bs", "--nu", "0.25")),
+    ("density", ("--gamma-shape", "1", "--delta", "2", "--beta-shape", "1", "--a", "1",
+                 "--pathway-alpha", "1.6")),
+], ids=[*sorted(SWEEPS), "msm-right-bs", "density-super"])
+def test_non_finite_x_is_usage_error(function, opts):
+    # eval and table at x = inf, -inf and NaN, in a child process with a
+    # timeout, so that a hang (an operator quadrature once looped forever
+    # at x = inf) fails instead of stalling the suite
+    argvs = [[command, function, f"--x={x}" if command == "eval" else f"--x={x}:{x}:1", *opts]
+             for command in ("eval", "table") for x in ("inf", "-inf", "nan")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, stdout, stderr) in zip(argvs, json.loads(proc.stdout)):
+        assert code == 2, (argv, stdout, stderr)
+        assert stdout == "" and stderr.splitlines()[-1].startswith("Error: "), (argv, stderr)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -326,3 +329,39 @@ def test_image_evaluator_matches_value_at(name, monkeypatch):
     monkeypatch.setattr(wright, "kernels", SimpleNamespace(
         wright_series=lambda *args: kernels.wright_series(*args[:7])))
     assert got == [_image_outcome(img.value_at, x) for x in xs]
+
+
+# every operator entry point at x = inf, -inf and NaN; prints the error
+# class of each, or its value
+_NON_FINITE_CHILD = """
+import math
+from bsfrac import *
+left, right = MsmParams(0.4, 0.0, 0.3, 0.0, 1.1), MsmParams(0.0, 0.2, 0.0, 0.45, 1.5)
+path = PathwayParams(0.7, 1.3, 0.4)
+calls = [
+    lambda x: msm_quadrature(Side.LEFT, left, FunctionKind.monomial(1.5), x),
+    lambda x: msm_quadrature(Side.RIGHT, right, FunctionKind.bs_kernel(-1.5, 0.25), x),
+    lambda x: pathway_quadrature(path, FunctionKind.bs_kernel(1.1, 0.25), x),
+    lambda x: msm_power_image(Side.LEFT, left, 1.5).value_at(x),
+    lambda x: msm_bs_closed_form(Side.RIGHT, right, FunctionKind.bs_kernel(-1.5, 0.25)).value_at(x),
+    lambda x: pathway_bs_closed_form(path, FunctionKind.exp_kernel(1.1)).value_at(x),
+    lambda x: pathway_density(PathwayDensityParams(1.0, 2.0, 1.0, 1.0, 1.6), x),
+    lambda x: pathway_density(PathwayDensityParams(1.0, 2.0, 1.0, 1.0, 0.6), x),
+]
+for call in calls:
+    for x in (math.inf, -math.inf, math.nan):
+        try:
+            print(repr(call(x)))
+        except Exception as exc:
+            print(type(exc).__name__)
+"""
+
+
+def test_operators_refuse_non_finite_x():
+    # quadratures, images and the density at x = inf, -inf and NaN, in a
+    # child process with a timeout: msm_quadrature once hung at x = inf
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["DomainError"] * 24

@@ -9,9 +9,11 @@ the same call made right after a call at another order, which empties the
 slot, whatever order the points come in, however the orders interleave
 and however many threads share the slot.  The compiled twin keeps only
 the 2F1 connection coefficients, in a static slot of its own, and both
-twins refuse a table argument to these two kernels.  Two tests count the
-work the tables save: the 2F1 factors one integral computes, and the
-Wright tables a theorem check builds.
+twins refuse a table argument to these two kernels.  The pure 2F1 slot
+also keeps the values it has summed, which must carry the same bits.
+Four tests count the work the tables save: the 2F1 points a lemma check
+sums, the 2F1 factors one integral computes, the Wright tables a theorem
+check builds, and the images and specs it constructs.
 tests/test_wright.py checks the Wright spec's table the same way.
 """
 
@@ -233,6 +235,103 @@ def test_2f1_table_shared_by_threads(kernels):
         assert results[i] == (want if i % 2 else want[::-1])
 
 
+def _pfaff_twins(a, b, c, points):
+    """Each point, and for z < 0 the direct call at c - b that the Pfaff
+    transform makes of it, at the transformed (z, wbar): both read one slot
+    and one stored value."""
+    calls = []
+    for z, wbar in points:
+        calls.append((a, b, c, z, wbar))
+        if z < 0.0:
+            calls.append((a, c - b, c, z / (z - 1.0), 1.0 / (1.0 - z)))
+    return calls
+
+
+def _value_keys(calls):
+    """The keys of the pure slot's values after ``calls`` on one slot: z on
+    the direct series, (z, wbar) on the connection formula, both after the
+    Pfaff transform and the wbar <= 0 default."""
+    keys = set()
+    for _, _, _, z, wbar in calls:
+        if z < 0.0:
+            z, wbar = z / (z - 1.0), 1.0 / (1.0 - z)
+        elif wbar <= 0.0:
+            wbar = 1.0 - z
+        keys.add(z if z <= 0.75 else (z, wbar))
+    return keys
+
+
+def test_2f1_values_return_one_shot_bits(kernels):
+    # a shuffled sweep on one slot that repeats every point three times, on
+    # the direct series, the connection formula (with the exact complement
+    # and with the default wbar = 0.0) and both behind the Pfaff transform:
+    # every call, a stored value or not, against the same call on an empty
+    # slot
+    a, b, c = 0.3, 0.45, 1.1
+    points = HYP2F1_POINTS + [(0.9, 0.0), (-0.5, 0.0), (-40.0, 0.0)]
+    calls = [(a, c - b, c, z, wbar) for z, wbar in points if z >= 0.0]
+    calls += _pfaff_twins(a, b, c, [(z, wbar) for z, wbar in points if z < 0.0])
+    calls *= 3
+    random.Random(43).shuffle(calls)
+    _outcome(_hyp2f1, OTHER_NU, b, c, 0.5, 0.5)  # empties the slot
+    got = [_outcome(_hyp2f1, *call) for call in calls]
+    if kernels is pk:  # one slot served the sweep, one value per point
+        assert pk._hyp2f1_slot[:3] == (a, c - b, c)
+        assert set(pk._hyp2f1_slot[5]) == _value_keys(calls)
+        assert len(pk._hyp2f1_slot[5]) < len(set(calls))
+    for call, outcome in zip(calls, got):
+        assert outcome == _fresh(_hyp2f1, *call), call
+
+
+def test_2f1_values_shared_by_threads(kernels):
+    # six threads, each alternating between two orders point by point, over
+    # points that repeat and Pfaff twins, so that the slot and its values
+    # change hands at every call and threads store into replaced slots
+    zs = [(z, 1.0 - z) for z in oracles.linspace(0.05, 0.99, 48)]
+    zs += [(z, 0.0) for z in oracles.linspace(-40.0, -0.05, 48)]
+    points = [call for pair in zip(_pfaff_twins(0.3, 0.45, 1.1, zs),
+                                   _pfaff_twins(0.6, 0.2, 1.7, zs)) for call in pair] * 2
+    want = [_fresh(_hyp2f1, *point) for point in points]
+    results = {}
+
+    def sweep(i):
+        ordered = points if i % 2 else points[::-1]
+        results[i] = [_outcome(_hyp2f1, *point) for point in ordered]
+
+    _in_threads(sweep)
+    for i in range(6):
+        assert results[i] == (want if i % 2 else want[::-1])
+
+
+@pytest.mark.parametrize("check_id, calls, most", [("L1", 5022, 882), ("L2", 5390, 686)])
+def test_lemma_sums_each_2f1_point_once(monkeypatch, check_id, calls, most):
+    # the lemma checks meet each 2F1 point again at every rho, and at every
+    # parameter set of the same (a, b, c): the pure slot sums it once
+    counts = collections.Counter()
+    kernel, tail = pk.hyp2f1_kernel, pk._hyp2f1_tail
+
+    def counted_tail(*args):
+        counts["tail"] += 1
+        return tail(*args)
+
+    def counted_kernel(*args):
+        counts["calls"] += 1
+        before = counts["tail"]
+        value = kernel(*args)
+        counts["summed"] += counts["tail"] > before
+        return value
+
+    monkeypatch.setattr(pk, "_hyp2f1_tail", counted_tail)
+    monkeypatch.setattr(msm, "kernels", SimpleNamespace(hyp2f1_kernel=counted_kernel,
+                                                        bs_series=pk.bs_series))
+    kernel(OTHER_NU, 0.45, 1.1, 0.5, 0.5)  # empties the slot
+    cfg = Config()
+    check = CHECKS[check_id]
+    check.runner(cfg, cfg.tolerances[check.tolerance_key])
+    assert counts["calls"] == calls
+    assert counts["summed"] <= most, counts
+
+
 @pytest.mark.parametrize("side, params, rho, x", [
     (Side.LEFT, MsmParams(0.4, 0.0, 0.3, 0.0, 1.1), 1.5, 1.3),
     (Side.RIGHT, MsmParams(0.0, 0.2, 0.0, 0.45, 1.5), -1.5, 2.0),
@@ -261,8 +360,8 @@ def test_quadrature_computes_each_2f1_factor_once(monkeypatch, side, params, rho
     pk.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1)  # empties the slot
     computed.clear()
     assert msm_quadrature(side, params, FunctionKind.monomial(rho), x).converged
-    _, _, _, direct, connection = pk._hyp2f1_slot
-    lists = [direct, *connection[0][3:]]
+    slot = pk._hyp2f1_slot
+    lists = [slot[3], *slot[4][0][3:]]
     assert set(needed) == {id(q) for q in lists}  # one slot served every node
     for q in lists:
         assert computed[id(q)] == needed[id(q)] == len(q) > 1
@@ -348,6 +447,33 @@ def test_msm_theorems_build_one_wright_table_per_spec(monkeypatch):
         assert all(len(ids) == 1 for ids in tables.values()), check_id
         assert len({id(table) for _, table in calls}) == len(tables), check_id
         assert len(calls) > len(tables), check_id
+
+
+@pytest.mark.parametrize("check_id, specs, tables", [
+    ("T1", 103, 50), ("T2", 105, 54), ("T8", 75, 39),
+])
+def test_theorem_checks_build_each_image_and_spec_once(monkeypatch, check_id, specs, tables):
+    # a theorem check builds each image once for all its x, and hands the
+    # kernel one term table per distinct spec, T8's published form included
+    built, calls = [], []
+    post_init = wright.WrightSpec.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def wright_series(*args):
+        calls.append((args[:4], args[7]))  # keeps each table alive for id()
+        return pk.wright_series(*args)
+
+    monkeypatch.setattr(wright.WrightSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
+    cfg = Config()
+    check = CHECKS[check_id]
+    check.runner(cfg, cfg.tolerances[check.tolerance_key])
+    assert len(built) == specs
+    assert len({id(table) for _, table in calls}) == len({columns for columns, _ in calls}) \
+        == tables
 
 
 @pytest.mark.parametrize("rows", [
