@@ -26,6 +26,7 @@ from .msm import (
     FunctionKind,
     MsmParams,
     Side,
+    _collapsed,
     _collapsed_gap,
     _gamma_args,
     _GammaTable,
@@ -260,18 +261,31 @@ def _collapse_grid(cfg: Config, side: Side):
 def _run_lemma(side: Side, cfg: Config, tol: float) -> dict:
     """Power image against quadrature over the collapse grid, plus the
     exact case: the integral of t over (0, 3) on the left, of t^(-2) over
-    (2, infinity) on the right."""
+    (2, infinity) on the right.
+
+    Each distinct integral (``_collapsed``) is computed once: those of
+    one 2F1 together, so that the pure 2F1 slot keeps its values over
+    every x, and x by x among them, so that consecutive integrals share
+    their interval's scaled nodes.  The points are then tracked in grid
+    order."""
     st = _new_state()
     rhos, xs = ((cfg.grids["rho_left"], cfg.grids["x_left"]) if side is Side.LEFT
                 else (cfg.grids["rho_right"], cfg.grids["x_right"]))
-    for params in _collapse_grid(cfg, side):
-        for rho in rhos:
-            img = msm_power_image(side, params, rho)
-            for x in xs:
-                got = img.value_at(x).value
-                want = msm_quadrature(side, params, FunctionKind.monomial(rho),
-                                      x, tol=tol / 20.0).value
-                _track(st, _rel(got, want), {**vars(params), "rho": rho, "x": x})
+    points = [(params, rho, msm_power_image(side, params, rho), _collapsed(side, params, rho))
+              for params in _collapse_grid(cfg, side) for rho in rhos]
+    groups = {}  # 2F1 (a, b, c) -> distinct integral -> a point of it
+    for params, rho, _, key in points:
+        groups.setdefault(key.hyp, {}).setdefault(key, (params, rho))
+    integrals = {}
+    for group in groups.values():
+        for x in xs:
+            for key, (params, rho) in group.items():
+                integrals[key, x] = msm_quadrature(side, params, FunctionKind.monomial(rho),
+                                                   x, tol=tol / 20.0).value
+    for params, rho, img, key in points:
+        for x in xs:
+            got = img.value_at(x).value
+            _track(st, _rel(got, integrals[key, x]), {**vars(params), "rho": rho, "x": x})
     rho, x, exact = (2.0, 3.0, 4.5) if side is Side.LEFT else (-1.0, 2.0, 0.5)
     plain = MsmParams(0, 0, 0, 0, 1.0)
     img = msm_power_image(side, plain, rho)
@@ -327,22 +341,22 @@ def _kernel_coeffs(nu: float, n_terms: int = 60) -> list:
     return coeffs
 
 
-def _term_products(nums, dens, coeffs: list) -> list:
-    """The termwise oracle's terms without their powers: c_n * R_n.
+def _term_ratios(nums, dens, n_terms: int) -> list:
+    """The gamma ratios R_n = prod Gamma(a+n) / prod Gamma(b+n) over a in
+    nums, b in dens, for n < n_terms: the power image's ratio of the n-th
+    kernel-series term, without the kernel coefficient.
 
-    c_n are the kernel-series coefficients (``_kernel_coeffs``) and
-    R_n = prod Gamma(a+n) / prod Gamma(b+n) over a in nums, b in dens is
-    the gamma ratio of the power image of the n-th kernel term, run as
-    the Pochhammer recurrence R_{n+1} = R_n prod(a+n) / prod(b+n) from
-    R_0 evaluated directly.  A term whose predecessor has a gamma argument
-    within a pole's reach (<= POLE_TOL) is evaluated directly as well, so
-    numerator poles raise PoleError and reciprocal-gamma zeros stay
-    confined to their own term, exactly as in a term-by-term evaluation.
+    They run as the Pochhammer recurrence R_{n+1} = R_n prod(a+n) /
+    prod(b+n) from R_0 evaluated directly.  A term whose predecessor has
+    a gamma argument within a pole's reach (<= POLE_TOL) is evaluated
+    directly as well, so numerator poles raise PoleError and
+    reciprocal-gamma zeros stay confined to their own term, exactly as in
+    a term-by-term evaluation.
     """
     lowest = min(nums + dens)
     ratio = gamma_ratio(nums, dens)
-    products = [coeffs[0] * ratio]
-    for n in range(1, len(coeffs)):
+    ratios = [ratio]
+    for n in range(1, n_terms):
         k = n - 1
         if lowest + k <= POLE_TOL:
             ratio = gamma_ratio([a + n for a in nums], [b + n for b in dens])
@@ -351,8 +365,8 @@ def _term_products(nums, dens, coeffs: list) -> list:
                 ratio *= a + k
             for b in dens:
                 ratio /= b + k
-        products.append(coeffs[n] * ratio)
-    return products
+        ratios.append(ratio)
+    return ratios
 
 
 def _termwise_sum(products: list, w: float) -> float:
@@ -364,10 +378,11 @@ def _termwise_sum(products: list, w: float) -> float:
 
 def _image_oracle():
     """A termwise image oracle for one check runner: the coefficients c_n
-    of each nu, and the products c_n R_n and the constant factor of each
-    (gamma table, nu), are built on first use and reused at every
-    (lam, x) the runner asks for."""
-    coeffs, built = {}, {}
+    of each nu, the ratios R_n of each gamma table's arguments, and the
+    products c_n R_n and the constant factor of each (gamma table, nu),
+    are built on first use and reused at every (lam, x) the runner asks
+    for."""
+    coeffs, ratios, built = {}, {}, {}
 
     def image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
         """Oracle for the image of the table's power times S_nu(lam t^(+-1)):
@@ -379,7 +394,10 @@ def _image_oracle():
             fixed = gamma_ratio(t.fixed, ()) / t.divisor if t.fixed else None
             if nu not in coeffs:
                 coeffs[nu] = _kernel_coeffs(nu)
-            built[key] = fixed, _term_products(t.nums, t.dens, coeffs[nu])
+            c = coeffs[nu]
+            if t not in ratios:
+                ratios[t] = _term_ratios(t.nums, t.dens, len(c))
+            built[key] = fixed, [cn * rn for cn, rn in zip(c, ratios[t])]
         fixed, products = built[key]
         front = x ** t.power
         if fixed is not None:

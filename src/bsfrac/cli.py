@@ -249,6 +249,9 @@ def _parse_range(text: str):
         raise click.UsageError(f"bad range {text!r}; use start:stop:count") from exc
     if count < 1:
         raise click.UsageError("range count must be at least 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        # linspace would put NaN at points the user never gave
+        raise click.UsageError(f"range {text!r} needs a finite start and stop")
     return linspace(start, stop, count)
 
 

@@ -227,6 +227,44 @@ def _collapsed_gap(side: Side, p: MsmParams) -> float | None:
     return p.beta_prime - p.alpha_prime if p.alpha_prime != 0.0 and p.beta_prime != 0.0 else None
 
 
+class _Collapsed(NamedTuple):
+    """What a collapsed integral of t^(rho-1) depends on, so two equal
+    ones are the same integral at every x: the side, the surviving 2F1's
+    (a, b, c), or None when it is identically one, the power p0 of t
+    (left: of t's distance to 0), gamma (the power gamma-1 of the other
+    distance, and 1/Gamma(gamma) in front) and the power of 1/x in front.
+    With alpha' = 0 the left integral never involves beta', and with
+    alpha = 0 the right one never involves beta."""
+
+    side: Side
+    hyp: tuple | None
+    p0: float
+    gamma: float
+    x_exp: float
+
+
+def _collapsed(side: Side, p: MsmParams, rho: float) -> _Collapsed:
+    """The collapsed integral of t^(rho-1) under the operator; raises as
+    ``msm_quadrature`` does for parameters off the collapse."""
+    _gamma_args(side, p, rho)  # the integral converges where the image exists
+    if side is Side.LEFT and not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):
+        raise DomainUnsupportedError(
+            "left quadrature needs alpha'=0 or beta'=0 to collapse the kernel")
+    if side is Side.RIGHT and not (p.alpha == 0.0 or p.beta == 0.0):
+        raise DomainUnsupportedError(
+            "right quadrature needs alpha=0 or beta=0 to collapse the kernel")
+    gap = _collapsed_gap(side, p)
+    if gap is not None and abs(gap - round(gap)) <= POLE_TOL:
+        name = "gamma-alpha-beta" if side is Side.LEFT else "beta'-alpha'"
+        raise DomainUnsupportedError(
+            f"{side.value} quadrature needs a non-integer 2F1 gap {name}, got {gap!r}")
+    if side is Side.LEFT:
+        a, b, p0, x_exp = p.alpha, p.beta, rho - p.alpha_prime - 1.0, p.alpha
+    else:
+        a, b, p0, x_exp = p.alpha_prime, p.beta_prime, rho - p.alpha - 1.0, p.alpha_prime
+    return _Collapsed(side, None if gap is None else (a, b, p.gamma), p0, p.gamma, x_exp)
+
+
 def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
                    x: float, tol: float = 1e-10) -> SeriesEval:
     """Direct double-exponential quadrature of the defining integral at
@@ -239,34 +277,16 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     Endpoint singularities are driven through the exact node-to-endpoint
     distances.
 
-    The integrand is built once per integral: the exponents and the kernel
-    order are fixed before the first node, and the 2F1 factor is left out
-    when the collapse makes it identically one.
+    The integrand is built once per integral from ``_collapsed`` and the
+    kernel order: the 2F1 factor is left out when the collapse makes it
+    identically one.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"operators are defined for x > 0, got x={x!r}")
-    p = params
-    _gamma_args(side, p, kind.rho)  # the integral converges where the image exists
-    if side is Side.LEFT and not (p.alpha_prime == 0.0 or p.beta_prime == 0.0):
-        raise DomainUnsupportedError(
-            "left quadrature needs alpha'=0 or beta'=0 to collapse the kernel")
-    if side is Side.RIGHT and not (p.alpha == 0.0 or p.beta == 0.0):
-        raise DomainUnsupportedError(
-            "right quadrature needs alpha=0 or beta=0 to collapse the kernel")
-    gap = _collapsed_gap(side, p)
-    if gap is not None and abs(gap - round(gap)) <= POLE_TOL:
-        name = "gamma-alpha-beta" if side is Side.LEFT else "beta'-alpha'"
-        raise DomainUnsupportedError(
-            f"{side.value} quadrature needs a non-integer 2F1 gap {name}, got {gap!r}")
-    # the 2F1 parameters, the power of t (left: of the distance to 0) and
-    # the power of 1/x in the front factor
-    if side is Side.LEFT:
-        a_, b_, p0, x_exp = p.alpha, p.beta, kind.rho - p.alpha_prime - 1.0, p.alpha
-    else:
-        a_, b_, p0, x_exp = p.alpha_prime, p.beta_prime, kind.rho - p.alpha - 1.0, p.alpha_prime
-    gm1 = p.gamma - 1.0
-    c_ = p.gamma
-    hyp2f1 = None if gap is None else kernels.hyp2f1_kernel
+    collapsed = _collapsed(side, params, kind.rho)
+    p0, gm1 = collapsed.p0, collapsed.gamma - 1.0
+    hyp2f1 = None if collapsed.hyp is None else kernels.hyp2f1_kernel
+    a_, b_, c_ = collapsed.hyp or (None, None, None)
     lam, nu = kind.lam, kind.nu
     bs_series = kernels.bs_series if kind.family != "monomial" else None
 
@@ -294,6 +314,6 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
             return val
 
         quad = exp_sinh(right_integrand, x, x, tol=tol)
-    pref = x ** (-x_exp) / math.gamma(p.gamma)
+    pref = x ** (-collapsed.x_exp) / math.gamma(collapsed.gamma)
     return SeriesEval(pref * quad.value, abs(pref) * quad.abs_error_est,
                       quad.terms_used, quad.converged)

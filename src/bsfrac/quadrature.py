@@ -7,13 +7,23 @@ can be computed at full relative precision arbitrarily close to the
 endpoint.  Refinement halves the mesh per level and reuses earlier
 nodes; the error estimate is the last level-to-level difference.
 
-The width-free factors of a mesh level's abscissas and weights do not
-depend on the integral, so each level's table of them is built on first
-use and shared by every later integral, which only scales it by its
-width or scale, with the same operations in the same order as a sweep
-that computes every node afresh.  Tables are kept for levels up to
-``_KEPT_LEVELS`` (about 0.4 MB for both rules); a deeper level is
-generated node by node on every use and never held.
+A mesh level's nodes are kept at two stages.  Their width-free factors
+do not depend on the integral, so each level's table of them is built
+on first use and shared by every later integral.  Scaled to an interval
+(tanh-sinh: the nodes, both endpoint distances and the weight;
+exp-sinh: the node, its distance to a and the weight), each level sits
+in a one-slot table per rule that keeps the last interval it was scaled
+to, so a run of integrals over one interval scales each level once, and
+an integral over another interval replaces the slot.  Both stages run
+the operations of a sweep that computes every node afresh, in the same
+order, so no table changes a result's bits.  Tables are kept for levels
+up to ``_KEPT_LEVELS`` (about 0.8 MB for both rules and both stages); a
+deeper level is generated and scaled node by node on every use and never
+held.
+
+Both rules raise ``DomainError`` before they touch a table for a
+non-finite endpoint or scale, a ``tol`` that is not a finite positive
+number, or a ``max_levels`` that is not an integer >= 2.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 from .series import SeriesEval
 
 _HALF_PI = math.pi / 2.0
@@ -68,35 +78,74 @@ def _table(build, *key):
 
 
 def _nodes(build, level, *key):
-    """One mesh level's node data: a kept table for the shallow levels,
-    a fresh generator for deeper ones."""
+    """One mesh level's width-free node data: a kept table for the
+    shallow levels, a fresh generator for deeper ones."""
     if level <= _KEPT_LEVELS:
         return _table(build, level, *key)
     return build(level, *key)
 
 
-def _finite_level(f, a, b, level, h):
-    """Trapezoid contribution of one mesh level (without the h factor)."""
+def _finite_scaled(level, h, a, b):
+    """The level's tanh-sinh nodes on (a, b), each as
+    ``(b - near, far, near, w, a + near)``, up to the first node whose
+    distance ``near`` to the endpoint underflows to zero."""
     width = b - a
     pw = 2.0 * width * _HALF_PI
+    for r, opq, ch, q, opq2 in _nodes(_finite_nodes, level, h):
+        near = width * r
+        if near <= 0.0:
+            return
+        yield b - near, width / opq, near, pw * ch * q / opq2, a + near
+
+
+def _half_inf_scaled(level, h, a, scale):
+    """The level's exp-sinh nodes on (a, infinity), each as ``(a + d, d, w)``
+    with d = scale * e^v: the ascending side (t -> infinity) while v <= 500
+    and d <= e^690, then the descending side (t -> a) while d > 0."""
+    v_pos = min(_V_ASCENT, 690.0 - math.log(scale))
+    for sign, v_hi in ((1, v_pos), (-1, math.inf)):
+        for v, ev, ch in _nodes(_half_inf_nodes, level, h, sign):
+            if v > v_hi:
+                break
+            d = scale * ev
+            if d <= 0.0:  # only on the way down
+                break
+            yield a + d, d, d * _HALF_PI * ch
+
+
+# (rule, level) -> (interval, scaled nodes): the last interval each kept
+# level was scaled to.  A thread reads a slot once and scans the nodes it
+# read; a racing thread's slot holds equal nodes or another interval's.
+_scaled = {}
+
+
+def _scaled_nodes(rule, level, h, interval):
+    """One mesh level's nodes scaled to ``interval`` by ``rule``: the
+    level's slot for the shallow levels, a fresh generator for deeper ones."""
+    if level > _KEPT_LEVELS:
+        return rule(level, h, *interval)
+    slot = _scaled.get((rule, level))
+    if slot is None or slot[0] != interval:
+        slot = _scaled[rule, level] = interval, tuple(rule(level, h, *interval))
+    return slot[1]
+
+
+def _finite_level(f, a, b, level, h):
+    """Trapezoid contribution of one mesh level (without the h factor)."""
     total = 0.0
     evals = 0
+    width = b - a
     half = width * 0.5
     if not level and half > 0.0:  # midpoint k = 0 (q = 1), coarse level only
         fv = f(a + half, half, half)
         evals += 1
         if fv != 0.0:
-            total += pw / 4.0 * fv
-    for r, opq, ch, q, opq2 in _nodes(_finite_nodes, level, h):
-        near = width * r
-        if near <= 0.0:
-            break
-        far = width / opq
-        w = pw * ch * q / opq2
-        fv = f(b - near, far, near)  # node approaching b
+            total += 2.0 * width * _HALF_PI / 4.0 * fv
+    for hi, far, near, w, lo in _scaled_nodes(_finite_scaled, level, h, (a, b)):
+        fv = f(hi, far, near)  # node approaching b
         if fv != 0.0:
             total += w * fv
-        fv = f(a + near, near, far)  # mirror node approaching a
+        fv = f(lo, near, far)  # mirror node approaching a
         if fv != 0.0:
             total += w * fv
         evals += 2
@@ -107,6 +156,11 @@ def _refine(level, tol, max_levels, name):
     """Halve the mesh per level until two consecutive estimates agree to
     the relative tolerance; ``level(k, h)`` returns the trapezoid sum of
     level k, step h (without the h factor), and its evaluation count."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"{name} needs a finite positive tol, got {tol!r}")
+    # the stop test needs two refined levels
+    if not isinstance(max_levels, int) or max_levels < 2:
+        raise DomainError(f"{name} needs an integer max_levels >= 2, got {max_levels!r}")
     h = 0.5
     total, n_evals = level(0, h)
     prev = h * total
@@ -126,20 +180,27 @@ def _refine(level, tol, max_levels, name):
         f"after {max_levels} levels")
 
 
+def _check_finite(name, **values):
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} needs a finite {key}, got {value!r}")
+
+
 def tanh_sinh(f, a: float, b: float, tol: float = 1e-11,
               max_levels: int = 12) -> SeriesEval:
     """Integrate ``f(t, t-a, b-t)`` over (a, b).
 
     Stops when consecutive refinements agree to the relative tolerance;
     raises QuadratureError when the level cap is hit with the estimate
-    still above it.
+    still above it, and DomainError on bad input (see the module).
     """
+    _check_finite("tanh-sinh", a=a, b=b)
     if not b > a:
-        raise ValueError("tanh_sinh requires b > a")
+        raise DomainError(f"tanh-sinh requires b > a, got a={a!r}, b={b!r}")
     return _refine(partial(_finite_level, f, a, b), tol, max_levels, "tanh-sinh")
 
 
-def _half_inf_level(f, a, scale, v_pos, level, h):
+def _half_inf_level(f, a, scale, level, h):
     total = 0.0
     evals = 0
     if not level:  # the k = 0 node, on the coarse level only
@@ -147,20 +208,11 @@ def _half_inf_level(f, a, scale, v_pos, level, h):
         evals += 1
         if fv != 0.0:
             total += scale * _HALF_PI * fv
-    # ascending side (t -> infinity) while v <= v_pos, then descending
-    # (t -> a) to the table's end; d <= 0 can only occur on the way down
-    for sign, v_hi in ((1, v_pos), (-1, math.inf)):
-        for v, ev, ch in _nodes(_half_inf_nodes, level, h, sign):
-            if v > v_hi:
-                break
-            d = scale * ev
-            if d <= 0.0:
-                break
-            w = d * _HALF_PI * ch
-            fv = f(a + d, d)
-            evals += 1
-            if fv != 0.0:
-                total += w * fv
+    for t, d, w in _scaled_nodes(_half_inf_scaled, level, h, (a, scale)):
+        fv = f(t, d)
+        evals += 1
+        if fv != 0.0:
+            total += w * fv
     return total, evals
 
 
@@ -171,8 +223,9 @@ def exp_sinh(f, a: float, scale: float, tol: float = 1e-11,
     ``scale`` sets the unit of the exponential map t = a + scale*e^v
     (typically a itself when a > 0).  The integrand must decay fast
     enough that contributions vanish before t reaches ~scale*e^500.
+    Raises DomainError on bad input (see the module).
     """
-    if scale <= 0.0:
-        raise ValueError("exp_sinh requires a positive scale")
-    v_pos = min(_V_ASCENT, 690.0 - math.log(scale))
-    return _refine(partial(_half_inf_level, f, a, scale, v_pos), tol, max_levels, "exp-sinh")
+    _check_finite("exp-sinh", a=a, scale=scale)
+    if not scale > 0.0:
+        raise DomainError(f"exp-sinh requires a positive scale, got {scale!r}")
+    return _refine(partial(_half_inf_level, f, a, scale), tol, max_levels, "exp-sinh")

@@ -240,6 +240,19 @@ def test_table_bad_range():
     assert _run("table", "S", "--nu", "0", "--x", "1:2:0").exit_code == 2
 
 
+@pytest.mark.parametrize("end", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["start", "stop"])
+def test_table_non_finite_range_end_is_usage_error(end, where):
+    # the range is refused as given, not through the NaN linspace would
+    # make of an infinite end at a point the user never gave
+    text = f"{end}:1:2" if where == "start" else f"1:{end}:2"
+    res = _run("table", "msm-left", "--gamma", "1.1", "--alpha", "0.3", "--rho", "1.5",
+               f"--x={text}")
+    assert res.exit_code == 2
+    assert f"range {text!r} needs a finite start and stop" in res.output
+    assert "nan" not in res.output.replace(text, "")
+
+
 def test_verify_json_report(tmp_path):
     out = tmp_path / "report.json"
     res = _run("--format", "json", "--out", str(out), "verify", "wright")

@@ -1,8 +1,23 @@
+import collections
 import math
+import sys
+import threading
 
 import pytest
 
-from bsfrac import QuadratureError, exp_sinh, tanh_sinh
+from bsfrac import (
+    BsfracError,
+    DomainError,
+    FunctionKind,
+    MsmParams,
+    QuadratureError,
+    Side,
+    exp_sinh,
+    msm_quadrature,
+    tanh_sinh,
+)
+from bsfrac import _pykernels as pk
+from bsfrac import msm, quadrature
 
 
 def test_polynomial():
@@ -128,3 +143,184 @@ def test_exp_sinh_golden_stall_at_huge_scale():
     # node and the descending side contribute, each with its own stop rule
     with pytest.raises(QuadratureError, match=r"level difference 3\.5269999690057396e-05 "):
         exp_sinh(lambda t, d: math.exp(-d / 1e300) / 1e300, 0.0, 1e300)
+
+
+# --- bad input ----------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: tanh_sinh(lambda t, da, db: 1.0, math.nan, 1.0),
+    lambda: tanh_sinh(lambda t, da, db: 1.0, 0.0, math.nan),
+    lambda: tanh_sinh(lambda t, da, db: 1.0, -math.inf, 1.0),
+    lambda: tanh_sinh(lambda t, da, db: 1.0, 0.0, math.inf),
+    lambda: exp_sinh(lambda t, d: 1.0, math.nan, 1.0),
+    lambda: exp_sinh(lambda t, d: 1.0, math.inf, 1.0),
+    lambda: exp_sinh(lambda t, d: 1.0, -math.inf, 1.0),
+    lambda: exp_sinh(lambda t, d: 1.0, 1.0, math.nan),
+    lambda: exp_sinh(lambda t, d: 1.0, 1.0, math.inf),  # once a converged 0.0
+    lambda: tanh_sinh(lambda t, da, db: 1.0, 2.0, 1.0),
+    lambda: exp_sinh(lambda t, d: 1.0, 1.0, -1.0),
+], ids=["ts-a-nan", "ts-b-nan", "ts-a-inf", "ts-b-inf", "es-a-nan", "es-a-inf",
+        "es-a-minus-inf", "es-scale-nan", "es-scale-inf", "ts-b-below-a", "es-scale-negative"])
+def test_bad_interval_is_a_domain_error(call):
+    before = dict(quadrature._scaled)
+    with pytest.raises(DomainError):
+        call()
+    assert quadrature._scaled == before  # refused before any slot lookup
+
+
+RULES = {
+    "tanh-sinh": lambda **kw: tanh_sinh(lambda t, da, db: math.exp(t), 0.0, 1.0, **kw),
+    "exp-sinh": lambda **kw: exp_sinh(lambda t, d: math.exp(-t), 0.5, 0.5, **kw),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("kw", [
+    {"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan}, {"tol": math.inf},
+    {"max_levels": 1}, {"max_levels": 0}, {"max_levels": -3}, {"max_levels": 2.5},
+    {"max_levels": 12.0},
+], ids=repr)
+def test_bad_tolerance_or_level_cap_is_a_domain_error(rule, kw):
+    # NaN and tol <= 0 once ran all 12 levels into a stall, and one level
+    # could never converge: the stop test needs two refined levels
+    before = dict(quadrature._scaled)
+    with pytest.raises(DomainError):
+        RULES[rule](**kw)
+    assert quadrature._scaled == before
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_two_levels_can_converge(rule):
+    assert RULES[rule](tol=1e-3, max_levels=2).converged
+
+
+# --- the interval-scaled node slot ------------------------------------------------
+#
+# Each rule keeps, per kept mesh level, the nodes of the last interval it
+# was scaled to.  A result must carry the bits of the same call on an
+# empty slot, whatever interval the slot held, on either backend: the
+# integrands are MSM integrals through the backend's kernels, one per
+# rule and interval.
+
+LEFT, RIGHT = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9), MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request, monkeypatch):
+    """The kernel module of one backend, installed in the operator module."""
+    module = pk if request.param == "pure" else request.getfixturevalue("ck")
+    monkeypatch.setattr(msm, "kernels", module)
+    return module
+
+
+def _integral(side, x, nu):
+    params, rho = (LEFT, 1.5) if side is Side.LEFT else (RIGHT, -2.0)
+    return lambda: msm_quadrature(side, params, FunctionKind.bs_kernel(rho, nu, 0.5), x)
+
+
+# both rules, each on two intervals: (0, x) for tanh-sinh, (x, inf) at
+# scale x for exp-sinh
+CALLS = [_integral(side, x, nu) for side in (Side.LEFT, Side.RIGHT)
+         for x in (0.7, 1.3) for nu in (-0.5, 0.25, 1.0)]
+# the calls with each rule alternating between its intervals call by call,
+# and the rules alternating too
+_LEFT_ORDER = [0, 3, 1, 4, 2, 5]
+ORDER = [i for pair in zip(_LEFT_ORDER, [i + 6 for i in _LEFT_ORDER]) for i in pair]
+
+
+def _outcome(call):
+    try:
+        return tuple(map(repr, call()))
+    except BsfracError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(call):
+    quadrature._scaled.clear()
+    return _outcome(call)
+
+
+def test_interleaved_intervals_return_fresh_bits(backend):
+    want = [_fresh(call) for call in CALLS]
+    quadrature._scaled.clear()
+    for i in ORDER * 2:
+        assert _outcome(CALLS[i]) == want[i], i
+    levels = {level for _, level in quadrature._scaled}
+    assert levels and max(levels) <= quadrature._KEPT_LEVELS
+
+
+def test_intervals_shared_by_threads(backend):
+    # six threads, each alternating between the two intervals of both
+    # rules, half of them in reverse, so that every slot changes hands at
+    # nearly every call
+    want = [_fresh(call) for call in CALLS]
+    results = {}
+
+    def sweep(k):
+        ordered = ORDER if k % 2 else ORDER[::-1]
+        results[k] = [_outcome(CALLS[i]) for i in ordered]
+
+    quadrature._scaled.clear()
+    _in_threads(sweep)
+    for k in range(6):
+        assert results[k] == [want[i] for i in (ORDER if k % 2 else ORDER[::-1])]
+
+
+def _in_threads(sweep, n=6):
+    """Run ``sweep(i)`` for i < n in n threads that switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_deep_levels_leave_no_slot(backend):
+    # integrals that run past the kept levels, through the backend's S:
+    # the deep levels are scaled node by node and never held, and a kept
+    # level on another interval still returns fresh bits after them
+    def s(u):
+        return backend.bs_series(0.25, u, 1e-15, 10_000)[0]
+
+    deep = [
+        lambda: tanh_sinh(lambda t, da, db: da ** -0.9999 * s(da), 0.0, 1.0,
+                          tol=1e-10, max_levels=9),
+        lambda: exp_sinh(lambda t, d: t ** -1.0001 * s(-1.0 / t), 1.0, 1.0,
+                         tol=1e-10, max_levels=9),
+    ]
+    want = [_fresh(call) for call in deep + CALLS[:1] + CALLS[6:7]]
+    quadrature._scaled.clear()
+    for i, call in enumerate(deep):
+        assert _outcome(call) == want[i]
+        assert _outcome(call)[0] is QuadratureError  # it did reach level 9
+        assert max(level for _, level in quadrature._scaled) == quadrature._KEPT_LEVELS
+    assert [_outcome(CALLS[0]), _outcome(CALLS[6])] == want[2:]
+
+
+def test_integrals_over_one_interval_scale_each_level_once(monkeypatch):
+    # a run of integrals over one interval, as the lemma checks make them
+    # x by x, scales each kept level once per rule; another interval
+    # rescales it once more
+    built = collections.Counter()
+    for name in ("_finite_scaled", "_half_inf_scaled"):
+        def counted(level, h, *interval, rule=getattr(quadrature, name), name=name):
+            built[name, interval, level] += 1
+            return rule(level, h, *interval)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    quadrature._scaled.clear()
+    for x in (0.7, 1.3):
+        for p in (-0.5, 0.25, 1.5):
+            assert tanh_sinh(lambda t, da, db: da ** p * db ** -0.2, 0.0, x).converged
+            assert exp_sinh(lambda t, d: d ** -0.2 * t ** (p - 3.0), x, x).converged
+    assert set(built.values()) == {1}
+    for name, a, b in (("_finite_scaled", 0.0, 0.7), ("_half_inf_scaled", 0.7, 0.7)):
+        levels = sorted(level for rule, interval, level in built if rule == name
+                        and interval == (a, b))
+        assert levels == list(range(len(levels))) and len(levels) >= 3

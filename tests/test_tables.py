@@ -28,7 +28,7 @@ import pytest
 
 from bsfrac import BsfracError, FunctionKind, MsmParams, Side, bessel_struve_kernel, msm_quadrature
 from bsfrac import _pykernels as pk
-from bsfrac import msm, series, wright
+from bsfrac import checks, msm, series, wright
 from bsfrac.checks import CHECKS, SUITES, Config
 
 import oracles
@@ -303,10 +303,12 @@ def test_2f1_values_shared_by_threads(kernels):
         assert results[i] == (want if i % 2 else want[::-1])
 
 
-@pytest.mark.parametrize("check_id, calls, most", [("L1", 5022, 882), ("L2", 5390, 686)])
+@pytest.mark.parametrize("check_id, calls, most", [("L1", 3348, 882), ("L2", 3038, 686)],
+                         ids=["L1", "L2"])
 def test_lemma_sums_each_2f1_point_once(monkeypatch, check_id, calls, most):
     # the lemma checks meet each 2F1 point again at every rho, and at every
-    # parameter set of the same (a, b, c): the pure slot sums it once
+    # parameter set of the same (a, b, c): the pure slot sums it once.  The
+    # calls are those of the distinct integrals alone (see below)
     counts = collections.Counter()
     kernel, tail = pk.hyp2f1_kernel, pk._hyp2f1_tail
 
@@ -330,6 +332,52 @@ def test_lemma_sums_each_2f1_point_once(monkeypatch, check_id, calls, most):
     check.runner(cfg, cfg.tolerances[check.tolerance_key])
     assert counts["calls"] == calls
     assert counts["summed"] <= most, counts
+
+
+@pytest.mark.parametrize("check_id, grid, extra", [("L1", 108, 1), ("L2", 60, 2)])
+def test_lemmas_compute_each_distinct_integral_once(monkeypatch, check_id, grid, extra):
+    # the collapse grid meets each integral at several parameter sets: on
+    # the left, alpha' = 0 leaves beta' out, and alpha = 0 (no 2F1) beta;
+    # each (integral, x) is computed once, then the exact and probe cases
+    calls = []
+
+    def counted(side, params, kind, x, **kw):
+        calls.append((msm._collapsed(side, params, kind.rho), x))
+        return msm_quadrature(side, params, kind, x, **kw)
+
+    monkeypatch.setattr(checks, "msm_quadrature", counted)
+    cfg = Config()
+    check = CHECKS[check_id]
+    st = check.runner(cfg, cfg.tolerances[check.tolerance_key])
+    assert len(calls) == len(set(calls)) == grid + extra
+    assert st["n_points"] > grid  # the points, 216 and 162, are all still tracked
+
+
+def test_oracle_builds_ratios_once_per_gamma_table(monkeypatch):
+    # T1's oracle serves 50 (gamma table, nu) pairs from 10 ratio tables
+    tables, pairs = [], set()
+    ratios, oracle = checks._term_ratios, checks._image_oracle
+
+    def counted_ratios(nums, dens, n_terms):
+        tables.append((nums, dens))
+        return ratios(nums, dens, n_terms)
+
+    def recorded_oracle():
+        image = oracle()
+
+        def recorded(t, nu, lam, x):
+            pairs.add((t, nu))
+            return image(t, nu, lam, x)
+
+        return recorded
+
+    monkeypatch.setattr(checks, "_term_ratios", counted_ratios)
+    monkeypatch.setattr(checks, "_image_oracle", recorded_oracle)
+    cfg = Config()
+    check = CHECKS["T1"]
+    check.runner(cfg, cfg.tolerances[check.tolerance_key])
+    assert len(tables) == len(set(tables)) == 10
+    assert len(pairs) == 50
 
 
 @pytest.mark.parametrize("side, params, rho, x", [
