@@ -30,6 +30,7 @@ from .msm import (
     _collapsed_gap,
     _gamma_args,
     _GammaTable,
+    _kernel_at,
     msm_bs_closed_form,
     msm_power_image,
     msm_quadrature,
@@ -117,10 +118,7 @@ class Config:
                 raw = _json_object(json.load(fh), "a config file")
             cfg.tolerances.update(_json_object(raw.get("tolerances", {}), "tolerances"))
             for key, tol in cfg.tolerances.items():
-                # not a bool, which is an int, nor NaN or Infinity, which json reads
-                if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
-                    raise DomainError(f"tolerance {key!r} must be a finite positive "
-                                      f"number, got {tol!r}")
+                _check_tolerance(f"tolerance {key!r}", tol)
             cfg.grids.update(_json_object(raw.get("grids", {}), "grids"))
             cfg.term_cap = raw.get("term_cap", cfg.term_cap)
             check_limits(term_cap=cfg.term_cap)
@@ -133,6 +131,13 @@ class Config:
         return {"tolerances": dict(self.tolerances),
                 "grids": dict(self.grids),
                 "term_cap": self.term_cap}
+
+
+def _check_tolerance(what: str, tol):
+    """Refuse a tolerance that is not a finite positive number: not a bool,
+    which is an int, nor NaN or Infinity, which json reads."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < math.inf:
+        raise DomainError(f"{what} must be a finite positive number, got {tol!r}")
 
 
 def _json_object(value, what: str) -> dict:
@@ -369,20 +374,25 @@ def _term_ratios(nums, dens, n_terms: int) -> list:
     return ratios
 
 
-def _termwise_sum(products: list, w: float) -> float:
+def _powers(w: float, n_terms: int) -> list:
+    """w ** n for n < n_terms, the powers of a termwise sum at argument w."""
+    return [w ** n for n in range(n_terms)]
+
+
+def _termwise_sum(products: list, powers: list) -> float:
     total = products[0]
     for n in range(1, len(products)):
-        total += products[n] * w ** n
+        total += products[n] * powers[n]
     return total
 
 
 def _image_oracle():
     """A termwise image oracle for one check runner: the coefficients c_n
-    of each nu, the ratios R_n of each gamma table's arguments, and the
+    of each nu, the ratios R_n of each gamma table's arguments, the
     products c_n R_n and the constant factor of each (gamma table, nu),
-    are built on first use and reused at every (lam, x) the runner asks
-    for."""
-    coeffs, ratios, built = {}, {}, {}
+    and the powers w ** n of each argument w, are built on first use and
+    reused wherever the runner asks for them again."""
+    coeffs, ratios, built, powers = {}, {}, {}, {}
 
     def image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
         """Oracle for the image of the table's power times S_nu(lam t^(+-1)):
@@ -402,7 +412,10 @@ def _image_oracle():
         front = x ** t.power
         if fixed is not None:
             front = fixed * front
-        return front * _termwise_sum(products, (lam / x if t.inverse else lam * x) / t.cut)
+        w = (lam / x if t.inverse else lam * x) / t.cut
+        if w not in powers:
+            powers[w] = _powers(w, len(products))
+        return front * _termwise_sum(products, powers[w])
 
     return image
 
@@ -411,13 +424,17 @@ def _spec_store():
     """A check runner's own store of Wright specs: ``share(spec)`` is the
     first equal spec the runner shared, and ``share(img)`` is img with that
     spec, so that every image and spec of one series reads and fills one
-    term table.  The store lives as long as the runner's call."""
+    term table.  The theorem runners build one image per series and take
+    each lam from it, so the store joins what only the parameters share:
+    the probe images, the special and general kinds, and the specs of
+    several parameter sets.  The store lives as long as the runner's call."""
     specs = {}
 
     def share(item):
         if isinstance(item, WrightSpec):
             return specs.setdefault(item, item)
-        return replace(item, spec=specs.setdefault(item.spec, item.spec))
+        spec = specs.setdefault(item.spec, item.spec)
+        return item if spec is item.spec else replace(item, spec=spec)
 
     return share
 
@@ -452,11 +469,15 @@ def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float, share) -> f
 def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
     st = _new_state()
     # each (params, nu, rho) serves every (lam, x), in the oracle and the
-    # spec, and each image every x
-    oracle, share = _image_oracle(), _spec_store()
+    # image, which is built once and takes each lam by its argument scale
+    oracle, share, series = _image_oracle(), _spec_store(), {}
     for params, nu, lam, rho, xs in _theorem_grid(cfg, side):
-        img = share(msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, nu, lam)))
-        table = _gamma_args(side, params, rho)
+        if (params, nu, rho) not in series:
+            kind = FunctionKind.bs_kernel(rho, nu, lam)
+            series[params, nu, rho] = (_gamma_args(side, params, rho),
+                                       share(msm_bs_closed_form(side, params, kind)))
+        table, img = series[params, nu, rho]
+        img = _kernel_at(table, img.prefactor, img.spec, lam)
         for x in xs:
             got = img.value_at(x, term_cap=cfg.term_cap).value
             want = oracle(table, nu, lam, x)
@@ -586,13 +607,18 @@ def _run_t7(cfg: Config, tol: float) -> dict:
     for params in _pathway_grid(cfg):
         for sigma in cfg.grids["pathway_sigma"]:
             for nu in (-0.5, 0.0, 0.25, 1.0):
+                img = None  # the series' image, built at its first lam and taking the rest
                 for lam in cfg.grids["lam"]:
                     x = 1.0
                     if abs(lam * x / params.cut) > 2.0:
                         continue
-                    kind = FunctionKind.bs_kernel(sigma, nu, lam)
-                    got = share(pathway_bs_closed_form(params, kind)).value_at(x).value
-                    want = oracle(_pathway_table(params, sigma), nu, lam, x)
+                    if img is None:
+                        table = _pathway_table(params, sigma)
+                        img = share(pathway_bs_closed_form(params,
+                                                           FunctionKind.bs_kernel(sigma, nu, lam)))
+                    img = _kernel_at(table, img.prefactor, img.spec, lam)
+                    got = img.value_at(x).value
+                    want = oracle(table, nu, lam, x)
                     _track(st, _rel(got, want),
                            {"eta": params.eta, "a": params.a,
                             "alpha": params.pathway_alpha, "sigma": sigma,
@@ -821,8 +847,9 @@ def _execute_check(spec: CheckSpec, cfg: Config, tol: float) -> dict:
     except Exception as exc:  # captured per record, never aborts the suite
         record["worst_point"] = {"error": f"{type(exc).__name__}: {exc}"}
         return record
-    # secondary routes carry their own tolerances; any violation fails the check
-    ok = out["max_rel_dev"] <= tol and not any(
+    # secondary routes carry their own tolerances; any violation fails the
+    # check, and so does a grid that left the runner no point to evaluate
+    ok = out["n_points"] > 0 and out["max_rel_dev"] <= tol and not any(
         dev > cfg.tolerances[key] for key, dev in out.get("secondary", {}).items())
     record["max_rel_dev"] = out["max_rel_dev"]
     record["worst_point"] = out["worst_point"]
@@ -842,11 +869,14 @@ def run_suite(suite: str, tolerance_override: float | None = None,
     """Execute a verification suite and build its report.
 
     Check errors are captured per record; the report is deterministic up
-    to the wall-time field.
+    to the wall-time field.  A tolerance override that is not a finite
+    positive number raises DomainError before any check runs.
     """
     if suite not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if tolerance_override is not None:
+        _check_tolerance("the tolerance override", tolerance_override)
     cfg = config if config is not None else Config()
     t0 = time.perf_counter()
     records = []

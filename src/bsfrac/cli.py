@@ -21,7 +21,7 @@ from functools import partial
 import click
 
 from . import __version__
-from .errors import BsfracError, QuadratureError, TermCapError
+from .errors import BsfracError, DomainError, QuadratureError, TermCapError
 from .series import (
     _SPECIAL_NU,
     SeriesEval,
@@ -291,7 +291,10 @@ def verify_cmd(ctx, suite):
         cfg = Config.load(ctx.obj["config_path"], ctx.obj["seed_grid"])
     except ValueError as exc:  # not JSON, or not a config's shape
         raise click.UsageError(f"bad config: {exc}") from exc
-    report = run_suite(suite, tolerance_override=ctx.obj["tol"], config=cfg)
+    try:
+        report = run_suite(suite, tolerance_override=ctx.obj["tol"], config=cfg)
+    except DomainError as exc:  # refused before any check runs
+        raise click.UsageError(f"bad --tol: {exc}") from exc
     doc = report.to_dict()
     for check in doc["checks"]:
         click.echo(f"{check['id']}: {check['status']} "

@@ -186,9 +186,23 @@ def _gamma_args(side: Side, p: MsmParams, rho: float) -> _GammaTable:
                        side is Side.RIGHT)
 
 
+_EMPTY_SPEC = WrightSpec((), ())  # the Psi of every power image: the series 1
+
+
 def _power_image(t: _GammaTable) -> ClosedFormImage:
+    """The table's power image: its gamma ratio times x**power.  Every
+    power image shares the one empty spec, and so its term table."""
     return ClosedFormImage(gamma_ratio(t.nums + t.fixed, t.dens) / t.divisor, t.power,
-                           WrightSpec((), ()), 0.0, t.inverse)
+                           _EMPTY_SPEC, 0.0, t.inverse)
+
+
+def _kernel_at(t: _GammaTable, prefactor: float, spec: WrightSpec,
+               lam: float) -> ClosedFormImage:
+    """The table's image of t^(rho-1) S_nu(lam t^(+-1)) with its front
+    factor and spec, neither of which depends on lam: lam enters the image
+    only as the Wright argument's scale lam/cut, so the prefactor and
+    spec of one image serve every lam."""
+    return ClosedFormImage(prefactor, t.power, spec, lam / t.cut, t.inverse)
 
 
 def _kernel_image(t: _GammaTable, kind: FunctionKind) -> ClosedFormImage:
@@ -205,8 +219,7 @@ def _kernel_image(t: _GammaTable, kind: FunctionKind) -> ClosedFormImage:
         sign *= lg.sign
     spec = WrightSpec(((0.5, 0.5),) + tuple((a, 1.0) for a in t.nums),
                       ((kind.nu + 1.0, 0.5),) + tuple((b, 1.0) for b in t.dens))
-    return ClosedFormImage(sign * math.exp(acc - _HALF_LN_PI) / t.divisor, t.power, spec,
-                           kind.lam / t.cut, t.inverse)
+    return _kernel_at(t, sign * math.exp(acc - _HALF_LN_PI) / t.divisor, spec, kind.lam)
 
 
 def msm_power_image(side: Side, params: MsmParams, rho: float) -> ClosedFormImage:

@@ -182,10 +182,12 @@ def test_verify_all_on_compiled_backend(compiled_pkg):
 
 
 @pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_verify_all_report_is_pinned(backend, request):
+def test_verify_all_report_is_pinned(backend, request, tmp_path):
     # every byte of `verify all` but its wall time, against the committed
-    # report of each backend (tests/data/verify_all.<backend>.json); a change
-    # that means to alter the report regenerates these files
+    # report of each backend, with the default grids
+    # (tests/data/verify_all.<backend>.json) and with the bench's second
+    # density seed (verify_all.<backend>.seed2723.json); a change that
+    # means to alter the report regenerates these files
     tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     if backend == "compiled":
@@ -194,12 +196,17 @@ def test_verify_all_report_is_pinned(backend, request):
     else:
         env["PYTHONPATH"] = str(tests.parent / "src")
         env["BSFRAC_PURE_PYTHON"] = "1"
-    proc = subprocess.run([sys.executable, "-m", "bsfrac", "--format", "json", "verify", "all"],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report, n = re.subn(r',\n  "wall_ms": [^\n]*\n', "\n", proc.stdout)
-    assert n == 1
-    assert report == (tests / "data" / f"verify_all.{backend}.json").read_text()
+    seed_grid = tmp_path / "seed2723.json"
+    seed_grid.write_text('{"density_seed": 2723}')
+    for args, pinned in (((), f"verify_all.{backend}.json"),
+                         (("--seed-grid", str(seed_grid)), f"verify_all.{backend}.seed2723.json")):
+        proc = subprocess.run([sys.executable, "-m", "bsfrac", "--format", "json", *args,
+                               "verify", "all"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report, n = re.subn(r',\n  "wall_ms": [^\n]*\n', "\n", proc.stdout)
+        assert n == 1
+        assert report == (tests / "data" / pinned).read_text(), pinned
 
 
 def test_cli_numerical_failures_on_compiled_backend(compiled_pkg):

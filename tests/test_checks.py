@@ -6,7 +6,7 @@ import pytest
 
 from bsfrac import DomainError, PoleError, UnknownSuiteError
 from bsfrac import _pykernels as pk
-from bsfrac import series
+from bsfrac import checks, series
 from bsfrac.checks import (
     CHECKS,
     SUITES,
@@ -127,6 +127,28 @@ def test_config_refuses_a_bad_tolerance(tmp_path, tol):
     cfg_path.write_text(json.dumps({"tolerances": {"density_norm": 1e-3, "kernel_exp": tol}}))
     with pytest.raises(DomainError, match="tolerance 'kernel_exp' must be a finite positive"):
         Config.load(str(cfg_path))
+
+
+@pytest.mark.parametrize("tol", [tol for tol in BAD_TOLERANCES if tol is not None], ids=repr)
+def test_run_suite_refuses_a_bad_tolerance_override(monkeypatch, tol):
+    # nan, 0 and -1 once failed every check, and inf passed every one; the
+    # override is refused before any check runs (None means no override)
+    ran = []
+    monkeypatch.setattr(checks, "_execute_check", lambda *args: ran.append(args))
+    with pytest.raises(DomainError,
+                       match="the tolerance override must be a finite positive number"):
+        run_suite("kernel-identities", tolerance_override=tol)
+    assert ran == []
+
+
+def test_run_suite_takes_a_good_tolerance_override():
+    # an int, and a float subclass such as numpy's float64, are numbers
+    class Tol(float):
+        pass
+
+    for tol, status in ((1, "PASS"), (Tol(1e-30), "FAIL")):
+        rep = run_suite("wright", tolerance_override=tol).to_dict()
+        assert [c["status"] for c in rep["checks"]] == [status], tol
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])

@@ -16,6 +16,7 @@ import bsfrac
 from bsfrac.cli import main
 
 import oracles
+from test_checks import BAD_TOLERANCES
 
 
 def _run(*args):
@@ -285,6 +286,37 @@ def test_verify_unknown_suite_is_usage_error():
 def test_verify_failure_exit_code():
     res = _run("--tol", "1e-30", "verify", "kernel-identities")
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_bad_tol_is_usage_error(tol):
+    # nan, 0 and -1 once failed every check with exit 1, and inf passed
+    # every one; click itself refuses what is not a float
+    res = _run(f"--tol={tol}", "verify", "kernel-identities")
+    assert res.exit_code == 2, res.output
+    if type(tol) in (int, float):
+        assert ("Error: bad --tol: the tolerance override must be a finite positive number, got "
+                in res.stderr)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("grids, suite, empty", [
+    ({"nu": []}, "msm-theorems", {"T1", "T2"}),
+    ({"kernel_grid": [-10, 10, 0]}, "kernel-identities", {"e1", "e2"}),
+], ids=["no-nu", "no-kernel-points"])
+def test_check_without_points_fails(tmp_path, grids, suite, empty):
+    # a check that evaluated no point once passed (T2: DOCUMENTED_MISMATCH)
+    # and the run exited 0
+    path = tmp_path / "grids.json"
+    path.write_text(json.dumps(grids))
+    res = _run("--format", "json", "--seed-grid", str(path), "verify", suite)
+    assert res.exit_code == 1, res.output
+    records = json.loads(res.stdout)["checks"]
+    assert all(set(c) == {"id", "status", "max_rel_dev", "worst_point", "n_points"}
+               for c in records)
+    got = {c["id"]: (c["status"], c["n_points"]) for c in records}
+    assert {i for i, (_, n) in got.items() if n == 0} == empty
+    assert {i for i, (status, _) in got.items() if status == "FAIL"} == empty
 
 
 def test_verify_seed_grid(tmp_path):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -154,6 +155,26 @@ class TestClosedForm:
             from bsfrac import wright_eval
             w = wright_eval(ref.spec, arg)
             assert math.isclose(a.value, b * w.value, rel_tol=1e-13)
+
+    def test_one_image_serves_every_lam(self):
+        # lam enters an image only through its argument scale: the
+        # prefactor and spec of the image built at one lam give the image
+        # built at another, bit for bit, on both sides and for the pathway
+        # operator, whose cut is not 1
+        from bsfrac.msm import _gamma_args, _kernel_at
+        from bsfrac.pathway import _table
+
+        path = PathwayParams(0.7, 1.3, 0.4)
+        routes = [(partial(msm_bs_closed_form, side, GENERIC), partial(_gamma_args, side, GENERIC),
+                   rho) for side, rho in ((Side.LEFT, 1.2), (Side.RIGHT, -2.0))]
+        routes.append((partial(pathway_bs_closed_form, path), partial(_table, path), 1.1))
+        for build, table, rho in routes:
+            base = build(FunctionKind.bs_kernel(rho, 0.25, 0.5))
+            for lam in (0.0, 0.5, 1.0, 1.7, -2.25):
+                want = build(FunctionKind.bs_kernel(rho, 0.25, lam))
+                got = _kernel_at(table(rho), base.prefactor, base.spec, lam)
+                assert got == want
+                assert got.value_at(1.3) == want.value_at(1.3)
 
     def test_special_kinds_delegate_exactly(self):
         pairs = [

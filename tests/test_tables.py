@@ -11,9 +11,10 @@ and however many threads share the slot.  The compiled twin keeps only
 the 2F1 connection coefficients, in a static slot of its own, and both
 twins refuse a table argument to these two kernels.  The pure 2F1 slot
 also keeps the values it has summed, which must carry the same bits.
-Four tests count the work the tables save: the 2F1 points a lemma check
+Tests count the work the tables save: the 2F1 points a lemma check
 sums, the 2F1 factors one integral computes, the Wright tables a theorem
-check builds, and the images and specs it constructs.
+check builds, the images and specs it constructs, and the oracle's
+power lists.
 tests/test_wright.py checks the Wright spec's table the same way.
 """
 
@@ -28,7 +29,7 @@ import pytest
 
 from bsfrac import BsfracError, FunctionKind, MsmParams, Side, bessel_struve_kernel, msm_quadrature
 from bsfrac import _pykernels as pk
-from bsfrac import checks, msm, series, wright
+from bsfrac import checks, msm, pathway, series, wright
 from bsfrac.checks import CHECKS, SUITES, Config
 
 import oracles
@@ -498,11 +499,12 @@ def test_msm_theorems_build_one_wright_table_per_spec(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id, specs, tables", [
-    ("T1", 103, 50), ("T2", 105, 54), ("T8", 75, 39),
+    ("T1", 53, 50), ("T2", 54, 54), ("T8", 75, 39),
 ])
 def test_theorem_checks_build_each_image_and_spec_once(monkeypatch, check_id, specs, tables):
-    # a theorem check builds each image once for all its x, and hands the
-    # kernel one term table per distinct spec, T8's published form included
+    # a theorem check builds each image once for all its lam and x, and
+    # hands the kernel one term table per distinct spec, T8's published
+    # form included
     built, calls = [], []
     post_init = wright.WrightSpec.__post_init__
 
@@ -522,6 +524,63 @@ def test_theorem_checks_build_each_image_and_spec_once(monkeypatch, check_id, sp
     assert len(built) == specs
     assert len({id(table) for _, table in calls}) == len({columns for columns, _ in calls}) \
         == tables
+
+
+def _count_runner_work(monkeypatch, check_id):
+    """The WrightSpec constructions and kernel-image builds of one check
+    runner's call."""
+    counts = collections.Counter()
+    post_init, kernel_image = wright.WrightSpec.__post_init__, msm._kernel_image
+
+    def counted_post_init(self):
+        counts["specs"] += 1
+        post_init(self)
+
+    def counted_kernel_image(*args):
+        counts["images"] += 1
+        return kernel_image(*args)
+
+    monkeypatch.setattr(wright.WrightSpec, "__post_init__", counted_post_init)
+    for module in (msm, pathway):  # pathway holds its own reference
+        monkeypatch.setattr(module, "_kernel_image", counted_kernel_image)
+    cfg = Config()
+    check = CHECKS[check_id]
+    check.runner(cfg, cfg.tolerances[check.tolerance_key])
+    return counts
+
+
+@pytest.mark.parametrize("check_id", ["L1", "L2", "L3"])
+def test_power_image_checks_construct_no_wright_spec(monkeypatch, check_id):
+    # every power image shares msm's one empty spec, and its term table
+    assert msm.msm_power_image(Side.LEFT, MsmParams(0, 0, 0, 0, 1.0), 2.0).spec \
+        is pathway.pathway_power_image(pathway.PathwayParams(1.0, 1.0, 0.0), 1.0).spec \
+        is msm._EMPTY_SPEC
+    assert _count_runner_work(monkeypatch, check_id)["specs"] == 0
+
+
+@pytest.mark.parametrize("check_id, images", [("T1", 53), ("T2", 53), ("T7", 84)])
+def test_theorem_checks_build_one_image_per_series(monkeypatch, check_id, images):
+    # one image per (params, nu, rho) or (params, sigma, nu) that some lam
+    # reaches, plus the quadrature probes (and T7's zero-scale case); every
+    # lam is taken from it by its argument scale
+    assert _count_runner_work(monkeypatch, check_id)["images"] == images
+
+
+def test_oracle_builds_one_power_list_per_argument(monkeypatch):
+    # T1's 200 points meet 4 oracle arguments lam*x: 0.35, 0.65, 0.7, 1.3
+    built = []
+    powers = checks._powers
+
+    def counted_powers(w, n_terms):
+        built.append(w)
+        return powers(w, n_terms)
+
+    monkeypatch.setattr(checks, "_powers", counted_powers)
+    cfg = Config()
+    check = CHECKS["T1"]
+    st = check.runner(cfg, cfg.tolerances[check.tolerance_key])
+    assert sorted(built) == [0.5 * 0.7, 0.5 * 1.3, 0.7, 1.3]
+    assert st["n_points"] == 200
 
 
 @pytest.mark.parametrize("rows", [
