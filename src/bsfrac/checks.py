@@ -1,8 +1,9 @@
 """Verification harness: identity suites over parameter grids.
 
-Each check compares an evaluation route against an independent oracle
-(termwise power-image sums, direct quadrature, or elementary closed
-forms) over a deterministic grid and reports the worst relative
+Each check is a row (``CheckSpec``) run by one loop (``_run_row``): over
+a deterministic grid, an evaluation route (a kernel or an image) against
+an independent reference (termwise power-image sums, direct quadrature,
+or elementary or published closed forms), reporting the worst relative
 deviation.  Checks flagged DOCUMENTED_MISMATCH additionally evaluate a
 known variant (uncorrected) form of the same identity and pass only when
 that variant demonstrably disagrees while the corrected route passes.
@@ -15,9 +16,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__ as _version
 from .errors import DomainError, UnknownSuiteError
@@ -31,6 +32,7 @@ from .msm import (
     _gamma_args,
     _GammaTable,
     _kernel_at,
+    _kernel_image,
     msm_bs_closed_form,
     msm_power_image,
     msm_quadrature,
@@ -148,13 +150,33 @@ def _json_object(value, what: str) -> dict:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One verifiable identity: an evaluation route against an oracle."""
+    """One verifiable identity, as a row of the harness.
+
+    ``points(run)`` yields, for each point, a candidate value (a kernel or
+    an image), a reference value (the oracle, quadrature or a published
+    form) and the point's coordinates.  ``secondary`` maps a tolerance key
+    to the points of a secondary route.  A row with a documented variant
+    expects DOCUMENTED_MISMATCH: ``printed(run)`` is the variant's value
+    and its reference, which must differ by more than ``printed_floor``.
+    ``runner`` runs the row through the harness's one loop, ``_run_row``.
+    """
 
     id: str
     description: str
     tolerance_key: str
-    runner: Callable[[Config, float], dict]
-    expected: str = "PASS"
+    points: Callable[["_Run"], Iterable[tuple]]
+    secondary: dict = field(default_factory=dict)
+    printed: Callable[["_Run"], tuple] | None = None
+    printed_floor: float = 1e-3
+    runner: Callable[[Config, float], dict] | None = None
+
+    def __post_init__(self):
+        if self.runner is None:
+            object.__setattr__(self, "runner", partial(_run_row, self))
+
+    @property
+    def expected(self) -> str:
+        return "PASS" if self.printed is None else "DOCUMENTED_MISMATCH"
 
 
 @dataclass(frozen=True)
@@ -190,36 +212,64 @@ def _dist_to_int(x: float) -> float:
     return abs(x - round(x))
 
 
-def _track(state: dict, dev: float, point: dict):
-    state["n_points"] += 1
-    if dev > state["max_rel_dev"]:
-        state["max_rel_dev"] = dev
-        state["worst_point"] = point
+class _Run:
+    """One run of a row: its config and tolerance, the termwise oracle its
+    points share, made at first use, and its store of Wright specs."""
+
+    def __init__(self, cfg: Config, tol: float):
+        self.cfg, self.tol, self._specs = cfg, tol, {}
+
+    @cached_property
+    def oracle(self):
+        return _image_oracle()
+
+    def share(self, item):
+        """``share(spec)`` is the first equal spec the run shared, and
+        ``share(img)`` is img with that spec, so that every image and spec
+        of one series reads and fills one term table.  The series rows
+        build one image per series and take each lam from it, so the store
+        joins what only the parameters share: the probe images, the special
+        and general kinds, and the specs of several parameter sets."""
+        if isinstance(item, WrightSpec):
+            return self._specs.setdefault(item, item)
+        spec = self._specs.setdefault(item.spec, item.spec)
+        return item if spec is item.spec else replace(item, spec=spec)
 
 
-def _new_state() -> dict:
-    """Runner result: the record fields, tracked over a grid.
+def _worst(points) -> tuple:
+    """The worst deviation over (candidate, reference, coordinates)
+    points, the coordinates of its point and the number of points.  A
+    point without a reference (None) is a deviation from zero already."""
+    worst, where, n = 0.0, {}, 0
+    for got, want, point in points:
+        dev = abs(got) if want is None else _rel(got, want)
+        n += 1
+        if dev > worst:
+            worst, where = dev, point
+    return worst, where, n
 
-    Runners may add ``secondary`` (deviations of secondary routes keyed by
-    their tolerance key) and ``printed_dev``/``printed_floor`` (the
-    documented variant's deviation and the floor it must exceed).
-    """
-    return {"max_rel_dev": 0.0, "worst_point": {}, "n_points": 0}
+
+def _run_row(spec: CheckSpec, cfg: Config, tol: float) -> dict:
+    """The row's record fields, plus ``secondary`` (each secondary route's
+    worst deviation) and ``printed_dev``/``printed_floor``."""
+    run = _Run(cfg, tol)
+    dev, where, n = _worst(spec.points(run))
+    out = {"max_rel_dev": dev, "worst_point": where, "n_points": n}
+    if spec.secondary:
+        out["secondary"] = {key: _worst(points(run))[0] for key, points in spec.secondary.items()}
+    if spec.printed is not None:
+        out["printed_dev"] = _rel(*spec.printed(run))
+        out["printed_floor"] = spec.printed_floor
+    return out
 
 
 # --- kernel identity checks -------------------------------------------------
 
-def _kernel_check(grid_key: str, nu: float, want: Callable[[float], float]):
-    """Runner comparing S_nu(u) with ``want(u)`` over a linspace grid."""
-    def run(cfg: Config, tol: float) -> dict:
-        lo, hi, n = cfg.grids[grid_key]
-        st = _new_state()
-        for u in linspace(lo, hi, int(n)):
-            got = bessel_struve_kernel(nu, u).value
-            _track(st, _rel(got, want(u)), {"u": u})
-        return st
-
-    return run
+def _kernel_points(grid_key: str, nu: float, want: Callable[[float], float], run: _Run):
+    """S_nu(u) against ``want(u)`` over a linspace grid."""
+    lo, hi, n = run.cfg.grids[grid_key]
+    for u in linspace(lo, hi, int(n)):
+        yield bessel_struve_kernel(nu, u).value, want(u), {"u": u}
 
 
 def _i_plus_l(nu: float, u: float) -> float:
@@ -227,15 +277,12 @@ def _i_plus_l(nu: float, u: float) -> float:
             + struve(nu, u, modified=True).value)
 
 
-def _run_r2(cfg: Config, tol: float) -> dict:
-    run = _kernel_check("relation_grid", 1.0, lambda u: 2.0 * _i_plus_l(1.0, u) / u)
-    st = run(cfg, tol)
-    # the variant with the factor 2 only on the Bessel term
+def _printed_r2(run: _Run) -> tuple:
+    """The variant with the factor 2 only on the Bessel term, at u = 1."""
     u = 1.0
     s1 = bessel_struve_kernel(1.0, u).value
-    variant = (2.0 * bessel_first_kind(1.0, u, modified=True).value
-               + struve(1.0, u, modified=True).value) / u
-    return {**st, "printed_dev": _rel(variant, s1), "printed_floor": 0.01}
+    return (2.0 * bessel_first_kind(1.0, u, modified=True).value
+            + struve(1.0, u, modified=True).value) / u, s1
 
 
 # --- operator power-image checks --------------------------------------------
@@ -263,65 +310,54 @@ def _collapse_grid(cfg: Config, side: Side):
     return pts
 
 
-def _run_lemma(side: Side, cfg: Config, tol: float) -> dict:
-    """Power image against quadrature over the collapse grid, plus the
-    exact case: the integral of t over (0, 3) on the left, of t^(-2) over
-    (2, infinity) on the right.
+def _lemma_points(side: Side, run: _Run):
+    """L1, L2: the power image against quadrature over the collapse grid.
 
     Each distinct integral (``_collapsed``) is computed once: those of
     one 2F1 together, so that the pure 2F1 slot keeps its values over
     every x, and x by x among them, so that consecutive integrals share
-    their interval's scaled nodes.  The points are then tracked in grid
-    order."""
-    st = _new_state()
-    rhos, xs = ((cfg.grids["rho_left"], cfg.grids["x_left"]) if side is Side.LEFT
-                else (cfg.grids["rho_right"], cfg.grids["x_right"]))
+    their interval's scaled nodes.  The points then come in grid order."""
+    rhos, xs = ((run.cfg.grids["rho_left"], run.cfg.grids["x_left"]) if side is Side.LEFT
+                else (run.cfg.grids["rho_right"], run.cfg.grids["x_right"]))
     points = [(params, rho, msm_power_image(side, params, rho), _collapsed(side, params, rho))
-              for params in _collapse_grid(cfg, side) for rho in rhos]
+              for params in _collapse_grid(run.cfg, side) for rho in rhos]
     groups = {}  # 2F1 (a, b, c) -> distinct integral -> a point of it
     for params, rho, _, key in points:
         groups.setdefault(key.hyp, {}).setdefault(key, (params, rho))
     integrals = {}
-    for group in groups.values():
-        for x in xs:
-            for key, (params, rho) in group.items():
-                integrals[key, x] = msm_quadrature(side, params, FunctionKind.monomial(rho),
-                                                   x, tol=tol / 20.0).value
-    for params, rho, img, key in points:
-        for x in xs:
-            got = img.value_at(x).value
-            _track(st, _rel(got, integrals[key, x]), {**vars(params), "rho": rho, "x": x})
+    for group, x in product(groups.values(), xs):
+        for key, (params, rho) in group.items():
+            integrals[key, x] = msm_quadrature(side, params, FunctionKind.monomial(rho),
+                                               x, tol=run.tol / 20.0).value
+    for (params, rho, img, key), x in product(points, xs):
+        yield img.value_at(x).value, integrals[key, x], {**vars(params), "rho": rho, "x": x}
+
+
+def _lemma_exact(side: Side, run: _Run):
+    """The exact case, by the image and by quadrature: the integral of t
+    over (0, 3) on the left, of t^(-2) over (2, infinity) on the right."""
     rho, x, exact = (2.0, 3.0, 4.5) if side is Side.LEFT else (-1.0, 2.0, 0.5)
     plain = MsmParams(0, 0, 0, 0, 1.0)
-    img = msm_power_image(side, plain, rho)
-    deg = _rel(img.value_at(x).value, exact)
-    deg = max(deg, _rel(
-        msm_quadrature(side, plain, FunctionKind.monomial(rho), x).value, exact))
-    return {**st, "secondary": {"degenerate": deg}}
+    yield msm_power_image(side, plain, rho).value_at(x).value, exact, None
+    yield msm_quadrature(side, plain, FunctionKind.monomial(rho), x).value, exact, None
 
 
-def _printed_right_ratio(p: MsmParams, rho: float) -> float:
-    """The uncorrected right-side gamma ratio (second numerator lacks the
-    order parameter; the second denominator carries a stray beta)."""
-    return gamma_ratio(
+def _printed_l2(run: _Run) -> tuple:
+    """The variant ratio, whose second numerator lacks the order parameter
+    and whose second denominator carries a stray beta, against quadrature
+    at a probe point where it differs."""
+    p = MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
+    rho = -1.5
+    x = 1.3
+    want = msm_quadrature(Side.RIGHT, p, FunctionKind.monomial(rho), x).value
+    ratio = gamma_ratio(
         (1.0 - rho - p.gamma + p.alpha + p.alpha_prime,
          1.0 - rho + p.alpha + p.beta_prime,
          1.0 - rho - p.beta),
         (1.0 - rho,
          1.0 - rho + p.alpha + p.alpha_prime + p.beta + p.beta_prime - p.gamma,
          1.0 - rho + p.alpha - p.beta))
-
-
-def _run_l2(cfg: Config, tol: float) -> dict:
-    out = _run_lemma(Side.RIGHT, cfg, tol)
-    # variant ratio against quadrature at a probe point where it differs
-    probe = MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
-    rho = -1.5
-    x = 1.3
-    want = msm_quadrature(Side.RIGHT, probe, FunctionKind.monomial(rho), x).value
-    variant = (_printed_right_ratio(probe, rho)
-               * x ** msm_power_image(Side.RIGHT, probe, rho).power_of_x)
-    return {**out, "printed_dev": _rel(variant, want), "printed_floor": 1e-3}
+    return ratio * x ** msm_power_image(Side.RIGHT, p, rho).power_of_x, want
 
 
 # --- operator kernel-image theorems ------------------------------------------
@@ -387,11 +423,11 @@ def _termwise_sum(products: list, powers: list) -> float:
 
 
 def _image_oracle():
-    """A termwise image oracle for one check runner: the coefficients c_n
+    """A termwise image oracle for one check run: the coefficients c_n
     of each nu, the ratios R_n of each gamma table's arguments, the
     products c_n R_n and the constant factor of each (gamma table, nu),
     and the powers w ** n of each argument w, are built on first use and
-    reused wherever the runner asks for them again."""
+    reused wherever the run asks for them again."""
     coeffs, ratios, built, powers = {}, {}, {}, {}
 
     def image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
@@ -420,88 +456,66 @@ def _image_oracle():
     return image
 
 
-def _spec_store():
-    """A check runner's own store of Wright specs: ``share(spec)`` is the
-    first equal spec the runner shared, and ``share(img)`` is img with that
-    spec, so that every image and spec of one series reads and fills one
-    term table.  The theorem runners build one image per series and take
-    each lam from it, so the store joins what only the parameters share:
-    the probe images, the special and general kinds, and the specs of
-    several parameter sets.  The store lives as long as the runner's call."""
-    specs = {}
-
-    def share(item):
-        if isinstance(item, WrightSpec):
-            return specs.setdefault(item, item)
-        spec = specs.setdefault(item.spec, item.spec)
-        return item if spec is item.spec else replace(item, spec=spec)
-
-    return share
+def _series_points(grid, run: _Run):
+    """T1-T7: the kernel image at each point (gamma table, kind, lam, x,
+    coordinates) of ``grid(cfg)`` against the oracle of the kind's order.
+    Each series (table, order) has its image built once, from the table,
+    and takes every lam by its argument scale (``_kernel_at``)."""
+    images = {}
+    for table, kind, lam, x, point in grid(run.cfg):
+        img = images.get((table, kind.nu))
+        if img is None:
+            img = images[table, kind.nu] = run.share(_kernel_image(table, kind))
+        img_lam = _kernel_at(table, img.prefactor, img.spec, lam)
+        got = img_lam.value_at(x, term_cap=run.cfg.term_cap)
+        yield got.value, run.oracle(table, kind.nu, lam, x), point
 
 
-def _termwise_image(t: _GammaTable, nu: float, lam: float, x: float) -> float:
-    """One call of a fresh ``_image_oracle``: nothing is kept."""
-    return _image_oracle()(t, nu, lam, x)
-
-
-def _theorem_grid(cfg: Config, side: Side):
+def _theorem_grid(side: Side, cfg: Config):
+    """T1, T2: the points whose kernel argument lam*x (lam/x) is within 2.
+    Each kind, and each parameter set's gamma table at each rho, is built
+    once."""
     g = cfg.grids
     rhos = [1.2, 1.5] if side is Side.LEFT else [-2.0, -1.3]
     xs = g["x_left"] if side is Side.LEFT else g["x_right"]
+    kinds = {(rho, nu): FunctionKind.bs_kernel(rho, nu) for rho, nu in product(rhos, g["nu"])}
     for raw in g["theorem_params"]:
         params = MsmParams(*raw)
-        for nu in g["nu"]:
-            for lam in g["lam"]:
-                # the points whose kernel argument lam*x (lam/x) is within 2
-                near = [x for x in xs if abs(lam * x if side is Side.LEFT else lam / x) <= 2.0]
-                for rho in rhos if near else ():
-                    yield params, nu, lam, rho, near
+        tables = [(rho, _gamma_args(side, params, rho)) for rho in rhos]
+        for nu, lam in product(g["nu"], g["lam"]):
+            near = [x for x in xs if abs(lam * x if side is Side.LEFT else lam / x) <= 2.0]
+            for (rho, table), x in product(tables, near):
+                yield table, kinds[rho, nu], lam, x, {**vars(params), "nu": nu, "lam": lam,
+                                                      "rho": rho, "x": x}
 
 
-def _quad_dev(image, quadrature, probe, kinds, x: float, tol: float, share) -> float:
-    """Worst deviation of the closed-form images of ``kinds`` at x, their
-    specs shared through ``share``, from direct quadrature (run at tol/20)."""
-    return max(0.0, *(_rel(share(image(probe, kind)).value_at(x).value,
-                           quadrature(probe, kind, x, tol=tol / 20.0).value)
-                      for kind in kinds))
+def _special_grid(family: str, cfg: Config):
+    """T3-T6: the special kind's image at x = 1 over the theorem sets."""
+    kind = FunctionKind(family, 1.3)
+    for raw in cfg.grids["theorem_params"]:
+        params = MsmParams(*raw)
+        yield (_gamma_args(Side.LEFT, params, kind.rho), kind, 1.0, 1.0,
+               {**vars(params), "rho": kind.rho})
 
 
-def _run_theorem(side: Side, cfg: Config, tol: float) -> dict:
-    st = _new_state()
-    # each (params, nu, rho) serves every (lam, x), in the oracle and the
-    # image, which is built once and takes each lam by its argument scale
-    oracle, share, series = _image_oracle(), _spec_store(), {}
-    for params, nu, lam, rho, xs in _theorem_grid(cfg, side):
-        if (params, nu, rho) not in series:
-            kind = FunctionKind.bs_kernel(rho, nu, lam)
-            series[params, nu, rho] = (_gamma_args(side, params, rho),
-                                       share(msm_bs_closed_form(side, params, kind)))
-        table, img = series[params, nu, rho]
-        img = _kernel_at(table, img.prefactor, img.spec, lam)
-        for x in xs:
-            got = img.value_at(x, term_cap=cfg.term_cap).value
-            want = oracle(table, nu, lam, x)
-            _track(st, _rel(got, want),
-                   {**vars(params), "nu": nu, "lam": lam, "rho": rho, "x": x})
-    # quadrature cross-check in a collapse regime
-    if side is Side.LEFT:
-        probe = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9)
-        rho = 1.5
-        x = 1.0
+def _quad_points(side: Side | None, probe, kinds, x: float, run: _Run):
+    """T1, T2, T7, T8: the closed-form images of ``kinds`` at x, their specs
+    shared through the run's store, against direct quadrature at the
+    route's tolerance / 20; ``side`` None is the pathway route."""
+    if side is None:
+        image, quadrature = pathway_bs_closed_form, pathway_quadrature
+        tol = run.cfg.tolerances["pathway_quadrature"]
     else:
-        probe = MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
-        rho = -2.0
-        x = 2.0
-    kinds = [FunctionKind.bs_kernel(rho, nu, 0.5) for nu in (-0.5, 0.25, 1.0)]
-    quad_dev = _quad_dev(partial(msm_bs_closed_form, side), partial(msm_quadrature, side),
-                         probe, kinds, x, cfg.tolerances["theorem_quadrature"], share)
-    return {**st, "secondary": {"theorem_quadrature": quad_dev}}
+        image, quadrature = partial(msm_bs_closed_form, side), partial(msm_quadrature, side)
+        tol = run.cfg.tolerances["theorem_quadrature"]
+    for kind in kinds:
+        yield (run.share(image(probe, kind)).value_at(x).value,
+               quadrature(probe, kind, x, tol=tol / 20.0).value, None)
 
 
-def _run_t2(cfg: Config, tol: float) -> dict:
-    out = _run_theorem(Side.RIGHT, cfg, tol)
-    # variant statement: order parameter missing from one numerator, stray
-    # beta terms in the denominators, and the series argument lam*x
+def _printed_t2(run: _Run) -> tuple:
+    """The variant statement: order parameter missing from one numerator,
+    stray beta terms in the denominators, and the series argument lam*x."""
     p = MsmParams(0.3, 0.2, 0.1, 0.4, 1.1)
     rho, nu, lam, x = -2.0, 0.25, 0.5, 2.0
     spec = WrightSpec(
@@ -513,188 +527,137 @@ def _run_t2(cfg: Config, tol: float) -> dict:
     pref = math.exp(math.lgamma(nu + 1.0) - _HALF_LN_PI)
     variant = (pref * x ** msm_power_image(Side.RIGHT, p, rho).power_of_x
                * wright_eval(spec, lam * x).value)
-    want = _termwise_image(_gamma_args(Side.RIGHT, p, rho), nu, lam, x)
-    out["printed_dev"] = _rel(variant, want)
-    out["printed_floor"] = 1e-3
-    return out
+    return variant, run.oracle(_gamma_args(Side.RIGHT, p, rho), nu, lam, x)
 
 
-def _special_theorem_runner(family: str, nu: float, printed):
-    def run(cfg: Config, tol: float) -> dict:
-        st = _new_state()
-        rho = 1.3
-        delegation = 0.0
-        oracle = _image_oracle()  # one nu: the coefficients c_n serve every set
-        share = _spec_store()  # the special and the general image share a spec
-        for raw in cfg.grids["theorem_params"]:
-            params = MsmParams(*raw)
-            img = share(msm_bs_closed_form(Side.LEFT, params, FunctionKind(family, rho)))
-            got = img.value_at(1.0).value
-            want = oracle(_gamma_args(Side.LEFT, params, rho), nu, 1.0, 1.0)
-            _track(st, _rel(got, want), {**vars(params), "rho": rho})
-            # the special kind must reproduce the general order-nu route exactly
-            general = share(msm_bs_closed_form(Side.LEFT, params,
-                                               FunctionKind.bs_kernel(rho, nu, 1.0)))
-            if img != general:
-                delegation = max(delegation, 1.0)
-            a, b = img.value_at(1.4), general.value_at(1.4)
-            delegation = max(delegation, 0.0 if a == b else _rel(a.value, b.value))
-        out = {**st, "secondary": {"degenerate": delegation}}
-        if printed is not None:
-            # the variant at the last grid point, against that point's oracle
-            out["printed_dev"] = _rel(printed(params, rho, 1.0), want)
-            out["printed_floor"] = 1e-3
-        return out
-
-    return run
+def _delegation(family: str, run: _Run):
+    """T3-T6: the special kind must reproduce the general order-nu route
+    exactly, image and value."""
+    special = FunctionKind(family, 1.3)
+    for raw in run.cfg.grids["theorem_params"]:
+        img, general = (run.share(msm_bs_closed_form(Side.LEFT, MsmParams(*raw), kind))
+                        for kind in (special, FunctionKind.bs_kernel(1.3, special.nu)))
+        yield float(img != general), None, None
+        yield img.value_at(1.4).value, general.value_at(1.4).value, None
 
 
-# The printed variants below differ from the corrected image only in the
-# kernel's lower pair (nu+1, 1/2) and the front factor, so the operator's
-# gamma arguments come from the corrected image (nu is replaced anyway).
-
-def _printed_t4(p: MsmParams, rho: float, x: float) -> float:
-    # lower first pair transposed to (1/2, 3/2); no 1/2 front factor
+def _printed_special(nu: float, lower: tuple, divisor: float, run: _Run) -> tuple:
+    """T4-T6: the variant at the last theorem set, at x = 1, against that
+    set's oracle.  It differs from the corrected image only in the
+    kernel's lower pair (nu+1, 1/2), printed as ``lower``, and the front
+    factor, printed as 1/divisor, so the operator's gamma arguments come
+    from the corrected image (nu is replaced anyway)."""
+    p, rho, x = MsmParams(*run.cfg.grids["theorem_params"][-1]), 1.3, 1.0
     img = msm_bs_closed_form(Side.LEFT, p, FunctionKind.bs_kernel(rho, 0.0))
-    spec = WrightSpec(img.spec.upper, ((0.5, 1.5),) + img.spec.lower[1:])
-    return x ** img.power_of_x * wright_eval(spec, x).value
-
-
-def _printed_t5_t6(p: MsmParams, rho: float, x: float) -> float:
-    # lower first pair printed as (1/2, 1) instead of (nu+1, 1/2)
-    img = msm_bs_closed_form(Side.LEFT, p, FunctionKind.bs_kernel(rho, 0.0))
-    spec = WrightSpec(img.spec.upper, ((0.5, 1.0),) + img.spec.lower[1:])
-    return x ** img.power_of_x / math.sqrt(math.pi) * wright_eval(spec, x).value
+    spec = WrightSpec(img.spec.upper, (lower,) + img.spec.lower[1:])
+    return (x ** img.power_of_x / divisor * wright_eval(spec, x).value,
+            run.oracle(_gamma_args(Side.LEFT, p, rho), nu, 1.0, x))
 
 
 # --- pathway checks -----------------------------------------------------------
 
 def _pathway_grid(cfg: Config):
     g = cfg.grids
-    for eta in g["pathway_eta"]:
-        for a in g["pathway_a"]:
-            for alpha in g["pathway_alpha"]:
-                params = PathwayParams(eta, a, alpha)
-                if _dist_to_int(params.kernel_exponent) < 0.05:
-                    continue
-                yield params
+    for eta, a, alpha in product(g["pathway_eta"], g["pathway_a"], g["pathway_alpha"]):
+        params = PathwayParams(eta, a, alpha)
+        if _dist_to_int(params.kernel_exponent) >= 0.05:
+            yield params
 
 
-def _run_l3(cfg: Config, tol: float) -> dict:
-    st = _new_state()
-    for params in _pathway_grid(cfg):
-        for beta in cfg.grids["pathway_beta"]:
-            img = pathway_power_image(params, beta)
-            for x in (1.0,):
-                got = img.value_at(x).value
-                want = pathway_quadrature(params, FunctionKind.monomial(beta), x,
-                                          tol=tol / 20.0).value
-                _track(st, _rel(got, want),
-                       {"eta": params.eta, "a": params.a,
-                        "alpha": params.pathway_alpha, "beta": beta, "x": x})
-    # exact elementary case
+def _where(params: PathwayParams, **more) -> dict:
+    """A pathway point's coordinates."""
+    return {"eta": params.eta, "a": params.a, "alpha": params.pathway_alpha, **more}
+
+
+def _l3_points(run: _Run):
+    """L3: the power image against quadrature at x = 1."""
+    x = 1.0
+    for params, beta in product(_pathway_grid(run.cfg), run.cfg.grids["pathway_beta"]):
+        got = pathway_power_image(params, beta).value_at(x).value
+        want = pathway_quadrature(params, FunctionKind.monomial(beta), x, tol=run.tol / 20.0).value
+        yield got, want, _where(params, beta=beta, x=x)
+
+
+def _l3_exact(run: _Run):
+    """The exact elementary case: the image is exactly x^2/2."""
     img = pathway_power_image(PathwayParams(1.0, 1.0, 0.0), 1.0)
-    deg = 0.0 if img.prefactor == 0.5 and img.power_of_x == 2.0 else 1.0
+    yield float(img.prefactor != 0.5 or img.power_of_x != 2.0), None, None
     x = 1.7
-    deg = max(deg, _rel(img.value_at(x).value, 0.5 * x * x))
-    return {**st, "secondary": {"degenerate": deg}}
+    yield img.value_at(x).value, 0.5 * x * x, None
 
 
-def _run_t7(cfg: Config, tol: float) -> dict:
-    st = _new_state()
-    oracle = _image_oracle()  # each (params, sigma, nu) serves every lam
-    share = _spec_store()  # each (sigma, nu, kernel exponent) serves every set
-    for params in _pathway_grid(cfg):
-        for sigma in cfg.grids["pathway_sigma"]:
-            for nu in (-0.5, 0.0, 0.25, 1.0):
-                img = None  # the series' image, built at its first lam and taking the rest
-                for lam in cfg.grids["lam"]:
-                    x = 1.0
-                    if abs(lam * x / params.cut) > 2.0:
-                        continue
-                    if img is None:
-                        table = _pathway_table(params, sigma)
-                        img = share(pathway_bs_closed_form(params,
-                                                           FunctionKind.bs_kernel(sigma, nu, lam)))
-                    img = _kernel_at(table, img.prefactor, img.spec, lam)
-                    got = img.value_at(x).value
-                    want = oracle(table, nu, lam, x)
-                    _track(st, _rel(got, want),
-                           {"eta": params.eta, "a": params.a,
-                            "alpha": params.pathway_alpha, "sigma": sigma,
-                            "nu": nu, "lam": lam})
+def _t7_grid(cfg: Config):
+    """T7: each (params, sigma, nu, lam) at x = 1 whose kernel argument
+    lam*x/cut is within 2; each (params, sigma) gamma table is built once."""
+    x, nus = 1.0, (-0.5, 0.0, 0.25, 1.0)
+    sigmas = cfg.grids["pathway_sigma"]
+    kinds = {(sigma, nu): FunctionKind.bs_kernel(sigma, nu) for sigma, nu in product(sigmas, nus)}
+    for params, sigma in product(_pathway_grid(cfg), sigmas):
+        table = _pathway_table(params, sigma)
+        for nu, lam in product(nus, cfg.grids["lam"]):
+            if abs(lam * x / params.cut) <= 2.0:
+                yield table, kinds[sigma, nu], lam, x, _where(params, sigma=sigma, nu=nu, lam=lam)
+
+
+def _t7_reduction(run: _Run):
+    """Scale zero must reduce to the power image with a single series term."""
     probe = PathwayParams(0.7, 1.3, 0.4)
-    quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
-                         [FunctionKind.bs_kernel(1.1, nu, 0.5) for nu in (-0.5, 0.25, 1.0)],
-                         1.0, cfg.tolerances["pathway_quadrature"], share)
-    # scale zero must reduce to the power image with a single series term
-    kind = FunctionKind.bs_kernel(1.1, 0.25, 0.0)
-    r = share(pathway_bs_closed_form(probe, kind)).value_at(1.4)
-    reduction = _rel(r.value, pathway_power_image(probe, 1.1).value_at(1.4).value)
-    reduction = max(reduction, 0.0 if r.terms_used == 1 else 1.0)
-    return {**st, "secondary": {"pathway_quadrature": quad_dev, "degenerate": reduction}}
+    r = run.share(pathway_bs_closed_form(probe, FunctionKind.bs_kernel(1.1, 0.25, 0.0)))
+    r = r.value_at(1.4)
+    yield r.value, pathway_power_image(probe, 1.1).value_at(1.4).value, None
+    yield float(r.terms_used != 1), None, None
 
 
-def _run_t8(cfg: Config, tol: float) -> dict:
-    st = _new_state()
-    oracle = _image_oracle()  # the coefficients c_n of nu = -1/2, 1/2 serve every set
-    share = _spec_store()
-    for params in _pathway_grid(cfg):
-        for sigma in cfg.grids["pathway_sigma"]:
-            x = 1.0
-            kinds = (FunctionKind.exp_kernel(sigma), FunctionKind.expm1_over_t(sigma))
-            got, got2 = (share(pathway_bs_closed_form(params, k)).value_at(x).value for k in kinds)
-            # first exponential case: published form agrees with delegation
-            c = params.kernel_exponent
-            spec = share(WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),)))
-            pub = (x ** (params.eta + sigma) * math.exp(math.lgamma(1.0 + c))
-                   / params.cut ** sigma * wright_eval(spec, x / params.cut).value)
-            point = {"eta": params.eta, "a": params.a,
-                     "alpha": params.pathway_alpha, "sigma": sigma}
-            _track(st, _rel(got, pub), {**point, "case": 0.0})
-            want = oracle(_pathway_table(params, sigma), -0.5, 1.0, x)
-            _track(st, _rel(got, want), {**point, "case": 1.0})
-            want2 = oracle(_pathway_table(params, sigma), 0.5, 1.0, x)
-            _track(st, _rel(got2, want2), {**point, "case": 2.0})
+def _t8_points(run: _Run):
+    """T8: the exponential images against the published first case and
+    against the oracle at orders -1/2 and 1/2."""
+    x = 1.0
+    for params, sigma in product(_pathway_grid(run.cfg), run.cfg.grids["pathway_sigma"]):
+        table = _pathway_table(params, sigma)
+        got, got2 = (run.share(_kernel_image(table, kind(sigma))).value_at(x).value
+                     for kind in (FunctionKind.exp_kernel, FunctionKind.expm1_over_t))
+        c = params.kernel_exponent
+        spec = run.share(WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),)))
+        pub = (x ** (params.eta + sigma) * math.exp(math.lgamma(1.0 + c))
+               / params.cut ** sigma * wright_eval(spec, x / params.cut).value)
+        yield got, pub, _where(params, sigma=sigma, case=0.0)
+        yield got, run.oracle(table, -0.5, 1.0, x), _where(params, sigma=sigma, case=1.0)
+        yield got2, run.oracle(table, 0.5, 1.0, x), _where(params, sigma=sigma, case=2.0)
+
+
+def _printed_t8(run: _Run) -> tuple:
+    """The variant second case: lower pair printed as (1/2, 1/2) instead
+    of (3/2, 1/2)."""
     probe = PathwayParams(0.7, 1.3, 0.4)
-    quad_dev = _quad_dev(pathway_bs_closed_form, pathway_quadrature, probe,
-                         (FunctionKind.exp_kernel(1.2), FunctionKind.expm1_over_t(1.2)),
-                         0.8, cfg.tolerances["pathway_quadrature"], share)
-    # variant second case: lower pair printed as (1/2, 1/2) instead of (3/2, 1/2)
     sigma, x = 1.1, 1.0
     c = probe.kernel_exponent
     spec = WrightSpec(((0.5, 0.5), (sigma, 1.0)),
                       ((0.5, 0.5), (1.0 + c + sigma, 1.0)))
     variant = (x ** (probe.eta + sigma) * math.exp(math.lgamma(1.0 + c))
                / (2.0 * probe.cut ** sigma) * wright_eval(spec, x / probe.cut).value)
-    want = oracle(_pathway_table(probe, sigma), 0.5, 1.0, x)
-    return {**st, "secondary": {"pathway_quadrature": quad_dev},
-            "printed_dev": _rel(variant, want), "printed_floor": 1e-3}
+    return variant, run.oracle(_pathway_table(probe, sigma), 0.5, 1.0, x)
 
 
 # --- wright engine check ------------------------------------------------------
 
-def _run_w_delta(cfg: Config, tol: float) -> dict:
-    st = _new_state()
-    for raw in cfg.grids["theorem_params"]:
-        params = MsmParams(*raw)
-        for side, rho in ((Side.LEFT, 1.3), (Side.RIGHT, -2.0)):
-            img = msm_bs_closed_form(side, params, FunctionKind.bs_kernel(rho, 0.25, 1.0))
-            _track(st, abs(wright_delta(img.spec)),
-                   {"side": 0.0 if side is Side.LEFT else 1.0, "rho": rho})
-    for params in _pathway_grid(cfg):
+def _w_delta_points(run: _Run):
+    """Each generated series spec's delta (balanced: 0), the unit 1Psi1
+    against e, and specs padded by a matched pair against the unpadded."""
+    for raw, (side, rho) in product(run.cfg.grids["theorem_params"],
+                                    ((Side.LEFT, 1.3), (Side.RIGHT, -2.0))):
+        img = msm_bs_closed_form(side, MsmParams(*raw), FunctionKind.bs_kernel(rho, 0.25, 1.0))
+        yield wright_delta(img.spec), None, {"side": 0.0 if side is Side.LEFT else 1.0, "rho": rho}
+    for params in _pathway_grid(run.cfg):
         img = pathway_bs_closed_form(params, FunctionKind.bs_kernel(1.1, 0.25, 1.0))
-        _track(st, abs(wright_delta(img.spec)), {"eta": params.eta})
+        yield wright_delta(img.spec), None, {"eta": params.eta}
     e_spec = WrightSpec(((1.0, 1.0),), ((1.0, 1.0),))
-    _track(st, _rel(wright_eval(e_spec, 1.0).value, math.e), {"identity": 1.0})
+    yield wright_eval(e_spec, 1.0).value, math.e, {"identity": 1.0}
     base_spec = WrightSpec(((0.5, 0.5), (1.2, 1.0)), ((1.25, 0.5), (1.9, 1.0)))
     base = wright_eval(base_spec, 1.4).value
     for c, slope in ((0.7, 0.5), (1.3, 1.0), (2.2, 2.0)):
         padded = WrightSpec(((c, slope),) + base_spec.upper,
                             ((c, slope),) + base_spec.lower)
-        _track(st, _rel(wright_eval(padded, 1.4).value, base),
-               {"pair_c": c, "pair_slope": slope})
-    return st
+        yield wright_eval(padded, 1.4).value, base, {"pair_c": c, "pair_slope": slope}
 
 
 # --- density normalization ------------------------------------------------------
@@ -708,18 +671,18 @@ def _density_norm(dp: PathwayDensityParams) -> float:
     return 2.0 * half.value
 
 
-def _run_density(cfg: Config, tol: float) -> dict:
-    st = _new_state()
+def _density_points(run: _Run):
+    """Each density's total mass less one (a deviation from zero): the
+    named cases, then random admissible draws in every regime."""
     named = [
         ("triangular", PathwayDensityParams(1.0, 1.0, 1.0, 1.0, 0.0)),
         ("cauchy", PathwayDensityParams(1.0, 2.0, 1.0, 1.0, 2.0)),
         ("normal", PathwayDensityParams(1.0, 2.0, 0.5, 1.0, 1.0)),
     ]
     for label, dp in named:
-        total = _density_norm(dp)
-        _track(st, abs(total - 1.0), {"case": label})
-    rng = random.Random(int(cfg.grids["density_seed"]))
-    n_rand = int(cfg.grids["density_samples"])
+        yield _density_norm(dp) - 1.0, None, {"case": label}
+    rng = random.Random(int(run.cfg.grids["density_seed"]))
+    n_rand = int(run.cfg.grids["density_samples"])
     for regime in ("sub", "super", "limit"):
         made = 0
         while made < n_rand:
@@ -738,94 +701,119 @@ def _run_density(cfg: Config, tol: float) -> dict:
                 if delta * beta / (alpha - 1.0) <= gamma_shape + 0.3:
                     continue  # demand tail decay margin
             dp = PathwayDensityParams(gamma_shape, delta, beta, a, alpha)
-            total = _density_norm(dp)
-            _track(st, abs(total - 1.0),
+            yield (_density_norm(dp) - 1.0, None,
                    {"regime": regime, "gamma": gamma_shape, "delta": delta,
                     "beta": beta, "a": a, "alpha": alpha})
             made += 1
-    return st
 
 
 # --- suite assembly ------------------------------------------------------------
 
+def _kernel_kinds(rho: float) -> list:
+    """The kernel kinds at the quadrature probes: orders -1/2, 1/4 and 1,
+    at lam = 1/2."""
+    return [FunctionKind.bs_kernel(rho, nu, 0.5) for nu in (-0.5, 0.25, 1.0)]
+
+
+# A row names only functions of this module: the layer functions are looked
+# up as globals when the row runs, so that a wrapper installed over them
+# (perfbench/tracer.py) sees every call.
 CHECKS = {
     "L1": CheckSpec(
         "L1", "left power image versus direct tanh-sinh quadrature "
         "(collapsed kernel), plus the exact plain-integration case",
-        "lemma_quadrature", partial(_run_lemma, Side.LEFT)),
+        "lemma_quadrature", partial(_lemma_points, Side.LEFT),
+        {"degenerate": partial(_lemma_exact, Side.LEFT)}),
     "L2": CheckSpec(
         "L2", "right power image versus direct exp-sinh quadrature; the "
         "variant ratio with a misplaced order parameter is documented",
-        "lemma_quadrature", _run_l2,
-        expected="DOCUMENTED_MISMATCH"),
+        "lemma_quadrature", partial(_lemma_points, Side.RIGHT),
+        {"degenerate": partial(_lemma_exact, Side.RIGHT)}, _printed_l2),
     "L3": CheckSpec(
         "L3", "pathway power image versus quadrature of the corrected "
         "kernel; the eta=1,a=1,alpha=0,beta=1 case is exactly x^2/2",
-        "pathway_lemma", _run_l3),
+        "pathway_lemma", _l3_points, {"degenerate": _l3_exact}),
     "T1": CheckSpec(
         "T1", "left kernel image (4Psi4) versus the 60-term termwise "
         "power-image oracle and collapse-regime quadrature",
-        "theorem_series", partial(_run_theorem, Side.LEFT)),
+        "theorem_series", partial(_series_points, partial(_theorem_grid, Side.LEFT)),
+        {"theorem_quadrature": partial(
+            _quad_points, Side.LEFT, MsmParams(0.4, 0.0, 0.3, 0.2, 0.9), _kernel_kinds(1.5), 1.0,
+        )}),
     "T2": CheckSpec(
         "T2", "right kernel image versus termwise oracle and quadrature; "
         "the variant statement (stray order shifts, argument lam*x) "
         "is documented",
-        "theorem_series", _run_t2,
-        expected="DOCUMENTED_MISMATCH"),
+        "theorem_series", partial(_series_points, partial(_theorem_grid, Side.RIGHT)),
+        {"theorem_quadrature": partial(
+            _quad_points, Side.RIGHT, MsmParams(0.0, 0.2, 0.1, 0.4, 1.1), _kernel_kinds(-2.0), 2.0,
+        )},
+        _printed_t2),
     "T3": CheckSpec(
         "T3", "exponential integrand image reproduced by delegation at "
         "order -1/2 (the 3Psi3 reduction)",
-        "theorem_series", _special_theorem_runner("exp", -0.5, None)),
+        "theorem_series", partial(_series_points, partial(_special_grid, "exp")),
+        {"degenerate": partial(_delegation, "exp")}),
     "T4": CheckSpec(
         "T4", "expm1-over-t integrand image by delegation at order 1/2; "
         "variant with transposed lower pair and dropped 1/2 factor "
         "is documented",
-        "theorem_series", _special_theorem_runner("expm1_over_t", 0.5, _printed_t4),
-        expected="DOCUMENTED_MISMATCH"),
+        "theorem_series", partial(_series_points, partial(_special_grid, "expm1_over_t")),
+        {"degenerate": partial(_delegation, "expm1_over_t")},
+        partial(_printed_special, 0.5, (0.5, 1.5), 1.0)),
     "T5": CheckSpec(
         "T5", "I0+L0 integrand image by delegation at order 0; variant "
         "lower pair (1/2,1) is documented",
-        "theorem_series", _special_theorem_runner("i0_plus_l0", 0.0, _printed_t5_t6),
-        expected="DOCUMENTED_MISMATCH"),
+        "theorem_series", partial(_series_points, partial(_special_grid, "i0_plus_l0")),
+        {"degenerate": partial(_delegation, "i0_plus_l0")},
+        partial(_printed_special, 0.0, (0.5, 1.0), math.sqrt(math.pi))),
     "T6": CheckSpec(
         "T6", "2(I1+L1)/t integrand image by delegation at order 1; "
         "variant lower pair (1/2,1) is documented",
         "theorem_series",
-        _special_theorem_runner("two_i1_plus_two_l1_over_t", 1.0, _printed_t5_t6),
-        expected="DOCUMENTED_MISMATCH"),
+        partial(_series_points, partial(_special_grid, "two_i1_plus_two_l1_over_t")),
+        {"degenerate": partial(_delegation, "two_i1_plus_two_l1_over_t")},
+        partial(_printed_special, 1.0, (0.5, 1.0), math.sqrt(math.pi))),
     "T7": CheckSpec(
         "T7", "pathway kernel image (2Psi2) versus termwise oracle and "
         "quadrature; zero scale reduces exactly to the power image",
-        "pathway_series", _run_t7),
+        "pathway_series", partial(_series_points, _t7_grid),
+        {"pathway_quadrature": partial(
+            _quad_points, None, PathwayParams(0.7, 1.3, 0.4), _kernel_kinds(1.1), 1.0),
+         "degenerate": _t7_reduction}),
     "T8": CheckSpec(
         "T8", "exponential pathway images versus termwise oracles; the "
         "variant lower pair (1/2,1/2) in the expm1 case is documented",
-        "pathway_series", _run_t8,
-        expected="DOCUMENTED_MISMATCH"),
+        "pathway_series", _t8_points,
+        {"pathway_quadrature": partial(_quad_points, None, PathwayParams(0.7, 1.3, 0.4), (
+            FunctionKind.exp_kernel(1.2), FunctionKind.expm1_over_t(1.2)), 0.8)},
+        _printed_t8),
     "e1": CheckSpec(
         "e1", "kernel at order -1/2 equals exp on [-10, 10]",
-        "kernel_exp", _kernel_check("kernel_grid", -0.5, math.exp)),
+        "kernel_exp", partial(_kernel_points, "kernel_grid", -0.5, math.exp)),
     "e2": CheckSpec(
         "e2", "kernel at order 1/2 equals (exp(u)-1)/u on [-10, 10]",
         "kernel_exp",
-        _kernel_check("kernel_grid", 0.5,
-                      lambda u: 1.0 if u == 0.0 else math.expm1(u) / u)),
+        partial(_kernel_points, "kernel_grid", 0.5,
+                lambda u: 1.0 if u == 0.0 else math.expm1(u) / u)),
     "r1": CheckSpec(
         "r1", "kernel at order 0 equals I0 + L0 on (0, 20]",
-        "kernel_relation", _kernel_check("relation_grid", 0.0, partial(_i_plus_l, 0.0))),
+        "kernel_relation",
+        partial(_kernel_points, "relation_grid", 0.0, partial(_i_plus_l, 0.0))),
     "r2": CheckSpec(
         "r2", "kernel at order 1 equals 2(I1+L1)/u on (0, 20]; the "
         "variant (2I1+L1)/u misses by more than 1% at u=1",
-        "kernel_relation", _run_r2,
-        expected="DOCUMENTED_MISMATCH"),
+        "kernel_relation",
+        partial(_kernel_points, "relation_grid", 1.0, lambda u: 2.0 * _i_plus_l(1.0, u) / u),
+        printed=_printed_r2, printed_floor=0.01),
     "W-delta": CheckSpec(
         "W-delta", "every generated series spec is balanced (delta 0), the "
         "unit 1Psi1 equals e, and matched pair insertion is neutral",
-        "wright", _run_w_delta),
+        "wright", _w_delta_points),
     "density-norm": CheckSpec(
         "density-norm", "pathway densities integrate to one in all three "
         "regimes (named cases plus random admissible draws)",
-        "density_norm", _run_density),
+        "density_norm", _density_points),
 }
 
 SUITES = {

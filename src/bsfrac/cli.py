@@ -204,7 +204,8 @@ def _with_params(cmd):
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--tol", type=float, default=None, help="tolerance override for verify")
+@click.option("--tol", type=float, default=None,
+              help="tolerance override for verify (eval and table refuse it)")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -218,6 +219,9 @@ def _with_params(cmd):
 @click.pass_context
 def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
     """Special-function evaluation and identity verification."""
+    if tol is not None and ctx.invoked_subcommand != "verify":
+        # eval and table have no tolerance to override: refused, not ignored
+        raise click.UsageError(f"--tol applies to verify only, not to {ctx.invoked_subcommand}")
     ctx.obj = {"tol": tol, "format": fmt, "out": out,
                "seed_grid": seed_grid, "config_path": config_path}
 

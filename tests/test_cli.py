@@ -300,6 +300,19 @@ def test_bad_tol_is_usage_error(tol):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "S", "--nu", "0", "--x", "1"],
+    ["table", "S", "--nu", "0", "--x", "0:1:3"],
+], ids=["eval", "table"])
+@pytest.mark.parametrize("tol", ["nan", "1e-8"])
+def test_tol_is_refused_outside_verify(args, tol):
+    # eval and table once took --tol and silently ignored it, even nan
+    res = _run("--tol", tol, *args)
+    assert res.exit_code == 2, res.output
+    assert f"Error: --tol applies to verify only, not to {args[0]}" in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("grids, suite, empty", [
     ({"nu": []}, "msm-theorems", {"T1", "T2"}),
     ({"kernel_grid": [-10, 10, 0]}, "kernel-identities", {"e1", "e2"}),

@@ -541,7 +541,7 @@ def _count_runner_work(monkeypatch, check_id):
         return kernel_image(*args)
 
     monkeypatch.setattr(wright.WrightSpec, "__post_init__", counted_post_init)
-    for module in (msm, pathway):  # pathway holds its own reference
+    for module in (msm, pathway, checks):  # pathway and checks hold their own references
         monkeypatch.setattr(module, "_kernel_image", counted_kernel_image)
     cfg = Config()
     check = CHECKS[check_id]
@@ -581,6 +581,43 @@ def test_oracle_builds_one_power_list_per_argument(monkeypatch):
     st = check.runner(cfg, cfg.tolerances[check.tolerance_key])
     assert sorted(built) == [0.5 * 0.7, 0.5 * 1.3, 0.7, 1.3]
     assert st["n_points"] == 200
+
+
+def _count_per_check(monkeypatch, module, name):
+    """Calls of ``module.name`` made by each check of ``run_suite("all")``,
+    through the module and through checks."""
+    counts, current = collections.Counter(), []
+    original, execute = getattr(module, name), checks._execute_check
+
+    def counted(*args):
+        counts[current[-1]] += 1
+        return original(*args)
+
+    def tagged(spec, cfg, tol):
+        current.append(spec.id)
+        return execute(spec, cfg, tol)
+
+    for target in {module, checks}:
+        monkeypatch.setattr(target, name, counted)
+    monkeypatch.setattr(checks, "_execute_check", tagged)
+    checks.run_suite("all")
+    return counts
+
+
+def test_theorem_checks_build_each_gamma_table_once(monkeypatch):
+    # T1 and T2 build each (params, rho) table once, for the oracle and the
+    # image of every nu, lam and x: 10 tables, then 3 probe images and 3
+    # probe quadratures (and T2's variant, 2); the image once built its own
+    counts = _count_per_check(monkeypatch, msm, "_gamma_args")
+    assert (counts["T1"], counts["T2"]) == (16, 18)
+    assert sum(counts.values()) == 662  # 839 when T1/T2 built 106/108
+
+
+def test_each_oracle_using_check_builds_one_oracle(monkeypatch):
+    # a check run makes its oracle at first use and keeps it, T2's variant
+    # included; the checks without an oracle never make one
+    counts = _count_per_check(monkeypatch, checks, "_image_oracle")
+    assert counts == dict.fromkeys(["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"], 1)
 
 
 @pytest.mark.parametrize("rows", [

@@ -5,6 +5,7 @@ is read from its file and executed, never imported, so no bytecode is
 written next to it.
 """
 
+import collections
 import sys
 import types
 from pathlib import Path
@@ -78,3 +79,47 @@ def test_s_sweep_is_traced_at_the_wrapper():
     calls = tracer.summary()["calls"]
     assert calls["series.bessel_struve_kernel"] == 9
     assert calls["kernels.bs_series"] == 9
+
+
+# a layer function and the checks whose span must hold calls of it
+HARNESS_LAYERS = {
+    "msm.msm_quadrature": ("L1", "L2", "T1", "T2"),
+    "pathway.pathway_quadrature": ("L3", "T7", "T8"),
+    "wright.wright_eval": ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "W-delta"),
+    "msm.ClosedFormImage.value_at": ("L1", "L2", "L3", "T1", "T2", "T3", "T4", "T5", "T6",
+                                     "T7", "T8"),
+    "series.bessel_struve_kernel": ("e1", "e2", "r1", "r2"),
+}
+
+
+def _state_but_slots():
+    """``_bsfrac_state`` without the pure kernels' one-slot tables, which
+    every run refills."""
+    mods, value_at, table = _bsfrac_state()
+    return ({mod: {name: value for name, value in attrs.items() if not name.endswith("_slot")}
+             for mod, attrs in mods.items()}, value_at, table)
+
+
+def test_tracer_sees_the_harness():
+    # every check runs in its own span and reaches each layer through a name
+    # the tracer replaced: a check row holding a layer function of its own
+    # would hide that layer's calls from the check's span
+    tracer = _load_tracer().Tracer()
+    before = _state_but_slots()
+    tracer.install()
+    try:
+        report = checks.run_suite("all")
+    finally:
+        tracer.uninstall()
+    assert report.all_expected()
+    assert _state_but_slots() == before
+    names, roots, calls = tracer.names, [], collections.Counter()
+    for nid, parent in zip(tracer.name, tracer.parent):
+        roots.append(names[nid] if parent < 0 else roots[parent])
+        calls[roots[-1], names[nid]] += 1
+    assert {root for root, _ in calls} == {f"checks.{cid}" for cid in checks.CHECKS}
+    for cid in checks.CHECKS:
+        assert calls[f"checks.{cid}", f"checks.{cid}"] == 1, cid
+    for layer, ids in HARNESS_LAYERS.items():
+        for cid in ids:
+            assert calls[f"checks.{cid}", layer] > 0, (cid, layer)
