@@ -171,7 +171,7 @@ VERIFY_ALL = {
     "T4": ("DOCUMENTED_MISMATCH", 5),
     "T5": ("DOCUMENTED_MISMATCH", 5),
     "T6": ("DOCUMENTED_MISMATCH", 5),
-    "T7": ("PASS", 128),
+    "T7": ("PASS", 192),
     "T8": ("DOCUMENTED_MISMATCH", 72),
     "e1": ("PASS", 41),
     "e2": ("PASS", 41),

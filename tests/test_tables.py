@@ -558,7 +558,7 @@ def test_power_image_checks_construct_no_wright_spec(monkeypatch, check_id):
     assert _count_runner_work(monkeypatch, check_id)["specs"] == 0
 
 
-@pytest.mark.parametrize("check_id, images", [("T1", 53), ("T2", 53), ("T7", 84)])
+@pytest.mark.parametrize("check_id, images", [("T1", 53), ("T2", 53), ("T7", 100)])
 def test_theorem_checks_build_one_image_per_series(monkeypatch, check_id, images):
     # one image per (params, nu, rho) or (params, sigma, nu) that some lam
     # reaches, plus the quadrature probes (and T7's zero-scale case); every
