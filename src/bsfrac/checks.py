@@ -602,8 +602,8 @@ def _t7_grid(cfg: Config):
 def _t7_reduction(run: _Run):
     """Scale zero must reduce to the power image with a single series term."""
     probe = PathwayParams(0.7, 1.3, 0.4)
-    r = run.share(pathway_bs_closed_form(probe, FunctionKind.bs_kernel(1.1, 0.25, 0.0)))
-    r = r.value_at(1.4)
+    img = run.share(pathway_bs_closed_form(probe, FunctionKind.bs_kernel(1.1, 0.25, 0.0)))
+    r = img.value_at(1.4)
     yield r.value, pathway_power_image(probe, 1.1).value_at(1.4).value, None
     yield float(r.terms_used != 1), None, None
 

@@ -306,7 +306,8 @@ def test_bad_tol_is_usage_error(tol):
 ], ids=["eval", "table"])
 @pytest.mark.parametrize("tol", ["nan", "1e-8"])
 def test_tol_is_refused_outside_verify(args, tol):
-    # eval and table once took --tol and silently ignored it, even nan
+    # eval and table have no tolerance to override: --tol, even nan, is a
+    # usage error, never ignored
     res = _run("--tol", tol, *args)
     assert res.exit_code == 2, res.output
     assert f"Error: --tol applies to verify only, not to {args[0]}" in res.stderr

@@ -605,12 +605,12 @@ def _count_per_check(monkeypatch, module, name):
 
 
 def test_theorem_checks_build_each_gamma_table_once(monkeypatch):
-    # T1 and T2 build each (params, rho) table once, for the oracle and the
-    # image of every nu, lam and x: 10 tables, then 3 probe images and 3
-    # probe quadratures (and T2's variant, 2); the image once built its own
+    # T1 and T2 build each (params, rho) table once and take the oracle
+    # value and the image of every nu, lam and x from it: 10 tables, then 3
+    # probe images and 3 probe quadratures (and T2's variant, 2)
     counts = _count_per_check(monkeypatch, msm, "_gamma_args")
     assert (counts["T1"], counts["T2"]) == (16, 18)
-    assert sum(counts.values()) == 662  # 839 when T1/T2 built 106/108
+    assert sum(counts.values()) == 662
 
 
 def test_each_oracle_using_check_builds_one_oracle(monkeypatch):
