@@ -715,9 +715,10 @@ def _kernel_kinds(rho: float) -> list:
     return [FunctionKind.bs_kernel(rho, nu, 0.5) for nu in (-0.5, 0.25, 1.0)]
 
 
-# A row names only functions of this module: the layer functions are looked
-# up as globals when the row runs, so that a wrapper installed over them
-# (perfbench/tracer.py) sees every call.
+# A row holds no layer function (msm_quadrature, wright_eval, ...): the
+# functions of this module that it names look them up as globals when the
+# row runs, so that a wrapper installed over them (perfbench/tracer.py)
+# sees every call.
 CHECKS = {
     "L1": CheckSpec(
         "L1", "left power image versus direct tanh-sinh quadrature "
