@@ -21,7 +21,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import __version__ as _version
-from .errors import DomainError, UnknownSuiteError
+from .errors import DomainError, TermCapError, UnknownSuiteError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio
 from .msm import (
     FunctionKind,
@@ -451,7 +451,15 @@ def _image_oracle():
         w = (lam / x if t.inverse else lam * x) / t.cut
         if w not in powers:
             powers[w] = _powers(w, len(products))
-        return front * _termwise_sum(products, powers[w])
+        terms = powers[w]
+        total = _termwise_sum(products, terms)
+        # the sum stops at a fixed term count: refused where its last two
+        # terms (one may be a reciprocal-gamma zero) still reach the last bit
+        if max(abs(products[-1] * terms[-1]), abs(products[-2] * terms[-2])) \
+                > 2.0 ** -53 * abs(total):
+            raise TermCapError(f"termwise oracle at w={w!r} has not converged "
+                               f"in {len(products)} terms")
+        return front * total
 
     return image
 

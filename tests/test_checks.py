@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
-from bsfrac import DomainError, PoleError, UnknownSuiteError
+from bsfrac import DomainError, PoleError, TermCapError, UnknownSuiteError
 from bsfrac import _pykernels as pk
 from bsfrac import checks, series
 from bsfrac.checks import (
@@ -299,3 +299,23 @@ def test_termwise_oracle_matches_direct_and_mpmath(case, nu):
 def test_termwise_oracle_keeps_numerator_poles():
     with pytest.raises(PoleError):
         _image_oracle()(_GammaTable((0.5, -2.0), (1.0,), 0.0, False), 0.25, 0.5, 1.0)
+
+
+def test_termwise_oracle_refuses_its_truncation():
+    # the bare kernel series S_0.25(w): 60 terms hold it to the last bit
+    # at w = 0.9, not at w = 40
+    table = _GammaTable((1.0,), (1.0,), 0.0, False)
+    assert math.isclose(_image_oracle()(table, 0.25, 0.9, 1.0),
+                        series.bessel_struve_kernel(0.25, 0.9).value, rel_tol=1e-14)
+    with pytest.raises(TermCapError, match=r"oracle at w=40\.0 has not converged in 60 terms"):
+        _image_oracle()(table, 0.25, 40.0, 1.0)
+
+
+def test_t7_reports_a_truncated_oracle_as_error():
+    # lam 4 takes T7's pathway sets (a 0.6, alpha 0.8) to w = 33.3, where 60
+    # terms leave 3.9e-6 of the sum: once a FAIL blamed on the image
+    cfg = Config(grids={**checks.DEFAULT_GRIDS, "lam": [0.5, 1.0, 4.0]})
+    [t7] = [c for c in run_suite("pathway", config=cfg).to_dict()["checks"] if c["id"] == "T7"]
+    assert t7["status"] == "ERROR"
+    assert t7["worst_point"]["error"] == ("TermCapError: termwise oracle at w=33.33333333333334 "
+                                          "has not converged in 60 terms")
