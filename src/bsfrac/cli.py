@@ -11,14 +11,11 @@ schema.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
+import os
 import sys
 from functools import partial
-
-import click
 
 from . import __version__
 from .errors import BsfracError, DomainError, QuadratureError, TermCapError
@@ -41,9 +38,13 @@ KIND_NAMES = {f.replace("_", "-"): f for f in ("monomial", "bs", *_SPECIAL_NU)}
 NUMERICAL_ERRORS = (OverflowError, TermCapError, QuadratureError)
 
 
+class UsageError(Exception):
+    """A command line the CLI refuses: reported with its usage, exit 2."""
+
+
 def _fail(message: str):
     """Report a numerical failure: message on stderr, exit status 1."""
-    click.echo(f"Error: {message}", err=True)
+    print(f"Error: {message}", file=sys.stderr)
     sys.exit(1)
 
 
@@ -62,7 +63,7 @@ def _sweep(function: str, opts: dict, xs) -> list:
     except NUMERICAL_ERRORS as exc:
         _fail(f"{function} at x={x!r}: {exc}")
     except BsfracError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
 _NUMBER = "%.17g"  # every float the CLI prints: enough digits to round-trip
@@ -74,32 +75,34 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(ctx_obj, headers, rows):
+def _emit(main_opts, headers, rows):
     """Write rows of numbers (floats, and counts below 2**53) as JSON or
     CSV.  No number needs CSV quoting, so each CSV row is one ``%``
     template: the same text ``csv.writer`` makes of ``_fmt`` of each."""
-    if ctx_obj["format"] == "json":
+    if main_opts["format"] == "json":
+        import json
+
         text = json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
     else:
         template = ",".join([_NUMBER] * len(headers))
         text = "\n".join([",".join(headers), *[template % row for row in rows]])
-    _write(ctx_obj, text)
+    _write(main_opts, text)
 
 
-def _write(ctx_obj, text: str):
-    out = ctx_obj.get("out")
+def _write(main_opts, text: str):
+    out = main_opts.get("out")
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        print(text)
 
 
 def _require(opts, names):
     missing = [n for n in names if opts.get(n.replace("-", "_")) is None]
     if missing:
-        raise click.UsageError("missing required option(s): "
-                               + ", ".join(f"--{n}" for n in missing))
+        raise UsageError("missing required option(s): "
+                         + ", ".join(f"--{n}" for n in missing))
 
 
 def _parse_pairs(text: str):
@@ -109,7 +112,7 @@ def _parse_pairs(text: str):
             a, b = chunk.split(",")
             pairs.append((float(a), float(b)))
     except ValueError as exc:
-        raise click.UsageError(f"bad pair list {text!r}; use 'a,A;b,B'") from exc
+        raise UsageError(f"bad pair list {text!r}; use 'a,A;b,B'") from exc
     return tuple(pairs)
 
 
@@ -175,66 +178,11 @@ def _build_kind(opts):
     return FunctionKind(family, opts["rho"])
 
 
-_PARAM_OPTIONS = [
-    click.option("--nu", type=float, default=None, help="series order"),
-    click.option("--lam", type=float, default=1.0, help="kernel argument scale"),
-    click.option("--alpha", type=float, default=0.0),
-    click.option("--alpha-prime", type=float, default=0.0),
-    click.option("--beta", type=float, default=0.0),
-    click.option("--beta-prime", type=float, default=0.0),
-    click.option("--gamma", type=float, default=None, help="operator order"),
-    click.option("--rho", type=float, default=None, help="power exponent of the integrand"),
-    click.option("--kind", type=click.Choice(sorted(KIND_NAMES)), default="monomial"),
-    click.option("--eta", type=float, default=None),
-    click.option("--a", type=float, default=None, help="pathway scale"),
-    click.option("--pathway-alpha", type=float, default=None),
-    click.option("--gamma-shape", type=float, default=None),
-    click.option("--delta", type=float, default=None),
-    click.option("--beta-shape", type=float, default=None),
-    click.option("--upper", type=str, default=None, help="wright upper pairs 'a,A;a,A'"),
-    click.option("--lower", type=str, default=None, help="wright lower pairs 'b,B;b,B'"),
-]
-
-
-def _with_params(cmd):
-    for opt in reversed(_PARAM_OPTIONS):
-        cmd = opt(cmd)
-    return cmd
-
-
-@click.group()
-@click.version_option(__version__)
-@click.option("--tol", type=float, default=None,
-              help="tolerance override for verify (eval and table refuse it)")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="write output to a file instead of stdout")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="accepted for compatibility; has no effect (checks run serially)")
-@click.option("--seed-grid", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="JSON file overriding verification grids")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON config with tolerances, grids, term_cap")
-@click.pass_context
-def main(ctx, tol, fmt, out, threads, seed_grid, config_path):
-    """Special-function evaluation and identity verification."""
-    if tol is not None and ctx.invoked_subcommand != "verify":
-        # eval and table have no tolerance to override: refused, not ignored
-        raise click.UsageError(f"--tol applies to verify only, not to {ctx.invoked_subcommand}")
-    ctx.obj = {"tol": tol, "format": fmt, "out": out,
-               "seed_grid": seed_grid, "config_path": config_path}
-
-
-@main.command("eval")
-@click.argument("function", type=click.Choice(FUNCTIONS))
-@click.option("--x", type=float, required=True, help="evaluation point")
-@_with_params
-@click.pass_context
-def eval_cmd(ctx, function, x, **opts):
+def eval_cmd(main_opts, opts):
     """Evaluate one function at one point."""
+    function, x = opts["function"], opts["x"]
     [r] = _sweep(function, opts, [x])
-    _emit(ctx.obj, ["value", "abs_error_est", "terms_used"],
+    _emit(main_opts, ["value", "abs_error_est", "terms_used"],
           [(r.value, r.abs_error_est, r.terms_used)])
     if not math.isfinite(r.value):
         _fail(f"{function} at x={x!r} is not finite in double precision")
@@ -245,31 +193,25 @@ def eval_cmd(ctx, function, x, **opts):
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
-        raise click.UsageError(f"bad range {text!r}; use start:stop:count")
+        raise UsageError(f"bad range {text!r}; use start:stop:count")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
-        raise click.UsageError(f"bad range {text!r}; use start:stop:count") from exc
+        raise UsageError(f"bad range {text!r}; use start:stop:count") from exc
     if count < 1:
-        raise click.UsageError("range count must be at least 1")
+        raise UsageError("range count must be at least 1")
     if not (math.isfinite(start) and math.isfinite(stop)):
         # linspace would put NaN at points the user never gave
-        raise click.UsageError(f"range {text!r} needs a finite start and stop")
+        raise UsageError(f"range {text!r} needs a finite start and stop")
     return linspace(start, stop, count)
 
 
-@main.command("table")
-@click.argument("function", type=click.Choice(FUNCTIONS))
-@click.option("--x", "x_range", type=str, required=True,
-              help="sweep range start:stop:count")
-@_with_params
-@click.pass_context
-def table_cmd(ctx, function, x_range, **opts):
+def table_cmd(main_opts, opts):
     """Tabulate one function over a grid of evaluation points."""
-    xs = _parse_range(x_range)
+    function, xs = opts["function"], _parse_range(opts["x"])
     results = _sweep(function, opts, xs)
-    _emit(ctx.obj, ["x", "value", "abs_error_est"],
+    _emit(main_opts, ["x", "value", "abs_error_est"],
           [(x, r.value, r.abs_error_est) for x, r in zip(xs, results)])
     bad = [x for x, r in zip(xs, results) if not math.isfinite(r.value)]
     unconverged = [x for x, r in zip(xs, results) if not r.converged]
@@ -281,31 +223,31 @@ def table_cmd(ctx, function, x_range, **opts):
               f"first x={unconverged[0]!r}")
 
 
-@main.command("verify")
-@click.argument("suite", default="all")
-@click.pass_context
-def verify_cmd(ctx, suite):
+def verify_cmd(main_opts, opts):
     """Run a verification suite and emit its machine-readable report."""
+    import csv
+    import json
+
     from .checks import SUITES, Config, run_suite  # eval and table never need it
 
+    suite = opts["suite"]
     if suite not in SUITES:
-        raise click.UsageError(
+        raise UsageError(
             f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}")
     try:
-        cfg = Config.load(ctx.obj["config_path"], ctx.obj["seed_grid"])
+        cfg = Config.load(main_opts["config"], main_opts["seed_grid"])
     except ValueError as exc:  # not JSON, or not a config's shape
-        raise click.UsageError(f"bad config: {exc}") from exc
+        raise UsageError(f"bad config: {exc}") from exc
     try:
-        report = run_suite(suite, tolerance_override=ctx.obj["tol"], config=cfg)
+        report = run_suite(suite, tolerance_override=main_opts["tol"], config=cfg)
     except DomainError as exc:  # refused before any check runs
-        raise click.UsageError(f"bad --tol: {exc}") from exc
+        raise UsageError(f"bad --tol: {exc}") from exc
     doc = report.to_dict()
     for check in doc["checks"]:
-        click.echo(f"{check['id']}: {check['status']} "
-                   f"(max_rel_dev={check['max_rel_dev']:.3e}, "
-                   f"n={check['n_points']})", err=True)
-    if ctx.obj["format"] == "json":
-        _write(ctx.obj, json.dumps(doc, indent=2))
+        print(f"{check['id']}: {check['status']} (max_rel_dev={check['max_rel_dev']:.3e}, "
+              f"n={check['n_points']})", file=sys.stderr)
+    if main_opts["format"] == "json":
+        _write(main_opts, json.dumps(doc, indent=2))
     else:  # string cells may need quoting: csv.writer, not the number template
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -314,6 +256,167 @@ def verify_cmd(ctx, suite):
             worst = "|".join(f"{k}={_fmt(v)}" for k, v in check["worst_point"].items())
             writer.writerow([_fmt(v) for v in (check["id"], check["status"],
                                                check["max_rel_dev"], check["n_points"], worst)])
-        _write(ctx.obj, buf.getvalue().rstrip("\n"))
+        _write(main_opts, buf.getvalue().rstrip("\n"))
     if not report.all_expected():
         sys.exit(1)
+
+
+# The option tables, read by the parser and by --help: name -> (type,
+# default, help).  A type is a metavar: FLOAT, INTEGER or TEXT, FILE (not a
+# directory), JSON (an existing file), "" for a flag, or a tuple of choices.
+# A default of ... marks a required option; a name without dashes is the
+# positional argument.
+HELP = {"--help": ("", None, "Show this message and exit.")}
+MAIN_OPTIONS = {
+    "--version": ("", None, "Show the version and exit."),
+    "--tol": ("FLOAT", None, "tolerance override for verify (eval and table refuse it)"),
+    "--format": (("csv", "json"), "csv", ""),
+    "--out": ("FILE", None, "write output to a file instead of stdout"),
+    "--threads": ("INTEGER", 1, "accepted for compatibility; has no effect (checks run serially)"),
+    "--seed-grid": ("JSON", None, "JSON file overriding verification grids"),
+    "--config": ("JSON", None, "JSON config with tolerances, grids, term_cap"), **HELP}
+PARAM_OPTIONS = {
+    "--nu": ("FLOAT", None, "series order"), "--lam": ("FLOAT", 1.0, "kernel argument scale"),
+    **{f"--{n}": ("FLOAT", 0.0, "") for n in ("alpha", "alpha-prime", "beta", "beta-prime")},
+    "--gamma": ("FLOAT", None, "operator order"),
+    "--rho": ("FLOAT", None, "power exponent of the integrand"),
+    "--kind": (tuple(sorted(KIND_NAMES)), "monomial", ""), "--eta": ("FLOAT", None, ""),
+    "--a": ("FLOAT", None, "pathway scale"), "--pathway-alpha": ("FLOAT", None, ""),
+    **{f"--{n}": ("FLOAT", None, "") for n in ("gamma-shape", "delta", "beta-shape")},
+    "--upper": ("TEXT", None, "wright upper pairs 'a,A;a,A'"),
+    "--lower": ("TEXT", None, "wright lower pairs 'b,B;b,B'"), **HELP}
+COMMANDS = {
+    "eval": (eval_cmd, {"function": (FUNCTIONS, ..., ""),
+                        "--x": ("FLOAT", ..., "evaluation point"), **PARAM_OPTIONS}),
+    "table": (table_cmd, {"function": (FUNCTIONS, ..., ""),
+                          "--x": ("TEXT", ..., "sweep range start:stop:count"), **PARAM_OPTIONS}),
+    "verify": (verify_cmd, {"suite": ("TEXT", "all", ""), **HELP})}
+
+
+def _metavar(name, kind) -> str:
+    if name[0] != "-":
+        return "{%s}" % "|".join(kind) if isinstance(kind, tuple) else f"[{name.upper()}]"
+    return "[%s]" % "|".join(kind) if isinstance(kind, tuple) else kind
+
+
+def _usage(prog, table) -> str:
+    args = [_metavar(name, kind) for name, (kind, _, _) in table.items() if name[0] != "-"]
+    return f"{prog} [OPTIONS] {' '.join(args) or 'COMMAND [ARGS]...'}"
+
+
+def _help(prog, table, doc) -> str:
+    lines = [f"Usage: {_usage(prog, table)}", "", f"  {doc}", "", "Options:"]
+    for name, (kind, default, text) in table.items():
+        shown = "required" if default is ... else default is not None and f"default: {default}"
+        if name[0] == "-":
+            lines.append(f"  {f'{name} {_metavar(name, kind)}':<22}  "
+                         + (f"{text}  [{shown}]".lstrip() if shown else text))
+    if table is MAIN_OPTIONS:
+        lines += ["", "Commands:", *(f"  {n:<6}  {fn.__doc__}" for n, (fn, _) in COMMANDS.items())]
+    return "\n".join(line.rstrip() for line in lines)
+
+
+def _parse(table, args, interspersed: bool):
+    """Read args against an option table: the raw value of each option in
+    the order first given, the flags and the free arguments.  A value is
+    the next token, so "--x -1e-3" works, or follows "="; a repeat keeps
+    the last value, and no name is abbreviated.  "--" ends the options,
+    and so does the first free argument unless they are interspersed."""
+    raw, flags, free, rest = {}, [], [], list(args)
+    while rest:
+        token = rest.pop(0)
+        if token[:1] != "-" or token in ("-", "--"):
+            free += [token] if token != "--" else []
+            if token == "--" or not interspersed:
+                free += rest
+                break
+            continue
+        name, eq, value = token.partition("=")
+        name = name if name[:2] == "--" else token[:2]  # no short options: name the first
+        if name not in table:
+            from difflib import get_close_matches
+
+            near = sorted(get_close_matches(name, table)) if name[:2] == "--" else []
+            hint = f"Did you mean {near[0]!r}?" if len(near) == 1 else (
+                near and f"(Did you mean one of: {', '.join(map(repr, near))}?)")
+            raise UsageError(f"No such option {name!r}. {hint or ''}".rstrip())
+        if not table[name][0]:
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            flags.append(name)
+        elif not (eq or rest):
+            raise UsageError(f"Option {name!r} requires an argument.")
+        else:
+            raw[name] = value if eq else rest.pop(0)
+    return raw, flags, free
+
+
+def _convert(table, raw: dict, free: list) -> dict:
+    """The value of each table entry, keyed by its name without dashes and
+    with "_" for "-".  The given values are checked in the order first
+    given, then the positional (the first free argument), then the rest."""
+    positional = [n for n in table if n[0] != "-"]
+    if positional and free:
+        raw[positional[0]] = free.pop(0)
+    values = {}
+    for name in [*raw, *(n for n in table if n not in raw and table[n][0])]:
+        kind, default, _ = table[name]
+        label = name if name[0] == "-" else _metavar(name, kind)
+        if name in raw:
+            default = _value(label, kind, raw[name])
+        elif default is ... and name[0] == "-":
+            raise UsageError(f"Missing option {label!r}.")
+        elif default is ...:
+            raise UsageError(f"Missing argument {label!r}. Choose from:\n\t" + ",\n\t".join(kind))
+        values[name.lstrip("-").replace("-", "_")] = default
+    return values
+
+
+def _value(label, kind, raw):
+    """raw read as its type, or a usage error in click's words."""
+    if isinstance(kind, tuple) and raw not in kind:
+        problem = f"{raw!r} is not one of {', '.join(map(repr, kind))}"
+    elif kind in ("FLOAT", "INTEGER"):
+        try:
+            return (float if kind == "FLOAT" else int)(raw)
+        except ValueError:
+            problem = f"{raw!r} is not a valid {kind.lower()}"
+    elif kind == "JSON" and not os.path.exists(raw):
+        problem = f"File {raw!r} does not exist"
+    elif kind in ("FILE", "JSON") and os.path.isdir(raw):
+        problem = f"File {raw!r} is a directory"
+    else:
+        return raw
+    raise UsageError(f"Invalid value for {label!r}: {problem}.")
+
+
+def main(argv=None, prog_name: str = "bsfrac"):
+    """Special-function evaluation and identity verification."""
+    prog, table = prog_name, MAIN_OPTIONS
+    try:
+        raw, flags, rest = _parse(table, sys.argv[1:] if argv is None else list(argv), False)
+        if flags:  # --version and --help act at once, the first given wins
+            print(f"{prog_name}, version {__version__}" if flags[0] == "--version"
+                  else _help(prog, table, main.__doc__))
+            return
+        main_opts = _convert(table, raw, [])
+        if not rest or rest[0] not in COMMANDS:
+            raise UsageError(f"No such command {rest[0]!r}." if rest else "Missing command.")
+        if main_opts["tol"] is not None and rest[0] != "verify":
+            # eval and table have no tolerance to override: refused, not ignored
+            raise UsageError(f"--tol applies to verify only, not to {rest[0]}")
+        prog = f"{prog_name} {rest[0]}"
+        command, table = COMMANDS[rest[0]]
+        raw, flags, free = _parse(table, rest[1:], True)
+        if flags:
+            print(_help(prog, table, command.__doc__))
+            return
+        opts = _convert(table, raw, free)
+        if free:
+            raise UsageError(f"Got unexpected extra argument{'s' * (len(free) > 1)} "
+                             f"({' '.join(free)})")
+        command(main_opts, opts)
+    except UsageError as exc:
+        print(f"Usage: {_usage(prog, table)}\nTry '{prog} --help' for help.\n\nError: {exc}",
+              file=sys.stderr)
+        sys.exit(2)

@@ -1,10 +1,13 @@
+import contextlib
 import importlib.util
+import io
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +18,24 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CFLAGS = ["-shared", "-fPIC", "-O2", "-fwrapv", "-fno-strict-aliasing",
           "-ffp-contract=off", "-DNDEBUG"]
 EXTENSION = "_ckernels" + sysconfig.get_config_var("EXT_SUFFIX")
+
+
+def run_cli(args):
+    """Run the command line in process on args with captured streams: its
+    exit_code, stdout, stderr, output (stdout then stderr) and exception,
+    the SystemExit of a non-zero exit (else None)."""
+    from bsfrac.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+                           output=out.getvalue() + err.getvalue(), exception=exception)
 
 
 def compile_ckernels(so, *extra_flags):

@@ -8,19 +8,18 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsfrac
-from bsfrac.cli import main
 
 import oracles
+from conftest import run_cli
 from test_checks import BAD_TOLERANCES
 
 
 def _run(*args):
-    return CliRunner().invoke(main, args)
+    return run_cli(args)
 
 
 def _csv_rows(text):
@@ -291,7 +290,7 @@ def test_verify_failure_exit_code():
 @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
 def test_bad_tol_is_usage_error(tol):
     # nan, 0 and -1 once failed every check with exit 1, and inf passed
-    # every one; click itself refuses what is not a float
+    # every one; the parser itself refuses what is not a float
     res = _run(f"--tol={tol}", "verify", "kernel-identities")
     assert res.exit_code == 2, res.output
     if type(tol) in (int, float):
@@ -415,6 +414,7 @@ def test_cli_import_leaves_the_harness_unloaded():
     code = ("import sys, bsfrac.cli\n"
             "print(sorted(m for m in ('bsfrac.checks', 'bsfrac.msm', 'bsfrac.pathway',\n"
             "                         'bsfrac.quadrature', 'fractions') if m in sys.modules))\n"
+            f"print(sorted(m for m in {UNUSED_BY_EVAL!r} if m in sys.modules))\n"
             "names = {}\n"
             "exec('from bsfrac import *', names)\n"
             "print(sorted(set(bsfrac.__all__) - set(names)), "
@@ -423,10 +423,88 @@ def test_cli_import_leaves_the_harness_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
-    assert out.split("\n")[:3] == ["[]", "[] []", "True"]
+    assert out.split("\n")[:4] == ["[]", "[]", "[] []", "True"]
     assert bsfrac.msm_power_image is bsfrac.msm.msm_power_image
     with pytest.raises(AttributeError):
         bsfrac.no_such_name
+
+
+# modules a cold eval has no use for: the CLI's parser is its own, and
+# only verify and --format json write JSON or CSV through the stdlib
+UNUSED_BY_EVAL = ("argparse", "click", "csv", "json")
+
+
+def test_cold_eval_loads_no_parser_json_or_csv():
+    src = os.path.dirname(os.path.dirname(bsfrac.__file__))
+    code = ("import sys\nfrom bsfrac.cli import main\nmain()\n"
+            f"print(sorted(m for m in {UNUSED_BY_EVAL!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, "eval", "S", "--nu", "0.25", "--x", "1"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == ["1.8227744417740559,3.5478061177012593e-14,17", "[]"]
+
+
+def test_python_dash_m_version():
+    src = os.path.dirname(os.path.dirname(bsfrac.__file__))
+    proc = subprocess.run([sys.executable, "-m", "bsfrac", "--version"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "bsfrac, version 0.1.0\n", "")
+
+
+def test_package_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(bsfrac.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+_S_ROW = "1.8227744417740559,3.5478061177012593e-14,17"
+# (args, exit code, stdout) as the click-based CLI gave them: values that
+# look like options, the "=" form, a repeated option and global options
+PARSER_PARITY = [
+    (("eval", "S", "--nu", "0.25", "--x", "-1e-3"), 0,
+     "value,abs_error_est,terms_used\n0.99944378205256956,2.5948528509730314e-15,55\n"),
+    (("table", "S", "--nu", "0.25", "--x", "-1:-5:3"), 0,
+     "x,value,abs_error_est\n-1,0.60002604077676946,2.6947765822834366e-15\n"
+     "-3,0.28002846453552493,1.3556891605760512e-15\n"
+     "-5,0.17001467996128547,7.9075629880614306e-16\n"),
+    (("eval", "wright", "--upper", "-0.5,1", "--lower", "1,1", "--x", "0.5"), 0,
+     "value,abs_error_est,terms_used\n-2.5982883082459076,2.5323400621260713e-14,13\n"),
+    (("eval", "S", "--nu", "-inf", "--x", "1"), 2, ""),
+    (("eval", "S", "--nu=0.25", "--x=1"), 0, f"value,abs_error_est,terms_used\n{_S_ROW}\n"),
+    (("eval", "S", "--nu", "0.1", "--nu", "0.25", "--x", "1"), 0,
+     f"value,abs_error_est,terms_used\n{_S_ROW}\n"),
+    (("eval", "--x", "1", "S", "--nu", "0.25"), 0, f"value,abs_error_est,terms_used\n{_S_ROW}\n"),
+    (("--format", "json", "--threads", "2", "eval", "S", "--nu", "0.25", "--x", "1"), 0,
+     '[\n  {\n    "value": 1.822774441774056,\n    "abs_error_est": 3.547806117701259e-14,\n'
+     '    "terms_used": 17\n  }\n]\n'),
+    (("--version",), 0, "bsfrac, version 0.1.0\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, stdout", PARSER_PARITY,
+                         ids=[" ".join(args) for args, _, _ in PARSER_PARITY])
+def test_parser_keeps_the_click_grammar(args, code, stdout):
+    res = _run(*args)
+    assert (res.exit_code, res.stdout) == (code, stdout), res.output
+    if code == 2:
+        assert res.stderr.splitlines()[-1] == "Error: kernel order must satisfy nu > -1, got -inf"
+
+
+@pytest.mark.parametrize("command, options", [
+    (None, ["--version", "--tol", "--format", "--out", "--threads", "--seed-grid", "--config"]),
+    ("eval", ["--x", "--nu", "--lam", "--kind", "--gamma-shape", "--upper", "--lower"]),
+    ("table", ["--x", "--nu", "--lam", "--kind", "--gamma-shape", "--upper", "--lower"]),
+    ("verify", []),
+])
+def test_help_lists_the_options(command, options):
+    res = _run(*([command] if command else []), "--help")
+    assert (res.exit_code, res.stderr) == (0, ""), res.output
+    assert res.stdout.startswith(f"Usage: {' '.join(['bsfrac', *([command] if command else [])])} ")
+    for name in [*options, "--help"]:
+        assert f"\n  {name} " in res.stdout, name
+    if command in ("eval", "table"):
+        assert "[required]" in res.stdout
 
 
 def _csv_writer_text(headers, rows):
@@ -584,9 +662,8 @@ def test_sweep_builds_once(function, monkeypatch):
 # [exit code, stdout, stderr] of each
 _CLI_CHILD = """
 import json, sys
-from click.testing import CliRunner
-from bsfrac.cli import main
-runs = [CliRunner().invoke(main, args) for args in json.loads(sys.argv[1])]
+from conftest import run_cli
+runs = [run_cli(args) for args in json.loads(sys.argv[1])]
 print(json.dumps([[r.exit_code, r.stdout, r.stderr] for r in runs]))
 """
 
@@ -603,10 +680,75 @@ def test_non_finite_x_is_usage_error(function, opts):
     # at x = inf) fails instead of stalling the suite
     argvs = [[command, function, f"--x={x}" if command == "eval" else f"--x={x}:{x}:1", *opts]
              for command in ("eval", "table") for x in ("inf", "-inf", "nan")]
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tests, "..", "src"), tests]))
     proc = subprocess.run([sys.executable, "-c", _CLI_CHILD, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     for argv, (code, stdout, stderr) in zip(argvs, json.loads(proc.stdout)):
         assert code == 2, (argv, stdout, stderr)
         assert stdout == "" and stderr.splitlines()[-1].startswith("Error: "), (argv, stderr)
+
+
+_CHOICES = "'S', 'J', 'I', 'H', 'L', 'wright', 'msm-left', 'msm-right', 'pathway', 'density'"
+# (args, the last stderr line) of usage errors, in the words of the
+# click-based CLI; "missing.json" does not exist and "a-dir" is a directory
+USAGE_ERRORS = [
+    (("eval", "S", "--nu", "0", "--x", "1", "--bogus"), "Error: No such option '--bogus'."),
+    (("--form", "json", "eval", "S", "--nu", "0", "--x", "1"),
+     "Error: No such option '--form'. Did you mean '--format'?"),
+    (("eval", "S", "--n", "0", "--x", "1"),
+     "Error: No such option '--n'. (Did you mean one of: '--kind', '--nu', '--x'?)"),
+    (("eval", "-x", "1"), "Error: No such option '-x'."),
+    (("eval", "S", "--nu", "0.25", "--x"), "Error: Option '--x' requires an argument."),
+    (("--threads",), "Error: Option '--threads' requires an argument."),
+    (("--help=1",), "Error: Option '--help' does not take a value."),
+    (("eval", "Q", "--nu", "0", "--x", "1"),
+     "Error: Invalid value for '{S|J|I|H|L|wright|msm-left|msm-right|pathway|density}': "
+     f"'Q' is not one of {_CHOICES}."),
+    (("eval", "msm-left", "--gamma", "1", "--rho", "1", "--kind", "zzz", "--x", "1"),
+     "Error: Invalid value for '--kind': 'zzz' is not one of 'bs', 'exp', 'expm1-over-t', "
+     "'i0-plus-l0', 'monomial', 'two-i1-plus-two-l1-over-t'."),
+    (("--format", "xml", "eval", "S", "--nu", "0", "--x", "1"),
+     "Error: Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
+    (("--threads", "1.5", "eval", "S", "--nu", "0", "--x", "1"),
+     "Error: Invalid value for '--threads': '1.5' is not a valid integer."),
+    (("eval", "S", "--nu", "abc", "--x", "1"),
+     "Error: Invalid value for '--nu': 'abc' is not a valid float."),
+    (("eval", "S", "--nu", "0.25"), "Error: Missing option '--x'."),
+    (("--seed-grid", "missing.json", "verify"),
+     "Error: Invalid value for '--seed-grid': File 'missing.json' does not exist."),
+    (("--config", "missing.json", "verify"),
+     "Error: Invalid value for '--config': File 'missing.json' does not exist."),
+    (("--config", "a-dir", "verify"), "Error: Invalid value for '--config': File 'a-dir' is a directory."),
+    (("--out", "a-dir", "eval", "S", "--nu", "0", "--x", "1"),
+     "Error: Invalid value for '--out': File 'a-dir' is a directory."),
+    (("verify", "nosuch"), "Error: unknown suite 'nosuch'; choose from all, density, "
+     "kernel-identities, msm-lemmas, msm-theorems, pathway, wright"),
+    (("nocmd",), "Error: No such command 'nocmd'."),
+    (("--format", "json"), "Error: Missing command."),
+    (("eval", "S", "--nu", "0", "--x", "1", "--format", "json"), "Error: No such option '--format'."),
+    (("eval", "S", "--nu", "0", "--x", "1", "extra"), "Error: Got unexpected extra argument (extra)"),
+    (("verify", "wright", "a", "b"), "Error: Got unexpected extra arguments (a b)"),
+    (("eval", "S", "--x", "1", "--", "--nu"), "Error: Got unexpected extra argument (--nu)"),
+]
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS,
+                         ids=[" ".join(args) for args, _ in USAGE_ERRORS])
+def test_usage_errors(args, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-dir").mkdir()
+    res = _run(*args)
+    assert (res.exit_code, res.stdout) == (2, ""), res.output
+    assert res.stderr.splitlines()[-1] == message
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_missing_function_lists_the_choices():
+    res = _run("eval", "--nu", "0", "--x", "1")
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.endswith(
+        "Error: Missing argument '{S|J|I|H|L|wright|msm-left|msm-right|pathway|density}'. "
+        "Choose from:\n\tS,\n\tJ,\n\tI,\n\tH,\n\tL,\n\twright,\n\tmsm-left,\n\tmsm-right,"
+        "\n\tpathway,\n\tdensity\n")

@@ -10,10 +10,9 @@ import sys
 import types
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import bsfrac
 from bsfrac import checks, cli, msm, pathway, quadrature  # noqa: F401  (the tracer's modules)
+from conftest import run_cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -55,7 +54,7 @@ def test_install_then_uninstall_restores_everything():
         for args in (["table", "wright", "--upper", "1,1", "--lower", "2,1", "--x", "0:1:3"],
                      ["table", "pathway", "--eta", "0.5", "--a", "1.3", "--pathway-alpha",
                       "0.4", "--rho", "1.1", "--kind", "exp", "--x", "0.5:1:2"]):
-            res = CliRunner().invoke(cli.main, args)
+            res = run_cli(args)
             assert res.exit_code == 0, res.output
     finally:
         tracer.uninstall()
@@ -72,7 +71,7 @@ def test_s_sweep_is_traced_at_the_wrapper():
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        res = CliRunner().invoke(cli.main, ["table", "S", "--nu", "0.25", "--x=-2:2:9"])
+        res = run_cli(["table", "S", "--nu", "0.25", "--x=-2:2:9"])
         assert res.exit_code == 0, res.output
     finally:
         tracer.uninstall()

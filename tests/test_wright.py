@@ -5,7 +5,6 @@ import threading
 from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +20,10 @@ from bsfrac import (
     wright_delta,
     wright_eval,
 )
-from bsfrac.cli import main
 from bsfrac.series import DEFAULT_TOL, TERM_CAP, linspace
 
 import oracles
+from conftest import run_cli
 
 # the 4Psi4 spec shape produced by the left-operator image theorem
 THEOREM_SPEC = WrightSpec(
@@ -263,8 +262,7 @@ def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
     # k0; no row beyond it is built
     k0 = next(k for k in range(1000) if k * math.log(800.0) - math.lgamma(k + 1.0) > 709.79)
     tables = _record_tables(monkeypatch)
-    res = CliRunner().invoke(main, ["eval", "wright", "--x=-800", "--upper", "1,1",
-                                    "--lower", "1,1"])
+    res = run_cli(["eval", "wright", "--x=-800", "--upper", "1,1", "--lower", "1,1"])
     assert res.exit_code == 1
     assert res.stderr == ("Error: wright at x=-800.0: wright series at z=-800.0 "
                           "exceeds double range\n")
