@@ -326,7 +326,8 @@ def _parse(table, args, interspersed: bool):
     while rest:
         token = rest.pop(0)
         if token[:1] != "-" or token in ("-", "--"):
-            free += [token] if token != "--" else []
+            if token != "--":
+                free.append(token)
             if token == "--" or not interspersed:
                 free += rest
                 break
@@ -336,7 +337,8 @@ def _parse(table, args, interspersed: bool):
         if name not in table:
             from difflib import get_close_matches
 
-            near = sorted(get_close_matches(name, table)) if name[:2] == "--" else []
+            longs = [n for n in table if n[:2] == "--"]
+            near = sorted(get_close_matches(name, longs)) if name[:2] == "--" else []
             hint = f"Did you mean {near[0]!r}?" if len(near) == 1 else (
                 near and f"(Did you mean one of: {', '.join(map(repr, near))}?)")
             raise UsageError(f"No such option {name!r}. {hint or ''}".rstrip())
@@ -420,3 +422,10 @@ def main(argv=None, prog_name: str = "bsfrac"):
         print(f"Usage: {_usage(prog, table)}\nTry '{prog} --help' for help.\n\nError: {exc}",
               file=sys.stderr)
         sys.exit(2)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the reader left, as under `| head`: end quietly, and let the
+        # flush at exit write what is left to devnull, not the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

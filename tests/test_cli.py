@@ -451,10 +451,24 @@ def test_python_dash_m_version():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "bsfrac, version 0.1.0\n", "")
 
 
+def test_closed_pipe_ends_quietly():
+    # as under `bsfrac table ... | head -1`: the rows (some 300 kB, more
+    # than a pipe holds) meet a closed pipe, which ends the call with exit
+    # 0 and no traceback, as it did with click
+    src = os.path.dirname(os.path.dirname(bsfrac.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "bsfrac", "table", "S", "--nu", "0.25",
+                             "--x", "0:10:5000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline() == b"x,value,abs_error_est\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_package_has_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
-    root = os.path.dirname(os.path.dirname(os.path.dirname(bsfrac.__file__)))
-    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
@@ -498,9 +512,10 @@ def test_parser_keeps_the_click_grammar(args, code, stdout):
     ("verify", []),
 ])
 def test_help_lists_the_options(command, options):
-    res = _run(*([command] if command else []), "--help")
+    words = [command] if command else []
+    res = _run(*words, "--help")
     assert (res.exit_code, res.stderr) == (0, ""), res.output
-    assert res.stdout.startswith(f"Usage: {' '.join(['bsfrac', *([command] if command else [])])} ")
+    assert res.stdout.startswith(" ".join(["Usage: bsfrac", *words, "[OPTIONS] "]))
     for name in [*options, "--help"]:
         assert f"\n  {name} " in res.stdout, name
     if command in ("eval", "table"):
