@@ -11,6 +11,8 @@ that variant demonstrably disagrees while the corrected route passes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -199,6 +201,22 @@ class Report:
     def all_expected(self) -> bool:
         return all(c["status"] in ("PASS", "DOCUMENTED_MISMATCH")
                    for c in self.checks)
+
+    def to_csv(self) -> str:
+        """One row per check, the worst point as ``key=value`` cells joined
+        by "|"; every float as "%.17g".  Cells may need quoting, so rows go
+        through ``csv.writer``."""
+        def fmt(v):
+            return "%.17g" % v if isinstance(v, float) else str(v)
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "status", "max_rel_dev", "n_points", "worst_point"])
+        for c in self.checks:
+            worst = "|".join(f"{k}={fmt(v)}" for k, v in c["worst_point"].items())
+            writer.writerow([fmt(v) for v in (c["id"], c["status"], c["max_rel_dev"],
+                                              c["n_points"], worst)])
+        return buf.getvalue().rstrip("\n")
 
 
 def _rel(a: float, b: float) -> float:

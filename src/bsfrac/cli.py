@@ -11,7 +11,6 @@ schema.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import sys
@@ -69,16 +68,11 @@ def _sweep(function: str, opts: dict, xs) -> list:
 _NUMBER = "%.17g"  # every float the CLI prints: enough digits to round-trip
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return _NUMBER % v
-    return str(v)
-
-
 def _emit(main_opts, headers, rows):
     """Write rows of numbers (floats, and counts below 2**53) as JSON or
     CSV.  No number needs CSV quoting, so each CSV row is one ``%``
-    template: the same text ``csv.writer`` makes of ``_fmt`` of each."""
+    template: the same text ``csv.writer`` makes of each as "%.17g" (a
+    float) or ``str`` (a count)."""
     if main_opts["format"] == "json":
         import json
 
@@ -225,7 +219,6 @@ def table_cmd(main_opts, opts):
 
 def verify_cmd(main_opts, opts):
     """Run a verification suite and emit its machine-readable report."""
-    import csv
     import json
 
     from .checks import SUITES, Config, run_suite  # eval and table never need it
@@ -246,17 +239,8 @@ def verify_cmd(main_opts, opts):
     for check in doc["checks"]:
         print(f"{check['id']}: {check['status']} (max_rel_dev={check['max_rel_dev']:.3e}, "
               f"n={check['n_points']})", file=sys.stderr)
-    if main_opts["format"] == "json":
-        _write(main_opts, json.dumps(doc, indent=2))
-    else:  # string cells may need quoting: csv.writer, not the number template
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "status", "max_rel_dev", "n_points", "worst_point"])
-        for check in doc["checks"]:
-            worst = "|".join(f"{k}={_fmt(v)}" for k, v in check["worst_point"].items())
-            writer.writerow([_fmt(v) for v in (check["id"], check["status"],
-                                               check["max_rel_dev"], check["n_points"], worst)])
-        _write(main_opts, buf.getvalue().rstrip("\n"))
+    _write(main_opts, json.dumps(doc, indent=2) if main_opts["format"] == "json"
+           else report.to_csv())
     if not report.all_expected():
         sys.exit(1)
 
