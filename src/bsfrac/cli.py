@@ -291,10 +291,12 @@ def _usage(prog, table) -> str:
 def _help(prog, table, doc) -> str:
     lines = [f"Usage: {_usage(prog, table)}", "", f"  {doc}", "", "Options:"]
     for name, (kind, default, text) in table.items():
-        shown = "required" if default is ... else default is not None and f"default: {default}"
+        if default is ...:
+            text += "  [required]"
+        elif default is not None:
+            text += f"  [default: {default}]"
         if name[0] == "-":
-            lines.append(f"  {f'{name} {_metavar(name, kind)}':<22}  "
-                         + (f"{text}  [{shown}]".lstrip() if shown else text))
+            lines.append(f"  {f'{name} {_metavar(name, kind)}':<22}  {text.lstrip()}")
     if table is MAIN_OPTIONS:
         lines += ["", "Commands:", *(f"  {n:<6}  {fn.__doc__}" for n, (fn, _) in COMMANDS.items())]
     return "\n".join(line.rstrip() for line in lines)
@@ -318,14 +320,14 @@ def _parse(table, args, interspersed: bool):
             continue
         name, eq, value = token.partition("=")
         name = name if name[:2] == "--" else token[:2]  # no short options: name the first
-        if name not in table:
+        if name not in table:  # with click's hint: the options close to a long name
             from difflib import get_close_matches
 
-            longs = [n for n in table if n[:2] == "--"]
-            near = sorted(get_close_matches(name, longs)) if name[:2] == "--" else []
-            hint = f"Did you mean {near[0]!r}?" if len(near) == 1 else (
-                near and f"(Did you mean one of: {', '.join(map(repr, near))}?)")
-            raise UsageError(f"No such option {name!r}. {hint or ''}".rstrip())
+            near = sorted(get_close_matches(name, [n for n in table if n[:2] == "--"]))
+            hint = "" if name[:2] != "--" or not near else (
+                f" Did you mean {near[0]!r}?" if len(near) == 1
+                else f" (Did you mean one of: {', '.join(map(repr, near))}?)")
+            raise UsageError(f"No such option {name!r}.{hint}")
         if not table[name][0]:
             if eq:
                 raise UsageError(f"Option {name!r} does not take a value.")
