@@ -180,7 +180,8 @@ def _positive_series_rounding(value: float, terms: int, order: float, z: float,
         return math.inf  # a term overflowed: nothing finite to bound
     if not value > 0.0:
         return terms * _ULP0  # every term underflowed
-    first = 5.0 * abs(order * _log_half(z)) + 1.0
+    # no log(z/2) at order 0, where z may be 0 (H and L at v = -1)
+    first = 5.0 * abs(order * _log_half(z)) + 1.0 if order else 1.0
     for a in gamma_args:
         first += _gamma_units(a)
     units = first + 8.0 * terms
@@ -257,7 +258,8 @@ def struve(v: float, z: float, modified: bool = False,
         if v == -1.0:
             # prefactor power hits zero: only the k=0 term survives
             value = 1.0 / (math.gamma(1.5) * math.gamma(0.5))
-            return SeriesEval(value, 0.0, 1, True)
+            return SeriesEval(value, _positive_series_rounding(value, 1, 0.0, z, (1.5, 0.5)),
+                              1, True)
         return SeriesEval(math.inf, math.inf, 1, False)
     return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap,
                         v + 1.0, (1.5, v + 1.5), (1.5, v + 1.5))

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,6 +37,21 @@ def run_cli(args):
             exception = exc if code else None
     return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
                            output=out.getvalue() + err.getvalue(), exception=exception)
+
+
+def in_threads(sweep, n=6):
+    """Run ``sweep(i)`` for i < n in n threads that switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 def compile_ckernels(so, *extra_flags):

@@ -10,6 +10,7 @@ from bsfrac import checks, series
 from bsfrac.checks import (
     CHECKS,
     SUITES,
+    CheckSpec,
     Config,
     _image_oracle,
     run_suite,
@@ -189,6 +190,20 @@ def test_check_errors_are_captured_not_raised(tmp_path):
     assert "error" in l1["worst_point"]
 
 
+def test_a_route_that_raises_after_the_points_makes_an_error():
+    # the points pass, then a secondary route raises: the record is the
+    # ERROR record, with nothing of the points in it
+    def late(run):
+        raise TermCapError("late route")
+        yield
+
+    spec = CheckSpec("late", "", "degenerate", lambda run: iter([(1.0, 1.0, {"x": 1.0})]),
+                     {"degenerate": late})
+    assert checks._execute_check(spec, Config(), 1e-14) == {
+        "id": "late", "status": "ERROR", "max_rel_dev": math.inf,
+        "worst_point": {"error": "TermCapError: late route"}, "n_points": 0}
+
+
 def test_verify_all_statuses_and_points():
     rep = run_suite("all").to_dict()
     checks = {c["id"]: c for c in rep["checks"]}
@@ -319,3 +334,24 @@ def test_t7_reports_a_truncated_oracle_as_error():
     assert t7["status"] == "ERROR"
     assert t7["worst_point"]["error"] == ("TermCapError: termwise oracle at w=33.33333333333334 "
                                           "has not converged in 60 terms")
+
+
+# user grids that reach past the default ones: T1/T2 points with lam*x
+# (lam/x) beyond 2 and pathway sets whose kernel exponent eta/(1-alpha) is
+# near an integer were once left out without a word; every point now counts,
+# and where the oracle cannot sum one, the check is an ERROR naming it
+@pytest.mark.parametrize("grids, suite, want", [
+    ({"lam": [0.5, 1.0, 2.5]}, "msm-theorems",
+     {"T1": ("PASS", 300), "T2": ("DOCUMENTED_MISMATCH", 300)}),
+    ({"pathway_eta": [1.0], "pathway_a": [1.3], "pathway_alpha": [0.0]}, "pathway",
+     {"L3": ("PASS", 3), "T7": ("PASS", 16), "T8": ("DOCUMENTED_MISMATCH", 6)}),
+    ({"lam": [0.5, 1.0, 4.0], "x_left": [0.7, 1.3, 3.0], "x_right": [0.2, 1.0, 2.0]},
+     "msm-theorems", {"T1": ("PASS", 450), "T2": ("ERROR", 0)}),
+], ids=["lam-2.5", "exponent-1", "lam-4"])
+def test_rows_evaluate_every_grid_point(grids, suite, want):
+    cfg = Config(grids={**checks.DEFAULT_GRIDS, **grids})
+    records = {c["id"]: c for c in run_suite(suite, config=cfg).to_dict()["checks"]}
+    assert {k: (records[k]["status"], records[k]["n_points"]) for k in want} == want
+    if "T2" in want and want["T2"][0] == "ERROR":
+        assert records["T2"]["worst_point"]["error"] == (
+            "TermCapError: termwise oracle at w=20.0 has not converged in 60 terms")

@@ -1,7 +1,5 @@
 import collections
 import math
-import sys
-import threading
 
 import pytest
 
@@ -18,6 +16,8 @@ from bsfrac import (
 )
 from bsfrac import _pykernels as pk
 from bsfrac import msm, quadrature
+
+from conftest import in_threads
 
 
 def test_polynomial():
@@ -261,24 +261,9 @@ def test_intervals_shared_by_threads(backend):
         results[k] = [_outcome(CALLS[i]) for i in ordered]
 
     quadrature._scaled.clear()
-    _in_threads(sweep)
+    in_threads(sweep)
     for k in range(6):
         assert results[k] == [want[i] for i in (ORDER if k % 2 else ORDER[::-1])]
-
-
-def _in_threads(sweep, n=6):
-    """Run ``sweep(i)`` for i < n in n threads that switch every microsecond."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
 
 
 def test_deep_levels_leave_no_slot(backend):

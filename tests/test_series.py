@@ -312,6 +312,17 @@ def test_modified_error_bound_holds(fn, ref, nu, modified):
             assert r.abs_error_est <= 1e-13 * fn(nu, z, modified=True).value, (z, r)
 
 
+@pytest.mark.parametrize("modified", [False, True], ids=["H", "L"])
+def test_struve_at_order_minus_one_and_zero_bounds_its_rounding(modified):
+    # H and L at v = -1, z = 0 are their leading term 1/(Gamma(3/2) Gamma(1/2)),
+    # 2/pi rounded: not exact, so the bound is the leading term's, not zero
+    r = struve(-1.0, 0.0, modified=modified)
+    assert r.converged and r.terms_used == 1
+    assert r.value == 1.0 / (math.gamma(1.5) * math.gamma(0.5))
+    err = abs(mp.mpf(r.value) - oracles.mp_struve(-1.0, 0.0, modified))
+    assert 0.0 < err <= r.abs_error_est <= struve(-1.0, 1e-300, modified=modified).abs_error_est
+
+
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_bessel_overflow_is_known_before_summing(backend, request, monkeypatch):
     # the kernels' terms leave the double range, and their sums end in inf

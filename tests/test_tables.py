@@ -21,8 +21,6 @@ tests/test_wright.py checks the Wright spec's table the same way.
 import collections
 import math
 import random
-import sys
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +31,7 @@ from bsfrac import checks, msm, pathway, series, wright
 from bsfrac.checks import CHECKS, SUITES, Config
 
 import oracles
+from conftest import in_threads
 
 NUS = [-0.9, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.3, 9.7, 40.0]
 OTHER_NU = 7.125  # an order no test sweeps: a call at it empties the slot
@@ -69,21 +68,6 @@ def _fresh(evaluate, order, *args):
 
 def _kernel_at(cap):
     return lambda nu, u: series.kernels.bs_series(nu, u, 1e-14, cap)
-
-
-def _in_threads(sweep, n=6):
-    """Run ``sweep(i)`` for i < n in n threads that switch every microsecond."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
 
 
 @pytest.mark.parametrize("nu", NUS)
@@ -148,7 +132,7 @@ def test_s_table_shared_by_threads(kernels):
         ordered = points if i % 2 else points[::-1]
         results[i] = [_outcome(bessel_struve_kernel, nu, u) for nu, u in ordered]
 
-    _in_threads(sweep)
+    in_threads(sweep)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
 
@@ -231,7 +215,7 @@ def test_2f1_table_shared_by_threads(kernels):
         ordered = points if i % 2 else points[::-1]
         results[i] = [_outcome(_hyp2f1, *point) for point in ordered]
 
-    _in_threads(sweep)
+    in_threads(sweep)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
 
@@ -299,7 +283,7 @@ def test_2f1_values_shared_by_threads(kernels):
         ordered = points if i % 2 else points[::-1]
         results[i] = [_outcome(_hyp2f1, *point) for point in ordered]
 
-    _in_threads(sweep)
+    in_threads(sweep)
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
 

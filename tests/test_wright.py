@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 from types import SimpleNamespace
 
 import pytest
@@ -23,7 +21,7 @@ from bsfrac import (
 from bsfrac.series import DEFAULT_TOL, TERM_CAP, linspace
 
 import oracles
-from conftest import run_cli
+from conftest import in_threads, run_cli
 
 # the 4Psi4 spec shape produced by the left-operator image theorem
 THEOREM_SPEC = WrightSpec(
@@ -282,17 +280,7 @@ def test_evaluator_shared_by_threads():
         results[i] = [tuple(map(repr, wright_eval(spec, z)))
                       for z in (zs if i % 2 else zs[::-1])]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    in_threads(sweep)
     assert spec._rows
     for i in range(6):
         assert results[i] == (want if i % 2 else want[::-1])
