@@ -437,15 +437,16 @@ struve_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
 static double
 hyp2f1_tail(double a, double b, double c, double z, double tol, long long cap)
 {
-    double s = 1.0, t = 1.0, r;
     long long k = 0;
+    double s = 1.0, t = 1.0, r, f = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z;
     while (k < cap) {
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z;
+        t *= f;
         if (t == 0.0)
             return s;
         s += t;
         k += 1;
-        r = fabs((a + k) * (b + k) / ((c + k) * (k + 1.0)) * z);
+        f = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z;
+        r = fabs(f);
         if (r < 0.97 && fabs(t) * r / (1.0 - r) <= tol * fabs(s))
             return s;
     }
@@ -502,6 +503,8 @@ hyp2f1_kernel(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
         return PyFloat_FromDouble(scale * hyp2f1_tail(a, b, c, z, 1e-16, 10000));
     if (hyp2f1_slot[0] != a || hyp2f1_slot[1] != b || hyp2f1_slot[2] != c) {
         s = c - a - b;
+        if (s == floor(s))
+            return PyFloat_FromDouble(NAN);
         hyp2f1_slot[0] = a;
         hyp2f1_slot[1] = b;
         hyp2f1_slot[2] = c;

@@ -20,10 +20,8 @@ table, which a call at another order replaces; ``wright_series`` takes a
 spec's table as an optional last argument.  An entry holds what any call
 that reads it would compute, so a call's bits never depend on the calls
 before it, and threads may share a table.  The 2F1 slot holds the
-z-free factors ``(a+k)(b+k)/((c+k)(k+1))`` of the term ratios of the
-direct series and of both connection series, filled as points need them,
-and the connection coefficients; the compiled twin keeps only the
-coefficients, in a static one-slot of its own.
+connection coefficients and the sums already made; the compiled twin
+keeps only the coefficients, in a static one-slot of its own.
 """
 
 from __future__ import annotations
@@ -125,13 +123,12 @@ def _bs_odd_prefactor(nu):
     return math.exp(la1 - la2 - _HALF_LN_PI)
 
 
-# (nu, S table) of the last order, and (a, b, c, direct factors, connection
-# entry, values) of the last 2F1 order, b after the Pfaff transform, whose
-# connection entry is empty or holds (s, p1, p2, factors of f1, of f2) and
-# whose values map z (direct) or (z, wbar) (connection), both after the
-# transform, to the unscaled sum; NaN matches no order
+# (nu, S table) of the last order, and (a, b, c, connection entry, values)
+# of the last 2F1 order, b after the Pfaff transform: the entry is empty or
+# (s, p1, p2), and the values map z (direct) or (z, wbar) (connection), both
+# after the transform, to the unscaled sum; NaN matches no order
 _bs_slot = (math.nan, {})
-_hyp2f1_slot = (math.nan, math.nan, math.nan, [], [], {})
+_hyp2f1_slot = (math.nan, math.nan, math.nan, [], {})
 
 
 def bs_series(nu, u, tol, cap):
@@ -384,38 +381,22 @@ def struve_series(v, z, modified, tol, cap):
     return _bessel_type_series(t, q, v, 1.5, 1.5, tol, cap)
 
 
-def _hyp2f1_factor(q, a, b, c, k):
-    """Factor k of the list q of ``_hyp2f1_tail``, stored at its own
-    index, so that racing threads store equal factors."""
-    f = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-    q[k:k + 1] = (f,)
-    return f
-
-
-def _hyp2f1_tail(a, b, c, z, tol, cap, q):
+def _hyp2f1_tail(a, b, c, z, tol, cap):
     """Direct 2F1 series with a geometric tail bound; needs |z| < 0.97.
 
-    ``q`` holds the z-free factors ``(a+k)(b+k)/((c+k)(k+1))`` of the
-    term ratios for k = 0, 1, ...; a step reads its factor, or computes and
-    adds it, and forms ``q[k] * z`` once for the term and the stop test."""
-    if not q:
-        _hyp2f1_factor(q, a, b, c, 0)
-    have = len(q)
-    f = q[0] * z
+    Each step forms the term ratio ``(a+k)(b+k)/((c+k)(k+1)) * z`` once,
+    for the stop test and then for the next term."""
     s = 1.0
     t = 1.0
     k = 0
+    f = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
     while k < cap:
         t *= f
         if t == 0.0:
             return s
         s += t
         k += 1
-        if k < have:
-            f = q[k] * z
-        else:
-            f = _hyp2f1_factor(q, a, b, c, k) * z
-            have = len(q)
+        f = (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         r = abs(f)
         if r < 0.97 and abs(t) * r / (1.0 - r) <= tol * abs(s):
             return s
@@ -441,16 +422,17 @@ def hyp2f1_kernel(a, b, c, z, wbar):
     ``wbar`` is 1-z, passed exactly where z is close to 1 so that the small
     distance is not lost to cancellation; 0.0 (or less) has the kernel form
     1-z itself, and z < 0 ignores it.  Routes: direct series for z <= 0.75,
-    connection formula in powers of 1-z for z > 0.75 (requires c-a-b away
-    from integers), Pfaff transform for z < 0, ahead of either.  A
-    connection coefficient whose denominator holds Gamma at a pole (c-a,
-    c-b, a or b an exact nonpositive integer) is 0.0.  The slot keeps the
-    direct series' factors, and once a point takes the connection formula,
-    its coefficients and the factors of its two series; it also keeps the
-    sum at every point it has summed, before the Pfaff scale, so a repeated
-    point (the same factor at every rho of an integral's parameters) is
-    summed once.  A stored sum is the one the same operations give, so the
-    bits never depend on earlier calls.
+    connection formula in powers of 1-z for z > 0.75, Pfaff transform for
+    z < 0, ahead of either.  The connection formula needs the gap c-a-b, b
+    after the transform, off the integers: at an exact integer gap the
+    kernel returns NaN, and near one it loses about u/gap.  A connection
+    coefficient whose denominator holds Gamma at a pole (c-a, c-b, a or b
+    an exact nonpositive integer) is 0.0.  The slot keeps the connection
+    coefficients once a point takes that route, and the sum at every point
+    it has summed, before the Pfaff scale, so a repeated point (the same
+    factor at every rho of an integral's parameters) is summed once.  A
+    stored sum is the one the same operations give, so the bits never
+    depend on earlier calls.
     """
     global _hyp2f1_slot
     if a == 0.0 or b == 0.0 or z == 0.0:
@@ -467,25 +449,26 @@ def hyp2f1_kernel(a, b, c, z, wbar):
             wbar = 1.0 - z
     slot = _hyp2f1_slot
     if slot[0] != a or slot[1] != b or slot[2] != c:
-        slot = _hyp2f1_slot = (a, b, c, [], [], {})
+        slot = _hyp2f1_slot = (a, b, c, [], {})
     # a thread stores into the dict of the slot it read; racing threads
     # store equal values
-    values = slot[5]
+    values = slot[4]
     key = z if z <= 0.75 else (z, wbar)
     v = values.get(key)
     if v is not None:
         return scale * v
     if z <= 0.75:
-        v = _hyp2f1_tail(a, b, c, z, 1e-16, 10000, slot[3])
+        v = _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
     else:
-        conn = slot[4]
+        conn = slot[3]
         if not conn:  # racing threads store equal entries at index 0
             s = c - a - b
-            conn[0:1] = ((s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b),
-                          [], []),)
-        s, p1, p2, q1, q2 = conn[0]
-        f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000, q1)
-        f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000, q2)
+            if s == math.floor(s):
+                return math.nan
+            conn[0:1] = ((s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b)),)
+        s, p1, p2 = conn[0]
+        f1 = _hyp2f1_tail(a, b, 1.0 - s, wbar, 1e-16, 10000)
+        f2 = _hyp2f1_tail(c - a, c - b, 1.0 + s, wbar, 1e-16, 10000)
         v = p1 * f1 + wbar ** s * p2 * f2
     values[key] = v
     return scale * v

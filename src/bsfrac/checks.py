@@ -249,10 +249,13 @@ class _Run:
 def _worst(points) -> tuple:
     """The worst deviation over (candidate, reference, coordinates)
     points, the coordinates of its point and the number of points.  A
-    point without a reference (None) is a deviation from zero already."""
+    point without a reference (None) is a deviation from zero already, and
+    a NaN deviation counts as inf, as in an ERROR record."""
     worst, where, n = 0.0, {}, 0
     for got, want, point in points:
         dev = abs(got) if want is None else _rel(got, want)
+        if math.isnan(dev):
+            dev = math.inf
         n += 1
         if dev > worst:
             worst, where = dev, point

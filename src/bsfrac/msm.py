@@ -42,12 +42,13 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-def _check_finite(params):
-    """Refuse a NaN or infinite field of a parameter dataclass."""
-    for f in fields(params):
-        value = getattr(params, f.name)
+def _check_finite(params, names=None):
+    """Refuse a NaN or infinite field of a parameter dataclass: each of
+    ``names``, or every field."""
+    for name in names or [f.name for f in fields(params)]:
+        value = getattr(params, name)
         if not math.isfinite(value):
-            raise PreconditionError(f"{f.name} must be finite, got {value!r}")
+            raise PreconditionError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class FunctionKind:
     ``monomial`` has no kernel factor; ``bs`` is the Bessel-Struve kernel
     of order nu with argument scale lam; the named special cases pin nu
     to -1/2, 1/2, 0, 1 with lam = 1 (exponential and Bessel/Struve
-    combinations respectively).
+    combinations respectively).  rho, nu and lam must be finite.
     """
 
     family: str
@@ -84,6 +85,7 @@ class FunctionKind:
     def __post_init__(self):
         if self.family not in ("monomial", "bs") and self.family not in _SPECIAL_NU:
             raise DomainError(f"unknown integrand family {self.family!r}")
+        _check_finite(self, ("rho", "nu", "lam"))
         if self.family == "bs" and not self.nu > -1.0:
             raise DomainError(f"kernel order must exceed -1, got {self.nu!r}")
         if self.family in _SPECIAL_NU:

@@ -122,6 +122,21 @@ def test_hyp2f1_kernel_agrees(ck):
                       ck.hyp2f1_kernel(a, b, c, z, wbar), rel=5e-13)
 
 
+@pytest.mark.parametrize("c", [0.75, 1.75, 2.75, -0.25])
+def test_hyp2f1_integer_gap_is_nan_on_both_twins(ck, c):
+    # the connection formula at an exact integer gap c-a-b (b after the
+    # Pfaff transform: a z < 0 call at c - b) has no value; 1e-9 away it
+    # has one, to about u/gap
+    a, b = 0.3, 0.45
+    for z, wbar in ((0.9, 0.1), (1.0 - 1e-8, 1e-8), (-20.0, 0.0)):
+        for kernels in (pk, ck):
+            assert math.isnan(kernels.hyp2f1_kernel(a, b if z > 0.0 else c - b, c, z, wbar))
+        near = c + 1e-9
+        bb = b if z > 0.0 else near - b
+        pure, compiled = (kernels.hyp2f1_kernel(a, bb, near, z, wbar) for kernels in (pk, ck))
+        assert math.isfinite(pure) and _close(pure, compiled, rel=1e-6)
+
+
 def test_wright_series_agrees(ck):
     ua, uA = (0.5, 1.2, 1.9), (0.5, 1.0, 1.0)
     lb, lB = (1.25, 1.4, 2.0), (0.5, 1.0, 1.0)

@@ -204,6 +204,31 @@ def test_a_route_that_raises_after_the_points_makes_an_error():
         "worst_point": {"error": "TermCapError: late route"}, "n_points": 0}
 
 
+def test_a_nan_deviation_is_the_worst():
+    # NaN against a reference, without one, and inf against inf (a NaN
+    # relative deviation) each count as inf, the first one found named
+    nan, inf = math.nan, math.inf
+    assert checks._worst([(nan, 1.0, {"u": 1.0})]) == (inf, {"u": 1.0}, 1)
+    assert checks._worst([(1.0, 1.5, {"u": 0.0}), (1.0, nan, {"u": 1.0}),
+                          (nan, None, {"u": 2.0}), (inf, inf, {"u": 3.0})]) == (inf, {"u": 1.0}, 4)
+
+
+def test_a_nan_point_fails_its_row():
+    # a row whose only point is NaN, and a passing row whose secondary
+    # route gives NaN, once reported PASS
+    def nan_point(run):
+        return iter([(math.nan, 1.0, {"u": 1.0})])
+
+    def good_point(run):
+        return iter([(1.0, 1.0 + 2.0 ** -52, {"u": 0.0})])
+
+    for spec, where in ((CheckSpec("nan", "", "degenerate", nan_point), {"u": 1.0}),
+                        (CheckSpec("late", "", "degenerate", good_point,
+                                   {"degenerate": nan_point}), {"u": 0.0})):
+        record = checks._execute_check(spec, Config(), 1e-14)
+        assert (record["status"], record["worst_point"], record["n_points"]) == ("FAIL", where, 1)
+
+
 def test_verify_all_statuses_and_points():
     rep = run_suite("all").to_dict()
     checks = {c["id"]: c for c in rep["checks"]}

@@ -170,10 +170,12 @@ def test_non_finite_density_parameter_is_usage_error(name):
 
 @pytest.mark.parametrize("function,name", [
     *(("msm-left", n) for n in ("alpha", "alpha-prime", "beta", "beta-prime", "gamma")),
-    *(("pathway", n) for n in ("eta", "a", "pathway-alpha"))])
+    *(("pathway", n) for n in ("eta", "a", "pathway-alpha", "rho", "nu", "lam")),
+    ("msm-left", "rho")])
 def test_non_finite_operator_parameter_is_usage_error(function, name):
     # an infinite scale or pathway alpha once printed 0,0,1 and exited 0,
-    # an infinite MSM order printed nan,nan,1 and exited 1
+    # an infinite MSM order printed nan,nan,1 and exited 1, and a NaN lam
+    # printed a converged 0
     _assert_non_finite_refused(function, name)
 
 

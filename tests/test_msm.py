@@ -271,6 +271,15 @@ class TestNanParameter:
         with pytest.raises(PreconditionError, match="must be finite"):
             MsmParams(*args)
 
+    @pytest.mark.parametrize("name", ["rho", "nu", "lam"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kind_rejected(self, name, bad):
+        # lam = nan once gave a converged 0.0 from both quadratures, lam =
+        # inf stalled them, and nu = inf overflowed in the pure kernel
+        args = {"rho": 1.5, "nu": 0.25, "lam": 1.0, name: bad}
+        with pytest.raises(PreconditionError, match=f"{name} must be finite, got"):
+            FunctionKind.bs_kernel(**args)
+
     @pytest.mark.parametrize("side,rho", [(Side.LEFT, 1.5), (Side.RIGHT, -1.5)])
     def test_nan_order_parameter_is_rejected(self, side, rho):
         # only some gamma arguments turn NaN, so a min() over them could

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -210,6 +211,54 @@ def test_infinite_value_at_zero_is_not_converged(fn, v, on_backend):
     # is infinite too, and the value is not converged
     for modified in (False, True):
         assert fn(v, 0.0, modified=modified) == SeriesEval(math.inf, math.inf, 1, False)
+
+
+# --- a seeded audit of S, J, I, H and L against mpmath --------------------------
+
+
+def _mp_bs(nu, u):
+    """S_nu(u) by a direct mpmath sum of its even and odd chains, t(n+2) =
+    t(n) u^2 / ((n+2)(n+2nu+2)), with the working precision raised for the
+    cancellation at u < 0, where the largest term is near e^|u|."""
+    with mp.workdps(30 + int(abs(u) / math.log(10))):
+        nu, u = mp.mpf(nu), mp.mpf(u)
+        chains = [mp.mpf(1), mp.gamma(nu + 1) / (mp.sqrt(mp.pi) * mp.gamma(nu + 1.5)) * u]
+        s, n, eps = sum(chains), 0, mp.eps
+        while n < abs(u) or abs(chains[0]) + abs(chains[1]) > eps * abs(s):
+            for i in (0, 1):
+                chains[i] *= u * u / ((n + i + 2) * (n + i + 2 * nu + 2))
+            s += chains[0] + chains[1]
+            n += 2
+        return s
+
+
+@functools.cache
+def _audit_points():
+    """(function, its arguments, mpmath reference) at 40 seeded points per
+    function: nu in (-0.95, 12), u in [-40, 40] for S and z in (0, 40] for
+    J, I, H and L."""
+    rng = random.Random(3)
+    points = []
+    for _ in range(40):
+        nu, u = rng.uniform(-0.95, 12.0), rng.uniform(-40.0, 40.0)
+        points.append((bessel_struve_kernel, (nu, u), _mp_bs(nu, u)))
+    for fn, ref in ((bessel_first_kind, oracles.mp_bessel), (struve, oracles.mp_struve)):
+        for modified in (False, True):
+            for _ in range(40):
+                nu, z = rng.uniform(-0.95, 12.0), 40.0 * (1.0 - rng.random())
+                points.append((fn, (nu, z, modified), ref(nu, z, modified)))
+    return points
+
+
+def test_converged_values_lie_within_their_bound_of_mpmath(on_backend):
+    # every converged value across the sampled domain, on both backends
+    converged = 0
+    for fn, args, want in _audit_points():
+        r = fn(*args)
+        if r.converged:
+            converged += 1
+            assert abs(mp.mpf(r.value) - want) <= r.abs_error_est, (fn.__name__, args, r)
+    assert converged >= 180, converged
 
 
 def test_two_over_pi_is_correctly_rounded():

@@ -12,9 +12,8 @@ the 2F1 connection coefficients, in a static slot of its own, and both
 twins refuse a table argument to these two kernels.  The pure 2F1 slot
 also keeps the values it has summed, which must carry the same bits.
 Tests count the work the tables save: the 2F1 points a lemma check
-sums, the 2F1 factors one integral computes, the Wright tables a theorem
-check builds, the images and specs it constructs, and the oracle's
-power lists.
+sums, the Wright tables a theorem check builds, the images and specs it
+constructs, and the oracle's power lists.
 tests/test_wright.py checks the Wright spec's table the same way.
 """
 
@@ -25,7 +24,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bsfrac import BsfracError, FunctionKind, MsmParams, Side, bessel_struve_kernel, msm_quadrature
+from bsfrac import BsfracError, MsmParams, Side, bessel_struve_kernel, msm_quadrature
 from bsfrac import _pykernels as pk
 from bsfrac import checks, msm, pathway, series, wright
 from bsfrac.checks import CHECKS, SUITES, Config
@@ -181,10 +180,10 @@ def test_2f1_table_returns_one_shot_bits(kernels):
 
 
 def test_2f1_table_bits_do_not_depend_on_sweep_direction(kernels):
-    # a sweep whose z rises through the direct series from 0.05 to 0.75, so
-    # that every point needs more factors than the last, then falls back and
-    # reads them; runs of one to four of its calls alternate with calls at
-    # another c, on either route, which replace the slot mid-sweep
+    # a sweep whose z rises through the direct series from 0.05 to 0.75,
+    # then falls back over the same points; runs of one to four of its calls
+    # alternate with calls at another c, on either route, which replace the
+    # slot mid-sweep
     zs = oracles.linspace(0.05, 0.75, 29)
     sweep = [(0.3, 0.45, 1.1, z, 1.0 - z) for z in zs + zs[::-1]]
     others = [(0.3, 0.45, 1.6, z, wbar) for z, wbar in HYP2F1_POINTS]
@@ -262,8 +261,8 @@ def test_2f1_values_return_one_shot_bits(kernels):
     got = [_outcome(_hyp2f1, *call) for call in calls]
     if kernels is pk:  # one slot served the sweep, one value per point
         assert pk._hyp2f1_slot[:3] == (a, c - b, c)
-        assert set(pk._hyp2f1_slot[5]) == _value_keys(calls)
-        assert len(pk._hyp2f1_slot[5]) < len(set(calls))
+        assert set(pk._hyp2f1_slot[4]) == _value_keys(calls)
+        assert len(pk._hyp2f1_slot[4]) < len(set(calls))
     for call, outcome in zip(calls, got):
         assert outcome == _fresh(_hyp2f1, *call), call
 
@@ -363,41 +362,6 @@ def test_oracle_builds_ratios_once_per_gamma_table(monkeypatch):
     check.runner(cfg, cfg.tolerances[check.tolerance_key])
     assert len(tables) == len(set(tables)) == 10
     assert len(pairs) == 50
-
-
-@pytest.mark.parametrize("side, params, rho, x", [
-    (Side.LEFT, MsmParams(0.4, 0.0, 0.3, 0.0, 1.1), 1.5, 1.3),
-    (Side.RIGHT, MsmParams(0.0, 0.2, 0.0, 0.45, 1.5), -1.5, 2.0),
-], ids=["left", "right"])
-def test_quadrature_computes_each_2f1_factor_once(monkeypatch, side, params, rho, x):
-    # one integral whose nodes take the direct series and both connection
-    # series of one (a, b, c): each series' factors are computed once, as
-    # many as its longest run needs (its terms and the stop test's next
-    # factor), where a factor was once computed twice per term per node
-    computed, needed, alone = collections.Counter(), {}, []
-    factor, tail = pk._hyp2f1_factor, pk._hyp2f1_tail
-
-    def counted_factor(q, *args):
-        computed[id(q)] += 1
-        return factor(q, *args)
-
-    def measured_tail(a, b, c, z, tol, cap, q):
-        alone.append([])  # the same run on an empty list, kept alive for id()
-        tail(a, b, c, z, tol, cap, alone[-1])
-        needed[id(q)] = max(needed.get(id(q), 0), len(alone[-1]))
-        return tail(a, b, c, z, tol, cap, q)
-
-    monkeypatch.setattr(pk, "_hyp2f1_factor", counted_factor)
-    monkeypatch.setattr(pk, "_hyp2f1_tail", measured_tail)
-    monkeypatch.setattr(msm, "kernels", pk)
-    pk.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1)  # empties the slot
-    computed.clear()
-    assert msm_quadrature(side, params, FunctionKind.monomial(rho), x).converged
-    slot = pk._hyp2f1_slot
-    lists = [slot[3], *slot[4][0][3:]]
-    assert set(needed) == {id(q) for q in lists}  # one slot served every node
-    for q in lists:
-        assert computed[id(q)] == needed[id(q)] == len(q) > 1
 
 
 # test_backends.test_wright_series_agrees's inputs
