@@ -424,15 +424,15 @@ def hyp2f1_kernel(a, b, c, z, wbar):
     1-z itself, and z < 0 ignores it.  Routes: direct series for z <= 0.75,
     connection formula in powers of 1-z for z > 0.75, Pfaff transform for
     z < 0, ahead of either.  The connection formula needs the gap c-a-b, b
-    after the transform, off the integers: at an exact integer gap the
-    kernel returns NaN, and near one it loses about u/gap.  A connection
-    coefficient whose denominator holds Gamma at a pole (c-a, c-b, a or b
-    an exact nonpositive integer) is 0.0.  The slot keeps the connection
-    coefficients once a point takes that route, and the sum at every point
-    it has summed, before the Pfaff scale, so a repeated point (the same
-    factor at every rho of an integral's parameters) is summed once.  A
-    stored sum is the one the same operations give, so the bits never
-    depend on earlier calls.
+    after the transform, off the integers: at an exact integer gap, or a
+    non-finite one, the kernel returns NaN, and near one it loses about
+    u/gap.  A connection coefficient whose denominator holds Gamma at a
+    pole (c-a, c-b, a or b an exact nonpositive integer) is 0.0.  The
+    slot keeps the connection coefficients once a point takes that route,
+    and the sum at every point it has summed, before the Pfaff scale, so a
+    repeated point (the same factor at every rho of an integral's
+    parameters) is summed once.  A stored sum is the one the same
+    operations give, so the bits never depend on earlier calls.
     """
     global _hyp2f1_slot
     if a == 0.0 or b == 0.0 or z == 0.0:
@@ -463,7 +463,7 @@ def hyp2f1_kernel(a, b, c, z, wbar):
         conn = slot[3]
         if not conn:  # racing threads store equal entries at index 0
             s = c - a - b
-            if s == math.floor(s):
+            if not math.isfinite(s) or s == math.floor(s):
                 return math.nan
             conn[0:1] = ((s, _gamma_ratio_d(c, s, c - a, c - b), _gamma_ratio_d(c, -s, a, b)),)
         s, p1, p2 = conn[0]

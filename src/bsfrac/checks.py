@@ -17,7 +17,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterable
@@ -243,7 +243,7 @@ class _Run:
         if isinstance(item, WrightSpec):
             return self._specs.setdefault(item, item)
         spec = self._specs.setdefault(item.spec, item.spec)
-        return item if spec is item.spec else replace(item, spec=spec)
+        return item if spec is item.spec else item._replace(spec=spec)
 
 
 def _worst(points) -> tuple:
@@ -347,7 +347,7 @@ def _lemma_points(side: Side, run: _Run):
             integrals[key, x] = msm_quadrature(side, params, FunctionKind.monomial(rho),
                                                x, tol=run.tol / 20.0).value
     for (params, rho, img, key), x in product(points, xs):
-        yield img.value_at(x).value, integrals[key, x], {**vars(params), "rho": rho, "x": x}
+        yield img.value_at(x).value, integrals[key, x], {**params._asdict(), "rho": rho, "x": x}
 
 
 def _lemma_exact(side: Side, run: _Run):
@@ -507,7 +507,7 @@ def _theorem_grid(side: Side, cfg: Config):
         tables = [(rho, _gamma_args(side, params, rho)) for rho in rhos]
         for nu, lam in product(g["nu"], g["lam"]):
             for (rho, table), x in product(tables, xs):
-                yield table, kinds[rho, nu], lam, x, {**vars(params), "nu": nu, "lam": lam,
+                yield table, kinds[rho, nu], lam, x, {**params._asdict(), "nu": nu, "lam": lam,
                                                       "rho": rho, "x": x}
 
 
@@ -517,7 +517,7 @@ def _special_grid(family: str, cfg: Config):
     for raw in cfg.grids["theorem_params"]:
         params = MsmParams(*raw)
         yield (_gamma_args(Side.LEFT, params, kind.rho), kind, 1.0, 1.0,
-               {**vars(params), "rho": kind.rho})
+               {**params._asdict(), "rho": kind.rho})
 
 
 def _quad_points(side: Side | None, probe, kinds, x: float, run: _Run):

@@ -5,7 +5,7 @@ symbols.  Every series term in the library routes through these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError, PoleError
@@ -26,8 +26,7 @@ def is_pole(x: float) -> bool:
     return kernels.near_nonpositive_int(x)
 
 
-@dataclass(frozen=True)
-class SignedLogGamma:
+class SignedLogGamma(NamedTuple):
     """log|Gamma(x)| together with the sign of Gamma(x)."""
 
     log_abs: float

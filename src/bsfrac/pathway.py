@@ -11,36 +11,33 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._backend import kernels
 from .errors import DomainError, PreconditionError
 from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio
 from .msm import (ClosedFormImage, FunctionKind, _check_finite, _GammaTable, _kernel_image,
                   _power_image)
-from .quadrature import tanh_sinh
-from .series import TERM_CAP, SeriesEval
+from .series import TERM_CAP, SeriesEval, _Checked
 
 
-@dataclass(frozen=True)
-class PathwayParams:
+class PathwayParams(_Checked, namedtuple("PathwayParams", "eta a pathway_alpha")):
     """Operator parameters, all finite: scale a > 0, pathway_alpha < 1, and
     eta/(1-pathway_alpha) > -1 so the kernel stays integrable."""
 
-    eta: float
-    a: float
-    pathway_alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, eta: float, a: float, pathway_alpha: float):
+        self = super().__new__(cls, eta, a, pathway_alpha)
         _check_finite(self)
-        if not self.a > 0.0:
-            raise PreconditionError(f"scale a must be positive, got {self.a!r}")
-        if not self.pathway_alpha < 1.0:
-            raise PreconditionError(
-                f"operator needs pathway_alpha < 1, got {self.pathway_alpha!r}")
+        if not a > 0.0:
+            raise PreconditionError(f"scale a must be positive, got {a!r}")
+        if not pathway_alpha < 1.0:
+            raise PreconditionError(f"operator needs pathway_alpha < 1, got {pathway_alpha!r}")
         if not self.kernel_exponent > -1.0:
             raise PreconditionError(
                 f"eta/(1-alpha) must exceed -1, got {self.kernel_exponent!r}")
+        return self
 
     @property
     def kernel_exponent(self) -> float:
@@ -77,6 +74,7 @@ def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind) -> ClosedF
 def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
                        tol: float = 1e-11) -> SeriesEval:
     """Direct tanh-sinh quadrature of the pathway integral at finite x > 0."""
+    from .quadrature import tanh_sinh  # only here: a cold eval never needs it
     if not 0.0 < x < math.inf:
         raise DomainError(f"the operator is defined for x > 0, got x={x!r}")
     sigma = kind.rho
@@ -109,26 +107,25 @@ class Regime(enum.Enum):
     LIMIT = "limit"    # alpha = 1: exponential-tail limit
 
 
-@dataclass(frozen=True)
-class PathwayDensityParams:
+class PathwayDensityParams(_Checked, namedtuple(
+        "PathwayDensityParams", "gamma_shape delta beta_shape a pathway_alpha")):
     """Parameters of the symmetric pathway density in one dimension."""
 
-    gamma_shape: float
-    delta: float
-    beta_shape: float
-    a: float
-    pathway_alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gamma_shape: float, delta: float, beta_shape: float, a: float,
+                pathway_alpha: float):
+        self = super().__new__(cls, gamma_shape, delta, beta_shape, a, pathway_alpha)
         _check_finite(self)
-        if not self.gamma_shape > 0.0:
+        if not gamma_shape > 0.0:
             raise PreconditionError("gamma_shape must be positive")
-        if not self.delta > 0.0:
+        if not delta > 0.0:
             raise PreconditionError("delta must be positive")
-        if not self.beta_shape >= 0.0:
+        if not beta_shape >= 0.0:
             raise PreconditionError("beta_shape must be nonnegative")
-        if not self.a > 0.0:
+        if not a > 0.0:
             raise PreconditionError("a must be positive")
+        return self
 
     @property
     def regime(self) -> Regime:

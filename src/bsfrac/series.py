@@ -70,6 +70,18 @@ class SeriesEval(NamedTuple):
     converged: bool
 
 
+class _Checked:
+    """First base of a named tuple whose ``__new__`` checks its fields
+    (the parameter classes and ``wright.WrightSpec``): ``_make``, and so
+    ``_replace``, would otherwise build the tuple past those checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 _LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
 
 

@@ -5,42 +5,36 @@ diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ._backend import kernels
 from .errors import ConvergenceError, DomainError, PoleError, TermCapError
-from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, check_limits
+from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked, check_limits
 
 Pair = tuple[float, float]
 MAX_PAIRS = kernels.MAX_PAIRS  # the most upper pairs, and lower ones, a kernel takes
 
 
-@dataclass(frozen=True)
-class WrightSpec:
+class WrightSpec(_Checked, namedtuple("WrightSpec", "upper lower")):
     """Numerator/denominator (coefficient, slope) pairs of a pPsi_q series.
 
     Slopes must be nonnegative reals (every spec generated by the
     operator theorems uses 1/2 or 1), and each side holds at most
-    ``MAX_PAIRS`` pairs.  The slope sum ``delta`` and the
-    kernel's four columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once,
-    here, for every evaluation of the spec.
+    ``MAX_PAIRS`` pairs.  The slope sum ``delta`` and the kernel's four
+    columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once, here, for
+    every evaluation of the spec.
 
     ``_rows`` caches the kernel's term table of the spec, one row per
     term k (its log-gamma sum, signs and log k!).  A row does not depend
     on z, the tolerance or the term cap, so every ``wright_eval`` of the
-    spec shares it, across threads too; equality, hashing and repr ignore
-    it.  It is private: the pure kernel trusts the rows it finds.
+    spec shares it, across threads too.  Like ``delta`` and ``columns`` it
+    lies outside the tuple (equality, hashing and repr ignore it) and
+    cannot be assigned.  Private: the pure kernel trusts the rows it finds.
     """
 
-    upper: tuple[Pair, ...]
-    lower: tuple[Pair, ...]
-    delta: float = field(init=False, repr=False, compare=False)
-    columns: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    _rows: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        upper = tuple((float(a), float(A)) for a, A in self.upper)
-        lower = tuple((float(b), float(B)) for b, B in self.lower)
+    def __new__(cls, upper: tuple[Pair, ...], lower: tuple[Pair, ...]):
+        upper = tuple((float(a), float(A)) for a, A in upper)
+        lower = tuple((float(b), float(B)) for b, B in lower)
         if max(len(upper), len(lower)) > MAX_PAIRS:
             raise DomainError(f"at most {MAX_PAIRS} upper and {MAX_PAIRS} lower pairs are "
                               f"supported, got {len(upper)} and {len(lower)}")
@@ -49,13 +43,16 @@ class WrightSpec:
                 raise DomainError(f"slopes must be finite and >= 0, got {slope!r}")
             if not math.isfinite(coeff):
                 raise DomainError(f"coefficients must be finite, got {coeff!r}")
+        self = super().__new__(cls, upper, lower)
         ua, uA = tuple(zip(*upper)) or ((), ())
         lb, lB = tuple(zip(*lower)) or ((), ())
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "delta", math.fsum(lB) - math.fsum(uA))
         object.__setattr__(self, "columns", (ua, uA, lb, lB))
         object.__setattr__(self, "_rows", [])
+        return self
+
+    def __setattr__(self, name, value):  # wright_eval trusts delta and columns
+        raise AttributeError(f"cannot assign to field {name!r} of a WrightSpec")
 
 
 def wright_delta(spec: WrightSpec) -> float:

@@ -137,6 +137,22 @@ def test_hyp2f1_integer_gap_is_nan_on_both_twins(ck, c):
         assert math.isfinite(pure) and _close(pure, compiled, rel=1e-6)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hyp2f1_non_finite_order_agrees(ck, index, bad):
+    # a NaN or infinite a, b or c on each route, direct (z = 0.4),
+    # connection (z = 0.9) and Pfaff (z = -3): the connection formula's gap
+    # is then not finite, and both twins return NaN where the pure one once
+    # raised from math.floor
+    abc = [0.3, 0.45, 1.1]
+    abc[index] = bad
+    for z in (0.4, 0.9, -3.0):
+        wbar = 1.0 - z if z > 0.0 else 0.0
+        pure, compiled = (kernels.hyp2f1_kernel(*abc, z, wbar) for kernels in (pk, ck))
+        assert math.isnan(pure) == math.isnan(compiled), (abc, z)
+        assert math.isnan(pure) or pure == compiled, (abc, z)
+
+
 def test_wright_series_agrees(ck):
     ua, uA = (0.5, 1.2, 1.9), (0.5, 1.0, 1.0)
     lb, lB = (1.25, 1.4, 2.0), (0.5, 1.0, 1.0)

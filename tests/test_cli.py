@@ -431,19 +431,33 @@ def test_cli_import_leaves_the_harness_unloaded():
         bsfrac.no_such_name
 
 
-# modules a cold eval has no use for: the CLI's parser is its own, and
-# only verify and --format json write JSON or CSV through the stdlib
-UNUSED_BY_EVAL = ("argparse", "click", "csv", "json")
+# modules a cold eval has no use for: the CLI's parser is its own, only
+# verify and --format json write JSON or CSV through the stdlib, and the
+# value classes are named tuples, not dataclasses (which import inspect)
+UNUSED_BY_EVAL = ("argparse", "click", "csv", "dataclasses", "inspect", "json")
 
 
 def test_cold_eval_loads_no_parser_json_or_csv():
+    # nor dataclasses, inspect or the quadrature, for one eval of each kind
+    # of function: a kernel, a Wright series, a left and a right MSM image,
+    # a pathway image and the density; each child prints what the
+    # in-process eval prints
     src = os.path.dirname(os.path.dirname(bsfrac.__file__))
+    unused = UNUSED_BY_EVAL + ("bsfrac.quadrature",)
     code = ("import sys\nfrom bsfrac.cli import main\nmain()\n"
-            f"print(sorted(m for m in {UNUSED_BY_EVAL!r} if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code, "eval", "S", "--nu", "0.25", "--x", "1"],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[1:] == ["1.8227744417740559,3.5478061177012593e-14,17", "[]"]
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))")
+    for args in [
+        ("S", "--nu", "0.25", "--x", "1"),
+        ("wright", "--upper", "-0.5,1", "--lower", "1,1", "--x", "0.5"),
+        ("msm-left", *_MSM, "--rho", "1.5", "--kind", "bs", "--nu", "0.25", "--x", "1"),
+        ("msm-right", *_MSM, "--rho", "-1.3", "--kind", "monomial", "--x", "2"),
+        ("pathway", *_PATHWAY, "--rho", "1.1", "--kind", "bs", "--nu", "0.25", "--x", "0.5"),
+        ("density", *(f"--{k}={v}" for k, v in PARAM_OPTS["density"].items())),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", code, "eval", *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _run("eval", *args).stdout + "[]\n", args
 
 
 def test_python_dash_m_version():
@@ -664,7 +678,7 @@ def test_sweep_builds_once(function, monkeypatch):
     counted(msm, "_gamma_args")
     counted(pathway, "_table")
     counted(pathway, "pathway_norm_const")
-    counted(WrightSpec, "__post_init__")
+    counted(WrightSpec, "__new__")
     opts, grid = SWEEPS[function]
     start, stop, _ = grid.split(":")
     counts = []

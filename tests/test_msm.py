@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -350,7 +349,7 @@ def test_image_evaluator_matches_value_at(name, monkeypatch):
     img = IMAGES[name]
 
     def fresh(x):
-        return replace(img, spec=WrightSpec(img.spec.upper, img.spec.lower)).value_at(x)
+        return img._replace(spec=WrightSpec(img.spec.upper, img.spec.lower)).value_at(x)
 
     xs = IMAGE_XS + IMAGE_XS[::-1]
     got = [_image_outcome(img.value_at, x) for x in xs]

@@ -454,17 +454,18 @@ def test_theorem_checks_build_each_image_and_spec_once(monkeypatch, check_id, sp
     # hands the kernel one term table per distinct spec, T8's published
     # form included
     built, calls = [], []
-    post_init = wright.WrightSpec.__post_init__
+    new = wright.WrightSpec.__new__
 
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
+    def counted_new(*args, **kwargs):
+        spec = new(*args, **kwargs)
+        built.append(spec)
+        return spec
 
     def wright_series(*args):
         calls.append((args[:4], args[7]))  # keeps each table alive for id()
         return pk.wright_series(*args)
 
-    monkeypatch.setattr(wright.WrightSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(wright.WrightSpec, "__new__", counted_new)
     monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
     cfg = Config()
     check = CHECKS[check_id]
@@ -478,17 +479,17 @@ def _count_runner_work(monkeypatch, check_id):
     """The WrightSpec constructions and kernel-image builds of one check
     runner's call."""
     counts = collections.Counter()
-    post_init, kernel_image = wright.WrightSpec.__post_init__, msm._kernel_image
+    new, kernel_image = wright.WrightSpec.__new__, msm._kernel_image
 
-    def counted_post_init(self):
+    def counted_new(*args, **kwargs):
         counts["specs"] += 1
-        post_init(self)
+        return new(*args, **kwargs)
 
     def counted_kernel_image(*args):
         counts["images"] += 1
         return kernel_image(*args)
 
-    monkeypatch.setattr(wright.WrightSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(wright.WrightSpec, "__new__", counted_new)
     for module in (msm, pathway, checks):  # pathway and checks hold their own references
         monkeypatch.setattr(module, "_kernel_image", counted_kernel_image)
     cfg = Config()
