@@ -109,12 +109,21 @@ def _all_small_ints(values) -> bool:
 
 
 def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1.
+
+    Exactly 0.0 when a factor a + k is zero, however large the others.
+    Raises DomainError for a non-finite a and for an n that is not an int
+    >= 0 (a bool is refused), and OverflowError at the first partial
+    product beyond the double range."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise DomainError(f"pochhammer order must be an int >= 0, got {n!r}")
+    if not math.isfinite(a):
+        raise DomainError(f"pochhammer argument must be finite, got {a!r}")
+    if a <= 0.0 and a == math.floor(a) and a + n > 0.0:  # the factor at k = -a is zero
+        return 0.0
     acc = 1.0
     for k in range(n):
         acc *= a + k
-    if math.isinf(acc):
-        raise OverflowError(f"pochhammer({a!r}, {n}) exceeds double range")
+        if math.isinf(acc):
+            raise OverflowError(f"pochhammer({a!r}, {n}) exceeds double range")
     return acc

@@ -30,7 +30,8 @@ from typing import NamedTuple
 from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
-from .series import _SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked
+from .series import (_SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked,
+                     bessel_struve_kernel)
 from .wright import WrightSpec, wright_eval
 
 
@@ -274,6 +275,17 @@ def _collapsed(side: Side, p: MsmParams, rho: float) -> _Collapsed:
     return _Collapsed(side, None if gap is None else (a, b, p.gamma), p0, p.gamma, x_exp)
 
 
+def _kernel_in_range(nu: float, u: float) -> None:
+    """Raise the OverflowError of ``bessel_struve_kernel`` where S_nu(u),
+    at a quadrature's largest kernel argument u, exceeds the double range,
+    an infinite u included, before the integrand is summed at any node.
+    At u <= 0, S_nu decays."""
+    if math.isinf(u):
+        raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
+    if u > 0.0:
+        bessel_struve_kernel(nu, u)
+
+
 def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
                    x: float, tol: float = 1e-10) -> SeriesEval:
     """Direct double-exponential quadrature of the defining integral at
@@ -284,7 +296,9 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     is then evaluable at every node), and a 2F1 gap (``_collapsed_gap``)
     away from the integers, where its connection formula has no value.
     Endpoint singularities are driven through the exact node-to-endpoint
-    distances.
+    distances.  Raises OverflowError, as ``bessel_struve_kernel`` does,
+    where the kernel at its largest argument, lam*x (LEFT) or lam/x
+    (RIGHT), exceeds the double range.
 
     The integrand is built once per integral from ``_collapsed`` and the
     kernel order: the 2F1 factor is left out when the collapse makes it
@@ -299,6 +313,8 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     a_, b_, c_ = collapsed.hyp or (None, None, None)
     lam, nu = kind.lam, kind.nu
     bs_series = kernels.bs_series if kind.family != "monomial" else None
+    if bs_series is not None:
+        _kernel_in_range(nu, lam * x if side is Side.LEFT else lam / x)
 
     if side is Side.LEFT:
         def left_integrand(t, da, db):

@@ -17,7 +17,7 @@ from ._backend import kernels
 from .errors import DomainError, PreconditionError
 from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio
 from .msm import (ClosedFormImage, FunctionKind, _check_finite, _GammaTable, _kernel_image,
-                  _power_image)
+                  _kernel_in_range, _power_image)
 from .series import TERM_CAP, SeriesEval, _Checked
 
 
@@ -73,7 +73,9 @@ def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind) -> ClosedF
 
 def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
                        tol: float = 1e-11) -> SeriesEval:
-    """Direct tanh-sinh quadrature of the pathway integral at finite x > 0."""
+    """Direct tanh-sinh quadrature of the pathway integral at finite x > 0.
+    Raises OverflowError, as ``bessel_struve_kernel`` does, where the
+    kernel at its largest argument lam*x/cut exceeds the double range."""
     from .quadrature import tanh_sinh  # only here: a cold eval never needs it
     if not 0.0 < x < math.inf:
         raise DomainError(f"the operator is defined for x > 0, got x={x!r}")
@@ -84,6 +86,8 @@ def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
     p0 = sigma - 1.0
     lam, nu = kind.lam, kind.nu
     bs_series = kernels.bs_series if kind.family != "monomial" else None
+    if bs_series is not None:
+        _kernel_in_range(nu, lam * upper)
 
     def integrand(t, da, db):
         val = da ** p0 if p0 != 0.0 else 1.0

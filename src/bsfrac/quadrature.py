@@ -23,7 +23,8 @@ held.
 
 Both rules raise ``DomainError`` before they touch a table for a
 non-finite endpoint or scale, a ``tol`` that is not a finite positive
-number, or a ``max_levels`` that is not an integer >= 2.
+number, or a ``max_levels`` that is not an integer >= 2, and
+``QuadratureError`` at the first level whose running sum is not finite.
 """
 
 from __future__ import annotations
@@ -161,16 +162,15 @@ def _refine(level, tol, max_levels, name):
     # the stop test needs two refined levels
     if not isinstance(max_levels, int) or max_levels < 2:
         raise DomainError(f"{name} needs an integer max_levels >= 2, got {max_levels!r}")
-    h = 0.5
-    total, n_evals = level(0, h)
-    prev = h * total
-    err = math.inf
-    for k in range(1, max_levels + 1):
+    h, total, n_evals, prev = 1.0, 0.0, 0, math.inf
+    for k in range(max_levels + 1):
         h *= 0.5
         part, ev = level(k, h)
-        total += part
+        total += part  # exact at k = 0: a level's sum starts from +0.0
         n_evals += ev
         cur = h * total
+        if not math.isfinite(cur):  # no finer level makes it finite again
+            raise QuadratureError(f"{name} sum is not finite at level {k}: {cur!r}")
         err = abs(cur - prev)
         prev = cur
         if k >= 2 and err <= tol * max(abs(cur), _TINY):

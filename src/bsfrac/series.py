@@ -87,9 +87,10 @@ _LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
 
 def _log_peak_term(nu: float, u: float) -> float:
     """log of the term c_n u**n of S_nu(u) at n = floor(u) > 0, next to
-    the largest one.  For u > 0 every term is positive, so any one of
-    them bounds the sum from below."""
-    n = math.floor(u)
+    the largest one, or at n = 10**6 for a larger u, where that term is
+    beyond the double range already and lgamma(n + 1) is not.  For u > 0
+    every term is positive, so any one of them bounds the sum from below."""
+    n = math.floor(min(u, 1e6))
     return (math.lgamma(nu + 1.0) + math.lgamma(0.5 * (n + 1.0)) - _HALF_LN_PI
             - math.lgamma(n + 1.0) - math.lgamma(0.5 * n + nu + 1.0) + n * math.log(u))
 

@@ -88,3 +88,30 @@ def ck(compiled_pkg):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request, monkeypatch):
+    """One kernel twin, in process: installed as ``kernels`` in every bsfrac
+    module that binds the kernel module, and named in ``BACKEND``, until the
+    test ends.  Returns the kernel module.  A test's own fake goes on top.
+
+    The operator modules load lazily, so they are loaded first.  The
+    ``POLE_TOL`` and ``MAX_PAIRS`` that ``gammacore`` and ``wright`` read at
+    import must be the installed twin's too."""
+    from bsfrac import _backend, _pykernels, gammacore, msm, pathway, wright  # noqa: F401
+
+    pure = request.param == "pure"
+    kernels = _pykernels if pure else request.getfixturevalue("ck")
+    assert (kernels.POLE_TOL, kernels.MAX_PAIRS) == (gammacore.POLE_TOL, wright.MAX_PAIRS)
+    bound = _backend.kernels
+    modules = [mod for name, mod in sys.modules.items()
+               if name.partition(".")[0] == "bsfrac" and mod is not None]
+    for mod in modules:
+        if vars(mod).get("kernels") is bound:
+            monkeypatch.setattr(mod, "kernels", kernels)
+        if "BACKEND" in vars(mod):
+            monkeypatch.setattr(mod, "BACKEND", "python" if pure else "compiled")
+    held = [mod.__name__ for mod in modules if vars(mod).get("kernels", kernels) is not kernels]
+    assert not held, f"still bound to another kernel module: {held}"
+    return kernels

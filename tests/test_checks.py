@@ -5,7 +5,6 @@ import mpmath as mp
 import pytest
 
 from bsfrac import DomainError, PoleError, TermCapError, UnknownSuiteError
-from bsfrac import _pykernels as pk
 from bsfrac import checks, series
 from bsfrac.checks import (
     CHECKS,
@@ -152,12 +151,9 @@ def test_run_suite_takes_a_good_tolerance_override():
         assert [c["status"] for c in rep["checks"]] == [status], tol
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_config_tolerance_limits_on_both_backends(tmp_path, backend, request, monkeypatch):
+def test_config_tolerance_limits_on_both_backends(tmp_path, backend):
     # the least and the greatest finite positive tolerance, and an int, are
     # taken, and the checks read them on either backend
-    module = pk if backend == "pure" else request.getfixturevalue("ck")
-    monkeypatch.setattr(series, "kernels", module)
     cfg_path = tmp_path / "cfg.json"
     for tol, status in ((5e-324, "FAIL"), (1.7976931348623157e308, "PASS"), (1, "PASS")):
         cfg_path.write_text(json.dumps({"tolerances": {"kernel_exp": tol},

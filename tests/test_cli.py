@@ -105,6 +105,14 @@ def test_eval_kernel_overflow_is_numerical_error():
     assert "S at x=800.0: Bessel-Struve series at u=800.0 exceeds double range" in res.stderr
 
 
+def test_eval_bessel_overflow_is_numerical_error():
+    # J's terms leave the double range: the row is printed, not summed
+    res = _run("eval", "J", "--nu", "0", "--x", "1500")
+    assert res.exit_code == 1
+    assert res.stdout == "value,abs_error_est,terms_used\nnan,inf,0\n"
+    assert res.stderr == "Error: J at x=1500.0 is not finite in double precision\n"
+
+
 def test_eval_overflow_is_numerical_error():
     res = _run("eval", "wright", "--upper", "1,1", "--lower", "1,1", "--x", "800")
     assert res.exit_code == 1

@@ -111,6 +111,37 @@ def test_pochhammer_overflow():
         pochhammer(250.0, 200)
 
 
+def test_pochhammer_zero_factor_is_exact():
+    # the product once reached inf before its zero factor and gave NaN
+    assert pochhammer(-300.0, 400) == 0.0
+    assert pochhammer(-3.0, 4) == pochhammer(-3, 5) == 0.0
+    assert pochhammer(-3.0, 3) == -6.0  # the zero factor lies past n
+    with pytest.raises(OverflowError):
+        pochhammer(-300.0, 300)  # (-300)(-299)...(-1) = 300!
+
+
+def test_pochhammer_stops_at_the_first_infinite_product():
+    # n = 10**7 once multiplied on through every factor past overflow
+    factors = []
+
+    class Counted(float):
+        def __add__(self, k):
+            factors.append(k)
+            return float(self) + k
+
+    with pytest.raises(OverflowError, match=r"^pochhammer\(2\.0, 10000000\) exceeds double range$"):
+        pochhammer(Counted(2.0), 10**7)
+    # 170! < DBL_MAX < 171!: (2)_169 = 170! is finite and (2)_170 = 171! is not
+    assert len(factors) == 170
+
+
+@pytest.mark.parametrize("a, n", [(1.5, -1), (1.5, 1.5), (1.5, True), (1.5, False), (1.5, "3"),
+                                  (1.5, None), (math.nan, 2), (math.inf, 0), (-math.inf, 3)])
+def test_pochhammer_bad_input_is_domain_error(a, n):
+    with pytest.raises(DomainError, match="^pochhammer (order|argument) must be"):
+        pochhammer(a, n)
+
+
 @given(st.floats(min_value=0.1, max_value=20.0), st.integers(min_value=0, max_value=25))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_pochhammer_matches_gamma_ratio(a, n):

@@ -18,8 +18,7 @@ from bsfrac import (
     pathway_power_image,
     pathway_quadrature,
 )
-
-from bsfrac._backend import BACKEND
+from bsfrac import _backend
 
 import oracles
 
@@ -226,7 +225,7 @@ DENSITY_GOLDEN = [
 
 @pytest.mark.parametrize("dp, xs, want, want_compiled", DENSITY_GOLDEN)
 def test_density_values_are_pinned(dp, xs, want, want_compiled):
-    if BACKEND == "compiled" and want_compiled is not None:
+    if _backend.BACKEND == "compiled" and want_compiled is not None:
         want = want_compiled
     assert [pathway_density(dp, x) for x in xs] == want
 

@@ -8,14 +8,15 @@ from bsfrac import (
     DomainError,
     FunctionKind,
     MsmParams,
+    PathwayParams,
     QuadratureError,
     Side,
     exp_sinh,
     msm_quadrature,
+    pathway_quadrature,
     tanh_sinh,
 )
-from bsfrac import _pykernels as pk
-from bsfrac import msm, quadrature
+from bsfrac import quadrature
 
 from conftest import in_threads
 
@@ -145,6 +146,17 @@ def test_exp_sinh_golden_stall_at_huge_scale():
         exp_sinh(lambda t, d: math.exp(-d / 1e300) / 1e300, 0.0, 1e300)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_level_stops_at_once(bad):
+    # no finer level makes a non-finite running sum finite again: each rule
+    # raises at the level that holds one, not after all 12 levels
+    for name, rule in (("tanh-sinh", lambda: tanh_sinh(lambda t, da, db: bad, 0.0, 1.0)),
+                       ("exp-sinh", lambda: exp_sinh(lambda t, d: bad, 1.0, 1.0))):
+        with pytest.raises(QuadratureError) as info:
+            rule()
+        assert str(info.value) == f"{name} sum is not finite at level 0: {bad!r}"
+
+
 # --- bad input ----------------------------------------------------------------
 
 @pytest.mark.parametrize("call", [
@@ -203,14 +215,6 @@ def test_two_levels_can_converge(rule):
 # rule and interval.
 
 LEFT, RIGHT = MsmParams(0.4, 0.0, 0.3, 0.2, 0.9), MsmParams(0.0, 0.2, 0.1, 0.4, 1.1)
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request, monkeypatch):
-    """The kernel module of one backend, installed in the operator module."""
-    module = pk if request.param == "pure" else request.getfixturevalue("ck")
-    monkeypatch.setattr(msm, "kernels", module)
-    return module
 
 
 def _integral(side, x, nu):
@@ -309,3 +313,51 @@ def test_integrals_over_one_interval_scale_each_level_once(monkeypatch):
         levels = sorted(level for rule, interval, level in built if rule == name
                         and interval == (a, b))
         assert levels == list(range(len(levels))) and len(levels) >= 3
+
+
+# --- a kernel beyond the double range -------------------------------------------
+#
+# The quadratures sum S_nu at lam*x (left), lam/x (right) or lam*x/cut
+# (pathway) at most: where S overflows there, they raise the kernel's
+# OverflowError before entering a rule.
+
+PATH = PathwayParams(0.5, 1.3, 0.4)  # cut 0.78
+
+
+def _left(lam, x):
+    return msm_quadrature(Side.LEFT, LEFT, FunctionKind.bs_kernel(1.5, 0.25, lam), x)
+
+
+def _right(lam, x):
+    return msm_quadrature(Side.RIGHT, RIGHT, FunctionKind.bs_kernel(-2.0, 0.25, lam), x)
+
+
+def _pathway(lam, x):
+    return pathway_quadrature(PATH, FunctionKind.bs_kernel(1.1, 0.25, lam), x)
+
+
+@pytest.mark.parametrize("call, lam, x, u", [
+    (_left, 2000.0, 1.0, 2000.0),
+    (_right, 2000.0, 1.0, 2000.0),
+    (_pathway, 600.0, 1.0, 600.0 / 0.78),
+    (_left, 1e308, 10.0, math.inf),
+    (_left, -1e308, 10.0, -math.inf),
+    (_right, 1e300, 1e-10, math.inf),
+    (_pathway, 1e308, 10.0, math.inf),
+], ids=["left", "right", "pathway", "left-inf", "left-minus-inf", "right-inf", "pathway-inf"])
+def test_kernel_overflow_is_raised_before_integrating(backend, monkeypatch, call, lam, x, u):
+    def entered(*args, **kwargs):
+        raise AssertionError("entered a rule")
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", entered)
+    monkeypatch.setattr(quadrature, "exp_sinh", entered)
+    with pytest.raises(OverflowError) as info:
+        call(lam, x)
+    assert str(info.value) == f"Bessel-Struve series at u={u!r} exceeds double range"
+
+
+def test_an_overflowing_integrand_stops_at_level_0(backend):
+    # S_0.25(700) is finite, but the left integrand's level-0 sum is not
+    # (it once refined all 12 levels: 0.3 s compiled, 14 s pure)
+    with pytest.raises(QuadratureError, match="^tanh-sinh sum is not finite at level 0: inf$"):
+        _left(700.0, 1.0)

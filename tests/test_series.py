@@ -98,11 +98,12 @@ class TestBesselStruveKernel:
         with pytest.raises(DomainError):
             bessel_struve_kernel(0.5, math.inf)
 
-    def test_overflow_is_loud(self):
+    def test_overflow_is_loud(self, backend):
         # never a non-finite value: e^710 overflows the converged sum, and
         # at u = 800 one term already exceeds the double range before summing
-        for nu, u in ((-0.75, 710.0), (0.25, 800.0), (0.25, 1e300)):
-            with pytest.raises(OverflowError, match="exceeds double range"):
+        for nu, u in ((-0.75, 710.0), (0.25, 800.0), (0.25, 1e300), (0.25, 1.7e308)):
+            message = f"Bessel-Struve series at u={u!r} exceeds double range"
+            with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
                 bessel_struve_kernel(nu, u)
         r = bessel_struve_kernel(0.25, 700.0)
         assert r.converged and r.value == 6.410481518224758e+301
@@ -111,27 +112,17 @@ class TestBesselStruveKernel:
         assert r.converged and abs(r.value - 1.0433e-3) < 1e-7
         assert abs(r.value - oracles.mp_kernel_left(0.25, 800.0)) <= r.abs_error_est
 
-    @pytest.mark.parametrize("backend", ["pure", "compiled"])
-    def test_large_negative_u_is_summed_within_its_bound(self, backend, request, monkeypatch):
+    def test_large_negative_u_is_summed_within_its_bound(self, backend):
         # where the alternating power series overflows, the positive-term
         # series converges; past the term cap nothing is summed
-        from bsfrac import _pykernels, series
-
-        kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
-        monkeypatch.setattr(series, "kernels", kernels)
         for nu, u in ((0.25, -800.0), (-0.9, -1097.5), (10.0, -1000.0)):
             r = bessel_struve_kernel(nu, u)
             assert r.converged, (nu, u, r)
             assert abs(r.value - oracles.mp_kernel_left(nu, -u)) <= r.abs_error_est, (nu, u)
         assert bessel_struve_kernel(0.25, -1e300) == SeriesEval(0.0, math.inf, 0, False)
 
-    @pytest.mark.parametrize("backend", ["pure", "compiled"])
-    def test_negative_u_within_bound(self, backend, request, monkeypatch):
+    def test_negative_u_within_bound(self, backend):
         # |value - S| <= abs_error_est against mpmath, converged or not
-        from bsfrac import _pykernels, series
-
-        kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
-        monkeypatch.setattr(series, "kernels", kernels)
         for nu in (-0.9, -0.75, -0.6, 0.25, 0.7, 2.3, 9.7):
             for u in (-1e-9, -0.3, -1.1, -2.5, -7.0, -20.0, -47.0, -120.0, -999.5):
                 r = bessel_struve_kernel(nu, u)
@@ -139,14 +130,9 @@ class TestBesselStruveKernel:
                 assert err <= r.abs_error_est, (nu, u, r, err)
                 assert r.converged or nu < -0.5, (nu, u, r)
 
-    @pytest.mark.parametrize("backend", ["pure", "compiled"])
-    def test_positive_u_within_bound(self, backend, request, monkeypatch):
+    def test_positive_u_within_bound(self, backend):
         # the bound adds the positive sum's rounding to its tail estimate:
         # near u = 0.05-0.1 the error is up to twice the tail estimate alone
-        from bsfrac import _pykernels, series
-
-        kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
-        monkeypatch.setattr(series, "kernels", kernels)
         cases = [(0.25, 0.046875), (2.3, 0.109375)]
         # 2 nu an integer (-1/2, 0, 1/2, 1, 2) takes the double-double prefactor
         cases += [(nu, k / 16) for nu in (-0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 2.3, 9.7)
@@ -159,7 +145,7 @@ class TestBesselStruveKernel:
         # the tail estimate alone missed these two
         for nu, u in cases[:2]:
             r = bessel_struve_kernel(nu, u)
-            tail = kernels.bs_series(nu, u, 1e-14, 10_000)[1]
+            tail = backend.bs_series(nu, u, 1e-14, 10_000)[1]
             assert tail < abs(mp.mpf(r.value) - oracles.mp_kernel_right(nu, u)) < r.abs_error_est
 
     def test_deterministic(self):
@@ -178,17 +164,6 @@ def test_bad_order_and_tolerance_rejected_up_front(fn):
             fn(0.25, 1.0, tol=tol)
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def on_backend(request, monkeypatch):
-    """Install one backend's kernels in the series and Wright modules."""
-    from bsfrac import series, wright
-
-    kernels = _pykernels if request.param == "pure" else request.getfixturevalue("ck")
-    monkeypatch.setattr(series, "kernels", kernels)
-    monkeypatch.setattr(wright, "kernels", kernels)
-    return kernels
-
-
 def _wright(nu, z, **kwargs):
     from bsfrac import WrightSpec, wright_eval
 
@@ -196,7 +171,7 @@ def _wright(nu, z, **kwargs):
 
 
 @pytest.mark.parametrize("fn", [bessel_struve_kernel, bessel_first_kind, struve, _wright])
-def test_bad_term_cap_rejected_up_front(fn, on_backend):
+def test_bad_term_cap_rejected_up_front(fn, backend):
     # the compiled kernels take the cap as a C int: past it they raised a
     # bare OverflowError where the pure ones summed on
     for term_cap in (0, -1, 2**31, 3_000_000_000, 1.5, True, "10", None):
@@ -206,7 +181,7 @@ def test_bad_term_cap_rejected_up_front(fn, on_backend):
 
 
 @pytest.mark.parametrize("fn, v", [(bessel_first_kind, -0.5), (struve, -1.2)])
-def test_infinite_value_at_zero_is_not_converged(fn, v, on_backend):
+def test_infinite_value_at_zero_is_not_converged(fn, v, backend):
     # J_v(0) for -1 < v < 0 and H_v(0) for v < -1 are infinite: the bound
     # is infinite too, and the value is not converged
     for modified in (False, True):
@@ -250,7 +225,7 @@ def _audit_points():
     return points
 
 
-def test_converged_values_lie_within_their_bound_of_mpmath(on_backend):
+def test_converged_values_lie_within_their_bound_of_mpmath(backend):
     # every converged value across the sampled domain, on both backends
     converged = 0
     for fn, args, want in _audit_points():
@@ -372,17 +347,15 @@ def test_struve_at_order_minus_one_and_zero_bounds_its_rounding(modified):
     assert 0.0 < err <= r.abs_error_est <= struve(-1.0, 1e-300, modified=modified).abs_error_est
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_bessel_overflow_is_known_before_summing(backend, request, monkeypatch):
+def test_bessel_overflow_is_known_before_summing(backend, monkeypatch):
     # the kernels' terms leave the double range, and their sums end in inf
     # (I, L) or NaN (J, H) after the whole term cap; one term shows it first
     from types import SimpleNamespace
 
-    from bsfrac import _pykernels, series
+    from bsfrac import series
 
-    kernels = _pykernels if backend == "pure" else request.getfixturevalue("ck")
-    cases = [(fn, kernel, v, z) for fn, kernel in ((bessel_first_kind, kernels.bessel_series),
-                                                   (struve, kernels.struve_series))
+    cases = [(fn, kernel, v, z) for fn, kernel in ((bessel_first_kind, backend.bessel_series),
+                                                   (struve, backend.struve_series))
              for v in (0.0, 2.5) for z in (712.0, 1500.0)]
     for _, kernel, v, z in cases:  # the sums the wrapper skips really are not finite
         assert not math.isfinite(kernel(v, z, 0, 1e-14, 10_000)[0])
@@ -399,31 +372,26 @@ def test_bessel_overflow_is_known_before_summing(backend, request, monkeypatch):
         assert not (j.converged or i.converged)
 
 
-def _both_kernels(request):
-    """The pure kernel module and the compiled one."""
-    return _pykernels, request.getfixturevalue("ck")
-
-
 class TestGauss2F1:
     """``kernels.hyp2f1_kernel`` on both backends against closed forms and
     mpmath: its direct series, the Pfaff transform at z < 0 and the
     connection formula at z > 0.75, where wbar = 1 - z is passed exactly."""
 
-    def test_binomial_reduction(self, request):
-        for kernels in _both_kernels(request):
+    def test_binomial_reduction(self, ck):
+        for kernels in (_pykernels, ck):
             got = kernels.hyp2f1_kernel(2.0, 1.5, 1.5, 0.25, 0.75)
             assert math.isclose(got, (1.0 - 0.25) ** -2.0, rel_tol=1e-12)
 
-    def test_log_reduction(self, request):
-        for kernels in _both_kernels(request):
+    def test_log_reduction(self, ck):
+        for kernels in (_pykernels, ck):
             got = kernels.hyp2f1_kernel(1.0, 1.0, 2.0, 0.5, 0.5)
             assert math.isclose(got, -math.log(0.5) / 0.5, rel_tol=1e-12)
 
-    def test_at_zero(self, request):
-        for kernels in _both_kernels(request):
+    def test_at_zero(self, ck):
+        for kernels in (_pykernels, ck):
             assert kernels.hyp2f1_kernel(0.3, 0.7, 1.1, 0.0, 1.0) == 1.0
 
-    def test_pfaff_negative_arguments(self, request):
+    def test_pfaff_negative_arguments(self, ck):
         rng = random.Random(17)
         for _ in range(20):
             a = rng.uniform(0.1, 2.0)
@@ -431,11 +399,11 @@ class TestGauss2F1:
             c = rng.uniform(0.5, 3.0)
             z = -rng.uniform(0.01, 30.0)
             want = oracles.mp_2f1(a, b, c, z)
-            for kernels in _both_kernels(request):
+            for kernels in (_pykernels, ck):
                 got = kernels.hyp2f1_kernel(a, b, c, z, 0.0)
                 assert oracles.rel_err(got, want) <= 1e-11, (kernels, a, b, c, z)
 
-    def test_connection_branch(self, request):
+    def test_connection_branch(self, ck):
         rng = random.Random(19)
         for _ in range(20):
             a = rng.uniform(0.1, 2.0)
@@ -445,7 +413,7 @@ class TestGauss2F1:
                 continue  # the connection formula needs c - a - b off the integers
             wbar = 2.0 ** -rng.randrange(3, 40)  # exact, as is z = 1 - wbar
             want = oracles.mp_2f1(a, b, c, 1.0 - wbar)
-            for kernels in _both_kernels(request):
+            for kernels in (_pykernels, ck):
                 got = kernels.hyp2f1_kernel(a, b, c, 1.0 - wbar, wbar)
                 assert oracles.rel_err(got, want) <= 1e-11, (kernels, a, b, c, wbar)
 
@@ -455,10 +423,10 @@ class TestGauss2F1:
     RGAMMA_ZEROS = [(1.5, 0.3, 0.5, 0.9, 0.1), (0.3, 2.5, 1.5, 0.8, 0.2),
                     (-2.0, 0.7, 1.3, 0.9, 0.1), (0.4, 3.5, 1.5, -9.0, 0.0)]
 
-    def test_reciprocal_gamma_zero_coefficients(self, request):
+    def test_reciprocal_gamma_zero_coefficients(self, ck):
         for a, b, c, z, wbar in self.RGAMMA_ZEROS:
             want = oracles.mp_2f1(a, b, c, z)
-            for kernels in _both_kernels(request):
+            for kernels in (_pykernels, ck):
                 got = kernels.hyp2f1_kernel(a, b, c, z, wbar)
                 assert oracles.rel_err(got, want) <= 1e-11, (kernels, a, b, c, z, got)
 
@@ -466,37 +434,37 @@ class TestGauss2F1:
 class TestAppellF3:
     """``kernels.f3_series`` on both backends."""
 
-    def test_collapse_matches_2f1_even_with_wild_y(self, request):
+    def test_collapse_matches_2f1_even_with_wild_y(self, ck):
         # alpha' = 0 ends the y sum after its first row, whatever y is
-        for kernels in _both_kernels(request):
+        for kernels in (_pykernels, ck):
             got = kernels.f3_series(0.7, 0.0, 0.4, 0.9, 1.2, 0.3, -7.0, 1e-14, 10_000)
             want = kernels.hyp2f1_kernel(0.7, 0.4, 1.2, 0.3, 0.7)
             assert math.isclose(got[0], want, rel_tol=1e-13) and got[3] == 1
 
-    def test_x_collapse(self, request):
+    def test_x_collapse(self, ck):
         # alpha = 0 leaves T(0, n) alone in each row: a 2F1 in y
-        for kernels in _both_kernels(request):
+        for kernels in (_pykernels, ck):
             got = kernels.f3_series(0.0, 0.5, 0.8, 0.25, 1.1, 0.9, 0.4, 1e-14, 10_000)
             want = kernels.hyp2f1_kernel(0.5, 0.25, 1.1, 0.4, 0.6)
             assert math.isclose(got[0], want, rel_tol=1e-13) and got[3] == 1
 
-    def test_origin(self, request):
-        for kernels in _both_kernels(request):
+    def test_origin(self, ck):
+        for kernels in (_pykernels, ck):
             assert kernels.f3_series(0.3, 0.4, 0.5, 0.6, 1.2, 0.0, 0.0, 1e-14, 10_000)[0] == 1.0
 
-    def test_symmetry_grid(self, request):
+    def test_symmetry_grid(self, ck):
         rng = random.Random(23)
         for _ in range(15):
             a, ap, b, bp = (rng.uniform(0.1, 1.5) for _ in range(4))
             g = rng.uniform(0.8, 2.5)
             x = rng.uniform(-0.45, 0.45)
             y = rng.uniform(-0.45, 0.45)
-            for kernels in _both_kernels(request):
+            for kernels in (_pykernels, ck):
                 lhs = kernels.f3_series(a, ap, b, bp, g, x, y, 1e-14, 10_000)[0]
                 rhs = kernels.f3_series(ap, a, bp, b, g, y, x, 1e-14, 10_000)[0]
                 assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
-    def test_against_mpmath_double_series(self, request):
+    def test_against_mpmath_double_series(self, ck):
         rng = random.Random(29)
         for _ in range(10):
             a, ap, b, bp = (rng.uniform(0.1, 1.5) for _ in range(4))
@@ -504,12 +472,12 @@ class TestAppellF3:
             x = rng.uniform(-0.6, 0.6)
             y = rng.uniform(-0.6, 0.6)
             want = oracles.mp_f3(a, ap, b, bp, g, x, y)
-            for kernels in _both_kernels(request):
+            for kernels in (_pykernels, ck):
                 got = kernels.f3_series(a, ap, b, bp, g, x, y, 1e-14, 10_000)[0]
                 assert oracles.rel_err(got, want) <= 1e-11
 
-    def test_converged_estimates_bound(self, request):
-        for kernels in _both_kernels(request):
+    def test_converged_estimates_bound(self, ck):
+        for kernels in (_pykernels, ck):
             value, err, _, ok = kernels.f3_series(0.3, 0.4, 0.5, 0.6, 1.2, 0.4, 0.3, 1e-12,
                                                   10_000)
             assert ok and err <= 1e-12 * abs(value)

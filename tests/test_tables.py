@@ -41,14 +41,6 @@ US = ([-1000.0, -999.5, -300.0, -47.25, -20.0, -5e-324, -0.0, 0.0, 5e-324, 1e-31
       + oracles.linspace(-120.0, 120.0, 13))
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def kernels(request, monkeypatch):
-    """The kernel module of one backend, installed in the S module."""
-    module = pk if request.param == "pure" else request.getfixturevalue("ck")
-    monkeypatch.setattr(series, "kernels", module)
-    return module
-
-
 def _outcome(evaluate, *args):
     """Every field of the result, bit for bit, or the error class."""
     try:
@@ -70,7 +62,7 @@ def _kernel_at(cap):
 
 
 @pytest.mark.parametrize("nu", NUS)
-def test_s_table_returns_one_shot_bits(kernels, nu):
+def test_s_table_returns_one_shot_bits(backend, nu):
     # a shuffled sweep that interleaves this order with its neighbour in
     # NUS (-0.0 with +0.0), at the kernel with two caps and through
     # bessel_struve_kernel, which adds the u > 600 guard and the bound's
@@ -85,7 +77,7 @@ def test_s_table_returns_one_shot_bits(kernels, nu):
         assert outcome == _fresh(*call), call[1:]
 
 
-def test_s_table_bits_do_not_depend_on_fill_order(kernels):
+def test_s_table_bits_do_not_depend_on_fill_order(backend):
     us = oracles.linspace(-60.0, 60.0, 121)
     for nu in (0.25, 2.3):
         want = [_fresh(bessel_struve_kernel, nu, u) for u in us]
@@ -101,7 +93,6 @@ def test_s_table_builds_each_sequence_once_in_a_monotone_sweep(monkeypatch):
     # the pure table keeps the b_n sequence of one length N, and a point of
     # another N replaces it: N moves one way in a monotone sweep, so each
     # distinct N is built once, falling or rising
-    monkeypatch.setattr(series, "kernels", pk)
     built, build = [], pk._bs_sequence
 
     def counted(nu, a, top, cap):
@@ -112,14 +103,14 @@ def test_s_table_builds_each_sequence_once_in_a_monotone_sweep(monkeypatch):
     us = oracles.linspace(-60.0, -0.125, 479)
     lengths = {int(-u + 9.0 * math.sqrt(-u) + 25.0) for u in us}
     for sweep in (us, us[::-1]):
-        bessel_struve_kernel(OTHER_NU, 1.0)  # empties the slot
+        pk.bs_series(OTHER_NU, 1.0, 1e-14, 10_000)  # empties the slot
         built.clear()
         for u in sweep:
-            bessel_struve_kernel(2.3, u)
+            pk.bs_series(2.3, u, 1e-14, 10_000)
         assert sorted(built) == sorted(lengths), built
 
 
-def test_s_table_shared_by_threads(kernels):
+def test_s_table_shared_by_threads(backend):
     # six threads, each alternating between two orders point by point, so
     # that the slot changes hands at every call
     us = oracles.linspace(-40.0, 40.0, 81)
@@ -161,7 +152,7 @@ def _hyp2f1(a, b, c, z, wbar):
     return series.kernels.hyp2f1_kernel(a, b, c, z, wbar)
 
 
-def test_2f1_table_returns_one_shot_bits(kernels):
+def test_2f1_table_returns_one_shot_bits(backend):
     # every point of every (a, b, c) in one shuffled sweep, so that the
     # orders interleave, against the same call on an empty slot
     sets = _collapsed_2f1_sets()
@@ -173,13 +164,13 @@ def test_2f1_table_returns_one_shot_bits(kernels):
         assert outcome == _fresh(_hyp2f1, *call), call
     # the pure slot keeps the last connection route's (a, b, c), b after
     # the Pfaff transform
-    for a, b, c in sets if kernels is pk else ():
+    for a, b, c in sets if backend is pk else ():
         if a * b != 0.0:
             pk.hyp2f1_kernel(a, b, c, -1e6, 0.0)
             assert pk._hyp2f1_slot[:3] == (a, c - b, c)
 
 
-def test_2f1_table_bits_do_not_depend_on_sweep_direction(kernels):
+def test_2f1_table_bits_do_not_depend_on_sweep_direction(backend):
     # a sweep whose z rises through the direct series from 0.05 to 0.75,
     # then falls back over the same points; runs of one to four of its calls
     # alternate with calls at another c, on either route, which replace the
@@ -199,7 +190,7 @@ def test_2f1_table_bits_do_not_depend_on_sweep_direction(kernels):
         assert outcome == _fresh(_hyp2f1, *call), call
 
 
-def test_2f1_table_shared_by_threads(kernels):
+def test_2f1_table_shared_by_threads(backend):
     # the direct series, the connection formula, and both behind the Pfaff
     # transform
     zs = [(z, 1.0 - z) for z in oracles.linspace(0.05, 0.99, 48)]
@@ -245,7 +236,7 @@ def _value_keys(calls):
     return keys
 
 
-def test_2f1_values_return_one_shot_bits(kernels):
+def test_2f1_values_return_one_shot_bits(backend):
     # a shuffled sweep on one slot that repeats every point three times, on
     # the direct series, the connection formula (with the exact complement
     # and with the default wbar = 0.0) and both behind the Pfaff transform:
@@ -259,7 +250,7 @@ def test_2f1_values_return_one_shot_bits(kernels):
     random.Random(43).shuffle(calls)
     _outcome(_hyp2f1, OTHER_NU, b, c, 0.5, 0.5)  # empties the slot
     got = [_outcome(_hyp2f1, *call) for call in calls]
-    if kernels is pk:  # one slot served the sweep, one value per point
+    if backend is pk:  # one slot served the sweep, one value per point
         assert pk._hyp2f1_slot[:3] == (a, c - b, c)
         assert set(pk._hyp2f1_slot[4]) == _value_keys(calls)
         assert len(pk._hyp2f1_slot[4]) < len(set(calls))
@@ -267,7 +258,7 @@ def test_2f1_values_return_one_shot_bits(kernels):
         assert outcome == _fresh(_hyp2f1, *call), call
 
 
-def test_2f1_values_shared_by_threads(kernels):
+def test_2f1_values_shared_by_threads(backend):
     # six threads, each alternating between two orders point by point, over
     # points that repeat and Pfaff twins, so that the slot and its values
     # change hands at every call and threads store into replaced slots
@@ -398,7 +389,7 @@ POLE_WINDOW = [(5e-13, 1.0, 0), (pk.POLE_TOL, 0.5, 0), (5e-324, 1.0, 0),
 
 
 @pytest.mark.parametrize("a, A, k", POLE_WINDOW)
-def test_wright_pole_window_is_left_alone(kernels, a, A, k):
+def test_wright_pole_window_is_left_alone(backend, a, A, k):
     # the rows take log(gamma(g)) inline only for POLE_TOL < g < 171.6; in
     # the window an upper pair is still a pole, and a lower pair still
     # zeroes its term, on a shared table and on a fresh one alike
@@ -408,15 +399,15 @@ def test_wright_pole_window_is_left_alone(kernels, a, A, k):
     upper = ((1.2, a), (1.0, A), (1.9,), (1.0,))
     shared = []
     for z in zs:
-        got = kernels.wright_series(*upper, z, 1e-14, 10_000, shared)
-        assert got == (float(k), 0.0, k, 2) == kernels.wright_series(*upper, z, 1e-14, 10_000, [])
+        got = backend.wright_series(*upper, z, 1e-14, 10_000, shared)
+        assert got == (float(k), 0.0, k, 2) == backend.wright_series(*upper, z, 1e-14, 10_000, [])
         assert len(shared) == k
     lower = ((1.2,), (1.0,), (1.9, a), (1.0, A))
     shared = []
     for z in zs:
-        value, err, terms, status = got = kernels.wright_series(*lower, z, 1e-14, 10_000, shared)
-        assert got == kernels.wright_series(*lower, z, 1e-14, 10_000, []), z
-        assert got == kernels.wright_series(*lower, z, 1e-14, 10_000), z
+        value, err, terms, status = got = backend.wright_series(*lower, z, 1e-14, 10_000, shared)
+        assert got == backend.wright_series(*lower, z, 1e-14, 10_000, []), z
+        assert got == backend.wright_series(*lower, z, 1e-14, 10_000), z
         want = math.fsum(math.gamma(1.2 + j) / (math.gamma(1.9 + j) * math.gamma(a + A * j))
                          * z ** j / math.factorial(j) for j in range(terms) if j != k)
         assert status == 0 and math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-300), z
@@ -586,16 +577,16 @@ def test_compiled_kernel_refuses_a_malformed_wright_table(ck, rows):
 
 
 @pytest.mark.parametrize("table", [[], (), 0.0, "table", {}, None], ids=repr)
-def test_s_and_2f1_kernels_refuse_a_table(kernels, table):
+def test_s_and_2f1_kernels_refuse_a_table(backend, table):
     # both twins take their arguments and no more: no table, not even None
     with pytest.raises(TypeError):
-        kernels.bs_series(0.25, -3.0, 1e-14, 10_000, table)
+        backend.bs_series(0.25, -3.0, 1e-14, 10_000, table)
     with pytest.raises(TypeError):
-        kernels.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, table)
+        backend.hyp2f1_kernel(0.3, 0.45, 1.1, 0.9, 0.1, table)
 
 
-def test_table_arguments_are_optional_and_last(kernels):
-    assert kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, None) == \
-        kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000)
+def test_table_arguments_are_optional_and_last(backend):
+    assert backend.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, None) == \
+        backend.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000)
     with pytest.raises(TypeError):
-        kernels.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, [], None)
+        backend.wright_series(*WRIGHT_COLUMNS, 0.3, 1e-14, 10_000, [], None)
