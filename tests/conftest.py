@@ -94,15 +94,23 @@ def ck(compiled_pkg):
 def backend(request, monkeypatch):
     """One kernel twin, in process: installed as ``kernels`` in every bsfrac
     module that binds the kernel module, and named in ``BACKEND``, until the
-    test ends.  Returns the kernel module.  A test's own fake goes on top.
+    test ends.  Returns the kernel module.  A test's own fake goes on top."""
+    from bsfrac import _pykernels
+
+    pure = request.param == "pure"
+    return install_kernels(monkeypatch, _pykernels if pure else request.getfixturevalue("ck"))
+
+
+def install_kernels(monkeypatch, kernels):
+    """Install the kernel module ``kernels`` (the pure twin or the compiled
+    ``ck``) through ``monkeypatch``, as the ``backend`` fixture does; return it.
 
     The operator modules load lazily, so they are loaded first.  The
     ``POLE_TOL`` and ``MAX_PAIRS`` that ``gammacore`` and ``wright`` read at
     import must be the installed twin's too."""
     from bsfrac import _backend, _pykernels, gammacore, msm, pathway, wright  # noqa: F401
 
-    pure = request.param == "pure"
-    kernels = _pykernels if pure else request.getfixturevalue("ck")
+    pure = kernels is _pykernels
     assert (kernels.POLE_TOL, kernels.MAX_PAIRS) == (gammacore.POLE_TOL, wright.MAX_PAIRS)
     bound = _backend.kernels
     modules = [mod for name, mod in sys.modules.items()

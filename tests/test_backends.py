@@ -364,6 +364,19 @@ def test_kernel_twins_agree_where_no_bound_is_claimed(differences, kernel):
     assert not differ, differ[:3]
 
 
+def test_verify_all_on_compiled_backend(ck, monkeypatch):
+    # the statuses and point counts of `verify all`, in process on the
+    # compiled twin (the pinned report below runs it in a child)
+    import oracles
+    from bsfrac import _backend
+    from bsfrac.checks import run_suite
+    from conftest import install_kernels
+    install_kernels(monkeypatch, ck)
+    assert _backend.BACKEND == "compiled"
+    checks = run_suite("all").to_dict()["checks"]
+    assert {c["id"]: (c["status"], c["n_points"]) for c in checks} == oracles.VERIFY_ALL
+
+
 # the command line in a child that names its backend on stderr first
 _NAMED_CLI = ("import sys; from bsfrac import _backend; from bsfrac.cli import main; "
               "print(_backend.BACKEND, file=sys.stderr); main(sys.argv[1:])")
