@@ -459,6 +459,8 @@ def hyp2f1_kernel(a, b, c, z, wbar):
         return scale * v
     if z <= 0.75:
         v = _hyp2f1_tail(a, b, c, z, 1e-16, 10000)
+    elif not wbar >= 0.0:  # z past 1, or NaN: the C twin's pow(wbar, s) is NaN there
+        return math.nan
     else:
         conn = slot[3]
         if not conn:  # racing threads store equal entries at index 0

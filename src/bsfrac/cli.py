@@ -20,7 +20,7 @@ from . import __version__
 from .errors import BsfracError, DomainError, QuadratureError, TermCapError
 from .series import (
     _SPECIAL_NU,
-    SeriesEval,
+    _series_eval,
     bessel_first_kind,
     bessel_struve_kernel,
     linspace,
@@ -68,18 +68,19 @@ def _sweep(function: str, opts: dict, xs) -> list:
 _NUMBER = "%.17g"  # every float the CLI prints: enough digits to round-trip
 
 
-def _emit(main_opts, headers, rows):
-    """Write rows of numbers (floats, and counts below 2**53) as JSON or
-    CSV.  No number needs CSV quoting, so each CSV row is one ``%``
-    template: the same text ``csv.writer`` makes of each as "%.17g" (a
-    float) or ``str`` (a count)."""
+def _emit(main_opts, headers, values):
+    """Write numbers (floats, and counts below 2**53), one row after another
+    in a flat list, as JSON or CSV rows of ``headers``.  No number needs
+    CSV quoting, so all CSV rows are one ``%`` template: the text
+    ``csv.writer`` makes of each as "%.17g" (a float) or ``str`` (a count)."""
+    n = len(headers)
     if main_opts["format"] == "json":
         import json
 
-        text = json.dumps([dict(zip(headers, row)) for row in rows], indent=2)
+        text = json.dumps([dict(zip(headers, row)) for row in zip(*[iter(values)] * n)], indent=2)
     else:
-        template = ",".join([_NUMBER] * len(headers))
-        text = "\n".join([",".join(headers), *[template % row for row in rows]])
+        rows = [",".join([_NUMBER] * n)] * (len(values) // n)
+        text = "\n".join([",".join(headers), *rows]) % tuple(values)
     _write(main_opts, text)
 
 
@@ -127,7 +128,7 @@ def _evaluator(function: str, opts: dict):
         def density_at(x):
             _check_density_x(x)
             value = density(x)
-            return SeriesEval(value, error(x, value), 1, True)
+            return _series_eval((value, error(x, value), 1, True))
 
         return density_at
     if function == "S":
@@ -136,7 +137,8 @@ def _evaluator(function: str, opts: dict):
     if function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
         fn = bessel_first_kind if function in ("J", "I") else struve
-        return partial(fn, opts["nu"], modified=function in ("I", "L"))
+        nu, modified = opts["nu"], function in ("I", "L")
+        return lambda x: fn(nu, x, modified)  # a keyword would cost a dict a point
     if function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
@@ -177,7 +179,7 @@ def eval_cmd(main_opts, opts):
     function, x = opts["function"], opts["x"]
     [r] = _sweep(function, opts, [x])
     _emit(main_opts, ["value", "abs_error_est", "terms_used"],
-          [(r.value, r.abs_error_est, r.terms_used)])
+          [r.value, r.abs_error_est, r.terms_used])
     if not math.isfinite(r.value):
         _fail(f"{function} at x={x!r} is not finite in double precision")
     if not r.converged:
@@ -204,11 +206,14 @@ def _parse_range(text: str):
 def table_cmd(main_opts, opts):
     """Tabulate one function over a grid of evaluation points."""
     function, xs = opts["function"], _parse_range(opts["x"])
-    results = _sweep(function, opts, xs)
-    _emit(main_opts, ["x", "value", "abs_error_est"],
-          [(x, r.value, r.abs_error_est) for x, r in zip(xs, results)])
-    bad = [x for x, r in zip(xs, results) if not math.isfinite(r.value)]
-    unconverged = [x for x, r in zip(xs, results) if not r.converged]
+    values, bad, unconverged = [], [], []
+    for x, r in zip(xs, _sweep(function, opts, xs)):  # one pass over the results
+        values += (x, r.value, r.abs_error_est)
+        if not math.isfinite(r.value):
+            bad.append(x)
+        if not r.converged:
+            unconverged.append(x)
+    _emit(main_opts, ["x", "value", "abs_error_est"], values)
     if bad:
         _fail(f"{function} is not finite in double precision at {len(bad)} "
               f"point(s), first x={bad[0]!r}")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
-from .series import (_SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked,
+from .series import (_SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked, _series_eval,
                      bessel_struve_kernel)
 from .wright import WrightSpec, wright_eval
 
@@ -136,8 +136,8 @@ class ClosedFormImage(NamedTuple):
         z = arg_scale * (1.0 / x if inverse else x)
         w = wright_eval(spec, z, tol, term_cap)
         scale = prefactor * x ** power
-        return SeriesEval(scale * w.value, abs(scale) * w.abs_error_est,
-                          w.terms_used, w.converged)
+        return _series_eval((scale * w.value, abs(scale) * w.abs_error_est, w.terms_used,
+                             w.converged))
 
 
 class _GammaTable(NamedTuple):

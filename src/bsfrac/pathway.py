@@ -318,17 +318,17 @@ def _density_error(dp: PathwayDensityParams):
             if base + e_base <= 0.0:
                 return 0.0  # outside the support for certain
             if regime is Regime.SUPER:
-                r = e_base / base
-                ln_v -= expo * math.log(base)
-                up += -expo * math.log1p(-r) + 2.0 * _U * expo * math.log(base)
-                down += expo * math.log1p(r) + 2.0 * _U * expo * math.log(base)
-                in_logs, ln_tail = base ** -expo < _TINY, expo * math.log(base)
+                r, lb = e_base / base, math.log(base)
+                ln_v -= expo * lb
+                up += -expo * math.log1p(-r) + 2.0 * _U * expo * lb
+                down += expo * math.log1p(r) + 2.0 * _U * expo * lb
+                in_logs, ln_tail = base ** -expo < _TINY, expo * lb
             elif base <= 0.0:
                 return _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0, _LN_TINY))
             else:
-                r = e_base / base  # at r >= 1 the exact point may lie outside the support
-                rnd = 2.0 * _U * expo * abs(math.log(base))
-                ln_v += expo * math.log(base)
+                r, lb = e_base / base, math.log(base)  # at r >= 1 the exact point may be outside
+                rnd = 2.0 * _U * expo * abs(lb)
+                ln_v += expo * lb
                 up += expo * math.log1p(r) + rnd
                 down += (-expo * math.log1p(-r) if r < 1.0 else math.inf) + rnd
         if in_logs:

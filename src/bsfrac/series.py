@@ -54,14 +54,15 @@ class SeriesEval(NamedTuple):
     ``abs_error_est`` bounds the discarded tail and the rounding.  When
     ``converged`` is true the tail bound (for J, I, H, L and S at u > 0) or
     the whole bound (for S at u < 0) does not exceed ``tol * |value|`` for
-    the requested relative tolerance.  For the Wright series the bound is
-    the tail estimate alone.
-    Identical inputs always produce bit-identical results, whatever was
-    evaluated before.
+    the requested relative tolerance, and for J and H the whole bound is
+    below |value|.  For the Wright series the bound is the tail estimate
+    alone.  Identical inputs always produce bit-identical results, whatever
+    was evaluated before.
 
     A NamedTuple, because it is built once per evaluation and a tuple is
-    the cheapest immutable record.  Read its fields by name and do not
-    unpack it: a field with a default may be appended.
+    the cheapest immutable record (built by ``_make``, ``_series_eval``,
+    faster than ``__new__``).  Read its fields by name and do not unpack
+    it: a field with a default may be appended.
     """
 
     value: float
@@ -83,6 +84,7 @@ class _Checked:
 
 
 _LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
+_series_eval = SeriesEval._make
 
 
 def _log_peak_term(nu: float, u: float) -> float:
@@ -112,9 +114,10 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     ``tol * |value|``, as near a zero of S for -1 < nu < -1/2, or where the
     sum would need more than ``term_cap`` terms.
 
-    At u > 0 the bound adds the rounding of the positive sum
-    (``_bs_positive_rounding``) to the tail estimate, and ``converged``
-    tests the tail estimate alone, as for I and L.
+    At u > 0 the bound adds the rounding of the positive sum (Higham 2002,
+    ch. 4): the odd chain's first term errs by ``_bs_prefactor_units`` u, a
+    chain step by 7u (3.5u a term) and an addition by u of the sum.
+    ``converged`` tests the tail estimate alone, as for I and L.
 
     One kernel call per point: a sweep of one order reuses the pure
     kernel's table of that order.
@@ -133,8 +136,8 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     # never report convergence the estimate does not support
     converged = bool(ok) and err <= tol * max(abs(value), 5e-324)
     if u > 0.0:
-        err += _bs_positive_rounding(value, terms, _bs_prefactor_units(nu))
-    return SeriesEval(value, err, terms, converged)
+        err += value * _U * (_bs_prefactor_units(nu) + 5.0 * terms)
+    return _series_eval((value, err, terms, converged))
 
 
 def _gamma_units(a: float) -> float:
@@ -157,17 +160,6 @@ def _bs_prefactor_units(nu: float) -> float:
     return _gamma_units(nu + 1.0) + _gamma_units(nu + 1.5) + 2.0
 
 
-def _bs_positive_rounding(value: float, terms: int, units: float) -> float:
-    """A bound on the rounding error of the kernel's sum of ``terms``
-    positive terms of S_nu(u), u > 0, which sum to ``value`` >= 1 (Higham
-    2002, ch. 4).  The even chain starts at 1 and the odd chain at a term
-    that errs by ``units`` u; each step of a chain multiplies by u*u times
-    a quotient of a rounded numerator and a denominator of three factors,
-    at most 7u more per step and so 3.5u per term, and each addition errs
-    by u of the partial sum."""
-    return value * _U * (units + 5.0 * terms)
-
-
 # below this z, 0.5 * z can round (to zero at the smallest subnormal) and
 # (z/2)**2 underflows, so the J/I and H/L series are their leading term
 _HALF_ROUNDS = 2.0 ** -1021
@@ -175,48 +167,54 @@ _LN2 = math.log(2.0)
 _ULP0 = math.ulp(0.0)
 
 
-def _log_half(z: float) -> float:
-    """log(z/2), without rounding z/2 where it is subnormal."""
-    return math.log(0.5 * z) if z >= _HALF_ROUNDS else math.log(z) - _LN2
-
-
-def _positive_series_rounding(value: float, terms: int, order: float, z: float,
-                              gamma_args) -> float:
+def _positive_series_rounding(value: float, terms: int, power: float, units) -> float:
     """A bound on the rounding error of a sum of ``terms`` positive terms
     of the I or L series, which sum to ``value`` (Higham 2002, ch. 4).  The
-    first term, exp(order log(z/2) - sum of log Gamma(gamma_args)), errs by
-    a few u per operation and per unit of each log; each recurrence step
-    adds at most 6u to a term's relative error (the two sums in k + v + c,
-    three products and a quotient), and each addition u of the partial sum.
-    Below the smallest normal double each term also errs by up to ulp(0)."""
+    first term, exp(power - sum of log Gamma(a)), power = order log(z/2),
+    errs by a few u per operation and by ``units`` (each a's _gamma_units);
+    each recurrence step adds at most 6u to a term's relative error (the
+    two sums in k + v + c, three products and a quotient), and each
+    addition u of the partial sum.  Below the smallest normal double each
+    term also errs by up to ulp(0)."""
     if not value < math.inf:
         return math.inf  # a term overflowed: nothing finite to bound
     if not value > 0.0:
         return terms * _ULP0  # every term underflowed
-    # no log(z/2) at order 0, where z may be 0 (H and L at v = -1)
-    first = 5.0 * abs(order * _log_half(z)) + 1.0 if order else 1.0
-    for a in gamma_args:
-        first += _gamma_units(a)
+    first = 5.0 * abs(power) + 1.0
+    for g in units:
+        first += g
     units = first + 8.0 * terms
     if value < _TINY:  # value * _U would underflow
         return value * (_U * units) + terms * _ULP0
     return value * _U * units
 
 
-def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
-                 order: float, gamma_args, term_args) -> SeriesEval:
-    """The J/I (``bessel_series``) or H/L (``struve_series``) series at
-    z > 0, whose leading term is (z/2)**order / prod Gamma(gamma_args), with
-    a rounding bound added to the kernel's tail bound.  The J and H terms
-    have the I and L terms' magnitudes, so the modified series' value is
-    their sum of |terms|: one more kernel call.  Where 0.5 * z can round
-    the series is its leading term, taken here in logs on both backends.
+@lru_cache(maxsize=8)
+def _order_terms(struve_type: bool, v: float) -> tuple:
+    """(order, gamma_args, units, term_args) of the J/I series of order v
+    (H/L when ``struve_type``), computed once per order: its leading term is
+    (z/2)**order / prod Gamma(gamma_args), ``units`` their ``_gamma_units``,
+    and term k is (z/2)**(order+2k) / prod Gamma(a+k) over ``term_args``."""
+    gamma_args = (1.5, v + 1.5) if struve_type else (v + 1.0,)
+    return (v + 1.0 if struve_type else v, gamma_args, tuple(map(_gamma_units, gamma_args)),
+            gamma_args if struve_type else (1.0, v + 1.0))
 
-    Term k has magnitude t_k = (z/2)**(order+2k) / prod Gamma(a+k) over
-    ``term_args``, and the kernel forms t_k (z/2)**2 on its way to the next
-    term.  Where that product is beyond the double range at k = floor(z/2),
-    next to the largest term, the I or L sum is inf and the J or H sum NaN:
-    that is returned without summing, which would only burn the term cap."""
+
+def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
+                 struve_type: bool) -> SeriesEval:
+    """The J/I (``bessel_series``) or H/L (``struve_series``) series at
+    z > 0, with a rounding bound added to the kernel's tail bound.  The J
+    and H terms have the I and L terms' magnitudes, so the modified
+    series' value is their sum of |terms|: one more kernel call.  Where
+    0.5 * z can round the series is its leading term, taken here in logs
+    on both backends.  A J or H value whose whole bound reaches |value|
+    has no correct digit, so it is not converged.
+
+    The kernel forms t_k (z/2)**2 on its way to the next term.  Where that
+    product is beyond the double range at k = floor(z/2), next to the
+    largest term, the I or L sum is inf and the J or H sum NaN: that is
+    returned without summing, which would only burn the term cap."""
+    order, gamma_args, units, term_args = _order_terms(struve_type, v)
     if z > 700.0:
         k = math.floor(0.5 * z)
         ln_t = (order + 2.0 * k + 2.0) * math.log(0.5 * z)
@@ -225,20 +223,19 @@ def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_ca
         if ln_t > _LOG_OVERFLOW:
             return SeriesEval(math.inf if modified else math.nan, math.inf, 0, False)
     if z < _HALF_ROUNDS:
-        ln_t = order * _log_half(z)
+        power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
         for a in gamma_args:
             ln_t -= kernels.lgamma_sign(a)[0]
         try:
             value = math.exp(ln_t)
         except OverflowError:
             return SeriesEval(math.inf, math.inf, 1, False)
-        return SeriesEval(value, _positive_series_rounding(value, 1, order, z, gamma_args),
-                          1, True)
+        return SeriesEval(value, _positive_series_rounding(value, 1, power, units), 1, True)
     value, err, terms, ok = kernel(v, z, int(modified), tol, term_cap)
     # a non-finite J or H has no finite bound: no second kernel call
     total = value if modified or not math.isfinite(value) else kernel(v, z, 1, tol, term_cap)[0]
-    err += _positive_series_rounding(total, terms, order, z, gamma_args)
-    return SeriesEval(value, err, terms, bool(ok))
+    err += _positive_series_rounding(total, terms, order * math.log(0.5 * z), units)
+    return _series_eval((value, err, terms, bool(ok) and (modified or err < abs(value))))
 
 
 def bessel_first_kind(v: float, z: float, modified: bool = False,
@@ -253,8 +250,7 @@ def bessel_first_kind(v: float, z: float, modified: bool = False,
         if v >= 0.0:
             return SeriesEval(1.0 if v == 0.0 else 0.0, 0.0, 1, True)
         return SeriesEval(math.inf, math.inf, 1, False)
-    return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, v, (v + 1.0,),
-                        (1.0, v + 1.0))
+    return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, False)
 
 
 def struve(v: float, z: float, modified: bool = False,
@@ -271,8 +267,7 @@ def struve(v: float, z: float, modified: bool = False,
         if v == -1.0:
             # prefactor power hits zero: only the k=0 term survives
             value = 1.0 / (math.gamma(1.5) * math.gamma(0.5))
-            return SeriesEval(value, _positive_series_rounding(value, 1, 0.0, z, (1.5, 0.5)),
-                              1, True)
+            return SeriesEval(value, _positive_series_rounding(
+                value, 1, 0.0, _order_terms(True, v)[2]), 1, True)
         return SeriesEval(math.inf, math.inf, 1, False)
-    return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap,
-                        v + 1.0, (1.5, v + 1.5), (1.5, v + 1.5))
+    return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap, True)

@@ -9,7 +9,7 @@ from collections import namedtuple
 
 from ._backend import kernels
 from .errors import ConvergenceError, DomainError, PoleError, TermCapError
-from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked, check_limits
+from .series import DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked, _series_eval, check_limits
 
 Pair = tuple[float, float]
 MAX_PAIRS = kernels.MAX_PAIRS  # the most upper pairs, and lower ones, a kernel takes
@@ -21,8 +21,8 @@ class WrightSpec(_Checked, namedtuple("WrightSpec", "upper lower")):
     Slopes must be nonnegative reals (every spec generated by the
     operator theorems uses 1/2 or 1), and each side holds at most
     ``MAX_PAIRS`` pairs.  The slope sum ``delta`` and the kernel's four
-    columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once, here, for
-    every evaluation of the spec.
+    columns ``(a_i), (A_i), (b_j), (B_j)`` are derived once, here, and kept
+    with ``_rows`` in one tuple, which ``wright_eval`` reads once a call.
 
     ``_rows`` caches the kernel's term table of the spec, one row per
     term k (its log-gamma sum, signs and log k!).  A row does not depend
@@ -46,10 +46,11 @@ class WrightSpec(_Checked, namedtuple("WrightSpec", "upper lower")):
         self = super().__new__(cls, upper, lower)
         ua, uA = tuple(zip(*upper)) or ((), ())
         lb, lB = tuple(zip(*lower)) or ((), ())
-        object.__setattr__(self, "delta", math.fsum(lB) - math.fsum(uA))
-        object.__setattr__(self, "columns", (ua, uA, lb, lB))
-        object.__setattr__(self, "_rows", [])
+        object.__setattr__(self, "_derived",
+                           (math.fsum(lB) - math.fsum(uA), (ua, uA, lb, lB), []))
         return self
+
+    delta, columns, _rows = (property(lambda self, i=i: self._derived[i]) for i in range(3))
 
     def __setattr__(self, name, value):  # wright_eval trusts delta and columns
         raise AttributeError(f"cannot assign to field {name!r} of a WrightSpec")
@@ -79,20 +80,17 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
     appends those this z needs next and sums in its own loop (in C on the
     compiled backend), with the bits of a table-free call.
     """
-    if spec.delta <= -1.0:
-        raise ConvergenceError(
-            f"wright series diverges: delta={spec.delta!r} must exceed -1")
+    delta, columns, rows = spec._derived
+    if delta <= -1.0:
+        raise ConvergenceError(f"wright series diverges: delta={delta!r} must exceed -1")
     if not math.isfinite(z):
         raise DomainError(f"wright argument must be finite, got {z!r}")
     check_limits(tol, term_cap)
-    value, err, terms, status = kernels.wright_series(*spec.columns, z, tol, term_cap,
-                                                      spec._rows)
+    value, err, terms, status = kernels.wright_series(*columns, z, tol, term_cap, rows)
     if status == 2:
-        raise PoleError(
-            f"upper parameter hits a gamma pole at term k={int(value)}")
+        raise PoleError(f"upper parameter hits a gamma pole at term k={int(value)}")
     if not math.isfinite(value):
         raise OverflowError(f"wright series at z={z!r} exceeds double range")
     if status == 1:
-        raise TermCapError(
-            f"wright series did not reach tol={tol!r} within {term_cap} terms")
-    return SeriesEval(value, err, terms, True)
+        raise TermCapError(f"wright series did not reach tol={tol!r} within {term_cap} terms")
+    return _series_eval((value, err, terms, True))

@@ -141,6 +141,18 @@ def test_hyp2f1_integer_gap_is_nan_on_both_twins(ck, c):
         assert math.isfinite(pure) and _close(pure, compiled, rel=1e-6)
 
 
+@pytest.mark.parametrize("z", [1.0 + 1e-12, 1.5, 3.0, math.inf, math.nan])
+def test_hyp2f1_past_one_is_a_float_nan(backend, z):
+    # past z = 1 (1 - z < 0) the connection formula has no real value: both
+    # twins return a float NaN, never a complex number
+    v = backend.hyp2f1_kernel(0.3, 0.4, 1.2, z, 0.0)
+    assert type(v) is float and math.isnan(v), v
+
+
+def test_hyp2f1_at_one_keeps_its_value(backend):
+    assert backend.hyp2f1_kernel(0.3, 0.4, 1.2, 1.0, 0.0) == 1.308072833759087
+
+
 @pytest.mark.parametrize("index", [0, 1, 2])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_hyp2f1_non_finite_order_agrees(ck, index, bad):
@@ -225,19 +237,19 @@ def _outcome(kernel, *args):
 def _bs_bound(args, result, twin):
     nu, u = args[:2]
     bound = result[1]
-    if u > 0.0:  # bessel_struve_kernel's rounding term
-        bound += series._bs_positive_rounding(result[0], result[2],
-                                              series._bs_prefactor_units(nu))
+    if u > 0.0:  # the rounding term bessel_struve_kernel adds, written out
+        bound += result[0] * gammacore._U * (series._bs_prefactor_units(nu) + 5.0 * result[2])
     return bound
 
 
-def _bessel_type_bound(kernel, order, gamma_args):
+def _bessel_type_bound(kernel, struve_type):
     # the J/I and H/L wrappers' bound: the modified series is the sum of |terms|
     def bound(args, result, twin):
         v, z, modified, tol, cap = args
         total = result[0] if modified else getattr(twin, kernel)(v, z, 1, tol, cap)[0]
+        order, _, units, _ = series._order_terms(struve_type, v)
         return result[1] + series._positive_series_rounding(
-            total, result[2], order(v), z, gamma_args(v))
+            total, result[2], order * math.log(0.5 * z), units)
     return bound
 
 
@@ -275,8 +287,8 @@ def _sweep_calls():
         calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
     for nu, u in ((0.25, 700.0), (-0.75, 710.0), (0.25, 800.0), (0.25, -1e300), (89.5, -3.0)):
         calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
-    bessel = _bessel_type_bound("bessel_series", lambda v: v, lambda v: (v + 1.0,))
-    struve = _bessel_type_bound("struve_series", lambda v: v + 1.0, lambda v: (1.5, v + 1.5))
+    bessel = _bessel_type_bound("bessel_series", False)
+    struve = _bessel_type_bound("struve_series", True)
     for _ in range(120):
         for kernel, lowest, bound in (("bessel_series", -1.0, bessel),
                                       ("struve_series", -1.5, struve)):

@@ -574,8 +574,8 @@ def test_row_template_matches_csv_writer(table):
 
     headers, rows = table
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _emit({"format": "csv", "out": None}, headers, rows)
+    with contextlib.redirect_stdout(buf):  # _emit takes the rows' values in one flat list
+        _emit({"format": "csv", "out": None}, headers, [v for row in rows for v in row])
     assert buf.getvalue() == _csv_writer_text(headers, rows)
 
 
@@ -665,11 +665,14 @@ def test_sweep_error_paths(args, code, no_rows, message):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
-@pytest.mark.parametrize("function", ["msm-left", "pathway", "wright", "density"])
+@pytest.mark.parametrize("function", ["msm-left", "pathway", "wright", "density", "S", "I",
+                                      "J", "H", "L"])
 def test_sweep_builds_once(function, monkeypatch):
     # the gamma-argument tables, Wright specs and density norm constants
-    # are built once per sweep, whatever its length
-    from bsfrac import msm, pathway
+    # are built once per sweep, whatever its length, and so are the gamma
+    # units of the S, J, I, H and L rounding bounds, which the series
+    # wrappers keep per order (each count starts from empty caches)
+    from bsfrac import msm, pathway, series
     from bsfrac.wright import WrightSpec
 
     builds = []
@@ -687,12 +690,16 @@ def test_sweep_builds_once(function, monkeypatch):
     counted(pathway, "_table")
     counted(pathway, "pathway_norm_const")
     counted(WrightSpec, "__new__")
+    counted(series, "_gamma_units")
     opts, grid = SWEEPS[function]
     start, stop, _ = grid.split(":")
     counts = []
-    for count in (1, 200):
+    # the one point at the end of the range, where S (u > 0) has a rounding term
+    for first, count in ((stop, 1), (start, 200)):
+        series._order_terms.cache_clear()
+        series._bs_prefactor_units.cache_clear()
         builds.clear()
-        assert _run("table", function, "--x", f"{start}:{stop}:{count}", *opts).exit_code == 0
+        assert _run("table", function, "--x", f"{first}:{stop}:{count}", *opts).exit_code == 0
         counts.append(sorted(builds))
     assert counts[0] == counts[1] != []
 

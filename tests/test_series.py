@@ -188,6 +188,32 @@ def test_infinite_value_at_zero_is_not_converged(fn, v, backend):
         assert fn(v, 0.0, modified=modified) == SeriesEval(math.inf, math.inf, 1, False)
 
 
+# J and H values whose whole bound reaches |value|: the sum cancels away every
+# digit at z of about 40 and more, and J_0 at its first zero is all rounding
+NO_CORRECT_DIGIT = [
+    (bessel_first_kind, 2.9168301041613356, 51.53782334515692),
+    (struve, 1.5242628776956824, 57.26492541978892),
+    (bessel_first_kind, 0.3, 40.0),
+    (bessel_first_kind, 0.0, 2.404825557695773),
+]
+
+
+@pytest.mark.parametrize("fn, v, z", NO_CORRECT_DIGIT)
+def test_value_with_no_correct_digit_is_not_converged(fn, v, z, backend):
+    r = fn(v, z)
+    assert r.abs_error_est >= abs(r.value) and not r.converged, r
+    # the modified series at the same point sums positive terms and converges
+    assert fn(v, z, modified=True).converged
+
+
+def test_cli_exits_1_where_no_digit_is_correct(backend):
+    from conftest import run_cli
+
+    res = run_cli(["eval", "J", "--nu", "2.9168301041613356", "--x", "51.53782334515692"])
+    assert res.exit_code == 1
+    assert res.stderr.splitlines()[-1] == "Error: J at x=51.53782334515692 did not converge"
+
+
 # --- a seeded audit of S, J, I, H and L against mpmath --------------------------
 
 

@@ -190,6 +190,38 @@ def test_2f1_table_bits_do_not_depend_on_sweep_direction(backend):
         assert outcome == _fresh(_hyp2f1, *call), call
 
 
+# the series wrappers, each called positionally as the CLI calls it
+SERIES_WRAPPERS = {
+    "S": bessel_struve_kernel,
+    "J": lambda v, z: series.bessel_first_kind(v, z, False),
+    "I": lambda v, z: series.bessel_first_kind(v, z, True),
+    "H": lambda v, z: series.struve(v, z, False),
+    "L": lambda v, z: series.struve(v, z, True),
+}
+
+
+def _fresh_series(evaluate, order, x):
+    """``evaluate(order, x)`` on empty per-order caches of the wrappers and,
+    for S, an emptied kernel slot."""
+    series._order_terms.cache_clear()
+    series._bs_prefactor_units.cache_clear()
+    return _fresh(evaluate, order, x)
+
+
+def test_series_bits_do_not_depend_on_call_history(backend):
+    # the wrappers keep what an order needs at every point (the J/I/H/L
+    # order terms, the S prefactor units): I, L, J, H and S at two orders
+    # each, interleaved at random, give the bits of the same calls made fresh
+    calls = [(SERIES_WRAPPERS[name], order, x)
+             for name in SERIES_WRAPPERS for order in (0.3, 2.3)
+             for x in (oracles.linspace(-20.0, 20.0, 41) if name == "S"
+                       else oracles.linspace(0.0, 30.0, 31))]
+    random.Random(27).shuffle(calls)
+    got = [_outcome(*call) for call in calls]
+    for call, outcome in zip(calls, got):
+        assert outcome == _fresh_series(*call), call[1:]
+
+
 def test_2f1_table_shared_by_threads(backend):
     # the direct series, the connection formula, and both behind the Pfaff
     # transform

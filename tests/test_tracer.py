@@ -10,9 +10,12 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import bsfrac
 from bsfrac import checks, cli, msm, pathway, quadrature  # noqa: F401  (the tracer's modules)
 from conftest import run_cli
+from test_cli import SWEEPS
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -78,6 +81,47 @@ def test_s_sweep_is_traced_at_the_wrapper():
     calls = tracer.summary()["calls"]
     assert calls["series.bessel_struve_kernel"] == 9
     assert calls["kernels.bs_series"] == 9
+
+
+# the traced L1/L2 wrapper that a table of each CLI function calls once a
+# point; the density closure has no traced name, so its points count in
+# the CLI's own time
+TABLE_WRAPPERS = {
+    "S": "series.bessel_struve_kernel",
+    "J": "series.bessel_first_kind",
+    "I": "series.bessel_first_kind",
+    "H": "series.struve",
+    "L": "series.struve",
+    "wright": "wright.wright_eval",
+    "msm-left": "msm.ClosedFormImage.value_at",
+    "msm-right": "msm.ClosedFormImage.value_at",
+    "pathway": "msm.ClosedFormImage.value_at",
+    "density": None,
+}
+POINT_LAYERS = ("series.", "wright.wright_eval", "msm.ClosedFormImage.value_at")
+
+
+@pytest.mark.parametrize("function", sorted(SWEEPS))
+def test_every_table_calls_one_traced_wrapper_a_point(function):
+    # a 7-point table reaches its function through one traced public call a
+    # point, never a closure around the wrapper's body, so the tracer files
+    # each wrapper's glue under its own layer; below it, each traced layer
+    # is called once a point too (an image's wright_eval)
+    opts, grid = SWEEPS[function]
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        res = run_cli(["table", function, "--x", grid, *opts])
+        assert res.exit_code == 0, res.output
+    finally:
+        tracer.uninstall()
+    names = tracer.names
+    outer = collections.Counter(names[nid] for nid, parent in zip(tracer.name, tracer.parent)
+                                if parent < 0 and names[nid].startswith(POINT_LAYERS))
+    want = TABLE_WRAPPERS[function]
+    assert outer == ({want: 7} if want else {})
+    calls = tracer.summary()["calls"]
+    assert {calls[name] for name in calls if name.startswith(POINT_LAYERS)} <= {0, 7}, calls
 
 
 # a layer function and the checks whose span must hold calls of it
