@@ -114,21 +114,30 @@ class Config:
     @classmethod
     def load(cls, path: str | None = None, seed_grid: str | None = None) -> "Config":
         """The defaults, updated from JSON files; ValueError on a file that
-        is not JSON, DomainError on one of the wrong shape, term cap or
-        tolerance."""
+        is not JSON, DomainError on one of the wrong shape, an unknown key
+        (top-level, tolerance or grid: a misspelled key would be ignored),
+        or a bad term cap, tolerance, density sample count or density seed."""
         cfg = cls()
         if path is not None:
             with open(path) as fh:
                 raw = _json_object(json.load(fh), "a config file")
-            cfg.tolerances.update(_json_object(raw.get("tolerances", {}), "tolerances"))
+            _check_keys(raw, ("tolerances", "grids", "term_cap"), "config")
+            tolerances = _json_object(raw.get("tolerances", {}), "tolerances")
+            _check_keys(tolerances, DEFAULT_TOLERANCES, "tolerance")
+            cfg.tolerances.update(tolerances)
             for key, tol in cfg.tolerances.items():
                 _check_tolerance(f"tolerance {key!r}", tol)
-            cfg.grids.update(_json_object(raw.get("grids", {}), "grids"))
+            cfg.grids.update(_grids(raw.get("grids", {}), "grids"))
             cfg.term_cap = raw.get("term_cap", cfg.term_cap)
             check_limits(term_cap=cfg.term_cap)
         if seed_grid is not None:
             with open(seed_grid) as fh:
-                cfg.grids.update(_json_object(json.load(fh), "a seed-grid file"))
+                cfg.grids.update(_grids(json.load(fh), "a seed-grid file"))
+        samples, seed = cfg.grids["density_samples"], cfg.grids["density_seed"]
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+            raise DomainError(f"grid 'density_samples' must be an int >= 0, got {samples!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise DomainError(f"grid 'density_seed' must be an int, got {seed!r}")
         return cfg
 
     def echo(self) -> dict:
@@ -150,13 +159,28 @@ def _json_object(value, what: str) -> dict:
     raise DomainError(f"{what} must hold a JSON object, not {type(value).__name__}")
 
 
+def _check_keys(given: dict, known, what: str):
+    for key in given:
+        if key not in known:
+            raise DomainError(f"unknown {what} key {key!r}; known keys: {', '.join(known)}")
+
+
+def _grids(value, what: str) -> dict:
+    """The grids a file holds: a JSON object of known grid keys."""
+    grids = _json_object(value, what)
+    _check_keys(grids, DEFAULT_GRIDS, "grid")
+    return grids
+
+
 @dataclass(frozen=True)
 class CheckSpec:
     """One verifiable identity, as a row of the harness.
 
     ``points(run)`` yields, for each point, a candidate value (a kernel or
     an image), a reference value (the oracle, quadrature or a published
-    form) and the point's coordinates.  ``secondary`` maps a tolerance key
+    form) and the point's coordinates: a dict, or a pair of tuples (names,
+    values) that ``_worst`` makes a dict of only where the point is the
+    row's worst so far.  ``secondary`` maps a tolerance key
     to the points of a secondary route.  A row with a documented variant
     expects DOCUMENTED_MISMATCH: ``printed(run)`` is the variant's value
     and its reference, which must differ by more than ``printed_floor``.
@@ -246,19 +270,34 @@ class _Run:
         return item if spec is item.spec else item._replace(spec=spec)
 
 
+def _coords(point):
+    """A point's coordinates as ``_worst`` reports them: the dict of a
+    (names, values) pair; a dict, or None, as it is."""
+    if isinstance(point, tuple):
+        names, values = point
+        return dict(zip(names, values))
+    return point
+
+
 def _worst(points) -> tuple:
     """The worst deviation over (candidate, reference, coordinates)
     points, the coordinates of its point and the number of points.  A
     point without a reference (None) is a deviation from zero already, and
-    a NaN deviation counts as inf, as in an ERROR record."""
+    a NaN deviation counts as inf, as in an ERROR record.  The deviation is
+    ``_rel``'s, inline, and a coordinate dict is made only for a point that
+    becomes the worst so far."""
     worst, where, n = 0.0, {}, 0
     for got, want, point in points:
-        dev = abs(got) if want is None else _rel(got, want)
+        if want is None:
+            dev = abs(got)
+        else:
+            scale = max(abs(got), abs(want))
+            dev = abs(got - want) / scale if scale != 0.0 else 0.0
         if math.isnan(dev):
             dev = math.inf
         n += 1
         if dev > worst:
-            worst, where = dev, point
+            worst, where = dev, _coords(point)
     return worst, where, n
 
 
@@ -286,7 +325,7 @@ def _kernel_points(grid_key: str, nu: float, want: Callable[[float], float], run
     """S_nu(u) against ``want(u)`` over a linspace grid."""
     lo, hi, n = run.cfg.grids[grid_key]
     for u in linspace(lo, hi, int(n)):
-        yield bessel_struve_kernel(nu, u).value, want(u), {"u": u}
+        yield bessel_struve_kernel(nu, u).value, want(u), (("u",), (u,))
 
 
 def _i_plus_l(nu: float, u: float) -> float:
@@ -346,8 +385,9 @@ def _lemma_points(side: Side, run: _Run):
         for key, (params, rho) in group.items():
             integrals[key, x] = msm_quadrature(side, params, FunctionKind.monomial(rho),
                                                x, tol=run.tol / 20.0).value
+    names = MsmParams._fields + ("rho", "x")
     for (params, rho, img, key), x in product(points, xs):
-        yield img.value_at(x).value, integrals[key, x], {**params._asdict(), "rho": rho, "x": x}
+        yield img.value_at(x).value, integrals[key, x], (names, params + (rho, x))
 
 
 def _lemma_exact(side: Side, run: _Run):
@@ -484,15 +524,17 @@ def _series_points(grid, run: _Run):
     """T1-T7: the kernel image at each point (gamma table, kind, lam, x,
     coordinates) of ``grid(cfg)`` against the oracle of the kind's order.
     Each series (table, order) has its image built once, from the table,
-    and takes every lam by its argument scale (``_kernel_at``)."""
-    images = {}
+    and each of its lams one image, by its argument scale (``_kernel_at``)."""
+    series, images, oracle, cap = {}, {}, run.oracle, run.cfg.term_cap
     for table, kind, lam, x, point in grid(run.cfg):
-        img = images.get((table, kind.nu))
+        nu = kind.nu
+        img = images.get((table, nu, lam))
         if img is None:
-            img = images[table, kind.nu] = run.share(_kernel_image(table, kind))
-        img_lam = _kernel_at(table, img.prefactor, img.spec, lam)
-        got = img_lam.value_at(x, term_cap=run.cfg.term_cap)
-        yield got.value, run.oracle(table, kind.nu, lam, x), point
+            first = series.get((table, nu))
+            if first is None:
+                first = series[table, nu] = run.share(_kernel_image(table, kind))
+            img = images[table, nu, lam] = _kernel_at(table, first.prefactor, first.spec, lam)
+        yield img.value_at(x, term_cap=cap).value, oracle(table, nu, lam, x), point
 
 
 def _theorem_grid(side: Side, cfg: Config):
@@ -502,22 +544,23 @@ def _theorem_grid(side: Side, cfg: Config):
     rhos = [1.2, 1.5] if side is Side.LEFT else [-2.0, -1.3]
     xs = g["x_left"] if side is Side.LEFT else g["x_right"]
     kinds = {(rho, nu): FunctionKind.bs_kernel(rho, nu) for rho, nu in product(rhos, g["nu"])}
+    names = MsmParams._fields + ("nu", "lam", "rho", "x")
     for raw in g["theorem_params"]:
         params = MsmParams(*raw)
         tables = [(rho, _gamma_args(side, params, rho)) for rho in rhos]
         for nu, lam in product(g["nu"], g["lam"]):
             for (rho, table), x in product(tables, xs):
-                yield table, kinds[rho, nu], lam, x, {**params._asdict(), "nu": nu, "lam": lam,
-                                                      "rho": rho, "x": x}
+                yield table, kinds[rho, nu], lam, x, (names, params + (nu, lam, rho, x))
 
 
 def _special_grid(family: str, cfg: Config):
     """T3-T6: the special kind's image at x = 1 over the theorem sets."""
     kind = FunctionKind(family, 1.3)
+    names = MsmParams._fields + ("rho",)
     for raw in cfg.grids["theorem_params"]:
         params = MsmParams(*raw)
         yield (_gamma_args(Side.LEFT, params, kind.rho), kind, 1.0, 1.0,
-               {**params._asdict(), "rho": kind.rho})
+               (names, params + (kind.rho,)))
 
 
 def _quad_points(side: Side | None, probe, kinds, x: float, run: _Run):
@@ -589,18 +632,13 @@ def _pathway_grid(cfg: Config):
         yield PathwayParams(eta, a, alpha)
 
 
-def _where(params: PathwayParams, **more) -> dict:
-    """A pathway point's coordinates."""
-    return {"eta": params.eta, "a": params.a, "alpha": params.pathway_alpha, **more}
-
-
 def _l3_points(run: _Run):
     """L3: the power image against quadrature at x = 1."""
     x = 1.0
     for params, beta in product(_pathway_grid(run.cfg), run.cfg.grids["pathway_beta"]):
         got = pathway_power_image(params, beta).value_at(x).value
         want = pathway_quadrature(params, FunctionKind.monomial(beta), x, tol=run.tol / 20.0).value
-        yield got, want, _where(params, beta=beta, x=x)
+        yield got, want, (("eta", "a", "alpha", "beta", "x"), params + (beta, x))
 
 
 def _l3_exact(run: _Run):
@@ -621,7 +659,8 @@ def _t7_grid(cfg: Config):
     for params, sigma in product(_pathway_grid(cfg), sigmas):
         table = _pathway_table(params, sigma)
         for nu, lam in product(nus, cfg.grids["lam"]):
-            yield table, kinds[sigma, nu], lam, x, _where(params, sigma=sigma, nu=nu, lam=lam)
+            yield (table, kinds[sigma, nu], lam, x,
+                   (("eta", "a", "alpha", "sigma", "nu", "lam"), params + (sigma, nu, lam)))
 
 
 def _t7_reduction(run: _Run):
@@ -649,9 +688,10 @@ def _t8_points(run: _Run):
                      for kind in (FunctionKind.exp_kernel, FunctionKind.expm1_over_t))
         c = params.kernel_exponent
         spec = run.share(WrightSpec(((sigma, 1.0),), ((1.0 + c + sigma, 1.0),)))
-        yield got, _published_t8(spec, params, sigma, x), _where(params, sigma=sigma, case=0.0)
-        yield got, run.oracle(table, -0.5, 1.0, x), _where(params, sigma=sigma, case=1.0)
-        yield got2, run.oracle(table, 0.5, 1.0, x), _where(params, sigma=sigma, case=2.0)
+        names = ("eta", "a", "alpha", "sigma", "case")
+        yield got, _published_t8(spec, params, sigma, x), (names, params + (sigma, 0.0))
+        yield got, run.oracle(table, -0.5, 1.0, x), (names, params + (sigma, 1.0))
+        yield got2, run.oracle(table, 0.5, 1.0, x), (names, params + (sigma, 2.0))
 
 
 def _printed_t8(run: _Run) -> tuple:
@@ -689,11 +729,12 @@ def _w_delta_points(run: _Run):
 # --- density normalization ------------------------------------------------------
 
 def _density_norm(dp: PathwayDensityParams) -> float:
-    density = _density(dp)
+    """Twice the density's integral over x > 0; the density is the
+    integrand itself, which ignores the endpoint distances."""
     if dp.regime is Regime.SUB:
-        half = tanh_sinh(lambda t, da, db: density(t), 0.0, dp.support_radius, tol=1e-9)
+        half = tanh_sinh(_density(dp), 0.0, dp.support_radius, tol=1e-9)
     else:
-        half = exp_sinh(lambda t, d: density(t), 0.0, 1.0, tol=1e-9)
+        half = exp_sinh(_density(dp), 0.0, 1.0, tol=1e-9)
     return 2.0 * half.value
 
 

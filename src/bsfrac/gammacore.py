@@ -68,15 +68,14 @@ def gamma_ratio(numerators, denominators) -> float:
     exact.  Raises DomainError when an argument is NaN or infinite, and
     OverflowError when the result is not representable.
     """
-    dens = [_finite(d) for d in denominators]
-    nums = [_finite(v) for v in numerators]
-    if any(is_pole(d) for d in dens):
+    dens, den_pole, den_exact = _scan(denominators)
+    nums, num_pole, num_exact = _scan(numerators)
+    if den_pole is not None:
         return 0.0
-    for v in nums:
-        if is_pole(v):
-            raise PoleError(f"gamma pole in numerator at {v!r}")
+    if num_pole is not None:
+        raise PoleError(f"gamma pole in numerator at {num_pole!r}")
 
-    if _all_small_ints(nums) and _all_small_ints(dens):
+    if num_exact and den_exact:
         from fractions import Fraction  # only here: a cold CLI call never needs it
 
         num = 1
@@ -100,12 +99,27 @@ def gamma_ratio(numerators, denominators) -> float:
     return sign * math.exp(acc)  # exp raises OverflowError out of range
 
 
-def _all_small_ints(values) -> bool:
-    for v in values:
+def _scan(args) -> tuple:
+    """(args as a list, the first within POLE_TOL of a gamma pole or None,
+    whether every one is within POLE_TOL of an integer in [1, 171]): one
+    pass that tests each argument once, for ``gamma_ratio``.  DomainError
+    at the first NaN or infinite argument.  With r = round(v), r <= 0 and
+    |v - r| <= POLE_TOL is ``is_pole(v)``."""
+    out, pole, exact = [], None, True
+    for v in args:
+        if not math.isfinite(v):
+            _finite(v)  # raises its DomainError
         r = round(v)
-        if not (1 <= r <= _MAX_EXACT_INT and abs(v - r) <= POLE_TOL):
-            return False
-    return True
+        if abs(v - r) > POLE_TOL:
+            exact = False
+        elif r <= 0:
+            exact = False
+            if pole is None:
+                pole = v
+        elif r > _MAX_EXACT_INT:
+            exact = False
+        out.append(v)
+    return out, pole, exact
 
 
 def pochhammer(a: float, n: int) -> float:

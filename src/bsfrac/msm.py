@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from itertools import repeat
 from typing import NamedTuple
 
 from ._backend import kernels
@@ -175,7 +176,7 @@ def _gamma_args(side: Side, p: MsmParams, rho: float) -> _GammaTable:
                 1.0 - rho + p.alpha + p.beta_prime - p.gamma)
         dens = (1.0 - rho, 1.0 - rho + p.alpha + p.alpha_prime + p.beta_prime - p.gamma,
                 1.0 - rho + p.alpha - p.beta)
-    if not all(a > 0.0 for a in nums):  # min() would let a NaN through
+    if not (nums[0] > 0.0 and nums[1] > 0.0 and nums[2] > 0.0):  # min() would let a NaN through
         raise PreconditionError(
             f"{side.value} image of t^(rho-1) needs positive gamma arguments "
             f"{nums!r}, got rho={rho!r}")
@@ -214,8 +215,8 @@ def _kernel_image(t: _GammaTable, kind: FunctionKind) -> ClosedFormImage:
         lg = ln_gamma_signed(a)
         acc += lg.log_abs
         sign *= lg.sign
-    spec = WrightSpec(((0.5, 0.5),) + tuple((a, 1.0) for a in t.nums),
-                      ((kind.nu + 1.0, 0.5),) + tuple((b, 1.0) for b in t.dens))
+    spec = WrightSpec(((0.5, 0.5), *zip(t.nums, repeat(1.0))),
+                      ((kind.nu + 1.0, 0.5), *zip(t.dens, repeat(1.0))))
     return _kernel_at(t, sign * math.exp(acc - _HALF_LN_PI) / t.divisor, spec, kind.lam)
 
 

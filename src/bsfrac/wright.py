@@ -33,16 +33,24 @@ class WrightSpec(_Checked, namedtuple("WrightSpec", "upper lower")):
     """
 
     def __new__(cls, upper: tuple[Pair, ...], lower: tuple[Pair, ...]):
-        upper = tuple((float(a), float(A)) for a, A in upper)
-        lower = tuple((float(b), float(B)) for b, B in lower)
+        # one pass over the pairs: each side's pairs are made floats, and
+        # the first bad value is kept, to be raised after the size check
+        sides, bad, inf = [], None, math.inf
+        for pairs in (upper, lower):
+            side = []
+            for a, A in pairs:
+                a, A = float(a), float(A)
+                if bad is None and not (0.0 <= A < inf and -inf < a < inf):
+                    bad = (f"slopes must be finite and >= 0, got {A!r}" if not 0.0 <= A < inf
+                           else f"coefficients must be finite, got {a!r}")
+                side.append((a, A))
+            sides.append(tuple(side))
+        upper, lower = sides
         if max(len(upper), len(lower)) > MAX_PAIRS:
             raise DomainError(f"at most {MAX_PAIRS} upper and {MAX_PAIRS} lower pairs are "
                               f"supported, got {len(upper)} and {len(lower)}")
-        for coeff, slope in upper + lower:
-            if slope < 0.0 or not math.isfinite(slope):
-                raise DomainError(f"slopes must be finite and >= 0, got {slope!r}")
-            if not math.isfinite(coeff):
-                raise DomainError(f"coefficients must be finite, got {coeff!r}")
+        if bad is not None:
+            raise DomainError(bad)
         self = super().__new__(cls, upper, lower)
         ua, uA = tuple(zip(*upper)) or ((), ())
         lb, lB = tuple(zip(*lower)) or ((), ())
