@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 
+from ._backend import kernels
 from .errors import DomainError, QuadratureError
 from .series import SeriesEval
 
@@ -142,15 +143,8 @@ def _finite_level(f, a, b, level, h):
         evals += 1
         if fv != 0.0:
             total += 2.0 * width * _HALF_PI / 4.0 * fv
-    for hi, far, near, w, lo in _scaled_nodes(_finite_scaled, level, h, (a, b)):
-        fv = f(hi, far, near)  # node approaching b
-        if fv != 0.0:
-            total += w * fv
-        fv = f(lo, near, far)  # mirror node approaching a
-        if fv != 0.0:
-            total += w * fv
-        evals += 2
-    return total, evals
+    total, n = kernels.level_sum(f, _scaled_nodes(_finite_scaled, level, h, (a, b)), total)
+    return total, evals + n
 
 
 def _refine(level, tol, max_levels, name):
@@ -201,6 +195,7 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-11,
 
 
 def _half_inf_level(f, a, scale, level, h):
+    """Trapezoid contribution of one mesh level (without the h factor)."""
     total = 0.0
     evals = 0
     if not level:  # the k = 0 node, on the coarse level only
@@ -208,12 +203,8 @@ def _half_inf_level(f, a, scale, level, h):
         evals += 1
         if fv != 0.0:
             total += scale * _HALF_PI * fv
-    for t, d, w in _scaled_nodes(_half_inf_scaled, level, h, (a, scale)):
-        fv = f(t, d)
-        evals += 1
-        if fv != 0.0:
-            total += w * fv
-    return total, evals
+    total, n = kernels.level_sum(f, _scaled_nodes(_half_inf_scaled, level, h, (a, scale)), total)
+    return total, evals + n
 
 
 def exp_sinh(f, a: float, scale: float, tol: float = 1e-11,
