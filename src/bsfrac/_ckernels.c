@@ -724,86 +724,6 @@ f3_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return series_result(total, 2.0 * fabs(prev_row), n_terms, 0);
 }
 
-/* --- quadrature ------------------------------------------------------------ */
-
-/* total += w * f(args...) unless the value is zero; -1 with an exception
- * set when f raises or returns no number. */
-static int
-add_weighted(PyObject *f, PyObject *const *call, size_t n, double w, double *total)
-{
-    double fv;
-    PyObject *value = PyObject_Vectorcall(f, call, n, NULL);
-    if (value == NULL)
-        return -1;
-    fv = PyFloat_AsDouble(value);
-    Py_DECREF(value);
-    if (fv == -1.0 && PyErr_Occurred())
-        return -1;
-    if (fv != 0.0)
-        *total += w * fv;
-    return 0;
-}
-
-/* The pure twin's two loops in one: the first node's size names the rule,
- * 5 for tanh-sinh and 3 for exp-sinh, and every node must have it. */
-static PyObject *
-level_sum(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *f, *it, *node, *const *item;
-    Py_ssize_t size, rule = 0;
-    double total, w;
-    long long evals = 0;
-    int rc = 0;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "level_sum() takes exactly 3 positional arguments (%zd given)", nargs);
-        return NULL;
-    }
-    f = args[0];
-    total = PyFloat_AsDouble(args[2]);
-    if (total == -1.0 && PyErr_Occurred())
-        return NULL;
-    it = PyObject_GetIter(args[1]);
-    if (it == NULL)
-        return NULL;
-    while (rc == 0 && (node = PyIter_Next(it)) != NULL) {
-        if (!PyTuple_Check(node)) {
-            PyErr_Format(PyExc_TypeError, "level_sum() nodes must be tuples, not %.200s",
-                         Py_TYPE(node)->tp_name);
-            rc = -1;
-        }
-        else if ((size = PyTuple_GET_SIZE(node)) != rule && (rule || (size != 5 && size != 3))) {
-            PyErr_Format(PyExc_ValueError, "level_sum() node has %zd items, not %zd", size,
-                         rule ? rule : (Py_ssize_t)3);
-            rc = -1;
-        }
-        else {
-            /* the node's own float objects, in the pure twin's order */
-            rule = size;
-            item = &PyTuple_GET_ITEM(node, 0);
-            w = PyFloat_AsDouble(item[rule == 5 ? 3 : 2]);
-            if (w == -1.0 && PyErr_Occurred())
-                rc = -1;
-            else if (rule == 5) { /* (hi, far, near, w, lo): hi, then its mirror lo */
-                PyObject *mirror[3] = {item[4], item[2], item[1]};
-                rc = add_weighted(f, item, 3, w, &total);
-                if (rc == 0)
-                    rc = add_weighted(f, mirror, 3, w, &total);
-                evals += 2;
-            }
-            else { /* (t, d, w) */
-                rc = add_weighted(f, item, 2, w, &total);
-                evals += 1;
-            }
-        }
-        Py_DECREF(node);
-    }
-    Py_DECREF(it);
-    if (rc < 0 || PyErr_Occurred())
-        return NULL;
-    return Py_BuildValue("(dL)", total, evals);
-}
-
 /* --- module --------------------------------------------------------------- */
 
 #define FASTCALL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
@@ -818,7 +738,6 @@ static PyMethodDef methods[] = {
     FASTCALL(wright_series, "Generalized Wright series, terms assembled in log space."),
     FASTCALL(f3_series,
              "Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."),
-    FASTCALL(level_sum, "One double-exponential mesh level's weighted sum of f."),
     {NULL, NULL, 0, NULL},
 };
 

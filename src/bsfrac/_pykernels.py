@@ -27,7 +27,6 @@ keeps only the coefficients, in a static one-slot of its own.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 POLE_TOL = 1e-12
 MAX_PAIRS = 32  # the most upper pairs, and the most lower ones, wright_series takes
@@ -606,37 +605,3 @@ def f3_series(a, ap, b, bp, g, x, y, tol, cap):
         if t0n == 0.0:
             return total, 0.0, n_terms, 1  # terminating in the y index
     return total, 2.0 * abs(prev_row), n_terms, 0
-
-
-def level_sum(f, nodes, total):
-    """One double-exponential mesh level's weighted sum of ``f``, added to
-    ``total``: for a tanh-sinh node ``(hi, far, near, w, lo)``, w f(hi, far,
-    near) and then w f(lo, near, far), its mirror; for an exp-sinh node
-    ``(t, d, w)``, w f(t, d).  A zero value adds nothing, so a -0.0 total
-    keeps its sign; a NaN value and an exception of ``f`` propagate.
-
-    Returns (total, number of calls of f).  ``nodes`` is any iterable of
-    node tuples of one rule, whose first node names the rule; the compiled
-    twin passes f each node's own float objects.
-    """
-    nodes = iter(nodes)
-    first = next(nodes, None)
-    evals = 0
-    if first is None:
-        return total, evals
-    if len(first) == 5:
-        for hi, far, near, w, lo in chain((first,), nodes):
-            fv = f(hi, far, near)  # node approaching b
-            if fv != 0.0:
-                total += w * fv
-            fv = f(lo, near, far)  # mirror node approaching a
-            if fv != 0.0:
-                total += w * fv
-            evals += 2
-        return total, evals
-    for t, d, w in chain((first,), nodes):
-        fv = f(t, d)
-        evals += 1
-        if fv != 0.0:
-            total += w * fv
-    return total, evals

@@ -7,6 +7,13 @@ can be computed at full relative precision arbitrarily close to the
 endpoint.  Refinement halves the mesh per level and reuses earlier
 nodes; the error estimate is the last level-to-level difference.
 
+A level is summed in Python, by ``_finite_level`` or ``_half_inf_level``:
+one loop over the level's scaled nodes that calls the integrand at each
+node (on tanh-sinh, each mirror node right after its partner) and adds
+w f where f is nonzero, so a level of zero values leaves a -0.0 sum as
+it is.  The kernel twins are not involved, so both backends sum a level
+with the same bits.
+
 A mesh level's nodes are kept at two stages.  Their width-free factors
 do not depend on the integral, so each level's table of them is built
 on first use and shared by every later integral.  Scaled to an interval
@@ -32,7 +39,6 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 
-from ._backend import kernels
 from .errors import DomainError, QuadratureError
 from .series import SeriesEval
 
@@ -143,8 +149,15 @@ def _finite_level(f, a, b, level, h):
         evals += 1
         if fv != 0.0:
             total += 2.0 * width * _HALF_PI / 4.0 * fv
-    total, n = kernels.level_sum(f, _scaled_nodes(_finite_scaled, level, h, (a, b)), total)
-    return total, evals + n
+    for hi, far, near, w, lo in _scaled_nodes(_finite_scaled, level, h, (a, b)):
+        fv = f(hi, far, near)  # node approaching b
+        if fv != 0.0:
+            total += w * fv
+        fv = f(lo, near, far)  # mirror node approaching a
+        if fv != 0.0:
+            total += w * fv
+        evals += 2
+    return total, evals
 
 
 def _refine(level, tol, max_levels, name):
@@ -195,7 +208,6 @@ def tanh_sinh(f, a: float, b: float, tol: float = 1e-11,
 
 
 def _half_inf_level(f, a, scale, level, h):
-    """Trapezoid contribution of one mesh level (without the h factor)."""
     total = 0.0
     evals = 0
     if not level:  # the k = 0 node, on the coarse level only
@@ -203,8 +215,12 @@ def _half_inf_level(f, a, scale, level, h):
         evals += 1
         if fv != 0.0:
             total += scale * _HALF_PI * fv
-    total, n = kernels.level_sum(f, _scaled_nodes(_half_inf_scaled, level, h, (a, scale)), total)
-    return total, evals + n
+    for t, d, w in _scaled_nodes(_half_inf_scaled, level, h, (a, scale)):
+        fv = f(t, d)
+        evals += 1
+        if fv != 0.0:
+            total += w * fv
+    return total, evals
 
 
 def exp_sinh(f, a: float, scale: float, tol: float = 1e-11,
