@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -173,6 +175,58 @@ def test_seed_grid_override(tmp_path):
     rep = run_suite("kernel-identities", config=cfg).to_dict()
     e1 = next(c for c in rep["checks"] if c["id"] == "e1")
     assert e1["n_points"] == 3
+
+
+# a misspelled key was once ignored without a word: T1 passed at a
+# tolerance of 1e-30 spelled "tolerance" or "theorem_seires"
+@pytest.mark.parametrize("raw, message", [
+    ({"tolerance": {"theorem_series": 1e-30}}, "unknown config key 'tolerance'"),
+    ({"tolerances": {"theorem_seires": 1e-30}}, "unknown tolerance key 'theorem_seires'"),
+    ({"grids": {"x_lfet": [5.0]}}, "unknown grid key 'x_lfet'"),
+])
+def test_config_refuses_an_unknown_key(tmp_path, raw, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(DomainError, match=f"^{message}; known keys: "):
+        Config.load(str(cfg_path))
+
+
+def test_seed_grid_refuses_an_unknown_key(tmp_path):
+    grid_path = tmp_path / "grids.json"
+    grid_path.write_text(json.dumps({"kernel_grid": [-1.0, 1.0, 3], "x_lfet": [5.0]}))
+    with pytest.raises(DomainError, match="^unknown grid key 'x_lfet'; known keys: kernel_grid, "):
+        Config.load(None, str(grid_path))
+
+
+BAD_DENSITY_GRIDS = [
+    ({"density_samples": -3}, "grid 'density_samples' must be an int >= 0, got -3"),
+    ({"density_samples": 2.0}, "grid 'density_samples' must be an int >= 0, got 2.0"),
+    ({"density_samples": True}, "grid 'density_samples' must be an int >= 0, got True"),
+    ({"density_samples": "12"}, "grid 'density_samples' must be an int >= 0, got '12'"),
+    ({"density_seed": 2718.0}, "grid 'density_seed' must be an int, got 2718.0"),
+    ({"density_seed": False}, "grid 'density_seed' must be an int, got False"),
+    ({"density_seed": None}, "grid 'density_seed' must be an int, got None"),
+]
+
+
+@pytest.mark.parametrize("grids, message", BAD_DENSITY_GRIDS, ids=repr)
+def test_config_refuses_bad_density_draws(tmp_path, grids, message):
+    # a negative sample count once ran density-norm on its 3 named cases
+    # alone, and passed; in the config file and in the seed-grid file
+    path = tmp_path / "cfg.json"
+    for config, seed_grid in (({"grids": grids}, None), (None, grids)):
+        path.write_text(json.dumps(config if config is not None else seed_grid))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Config.load(str(path) if config is not None else None,
+                        str(path) if seed_grid is not None else None)
+
+
+def test_config_takes_zero_density_samples_and_any_int_seed(tmp_path):
+    grid_path = tmp_path / "grids.json"
+    grid_path.write_text(json.dumps({"density_samples": 0, "density_seed": -5}))
+    cfg = Config.load(None, str(grid_path))
+    [record] = run_suite("density", config=cfg).to_dict()["checks"]
+    assert (record["status"], record["n_points"]) == ("PASS", 3)
 
 
 def test_check_errors_are_captured_not_raised(tmp_path):
@@ -376,3 +430,60 @@ def test_rows_evaluate_every_grid_point(grids, suite, want):
     if "T2" in want and want["T2"][0] == "ERROR":
         assert records["T2"]["worst_point"]["error"] == (
             "TermCapError: termwise oracle at w=20.0 has not converged in 60 terms")
+
+
+def _counted(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record each call's arguments; a name the
+    owner lacks is created and never called."""
+    calls = []
+    original = getattr(owner, name, None)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["msm-theorems", "pathway"])
+def test_coordinates_are_made_only_for_new_worst_points(monkeypatch, suite):
+    # each point of the MSM and pathway rows once merged its coordinates into
+    # a dict (params._asdict() or _where), about 1,100 a verify all run,
+    # although a row reports only its worst point's
+    updates = []
+    worst = checks._worst
+
+    def teed(points):
+        points, dev_max, n = list(points), 0.0, 0
+        for got, want, _ in points:
+            dev = abs(got) if want is None else checks._rel(got, want)
+            dev = math.inf if math.isnan(dev) else dev
+            if dev > dev_max:
+                dev_max, n = dev, n + 1
+        updates.append(n)
+        return worst(iter(points))
+
+    monkeypatch.setattr(checks, "_worst", teed)
+    made = [_counted(monkeypatch, checks, "_coords"), _counted(monkeypatch, checks, "_where"),
+            _counted(monkeypatch, MsmParams, "_asdict"),
+            _counted(monkeypatch, PathwayParams, "_asdict")]
+    assert run_suite(suite).all_expected()
+    assert 0 < sum(map(len, made)) <= sum(updates), ([len(m) for m in made], updates)
+
+
+@pytest.mark.parametrize("suite", ["msm-theorems", "pathway"])
+def test_series_rows_make_one_image_per_series_and_lam(monkeypatch, suite):
+    # T1-T7 once made a ClosedFormImage at every point (612 a verify all
+    # run) where one per (series, lam) serves its points
+    grids = {"msm-theorems": [partial(checks._theorem_grid, Side.LEFT),
+                              partial(checks._theorem_grid, Side.RIGHT)]
+             + [partial(checks._special_grid, family)
+                for family in ("exp", "expm1_over_t", "i0_plus_l0",
+                               "two_i1_plus_two_l1_over_t")],
+             "pathway": [checks._t7_grid]}[suite]
+    want = sum(len({(table, kind.nu, lam) for table, kind, lam, *_ in grid(Config())})
+               for grid in grids)
+    made = _counted(monkeypatch, checks, "_kernel_at")
+    run_suite(suite)
+    assert len(made) == want

@@ -397,6 +397,42 @@ def test_bad_seed_grid_config_is_usage_error(tmp_path, text):
     assert "Error: bad config: " in res.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"tolerance": {"theorem_series": 1e-30}}', "unknown config key 'tolerance'"),
+    ('{"tolerances": {"theorem_seires": 1e-30}}', "unknown tolerance key 'theorem_seires'"),
+    ('{"grids": {"x_lfet": [5.0]}}', "unknown grid key 'x_lfet'"),
+    ('{"grids": {"density_samples": -3}}', "grid 'density_samples' must be an int >= 0"),
+])
+def test_unknown_config_key_is_usage_error(tmp_path, text, message):
+    # a misspelled key was once ignored: exit 0 with T1 PASS at the default
+    # tolerance, where the tolerance spelled right fails T1-T6 and exits 1
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    res = _run("--config", str(path), "verify", "msm-theorems")
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert f"Error: bad config: {message}" in res.stderr
+    path.write_text('{"tolerances": {"theorem_series": 1e-30}}')
+    res = _run("--config", str(path), "verify", "msm-theorems")
+    assert res.exit_code == 1 and "T1: FAIL" in res.stderr, res.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"x_lfet": [5.0]}', "unknown grid key 'x_lfet'"),
+    ('{"density_samples": -3}', "grid 'density_samples' must be an int >= 0, got -3"),
+    ('{"density_samples": 0.5}', "grid 'density_samples' must be an int >= 0, got 0.5"),
+    ('{"density_seed": true}', "grid 'density_seed' must be an int, got True"),
+])
+def test_bad_seed_grid_key_is_usage_error(tmp_path, text, message):
+    # {"density_samples": -3} once ran density-norm on its 3 named cases
+    # alone, and passed
+    path = tmp_path / "grids.json"
+    path.write_text(text)
+    res = _run("--seed-grid", str(path), "verify", "density")
+    assert res.exit_code == 2, res.output
+    assert f"Error: bad config: {message}" in res.stderr
+
+
 def test_config_term_cap_limits(tmp_path):
     for cap in (1, 2**31 - 1):
         path = tmp_path / "cfg.json"

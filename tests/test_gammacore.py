@@ -74,6 +74,52 @@ def test_gamma_ratio_numerator_pole():
         gamma_ratio([-1.0], [2.0])
 
 
+# gamma_ratio tests each argument once, denominators first: every argument
+# must be finite before a denominator pole gives 0.0 or the first numerator
+# pole raises
+@pytest.mark.parametrize("nums, dens, outcome", [
+    ((math.nan, 1.5), (-2.0,), (DomainError, "gamma argument must be finite, got nan")),
+    ((-1.0, 2.5), (-3.0, 1.5), 0.0),
+    ((-1.0, math.inf), (1.5,), (DomainError, "gamma argument must be finite, got inf")),
+    ((1.5,), (-2.0, math.nan), (DomainError, "gamma argument must be finite, got nan")),
+    ((math.nan,), (-math.inf,), (DomainError, "gamma argument must be finite, got -inf")),
+    ((0.5, -1.0, -2.0), (1.5,), (PoleError, "gamma pole in numerator at -1.0")),
+    ((1e-13, 2.5), (1.5,), (PoleError, "gamma pole in numerator at 1e-13")),
+    (("x",), (1.5,), (TypeError, "must be real number, not str")),
+    ((3.0, 2.0 + 1e-13), (4.0,), 1.0 / 3.0),
+    ((3, 2), (4,), 1.0 / 3.0),
+], ids=range(10))
+def test_gamma_ratio_outcomes_keep_their_order(backend, nums, dens, outcome):
+    if isinstance(outcome, float):
+        assert gamma_ratio(nums, dens) == outcome
+        return
+    error, message = outcome
+    with pytest.raises(error) as info:
+        gamma_ratio(nums, dens)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_gamma_ratio_takes_lists_and_generators(backend):
+    for make in (tuple, list, iter, lambda values: (v for v in values)):
+        assert gamma_ratio(make([1.2, 0.7]), make([1.5])) == gamma_ratio((1.2, 0.7), (1.5,))
+        assert gamma_ratio(make([4, 3.0]), make([2.0])) == 12.0
+        assert gamma_ratio(make([1.5]), make([-1.0])) == 0.0
+        assert gamma_ratio(make([]), make([])) == 1.0
+
+
+def test_gamma_ratio_pole_test_is_is_pole(backend):
+    rng = random.Random(28)
+    xs = ([rng.uniform(-30.0, 30.0) for _ in range(300)]
+          + [k + d for k in range(-5, 6)
+             for d in (0.0, -0.0, 1e-12, -1e-12, 1.1e-12, -1.1e-12, 0.5, -0.5)]
+          + [5e-324, -5e-324, 1e-12, 1.0000000000001e-12])
+    for x in xs:
+        assert (gamma_ratio((1.5,), (x,)) == 0.0) is is_pole(x), x
+        if is_pole(x):
+            with pytest.raises(PoleError):
+                gamma_ratio((x,), (1.5,))
+
+
 def test_gamma_ratio_overflow():
     with pytest.raises(OverflowError):
         gamma_ratio([200.0, 200.0], [2.0])

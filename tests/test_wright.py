@@ -169,6 +169,42 @@ def test_negative_slope_rejected():
         WrightSpec(((1.0, -0.5),), ((1.0, 1.0),))
 
 
+# the one-pass constructor keeps the errors' order: every pair is made
+# float first, then the pair counts are checked, then the first bad value
+# is named, its slope before its coefficient
+@pytest.mark.parametrize("upper, lower, error, message", [
+    (((math.nan, 1.0), (1.0, -1.0)), (), DomainError, "coefficients must be finite, got nan"),
+    (((1.0, -1.0), (math.nan, 1.0)), (), DomainError, "slopes must be finite and >= 0, got -1.0"),
+    (((math.nan, -1.0),), (), DomainError, "slopes must be finite and >= 0, got -1.0"),
+    (((1.0, 1.0),), ((math.inf, 0.5), (1.0, math.nan)), DomainError,
+     "coefficients must be finite, got inf"),
+    (((1.0, 1.0),), ((1.0, math.inf),), DomainError, "slopes must be finite and >= 0, got inf"),
+    (((1.0, 1.0),) * 32 + ((math.nan, 1.0),), (), DomainError,
+     "at most 32 upper and 32 lower pairs are supported, got 33 and 0"),
+    (((math.nan, -1.0),), ((1.0, -2.0),) * 33, DomainError,
+     "at most 32 upper and 32 lower pairs are supported, got 1 and 33"),
+    (((math.nan, 1.0),), (("x", 1.0),), ValueError, "could not convert string to float: 'x'"),
+    (((1.0, -1.0),), ((1.0, None),), TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    (((1.0, 1.0, 1.0),), (), ValueError, "too many values to unpack (expected 2)"),
+], ids=range(10))
+def test_spec_errors_keep_their_type_message_and_order(backend, upper, lower, error, message):
+    with pytest.raises(error) as info:
+        WrightSpec(upper, lower)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_spec_takes_lists_and_generators(backend):
+    want = WrightSpec(((0.5, 0.5), (1.0, 1.0)), ((1.25, 0.5), (2.0, 1.0)))
+    for make in (tuple, list, iter, lambda pairs: (pair for pair in pairs)):
+        got = WrightSpec(make([(0.5, 0.5), [1, 1]]), make([(1.25, 0.5), (2, True)]))
+        assert got == want and (got.delta, got.columns) == (want.delta, want.columns)
+        assert [type(v) for pair in got.upper + got.lower for v in pair] == [float] * 8
+        assert wright_eval(got, 0.7) == wright_eval(want, 0.7)
+    empty = WrightSpec(iter(()), [])
+    assert (empty, empty.delta, empty.columns) == (((), ()), 0.0, ((), (), (), ()))
+
+
 # coefficients that put upper parameters on gamma poles and kill lower
 # terms, slopes of the theorems and between, and arguments from far
 # negative through zero and tiny
