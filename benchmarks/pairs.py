@@ -14,9 +14,10 @@ Each metric of ``BENCHMARK.json`` (``end_to_end``, or ``per_layer`` with
 medians and interquartile ranges of both sides and the number of pairs
 the head won (better in the metric's direction; ties are counted apart).
 The set is stored under ``sets["<workload> seed <S> trace <T> base <sha>"]``
-of the output file, with every run's result and host calibration, and
-rewritten after every pair; sets already in the file are kept, so one file
-collects several invocations.
+of the output file, with every run's result, head commit and host
+calibration, and rewritten after every pair.  Other sets in the file are
+kept, so one file collects several invocations, and a set run again with
+the same run length gets the new pairs added to its own.
 """
 
 from __future__ import annotations
@@ -121,13 +122,17 @@ def main(argv=None) -> int:
     key = f"{args.workload} seed {args.seed} trace {args.trace} base {base_sha[:7]}"
     out_path = ROOT / args.out
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    entry = doc.setdefault("sets", {})[key] = {
-        "base": base_sha, "head": git("rev-parse", "HEAD"),
-        "head_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "workload": args.workload, "seed": args.seed, "trace": args.trace,
-        "seconds": args.seconds, "pairs": 0, "summary": {}, "runs": []}
+    entry = doc.setdefault("sets", {}).get(key)
+    if entry is None or entry["seconds"] != args.seconds:
+        entry = doc["sets"][key] = {
+            "workload": args.workload, "seed": args.seed, "trace": args.trace,
+            "seconds": args.seconds, "base": base_sha, "pairs": 0, "summary": {}, "runs": []}
+    # a set run again gets its new pairs added; each run names its own head
+    entry.update(head=git("rev-parse", "HEAD"),
+                 head_dirty=bool(git("status", "--porcelain", "--untracked-files=no")))
+    first = entry["pairs"]
     try:
-        for pair in range(args.pairs):
+        for pair in range(first, first + args.pairs):
             sides = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in sides:
                 run = run_bench(tree if side == "base" else ROOT, args)
@@ -146,7 +151,7 @@ def main(argv=None) -> int:
 
     for name, s in entry["summary"].items():
         print(f"  {name:<48} median ratio {s['median_ratio']:.4f}  "
-              f"head wins {s['head_wins']}/{args.pairs}  ties {s['ties']}")
+              f"head wins {s['head_wins']}/{entry['pairs']}  ties {s['ties']}")
     return 0
 
 
