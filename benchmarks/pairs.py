@@ -1,7 +1,7 @@
 """Paired benchmark runs: a base revision against the working tree.
 
     python3 benchmarks/pairs.py --base <rev> --pairs N --workload W --seed S \
-        [--trace 0|1] [--seconds 50] [--out BENCH_prN.json]
+        [--trace 0|1] [--out BENCH_prN.json]
 
 The base revision is checked out as a detached ``git worktree`` under
 ``.bench_build/``, removed again at the end.  Then ``perfbench/run.py``
@@ -13,11 +13,12 @@ Each metric of ``BENCHMARK.json`` (``end_to_end``, or ``per_layer`` with
 ``--trace 1``) gets its per-pair ratios head/base, their median, the
 medians and interquartile ranges of both sides and the number of pairs
 the head won (better in the metric's direction; ties are counted apart).
-The set is stored under ``sets["<workload> seed <S> trace <T> base <sha>"]``
-of the output file, with every run's result, head commit and host
+The set is stored under
+``sets["<workload> seed <S> trace <T> base <sha> head <sha>"]`` of the
+output file, with every run's result, run length, commit and host
 calibration, and rewritten after every pair.  Other sets in the file are
-kept, so one file collects several invocations, and a set run again with
-the same run length gets the new pairs added to its own.
+kept, so one file collects several invocations, and a set run again on
+the same head gets the new pairs added to its own.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ def git(*args: str) -> str:
 
 def run_bench(tree: Path, args) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its last stdout line, the
-    run's calibration and its wall time."""
+    run's length and calibration from its saved metadata, and its wall
+    time."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seed", str(args.seed), "--trace", str(args.trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -55,7 +57,8 @@ def run_bench(tree: Path, args) -> dict:
     saved = tree / ".bench_build" / "results" / \
         f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     meta = json.loads(saved.read_text())["meta"] if saved.exists() else {}
-    return {"result": result, "calibration": meta.get("calibration"),
+    return {"result": result, "seconds": meta.get("seconds"),
+            "calibration": meta.get("calibration"),
             "git_sha": meta.get("git_sha"), "src_sha256": meta.get("src_sha256"),
             "run_wall_s": wall}
 
@@ -102,7 +105,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("verify-all", "table"))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", default="BENCH_pairs.json",
                         help="the JSON file the set is written into (relative to the repo)")
     args = parser.parse_args(argv)
@@ -119,17 +121,15 @@ def main(argv=None) -> int:
                        capture_output=True)
         shutil.rmtree(tree, ignore_errors=True)
     git("worktree", "add", "--detach", str(tree), base_sha)
-    key = f"{args.workload} seed {args.seed} trace {args.trace} base {base_sha[:7]}"
+    head = git("rev-parse", "HEAD")
+    key = (f"{args.workload} seed {args.seed} trace {args.trace} "
+           f"base {base_sha[:7]} head {head[:7]}")
     out_path = ROOT / args.out
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    entry = doc.setdefault("sets", {}).get(key)
-    if entry is None or entry["seconds"] != args.seconds:
-        entry = doc["sets"][key] = {
-            "workload": args.workload, "seed": args.seed, "trace": args.trace,
-            "seconds": args.seconds, "base": base_sha, "pairs": 0, "summary": {}, "runs": []}
-    # a set run again gets its new pairs added; each run names its own head
-    entry.update(head=git("rev-parse", "HEAD"),
-                 head_dirty=bool(git("status", "--porcelain", "--untracked-files=no")))
+    entry = doc.setdefault("sets", {}).setdefault(key, {
+        "workload": args.workload, "seed": args.seed, "trace": args.trace,
+        "base": base_sha, "head": head, "pairs": 0, "summary": {}, "runs": []})
+    entry["head_dirty"] = bool(git("status", "--porcelain", "--untracked-files=no"))
     first = entry["pairs"]
     try:
         for pair in range(first, first + args.pairs):

@@ -111,34 +111,39 @@ class Config:
     grids: dict = field(default_factory=lambda: dict(DEFAULT_GRIDS))
     term_cap: int = TERM_CAP
 
-    @classmethod
-    def load(cls, path: str | None = None, seed_grid: str | None = None) -> "Config":
-        """The defaults, updated from JSON files; ValueError on a file that
-        is not JSON, DomainError on one of the wrong shape, an unknown key
-        (top-level, tolerance or grid: a misspelled key would be ignored),
-        or a bad term cap, tolerance, density sample count or density seed."""
-        cfg = cls()
-        if path is not None:
-            with open(path) as fh:
-                raw = _json_object(json.load(fh), "a config file")
-            _check_keys(raw, ("tolerances", "grids", "term_cap"), "config")
-            tolerances = _json_object(raw.get("tolerances", {}), "tolerances")
-            _check_keys(tolerances, DEFAULT_TOLERANCES, "tolerance")
-            cfg.tolerances.update(tolerances)
-            for key, tol in cfg.tolerances.items():
-                _check_tolerance(f"tolerance {key!r}", tol)
-            cfg.grids.update(_grids(raw.get("grids", {}), "grids"))
-            cfg.term_cap = raw.get("term_cap", cfg.term_cap)
-            check_limits(term_cap=cfg.term_cap)
-        if seed_grid is not None:
-            with open(seed_grid) as fh:
-                cfg.grids.update(_grids(json.load(fh), "a seed-grid file"))
-        samples, seed = cfg.grids["density_samples"], cfg.grids["density_seed"]
+    def __post_init__(self):
+        """Refuse an unknown tolerance or grid key (a misspelled key would
+        be ignored), a bad tolerance or term cap, a density sample count
+        that is not an int >= 0 and a density seed that is not an int (a
+        bool is neither), however the config is built."""
+        _check_keys(self.tolerances, DEFAULT_TOLERANCES, "tolerance")
+        for key, tol in self.tolerances.items():
+            _check_tolerance(f"tolerance {key!r}", tol)
+        _check_keys(self.grids, DEFAULT_GRIDS, "grid")
+        check_limits(term_cap=self.term_cap)
+        samples, seed = self.grids["density_samples"], self.grids["density_seed"]
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
             raise DomainError(f"grid 'density_samples' must be an int >= 0, got {samples!r}")
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise DomainError(f"grid 'density_seed' must be an int, got {seed!r}")
-        return cfg
+
+    @classmethod
+    def load(cls, path: str | None = None, seed_grid: str | None = None) -> "Config":
+        """The defaults, updated from JSON files; ValueError on a file that
+        is not JSON, DomainError on one of the wrong shape or with an
+        unknown top-level key, and whatever ``__post_init__`` refuses."""
+        tolerances, grids, term_cap = dict(DEFAULT_TOLERANCES), dict(DEFAULT_GRIDS), TERM_CAP
+        if path is not None:
+            with open(path) as fh:
+                raw = _json_object(json.load(fh), "a config file")
+            _check_keys(raw, ("tolerances", "grids", "term_cap"), "config")
+            tolerances.update(_json_object(raw.get("tolerances", {}), "tolerances"))
+            grids.update(_json_object(raw.get("grids", {}), "grids"))
+            term_cap = raw.get("term_cap", term_cap)
+        if seed_grid is not None:
+            with open(seed_grid) as fh:
+                grids.update(_json_object(json.load(fh), "a seed-grid file"))
+        return cls(tolerances, grids, term_cap)
 
     def echo(self) -> dict:
         return {"tolerances": dict(self.tolerances),
@@ -163,13 +168,6 @@ def _check_keys(given: dict, known, what: str):
     for key in given:
         if key not in known:
             raise DomainError(f"unknown {what} key {key!r}; known keys: {', '.join(known)}")
-
-
-def _grids(value, what: str) -> dict:
-    """The grids a file holds: a JSON object of known grid keys."""
-    grids = _json_object(value, what)
-    _check_keys(grids, DEFAULT_GRIDS, "grid")
-    return grids
 
 
 @dataclass(frozen=True)
@@ -283,16 +281,11 @@ def _worst(points) -> tuple:
     """The worst deviation over (candidate, reference, coordinates)
     points, the coordinates of its point and the number of points.  A
     point without a reference (None) is a deviation from zero already, and
-    a NaN deviation counts as inf, as in an ERROR record.  The deviation is
-    ``_rel``'s, inline, and a coordinate dict is made only for a point that
-    becomes the worst so far."""
+    a NaN deviation counts as inf, as in an ERROR record.  A coordinate
+    dict is made only for a point that becomes the worst so far."""
     worst, where, n = 0.0, {}, 0
     for got, want, point in points:
-        if want is None:
-            dev = abs(got)
-        else:
-            scale = max(abs(got), abs(want))
-            dev = abs(got - want) / scale if scale != 0.0 else 0.0
+        dev = abs(got) if want is None else _rel(got, want)
         if math.isnan(dev):
             dev = math.inf
         n += 1
@@ -729,12 +722,11 @@ def _w_delta_points(run: _Run):
 # --- density normalization ------------------------------------------------------
 
 def _density_norm(dp: PathwayDensityParams) -> float:
-    """Twice the density's integral over x > 0; the density is the
-    integrand itself, which ignores the endpoint distances."""
+    density = _density(dp)
     if dp.regime is Regime.SUB:
-        half = tanh_sinh(_density(dp), 0.0, dp.support_radius, tol=1e-9)
+        half = tanh_sinh(lambda t, da, db: density(t), 0.0, dp.support_radius, tol=1e-9)
     else:
-        half = exp_sinh(_density(dp), 0.0, 1.0, tol=1e-9)
+        half = exp_sinh(lambda t, d: density(t), 0.0, 1.0, tol=1e-9)
     return 2.0 * half.value
 
 

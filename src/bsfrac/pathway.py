@@ -180,8 +180,7 @@ def pathway_norm_const(dp: PathwayDensityParams) -> float:
 
 def _density(dp: PathwayDensityParams):
     """x -> the density at x, with the normalizing constant, the regime
-    and its coefficients computed once.  It is also a DE rule's integrand
-    as it is: the endpoint distances a rule passes after x are ignored."""
+    and its coefficients computed once."""
     c = pathway_norm_const(dp)
     at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
     regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
@@ -189,7 +188,7 @@ def _density(dp: PathwayDensityParams):
     ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
     far_la, pow_max = _log_route(delta)
 
-    def density(x, _d=None, _e=None):
+    def density(x):
         ax = abs(x)
         if ax == 0.0:
             return at_zero

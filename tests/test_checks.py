@@ -221,6 +221,23 @@ def test_config_refuses_bad_density_draws(tmp_path, grids, message):
                         str(path) if seed_grid is not None else None)
 
 
+@pytest.mark.parametrize("tolerances, grids, term_cap, message", [
+    ({"theorem_seires": 1e-30}, {}, 200, "unknown tolerance key 'theorem_seires'; known keys: "),
+    ({"kernel_exp": math.nan}, {}, 200, "tolerance 'kernel_exp' must be a finite positive"),
+    ({}, {"density_samples": -3, "x_lfet": [5.0]}, 200, "unknown grid key 'x_lfet'; known keys: "),
+    ({}, {"density_samples": -3}, 200, "grid 'density_samples' must be an int >= 0, got -3"),
+    ({}, {"density_seed": True}, 200, "grid 'density_seed' must be an int, got True"),
+    ({}, {}, 200.0, "term cap must be an integer"),
+], ids=["tolerance-key", "tolerance", "grid-key", "samples", "seed", "term-cap"])
+def test_config_built_directly_is_checked(tolerances, grids, term_cap, message):
+    # a Config built in code, not by Config.load, once took a misspelled
+    # grid key and a negative sample count, and density-norm passed on its
+    # 3 named cases alone
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        Config(tolerances={**checks.DEFAULT_TOLERANCES, **tolerances},
+               grids={**checks.DEFAULT_GRIDS, **grids}, term_cap=term_cap)
+
+
 def test_config_takes_zero_density_samples_and_any_int_seed(tmp_path):
     grid_path = tmp_path / "grids.json"
     grid_path.write_text(json.dumps({"density_samples": 0, "density_seed": -5}))
