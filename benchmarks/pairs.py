@@ -129,7 +129,9 @@ def main(argv=None) -> int:
     entry = doc.setdefault("sets", {}).setdefault(key, {
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "base": base_sha, "head": head, "pairs": 0, "summary": {}, "runs": []})
-    entry["head_dirty"] = bool(git("status", "--porcelain", "--untracked-files=no"))
+    # uncommitted changes to tracked files, except the output file this run rewrites
+    entry["head_dirty"] = bool(git("status", "--porcelain", "--untracked-files=no", "--", ".",
+                                   f":(exclude){args.out}"))
     first = entry["pairs"]
     try:
         for pair in range(first, first + args.pairs):
