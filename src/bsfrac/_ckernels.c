@@ -724,6 +724,221 @@ f3_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return series_result(total, 2.0 * fabs(prev_row), n_terms, 0);
 }
 
+/* --- CSV rows ------------------------------------------------------------ */
+
+/* Room for one number of a row: the longest '%.17g' of a double,
+ * "-1.7976931348623157e+308", has 24 characters, and one separator. */
+#define NUMBER_MAX 32
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static u128 POW5[56]; /* 5**s for s <= 55, filled at module init: 5**55 < 2**128 */
+
+/* Bits [r, r + 64) of the 192-bit n (three limbs, lowest first), 0 <= r < 192. */
+static uint64_t
+limb_at(const uint64_t *n, int r)
+{
+    int w = r / 64, b = r % 64;
+    uint64_t next = w < 2 ? n[w + 1] : 0;
+    return b ? n[w] >> b | next << (64 - b) : n[w];
+}
+
+/* True when a bit of n at or above bit p is set; 0 <= p < 192. */
+static int
+any_at_or_above(const uint64_t *n, int p)
+{
+    for (int w = 2; w > p / 64; w--)
+        if (n[w])
+            return 1;
+    return (n[p / 64] >> (p % 64)) != 0;
+}
+
+/* True when a bit of n below bit p is set; 0 <= p < 192. */
+static int
+any_below(const uint64_t *n, int p)
+{
+    for (int w = 0; w < p / 64; w++)
+        if (n[w])
+            return 1;
+    return (n[p / 64] & ((UINT64_C(1) << (p % 64)) - 1)) != 0;
+}
+
+/* floor(|x| * 10**s), s = 16 - k, with |x| = m * 2**e, into *q, and into
+ * *half whether the part dropped is above (1), at (0) or below (-1) one
+ * half, which rounds the last digit; returns 0, or -1 where s is outside
+ * [0, 55] or the quotient does not fit 64 bits. */
+static int
+scaled_quotient(uint64_t m, int e, int k, uint64_t *q, int *half)
+{
+    int s = 16 - k, r;
+    u128 a, b, c;
+    uint64_t n[3];
+    if (s < 0 || s > 55)
+        return -1;
+    /* |x| * 10**s = n / 2**r, n = m * 5**s from the products of m and the
+     * two limbs of 5**s */
+    a = (u128)m * (uint64_t)POW5[s];
+    b = (u128)m * (uint64_t)(POW5[s] >> 64);
+    c = (a >> 64) + (uint64_t)b;
+    n[0] = (uint64_t)a;
+    n[1] = (uint64_t)c;
+    n[2] = (uint64_t)(b >> 64) + (uint64_t)(c >> 64);
+    r = -(e + s);
+    if (r <= 0) { /* an integer: nothing to round */
+        if (n[1] || n[2] || r < -63 || n[0] > UINT64_MAX >> -r)
+            return -1;
+        *q = n[0] << -r;
+        *half = -1;
+        return 0;
+    }
+    if (r >= 192 || (r < 128 && any_at_or_above(n, r + 64)))
+        return -1;
+    *q = limb_at(n, r);
+    *half = n[(r - 1) / 64] >> ((r - 1) % 64) & 1 ? any_below(n, r - 1) : -1;
+    return 0;
+}
+
+/* Write '%.17g' % x at out and return its length, for a normal x with
+ * 10**-39 <= |x| < 10**17 (the 17 digits' scale s = 16 - k in [0, 55],
+ * k = floor(log10|x|)) and for +-0; return 0 for any other x, whatever was
+ * written at out meanwhile.  The digits D = round(|x| * 10**s), ties to
+ * even, are computed exactly in integers, as CPython's correctly rounded
+ * dtoa finds them, and laid out by its 'g' rules. */
+static int
+format_exact(double x, char *out)
+{
+    const uint64_t lo = UINT64_C(10000000000000000), hi = 10 * lo; /* 10**16, 10**17 */
+    uint64_t bits, m, q;
+    int e, k, half, nd, i;
+    char digits[17], *p = out;
+    memcpy(&bits, &x, sizeof bits);
+    e = (int)(bits >> 52 & 0x7ff);
+    if (bits >> 63)
+        *p++ = '-';
+    if (e == 0 && !(bits << 1)) {
+        *p++ = '0';
+        return (int)(p - out);
+    }
+    if (e == 0 || e == 0x7ff)
+        return 0; /* subnormal, infinite or NaN */
+    /* |x| = m * 2**e, and k = floor((e + 52) * log10(2)), 78913 / 2**18 for
+     * log10(2), so 10**k <= 2**(e + 52) <= |x| < 10**(k + 2); then k is
+     * the k whose unrounded quotient has 17 digits */
+    m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    e -= 1075;
+    k = e + 52 >= 0 ? (e + 52) * 78913 >> 18 : -((-(e + 52) * 78913 + (1 << 18) - 1) >> 18);
+    if (scaled_quotient(m, e, k, &q, &half) < 0)
+        return 0;
+    if (q >= hi) {
+        k += 1;
+        if (scaled_quotient(m, e, k, &q, &half) < 0)
+            return 0;
+    }
+    if (q < lo || q >= hi)
+        return 0;
+    if (half > 0 || (half == 0 && q & 1))
+        q += 1;
+    if (q == hi) {
+        q = lo;
+        k += 1;
+    }
+    for (i = 16; i >= 0; i--, q /= 10)
+        digits[i] = (char)('0' + q % 10);
+    for (nd = 17; digits[nd - 1] == '0'; nd--)
+        ;
+    if (k < -4 || k >= 17) {
+        *p++ = digits[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e'; /* two exponent digits: |k| <= 39 here */
+        *p++ = k < 0 ? '-' : '+';
+        k = k < 0 ? -k : k;
+        *p++ = (char)('0' + k / 10);
+        *p++ = (char)('0' + k % 10);
+    }
+    else if (k >= 0) {
+        for (i = 0; i <= k; i++)
+            *p++ = i < nd ? digits[i] : '0';
+        if (nd > k + 1) {
+            *p++ = '.';
+            memcpy(p, digits + k + 1, nd - k - 1);
+            p += nd - k - 1;
+        }
+    }
+    else {
+        memcpy(p, "0.000", (size_t)(1 - k));
+        p += 1 - k;
+        memcpy(p, digits, nd);
+        p += nd;
+    }
+    return (int)(p - out);
+}
+#else
+static int
+format_exact(double Py_UNUSED(x), char *Py_UNUSED(out))
+{
+    return 0; /* no 128-bit integers: every number goes through CPython */
+}
+#endif
+
+static PyObject *
+format_rows(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *items, *text = NULL;
+    Py_ssize_t ncols, n, i;
+    char *buf, *p, *s;
+    double v;
+    int len;
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "format_rows() takes exactly 2 positional arguments (%zd given)", nargs);
+        return NULL;
+    }
+    ncols = PyLong_AsSsize_t(args[1]);
+    if (ncols == -1 && PyErr_Occurred())
+        return NULL;
+    items = PySequence_Tuple(args[0]); /* a copy: a number's __float__ cannot change it */
+    if (items == NULL)
+        return NULL;
+    n = PyTuple_GET_SIZE(items);
+    if (ncols < 1 || n % ncols) {
+        PyErr_Format(PyExc_ValueError, "%zd values do not make rows of %zd", n, ncols);
+        Py_DECREF(items);
+        return NULL;
+    }
+    buf = n <= PY_SSIZE_T_MAX / NUMBER_MAX ? PyMem_Malloc(n * NUMBER_MAX + 1) : NULL;
+    if (buf == NULL) {
+        Py_DECREF(items);
+        return PyErr_NoMemory();
+    }
+    for (i = 0, p = buf; i < n; i++) {
+        v = PyFloat_AsDouble(PyTuple_GET_ITEM(items, i)); /* as '%' reads it */
+        if (v == -1.0 && PyErr_Occurred())
+            goto done;
+        if (i)
+            *p++ = i % ncols ? ',' : '\n';
+        len = format_exact(v, p);
+        if (len == 0) { /* what '%' itself calls */
+            s = PyOS_double_to_string(v, 'g', 17, 0, NULL);
+            if (s == NULL)
+                goto done;
+            len = (int)strlen(s);
+            memcpy(p, s, len);
+            PyMem_Free(s);
+        }
+        p += len;
+    }
+    text = PyUnicode_FromStringAndSize(buf, p - buf);
+done:
+    PyMem_Free(buf);
+    Py_DECREF(items);
+    return text;
+}
+
 /* --- module --------------------------------------------------------------- */
 
 #define FASTCALL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
@@ -738,6 +953,7 @@ static PyMethodDef methods[] = {
     FASTCALL(wright_series, "Generalized Wright series, terms assembled in log space."),
     FASTCALL(f3_series,
              "Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."),
+    FASTCALL(format_rows, "CSV rows of ncols numbers, each as '%.17g' % v."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -753,6 +969,11 @@ PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
     PyObject *m = PyModule_Create(&module), *tol = PyFloat_FromDouble(POLE_TOL_C);
+#ifdef __SIZEOF_INT128__
+    POW5[0] = 1;
+    for (int s = 1; s < 56; s++)
+        POW5[s] = 5 * POW5[s - 1];
+#endif
     if (m == NULL || tol == NULL || PyModule_AddObjectRef(m, "POLE_TOL", tol) < 0
         || PyModule_AddIntConstant(m, "MAX_PAIRS", MAX_PAIRS) < 0)
         Py_CLEAR(m);

@@ -22,6 +22,10 @@ that reads it would compute, so a call's bits never depend on the calls
 before it, and threads may share a table.  The 2F1 slot holds the
 connection coefficients and the sums already made; the compiled twin
 keeps only the coefficients, in a static one-slot of its own.
+
+``format_rows`` writes the CLI's CSV rows; the compiled twin finds most
+numbers' digits in exact integer arithmetic, so its bytes are those of
+the ``%`` template here.
 """
 
 from __future__ import annotations
@@ -605,3 +609,13 @@ def f3_series(a, ap, b, bp, g, x, y, tol, cap):
         if t0n == 0.0:
             return total, 0.0, n_terms, 1  # terminating in the y index
     return total, 2.0 * abs(prev_row), n_terms, 0
+
+
+def format_rows(values, ncols):
+    """The CSV rows of ``values``, ``ncols`` to a row: each number as
+    ``'%.17g' % v`` (an int is read as a float, as ``%`` reads it), ","
+    between columns and "\\n" between rows, with no newline at the end."""
+    values = tuple(values)
+    if ncols < 1 or len(values) % ncols:
+        raise ValueError(f"{len(values)} values do not make rows of {ncols}")
+    return "\n".join([",".join(["%.17g"] * ncols)] * (len(values) // ncols)) % values

@@ -18,7 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import product
 from typing import Callable, Iterable
 
@@ -373,10 +373,10 @@ def _lemma_points(side: Side, run: _Run):
     groups = {}  # 2F1 (a, b, c) -> distinct integral -> a point of it
     for params, rho, _, key in points:
         groups.setdefault(key.hyp, {}).setdefault(key, (params, rho))
-    integrals = {}
+    integrals, monomial = {}, cache(FunctionKind.monomial)  # one integrand an exponent
     for group, x in product(groups.values(), xs):
         for key, (params, rho) in group.items():
-            integrals[key, x] = msm_quadrature(side, params, FunctionKind.monomial(rho),
+            integrals[key, x] = msm_quadrature(side, params, monomial(rho),
                                                x, tol=run.tol / 20.0).value
     names = MsmParams._fields + ("rho", "x")
     for (params, rho, img, key), x in product(points, xs):
@@ -627,10 +627,10 @@ def _pathway_grid(cfg: Config):
 
 def _l3_points(run: _Run):
     """L3: the power image against quadrature at x = 1."""
-    x = 1.0
+    x, monomial = 1.0, cache(FunctionKind.monomial)  # one integrand an exponent
     for params, beta in product(_pathway_grid(run.cfg), run.cfg.grids["pathway_beta"]):
         got = pathway_power_image(params, beta).value_at(x).value
-        want = pathway_quadrature(params, FunctionKind.monomial(beta), x, tol=run.tol / 20.0).value
+        want = pathway_quadrature(params, monomial(beta), x, tol=run.tol / 20.0).value
         yield got, want, (("eta", "a", "alpha", "beta", "x"), params + (beta, x))
 
 

@@ -17,6 +17,7 @@ import sys
 from functools import partial
 
 from . import __version__
+from ._backend import kernels
 from .errors import BsfracError, DomainError, QuadratureError, TermCapError
 from .series import (
     _SPECIAL_NU,
@@ -65,22 +66,24 @@ def _sweep(function: str, opts: dict, xs) -> list:
         raise UsageError(str(exc)) from exc
 
 
-_NUMBER = "%.17g"  # every float the CLI prints: enough digits to round-trip
-
-
 def _emit(main_opts, headers, values):
     """Write numbers (floats, and counts below 2**53), one row after another
     in a flat list, as JSON or CSV rows of ``headers``.  No number needs
-    CSV quoting, so all CSV rows are one ``%`` template: the text
-    ``csv.writer`` makes of each as "%.17g" (a float) or ``str`` (a count)."""
+    CSV quoting, so the kernel twin's ``format_rows`` writes the CSV rows:
+    each number as "%.17g", the text ``csv.writer`` makes of a float, and
+    of a count as ``str`` does, enough digits to round-trip.  The compiled
+    twin finds the 17 digits of most numbers in exact integer arithmetic
+    and hands the rest to CPython's own conversion, so both twins write
+    the same bytes."""
     n = len(headers)
     if main_opts["format"] == "json":
         import json
 
         text = json.dumps([dict(zip(headers, row)) for row in zip(*[iter(values)] * n)], indent=2)
     else:
-        rows = [",".join([_NUMBER] * n)] * (len(values) // n)
-        text = "\n".join([",".join(headers), *rows]) % tuple(values)
+        text = ",".join(headers)
+        if values:
+            text += "\n" + kernels.format_rows(values, n)
     _write(main_opts, text)
 
 

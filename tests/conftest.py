@@ -105,10 +105,11 @@ def install_kernels(monkeypatch, kernels):
     """Install the kernel module ``kernels`` (the pure twin or the compiled
     ``ck``) through ``monkeypatch``, as the ``backend`` fixture does; return it.
 
-    The operator modules load lazily, so they are loaded first.  The
-    ``POLE_TOL`` and ``MAX_PAIRS`` that ``gammacore`` and ``wright`` read at
-    import must be the installed twin's too."""
-    from bsfrac import _backend, _pykernels, gammacore, msm, pathway, wright  # noqa: F401
+    The operator modules and the CLI, which writes its CSV rows through
+    the kernels, load lazily, so they are loaded first.  The ``POLE_TOL``
+    and ``MAX_PAIRS`` that ``gammacore`` and ``wright`` read at import must
+    be the installed twin's too."""
+    from bsfrac import _backend, _pykernels, cli, gammacore, msm, pathway, wright  # noqa: F401
 
     pure = kernels is _pykernels
     assert (kernels.POLE_TOL, kernels.MAX_PAIRS) == (gammacore.POLE_TOL, wright.MAX_PAIRS)

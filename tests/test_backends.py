@@ -9,6 +9,7 @@ in child processes; ``tests/test_on_compiled.py`` runs the library's tests
 on the compiled kernels in process.
 """
 
+import inspect
 import json
 import math
 import os
@@ -349,6 +350,60 @@ def _differences(ck):
     return bounded, unbounded
 
 
+
+def format_doubles(rng):
+    """The numbers the ``format_rows`` twins are checked on: random bit
+    patterns, near-halfway 17-digit decimals and exact ties, each 10**k for
+    k in [-45, 25] with both its neighbours, the compiled fast path's edges
+    (2**-1022, 1e-40 to 1e-39, 2**53, 1e17), subnormals, zeros, infinities,
+    NaN and ints up to 2**53.  Self-contained: the UBSan sweep runs its
+    source in a child."""
+    import math
+    import struct
+
+    def double(bits):
+        return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+    out = [double(rng.getrandbits(64)) for _ in range(4000)]
+    out += [double(rng.getrandbits(52) | rng.randrange(880, 1090) << 52 | rng.getrandbits(1) << 63)
+            for _ in range(8000)]  # binary exponents -143 to 66, around the fast path
+    for _ in range(2000):  # below, at and above half a unit of the 17th digit
+        d, e = rng.randrange(10 ** 16, 10 ** 17), rng.randrange(-60, 30)
+        out += [float(f"{d}{tail}e{e}") for tail in ("4999999", "5", "5000001")]
+    out += [j * 2.0 ** -k for k in range(0, 80) for j in (1, 3, 5, 7, 9, 1001)]  # ties
+    edges = [float(f"1e{k}") for k in range(-45, 26)]
+    edges += [2.0 ** -1022, 1e-40, 1e-39, 9.5e-40, 2.0 ** 53, 1e16, 1e17, 99999999999999984.0]
+    for x in edges:
+        out += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    out += [double(rng.getrandbits(52)) for _ in range(200)]  # subnormals
+    out += [5e-324, 2.0 ** -1022 - 5e-324, 0.0, math.inf, math.nan]
+    out += [-x for x in out]
+    return out + [rng.randrange(2 ** 53 + 1) for _ in range(2000)] + [0, 1, 2 ** 53, True]
+
+
+def test_format_rows_twins_write_the_same_bytes(ck):
+    values = format_doubles(random.Random(29))
+    for ncols in (1, 3):
+        rows = values[:len(values) // ncols * ncols]
+        want, got = pk.format_rows(rows, ncols), ck.format_rows(rows, ncols)
+        diff = [(v, g, w) for v, g, w in zip(rows, got.split("\n"), want.split("\n")) if g != w]
+        assert got == want, diff[:5]
+    assert pk.format_rows(values, 1).split("\n") == ["%.17g" % v for v in values]
+
+
+@pytest.mark.parametrize("values, ncols, error", [
+    ([1.0, 2.0], 3, ValueError), ([1.0], 0, ValueError), ([], 0, ValueError),
+    ([1.0, "2"], 1, TypeError), ([2 ** 1024], 1, OverflowError), (1.0, 1, TypeError)])
+def test_format_rows_twins_refuse_the_same_inputs(ck, values, ncols, error):
+    for kernels in (pk, ck):
+        with pytest.raises(error):
+            kernels.format_rows(values, ncols)
+
+
+def test_format_rows_of_nothing_is_empty(ck):
+    assert pk.format_rows([], 2) == ck.format_rows((), 1) == ""
+
+
 @pytest.fixture(scope="module")
 def differences(ck):
     return _differences(ck)
@@ -434,7 +489,7 @@ def test_verify_all_report_is_pinned(backend_name, request, tmp_path):
 # a shuffled sweep that interleaves orders (and a spec's table-fed Wright
 # calls) must give the bits of the same call made right after a call at
 # another order; and the results must match the pure twin's.
-UBSAN_SWEEP = r"""
+UBSAN_SWEEP = inspect.getsource(format_doubles) + r"""
 import math, random
 from bsfrac import _backend, _ckernels as ck, _pykernels as pk
 
@@ -531,6 +586,10 @@ for kernel, args in ((ck.bs_series, (0.25, -3.0, 1e-14, 10000)),
         pass
     else:
         raise AssertionError(f"{kernel.__name__} took a table")
+# the 192-bit shifts and the limb products of the CSV fast path
+values = format_doubles(random.Random(29))
+calls += len(values)
+assert ck.format_rows(values, 1) == pk.format_rows(values, 1)
 print(calls)
 """
 

@@ -17,7 +17,7 @@ from bsfrac.checks import (
     run_suite,
 )
 from bsfrac.gammacore import gamma_ratio
-from bsfrac.msm import MsmParams, Side, _GammaTable, _gamma_args, msm_power_image
+from bsfrac.msm import FunctionKind, MsmParams, Side, _GammaTable, _gamma_args, msm_power_image
 from bsfrac.pathway import PathwayParams, _table, pathway_power_image
 
 import oracles
@@ -487,6 +487,19 @@ def test_coordinates_are_made_only_for_new_worst_points(monkeypatch, suite):
             _counted(monkeypatch, PathwayParams, "_asdict")]
     assert run_suite(suite).all_expected()
     assert 0 < sum(map(len, made)) <= sum(updates), ([len(m) for m in made], updates)
+
+
+@pytest.mark.parametrize("suite, grids, fixed", [
+    ("msm-lemmas", ("rho_left", "rho_right"), 3), ("pathway", ("pathway_beta",), 0)])
+def test_lemma_rows_build_one_monomial_per_exponent(monkeypatch, suite, grids, fixed):
+    # L1, L2 and L3 once built FunctionKind.monomial(rho) for every integral,
+    # 207 a verify all run for 9 exponents; the exact cases and the printed
+    # L2 variant build their own (fixed)
+    made = _counted(monkeypatch, FunctionKind, "__new__")
+    assert run_suite(suite).all_expected()
+    monomials = [args for args in made if args[1] == "monomial"]
+    want = sum(len(set(checks.DEFAULT_GRIDS[g])) for g in grids) + fixed
+    assert len(monomials) == want, sorted(args[2] for args in monomials)
 
 
 @pytest.mark.parametrize("suite", ["msm-theorems", "pathway"])

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bsfrac
@@ -599,13 +599,14 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # one twin a run
+@given(table=st.one_of(
     st.lists(st.tuples(_FLOATS, _FLOATS, st.integers(0, 2 ** 53)), min_size=1, max_size=4)
     .map(lambda rows: (["value", "abs_error_est", "terms_used"], rows)),
     st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=4)
     .map(lambda rows: (["x", "value", "abs_error_est"], rows))))
-def test_row_template_matches_csv_writer(table):
+def test_row_template_matches_csv_writer(backend, table):
     from bsfrac.cli import _emit
 
     headers, rows = table
