@@ -67,8 +67,8 @@ def _sweep(function: str, opts: dict, xs) -> list:
 
 
 def _emit(main_opts, headers, values):
-    """Write numbers (floats, and counts below 2**53), one row after another
-    in a flat list, as JSON or CSV rows of ``headers``.  No number needs
+    """Write numbers (floats, and counts below 2**53), one row or more one
+    after another in a flat list, as JSON or CSV rows of ``headers``.  No number needs
     CSV quoting, so the kernel twin's ``format_rows`` writes the CSV rows:
     each number as "%.17g", the text ``csv.writer`` makes of a float, and
     of a count as ``str`` does, enough digits to round-trip.  The compiled
@@ -81,9 +81,7 @@ def _emit(main_opts, headers, values):
 
         text = json.dumps([dict(zip(headers, row)) for row in zip(*[iter(values)] * n)], indent=2)
     else:
-        text = ",".join(headers)
-        if values:
-            text += "\n" + kernels.format_rows(values, n)
+        text = ",".join(headers) + "\n" + kernels.format_rows(values, n)
     _write(main_opts, text)
 
 
