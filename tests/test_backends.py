@@ -350,7 +350,6 @@ def _differences(ck):
     return bounded, unbounded
 
 
-
 def format_doubles(rng):
     """The numbers the ``format_rows`` twins are checked on: random bit
     patterns, near-halfway 17-digit decimals and exact ties, each 10**k for
