@@ -34,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
+# what a run of perfbench/run.py reads from the working tree
+READ = ("src", "perfbench", "benchmarks/bench_backends.py", "BENCHMARK.json")
 
 
 def git(*args: str) -> str:
@@ -129,8 +131,9 @@ def main(argv=None) -> int:
     entry = doc.setdefault("sets", {}).setdefault(key, {
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "base": base_sha, "head": head, "pairs": 0, "summary": {}, "runs": []})
-    # uncommitted changes to tracked files, except the output file this run rewrites
-    entry["head_dirty"] = bool(git("status", "--porcelain", "--untracked-files=no", "--", ".",
+    # uncommitted changes to the tracked files a run reads, except the output
+    # file this run rewrites
+    entry["head_dirty"] = bool(git("status", "--porcelain", "--untracked-files=no", "--", *READ,
                                    f":(exclude){args.out}"))
     first = entry["pairs"]
     try:

@@ -1,14 +1,16 @@
 /* Compiled numeric kernels, written against the CPython C API.
  *
- * Twin of bsfrac._pykernels: the same functions, signatures, branch
+ * Twin of bsfrac._pykernels: the same public functions, signatures, branch
  * structure and floating-point operation order, so both backends agree to
  * the last few ulps (libm and CPython's own gamma/lgamma may differ by one
  * ulp).  The contract comments live in the pure module; this file mirrors
  * it.  Build with -O2 -ffp-contract=off: a fused multiply-add would round
- * differently from the pure twin.  Of the pure twin's order tables only
- * the 2F1 connection coefficients have a counterpart here, a static one-slot
- * (``hyp2f1_slot``): the other entries cost about what reading a table back
- * would.
+ * differently from the pure twin.  The default rounding mode is assumed,
+ * so nearbyint rounds ties to even, as Python's round() does.  The pole
+ * predicate is private to each twin's Wright kernel (gammacore.is_pole is
+ * the library's).  Of the pure twin's order tables only the 2F1 connection
+ * coefficients have a counterpart here, a static one-slot (``hyp2f1_slot``):
+ * the other entries cost about what reading a table back would.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -62,31 +64,6 @@ parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-/* parse_args for a kernel whose ``fmt`` arguments may be followed by a
- * table: *table is that argument, a borrowed reference to a list, or NULL
- * where it is absent or None. */
-static int
-parse_table_args(const char *name, PyObject *const *args, Py_ssize_t nargs, const char *fmt,
-                 void **out, PyObject **table)
-{
-    Py_ssize_t want = (Py_ssize_t)strlen(fmt);
-    *table = NULL;
-    if (nargs != want && nargs != want + 1) {
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd or %zd positional arguments (%zd given)",
-                     name, want, want + 1, nargs);
-        return -1;
-    }
-    if (nargs > want && args[want] != Py_None) {
-        if (!PyList_Check(args[want])) {
-            PyErr_Format(PyExc_TypeError, "%s() table must be a list or None, not %.200s", name,
-                         Py_TYPE(args[want])->tp_name);
-            return -1;
-        }
-        *table = args[want];
-    }
-    return parse_args(name, args, want, fmt, out);
-}
-
 /* The series kernels' (value, abs_error_est, terms_used, flag) tuple. */
 static PyObject *
 series_result(double value, double err, long long terms, int flag)
@@ -107,27 +84,12 @@ series_result(double value, double err, long long terms, int flag)
 
 /* --- gamma ---------------------------------------------------------------- */
 
-/* Python round(): ties to even */
-static double
-round_half_even(double x)
-{
-    double f = floor(x);
-    double d = x - f;
-    if (d > 0.5)
-        return f + 1.0;
-    if (d < 0.5)
-        return f;
-    if (f == 2.0 * floor(0.5 * f))
-        return f;
-    return f + 1.0;
-}
-
 static int
 near_nonpos_int(double x)
 {
     /* r <= 0 and |x - r| <= tol, r the nearest integer, is x <= tol and
      * |x - r| <= tol; there is no pole at NaN or at +-inf */
-    return -INFINITY < x && x <= POLE_TOL_C && fabs(x - round_half_even(x)) <= POLE_TOL_C;
+    return -INFINITY < x && x <= POLE_TOL_C && fabs(x - nearbyint(x)) <= POLE_TOL_C;
 }
 
 /* log|Gamma(x)| for real non-pole x; the sign of Gamma(x) goes to *sign */
@@ -143,21 +105,11 @@ lgamma_sign_c(double x, int *sign)
     }
     /* the parity of floor(x), which need not fit an integer type */
     *sign = fmod(floor(x), 2.0) != 0.0 ? -1 : 1;
-    d = fabs(x - round_half_even(x));
+    d = fabs(x - nearbyint(x));
     s = sin(PI * d);
     if (-x <= 170.5)
         return log(PI / (s * (-x) * tgamma(-x)));
     return log(PI) - log(s) - lgamma(1.0 - x);
-}
-
-static PyObject *
-near_nonpositive_int(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    double x;
-    void *out[] = {&x};
-    if (parse_args("near_nonpositive_int", args, nargs, "d", out) < 0)
-        return NULL;
-    return PyBool_FromLong(near_nonpos_int(x));
 }
 
 static PyObject *
@@ -623,12 +575,19 @@ wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
     long long k;
     PyObject *rows;
     void *out[] = {&z, &tol, &cap};
-    if (nargs < 4) {
+    if (nargs != 7 && nargs != 8) {
         PyErr_Format(PyExc_TypeError,
                      "wright_series() takes 7 or 8 positional arguments (%zd given)", nargs);
         return NULL;
     }
-    if (parse_table_args("wright_series", args + 4, nargs - 4, "ddi", out, &rows) < 0)
+    /* the optional table: a list, or None where it is absent */
+    rows = nargs == 8 && args[7] != Py_None ? args[7] : NULL;
+    if (rows != NULL && !PyList_Check(rows)) {
+        PyErr_Format(PyExc_TypeError, "wright_series() table must be a list or None, not %.200s",
+                     Py_TYPE(rows)->tp_name);
+        return NULL;
+    }
+    if (parse_args("wright_series", args + 4, 3, "ddi", out) < 0)
         return NULL;
     p = PySequence_Size(args[0]);
     if (p < 0)
@@ -944,7 +903,6 @@ done:
 #define FASTCALL(name, doc) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    FASTCALL(near_nonpositive_int, "True when x is within POLE_TOL of a gamma pole."),
     FASTCALL(lgamma_sign, "(log|Gamma(x)|, sign) for real non-pole x."),
     FASTCALL(bs_series, "Bessel-Struve kernel power series (interleaved even/odd chains)."),
     FASTCALL(bessel_series, "J_v (modified=0) or I_v (modified=1) by direct series; z > 0."),

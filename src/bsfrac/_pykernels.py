@@ -43,7 +43,7 @@ _TINY = 2.0 ** -1022  # smallest normal double
 _ULP0 = 5e-324  # smallest subnormal: a rounding error below _TINY
 
 
-def near_nonpositive_int(x):
+def _near_nonpositive_int(x):
     """True when x is within POLE_TOL of a gamma pole; False at NaN and
     at +-inf.  With r = round(x), r <= 0 and |x - r| <= POLE_TOL is the
     same as x <= POLE_TOL and |x - r| <= POLE_TOL."""
@@ -525,7 +525,7 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
                 if POLE_TOL < g < 171.6:
                     acc += log(gamma(g))
                     continue
-                if g <= POLE_TOL and near_nonpositive_int(g):
+                if g <= POLE_TOL and _near_nonpositive_int(g):
                     return float(k), 0.0, k, 2
                 la, sig = lgamma_sign(g)
                 acc += la
@@ -535,7 +535,7 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
                 if POLE_TOL < g < 171.6:
                     acc -= log(gamma(g))
                     continue
-                if g <= POLE_TOL and near_nonpositive_int(g):
+                if g <= POLE_TOL and _near_nonpositive_int(g):
                     row = None
                     break
                 la, sig = lgamma_sign(g)

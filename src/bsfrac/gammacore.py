@@ -22,8 +22,9 @@ _LGAMMA_ULPS = 8.0
 
 def is_pole(x: float) -> bool:
     """True when x is within POLE_TOL of a nonpositive integer; False at
-    NaN and at +-inf.  The kernel's predicate, under its library name."""
-    return kernels.near_nonpositive_int(x)
+    NaN and at +-inf.  The kernel twins' private Wright predicate, written
+    once more here: with r = round(x), r <= 0 is the same as x <= POLE_TOL."""
+    return -math.inf < x <= POLE_TOL and abs(x - round(x)) <= POLE_TOL
 
 
 class SignedLogGamma(NamedTuple):

@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import pytest
@@ -55,13 +56,58 @@ def test_lgamma_sign_agrees(ck):
         assert _close(la_p, la_c) or abs(la_p - la_c) < 1e-12
 
 
+def pole_points(tol):
+    """Points at and around every gamma pole k in [-200, 0]: k, k +- 1e-13,
+    k +- tol, the next doubles past +-tol and k +- 0.5.  Self-contained, as
+    is ``wright_pole_rows``: the UBSan sweep runs their source in a child."""
+    import math
+
+    past = math.nextafter(tol, math.inf)
+    return [k + d for k in range(-200, 1)
+            for d in (0.0, 1e-13, -1e-13, tol, -tol, past, -past, 0.5, -0.5)]
+
+
+def wright_pole_rows(kernels, x):
+    """Whether an upper pair (x, 0) stops the Wright kernel at a pole
+    (status 2), and whether a lower pair (x, 0) zeroes every term."""
+    upper = kernels.wright_series((x,), (0.0,), (), (), 0.5, 1e-14, 40)
+    lower = kernels.wright_series((), (), (x,), (0.0,), 0.5, 1e-14, 40)
+    return upper[3] == 2, lower[0] == 0.0
+
+
 def test_pole_predicate_agrees(ck):
+    # gammacore writes the twins' private predicate once more; the compiled
+    # one is seen only through the Wright kernel's pole rows
     from bsfrac.gammacore import is_pole
-    for x in (-3.0, -3.0 + 1e-13, -3.5, 0.0, 0.5, 2.0, -1e-13):
-        assert pk.near_nonpositive_int(x) == ck.near_nonpositive_int(x) == is_pole(x)
-    # no pole at NaN or +-inf: the pure twin once raised there
+    finite = [-3.0, -3.0 + 1e-13, -3.5, 0.0, 0.5, 2.0, -1e-13] + pole_points(gammacore.POLE_TOL)
+    for x in finite:
+        assert pk._near_nonpositive_int(x) is is_pole(x), x
+        assert wright_pole_rows(pk, x) == wright_pole_rows(ck, x) == (is_pole(x),) * 2, x
+    # no pole at NaN or +-inf: the pure twin once raised there (its
+    # lgamma_sign still does at NaN and -inf, and 1/Gamma(inf) is 0, so only
+    # the compiled upper row is checked)
     for x in (math.nan, math.inf, -math.inf):
-        assert pk.near_nonpositive_int(x) is ck.near_nonpositive_int(x) is is_pole(x) is False
+        assert pk._near_nonpositive_int(x) is is_pole(x) is False
+        assert wright_pole_rows(ck, x)[0] is False
+
+
+def test_twins_export_the_same_names(ck):
+    def public(module):
+        return {name for name, value in vars(module).items()
+                if not name.startswith("_") and name != "annotations"
+                and not isinstance(value, types.ModuleType)}
+    assert public(pk) == public(ck)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_wright_series_argument_count(ck, n):
+    args = [(1.0,), (1.0,), (1.5,), (1.0,), 0.5, 1e-14, 50, None, None][:n]
+    if n in (7, 8):  # a None table is no table
+        assert ck.wright_series(*args) == ck.wright_series(*args[:7])
+        return
+    message = f"wright_series() takes 7 or 8 positional arguments ({n} given)"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        ck.wright_series(*args)
 
 
 def test_pair_limit_agrees(ck):
@@ -223,8 +269,8 @@ def test_compiled_gamma_reconstruction_meets_bound(ck):
 # sign and a Wright pole), and give values within the sum of their two
 # bounds (Higham 2002, ch. 4).  A value's bound is the one the library
 # claims for it: the kernel's tail estimate plus the rounding term the
-# wrapper adds (S, J, I, H, L), gammacore's log-gamma error, the F3 tail
-# estimate, and none for the pole predicate, which must agree exactly.
+# wrapper adds (S, J, I, H, L), gammacore's log-gamma error and the F3 tail
+# estimate.
 # Each kernel gets a few hundred points; the sweep runs once per module.
 
 def _outcome(kernel, *args):
@@ -258,10 +304,6 @@ def _lgamma_bound(args, result, twin):
     return 2.0 * gammacore._LGAMMA_ULPS * gammacore._U * max(1.0, abs(result[0]))
 
 
-def _exact(args, result, twin):
-    return 0.0
-
-
 def _tail(args, result, twin):
     return result[1]
 
@@ -278,10 +320,7 @@ def _sweep_calls():
     calls = []
     for x in ([rng.uniform(-170.0, 170.0) for _ in range(300)]
               + [1e-300, 1e5 + 0.25, -1e5 - 0.25, 1e300, -3.0 + 1e-11, 0.5]):
-        calls.append(("near_nonpositive_int", (x,), _exact))
         calls.append(("lgamma_sign", (x,), _lgamma_bound))
-    for x in (-3.0, -3.0 + 1e-13, 0.0, -0.0, math.nan, math.inf, -math.inf):
-        calls.append(("near_nonpositive_int", (x,), _exact))
     for _ in range(250):
         nu = rng.choice([rng.uniform(-0.99, 3.0), rng.uniform(3.0, 60.0)])
         u = rng.choice([rng.uniform(-60.0, 60.0), rng.uniform(-1000.0, 710.0)])
@@ -448,6 +487,19 @@ _NAMED_CLI = ("import sys; from bsfrac import _backend; from bsfrac.cli import m
               "print(_backend.BACKEND, file=sys.stderr); main(sys.argv[1:])")
 
 
+def test_compiled_cold_eval_leaves_the_pure_twin_unloaded(compiled_pkg):
+    # gammacore.is_pole writes the pole predicate itself, so a compiled eval
+    # never imports _pykernels (5.4-8.5 ms of -X importtime)
+    code = ("import sys; from bsfrac import _backend; from bsfrac.cli import main; "
+            "main(sys.argv[1:]); print(_backend.BACKEND, 'bsfrac._pykernels' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(compiled_pkg))
+    env.pop("BSFRAC_PURE_PYTHON", None)
+    proc = subprocess.run([sys.executable, "-c", code, "eval", "S", "--nu", "0.25", "--x", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "compiled False", proc.stdout
+
+
 @pytest.mark.parametrize("backend_name", ["python", "compiled"])
 def test_verify_all_report_is_pinned(backend_name, request, tmp_path):
     # every byte of `verify all` but its wall time, against the committed
@@ -488,7 +540,8 @@ def test_verify_all_report_is_pinned(backend_name, request, tmp_path):
 # a shuffled sweep that interleaves orders (and a spec's table-fed Wright
 # calls) must give the bits of the same call made right after a call at
 # another order; and the results must match the pure twin's.
-UBSAN_SWEEP = inspect.getsource(format_doubles) + r"""
+UBSAN_SWEEP = "".join(inspect.getsource(f) for f in (format_doubles, pole_points,
+                                                    wright_pole_rows)) + r"""
 import math, random
 from bsfrac import _backend, _ckernels as ck, _pykernels as pk
 
@@ -507,15 +560,21 @@ def floats(n, lo, hi):
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1e300, -2.0 ** 63, -2.0 ** 63 - 2048.0,
            -1.7e308, 1.7e308, math.inf, -math.inf, math.nan]
-for x in floats(300, -170.0, 170.0) + SPECIAL + [-(2.0 ** k) - 0.5 for k in range(1, 52)]:
-    calls += 2
-    ck.near_nonpositive_int(x)
+# the pole predicate, through the Wright kernel's pole rows
+for x in (floats(300, -170.0, 170.0) + SPECIAL + [-(2.0 ** k) - 0.5 for k in range(1, 52)]
+          + pole_points(pk.POLE_TOL)):
+    calls += 3
+    pole = pk._near_nonpositive_int(x)
+    rows = wright_pole_rows(ck, x)
+    assert rows[0] is pole and (rows[1] or not pole), x
+    if -math.inf < x <= 1e300:  # the pure lgamma_sign raises at NaN, -inf and 1.7e308
+        assert rows == wright_pole_rows(pk, x), x
     if not (x > 0.0 or x == x):
         continue
     la, sg = ck.lgamma_sign(x)
     if x <= 0.0 and math.isfinite(x):
         assert sg == (-1 if math.floor(x) % 2 else 1), x
-        if -x <= 170.0 and not pk.near_nonpositive_int(x):
+        if -x <= 170.0 and not pole:
             assert sg == pk.lgamma_sign(x)[1] and close(la, pk.lgamma_sign(x)[0], 1e-12), x
 
 def fresh(kernel, *args):
