@@ -10,7 +10,9 @@
  * predicate is private to each twin's Wright kernel (gammacore.is_pole is
  * the library's).  Of the pure twin's order tables only the 2F1 connection
  * coefficients have a counterpart here, a static one-slot (``hyp2f1_slot``):
- * the other entries cost about what reading a table back would.
+ * the other entries cost about what reading a table back would.  As in the
+ * pure twin, the first non-finite partial sum ends bs_series (u > 0),
+ * bessel_series and struve_series, with bound inf and flag 0.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -317,11 +319,11 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0));
             o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5));
             k += 1;
-            if (fabs(prev) <= 0.5 * tol * fabs(s) && e < 0.5 * prev)
-                return series_result(s, 2.0 * prev, n, 1);
+            if (fabs(prev) <= 0.5 * tol * fabs(s) && (e < 0.5 * prev || isinf(s)))
+                return series_result(s, isinf(s) ? INFINITY : 2.0 * prev, n, !isinf(s));
             s += e;
-            if (e <= 0.5 * tol * s && o < 0.5 * e)
-                return series_result(s, 2.0 * e, n + 1, 1);
+            if (e <= 0.5 * tol * s && (o < 0.5 * e || isinf(s)))
+                return series_result(s, isinf(s) ? INFINITY : 2.0 * e, n + 1, !isinf(s));
             s += o;
             prev = o;
         }
@@ -330,17 +332,18 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return bs_negative(nu, -u, tol, cap);
 }
 
-/* The J/I and H/L series from leading term t with term ratio
- * q / ((k + c1) * (k + v + c2)). */
+/* The J/I and H/L series from leading term exp(lt), with term ratio
+ * (-1 unless modified) * half**2 / ((k + c) * (k + v + c)). */
 static PyObject *
-bessel_type_series(double t, double q, double v, double c1, double c2, double tol, int cap)
+bessel_type_series(double lt, double half, int modified, double v, double c, double tol,
+                   int cap)
 {
-    double s = t, tn;
+    double t = exp(lt), s = t, q = modified ? half * half : -(half * half), tn;
     long long k = 0, n;
     for (n = 1; n < cap;) {
-        tn = t * q / ((k + c1) * (k + v + c2));
-        if (fabs(t) <= 0.5 * tol * fabs(s) && fabs(tn) < 0.5 * fabs(t))
-            return series_result(s, 2.0 * fabs(t), n, 1);
+        tn = t * q / ((k + c) * (k + v + c));
+        if (fabs(t) <= 0.5 * tol * fabs(s) && (fabs(tn) < 0.5 * fabs(t) || isinf(s)))
+            return series_result(s, isinf(s) ? INFINITY : 2.0 * fabs(t), n, !isinf(s));
         t = tn;
         s += t;
         k += 1;
@@ -354,35 +357,28 @@ bessel_type_series(double t, double q, double v, double c1, double c2, double to
 static PyObject *
 bessel_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double v, z, tol, half, q;
+    double v, z, tol, half;
     int modified, cap, sg;
     void *out[] = {&v, &z, &modified, &tol, &cap};
     if (parse_args("bessel_series", args, nargs, "ddidi", out) < 0)
         return NULL;
     half = 0.5 * z;
-    q = half * half;
-    if (!modified)
-        q = -q;
-    return bessel_type_series(exp(v * log(half) - lgamma_sign_c(v + 1.0, &sg)), q, v, 1.0,
+    return bessel_type_series(v * log(half) - lgamma_sign_c(v + 1.0, &sg), half, modified, v,
                               1.0, tol, cap);
 }
 
 static PyObject *
 struve_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double v, z, tol, half, q, la1;
+    double v, z, tol, half, la1;
     int modified, cap, sg;
     void *out[] = {&v, &z, &modified, &tol, &cap};
     if (parse_args("struve_series", args, nargs, "ddidi", out) < 0)
         return NULL;
     half = 0.5 * z;
     la1 = lgamma_sign_c(1.5, &sg);
-    q = half * half;
-    if (!modified)
-        q = -q;
-    return bessel_type_series(
-        exp((v + 1.0) * log(half) - la1 - lgamma_sign_c(v + 1.5, &sg)), q, v, 1.5, 1.5, tol,
-        cap);
+    return bessel_type_series((v + 1.0) * log(half) - la1 - lgamma_sign_c(v + 1.5, &sg), half,
+                              modified, v, 1.5, tol, cap);
 }
 
 /* Direct 2F1 series with a geometric tail bound; needs |z| < 0.97 */

@@ -14,6 +14,14 @@ factorial denominator dominates).  The Bessel-Struve kernel at negative
 argument is the exception: a fixed number of positive terms, and a
 running bound on their rounding (``_bs_negative``).
 
+A partial sum that is not finite ends ``bs_series`` (at u > 0),
+``bessel_series`` and ``struve_series`` at once, with that sum, bound inf
+and flag 0, as the first non-finite term ends ``wright_series``.  The
+test rides on the convergence test, whose first half an infinite sum
+passes at any tol > 0, so a finite sum pays no extra comparison per term
+and keeps its bits.  The leading Bessel and Struve term is inf past the
+double range, as C's ``exp`` gives, where ``math.exp`` would raise.
+
 What ``bs_series`` and ``hyp2f1_kernel`` derive from their order alone
 (nu; a, b, c after the Pfaff transform) they keep in a one-slot module
 table, which a call at another order replaces; ``wright_series`` takes a
@@ -62,7 +70,10 @@ def lgamma_sign(x):
     if x > 0.0:
         if 1e-280 < x < 171.6:
             return math.log(math.gamma(x)), 1
-        return math.lgamma(x), 1
+        try:
+            return math.lgamma(x), 1
+        except OverflowError:  # x past about 2.6e305: inf, as the C lgamma gives
+            return math.inf, 1
     n = math.floor(x)
     sign = -1 if n % 2 != 0 else 1
     d = abs(x - round(x))
@@ -185,11 +196,11 @@ def _bs_positive(nu, u, tol, cap, table):
         e *= uu * he / de
         o *= uu * ho / do
         k += 1
-        if abs(prev) <= half_tol * abs(s) and e < 0.5 * prev:
-            return s, 2.0 * prev, n, 1
+        if abs(prev) <= half_tol * abs(s) and (e < 0.5 * prev or math.isinf(s)):
+            return (s, math.inf, n, 0) if math.isinf(s) else (s, 2.0 * prev, n, 1)
         s += e
-        if e <= half_tol * s and o < 0.5 * e:
-            return s, 2.0 * e, n + 1, 1
+        if e <= half_tol * s and (o < 0.5 * e or math.isinf(s)):
+            return (s, math.inf, n + 1, 0) if math.isinf(s) else (s, 2.0 * e, n + 1, 1)
         s += o
         prev = o
         n += 2
@@ -343,16 +354,21 @@ def _bs_sequence(nu, a, top, cap):
     return top, bs, errs, j
 
 
-def _bessel_type_series(t, q, v, c1, c2, tol, cap):
-    """The J/I and H/L series from leading term t with term ratio
-    ``q / ((k + c1) * (k + v + c2))``."""
+def _bessel_type_series(lt, half, modified, v, c, tol, cap):
+    """The J/I and H/L series from leading term exp(lt), with term ratio
+    ``(-1 unless modified) * half**2 / ((k + c) * (k + v + c))``."""
+    try:
+        t = math.exp(lt)
+    except OverflowError:
+        t = math.inf
+    q = half * half if modified else -(half * half)
     s = t
     k = 0
     n = 1
     while n < cap:
-        tn = t * q / ((k + c1) * (k + v + c2))
-        if abs(t) <= 0.5 * tol * abs(s) and abs(tn) < 0.5 * abs(t):
-            return s, 2.0 * abs(t), n, 1
+        tn = t * q / ((k + c) * (k + v + c))
+        if abs(t) <= 0.5 * tol * abs(s) and (abs(tn) < 0.5 * abs(t) or math.isinf(s)):
+            return (s, math.inf, n, 0) if math.isinf(s) else (s, 2.0 * abs(t), n, 1)
         t = tn
         s += t
         k += 1
@@ -366,11 +382,7 @@ def bessel_series(v, z, modified, tol, cap):
     """J_v (modified=0) or I_v (modified=1) by direct series; z > 0."""
     half = 0.5 * z
     la, _ = lgamma_sign(v + 1.0)
-    t = math.exp(v * math.log(half) - la)
-    q = half * half
-    if not modified:
-        q = -q
-    return _bessel_type_series(t, q, v, 1.0, 1.0, tol, cap)
+    return _bessel_type_series(v * math.log(half) - la, half, modified, v, 1.0, tol, cap)
 
 
 def struve_series(v, z, modified, tol, cap):
@@ -378,11 +390,8 @@ def struve_series(v, z, modified, tol, cap):
     half = 0.5 * z
     la1, _ = lgamma_sign(1.5)
     la2, _ = lgamma_sign(v + 1.5)
-    t = math.exp((v + 1.0) * math.log(half) - la1 - la2)
-    q = half * half
-    if not modified:
-        q = -q
-    return _bessel_type_series(t, q, v, 1.5, 1.5, tol, cap)
+    return _bessel_type_series((v + 1.0) * math.log(half) - la1 - la2, half, modified, v, 1.5,
+                               tol, cap)
 
 
 def _hyp2f1_tail(a, b, c, z, tol, cap):

@@ -97,6 +97,8 @@ def gamma_ratio(numerators, denominators) -> float:
         la, s = kernels.lgamma_sign(d)
         acc -= la
         sign *= s
+    if not acc < math.inf:  # a log-gamma of inf: inf, or NaN at inf - inf
+        raise OverflowError("gamma ratio is not finite in double precision")
     return sign * math.exp(acc)  # exp raises OverflowError out of range
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError
-from .gammacore import _HALF_LN_PI, _LGAMMA_ULPS, _TINY, _U
+from .gammacore import _LGAMMA_ULPS, _TINY, _U
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
@@ -83,18 +83,7 @@ class _Checked:
         return cls(*iterable)
 
 
-_LOG_OVERFLOW = 710.0  # just above log(DBL_MAX) = 709.78
 _series_eval = SeriesEval._make
-
-
-def _log_peak_term(nu: float, u: float) -> float:
-    """log of the term c_n u**n of S_nu(u) at n = floor(u) > 0, next to
-    the largest one, or at n = 10**6 for a larger u, where that term is
-    beyond the double range already and lgamma(n + 1) is not.  For u > 0
-    every term is positive, so any one of them bounds the sum from below."""
-    n = math.floor(min(u, 1e6))
-    return (math.lgamma(nu + 1.0) + math.lgamma(0.5 * (n + 1.0)) - _HALF_LN_PI
-            - math.lgamma(n + 1.0) - math.lgamma(0.5 * n + nu + 1.0) + n * math.log(u))
 
 
 def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
@@ -104,8 +93,8 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     u = 0 returns exactly 1.  Positive u sums the power series with
     coefficients ``Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1))``,
     all positive; it raises OverflowError when the series is not finite in
-    double precision, which at large u is known, before any summing, from
-    the magnitude of one term (``_log_peak_term``).  Negative u, where that
+    double precision, which the kernel finds at its first non-finite
+    partial sum, not at its term cap.  Negative u, where that
     series alternates, is summed as a series of positive terms built from
     the integral representation (DLMF 10.32.2 with 11.5.2), with a running
     bound on its rounding error: S_nu(-x) is finite and decays like
@@ -127,10 +116,7 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     if not math.isfinite(u):
         raise DomainError("kernel argument must be finite")
     check_limits(tol, term_cap)
-    if u > 600.0 and _log_peak_term(nu, u) > _LOG_OVERFLOW:
-        value = math.inf  # summing would only burn the term cap
-    else:
-        value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
+    value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
     if not math.isfinite(value):
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     # never report convergence the estimate does not support
@@ -191,13 +177,11 @@ def _positive_series_rounding(value: float, terms: int, power: float, units) -> 
 
 @lru_cache(maxsize=8)
 def _order_terms(struve_type: bool, v: float) -> tuple:
-    """(order, gamma_args, units, term_args) of the J/I series of order v
-    (H/L when ``struve_type``), computed once per order: its leading term is
-    (z/2)**order / prod Gamma(gamma_args), ``units`` their ``_gamma_units``,
-    and term k is (z/2)**(order+2k) / prod Gamma(a+k) over ``term_args``."""
+    """(order, gamma_args, units) of the J/I series of order v (H/L when
+    ``struve_type``), computed once per order: its leading term is
+    (z/2)**order / prod Gamma(gamma_args), ``units`` their ``_gamma_units``."""
     gamma_args = (1.5, v + 1.5) if struve_type else (v + 1.0,)
-    return (v + 1.0 if struve_type else v, gamma_args, tuple(map(_gamma_units, gamma_args)),
-            gamma_args if struve_type else (1.0, v + 1.0))
+    return v + 1.0 if struve_type else v, gamma_args, tuple(map(_gamma_units, gamma_args))
 
 
 def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
@@ -210,18 +194,10 @@ def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_ca
     on both backends.  A J or H value whose whole bound reaches |value|
     has no correct digit, so it is not converged.
 
-    The kernel forms t_k (z/2)**2 on its way to the next term.  Where that
-    product is beyond the double range at k = floor(z/2), next to the
-    largest term, the I or L sum is inf and the J or H sum NaN: that is
-    returned without summing, which would only burn the term cap."""
-    order, gamma_args, units, term_args = _order_terms(struve_type, v)
-    if z > 700.0:
-        k = math.floor(0.5 * z)
-        ln_t = (order + 2.0 * k + 2.0) * math.log(0.5 * z)
-        for a in term_args:
-            ln_t -= math.lgamma(a + k)
-        if ln_t > _LOG_OVERFLOW:
-            return SeriesEval(math.inf if modified else math.nan, math.inf, 0, False)
+    Where the terms leave the double range the kernel ends at its first
+    non-finite partial sum: the I or L value is then inf and the J or H
+    value NaN, unconverged with bound inf, with no second kernel call."""
+    order, gamma_args, units = _order_terms(struve_type, v)
     if z < _HALF_ROUNDS:
         power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
         for a in gamma_args:
@@ -232,8 +208,9 @@ def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_ca
             return SeriesEval(math.inf, math.inf, 1, False)
         return SeriesEval(value, _positive_series_rounding(value, 1, power, units), 1, True)
     value, err, terms, ok = kernel(v, z, int(modified), tol, term_cap)
-    # a non-finite J or H has no finite bound: no second kernel call
-    total = value if modified or not math.isfinite(value) else kernel(v, z, 1, tol, term_cap)[0]
+    if not math.isfinite(value):
+        return SeriesEval(math.inf if modified else math.nan, math.inf, terms, False)
+    total = value if modified else kernel(v, z, 1, tol, term_cap)[0]
     err += _positive_series_rounding(total, terms, order * math.log(0.5 * z), units)
     return _series_eval((value, err, terms, bool(ok) and (modified or err < abs(value))))
 

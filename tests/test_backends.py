@@ -273,6 +273,12 @@ def test_compiled_gamma_reconstruction_meets_bound(ck):
 # estimate.
 # Each kernel gets a few hundred points; the sweep runs once per module.
 
+# S at u, and J/I/H/L at (v, z), whose series leave the double range
+OVERFLOW_U = (710.0, 712.0, 800.0, 1e154, 1e300, 1.7e308)
+OVERFLOW_VZ = ((0.0, 712.0), (0.0, 1500.0), (2.5, 1500.0), (0.7, 800.0), (150.0, 1e5),
+               (1000.0, 1e300), (0.5, 1e155))
+
+
 def _outcome(kernel, *args):
     try:
         result = kernel(*args)
@@ -294,7 +300,7 @@ def _bessel_type_bound(kernel, struve_type):
     def bound(args, result, twin):
         v, z, modified, tol, cap = args
         total = result[0] if modified else getattr(twin, kernel)(v, z, 1, tol, cap)[0]
-        order, _, units, _ = series._order_terms(struve_type, v)
+        order, _, units = series._order_terms(struve_type, v)
         return result[1] + series._positive_series_rounding(
             total, result[2], order * math.log(0.5 * z), units)
     return bound
@@ -356,7 +362,34 @@ def _sweep_calls():
         args = [rng.uniform(0.1, 1.5) for _ in range(4)] + [rng.uniform(0.8, 2.5)]
         args += [rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), 1e-13, 10_000]
         calls.append(("f3_series", tuple(args), _tail))
+    # past the double range: the log-gamma of a huge argument, and the
+    # series that end at their first non-finite partial sum
+    top = math.log10(1.7e308)
+    for x in [10.0 ** rng.uniform(300.0, top) for _ in range(20)] + [1.7e308]:
+        calls.append(("lgamma_sign", (x,), _lgamma_bound))
+    for nu in (-0.75, 0.25, 89.5):
+        for u in OVERFLOW_U:
+            calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
+    cases = list(OVERFLOW_VZ)
+    for _ in range(40):
+        nu, u = rng.uniform(-0.99, 300.0), 10.0 ** rng.uniform(2.85, top)
+        calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
+        cases.append((rng.uniform(-0.99, 300.0), 10.0 ** rng.uniform(2.85, top)))
+    for v, z in cases:
+        for modified in (0, 1):
+            calls.append(("bessel_series", (v, z, modified, 1e-14, 10_000), bessel))
+            calls.append(("struve_series", (v, z, modified, 1e-14, 10_000), struve))
     return calls
+
+
+def _ends_at_non_finite(name, args, pure, compiled):
+    """Whether the twins' results past the double range are the same, with
+    bound inf and flag 0, and the series ended at its first non-finite
+    partial sum: capped two terms short, it is finite (unless the sum of
+    the first one or two terms, the S kernel's start, is not)."""
+    n = pure[2]
+    return (repr(pure) == repr(compiled) and pure[1] == math.inf and pure[3] == 0
+            and (n <= 2 or math.isfinite(getattr(pk, name)(*args[:-1], n - 2)[0])))
 
 
 def _differences(ck):
@@ -369,6 +402,11 @@ def _differences(ck):
         if isinstance(pure, type) or isinstance(compiled, type):
             if pure is not compiled:
                 bounded.append((name, args, pure, compiled, "error class"))
+            continue
+        if name in ("bs_series", "bessel_series", "struve_series") and not (
+                math.isfinite(pure[0]) and math.isfinite(compiled[0])):
+            if not _ends_at_non_finite(name, args, pure, compiled):
+                bounded.append((name, args, pure, compiled, "non-finite result"))
             continue
         if [math.isnan(f) for f in pure if isinstance(f, float)] != \
                 [math.isnan(f) for f in compiled if isinstance(f, float)]:
@@ -541,7 +579,9 @@ def test_verify_all_report_is_pinned(backend_name, request, tmp_path):
 # calls) must give the bits of the same call made right after a call at
 # another order; and the results must match the pure twin's.
 UBSAN_SWEEP = "".join(inspect.getsource(f) for f in (format_doubles, pole_points,
-                                                    wright_pole_rows)) + r"""
+                                                    wright_pole_rows)) + f"""
+OVERFLOW_U, OVERFLOW_VZ = {OVERFLOW_U!r}, {OVERFLOW_VZ!r}
+""" + r"""
 import math, random
 from bsfrac import _backend, _ckernels as ck, _pykernels as pk
 
@@ -567,7 +607,7 @@ for x in (floats(300, -170.0, 170.0) + SPECIAL + [-(2.0 ** k) - 0.5 for k in ran
     pole = pk._near_nonpositive_int(x)
     rows = wright_pole_rows(ck, x)
     assert rows[0] is pole and (rows[1] or not pole), x
-    if -math.inf < x <= 1e300:  # the pure lgamma_sign raises at NaN, -inf and 1.7e308
+    if -math.inf < x < math.inf:  # the pure lgamma_sign raises at NaN and -inf
         assert rows == wright_pole_rows(pk, x), x
     if not (x > 0.0 or x == x):
         continue
@@ -644,6 +684,24 @@ for kernel, args in ((ck.bs_series, (0.25, -3.0, 1e-14, 10000)),
         pass
     else:
         raise AssertionError(f"{kernel.__name__} took a table")
+# past the double range the first non-finite partial sum ends each series,
+# alike on both twins, with bound inf and flag 0: capped two terms short,
+# the sum is finite
+top = math.log10(1.7e308)
+over = [(ck.bs_series, pk.bs_series, (nu, u))
+        for nu in [-0.75, 0.25, 89.5] + floats(4, -0.99, 300.0)
+        for u in OVERFLOW_U + tuple(10.0 ** x for x in floats(6, 2.85, top))]
+vz = list(OVERFLOW_VZ) + [(rng.uniform(-0.99, 300.0), 10.0 ** rng.uniform(2.85, top))
+                          for _ in range(40)]
+over += [(c, p, (v, z, m)) for v, z in vz for m in (0, 1)
+         for c, p in ((ck.bessel_series, pk.bessel_series), (ck.struve_series, pk.struve_series))]
+for kc, kp, args in over:
+    calls += 2
+    c, p = kc(*args, 1e-14, 10000), kp(*args, 1e-14, 10000)
+    if not (math.isfinite(c[0]) and math.isfinite(p[0])):
+        calls += 1
+        assert bits(c) == bits(p) and c[1] == math.inf and c[3] == 0, (kc.__name__, args, c, p)
+        assert c[2] <= 2 or math.isfinite(kc(*args, 1e-14, c[2] - 2)[0]), (kc.__name__, args)
 # the 192-bit shifts and the limb products of the CSV fast path
 values = format_doubles(random.Random(29))
 calls += len(values)

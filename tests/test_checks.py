@@ -517,3 +517,7 @@ def test_series_rows_make_one_image_per_series_and_lam(monkeypatch, suite):
     made = _counted(monkeypatch, checks, "_kernel_at")
     run_suite(suite)
     assert len(made) == want
+
+
+def test_relative_difference_of_two_zeros_is_zero():
+    assert checks._rel(0.0, 0.0) == 0.0

@@ -106,10 +106,11 @@ def test_eval_kernel_overflow_is_numerical_error():
 
 
 def test_eval_bessel_overflow_is_numerical_error():
-    # J's terms leave the double range: the row is printed, not summed
+    # J's terms leave the double range: the sum ends at its first
+    # non-finite partial sum, and the row is printed
     res = _run("eval", "J", "--nu", "0", "--x", "1500")
     assert res.exit_code == 1
-    assert res.stdout == "value,abs_error_est,terms_used\nnan,inf,0\n"
+    assert res.stdout == "value,abs_error_est,terms_used\nnan,inf,129\n"
     assert res.stderr == "Error: J at x=1500.0 is not finite in double precision\n"
 
 
@@ -806,6 +807,9 @@ USAGE_ERRORS = [
     (("--config", "a-dir", "verify"), "Error: Invalid value for '--config': File 'a-dir' is a directory."),
     (("--out", "a-dir", "eval", "S", "--nu", "0", "--x", "1"),
      "Error: Invalid value for '--out': File 'a-dir' is a directory."),
+    (("eval", "wright", "--upper", "1,2,3", "--lower", "1,1", "--x", "1"),
+     "Error: bad pair list '1,2,3'; use 'a,A;b,B'"),
+    (("table", "S", "--x", "a:b:3"), "Error: bad range 'a:b:3'; use start:stop:count"),
     (("verify", "nosuch"), "Error: unknown suite 'nosuch'; choose from all, density, "
      "kernel-identities, msm-lemmas, msm-theorems, pathway, wright"),
     (("nocmd",), "Error: No such command 'nocmd'."),
@@ -835,3 +839,17 @@ def test_missing_function_lists_the_choices():
         "Error: Missing argument '{S|J|I|H|L|wright|msm-left|msm-right|pathway|density}'. "
         "Choose from:\n\tS,\n\tJ,\n\tI,\n\tH,\n\tL,\n\twright,\n\tmsm-left,\n\tmsm-right,"
         "\n\tpathway,\n\tdensity\n")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at lam < 0 the image's Wright series cancels, and the value is "
+                          "printed as converged with exit 0 (ROADMAP item 2)")
+def test_eval_negative_lam_image_is_not_a_silent_wrong_answer(backend):
+    from test_msm import MSM_LEFT_LAM_MINUS_ONE_AT_40
+    res = _run("eval", "msm-left", "--alpha", "0.3", "--alpha-prime", "0.2", "--beta", "0.1",
+               "--beta-prime", "0.4", "--gamma", "1.1", "--rho", "1.5", "--nu", "0.25",
+               "--lam", "-1", "--kind", "bs", "--x", "40")
+    if res.exit_code == 0:
+        row = _csv_rows(res.stdout)[0]
+        err = abs(float(row["value"]) - MSM_LEFT_LAM_MINUS_ONE_AT_40)
+        assert err <= float(row["abs_error_est"]), row

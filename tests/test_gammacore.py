@@ -125,6 +125,16 @@ def test_gamma_ratio_overflow():
         gamma_ratio([200.0, 200.0], [2.0])
 
 
+def test_huge_arguments_agree_on_both_backends(backend):
+    # past about 2.6e305 log Gamma(x) is inf: the pure twin raised there,
+    # and the compiled gamma_ratio returned inf, or NaN at inf - inf
+    assert ln_gamma_signed(1.7e308) == (math.inf, 1)
+    for nums, dens in (((1.7e308,), (1.0,)), ((1.7e308,), (1.7e308,))):
+        with pytest.raises(OverflowError):
+            gamma_ratio(nums, dens)
+    assert gamma_ratio((1.0,), (1.7e308,)) == 0.0  # underflows
+
+
 def test_gamma_ratio_exact_integer_path():
     assert gamma_ratio([1.0, 2.0], [3.0]) == 0.5
     assert gamma_ratio([2.0, 3.0], [5.0]) == 1.0 / 12.0

@@ -392,3 +392,17 @@ def test_operators_refuse_non_finite_x():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["DomainError"] * 24
+
+
+# S_0.25(-t) at x = 40: the 130-digit mpmath sum of the left image's Wright
+# series, built from the exact doubles of its spec (its 17-digit rounding)
+MSM_LEFT_LAM_MINUS_ONE_AT_40 = 2.5417141970567846
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at lam < 0 the image's Wright series cancels: 79.68 compiled, "
+                          "76.10 pure, claimed within 3.7e-13 (ROADMAP item 2)")
+def test_left_image_at_negative_lam_within_its_bound(backend):
+    img = msm_bs_closed_form(Side.LEFT, GENERIC, FunctionKind.bs_kernel(1.5, 0.25, -1.0))
+    r = img.value_at(40.0)
+    assert abs(r.value - MSM_LEFT_LAM_MINUS_ONE_AT_40) <= r.abs_error_est, r

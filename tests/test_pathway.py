@@ -290,3 +290,38 @@ def test_density_error_bound_holds(params, rel_limit):
             assert value > 0.0, (x, ref)
         if abs(x) <= interior and value >= sys.float_info.min:  # subnormals carry fewer digits
             assert bound <= rel_limit * value, (x, value, bound)
+
+
+# the image at x = 40 of t^0.1 S_0.25(-t): the 130-digit mpmath sum of its
+# Wright series, built from the exact doubles of its spec (its 17-digit
+# rounding); pathway_quadrature gives 23.072185140159085
+PATHWAY_LAM_MINUS_ONE_AT_40 = 23.072185140159099
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at lam < 0 the image's Wright series cancels: 627674.4, claimed "
+                          "converged (ROADMAP item 2)")
+def test_image_at_negative_lam_within_its_bound(backend):
+    kind = FunctionKind.bs_kernel(1.1, 0.25, -1.0)
+    r = pathway_bs_closed_form(PathwayParams(0.5, 1.3, 0.4), kind).value_at(40.0)
+    assert abs(r.value - PATHWAY_LAM_MINUS_ONE_AT_40) <= r.abs_error_est, r
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1.0, 1.0, 1.0, 0.5), "gamma_shape must be positive"),
+    ((1.0, 1.0, -1.0, 1.0, 0.5), "beta_shape must be nonnegative"),
+    ((1.0, 1.0, 1.0, 0.0, 0.5), "a must be positive"),
+])
+def test_density_parameters_refused(args, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        PathwayDensityParams(*args)
+
+
+def test_limit_branch_needs_positive_beta_shape():
+    with pytest.raises(PreconditionError, match="^the limit branch needs beta_shape > 0$"):
+        pathway_norm_const(PathwayDensityParams(1.0, 1.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("pathway_alpha", [1.0, 1.5])
+def test_support_is_unbounded_outside_sub(pathway_alpha):
+    assert PathwayDensityParams(1.0, 1.0, 1.0, 1.0, pathway_alpha).support_radius == math.inf

@@ -100,7 +100,7 @@ class TestBesselStruveKernel:
 
     def test_overflow_is_loud(self, backend):
         # never a non-finite value: e^710 overflows the converged sum, and
-        # at u = 800 one term already exceeds the double range before summing
+        # at u = 800 the sum ends at its first non-finite partial sum
         for nu, u in ((-0.75, 710.0), (0.25, 800.0), (0.25, 1e300), (0.25, 1.7e308)):
             message = f"Bessel-Struve series at u={u!r} exceeds double range"
             with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
@@ -373,29 +373,40 @@ def test_struve_at_order_minus_one_and_zero_bounds_its_rounding(modified):
     assert 0.0 < err <= r.abs_error_est <= struve(-1.0, 1e-300, modified=modified).abs_error_est
 
 
-def test_bessel_overflow_is_known_before_summing(backend, monkeypatch):
-    # the kernels' terms leave the double range, and their sums end in inf
-    # (I, L) or NaN (J, H) after the whole term cap; one term shows it first
+def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
+    # the terms leave the double range: each series kernel ends at its first
+    # non-finite partial sum (it once ran the whole term cap), and the
+    # wrapper returns NaN for J and H, inf for I and L, from one kernel call
     from types import SimpleNamespace
 
     from bsfrac import series
 
-    cases = [(fn, kernel, v, z) for fn, kernel in ((bessel_first_kind, backend.bessel_series),
-                                                   (struve, backend.struve_series))
-             for v in (0.0, 2.5) for z in (712.0, 1500.0)]
-    for _, kernel, v, z in cases:  # the sums the wrapper skips really are not finite
-        assert not math.isfinite(kernel(v, z, 0, 1e-14, 10_000)[0])
-        assert kernel(v, z, 1, 1e-14, 10_000)[0] == math.inf
+    for kernel, args in ((backend.bs_series, (0.25, 800.0)),
+                         (backend.bessel_series, (0.0, 1500.0, 0)),
+                         (backend.struve_series, (0.7, 800.0, 1))):
+        value, err, terms, flag = kernel(*args, 1e-14, 10_000)
+        assert math.isinf(value) and err == math.inf and flag == 0 and terms < 500, args
+    calls = []
 
-    def no_sum(*args):
-        raise AssertionError(f"summed a series known to overflow: {args}")
+    def counted(name):
+        def kernel(*args):
+            calls.append(args)
+            return getattr(backend, name)(*args)
+        return kernel
 
-    monkeypatch.setattr(series, "kernels", SimpleNamespace(bessel_series=no_sum,
-                                                           struve_series=no_sum))
-    for fn, _, v, z in cases:
-        j, i = fn(v, z), fn(v, z, modified=True)
-        assert math.isnan(j.value) and i.value == math.inf, (fn, v, z)
-        assert not (j.converged or i.converged)
+    monkeypatch.setattr(series, "kernels", SimpleNamespace(
+        bessel_series=counted("bessel_series"), struve_series=counted("struve_series")))
+    for fn, name in ((bessel_first_kind, "bessel_series"), (struve, "struve_series")):
+        for v in (0.0, 2.5):
+            for z in (712.0, 1500.0):
+                for modified in (0, 1):
+                    calls.clear()
+                    r = fn(v, z, modified=bool(modified))
+                    terms = getattr(backend, name)(v, z, modified, 1e-14, 10_000)[2]
+                    assert len(calls) == 1, (fn, v, z, modified)
+                    assert repr(r) == repr(SeriesEval(
+                        math.inf if modified else math.nan, math.inf, terms, False))
+
 
 
 class TestGauss2F1:
@@ -507,3 +518,10 @@ class TestAppellF3:
             value, err, _, ok = kernels.f3_series(0.3, 0.4, 0.5, 0.6, 1.2, 0.4, 0.3, 1e-12,
                                                   10_000)
             assert ok and err <= 1e-12 * abs(value)
+
+
+def test_negative_argument_and_subnormal_overflow(backend):
+    with pytest.raises(DomainError, match="^argument must be finite and nonnegative$"):
+        struve(0.5, -1.0)
+    # (z/2)**v / Gamma(v+1) at the smallest subnormal z is beyond the double range
+    assert bessel_first_kind(-0.999, 5e-324) == SeriesEval(math.inf, math.inf, 1, False)
