@@ -396,16 +396,16 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
 
     monkeypatch.setattr(series, "kernels", SimpleNamespace(
         bessel_series=counted("bessel_series"), struve_series=counted("struve_series")))
-    for fn, name in ((bessel_first_kind, "bessel_series"), (struve, "struve_series")):
-        for v in (0.0, 2.5):
-            for z in (712.0, 1500.0):
-                for modified in (0, 1):
-                    calls.clear()
-                    r = fn(v, z, modified=bool(modified))
-                    terms = getattr(backend, name)(v, z, modified, 1e-14, 10_000)[2]
-                    assert len(calls) == 1, (fn, v, z, modified)
-                    assert repr(r) == repr(SeriesEval(
-                        math.inf if modified else math.nan, math.inf, terms, False))
+    cases = [(fn, name, v, z, modified)
+             for fn, name in ((bessel_first_kind, "bessel_series"), (struve, "struve_series"))
+             for v in (0.0, 2.5) for z in (712.0, 1500.0) for modified in (0, 1)]
+    for fn, name, v, z, modified in cases:
+        calls.clear()
+        r = fn(v, z, modified=bool(modified))
+        terms = getattr(backend, name)(v, z, modified, 1e-14, 10_000)[2]
+        assert len(calls) == 1, (fn, v, z, modified)
+        want = SeriesEval(math.inf if modified else math.nan, math.inf, terms, False)
+        assert repr(r) == repr(want), (fn, v, z, modified)
 
 
 
