@@ -12,7 +12,8 @@
  * coefficients have a counterpart here, a static one-slot (``hyp2f1_slot``):
  * the other entries cost about what reading a table back would.  As in the
  * pure twin, the first non-finite partial sum ends bs_series (u > 0),
- * bessel_series and struve_series, with bound inf and flag 0.
+ * bessel_series and struve_series, with bound inf and flag 0; those two
+ * return their sum of |terms| as a fifth item.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -66,16 +67,18 @@ parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-/* The series kernels' (value, abs_error_est, terms_used, flag) tuple. */
+/* The series kernels' (value, abs_error_est, terms_used, flag) tuple, and
+ * with size 5 the Bessel-type kernels' sum of |terms| as a fifth item. */
 static PyObject *
-series_result(double value, double err, long long terms, int flag)
+series_tuple(int size, double value, double err, long long terms, int flag, double total)
 {
-    PyObject *items[4] = {PyFloat_FromDouble(value), PyFloat_FromDouble(err),
-                          PyLong_FromLongLong(terms), PyLong_FromLong(flag)};
+    PyObject *items[5] = {PyFloat_FromDouble(value), PyFloat_FromDouble(err),
+                          PyLong_FromLongLong(terms), PyLong_FromLong(flag),
+                          size == 5 ? PyFloat_FromDouble(total) : NULL};
     PyObject *tuple = NULL;
-    if (items[0] && items[1] && items[2] && items[3])
-        tuple = PyTuple_New(4);
-    for (int i = 0; i < 4; i++) {
+    if (items[0] && items[1] && items[2] && items[3] && (size == 4 || items[4]))
+        tuple = PyTuple_New(size);
+    for (int i = 0; i < size; i++) {
         if (tuple)
             PyTuple_SET_ITEM(tuple, i, items[i]);
         else
@@ -83,6 +86,7 @@ series_result(double value, double err, long long terms, int flag)
     }
     return tuple;
 }
+#define series_result(value, err, terms, flag) series_tuple(4, value, err, terms, flag, 0.0)
 
 /* --- gamma ---------------------------------------------------------------- */
 
@@ -338,20 +342,21 @@ static PyObject *
 bessel_type_series(double lt, double half, int modified, double v, double c, double tol,
                    int cap)
 {
-    double t = exp(lt), s = t, q = modified ? half * half : -(half * half), tn;
+    double t = exp(lt), s = t, total = t, a = t, q = modified ? half * half : -(half * half);
     long long k = 0, n;
     for (n = 1; n < cap;) {
-        tn = t * q / ((k + c) * (k + v + c));
-        if (fabs(t) <= 0.5 * tol * fabs(s) && (fabs(tn) < 0.5 * fabs(t) || isinf(s)))
-            return series_result(s, isinf(s) ? INFINITY : 2.0 * fabs(t), n, !isinf(s));
-        t = tn;
+        t = t * q / ((k + c) * (k + v + c));
+        if (a <= 0.5 * tol * fabs(s) && (fabs(t) < 0.5 * a || isinf(s)))
+            return series_tuple(5, s, isinf(s) ? INFINITY : 2.0 * a, n, !isinf(s), total);
+        a = fabs(t);
         s += t;
+        total += a;
         k += 1;
         n += 1;
         if (t == 0.0)
-            return series_result(s, 0.0, n, 1);
+            return series_tuple(5, s, 0.0, n, 1, total);
     }
-    return series_result(s, 2.0 * fabs(t), n, 0);
+    return series_tuple(5, s, 2.0 * a, n, 0, total);
 }
 
 static PyObject *

@@ -7,7 +7,9 @@ Public modules wrap these kernels with domain checks and typed results;
 nothing here raises library exceptions.
 
 Series evaluators return ``(value, abs_error_est, terms_used, flag)``
-tuples.  The shared truncation rule: stop once the last added term t
+tuples; ``bessel_series`` and ``struve_series`` add ``total``, the sum of
+|t| over the terms they add, in their order (``value`` when modified).
+The shared truncation rule: stop once the last added term t
 satisfies ``|t| <= 0.5 * tol * |sum|`` and the next term is below
 ``|t| / 2``; the reported bound is ``2 * |t|`` (geometric tail once the
 factorial denominator dominates).  The Bessel-Struve kernel at negative
@@ -362,20 +364,21 @@ def _bessel_type_series(lt, half, modified, v, c, tol, cap):
     except OverflowError:
         t = math.inf
     q = half * half if modified else -(half * half)
-    s = t
-    k = 0
+    s = total = a = t  # a = |t|: the leading term is positive
+    k = 0.0  # a float counts exactly to the cap, and k + c skips an int-to-float step
     n = 1
     while n < cap:
-        tn = t * q / ((k + c) * (k + v + c))
-        if abs(t) <= 0.5 * tol * abs(s) and (abs(tn) < 0.5 * abs(t) or math.isinf(s)):
-            return (s, math.inf, n, 0) if math.isinf(s) else (s, 2.0 * abs(t), n, 1)
-        t = tn
+        t = t * q / ((k + c) * (k + v + c))
+        if a <= 0.5 * tol * abs(s) and (abs(t) < 0.5 * a or math.isinf(s)):
+            return (s, math.inf, n, 0, total) if math.isinf(s) else (s, 2.0 * a, n, 1, total)
+        a = abs(t)
         s += t
-        k += 1
+        total += a
+        k += 1.0
         n += 1
         if t == 0.0:
-            return s, 0.0, n, 1
-    return s, 2.0 * abs(t), n, 0
+            return s, 0.0, n, 1, total
+    return s, 2.0 * a, n, 0, total
 
 
 def bessel_series(v, z, modified, tol, cap):

@@ -106,21 +106,20 @@ def _scan(args) -> tuple:
     """(args as a list, the first within POLE_TOL of a gamma pole or None,
     whether every one is within POLE_TOL of an integer in [1, 171]): one
     pass that tests each argument once, for ``gamma_ratio``.  DomainError
-    at the first NaN or infinite argument.  With r = round(v), r <= 0 and
-    |v - r| <= POLE_TOL is ``is_pole(v)``."""
+    at the first NaN or infinite argument.  Past ``is_pole``, an argument
+    within POLE_TOL of an integer is within it of a positive one."""
     out, pole, exact = [], None, True
     for v in args:
         if not math.isfinite(v):
             _finite(v)  # raises its DomainError
-        r = round(v)
-        if abs(v - r) > POLE_TOL:
-            exact = False
-        elif r <= 0:
+        if is_pole(v):
             exact = False
             if pole is None:
                 pole = v
-        elif r > _MAX_EXACT_INT:
-            exact = False
+        else:
+            r = round(v)
+            if abs(v - r) > POLE_TOL or r > _MAX_EXACT_INT:
+                exact = False
         out.append(v)
     return out, pole, exact
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from ._backend import kernels
 from .errors import DomainError, PreconditionError
-from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio
+from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio, ln_gamma_signed
 from .msm import (ClosedFormImage, FunctionKind, _check_finite, _GammaTable, _kernel_image,
                   _kernel_in_range, _power_image)
 from .series import TERM_CAP, SeriesEval, _Checked
@@ -277,7 +277,7 @@ def _density_error(dp: PathwayDensityParams):
     moved = 4.0 * _U * (gd + expo + 1.0)
     args = nums + dens
     for i, a in enumerate(args):
-        la = kernels.lgamma_sign(a)[0]
+        la = ln_gamma_signed(a).log_abs
         ln_c += la if i < len(nums) else -la
         rel_c += ((2.0 * _LGAMMA_ULPS + len(args)) * _U * max(1.0, abs(la))
                   + (abs(math.log(a)) + 1.0 / a) * moved)

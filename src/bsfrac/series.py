@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError
-from .gammacore import _LGAMMA_ULPS, _TINY, _U
+from .gammacore import _LGAMMA_ULPS, _TINY, _U, ln_gamma_signed
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
@@ -187,30 +187,28 @@ def _order_terms(struve_type: bool, v: float) -> tuple:
 def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
                  struve_type: bool) -> SeriesEval:
     """The J/I (``bessel_series``) or H/L (``struve_series``) series at
-    z > 0, with a rounding bound added to the kernel's tail bound.  The J
-    and H terms have the I and L terms' magnitudes, so the modified
-    series' value is their sum of |terms|: one more kernel call.  Where
-    0.5 * z can round the series is its leading term, taken here in logs
-    on both backends.  A J or H value whose whole bound reaches |value|
-    has no correct digit, so it is not converged.
+    z > 0 from one kernel call: a rounding bound on the sum of |terms| of
+    its pass (its fifth field) is added to its tail bound.  Where 0.5 * z
+    can round the series is its leading term, taken here in logs on both
+    backends.  A J or H value whose whole bound reaches |value| has no
+    correct digit, so it is not converged.
 
     Where the terms leave the double range the kernel ends at its first
     non-finite partial sum: the I or L value is then inf and the J or H
-    value NaN, unconverged with bound inf, with no second kernel call."""
+    value NaN, unconverged with bound inf."""
     order, gamma_args, units = _order_terms(struve_type, v)
     if z < _HALF_ROUNDS:
         power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
         for a in gamma_args:
-            ln_t -= kernels.lgamma_sign(a)[0]
+            ln_t -= ln_gamma_signed(a).log_abs
         try:
             value = math.exp(ln_t)
         except OverflowError:
             return SeriesEval(math.inf, math.inf, 1, False)
         return SeriesEval(value, _positive_series_rounding(value, 1, power, units), 1, True)
-    value, err, terms, ok = kernel(v, z, int(modified), tol, term_cap)
+    value, err, terms, ok, total = kernel(v, z, int(modified), tol, term_cap)
     if not math.isfinite(value):
         return SeriesEval(math.inf if modified else math.nan, math.inf, terms, False)
-    total = value if modified else kernel(v, z, 1, tol, term_cap)[0]
     err += _positive_series_rounding(total, terms, order * math.log(0.5 * z), units)
     return _series_eval((value, err, terms, bool(ok) and (modified or err < abs(value))))
 

@@ -23,6 +23,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsfrac import _pykernels as pk
 from bsfrac import gammacore, series
@@ -279,6 +281,20 @@ OVERFLOW_VZ = ((0.0, 712.0), (0.0, 1500.0), (2.5, 1500.0), (0.7, 800.0), (150.0,
                (1000.0, 1e300), (0.5, 1e155))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from(["bessel_series", "struve_series"]),
+       v=st.floats(-0.99, 40.0), z=st.floats(1e-6, 2000.0),
+       tol=st.sampled_from([1e-15, 1e-14, 1e-10, 1e-3]), cap=st.integers(1, 10_000))
+def test_bessel_type_sum_of_terms_bounds_the_modified_sum(ck, kernel, v, z, tol, cap):
+    # the fifth field is the modified value itself, and for J and H, whose
+    # pass stops no earlier and adds the same |terms|, no less than it
+    for twin in (pk, ck):
+        fn = getattr(twin, kernel)
+        modified, plain = fn(v, z, 1, tol, cap), fn(v, z, 0, tol, cap)
+        assert repr(modified[4]) == repr(modified[0]), (twin, modified)
+        assert plain[2] >= modified[2] and plain[4] >= modified[0], (twin, plain, modified)
+
+
 def _outcome(kernel, *args):
     try:
         result = kernel(*args)
@@ -295,14 +311,17 @@ def _bs_bound(args, result, twin):
     return bound
 
 
-def _bessel_type_bound(kernel, struve_type):
-    # the J/I and H/L wrappers' bound: the modified series is the sum of |terms|
+def _sum_rounding(struve_type, args, result):
+    # the J/I and H/L wrappers' rounding bound, on the kernel's sum of |terms|
+    v, z = args[:2]
+    order, _, units = series._order_terms(struve_type, v)
+    return series._positive_series_rounding(result[4], result[2], order * math.log(0.5 * z), units)
+
+
+def _bessel_type_bound(struve_type):
+    # the J/I and H/L wrappers' bound: the tail and the rounding of the sum
     def bound(args, result, twin):
-        v, z, modified, tol, cap = args
-        total = result[0] if modified else getattr(twin, kernel)(v, z, 1, tol, cap)[0]
-        order, _, units = series._order_terms(struve_type, v)
-        return result[1] + series._positive_series_rounding(
-            total, result[2], order * math.log(0.5 * z), units)
+        return result[1] + _sum_rounding(struve_type, args, result)
     return bound
 
 
@@ -333,8 +352,7 @@ def _sweep_calls():
         calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
     for nu, u in ((0.25, 700.0), (-0.75, 710.0), (0.25, 800.0), (0.25, -1e300), (89.5, -3.0)):
         calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
-    bessel = _bessel_type_bound("bessel_series", False)
-    struve = _bessel_type_bound("struve_series", True)
+    bessel, struve = _bessel_type_bound(False), _bessel_type_bound(True)
     for _ in range(120):
         for kernel, lowest, bound in (("bessel_series", -1.0, bessel),
                                       ("struve_series", -1.5, struve)):
@@ -415,6 +433,11 @@ def _differences(ck):
         if (name == "lgamma_sign" or name == "wright_series" and 2 in (pure[3], compiled[3])) \
                 and pure[1:] != compiled[1:]:
             bounded.append((name, args, pure, compiled, "sign or pole"))
+            continue
+        if name in ("bessel_series", "struve_series") and not (
+                abs(pure[4] - compiled[4]) <= sum(_sum_rounding(name == "struve_series", args, r)
+                                                  for r in (pure, compiled))):
+            bounded.append((name, args, pure, compiled, "sum of |terms| beyond the two bounds"))
             continue
         vp, vc = pure[0], compiled[0]
         if vp == vc or (vp != vp and vc != vc):
@@ -642,9 +665,14 @@ for (nu, u, cap), result in zip(sweep, got):
 sweep = []
 for _ in range(150):
     v, z, m = rng.uniform(-0.9, 3.0), rng.choice(floats(1, 0.01, 30.0) + SPECIAL), rng.random() < 0.5
-    for kernel in (ck.bessel_series, ck.struve_series):
+    for kc, kp in ((ck.bessel_series, pk.bessel_series), (ck.struve_series, pk.struve_series)):
         calls += 1
-        kernel(v, z, m, 1e-15, rng.choice([10000, 5, 0]))
+        cap = rng.choice([10000, 5, 0])
+        c = kc(v, z, m, 1e-15, cap)
+        if 1e-300 <= z < math.inf:  # the fifth field, the sum of |terms|, is the
+            calls += 1              # I or L value, and the pure twin's to rounding
+            assert repr(c[4]) == repr(c[0]) if m else c[4] >= abs(c[0]), (kc.__name__, v, z, c)
+            assert close(c[4], kp(v, z, m, 1e-15, cap)[4], 1e-12), (kc.__name__, v, z, m, cap)
     a, b, c = rng.uniform(-2, 2), rng.choice([rng.uniform(-2, 2), -1.0, -2.0]), rng.uniform(-3, 3)
     for w in [rng.uniform(-50, 0.9), rng.uniform(0.75, 1.0), 1 - 1e-9, -1e300, math.nan]:
         sweep.append((a, b, c, w, 1.0 - w))

@@ -376,7 +376,8 @@ def test_struve_at_order_minus_one_and_zero_bounds_its_rounding(modified):
 def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
     # the terms leave the double range: each series kernel ends at its first
     # non-finite partial sum (it once ran the whole term cap), and the
-    # wrapper returns NaN for J and H, inf for I and L, from one kernel call
+    # wrapper returns NaN for J and H, inf for I and L; each J, I, H or L
+    # point, finite or not, takes one kernel call (J and H once took two)
     from types import SimpleNamespace
 
     from bsfrac import series
@@ -384,7 +385,7 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
     for kernel, args in ((backend.bs_series, (0.25, 800.0)),
                          (backend.bessel_series, (0.0, 1500.0, 0)),
                          (backend.struve_series, (0.7, 800.0, 1))):
-        value, err, terms, flag = kernel(*args, 1e-14, 10_000)
+        value, err, terms, flag = kernel(*args, 1e-14, 10_000)[:4]
         assert math.isinf(value) and err == math.inf and flag == 0 and terms < 500, args
     calls = []
 
@@ -406,6 +407,17 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
         assert len(calls) == 1, (fn, v, z, modified)
         want = SeriesEval(math.inf if modified else math.nan, math.inf, terms, False)
         assert repr(r) == repr(want), (fn, v, z, modified)
+    finite = [(fn, name, 0.7, 3.5, modified)
+              for fn, name in ((bessel_first_kind, "bessel_series"), (struve, "struve_series"))
+              for modified in (0, 1)] + [(bessel_first_kind, "bessel_series", 0.3, 40.0, 0)]
+    for fn, name, v, z, modified in finite:
+        calls.clear()
+        r = fn(v, z, modified=bool(modified))
+        value, err, terms, flag = getattr(backend, name)(v, z, modified, 1e-14, 10_000)[:4]
+        assert len(calls) == 1, (fn, v, z, modified)
+        assert (r.value, r.terms_used) == (value, terms) and r.abs_error_est > err, (fn, v, z, r)
+        # J_0.3(40) cancels: the tail test passes, the whole bound reaches |value|
+        assert flag == 1 and r.converged is (z < 40.0), (fn, v, z, r)
 
 
 
