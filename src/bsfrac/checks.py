@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 from . import __version__ as _version
 from .errors import DomainError, TermCapError, UnknownSuiteError
-from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio
+from .gammacore import _HALF_LN_PI, _U, POLE_TOL, gamma_ratio
 from .msm import (
     FunctionKind,
     MsmParams,
@@ -176,7 +176,7 @@ class CheckSpec:
 
     ``points(run)`` yields, for each point, a candidate value (a kernel or
     an image), a reference value (the oracle, quadrature or a published
-    form) and the point's coordinates: a dict, or a pair of tuples (names,
+    form) and the point's coordinates: None, or a pair of tuples (names,
     values) that ``_worst`` makes a dict of only where the point is the
     row's worst so far.  ``secondary`` maps a tolerance key
     to the points of a secondary route.  A row with a documented variant
@@ -270,11 +270,8 @@ class _Run:
 
 def _coords(point):
     """A point's coordinates as ``_worst`` reports them: the dict of a
-    (names, values) pair; a dict, or None, as it is."""
-    if isinstance(point, tuple):
-        names, values = point
-        return dict(zip(names, values))
-    return point
+    (names, values) pair, or None."""
+    return None if point is None else dict(zip(*point))
 
 
 def _worst(points) -> tuple:
@@ -505,7 +502,7 @@ def _image_oracle():
         # the sum stops at a fixed term count: refused where its last two
         # terms (one may be a reciprocal-gamma zero) still reach the last bit
         if max(abs(products[-1] * terms[-1]), abs(products[-2] * terms[-2])) \
-                > 2.0 ** -53 * abs(total):
+                > _U * abs(total):
             raise TermCapError(f"termwise oracle at w={w!r} has not converged "
                                f"in {len(products)} terms")
         return front * total
@@ -705,18 +702,18 @@ def _w_delta_points(run: _Run):
     for raw, (side, rho) in product(run.cfg.grids["theorem_params"],
                                     ((Side.LEFT, 1.3), (Side.RIGHT, -2.0))):
         img = msm_bs_closed_form(side, MsmParams(*raw), FunctionKind.bs_kernel(rho, 0.25, 1.0))
-        yield wright_delta(img.spec), None, {"side": 0.0 if side is Side.LEFT else 1.0, "rho": rho}
+        yield wright_delta(img.spec), None, (("side", "rho"), (float(side is Side.RIGHT), rho))
     for params in _pathway_grid(run.cfg):
         img = pathway_bs_closed_form(params, FunctionKind.bs_kernel(1.1, 0.25, 1.0))
-        yield wright_delta(img.spec), None, {"eta": params.eta}
+        yield wright_delta(img.spec), None, (("eta",), (params.eta,))
     e_spec = WrightSpec(((1.0, 1.0),), ((1.0, 1.0),))
-    yield wright_eval(e_spec, 1.0).value, math.e, {"identity": 1.0}
+    yield wright_eval(e_spec, 1.0).value, math.e, (("identity",), (1.0,))
     base_spec = WrightSpec(((0.5, 0.5), (1.2, 1.0)), ((1.25, 0.5), (1.9, 1.0)))
     base = wright_eval(base_spec, 1.4).value
     for c, slope in ((0.7, 0.5), (1.3, 1.0), (2.2, 2.0)):
         padded = WrightSpec(((c, slope),) + base_spec.upper,
                             ((c, slope),) + base_spec.lower)
-        yield wright_eval(padded, 1.4).value, base, {"pair_c": c, "pair_slope": slope}
+        yield wright_eval(padded, 1.4).value, base, (("pair_c", "pair_slope"), (c, slope))
 
 
 # --- density normalization ------------------------------------------------------
@@ -739,9 +736,10 @@ def _density_points(run: _Run):
         ("normal", PathwayDensityParams(1.0, 2.0, 0.5, 1.0, 1.0)),
     ]
     for label, dp in named:
-        yield _density_norm(dp) - 1.0, None, {"case": label}
+        yield _density_norm(dp) - 1.0, None, (("case",), (label,))
     rng = random.Random(int(run.cfg.grids["density_seed"]))
     n_rand = int(run.cfg.grids["density_samples"])
+    names = ("regime", "gamma", "delta", "beta", "a", "alpha")
     for regime in ("sub", "super", "limit"):
         made = 0
         while made < n_rand:
@@ -761,8 +759,7 @@ def _density_points(run: _Run):
                     continue  # demand tail decay margin
             dp = PathwayDensityParams(gamma_shape, delta, beta, a, alpha)
             yield (_density_norm(dp) - 1.0, None,
-                   {"regime": regime, "gamma": gamma_shape, "delta": delta,
-                    "beta": beta, "a": a, "alpha": alpha})
+                   (names, (regime, gamma_shape, delta, beta, a, alpha)))
             made += 1
 
 

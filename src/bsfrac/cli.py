@@ -87,11 +87,14 @@ def _emit(main_opts, headers, values):
 
 def _write(main_opts, text: str):
     out = main_opts.get("out")
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:  # a full device, or a file the user may not write
+        _fail(f"cannot write {out!r}: {exc.strerror or exc}")
 
 
 def _require(opts, names):
@@ -119,17 +122,16 @@ def _evaluator(function: str, opts: dict):
     one spec and its term table.  The operator modules are imported only
     by the branches that use them, so a cold ``eval S`` never loads them."""
     if function == "density":
-        from .pathway import PathwayDensityParams, _check_density_x, _density, _density_error
+        from .pathway import PathwayDensityParams, _check_density_x, _density
 
         _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
-        dp = PathwayDensityParams(opts["gamma_shape"], opts["delta"],
-                                  opts["beta_shape"], opts["a"], opts["pathway_alpha"])
-        density, error = _density(dp), _density_error(dp)
+        density = _density(PathwayDensityParams(opts["gamma_shape"], opts["delta"],
+                                                opts["beta_shape"], opts["a"],
+                                                opts["pathway_alpha"]))
 
         def density_at(x):
             _check_density_x(x)
-            value = density(x)
-            return _series_eval((value, error(x, value), 1, True))
+            return _series_eval((*density(x, True), 1, True))
 
         return density_at
     if function == "S":
@@ -253,9 +255,9 @@ def verify_cmd(main_opts, opts):
 
 # The option tables, read by the parser and by --help: name -> (type,
 # default, help).  A type is a metavar: FLOAT, INTEGER or TEXT, FILE (not a
-# directory), JSON (an existing file), "" for a flag, or a tuple of choices.
-# A default of ... marks a required option; a name without dashes is the
-# positional argument.
+# directory, in an existing directory), JSON (an existing file), "" for a
+# flag, or a tuple of choices.  A default of ... marks a required option; a
+# name without dashes is the positional argument.
 HELP = {"--help": ("", None, "Show this message and exit.")}
 MAIN_OPTIONS = {
     "--version": ("", None, "Show the version and exit."),
@@ -379,6 +381,10 @@ def _value(label, kind, raw):
         problem = f"File {raw!r} does not exist"
     elif kind in ("FILE", "JSON") and os.path.isdir(raw):
         problem = f"File {raw!r} is a directory"
+    elif kind == "FILE" and not os.path.isdir(os.path.dirname(raw) or "."):
+        parent = os.path.dirname(raw)  # refused before anything is computed
+        problem = (f"{parent!r} is not a directory" if os.path.exists(parent)
+                   else f"Directory {parent!r} does not exist")
     else:
         return raw
     raise UsageError(f"Invalid value for {label!r}: {problem}.")

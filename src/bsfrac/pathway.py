@@ -178,65 +178,6 @@ def pathway_norm_const(dp: PathwayDensityParams) -> float:
     return 0.5 * dp.delta * k ** gd / math.gamma(gd)
 
 
-def _density(dp: PathwayDensityParams):
-    """x -> the density at x, with the normalizing constant, the regime
-    and its coefficients computed once."""
-    c = pathway_norm_const(dp)
-    at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
-    regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
-    k, expo, _, _ = _shape(dp)
-    ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
-    far_la, pow_max = _log_route(delta)
-
-    def density(x):
-        ax = abs(x)
-        if ax == 0.0:
-            return at_zero
-        if regime is Regime.SUB:
-            if ax > pow_max and lk + delta * math.log(ax) > 0.0:
-                return 0.0  # k|x|^delta > 1 in logs, where |x|**delta overflows
-            base = 1.0 - k * ax ** delta
-            if base <= 0.0:
-                return 0.0
-            return c * ax ** g1 * base ** expo
-        # in the far tail, and wherever the tail is below the smallest
-        # normal double, the value is taken in logs: the power prefactor and
-        # the tail must not overflow, or round to zero, apart
-        la = math.log(ax)
-        far = la > far_la
-        if regime is Regime.SUPER:
-            if far:  # the +1 in the base is negligible
-                log_tail = -expo * (lk + delta * la)
-            else:
-                base = 1.0 + k * ax ** delta
-                tail = base ** -expo
-                if tail >= _TINY:
-                    return c * ax ** g1 * tail
-                log_tail = -expo * math.log(base)
-        elif far:
-            log_tail = -math.exp(min(lk + delta * la, 709.0))
-        else:
-            t = k * ax ** delta
-            tail = math.exp(-t)
-            if tail >= _TINY:
-                return c * ax ** g1 * tail
-            log_tail = -t
-        log_f = ln_c + g1 * la + log_tail
-        return math.exp(log_f) if log_f > -745.0 else 0.0
-
-    return density
-
-
-def _log_route(delta: float) -> tuple[float, float]:
-    """(far, pow_max): beyond log|x| = far, 200 or less where |x|**delta
-    would overflow, the SUPER and LIMIT densities are taken in logs; beyond
-    |x| = pow_max, |x|**delta would overflow, and the SUB density decides
-    its support in logs.  ``_density`` and ``_density_error`` decide by
-    the same two numbers."""
-    la_max = 709.0 / delta  # |x|**delta is below exp(709) up to log|x| = la_max
-    return min(200.0, la_max), math.exp(la_max) if la_max < 709.0 else math.inf
-
-
 _LN_TINY = math.log(math.ulp(0.0))  # a rounding in the subnormal range errs by ulp(0)
 
 
@@ -248,107 +189,139 @@ def _expm1_up(v: float) -> float:
     return math.expm1(v) if v < 709.0 else math.inf
 
 
-def _density_error(dp: PathwayDensityParams):
-    """(x, value) -> a bound on |value - f(x)|, for the value that
-    ``_density(dp)`` returned at x and the exact density f of the double
-    parameters in ``dp`` (which ``_density`` has accepted).
+def _density(dp: PathwayDensityParams):
+    """``density(x)``: the density at x, and ``density(x, True)``: (that
+    value, a bound on its distance to the exact density of the double
+    parameters in ``dp``).  The normalizing constant, the regime and its
+    coefficients are computed once; the value alone is the harness's
+    quadrature integrand, and the bound reads the route and intermediates
+    the value took at x.
 
-    A running rounding bound (Higham 2002, chs. 3-4), kept out of the
-    density closure, which is also the harness's quadrature integrand.
-    Each factor of c |x|^(gamma-1) tail carries a log-space half-width:
-    the norm constant's (the errors of its log-gammas, of their arguments
-    and of k^(gamma/delta)), the powers' (one rounding plus the rounding
-    of gamma-1 and of expo times the log of the base), and the base's,
-    whose error 5u k|x|^delta is relative to 1 - k|x|^delta, so it grows
-    without bound at the SUB support edge, amplified by expo.  A value that
+    The bound is a running rounding bound (Higham 2002, chs. 3-4).  Each
+    factor of c |x|^(gamma-1) tail carries a log-space half-width: the norm
+    constant's (the errors of its log-gammas, of their arguments and of
+    k^(gamma/delta)), the powers' (one rounding plus the rounding of
+    gamma-1 and of expo times the log of the base), and the base's, whose
+    error 5u k|x|^delta is relative to 1 - k|x|^delta, so it grows without
+    bound at the SUB support edge, amplified by expo.  A value that
     underflowed to zero, or that the SUB branch put outside the support
     while the true base may be positive, is bounded by the largest value
     the half-widths allow."""
-    gd = dp.gamma_shape / dp.delta
+    c = pathway_norm_const(dp)
+    at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
+    sub, limit = dp.regime is Regime.SUB, dp.regime is Regime.LIMIT
+    gd, delta, g1 = dp.gamma_shape / dp.delta, dp.delta, dp.gamma_shape - 1.0
     k, expo, nums, dens = _shape(dp)
-    regime, delta, g1 = dp.regime, dp.delta, dp.gamma_shape - 1.0
-    lk = math.log(k)
-    far_la, pow_max = _log_route(delta)
-    # log c and its half-width: every gamma argument is a sum of at most
-    # three of gd, expo and 1, each within 2u, and moves log Gamma by at
-    # most (|log a| + 1/a) per unit (the digamma bound for a > 0)
-    ln_c = math.log(0.5 * delta) + gd * lk
+    power = expo if sub else -expo  # the base's exponent
+    ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
+    # beyond log|x| = far_la, 200 or less where |x|**delta would overflow,
+    # the SUPER and LIMIT densities are taken in logs; beyond |x| = pow_max,
+    # |x|**delta would overflow, and the SUB density decides its support in logs
+    la_max = 709.0 / delta  # |x|**delta is below exp(709) up to log|x| = la_max
+    far_la, pow_max = min(200.0, la_max), math.exp(la_max) if la_max < 709.0 else math.inf
+    # the bound's log c, summed from its log-gammas, and its half-width:
+    # every gamma argument is a sum of at most three of gd, expo and 1, each
+    # within 2u, and moves log Gamma by at most (|log a| + 1/a) per unit
+    # (the digamma bound for a > 0)
+    ln_cg = math.log(0.5 * delta) + gd * lk
     rel_c = (2.0 * gd + abs(gd * lk) + 6.0) * _U
     moved = 4.0 * _U * (gd + expo + 1.0)
     args = nums + dens
     for i, a in enumerate(args):
         la = ln_gamma_signed(a).log_abs
-        ln_c += la if i < len(nums) else -la
+        ln_cg += la if i < len(nums) else -la
         rel_c += ((2.0 * _LGAMMA_ULPS + len(args)) * _U * max(1.0, abs(la))
                   + (abs(math.log(a)) + 1.0 / a) * moved)
 
-    def error(x, value):
+    def density(x, bound=False):
         ax = abs(x)
         if ax == 0.0:
-            return abs(value) * _expm1_up(rel_c)
-        la = math.log(ax)
-        ln_v = ln_c + g1 * la
+            return (at_zero, at_zero * _expm1_up(rel_c)) if bound else at_zero
+        if sub:
+            if ax > pow_max and lk + delta * math.log(ax) > 0.0:
+                # k|x|^delta > 1, found in logs where |x|**delta overflows
+                return (0.0, 0.0) if bound else 0.0
+            t = k * ax ** delta
+            base = 1.0 - t
+            value = 0.0 if base <= 0.0 else c * ax ** g1 * base ** power
+            if not bound:
+                return value
+            la, far, in_logs = math.log(ax), False, False
+        else:
+            # in the far tail, and wherever the tail is below the smallest
+            # normal double, the value is taken in logs: the power prefactor and
+            # the tail must not overflow, or round to zero, apart
+            la = math.log(ax)
+            in_logs = far = la > far_la
+            if far:  # the +1 in the SUPER base is negligible
+                lt = lk + delta * la  # log of k|x|^delta
+                log_tail = -math.exp(min(lt, 709.0)) if limit else power * lt
+            else:
+                t = k * ax ** delta
+                if limit:
+                    tail = math.exp(-t)
+                else:
+                    base = 1.0 + t
+                    tail = base ** power
+                if not tail >= _TINY:
+                    in_logs, log_tail = True, -t if limit else power * math.log(base)
+            if in_logs:
+                log_f = ln_c + g1 * la + log_tail
+                value = math.exp(log_f) if log_f > -745.0 else 0.0
+            else:
+                value = c * ax ** g1 * tail
+            if not bound:
+                return value
+        ln_v = ln_cg + g1 * la
         # the two products, and one rounding each of |x|^(gamma-1) and the tail
         up = down = rel_c + 6.0 * _U + _U * abs(g1 * la)
-        far = la > far_la
-        # where the density took its value in logs (far tails, or a tail that
-        # underflows), only its final exp rounds, but each term of the log sum
-        # errs by a few u of its size; ln_tail bounds the tail's |log|
-        in_logs = False
-        if regime is Regime.SUPER and far:
-            lt = lk + delta * la  # log of k|x|^delta; the +1 dropped costs expo/(k|x|^delta)
-            ln_v -= expo * lt
-            up = down = rel_c + expo * _exp_up(-lt)
-            in_logs, ln_tail = True, expo * (abs(lk) + delta * la + 1.0)
-        elif regime is Regime.LIMIT:
+        if limit:
             t = math.exp(min(lk + delta * la, 700.0))  # k|x|^delta, capped to stay finite
             ln_v -= t
-            # in the far tail the density takes t from this exp, whose
-            # argument errs by about u(|log k| + 2 delta log|x|)
+            # in the far tail the value takes t from an exp whose argument
+            # errs by about u(|log k| + 2 delta log|x|)
             e_t = 4.0 * _U * t * (abs(lk) + delta * la + 2.0 if far else 1.0)
             up += e_t
             down += e_t
-            in_logs, ln_tail = far or math.exp(-k * ax ** delta) < _TINY, t
-        elif regime is Regime.SUB and ax > pow_max and lk + delta * la > 0.0:
-            return 0.0  # outside the support, as the density decided
+            ln_tail = t
+        elif far:  # SUPER: the +1 dropped costs expo/(k|x|^delta)
+            ln_v += power * lt
+            up = down = rel_c + expo * _exp_up(-lt)
+            ln_tail = expo * (abs(lk) + delta * la + 1.0)
         else:
-            t = k * ax ** delta
-            base = 1.0 - t if regime is Regime.SUB else 1.0 + t
             e_base = 5.0 * _U * t + _U * abs(base)  # bounds |base - exact base|
             if base + e_base <= 0.0:
-                return 0.0  # outside the support for certain
-            if regime is Regime.SUPER:
-                r, lb = e_base / base, math.log(base)
-                ln_v -= expo * lb
-                up += -expo * math.log1p(-r) + 2.0 * _U * expo * lb
-                down += expo * math.log1p(r) + 2.0 * _U * expo * lb
-                in_logs, ln_tail = base ** -expo < _TINY, expo * lb
-            elif base <= 0.0:
-                return _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0, _LN_TINY))
-            else:
-                r, lb = e_base / base, math.log(base)  # at r >= 1 the exact point may be outside
-                rnd = 2.0 * _U * expo * abs(lb)
-                ln_v += expo * lb
-                up += expo * math.log1p(r) + rnd
-                down += (-expo * math.log1p(-r) if r < 1.0 else math.inf) + rnd
+                return value, 0.0  # outside the support for certain
+            if base <= 0.0:
+                return value, _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0,
+                                          _LN_TINY))
+            r, lb = e_base / base, math.log(base)  # at r >= 1 the exact SUB point may be outside
+            rnd = 2.0 * _U * expo * abs(lb)
+            grow, shrink = expo * math.log1p(r), (-expo * math.log1p(-r) if r < 1.0 else math.inf)
+            ln_v += power * lb
+            up += (grow if sub else shrink) + rnd
+            down += (shrink if sub else grow) + rnd
+            ln_tail = expo * lb
         if in_logs:
-            w = 2.0 * _U + 6.0 * _U * (abs(ln_c) + abs(g1 * la) + ln_tail)
+            # only the final exp rounds, but each term of the log sum errs by a
+            # few u of its size; ln_tail bounds the tail's |log|
+            w = 2.0 * _U + 6.0 * _U * (abs(ln_cg) + abs(g1 * la) + ln_tail)
             up += w
             down += w
         if value == 0.0:
             # underflow: bound the exact value itself; the factor e covers
             # the rounding of ln_v
-            return _exp_up(max(ln_v + up + 1.0, _LN_TINY))
+            return value, _exp_up(max(ln_v + up + 1.0, _LN_TINY))
         # a factor f rounded in the subnormal range errs by ulp(0)/f relative;
         # the far SUPER tail rounds only its value
         ln_p = g1 * la
-        lowest = ln_v if in_logs else min(ln_p, ln_c + ln_p, ln_v - ln_c - ln_p, ln_v)
-        sub = 4.0 * _exp_up(_LN_TINY - lowest)
-        up += sub
-        down += -math.log1p(-sub) if sub < 1.0 else math.inf
-        return abs(value) * max(_expm1_up(up), -math.expm1(-down))
+        lowest = ln_v if in_logs else min(ln_p, ln_cg + ln_p, ln_v - ln_cg - ln_p, ln_v)
+        tiny = 4.0 * _exp_up(_LN_TINY - lowest)
+        up += tiny
+        down += -math.log1p(-tiny) if tiny < 1.0 else math.inf
+        return value, abs(value) * max(_expm1_up(up), -math.expm1(-down))
 
-    return error
+    return density
 
 
 def pathway_density(dp: PathwayDensityParams, x: float) -> float:
@@ -357,14 +330,14 @@ def pathway_density(dp: PathwayDensityParams, x: float) -> float:
     The normalizing constant and the regime's coefficients are computed
     once per call here; code that evaluates one density at many points
     (``checks._density_norm``, and the CLI's ``eval`` and ``table``, which
-    also build ``_density_error(dp)`` once) builds ``_density(dp)`` once
-    instead."""
+    also take each value's bound from the same call) builds ``_density(dp)``
+    once instead."""
     _check_density_x(x)
     return _density(dp)(x)
 
 
 def _check_density_x(x: float):
-    """Refuse a NaN or infinite x, which ``_density``, also the harness's
-    quadrature integrand, does not check."""
+    """Refuse a NaN or infinite x, which the ``_density`` closure, also the
+    harness's quadrature integrand, does not check."""
     if not -math.inf < x < math.inf:
         raise DomainError(f"the density is defined for finite x, got x={x!r}")

@@ -120,7 +120,7 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     if not math.isfinite(value):
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     # never report convergence the estimate does not support
-    converged = bool(ok) and err <= tol * max(abs(value), 5e-324)
+    converged = bool(ok) and err <= tol * max(abs(value), _ULP0)
     if u > 0.0:
         err += value * _U * (_bs_prefactor_units(nu) + 5.0 * terms)
     return _series_eval((value, err, terms, converged))

@@ -283,6 +283,14 @@ def test_verify_csv_output():
     assert rows[3]["status"] == "DOCUMENTED_MISMATCH"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_out_write_error_is_a_one_line_error():
+    # a failed write once ended in a traceback, after the whole command ran
+    res = _run("--out", "/dev/full", "eval", "S", "--nu", "0", "--x", "1")
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == "Error: cannot write '/dev/full': No space left on device\n"
+
+
 def test_verify_csv_out_file_matches_stdout(tmp_path):
     out = tmp_path / "report.csv"
     assert _run("--out", str(out), "verify", "kernel-identities").exit_code == 0
@@ -776,7 +784,8 @@ def test_non_finite_x_is_usage_error(function, opts):
 
 _CHOICES = "'S', 'J', 'I', 'H', 'L', 'wright', 'msm-left', 'msm-right', 'pathway', 'density'"
 # (args, the last stderr line) of usage errors, in the words of the
-# click-based CLI; "missing.json" does not exist and "a-dir" is a directory
+# click-based CLI; "missing.json" and "missing" do not exist, "a-dir" is a
+# directory and "a-file" a file
 USAGE_ERRORS = [
     (("eval", "S", "--nu", "0", "--x", "1", "--bogus"), "Error: No such option '--bogus'."),
     (("--form", "json", "eval", "S", "--nu", "0", "--x", "1"),
@@ -807,6 +816,12 @@ USAGE_ERRORS = [
     (("--config", "a-dir", "verify"), "Error: Invalid value for '--config': File 'a-dir' is a directory."),
     (("--out", "a-dir", "eval", "S", "--nu", "0", "--x", "1"),
      "Error: Invalid value for '--out': File 'a-dir' is a directory."),
+    (("--out", "missing/f.csv", "eval", "S", "--nu", "0", "--x", "1"),
+     "Error: Invalid value for '--out': Directory 'missing' does not exist."),
+    (("--format", "json", "--out", "missing/x.json", "verify", "wright"),
+     "Error: Invalid value for '--out': Directory 'missing' does not exist."),
+    (("--out", "a-file/o.csv", "table", "S", "--nu", "0", "--x", "0:1:3"),
+     "Error: Invalid value for '--out': 'a-file' is not a directory."),
     (("eval", "wright", "--upper", "1,2,3", "--lower", "1,1", "--x", "1"),
      "Error: bad pair list '1,2,3'; use 'a,A;b,B'"),
     (("table", "S", "--x", "a:b:3"), "Error: bad range 'a:b:3'; use start:stop:count"),
@@ -826,6 +841,7 @@ USAGE_ERRORS = [
 def test_usage_errors(args, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
     res = _run(*args)
     assert (res.exit_code, res.stdout) == (2, ""), res.output
     assert res.stderr.splitlines()[-1] == message

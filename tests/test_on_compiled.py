@@ -37,7 +37,9 @@ from test_cli import (  # noqa: F401
 from test_gammacore import test_non_finite_argument_is_domain_error  # noqa: F401
 from test_msm import test_image_evaluator_matches_value_at  # noqa: F401
 from test_pathway import (  # noqa: F401
+    test_density_bounds_are_pinned,
     test_density_error_bound_holds,
+    test_density_value_is_the_same_with_its_bound,
     test_density_values_are_pinned,
 )
 from test_series import test_modified_error_bound_holds  # noqa: F401

@@ -4,6 +4,8 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from bsfrac import (
@@ -230,6 +232,71 @@ def test_density_values_are_pinned(dp, xs, want, want_compiled):
     assert [pathway_density(dp, x) for x in xs] == want
 
 
+# the error bounds of the pinned values above, row for row, on the pure and
+# the compiled backend (None where they agree), as the density's separate
+# bound closure once gave them: one pass for value and bound kept the bits
+DENSITY_BOUND_GOLDEN = [
+    ([0.0, 1.798630980900354e-14, 3.365434234749853e-15, 1.3052369236210847e-18, 0.0, 0.0],
+     None),
+    ([9.661092836561018e-15, 7.822984868743918e-15, 4.3804807104028955e-16,
+      1.131712152515797e-15],
+     [9.661092836561015e-15, 7.822984868743915e-15, 4.3804807104028945e-16,
+      1.131712152515797e-15]),
+    ([0.0, 5.521577031537119e-15, 4.4141747342269746e-16, 1.3368633630712011e-20, 5e-324],
+     [0.0, 5.521577031537118e-15, 4.414174734226974e-16, 1.336863363071201e-20, 5e-324]),
+    ([math.inf, 4.204340751634947e-16, 1.0903872951635732e-211, 1.5512129400805567e-299, 5e-324],
+     [math.inf, 4.204340751634944e-16, 1.0903872951635732e-211, 1.5512129400805567e-299,
+      5e-324]),
+    ([1.7940470502612346e-15, 1.837307135711409e-15, 3.267166854895043e-16, 5e-324, 5e-324],
+     None),
+    ([math.inf, 2.805717307557877e-15, 1.5658683990986928e-17, 5e-324], None),
+]
+
+
+@pytest.mark.parametrize("golden, bounds, bounds_compiled",
+                         [(g, *b) for g, b in zip(DENSITY_GOLDEN, DENSITY_BOUND_GOLDEN)],
+                         ids=[f"row{i}" for i in range(len(DENSITY_GOLDEN))])
+def test_density_bounds_are_pinned(golden, bounds, bounds_compiled):
+    from bsfrac.pathway import _density
+
+    dp, xs, want, want_compiled = golden
+    if _backend.BACKEND == "compiled":
+        want, bounds = want_compiled or want, bounds_compiled or bounds
+    density = _density(dp)
+    assert [density(x, True) for x in xs] == list(zip(want, bounds))
+
+
+@st.composite
+def _density_draws(draw):
+    """An admissible parameter set of each regime in turn, and any finite x."""
+    regime = draw(st.sampled_from(["sub", "super", "limit"]))
+    g = draw(st.floats(0.3, 6.0))
+    d = draw(st.floats(0.2, 8.0))
+    a = draw(st.floats(1e-2, 1e2))
+    if regime == "sub":
+        alpha, beta = draw(st.floats(-3.0, 0.999)), draw(st.floats(0.0, 30.0))
+    elif regime == "limit":
+        alpha, beta = 1.0, draw(st.floats(0.01, 30.0))
+    else:
+        alpha = draw(st.floats(1.01, 4.0))
+        beta = (alpha - 1.0) * (g / d) * draw(st.floats(1.001, 8.0))
+    return (g, d, beta, a, alpha), draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_density_draws())
+def test_density_value_is_the_same_with_its_bound(draw):
+    # the value alone (the quadrature integrand) and the value that comes
+    # with the bound are the same bits, in every regime
+    from bsfrac.pathway import _density
+
+    params, x = draw
+    density = _density(PathwayDensityParams(*params))
+    value, bound = density(x, True)
+    assert repr(density(x)) == repr(value), (params, x)
+    assert bound >= 0.0, (params, x, bound)
+
+
 # parameter sets of the three regimes for the density's error bound, with
 # the relative bound allowed away from the SUB edge and the far tails: the
 # SUB ones reach their support edge (one with beta_shape = 0, where the
@@ -268,10 +335,10 @@ def test_density_error_bound_holds(params, rel_limit):
     # the CLI's abs_error_est for a density value bounds its distance to the
     # 40-digit density of the same double parameters; away from the SUB edge
     # and the far tails it is also no looser than rel_limit of a normal value
-    from bsfrac.pathway import _density, _density_error
+    from bsfrac.pathway import _density
 
     dp = PathwayDensityParams(*params)
-    density, error = _density(dp), _density_error(dp)
+    density = _density(dp)
     if dp.regime is Regime.SUB:
         xs = [f * dp.support_radius for f in SUB_EDGE]
         interior = 0.7 * dp.support_radius
@@ -282,8 +349,7 @@ def test_density_error_bound_holds(params, rel_limit):
     if dp.gamma_shape >= 1.0:  # below 1 the density is infinite at 0
         xs.append(0.0)
     for x in xs + [-x for x in xs]:
-        value = density(x)
-        bound = error(x, value)
+        value, bound = density(x, True)
         ref = oracles.mp_density(*params, x)
         assert abs(mp.mpf(value) - ref) <= bound, (x, value, bound)
         if ref >= sys.float_info.min:  # a normal double never underflows to zero
