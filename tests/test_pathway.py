@@ -268,7 +268,7 @@ def test_density_bounds_are_pinned(golden, bounds, bounds_compiled):
 
 @st.composite
 def _density_draws(draw):
-    """An admissible parameter set of each regime in turn, and any finite x."""
+    """An admissible parameter set of one of the three regimes, and any finite x."""
     regime = draw(st.sampled_from(["sub", "super", "limit"]))
     g = draw(st.floats(0.3, 6.0))
     d = draw(st.floats(0.2, 8.0))
