@@ -19,15 +19,8 @@ from functools import partial
 from . import __version__
 from ._backend import kernels
 from .errors import BsfracError, DomainError, QuadratureError, TermCapError
-from .series import (
-    _SPECIAL_NU,
-    _series_eval,
-    bessel_first_kind,
-    bessel_struve_kernel,
-    linspace,
-    struve,
-)
-from .wright import WrightSpec, wright_eval
+from .series import _SPECIAL_NU, bessel_first_kind_row, bessel_struve_row, linspace, struve_row
+from .wright import WrightSpec, wright_row
 
 FUNCTIONS = ("S", "J", "I", "H", "L", "wright", "msm-left", "msm-right",
              "pathway", "density")
@@ -49,19 +42,14 @@ def _fail(message: str):
 
 
 def _sweep(function: str, opts: dict, xs) -> list:
-    """Evaluate function at every x, built once for the whole sweep (see
+    """Evaluate function at every x in one call of its row evaluator (see
     ``_evaluator``), with library errors mapped to the exit-code contract;
-    a numerical error names the x being evaluated, or the first x while
-    the function is being built."""
-    x = xs[0]
+    a numerical error names the first x the row did not finish."""
+    out = []
     try:
-        evaluate = _evaluator(function, opts)
-        results = []
-        for x in xs:  # not a comprehension: the handlers below name this x
-            results.append(evaluate(x))
-        return results
+        return _evaluator(function, opts)(xs, out)
     except NUMERICAL_ERRORS as exc:
-        _fail(f"{function} at x={x!r}: {exc}")
+        _fail(f"{function} at x={xs[len(out)]!r}: {exc}")
     except BsfracError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -116,11 +104,12 @@ def _parse_pairs(text: str):
 
 
 def _evaluator(function: str, opts: dict):
-    """Build ``x -> SeriesEval`` from the options: they are checked and
-    parsed, and the image, Wright spec or density constants computed,
-    once, before the first point: a Wright, MSM or pathway sweep shares
-    one spec and its term table.  The operator modules are imported only
-    by the branches that use them, so a cold ``eval S`` never loads them."""
+    """Build the row evaluator ``(xs, out) -> out`` (the contract is in
+    ``series``) from the options: they are checked and parsed, and the
+    image, Wright spec or density constants computed, once, before the
+    first point: a Wright, MSM or pathway sweep shares one spec and its
+    term table.  The operator modules are imported only by the branches
+    that use them, so a cold ``eval S`` never loads them."""
     if function == "density":
         from .pathway import PathwayDensityParams, _check_density_x, _density
 
@@ -129,23 +118,26 @@ def _evaluator(function: str, opts: dict):
                                                 opts["beta_shape"], opts["a"],
                                                 opts["pathway_alpha"]))
 
-        def density_at(x):
-            _check_density_x(x)
-            return _series_eval((*density(x, True), 1, True))
+        def density_row(xs, out):
+            for x in xs:
+                _check_density_x(x)
+                value, bound = density(x, True)
+                out.append((value, bound, 1, bound < math.inf))  # an infinite bound says nothing
+            return out
 
-        return density_at
+        return density_row
     if function == "S":
         _require(opts, ["nu"])
-        return partial(bessel_struve_kernel, opts["nu"])
+        return partial(bessel_struve_row, opts["nu"])
     if function in ("J", "I", "H", "L"):
         _require(opts, ["nu"])
-        fn = bessel_first_kind if function in ("J", "I") else struve
+        row = bessel_first_kind_row if function in ("J", "I") else struve_row
         nu, modified = opts["nu"], function in ("I", "L")
-        return lambda x: fn(nu, x, modified)  # a keyword would cost a dict a point
+        return lambda xs, out: row(nu, xs, out, modified)
     if function == "wright":
         _require(opts, ["upper", "lower"])
         spec = WrightSpec(_parse_pairs(opts["upper"]), _parse_pairs(opts["lower"]))
-        return partial(wright_eval, spec)
+        return partial(wright_row, spec)
     if function in ("msm-left", "msm-right"):
         from .msm import MsmParams, Side, msm_bs_closed_form, msm_power_image
 
@@ -155,16 +147,16 @@ def _evaluator(function: str, opts: dict):
                            opts["beta_prime"], opts["gamma"])
         kind = _build_kind(opts)
         if kind.family == "monomial":
-            return msm_power_image(side, params, kind.rho).value_at
-        return msm_bs_closed_form(side, params, kind).value_at
+            return msm_power_image(side, params, kind.rho).value_row
+        return msm_bs_closed_form(side, params, kind).value_row
     from .pathway import PathwayParams, pathway_bs_closed_form, pathway_power_image
 
     _require(opts, ["eta", "a", "pathway-alpha", "rho"])
     params = PathwayParams(opts["eta"], opts["a"], opts["pathway_alpha"])
     kind = _build_kind(opts)
     if kind.family == "monomial":
-        return pathway_power_image(params, kind.rho).value_at
-    return pathway_bs_closed_form(params, kind).value_at
+        return pathway_power_image(params, kind.rho).value_row
+    return pathway_bs_closed_form(params, kind).value_row
 
 
 def _build_kind(opts):
@@ -180,12 +172,11 @@ def _build_kind(opts):
 def eval_cmd(main_opts, opts):
     """Evaluate one function at one point."""
     function, x = opts["function"], opts["x"]
-    [r] = _sweep(function, opts, [x])
-    _emit(main_opts, ["value", "abs_error_est", "terms_used"],
-          [r.value, r.abs_error_est, r.terms_used])
-    if not math.isfinite(r.value):
+    [(value, err, terms, converged)] = _sweep(function, opts, [x])
+    _emit(main_opts, ["value", "abs_error_est", "terms_used"], [value, err, terms])
+    if not math.isfinite(value):
         _fail(f"{function} at x={x!r} is not finite in double precision")
-    if not r.converged:
+    if not converged:
         _fail(f"{function} at x={x!r} did not converge")
 
 
@@ -209,12 +200,12 @@ def _parse_range(text: str):
 def table_cmd(main_opts, opts):
     """Tabulate one function over a grid of evaluation points."""
     function, xs = opts["function"], _parse_range(opts["x"])
-    values, bad, unconverged = [], [], []
-    for x, r in zip(xs, _sweep(function, opts, xs)):  # one pass over the results
-        values += (x, r.value, r.abs_error_est)
-        if not math.isfinite(r.value):
+    values, bad, unconverged, inf = [], [], [], math.inf
+    for x, (value, err, _, converged) in zip(xs, _sweep(function, opts, xs)):  # one pass
+        values += (x, value, err)
+        if not -inf < value < inf:
             bad.append(x)
-        if not r.converged:
+        if not converged:
             unconverged.append(x)
     _emit(main_opts, ["x", "value", "abs_error_est"], values)
     if bad:

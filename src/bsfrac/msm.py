@@ -33,7 +33,7 @@ from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .series import (_SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked, _series_eval,
                      bessel_struve_kernel)
-from .wright import WrightSpec, wright_eval
+from .wright import WrightSpec, _wright_failure, _wright_kernel
 
 
 class Side(enum.Enum):
@@ -129,16 +129,29 @@ class ClosedFormImage(NamedTuple):
 
     def value_at(self, x: float, tol: float = DEFAULT_TOL,
                  term_cap: int = TERM_CAP) -> SeriesEval:
-        """The image at x, through ``wright_eval``: a sweep over many x
-        reuses the spec's cached term table.  x must be finite and positive."""
-        if not 0.0 < x < math.inf:
-            raise DomainError(f"images are defined for x > 0, got x={x!r}")
+        """The image at x, finite and positive: the row of one point of
+        ``value_row``."""
+        return _series_eval(self.value_row((x,), [], tol, term_cap)[0])
+
+    def value_row(self, xs, out: list, tol: float = DEFAULT_TOL,
+                  term_cap: int = TERM_CAP) -> list:
+        """The row of ``value_at`` (the contract is in ``series``): a point
+        is a point of ``wright.wright_row`` at its z, scaled."""
         prefactor, power, spec, arg_scale, inverse = self  # faster than 5 field reads
-        z = arg_scale * (1.0 / x if inverse else x)
-        w = wright_eval(spec, z, tol, term_cap)
-        scale = prefactor * x ** power
-        return _series_eval((scale * w.value, abs(scale) * w.abs_error_est, w.terms_used,
-                             w.converged))
+        series, (a, A, b, B), rows = _wright_kernel(spec, tol, term_cap)
+        append, inf = out.append, math.inf
+        for x in xs:
+            if not 0.0 < x < inf:
+                raise DomainError(f"images are defined for x > 0, got x={x!r}")
+            z = arg_scale * (1.0 / x if inverse else x)
+            if not -inf < z < inf:
+                _wright_failure(z)
+            value, err, terms, status = series(a, A, b, B, z, tol, term_cap, rows)
+            if status or not -inf < value < inf:
+                _wright_failure(z, value, status, tol, term_cap)
+            scale = prefactor * x ** power
+            append((scale * value, abs(scale) * err, terms, True))
+        return out
 
 
 class _GammaTable(NamedTuple):

@@ -143,7 +143,10 @@ class PathwayDensityParams(_Checked, namedtuple(
     def support_radius(self) -> float:
         """Finite-support edge in the SUB regime, +inf otherwise."""
         if self.regime is Regime.SUB:
-            return (self.a * (1.0 - self.pathway_alpha)) ** (-1.0 / self.delta)
+            try:
+                return (self.a * (1.0 - self.pathway_alpha)) ** (-1.0 / self.delta)
+            except OverflowError:  # beyond the double range: every finite x is inside
+                pass
         return math.inf
 
 
@@ -164,18 +167,42 @@ def _shape(dp: PathwayDensityParams):
 
 
 def pathway_norm_const(dp: PathwayDensityParams) -> float:
-    """Normalizing constant of the pathway density (three branches)."""
+    """Normalizing constant of the pathway density (three branches), from
+    its logs where k**(gamma/delta), a gamma or their product overflows."""
     gd = dp.gamma_shape / dp.delta
     k, be, nums, dens = _shape(dp)
     if dp.regime is Regime.SUPER and not be - gd > 0.0:
         raise PreconditionError(
             f"type-2 branch needs beta/(alpha-1) - gamma/delta > 0, "
             f"got {be - gd!r}")
-    if dp.regime is not Regime.LIMIT:
-        return 0.5 * dp.delta * k ** gd * gamma_ratio(nums, dens)
-    if not dp.beta_shape > 0.0:
+    if dp.regime is Regime.LIMIT and not dp.beta_shape > 0.0:
         raise PreconditionError("the limit branch needs beta_shape > 0")
-    return 0.5 * dp.delta * k ** gd / math.gamma(gd)
+    try:
+        c = 0.5 * dp.delta * k ** gd
+        c = c / math.gamma(gd) if dp.regime is Regime.LIMIT else c * gamma_ratio(nums, dens)
+    except OverflowError:
+        c = math.inf
+    return c if c < math.inf else math.exp(_ln_norm_const(dp)[0])
+
+
+def _ln_norm_const(dp: PathwayDensityParams) -> tuple:
+    """(log c, its half-width) of the normalizing constant c, summed from
+    its log-gammas: every gamma argument is a sum of at most three of gd,
+    expo and 1, each within 2u, and moves log Gamma by at most
+    (|log a| + 1/a) per unit (the digamma bound for a > 0)."""
+    gd = dp.gamma_shape / dp.delta
+    k, expo, nums, dens = _shape(dp)
+    lk = math.log(k) if k > 0.0 else -math.inf
+    ln_cg = math.log(0.5 * dp.delta) + gd * lk
+    rel_c = (2.0 * gd + abs(gd * lk) + 6.0) * _U
+    moved = 4.0 * _U * (gd + expo + 1.0)
+    args = nums + dens
+    for i, a in enumerate(args):
+        la = ln_gamma_signed(a).log_abs
+        ln_cg += la if i < len(nums) else -la
+        rel_c += ((2.0 * _LGAMMA_ULPS + len(args)) * _U * max(1.0, abs(la))
+                  + (abs(math.log(a)) + 1.0 / a) * moved)
+    return ln_cg, rel_c
 
 
 _LN_TINY = math.log(math.ulp(0.0))  # a rounding in the subnormal range errs by ulp(0)
@@ -210,8 +237,8 @@ def _density(dp: PathwayDensityParams):
     c = pathway_norm_const(dp)
     at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
     sub, limit = dp.regime is Regime.SUB, dp.regime is Regime.LIMIT
-    gd, delta, g1 = dp.gamma_shape / dp.delta, dp.delta, dp.gamma_shape - 1.0
-    k, expo, nums, dens = _shape(dp)
+    delta, g1 = dp.delta, dp.gamma_shape - 1.0
+    k, expo, _, _ = _shape(dp)
     power = expo if sub else -expo  # the base's exponent
     ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
     # beyond log|x| = far_la, 200 or less where |x|**delta would overflow,
@@ -219,19 +246,7 @@ def _density(dp: PathwayDensityParams):
     # |x|**delta would overflow, and the SUB density decides its support in logs
     la_max = 709.0 / delta  # |x|**delta is below exp(709) up to log|x| = la_max
     far_la, pow_max = min(200.0, la_max), math.exp(la_max) if la_max < 709.0 else math.inf
-    # the bound's log c, summed from its log-gammas, and its half-width:
-    # every gamma argument is a sum of at most three of gd, expo and 1, each
-    # within 2u, and moves log Gamma by at most (|log a| + 1/a) per unit
-    # (the digamma bound for a > 0)
-    ln_cg = math.log(0.5 * delta) + gd * lk
-    rel_c = (2.0 * gd + abs(gd * lk) + 6.0) * _U
-    moved = 4.0 * _U * (gd + expo + 1.0)
-    args = nums + dens
-    for i, a in enumerate(args):
-        la = ln_gamma_signed(a).log_abs
-        ln_cg += la if i < len(nums) else -la
-        rel_c += ((2.0 * _LGAMMA_ULPS + len(args)) * _U * max(1.0, abs(la))
-                  + (abs(math.log(a)) + 1.0 / a) * moved)
+    ln_cg, rel_c = _ln_norm_const(dp)  # the bound's log c and its half-width
 
     def density(x, bound=False):
         ax = abs(x)

@@ -4,6 +4,13 @@ Struve functions, with error bounds that include the rounding.
 The hypergeometric functions of the operators have no wrapper here: the
 quadrature route calls ``kernels.hyp2f1_kernel`` directly (``msm``), and
 the Wright series live in ``wright``.
+
+Each function of a point x has a row form, as ``wright.wright_row`` and
+``msm.ClosedFormImage.value_row`` do: ``f_row(..., xs, out)`` appends each
+x's (value, abs_error_est, terms_used, converged) to ``out`` in turn and
+returns ``out``.  Its x-free checks and set-up run once a row, and a
+failing point raises with ``out`` holding the points before it.  The
+one-point function is the row of one point, so the two give the same bits.
 """
 
 from __future__ import annotations
@@ -106,24 +113,35 @@ def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
     At u > 0 the bound adds the rounding of the positive sum (Higham 2002,
     ch. 4): the odd chain's first term errs by ``_bs_prefactor_units`` u, a
     chain step by 7u (3.5u a term) and an addition by u of the sum.
-    ``converged`` tests the tail estimate alone, as for I and L.
-
-    One kernel call per point: a sweep of one order reuses the pure
-    kernel's table of that order.
+    ``converged`` tests the tail estimate alone, as for I and L.  A point
+    is one kernel call: a sweep of one order reuses the pure kernel's
+    table of that order.
     """
+    return _series_eval(bessel_struve_row(nu, (u,), [], tol, term_cap)[0])
+
+
+def bessel_struve_row(nu: float, us, out: list, tol: float = DEFAULT_TOL,
+                      term_cap: int = TERM_CAP) -> list:
+    """The row of ``bessel_struve_kernel``; the prefactor's rounding units
+    are found at the first u > 0."""
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
-    if not math.isfinite(u):
-        raise DomainError("kernel argument must be finite")
     check_limits(tol, term_cap)
-    value, err, terms, ok = kernels.bs_series(nu, u, tol, term_cap)
-    if not math.isfinite(value):
-        raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
-    # never report convergence the estimate does not support
-    converged = bool(ok) and err <= tol * max(abs(value), _ULP0)
-    if u > 0.0:
-        err += value * _U * (_bs_prefactor_units(nu) + 5.0 * terms)
-    return _series_eval((value, err, terms, converged))
+    series, append, units, inf = kernels.bs_series, out.append, None, math.inf
+    for u in us:
+        if not -inf < u < inf:
+            raise DomainError("kernel argument must be finite")
+        value, err, terms, ok = series(nu, u, tol, term_cap)
+        if not -inf < value < inf:
+            raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
+        # never report convergence the estimate does not support
+        converged = bool(ok) and err <= tol * max(abs(value), _ULP0)
+        if u > 0.0:
+            if units is None:
+                units = _bs_prefactor_units(nu)
+            err += value * _U * (units + 5.0 * terms)
+        append((value, err, terms, converged))
+    return out
 
 
 def _gamma_units(a: float) -> float:
@@ -184,65 +202,87 @@ def _order_terms(struve_type: bool, v: float) -> tuple:
     return v + 1.0 if struve_type else v, gamma_args, tuple(map(_gamma_units, gamma_args))
 
 
-def _bessel_type(kernel, v: float, z: float, modified: bool, tol: float, term_cap: int,
-                 struve_type: bool) -> SeriesEval:
-    """The J/I (``bessel_series``) or H/L (``struve_series``) series at
-    z > 0 from one kernel call: a rounding bound on the sum of |terms| of
-    its pass (its fifth field) is added to its tail bound.  Where 0.5 * z
-    can round the series is its leading term, taken here in logs on both
-    backends.  A J or H value whose whole bound reaches |value| has no
-    correct digit, so it is not converged.
+def _bessel_type(kernel, v: float, zs, out: list, modified: bool, tol: float, term_cap: int,
+                 struve_type: bool, at_zero: tuple) -> list:
+    """The J/I (``bessel_series``) or H/L (``struve_series``) row, with the
+    order's leading-term data found at the first z > 0; z = 0 gives
+    ``at_zero``.  A point at z > 0 is one kernel call: a rounding bound on
+    the sum of |terms| of its pass (its fifth field) is added to its tail
+    bound.  Where 0.5 * z can round the series is its leading term, taken
+    here in logs on both backends.  A J or H value whose whole bound
+    reaches |value| has no correct digit, so it is not converged.
 
     Where the terms leave the double range the kernel ends at its first
     non-finite partial sum: the I or L value is then inf and the J or H
     value NaN, unconverged with bound inf."""
-    order, gamma_args, units = _order_terms(struve_type, v)
-    if z < _HALF_ROUNDS:
-        power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
-        for a in gamma_args:
-            ln_t -= ln_gamma_signed(a).log_abs
-        try:
-            value = math.exp(ln_t)
-        except OverflowError:
-            return SeriesEval(math.inf, math.inf, 1, False)
-        return SeriesEval(value, _positive_series_rounding(value, 1, power, units), 1, True)
-    value, err, terms, ok, total = kernel(v, z, int(modified), tol, term_cap)
-    if not math.isfinite(value):
-        return SeriesEval(math.inf if modified else math.nan, math.inf, terms, False)
-    err += _positive_series_rounding(total, terms, order * math.log(0.5 * z), units)
-    return _series_eval((value, err, terms, bool(ok) and (modified or err < abs(value))))
+    check_limits(tol, term_cap)
+    append, order_terms, inf, flag = out.append, None, math.inf, int(modified)
+    for z in zs:
+        if not 0.0 <= z < inf:
+            raise DomainError("argument must be finite and nonnegative")
+        if z == 0.0:
+            append(at_zero)
+            continue
+        if order_terms is None:
+            order, gamma_args, units = order_terms = _order_terms(struve_type, v)
+        if z < _HALF_ROUNDS:
+            power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
+            for a in gamma_args:
+                ln_t -= ln_gamma_signed(a).log_abs
+            try:
+                value = math.exp(ln_t)
+            except OverflowError:
+                append(_NO_VALUE)
+                continue
+            append((value, _positive_series_rounding(value, 1, power, units), 1, True))
+            continue
+        value, err, terms, ok, total = kernel(v, z, flag, tol, term_cap)
+        if not -inf < value < inf:
+            append((inf if modified else math.nan, inf, terms, False))
+            continue
+        err += _positive_series_rounding(total, terms, order * math.log(0.5 * z), units)
+        append((value, err, terms, bool(ok) and (modified or err < abs(value))))
+    return out
+
+
+_NO_VALUE = (math.inf, math.inf, 1, False)  # a point where the series is infinite
 
 
 def bessel_first_kind(v: float, z: float, modified: bool = False,
                       tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
     """J_v(z) (or I_v(z) when modified) by direct series; v > -1, z >= 0."""
+    return _series_eval(bessel_first_kind_row(v, (z,), [], modified, tol, term_cap)[0])
+
+
+def bessel_first_kind_row(v: float, zs, out: list, modified: bool = False,
+                          tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> list:
+    """The row of ``bessel_first_kind``."""
     if not v > -1.0:
         raise DomainError(f"order must satisfy v > -1, got {v!r}")
-    if z < 0.0 or not math.isfinite(z):
-        raise DomainError("argument must be finite and nonnegative")
-    check_limits(tol, term_cap)
-    if z == 0.0:
-        if v >= 0.0:
-            return SeriesEval(1.0 if v == 0.0 else 0.0, 0.0, 1, True)
-        return SeriesEval(math.inf, math.inf, 1, False)
-    return _bessel_type(kernels.bessel_series, v, z, modified, tol, term_cap, False)
+    at_zero = (1.0 if v == 0.0 else 0.0, 0.0, 1, True) if v >= 0.0 else _NO_VALUE
+    return _bessel_type(kernels.bessel_series, v, zs, out, modified, tol, term_cap, False,
+                        at_zero)
 
 
 def struve(v: float, z: float, modified: bool = False,
            tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
     """H_v(z) (or L_v(z) when modified) by direct series; v > -3/2, z >= 0."""
+    return _series_eval(struve_row(v, (z,), [], modified, tol, term_cap)[0])
+
+
+def struve_row(v: float, zs, out: list, modified: bool = False,
+               tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> list:
+    """The row of ``struve``."""
     if not v > -1.5:
         raise DomainError(f"order must satisfy v > -3/2, got {v!r}")
-    if z < 0.0 or not math.isfinite(z):
-        raise DomainError("argument must be finite and nonnegative")
-    check_limits(tol, term_cap)
-    if z == 0.0:
-        if v > -1.0:
-            return SeriesEval(0.0, 0.0, 1, True)
-        if v == -1.0:
-            # prefactor power hits zero: only the k=0 term survives
-            value = 1.0 / (math.gamma(1.5) * math.gamma(0.5))
-            return SeriesEval(value, _positive_series_rounding(
-                value, 1, 0.0, _order_terms(True, v)[2]), 1, True)
-        return SeriesEval(math.inf, math.inf, 1, False)
-    return _bessel_type(kernels.struve_series, v, z, modified, tol, term_cap, True)
+    if v > -1.0:
+        at_zero = (0.0, 0.0, 1, True)
+    elif v == -1.0:
+        # prefactor power hits zero: only the k=0 term survives
+        value = 1.0 / (math.gamma(1.5) * math.gamma(0.5))
+        at_zero = (value, _positive_series_rounding(value, 1, 0.0, _order_terms(True, v)[2]),
+                   1, True)
+    else:
+        at_zero = _NO_VALUE
+    return _bessel_type(kernels.struve_series, v, zs, out, modified, tol, term_cap, True,
+                        at_zero)

@@ -74,7 +74,7 @@ def wright_delta(spec: WrightSpec) -> float:
 
 
 def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
-                term_cap: int = TERM_CAP) -> SeriesEval:
+               term_cap: int = TERM_CAP) -> SeriesEval:
     """Evaluate the Wright series sum_k prod Gamma(a_i + A_i k) /
     prod Gamma(b_j + B_j k) * z^k / k!.
 
@@ -83,22 +83,46 @@ def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
     error.  Raises ConvergenceError when the slope condition fails,
     OverflowError when the value is not finite in double precision, and
     TermCapError when the cap is reached before the tolerance.
-
-    One kernel call, fed the spec's cached term table: it reads the rows,
-    appends those this z needs next and sums in its own loop (in C on the
-    compiled backend), with the bits of a table-free call.
     """
+    return _series_eval(wright_row(spec, (z,), [], tol, term_cap)[0])
+
+
+def wright_row(spec: WrightSpec, zs, out: list, tol: float = DEFAULT_TOL,
+               term_cap: int = TERM_CAP) -> list:
+    """The row of ``wright_eval`` (the contract is in ``series``).  A point
+    is one kernel call, fed the spec's cached term table: it reads the rows,
+    appends those this z needs next and sums in its own loop (in C on the
+    compiled backend), with the bits of a table-free call."""
+    series, (a, A, b, B), rows = _wright_kernel(spec, tol, term_cap)
+    append, inf = out.append, math.inf
+    for z in zs:
+        if not -inf < z < inf:
+            _wright_failure(z)
+        value, err, terms, status = series(a, A, b, B, z, tol, term_cap, rows)
+        if status or not -inf < value < inf:
+            _wright_failure(z, value, status, tol, term_cap)
+        append((value, err, terms, True))
+    return out
+
+
+def _wright_kernel(spec: WrightSpec, tol: float, term_cap: int) -> tuple:
+    """The x-free part of a Wright row, and of an image's: the checks, then
+    the kernel, the spec's four columns and its term table."""
     delta, columns, rows = spec._derived
     if delta <= -1.0:
         raise ConvergenceError(f"wright series diverges: delta={delta!r} must exceed -1")
-    if not math.isfinite(z):
-        raise DomainError(f"wright argument must be finite, got {z!r}")
     check_limits(tol, term_cap)
-    value, err, terms, status = kernels.wright_series(*columns, z, tol, term_cap, rows)
+    return kernels.wright_series, columns, rows
+
+
+def _wright_failure(z: float, value: float = 0.0, status: int = 0, tol: float = DEFAULT_TOL,
+                    term_cap: int = TERM_CAP):
+    """Raise the error of a Wright point with no value: z is not finite, or
+    the kernel's result at z is a pole (status 2), overflows or is capped."""
+    if not -math.inf < z < math.inf:
+        raise DomainError(f"wright argument must be finite, got {z!r}")
     if status == 2:
         raise PoleError(f"upper parameter hits a gamma pole at term k={int(value)}")
     if not math.isfinite(value):
         raise OverflowError(f"wright series at z={z!r} exceeds double range")
-    if status == 1:
-        raise TermCapError(f"wright series did not reach tol={tol!r} within {term_cap} terms")
-    return _series_eval((value, err, terms, True))
+    raise TermCapError(f"wright series did not reach tol={tol!r} within {term_cap} terms")

@@ -672,6 +672,10 @@ def test_sweep_rows_match_eval(function):
         assert (point["value"], point["abs_error_est"]) == (row["value"], row["abs_error_est"])
 
 
+# a density whose k = a(1-alpha) underflows to 0: its values are 0 with an
+# infinite (or, at x = 0, NaN) bound, which bounds nothing
+_TINY_K = ("--gamma-shape", "1", "--delta", "1", "--beta-shape", "1", "--a", "5e-324",
+           "--pathway-alpha", "0.5")
 # (args, exit code, stdout is empty, stderr line); x <= 0 in an operator
 # image is a usage error
 SWEEP_ERRORS = [
@@ -698,6 +702,10 @@ SWEEP_ERRORS = [
      "Error: J at x=0.0 is not finite in double precision"),
     (("table", "H", "--nu", "-1.2", "--x", "0:1:3"), 1, False,
      "Error: H is not finite in double precision at 1 point(s), first x=0.0"),
+    (("eval", "density", *_TINY_K, "--x", "1"), 1, False,
+     "Error: density at x=1.0 did not converge"),
+    (("table", "density", *_TINY_K, "--x", "0:1:3"), 1, False,
+     "Error: density did not converge at 3 point(s), first x=0.0"),
 ]
 
 
@@ -748,6 +756,97 @@ def test_sweep_builds_once(function, monkeypatch):
         assert _run("table", function, "--x", f"{first}:{stop}:{count}", *opts).exit_code == 0
         counts.append(sorted(builds))
     assert counts[0] == counts[1] != []
+
+
+@pytest.mark.parametrize("function", sorted(SWEEPS))
+def test_sweep_checks_limits_once(function, monkeypatch):
+    # a table checks its x-free tolerance and term cap once a row, not once
+    # a point; the density has neither
+    from bsfrac import series, wright
+
+    calls, check = [], series.check_limits
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(series, "check_limits", counted)
+    monkeypatch.setattr(wright, "check_limits", counted)
+    opts, grid = SWEEPS[function]
+    assert _run("table", function, "--x", grid, *opts).exit_code == 0
+    assert len(calls) == (function != "density")
+
+
+def _row_and_one_point(function, args):
+    """The CLI's row evaluator of ``table function *args`` and the public
+    one-point call behind it: x -> SeriesEval fields, or the density's
+    (value, bound, 1, bound is finite)."""
+    from bsfrac import cli
+    from bsfrac.pathway import PathwayDensityParams, _density
+
+    table = cli.COMMANDS["table"][1]
+    raw, _, free = cli._parse(table, [function, "--x", "0:1:2", *args], True)
+    opts = cli._convert(table, raw, free)
+    row = cli._evaluator(function, opts)
+    nu, modified = opts["nu"], function in ("I", "L")
+    if function == "S":
+        return row, lambda x: bsfrac.bessel_struve_kernel(nu, x)
+    if function in ("J", "I"):
+        return row, lambda x: bsfrac.bessel_first_kind(nu, x, modified)
+    if function in ("H", "L"):
+        return row, lambda x: bsfrac.struve(nu, x, modified)
+    if function == "wright":
+        return row, lambda x: bsfrac.wright_eval(row.args[0], x)
+    if function != "density":
+        return row, row.__self__.value_at  # the image's bound value_row
+    dp = PathwayDensityParams(*(opts[n] for n in PathwayDensityParams._fields))
+    density = _density(dp)
+
+    def density_point(x):
+        value = bsfrac.pathway_density(dp, x)
+        bound = density(x, True)[1]
+        return value, bound, 1, bound < math.inf
+
+    return row, density_point
+
+
+# the x of a row: ordinary points and those where a point fails or takes
+# another route (x <= 0, below 2**-1021, overflowing, not finite)
+_ROW_XS = st.lists(st.one_of(
+    st.floats(-30.0, 30.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 800.0, 1e300, -1e300, math.inf, -math.inf,
+                     math.nan])), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("function", sorted(SWEEPS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # one twin a run
+@given(xs=_ROW_XS, nu=st.sampled_from([None, -1.2, -1.0, -0.75, -0.5, 0.0, 2.3]))
+def test_row_matches_one_point_calls(backend, function, xs, nu):
+    # each point of a row is the one-point call at its x, by repr; a row
+    # stops at its first failing point with that point's error class and
+    # message, holding the points before it
+    opts = SWEEPS[function][0]
+    if nu is not None and "--nu" in opts:
+        opts = (*opts, "--nu", repr(nu))  # the last --nu is kept
+    try:
+        row, one = _row_and_one_point(function, opts)
+    except bsfrac.BsfracError:
+        return  # refused while the row is built, before any point
+    out, error = [], None
+    try:
+        assert row(xs, out) is out
+    except Exception as exc:  # any error: the one-point calls must raise the same
+        error = exc
+    for i, x in enumerate(xs):
+        try:
+            want = one(x)
+        except Exception as exc:
+            assert (type(error), str(error), len(out)) == (type(exc), str(exc), i), (xs, x)
+            break
+        assert repr(out[i]) == repr(tuple(want)), (xs, x)
+    else:
+        assert error is None and len(out) == len(xs)
 
 
 # runs the CLI in process on each argument list of argv[1] and prints

@@ -391,3 +391,33 @@ def test_limit_branch_needs_positive_beta_shape():
 @pytest.mark.parametrize("pathway_alpha", [1.0, 1.5])
 def test_support_is_unbounded_outside_sub(pathway_alpha):
     assert PathwayDensityParams(1.0, 1.0, 1.0, 1.0, pathway_alpha).support_radius == math.inf
+
+
+# delta = 0.05 puts k**(gamma/delta) = 1230**100 beyond the double range,
+# but the normalizing constant, 2.62e151, is a double: it is taken from its
+# logs, and the density's bound holds where its values are normal
+NORM_FROM_LOGS = (5.0, 0.05, 30.0, 41.0, 1.0)
+
+
+def test_norm_const_from_logs_where_its_power_overflows():
+    from bsfrac.pathway import _density
+
+    g, d, b, a, _ = map(mp.mpf, NORM_FROM_LOGS)
+    want = d / 2 * (a * b) ** (g / d) / mp.gamma(g / d)
+    assert abs(pathway_norm_const(PathwayDensityParams(*NORM_FROM_LOGS)) - want) <= 1e-13 * want
+    density = _density(PathwayDensityParams(*NORM_FROM_LOGS))
+    for x in (1e-12, 1e-9, 1e-7, 1e-6, 3e-6, 1e-5, 1.6e-5, 0.5, 1.0):
+        value, bound = density(x, True)
+        assert abs(mp.mpf(value) - oracles.mp_density(*NORM_FROM_LOGS, x)) <= bound, (x, value)
+        if value >= sys.float_info.min:
+            assert bound <= 1e-11 * value, (x, value, bound)
+
+
+@pytest.mark.parametrize("params", [(2.0, 0.05, 3.0, 5e-300, 0.5), (1.0, 1.0, 1.0, 2e-309, 0.5)])
+def test_sub_support_beyond_the_double_range_is_unbounded(params):
+    # (a(1-alpha))**(-1/delta) overflows: every finite x is inside the
+    # support, as the density takes it (the second density is positive)
+    dp = PathwayDensityParams(*params)
+    assert dp.support_radius == math.inf
+    value = pathway_density(dp, 1e300)
+    assert value > 0.0 if params[3] == 2e-309 else value == 0.0

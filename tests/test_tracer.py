@@ -52,8 +52,9 @@ def test_install_then_uninstall_restores_everything():
     before = _bsfrac_state()
     tracer.install()
     try:
-        # the CLI's Wright and image sweeps run through the traced names
-        assert cli.wright_eval.__wrapped__ is before[0]["bsfrac.wright"]["wright_eval"]
+        # the CLI's Wright and image rows reach the kernel through the traced proxy
+        wright_series = before[0]["bsfrac.wright"]["kernels"].wright_series
+        assert sys.modules["bsfrac.wright"].kernels.wright_series.__wrapped__ is wright_series
         for args in (["table", "wright", "--upper", "1,1", "--lower", "2,1", "--x", "0:1:3"],
                      ["table", "pathway", "--eta", "0.5", "--a", "1.3", "--pathway-alpha",
                       "0.4", "--rho", "1.1", "--kind", "exp", "--x", "0.5:1:2"]):
@@ -62,15 +63,15 @@ def test_install_then_uninstall_restores_everything():
     finally:
         tracer.uninstall()
     calls = tracer.summary()["calls"]
-    assert calls["wright.wright_eval"] == 5
-    assert calls["msm.ClosedFormImage.value_at"] == 2
+    assert calls["wright.wright_eval"] == calls["msm.ClosedFormImage.value_at"] == 0
     assert calls["kernels.wright_series"] == 5
     assert _bsfrac_state() == before
 
 
 def test_s_sweep_is_traced_at_the_wrapper():
-    # a table of S calls bessel_struve_kernel once a point, so the tracer
-    # files the wrapper's glue under series, not under the CLI
+    # a table of S hands its xs to one call of bessel_struve_row, which
+    # calls the traced kernel once a point and no public wrapper: the
+    # row's glue is filed under the CLI, and the kernel's time under kernels
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -79,23 +80,23 @@ def test_s_sweep_is_traced_at_the_wrapper():
     finally:
         tracer.uninstall()
     calls = tracer.summary()["calls"]
-    assert calls["series.bessel_struve_kernel"] == 9
+    assert calls["series.bessel_struve_kernel"] == 0
     assert calls["kernels.bs_series"] == 9
 
 
-# the traced L1/L2 wrapper that a table of each CLI function calls once a
-# point; the density closure has no traced name, so its points count in
-# the CLI's own time
-TABLE_WRAPPERS = {
-    "S": "series.bessel_struve_kernel",
-    "J": "series.bessel_first_kind",
-    "I": "series.bessel_first_kind",
-    "H": "series.struve",
-    "L": "series.struve",
-    "wright": "wright.wright_eval",
-    "msm-left": "msm.ClosedFormImage.value_at",
-    "msm-right": "msm.ClosedFormImage.value_at",
-    "pathway": "msm.ClosedFormImage.value_at",
+# the traced kernel that a 7-point table of each CLI function calls once a
+# point, from its untraced row function, and the number of calls: at x = 0
+# J, I, H and L are exact and call no kernel, and the density has none
+TABLE_KERNELS = {
+    "S": ("kernels.bs_series", 7),
+    "J": ("kernels.bessel_series", 6),
+    "I": ("kernels.bessel_series", 6),
+    "H": ("kernels.struve_series", 6),
+    "L": ("kernels.struve_series", 6),
+    "wright": ("kernels.wright_series", 7),
+    "msm-left": ("kernels.wright_series", 7),
+    "msm-right": ("kernels.wright_series", 7),
+    "pathway": ("kernels.wright_series", 7),
     "density": None,
 }
 POINT_LAYERS = ("series.", "wright.wright_eval", "msm.ClosedFormImage.value_at")
@@ -103,10 +104,10 @@ POINT_LAYERS = ("series.", "wright.wright_eval", "msm.ClosedFormImage.value_at")
 
 @pytest.mark.parametrize("function", sorted(SWEEPS))
 def test_every_table_calls_one_traced_wrapper_a_point(function):
-    # a 7-point table reaches its function through one traced public call a
-    # point, never a closure around the wrapper's body, so the tracer files
-    # each wrapper's glue under its own layer; below it, each traced layer
-    # is called once a point too (an image's wright_eval)
+    # a 7-point table reaches its points through one row call of its layer,
+    # never a public one-point wrapper: each point is one call of the traced
+    # kernel wrapper, with no traced L1/L2 span around it, so the tracer
+    # files the rows' per-point glue under the CLI
     opts, grid = SWEEPS[function]
     tracer = _load_tracer().Tracer()
     tracer.install()
@@ -117,18 +118,21 @@ def test_every_table_calls_one_traced_wrapper_a_point(function):
         tracer.uninstall()
     names = tracer.names
     outer = collections.Counter(names[nid] for nid, parent in zip(tracer.name, tracer.parent)
-                                if parent < 0 and names[nid].startswith(POINT_LAYERS))
-    want = TABLE_WRAPPERS[function]
-    assert outer == ({want: 7} if want else {})
+                                if parent < 0 and names[nid].startswith(("kernels.",
+                                                                         *POINT_LAYERS)))
+    want = TABLE_KERNELS[function]
+    assert outer == (collections.Counter({want[0]: want[1]}) if want else {})
     calls = tracer.summary()["calls"]
-    assert {calls[name] for name in calls if name.startswith(POINT_LAYERS)} <= {0, 7}, calls
+    assert not any(calls[name] for name in calls if name.startswith(POINT_LAYERS)), calls
 
 
 # a layer function and the checks whose span must hold calls of it
 HARNESS_LAYERS = {
     "msm.msm_quadrature": ("L1", "L2", "T1", "T2"),
     "pathway.pathway_quadrature": ("L3", "T7", "T8"),
-    "wright.wright_eval": ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "W-delta"),
+    # an image's value_at reaches the Wright kernel without wright_eval
+    "wright.wright_eval": ("T2", "T4", "T5", "T6", "T8", "W-delta"),
+    "kernels.wright_series": ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "W-delta"),
     "msm.ClosedFormImage.value_at": ("L1", "L2", "L3", "T1", "T2", "T3", "T4", "T5", "T6",
                                      "T7", "T8"),
     "series.bessel_struve_kernel": ("e1", "e2", "r1", "r2"),
