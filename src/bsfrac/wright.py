@@ -74,7 +74,7 @@ def wright_delta(spec: WrightSpec) -> float:
 
 
 def wright_eval(spec: WrightSpec, z: float, tol: float = DEFAULT_TOL,
-               term_cap: int = TERM_CAP) -> SeriesEval:
+                term_cap: int = TERM_CAP) -> SeriesEval:
     """Evaluate the Wright series sum_k prod Gamma(a_i + A_i k) /
     prod Gamma(b_j + B_j k) * z^k / k!.
 
