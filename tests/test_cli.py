@@ -835,9 +835,10 @@ def test_row_matches_one_point_calls(backend, function, xs, nu):
         return  # refused while the row is built, before any point
     out, error = [], None
     try:
-        assert row(xs, out) is out
+        returned = row(xs, out)
     except Exception as exc:  # any error: the one-point calls must raise the same
-        error = exc
+        returned, error = out, exc
+    assert returned is out
     for i, x in enumerate(xs):
         try:
             want = one(x)
