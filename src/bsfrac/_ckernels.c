@@ -33,8 +33,9 @@ static const double U = 1.1102230246251565e-16; /* unit roundoff, 2**-53 */
 /* --- argument parsing ---------------------------------------------------- */
 
 /* Convert the positional arguments by ``fmt``, one code per argument: 'd'
- * for a double (any number), 'i' for a C int (an integer).  Returns -1 with
- * an exception set on a wrong count or type. */
+ * for a double (any number), 'i' for a C int (an integer), 'O' for the
+ * object itself (borrowed).  Returns -1 with an exception set on a wrong
+ * count or type. */
 static int
 parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
            const char *fmt, void **out)
@@ -46,7 +47,9 @@ parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
         return -1;
     }
     for (Py_ssize_t i = 0; i < want; i++) {
-        if (fmt[i] == 'd') {
+        if (fmt[i] == 'O')
+            *(PyObject **)out[i] = args[i];
+        else if (fmt[i] == 'd') {
             double v = PyFloat_AsDouble(args[i]);
             if (v == -1.0 && PyErr_Occurred())
                 return -1;
@@ -67,16 +70,27 @@ parse_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-/* The series kernels' (value, abs_error_est, terms_used, flag) tuple, and
- * with size 5 the Bessel-type kernels' sum of |terms| as a fifth item. */
+/* A series kernel's result, filled by the point functions that both a
+ * one-point kernel and its row kernel call: (value, abs_error_est,
+ * terms_used, flag), and for the Bessel-type kernels the sum of |terms|. */
+typedef struct {
+    double value, err;
+    long long terms;
+    int flag;
+    double total;
+} series_out;
+
+/* The tuple of (value, err, terms, last), and ``fifth`` after it unless it
+ * is NULL; steals the references to last and fifth, which may be NULL on a
+ * failed allocation. */
 static PyObject *
-series_tuple(int size, double value, double err, long long terms, int flag, double total)
+point_tuple(double value, double err, long long terms, PyObject *last, PyObject *fifth)
 {
+    int size = fifth ? 5 : 4;
     PyObject *items[5] = {PyFloat_FromDouble(value), PyFloat_FromDouble(err),
-                          PyLong_FromLongLong(terms), PyLong_FromLong(flag),
-                          size == 5 ? PyFloat_FromDouble(total) : NULL};
+                          PyLong_FromLongLong(terms), last, fifth};
     PyObject *tuple = NULL;
-    if (items[0] && items[1] && items[2] && items[3] && (size == 4 || items[4]))
+    if (items[0] && items[1] && items[2] && items[3])
         tuple = PyTuple_New(size);
     for (int i = 0; i < size; i++) {
         if (tuple)
@@ -86,7 +100,44 @@ series_tuple(int size, double value, double err, long long terms, int flag, doub
     }
     return tuple;
 }
-#define series_result(value, err, terms, flag) series_tuple(4, value, err, terms, flag, 0.0)
+
+/* A one-point kernel's tuple: four items, or five with the sum of |terms|. */
+static PyObject *
+series_tuple(int size, const series_out *r)
+{
+    PyObject *fifth = size == 5 ? PyFloat_FromDouble(r->total) : NULL;
+    if (size == 5 && fifth == NULL)
+        return NULL;
+    return point_tuple(r->value, r->err, r->terms, PyLong_FromLong(r->flag), fifth);
+}
+
+#define series_result(value, err, terms, flag) \
+    series_tuple(4, &(series_out){value, err, terms, flag, 0.0})
+
+/* Append a row's (value, err, terms, converged) to the list out; -1 with an
+ * exception set. */
+static int
+append_point(PyObject *out, double value, double err, long long terms, int converged)
+{
+    PyObject *item = point_tuple(value, err, terms, PyBool_FromLong(converged), NULL);
+    int rc = item ? PyList_Append(out, item) : -1;
+    Py_XDECREF(item);
+    return rc;
+}
+
+/* The x-sequence and output list of a row kernel: xs copied to a tuple (a
+ * number's __float__ cannot change it), out a list.  Returns the tuple, or
+ * NULL with an exception set. */
+static PyObject *
+row_xs(const char *name, PyObject *xs, PyObject *out)
+{
+    if (!PyList_Check(out)) {
+        PyErr_Format(PyExc_TypeError, "%s() out must be a list, not %.200s", name,
+                     Py_TYPE(out)->tp_name);
+        return NULL;
+    }
+    return PySequence_Tuple(xs);
+}
 
 /* --- gamma ---------------------------------------------------------------- */
 
@@ -199,48 +250,86 @@ bs_odd_prefactor(double nu)
 
 /* --- series kernels ------------------------------------------------------- */
 
-/* S_nu(-x) for x > 0: the positive-term series of _pykernels._bs_negative,
- * with its running error bound, in the same operation order. */
-static PyObject *
-bs_negative(double nu, double x, double tol, int cap)
+/* What bs_series derives from nu alone, kept for the length of one call (a
+ * one-point call is a row of one): the odd chain's prefactor, found at the
+ * first u > 0, and the b-sequence of the last N = ``top`` (-1: none), its
+ * b_n then their error bounds at ``bs``, and the start series' length j. */
+typedef struct {
+    double nu, prefactor;
+    int have_prefactor;
+    long long top, j, room; /* room: the doubles allocated at bs */
+    double *bs;
+} bs_state;
+
+/* S_nu(u) for u > 0 (see _pykernels._bs_positive). */
+static void
+bs_positive(bs_state *st, double u, double tol, int cap, series_out *r)
 {
-    double a = nu + 0.5, ftop, M, t, s, sa, tj, r, tail, b, err, m, c, bp, den, up, down;
-    double spread, dist, werr, w, d, k, w_top, low, shift, mean, value, bound, *bs, *errs;
-    long long top, j, n, peak;
-    if (a == 0.0) {
-        value = exp(-x); /* within one ulp, or below the normal range */
-        bound = 2.0 * U * value + (value < DBL_MIN ? 5e-324 : 0.0);
-        return series_result(value, bound, 1, bound <= tol * value);
+    double nu = st->nu, e = 1.0, o, s, prev;
+    long long k = 0, n;
+    if (!st->have_prefactor) {
+        st->prefactor = bs_odd_prefactor(nu);
+        st->have_prefactor = 1;
     }
-    /* beyond N the weights fall below e^-40 of the peak's */
-    ftop = x + 9.0 * sqrt(x) + 25.0;
-    if (!(ftop < cap)) /* NaN too */
-        return series_result(0.0, INFINITY, 0, 0);
-    top = (long long)ftop;
-    M = a + top;
-    t = 1.0 / M;
-    s = t;
-    sa = fabs(t);
-    tj = 0.0;
-    j = 0;
+    o = u * st->prefactor;
+    s = e + o;
+    prev = o;
+    for (n = 2; n < cap; n += 2) {
+        e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0));
+        o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5));
+        k += 1;
+        if (fabs(prev) <= 0.5 * tol * fabs(s) && (e < 0.5 * prev || isinf(s))) {
+            *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * prev, n, !isinf(s), 0.0};
+            return;
+        }
+        s += e;
+        if (e <= 0.5 * tol * s && (o < 0.5 * e || isinf(s))) {
+            *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * e, n + 1, !isinf(s), 0.0};
+            return;
+        }
+        s += o;
+        prev = o;
+    }
+    *r = (series_out){s, 2.0 * fabs(prev), n, 0, 0.0};
+}
+
+/* Build the b-sequence of N = top into st (see _pykernels._bs_sequence):
+ * returns 1, or 0 with the capped result in *r where N + j reaches cap
+ * first, or -1 with MemoryError set. */
+static int
+bs_sequence(bs_state *st, double a, long long top, int cap, series_out *r)
+{
+    double nu = st->nu, M = a + top, t = 1.0 / M, s = t, sa = fabs(t), tj = 0.0, q, tail, b;
+    double err, m, c, *bs, *errs;
+    long long j = 0, n;
     for (;;) {
         t *= (nu - (j + 0.5)) / (M + (j + 1.0));
         j += 1;
         if (fabs(t) <= 0.125 * U * fabs(s))
             break;
-        if (top + j >= cap)
-            return series_result(0.0, INFINITY, top + j, 0);
+        if (top + j >= cap) {
+            *r = (series_out){0.0, INFINITY, top + j, 0, 0.0};
+            return 0;
+        }
         s += t;
         sa += fabs(t);
         tj += j * fabs(t);
     }
-    r = (nu - (j + 0.5)) / (M + (j + 1.0));
-    tail = r <= 0.0 ? fabs(t) : fabs(t) * (1.0 + 1.0 / (1.0 - r));
+    q = (nu - (j + 0.5)) / (M + (j + 1.0));
+    tail = q <= 0.0 ? fabs(t) : fabs(t) * (1.0 + 1.0 / (1.0 - q));
     b = 2.0 * s;
     err = 2.0 * ((3.0 + j) * sa + 6.0 * tj + tail / U);
-    bs = PyMem_Malloc(2 * (top + 1) * sizeof(double));
-    if (bs == NULL)
-        return PyErr_NoMemory();
+    st->top = -1;
+    if (2 * (top + 1) > st->room) {
+        bs = PyMem_Realloc(st->bs, 2 * (top + 1) * sizeof(double));
+        if (bs == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        st->bs = bs;
+        st->room = 2 * (top + 1);
+    }
+    bs = st->bs;
     errs = bs + top + 1;
     bs[top] = b;
     errs[top] = err;
@@ -257,6 +346,38 @@ bs_negative(double nu, double x, double tol, int cap)
     b = (1.0 + a * b) / a;
     bs[0] = b;
     errs[0] = err + 4.0 * fabs(b);
+    st->top = top;
+    st->j = j;
+    return 1;
+}
+
+/* S_nu(-x) for x > 0: the positive-term series of _pykernels._bs_negative,
+ * with its running error bound, in the same operation order.  Returns 0, or
+ * -1 with MemoryError set. */
+static int
+bs_negative(bs_state *st, double x, double tol, int cap, series_out *r)
+{
+    double a = st->nu + 0.5, ftop, bp, den, up, down, spread, dist, werr, w, d, k, w_top, low;
+    double shift, mean, value, bound, q, *bs, *errs;
+    long long top, n, peak;
+    int rc;
+    if (a == 0.0) {
+        value = exp(-x); /* within one ulp, or below the normal range */
+        bound = 2.0 * U * value + (value < DBL_MIN ? 5e-324 : 0.0);
+        *r = (series_out){value, bound, 1, bound <= tol * value, 0.0};
+        return 0;
+    }
+    /* beyond N the weights fall below e^-40 of the peak's */
+    ftop = x + 9.0 * sqrt(x) + 25.0;
+    if (!(ftop < cap)) { /* NaN too */
+        *r = (series_out){0.0, INFINITY, 0, 0, 0.0};
+        return 0;
+    }
+    top = (long long)ftop;
+    if (st->top != top && (rc = bs_sequence(st, a, top, cap, r)) <= 0)
+        return rc;
+    bs = st->bs;
+    errs = bs + top + 1;
     peak = (long long)floor(x);
     if (peak > top)
         peak = top;
@@ -295,95 +416,255 @@ bs_negative(double nu, double x, double tol, int cap)
     bound = (werr + (top - peak + 2.0) * fabs(up) + (peak + 2.0) * (fabs(down) + 2.0 * low)
              + 2.0 * (spread + dist * shift)) / den;
     bound = U * (bound + (top + 2.0) * shift + fabs(mean));
-    r = x / (top + 2.0);
-    bound += (fabs(bs[top]) + fabs(mean)) * w_top * (x / (top + 1.0)) / (1.0 - r) / den;
+    q = x / (top + 2.0);
+    bound += (fabs(bs[top]) + fabs(mean)) * w_top * (x / (top + 1.0)) / (1.0 - q) / den;
     bound = fabs(value) * (bound / fabs(mean) + U * (errs[0] / fabs(bs[0]) + 1.0));
-    PyMem_Free(bs);
-    return series_result(value, bound, top + 1 + j, bound <= tol * fabs(value));
+    *r = (series_out){value, bound, top + 1 + st->j, bound <= tol * fabs(value), 0.0};
+    return 0;
+}
+
+/* S_nu(u) into *r: 0, or -1 with MemoryError set. */
+static int
+bs_point(bs_state *st, double u, double tol, int cap, series_out *r)
+{
+    if (u == 0.0) {
+        *r = (series_out){1.0, 0.0, 1, 1, 0.0};
+        return 0;
+    }
+    if (u > 0.0) {
+        bs_positive(st, u, tol, cap, r);
+        return 0;
+    }
+    return bs_negative(st, -u, tol, cap, r);
 }
 
 static PyObject *
 bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double nu, u, tol, e, o, s, prev;
+    double u, tol;
     int cap;
-    long long k, n;
-    void *out[] = {&nu, &u, &tol, &cap};
+    bs_state st = {.top = -1};
+    series_out r;
+    PyObject *result = NULL;
+    void *out[] = {&st.nu, &u, &tol, &cap};
     if (parse_args("bs_series", args, nargs, "dddi", out) < 0)
         return NULL;
-    if (u == 0.0)
-        return series_result(1.0, 0.0, 1, 1);
-    if (u > 0.0) {
-        e = 1.0;
-        o = u * bs_odd_prefactor(nu);
-        s = e + o;
-        prev = o;
-        k = 0;
-        for (n = 2; n < cap; n += 2) {
-            e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0));
-            o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5));
-            k += 1;
-            if (fabs(prev) <= 0.5 * tol * fabs(s) && (e < 0.5 * prev || isinf(s)))
-                return series_result(s, isinf(s) ? INFINITY : 2.0 * prev, n, !isinf(s));
-            s += e;
-            if (e <= 0.5 * tol * s && (o < 0.5 * e || isinf(s)))
-                return series_result(s, isinf(s) ? INFINITY : 2.0 * e, n + 1, !isinf(s));
-            s += o;
-            prev = o;
+    if (bs_point(&st, u, tol, cap, &r) == 0)
+        result = series_tuple(4, &r);
+    PyMem_Free(st.bs);
+    return result;
+}
+
+static PyObject *
+bs_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double u, tol, units = 0.0;
+    int cap;
+    bs_state st = {.top = -1};
+    series_out r;
+    Py_ssize_t i = 0, n;
+    PyObject *us, *out, *units_obj, *result = NULL;
+    void *parsed[] = {&st.nu, &us, &out, &tol, &cap, &units_obj};
+    if (parse_args("bs_row", args, nargs, "dOOdiO", parsed) < 0)
+        return NULL;
+    if (units_obj != Py_None && (units = PyFloat_AsDouble(units_obj)) == -1.0 && PyErr_Occurred())
+        return NULL;
+    if ((us = row_xs("bs_row", us, out)) == NULL)
+        return NULL;
+    for (n = PyTuple_GET_SIZE(us); i < n; i++) {
+        u = PyFloat_AsDouble(PyTuple_GET_ITEM(us, i));
+        if (u == -1.0 && PyErr_Occurred())
+            goto done;
+        if (!(-INFINITY < u && u < INFINITY))
+            break;
+        if (bs_point(&st, u, tol, cap, &r) < 0)
+            goto done;
+        if (!(-INFINITY < r.value && r.value < INFINITY))
+            break;
+        /* never report convergence the estimate does not support */
+        r.flag = r.flag && r.err <= tol * fmax(fabs(r.value), 5e-324);
+        if (u > 0.0) {
+            if (units_obj == Py_None)
+                break;
+            r.err += r.value * U * (units + 5.0 * r.terms);
         }
-        return series_result(s, 2.0 * fabs(prev), n, 0);
+        if (append_point(out, r.value, r.err, r.terms, r.flag) < 0)
+            goto done;
     }
-    return bs_negative(nu, -u, tol, cap);
+    result = PyLong_FromSsize_t(i);
+done:
+    PyMem_Free(st.bs);
+    Py_DECREF(us);
+    return result;
 }
 
 /* The J/I and H/L series from leading term exp(lt), with term ratio
  * (-1 unless modified) * half**2 / ((k + c) * (k + v + c)). */
-static PyObject *
+static void
 bessel_type_series(double lt, double half, int modified, double v, double c, double tol,
-                   int cap)
+                   int cap, series_out *r)
 {
     double t = exp(lt), s = t, total = t, a = t, q = modified ? half * half : -(half * half);
     long long k = 0, n;
     for (n = 1; n < cap;) {
         t = t * q / ((k + c) * (k + v + c));
-        if (a <= 0.5 * tol * fabs(s) && (fabs(t) < 0.5 * a || isinf(s)))
-            return series_tuple(5, s, isinf(s) ? INFINITY : 2.0 * a, n, !isinf(s), total);
+        if (a <= 0.5 * tol * fabs(s) && (fabs(t) < 0.5 * a || isinf(s))) {
+            *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * a, n, !isinf(s), total};
+            return;
+        }
         a = fabs(t);
         s += t;
         total += a;
         k += 1;
         n += 1;
-        if (t == 0.0)
-            return series_tuple(5, s, 0.0, n, 1, total);
+        if (t == 0.0) {
+            *r = (series_out){s, 0.0, n, 1, total};
+            return;
+        }
     }
-    return series_tuple(5, s, 2.0 * a, n, 0, total);
+    *r = (series_out){s, 2.0 * a, n, 0, total};
+}
+
+/* The log-gammas of the leading term's gamma arguments: v + 1 (J/I), or
+ * 3/2 and v + 3/2 (H/L, ``struve_type``). */
+static void
+bessel_type_lgammas(double v, int struve_type, double *la)
+{
+    int sg;
+    la[0] = lgamma_sign_c(struve_type ? 1.5 : v + 1.0, &sg);
+    la[1] = struve_type ? lgamma_sign_c(v + 1.5, &sg) : 0.0;
+}
+
+/* J/I or H/L at z > 0 into *r, from the leading term's log-gammas la. */
+static void
+bessel_type_point(double v, double z, int struve_type, int modified, const double *la,
+                  double tol, int cap, series_out *r)
+{
+    double half = 0.5 * z;
+    if (struve_type)
+        bessel_type_series((v + 1.0) * log(half) - la[0] - la[1], half, modified, v, 1.5, tol,
+                           cap, r);
+    else
+        bessel_type_series(v * log(half) - la[0], half, modified, v, 1.0, tol, cap, r);
+}
+
+static PyObject *
+bessel_type_kernel(const char *name, int struve_type, PyObject *const *args, Py_ssize_t nargs)
+{
+    double v, z, tol, la[2];
+    int modified, cap;
+    series_out r;
+    void *out[] = {&v, &z, &modified, &tol, &cap};
+    if (parse_args(name, args, nargs, "ddidi", out) < 0)
+        return NULL;
+    bessel_type_lgammas(v, struve_type, la);
+    bessel_type_point(v, z, struve_type, modified, la, tol, cap, &r);
+    return series_tuple(5, &r);
 }
 
 static PyObject *
 bessel_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double v, z, tol, half;
-    int modified, cap, sg;
-    void *out[] = {&v, &z, &modified, &tol, &cap};
-    if (parse_args("bessel_series", args, nargs, "ddidi", out) < 0)
-        return NULL;
-    half = 0.5 * z;
-    return bessel_type_series(v * log(half) - lgamma_sign_c(v + 1.0, &sg), half, modified, v,
-                              1.0, tol, cap);
+    return bessel_type_kernel("bessel_series", 0, args, nargs);
 }
 
 static PyObject *
 struve_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double v, z, tol, half, la1;
-    int modified, cap, sg;
-    void *out[] = {&v, &z, &modified, &tol, &cap};
-    if (parse_args("struve_series", args, nargs, "ddidi", out) < 0)
+    return bessel_type_kernel("struve_series", 1, args, nargs);
+}
+
+/* See _pykernels._positive_rounding: a bound on the rounding of a sum of
+ * ``terms`` positive terms summing to ``value``, the first exp(power - the
+ * n log-gammas whose units are given). */
+static double
+positive_rounding(double value, long long terms, double power, const double *units, int n)
+{
+    double first;
+    if (!(value < INFINITY))
+        return INFINITY;
+    if (!(value > 0.0))
+        return terms * 5e-324;
+    first = 5.0 * fabs(power) + 1.0;
+    for (int i = 0; i < n; i++)
+        first += units[i];
+    first = first + 8.0 * terms;
+    if (value < DBL_MIN)
+        return value * (U * first) + terms * 5e-324;
+    return value * U * first;
+}
+
+/* below this z, 0.5 * z can round and (z/2)**2 underflows */
+#define HALF_ROUNDS 0x1p-1021
+static const double LN2 = 0.6931471805599453;
+
+static PyObject *
+bessel_type_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double v, z, tol, la[2], units[2], order, power, value;
+    int struve_type, modified, cap, n_units;
+    series_out r;
+    Py_ssize_t i = 0, n;
+    PyObject *zs, *out, *units_obj, *at_zero, *result = NULL;
+    void *parsed[] = {&v, &zs, &out, &struve_type, &modified, &tol, &cap, &units_obj, &at_zero};
+    if (parse_args("bessel_type_row", args, nargs, "dOOiidiOO", parsed) < 0)
         return NULL;
-    half = 0.5 * z;
-    la1 = lgamma_sign_c(1.5, &sg);
-    return bessel_type_series((v + 1.0) * log(half) - la1 - lgamma_sign_c(v + 1.5, &sg), half,
-                              modified, v, 1.5, tol, cap);
+    n_units = struve_type ? 2 : 1;
+    if (units_obj != Py_None) {
+        if (!PyTuple_Check(units_obj) || PyTuple_GET_SIZE(units_obj) != n_units) {
+            PyErr_Format(PyExc_TypeError, "bessel_type_row() units must be None or a tuple of %d",
+                         n_units);
+            return NULL;
+        }
+        for (int j = 0; j < n_units; j++)
+            if ((units[j] = PyFloat_AsDouble(PyTuple_GET_ITEM(units_obj, j))) == -1.0
+                && PyErr_Occurred())
+                return NULL;
+    }
+    if ((zs = row_xs("bessel_type_row", zs, out)) == NULL)
+        return NULL;
+    bessel_type_lgammas(v, struve_type, la);
+    order = struve_type ? v + 1.0 : v;
+    for (n = PyTuple_GET_SIZE(zs); i < n; i++) {
+        z = PyFloat_AsDouble(PyTuple_GET_ITEM(zs, i));
+        if (z == -1.0 && PyErr_Occurred())
+            goto done;
+        if (!(0.0 <= z && z < INFINITY))
+            break;
+        if (z == 0.0) {
+            if (PyList_Append(out, at_zero) < 0)
+                goto done;
+            continue;
+        }
+        if (units_obj == Py_None)
+            break;
+        if (z < HALF_ROUNDS) {
+            if (isinf(v))
+                break;
+            /* log(z/2) without rounding z/2 */
+            power = order * (log(z) - LN2);
+            value = exp(struve_type ? power - la[0] - la[1] : power - la[0]);
+            if (isinf(value) ? append_point(out, INFINITY, INFINITY, 1, 0) < 0
+                : append_point(out, value, positive_rounding(value, 1, power, units, n_units), 1,
+                               1) < 0)
+                goto done;
+            continue;
+        }
+        bessel_type_point(v, z, struve_type, modified, la, tol, cap, &r);
+        if (!(-INFINITY < r.value && r.value < INFINITY)) {
+            if (append_point(out, modified ? INFINITY : NAN, INFINITY, r.terms, 0) < 0)
+                goto done;
+            continue;
+        }
+        r.err += positive_rounding(r.total, r.terms, order * log(0.5 * z), units, n_units);
+        if (append_point(out, r.value, r.err, r.terms,
+                         r.flag && (modified || r.err < fabs(r.value))) < 0)
+            goto done;
+    }
+    result = PyLong_FromSsize_t(i);
+done:
+    Py_DECREF(zs);
+    return result;
 }
 
 /* Direct 2F1 series with a geometric tail bound; needs |z| < 0.97 */
@@ -494,8 +775,8 @@ read_column(PyObject *seq, double *dst, Py_ssize_t n)
  * parameter kills the term (row[] unset), or 2 where an upper one hits a
  * gamma pole. */
 static int
-wright_row(const double *ua, const double *uA, Py_ssize_t p, const double *lb,
-           const double *lB, Py_ssize_t q, long long k, double *row)
+term_row(const double *ua, const double *uA, Py_ssize_t p, const double *lb,
+         const double *lB, Py_ssize_t q, long long k, double *row)
 {
     double acc = 0.0, sg = 1.0, g;
     int sig;
@@ -549,7 +830,7 @@ read_row(PyObject *item, double *row)
     return 0;
 }
 
-/* Append row k (``kind`` 0 or 1, as wright_row returns it) only while the
+/* Append row k (``kind`` 0 or 1, as term_row returns it) only while the
  * table holds exactly k rows: building the tuple may run other threads,
  * which may have appended this same row meanwhile. */
 static int
@@ -566,69 +847,114 @@ store_row(PyObject *rows, long long k, int kind, const double *row)
     return rc;
 }
 
-static PyObject *
-wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
-{
-    double ua[MAX_PAIRS], uA[MAX_PAIRS], lb[MAX_PAIRS], lB[MAX_PAIRS], row[4];
-    double z, tol, lnz, s = 0.0, prev = 0.0, t;
-    int cap, zneg, have_prev = 0, kind;
+/* A Wright call's columns, its optional table (a list, or NULL), and the
+ * rows it has read or made, kept for the length of the call: each as its
+ * kind (0, or 1 for a killed term) and row[4], in ``held`` (``room``
+ * allocated). */
+typedef struct {
+    double ua[MAX_PAIRS], uA[MAX_PAIRS], lb[MAX_PAIRS], lB[MAX_PAIRS];
     Py_ssize_t p, q;
-    long long k;
     PyObject *rows;
-    void *out[] = {&z, &tol, &cap};
-    if (nargs != 7 && nargs != 8) {
-        PyErr_Format(PyExc_TypeError,
-                     "wright_series() takes 7 or 8 positional arguments (%zd given)", nargs);
-        return NULL;
+    double (*held)[5];
+    long long have, room;
+} wright_state;
+
+/* Read the columns and the table argument (None for none) into w; returns
+ * -1 with an exception set. */
+static int
+wright_init(wright_state *w, const char *name, PyObject *const *cols, PyObject *table)
+{
+    w->rows = table != Py_None ? table : NULL;
+    w->held = NULL;
+    w->have = w->room = 0;
+    if (w->rows != NULL && !PyList_Check(w->rows)) {
+        PyErr_Format(PyExc_TypeError, "%s() table must be a list or None, not %.200s", name,
+                     Py_TYPE(w->rows)->tp_name);
+        return -1;
     }
-    /* the optional table: a list, or None where it is absent */
-    rows = nargs == 8 && args[7] != Py_None ? args[7] : NULL;
-    if (rows != NULL && !PyList_Check(rows)) {
-        PyErr_Format(PyExc_TypeError, "wright_series() table must be a list or None, not %.200s",
-                     Py_TYPE(rows)->tp_name);
-        return NULL;
-    }
-    if (parse_args("wright_series", args + 4, 3, "ddi", out) < 0)
-        return NULL;
-    p = PySequence_Size(args[0]);
-    if (p < 0)
-        return NULL;
-    q = PySequence_Size(args[2]);
-    if (q < 0)
-        return NULL;
-    if (p > MAX_PAIRS || q > MAX_PAIRS) {
+    if ((w->p = PySequence_Size(cols[0])) < 0 || (w->q = PySequence_Size(cols[2])) < 0)
+        return -1;
+    if (w->p > MAX_PAIRS || w->q > MAX_PAIRS) {
         PyErr_Format(PyExc_ValueError, "at most %d parameter pairs are supported", MAX_PAIRS);
-        return NULL;
+        return -1;
     }
-    if (read_column(args[0], ua, p) < 0 || read_column(args[1], uA, p) < 0
-        || read_column(args[2], lb, q) < 0 || read_column(args[3], lB, q) < 0)
-        return NULL;
-    lnz = z != 0.0 ? log(fabs(z)) : 0.0;
-    zneg = z < 0.0; /* the row's sign for this z */
-    for (k = 0; k < cap; k++) {
-        if (rows != NULL && k < PyList_GET_SIZE(rows)) {
-            kind = read_row(PyList_GET_ITEM(rows, k), row);
-            if (kind < 0)
-                return NULL;
+    if (read_column(cols[0], w->ua, w->p) < 0 || read_column(cols[1], w->uA, w->p) < 0
+        || read_column(cols[2], w->lb, w->q) < 0 || read_column(cols[3], w->lB, w->q) < 0)
+        return -1;
+    return 0;
+}
+
+/* Row k into row[]: held, read from the table, or made (and stored in the
+ * table); returns its kind, 0, 1 or 2 (an upper pole, not held), or -1
+ * with an exception set. */
+static int
+wright_term(wright_state *w, long long k, double *row)
+{
+    int kind;
+    double (*held)[5];
+    if (k < w->have) {
+        memcpy(row, w->held[k] + 1, 4 * sizeof(double));
+        return (int)w->held[k][0];
+    }
+    if (w->rows != NULL && k < PyList_GET_SIZE(w->rows))
+        kind = read_row(PyList_GET_ITEM(w->rows, k), row);
+    else {
+        kind = term_row(w->ua, w->uA, w->p, w->lb, w->lB, w->q, k, row);
+        if (kind == 2)
+            return 2;
+        if (w->rows != NULL && store_row(w->rows, k, kind, row) < 0)
+            return -1;
+    }
+    if (kind < 0)
+        return -1;
+    if (w->have == w->room) {
+        held = PyMem_Realloc(w->held, (w->room ? 2 * w->room : 32) * sizeof *held);
+        if (held == NULL) {
+            PyErr_NoMemory();
+            return -1;
         }
-        else {
-            kind = wright_row(ua, uA, p, lb, lB, q, k, row);
-            if (kind == 2)
-                return series_result((double)k, 0.0, k, 2);
-            if (rows != NULL && store_row(rows, k, kind, row) < 0)
-                return NULL;
+        w->held = held;
+        w->room = w->room ? 2 * w->room : 32;
+    }
+    w->held[k][0] = kind;
+    memcpy(w->held[k] + 1, row, 4 * sizeof(double));
+    w->have = k + 1;
+    return kind;
+}
+
+/* The Wright series at z into *r: 0, or -1 with an exception set. */
+static int
+wright_point(wright_state *w, double z, double tol, int cap, series_out *r)
+{
+    double row[4] = {0.0, 0.0, 0.0, 0.0}, lnz = z != 0.0 ? log(fabs(z)) : 0.0, s = 0.0;
+    double prev = 0.0, t;
+    int zneg = z < 0.0, have_prev = 0, kind; /* zneg: the row's sign for this z */
+    long long k;
+    for (k = 0; k < cap; k++) {
+        kind = wright_term(w, k, row);
+        if (kind < 0)
+            return -1;
+        if (kind == 2) {
+            *r = (series_out){(double)k, 0.0, k, 2, 0.0};
+            return 0;
         }
         if (kind == 1)
             t = 0.0;
         else {
-            if (z == 0.0 && k > 0)
-                return series_result(s, 0.0, k, 0);
+            if (z == 0.0 && k > 0) {
+                *r = (series_out){s, 0.0, k, 0, 0.0};
+                return 0;
+            }
             t = row[zneg] * exp(row[2] + k * lnz - row[3]);
-            if (!isfinite(t))
-                return series_result(s + t, INFINITY, k + 1, 0);
+            if (!isfinite(t)) {
+                *r = (series_out){s + t, INFINITY, k + 1, 0, 0.0};
+                return 0;
+            }
         }
-        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && fabs(t) < 0.5 * fabs(prev))
-            return series_result(s, 2.0 * fabs(prev), k, 0);
+        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && fabs(t) < 0.5 * fabs(prev)) {
+            *r = (series_out){s, 2.0 * fabs(prev), k, 0, 0.0};
+            return 0;
+        }
         s += t;
         if (t == 0.0)
             have_prev = 0;
@@ -637,7 +963,87 @@ wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs
             have_prev = 1;
         }
     }
-    return series_result(s, 2.0 * fabs(prev), k, 1);
+    *r = (series_out){s, 2.0 * fabs(prev), k, 1, 0.0};
+    return 0;
+}
+
+static PyObject *
+wright_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double z, tol;
+    int cap;
+    wright_state w;
+    series_out r;
+    PyObject *result = NULL;
+    void *out[] = {&z, &tol, &cap};
+    if (nargs != 7 && nargs != 8) {
+        PyErr_Format(PyExc_TypeError,
+                     "wright_series() takes 7 or 8 positional arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (wright_init(&w, "wright_series", args, nargs == 8 ? args[7] : Py_None) < 0
+        || parse_args("wright_series", args + 4, 3, "ddi", out) < 0)
+        return NULL;
+    if (wright_point(&w, z, tol, cap, &r) == 0)
+        result = series_tuple(4, &r);
+    PyMem_Free(w.held);
+    return result;
+}
+
+static PyObject *
+wright_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    double x, z, tol, prefactor = 1.0, power = 0.0, scale = 1.0, p;
+    int cap, inverse = 0, image;
+    wright_state w;
+    series_out r;
+    Py_ssize_t i = 0, n;
+    PyObject *cols[4], *xs, *out, *table, *image_obj, *result = NULL;
+    void *parsed[] = {cols, cols + 1, cols + 2, cols + 3, &xs, &out, &tol, &cap, &table,
+                      &image_obj};
+    void *fields[] = {&prefactor, &power, &scale, &inverse};
+    if (parse_args("wright_row", args, nargs, "OOOOOOdiOO", parsed) < 0)
+        return NULL;
+    image = image_obj != Py_None;
+    if (image && !(PyTuple_Check(image_obj) && PyTuple_GET_SIZE(image_obj) == 4)) {
+        PyErr_SetString(PyExc_TypeError, "wright_row() image must be None or a tuple of 4");
+        return NULL;
+    }
+    if (image && parse_args("wright_row", PySequence_Fast_ITEMS(image_obj), 4, "dddi", fields) < 0)
+        return NULL;
+    if (wright_init(&w, "wright_row", cols, table) < 0)
+        return NULL;
+    if ((xs = row_xs("wright_row", xs, out)) == NULL)
+        goto done;
+    for (n = PyTuple_GET_SIZE(xs); i < n; i++) {
+        x = PyFloat_AsDouble(PyTuple_GET_ITEM(xs, i));
+        if (x == -1.0 && PyErr_Occurred())
+            goto done;
+        if (image && !(0.0 < x && x < INFINITY))
+            break;
+        z = image ? scale * (inverse ? 1.0 / x : x) : x;
+        if (!(-INFINITY < z && z < INFINITY))
+            break;
+        if (wright_point(&w, z, tol, cap, &r) < 0)
+            goto done;
+        if (r.flag || !(-INFINITY < r.value && r.value < INFINITY))
+            break;
+        if (image) {
+            p = pow(x, power);
+            if (isinf(p) && isfinite(power)) /* x**power overflows */
+                break;
+            p = prefactor * p;
+            r.value = p * r.value;
+            r.err = fabs(p) * r.err;
+        }
+        if (append_point(out, r.value, r.err, r.terms, 1) < 0)
+            goto done;
+    }
+    result = PyLong_FromSsize_t(i);
+done:
+    Py_XDECREF(xs);
+    PyMem_Free(w.held);
+    return result;
 }
 
 static PyObject *
@@ -906,10 +1312,13 @@ done:
 static PyMethodDef methods[] = {
     FASTCALL(lgamma_sign, "(log|Gamma(x)|, sign) for real non-pole x."),
     FASTCALL(bs_series, "Bessel-Struve kernel power series (interleaved even/odd chains)."),
+    FASTCALL(bs_row, "The row of bs_series: (value, bound, terms, converged) appended to out."),
     FASTCALL(bessel_series, "J_v (modified=0) or I_v (modified=1) by direct series; z > 0."),
     FASTCALL(struve_series, "H_v (modified=0) or L_v (modified=1) by direct series; z > 0."),
+    FASTCALL(bessel_type_row, "The J/I or H/L row: (value, bound, terms, converged) to out."),
     FASTCALL(hyp2f1_kernel, "2F1 for quadrature integrands: full real axis z < 1."),
     FASTCALL(wright_series, "Generalized Wright series, terms assembled in log space."),
+    FASTCALL(wright_row, "The Wright or image row: (value, bound, terms, True) to out."),
     FASTCALL(f3_series,
              "Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."),
     FASTCALL(format_rows, "CSV rows of ncols numbers, each as '%.17g' % v."),

@@ -6,32 +6,36 @@ structure, same FP operation order) so results agree across backends.
 Public modules wrap these kernels with domain checks and typed results;
 nothing here raises library exceptions.
 
-Series evaluators return ``(value, abs_error_est, terms_used, flag)``
-tuples; ``bessel_series`` and ``struve_series`` add ``total``, the sum of
-|t| over the terms they add, in their order (``value`` when modified).
-The shared truncation rule: stop once the last added term t
-satisfies ``|t| <= 0.5 * tol * |sum|`` and the next term is below
-``|t| / 2``; the reported bound is ``2 * |t|`` (geometric tail once the
-factorial denominator dominates).  The Bessel-Struve kernel at negative
-argument is the exception: a fixed number of positive terms, and a
-running bound on their rounding (``_bs_negative``).
+Series evaluators return ``(value, abs_error_est, terms_used, flag)``;
+``bessel_series`` and ``struve_series`` add the sum of |t| over their
+terms (``value`` when modified).  The shared truncation rule: stop once
+the last added term t has ``|t| <= 0.5 * tol * |sum|`` and the next is
+below ``|t| / 2``, with bound ``2 * |t|`` (a geometric tail).  The
+Bessel-Struve kernel at negative argument sums a fixed number of
+positive terms, with a running bound on their rounding (``_bs_negative``).
 
 A partial sum that is not finite ends ``bs_series`` (at u > 0),
 ``bessel_series`` and ``struve_series`` at once, with that sum, bound inf
-and flag 0, as the first non-finite term ends ``wright_series``.  The
-test rides on the convergence test, whose first half an infinite sum
-passes at any tol > 0, so a finite sum pays no extra comparison per term
-and keeps its bits.  The leading Bessel and Struve term is inf past the
-double range, as C's ``exp`` gives, where ``math.exp`` would raise.
+and flag 0, as the first non-finite term ends ``wright_series``; the
+test rides on the convergence test, so a finite sum keeps its bits.  The
+leading Bessel and Struve term is inf past the double range, as C's
+``exp`` gives, where ``math.exp`` would raise.
 
 What ``bs_series`` and ``hyp2f1_kernel`` derive from their order alone
 (nu; a, b, c after the Pfaff transform) they keep in a one-slot module
-table, which a call at another order replaces; ``wright_series`` takes a
-spec's table as an optional last argument.  An entry holds what any call
-that reads it would compute, so a call's bits never depend on the calls
-before it, and threads may share a table.  The 2F1 slot holds the
-connection coefficients and the sums already made; the compiled twin
-keeps only the coefficients, in a static one-slot of its own.
+table; ``wright_series`` takes a spec's table as an optional last
+argument.  An entry holds what any call that reads it would compute, so
+a call's bits never depend on the calls before it, and threads may
+share a table.  The compiled twin keeps only the 2F1 connection
+coefficients, in a static one-slot.
+
+A row kernel (``bs_row``, ``bessel_type_row``, ``wright_row``) takes a
+sequence ``xs`` and what its caller derived from the checked x-free
+arguments; it appends each finished point's ``(value, abs_error_est,
+terms_used, converged)`` to the list ``out`` and returns the index of
+the first point it did not finish (``len(xs)`` if none), whose error the
+caller raises.  A point is one one-point kernel call; the compiled twin
+does the x-free work once a call.
 
 ``format_rows`` writes the CLI's CSV rows; the compiled twin finds most
 numbers' digits in exact integer arithmetic, so its bytes are those of
@@ -51,6 +55,10 @@ _HALF_LN_PI = 0.5723649429247001
 _U = 2.0 ** -53  # unit roundoff
 _TINY = 2.0 ** -1022  # smallest normal double
 _ULP0 = 5e-324  # smallest subnormal: a rounding error below _TINY
+# below this z, 0.5 * z can round (to zero at the smallest subnormal) and
+# (z/2)**2 underflows, so the J/I and H/L series are their leading term
+_HALF_ROUNDS = 2.0 ** -1021
+_LN2 = math.log(2.0)
 
 
 def _near_nonpositive_int(x):
@@ -149,13 +157,9 @@ _hyp2f1_slot = (math.nan, math.nan, math.nan, [], {})
 
 
 def bs_series(nu, u, tol, cap):
-    """Bessel-Struve kernel S_nu(u).
-
-    Positive u sums the power series (interleaved even/odd chains) in plain
-    doubles: all terms are positive.  At negative u that series alternates
-    with exponentially large terms, so ``_bs_negative`` sums a series of
-    positive terms instead.  The slot's table holds what depends on nu.
-    """
+    """Bessel-Struve kernel S_nu(u): at u > 0 the power series of positive
+    terms (interleaved even/odd chains), at u < 0, where it alternates with
+    huge terms, ``_bs_negative``; the slot's table holds what depends on nu."""
     global _bs_slot
     if u == 0.0:
         return 1.0, 0.0, 1, 1
@@ -167,12 +171,29 @@ def bs_series(nu, u, tol, cap):
     return _bs_negative(nu, -u, tol, cap, slot[1])
 
 
+def bs_row(nu, us, out, tol, cap, units):
+    """The row of ``series.bessel_struve_kernel``; ``units``: its first odd term's, or None."""
+    n0, append, inf = len(out), out.append, math.inf
+    for u in us:
+        if not -inf < u < inf:
+            break
+        value, err, terms, ok = bs_series(nu, u, tol, cap)
+        if not -inf < value < inf:
+            break
+        # never report convergence the estimate does not support
+        converged = bool(ok) and err <= tol * max(abs(value), _ULP0)
+        if u > 0.0:
+            if units is None:
+                break
+            err += value * _U * (units + 5.0 * terms)
+        append((value, err, terms, converged))
+    return len(out) - n0
+
+
 def _bs_positive(nu, u, tol, cap, table):
     """S_nu(u) for u > 0.  The table keeps the odd chain's prefactor and,
-    per step k, the numerator and denominator of each chain's factor, so
-    that a step runs the floating-point operations of a fresh sum; rows
-    are added as points need them, each at its own index, so that racing
-    threads store equal rows."""
+    per step k, each chain factor's numerator and denominator (a fresh
+    sum's operations), added as points need them, each at its own index."""
     # racing threads may each make an entry: the first stored is kept
     ch, rows = (table.get("positive")
                 or table.setdefault("positive", (_bs_odd_prefactor(nu), [])))
@@ -242,9 +263,8 @@ def _bs_negative(nu, x, tol, cap, table):
     sum is the exact limit e^-x.
 
     The b_n and their bounds depend on nu and N alone (``_bs_sequence``):
-    the table keeps the sequence of the last N, and N grows with x, so a
-    monotone sweep builds each N's sequence once; any other order, or
-    racing threads, at worst build it once a point.
+    the table keeps the last N's, so a monotone sweep builds each N's once
+    (N grows with x), and any other order at worst once a point.
     """
     a = nu + 0.5
     if a == 0.0:
@@ -397,6 +417,66 @@ def struve_series(v, z, modified, tol, cap):
                                tol, cap)
 
 
+def bessel_type_row(v, zs, out, struve_type, modified, tol, cap, units, at_zero):
+    """The J/I or H/L row of ``series.bessel_first_kind`` or ``struve``: z =
+    0 gives ``at_zero``; the bound adds the rounding of the sum of |terms|,
+    ``units`` the leading term's gammas' (or None); where 0.5 * z can round
+    the series is its leading term, in logs (not at v = inf).  Past the
+    double range I and L are inf, J and H NaN; a J or H value whose whole
+    bound reaches |value| is not converged."""
+    n0, append, inf = len(out), out.append, math.inf
+    kernel, order, gamma_args = ((struve_series, v + 1.0, (1.5, v + 1.5)) if struve_type
+                                 else (bessel_series, v, (v + 1.0,)))
+    for z in zs:
+        if not 0.0 <= z < inf:
+            break
+        if z == 0.0:
+            append(at_zero)
+            continue
+        if units is None:
+            break
+        if z < _HALF_ROUNDS:
+            if v == inf:
+                break
+            power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
+            for a in gamma_args:
+                ln_t -= lgamma_sign(a)[0]
+            try:
+                value = math.exp(ln_t)
+            except OverflowError:
+                append((inf, inf, 1, False))
+                continue
+            append((value, _positive_rounding(value, 1, power, units), 1, True))
+            continue
+        value, err, terms, ok, total = kernel(v, z, modified, tol, cap)
+        if not -inf < value < inf:
+            append((inf if modified else math.nan, inf, terms, False))
+            continue
+        err += _positive_rounding(total, terms, order * math.log(0.5 * z), units)
+        append((value, err, terms, bool(ok) and (modified or err < abs(value))))
+    return len(out) - n0
+
+
+def _positive_rounding(value, terms, power, units):
+    """A bound on the rounding of ``terms`` positive I or L terms summing to
+    ``value`` (Higham 2002, ch. 4): the first, exp(power - sum of log
+    Gamma(a)), power = order log(z/2), errs by a few u an operation and by
+    ``units`` (each a's); a recurrence step adds at most 6u to a term's
+    relative error, an addition u of the sum, and below the smallest
+    normal double each term ulp(0)."""
+    if not value < math.inf:
+        return math.inf  # a term overflowed: nothing finite to bound
+    if not value > 0.0:
+        return terms * _ULP0  # every term underflowed
+    first = 5.0 * abs(power) + 1.0
+    for g in units:
+        first += g
+    units = first + 8.0 * terms
+    if value < _TINY:  # value * _U would underflow
+        return value * (_U * units) + terms * _ULP0
+    return value * _U * units
+
+
 def _hyp2f1_tail(a, b, c, z, tol, cap):
     """Direct 2F1 series with a geometric tail bound; needs |z| < 0.97.
 
@@ -435,20 +515,16 @@ def _gamma_ratio_d(n1, n2, d1, d2):
 def hyp2f1_kernel(a, b, c, z, wbar):
     """2F1 for quadrature integrands: full real axis z < 1.
 
-    ``wbar`` is 1-z, passed exactly where z is close to 1 so that the small
-    distance is not lost to cancellation; 0.0 (or less) has the kernel form
-    1-z itself, and z < 0 ignores it.  Routes: direct series for z <= 0.75,
-    connection formula in powers of 1-z for z > 0.75, Pfaff transform for
-    z < 0, ahead of either.  The connection formula needs the gap c-a-b, b
-    after the transform, off the integers: at an exact integer gap, or a
-    non-finite one, the kernel returns NaN, and near one it loses about
-    u/gap.  A connection coefficient whose denominator holds Gamma at a
-    pole (c-a, c-b, a or b an exact nonpositive integer) is 0.0.  The
-    slot keeps the connection coefficients once a point takes that route,
-    and the sum at every point it has summed, before the Pfaff scale, so a
-    repeated point (the same factor at every rho of an integral's
-    parameters) is summed once.  A stored sum is the one the same
-    operations give, so the bits never depend on earlier calls.
+    ``wbar`` is 1-z, passed exactly where z is close to 1; 0.0 (or less)
+    has the kernel form 1-z itself, and z < 0 ignores it.  Routes: direct
+    series for z <= 0.75, connection formula in powers of 1-z above, the
+    Pfaff transform for z < 0 ahead of either.  At an exact integer or
+    non-finite gap c-a-b (b after the transform) the kernel returns NaN,
+    and near one it loses about u/gap.  A connection coefficient with Gamma
+    at a pole in its denominator is 0.0.  The slot keeps the connection
+    coefficients and the sum at every point summed, before the Pfaff
+    scale, so a repeated point (the same factor at every rho) is summed
+    once, with the bits of a fresh call.
     """
     global _hyp2f1_slot
     if a == 0.0 or b == 0.0 or z == 0.0:
@@ -495,25 +571,20 @@ def hyp2f1_kernel(a, b, c, z, wbar):
 def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
     """Generalized Wright series, terms assembled in log space.
 
-    Returns (value, abs_error_est, terms_used, status) with status 0 on
-    convergence, 1 on term-cap exhaustion, 2 when an upper parameter
-    ``a_i + A_i*k`` lands on a gamma pole (value then carries the k).
-    Lower-parameter poles zero the affected term (reciprocal gamma).  The
-    first term beyond the double range ends the sum at once, with status 0
-    and a non-finite value.
+    Status 0 on convergence, 1 at the term cap, 2 where an upper parameter
+    ``a_i + A_i*k`` lands on a gamma pole (the value then carries the k);
+    a lower-parameter pole zeroes its term.  The first term beyond the
+    double range ends the sum, with status 0 and a non-finite value.
 
-    Of term k only ``k*log|z|`` depends on z.  The rest is row k: ``(sign,
-    sign at z < 0, acc, log k!)``, where acc is the signed sum of the
-    term's log-gammas, the signs are the floats +1.0 or -1.0 and the second
-    folds in the odd-term flip of z < 0 (an exact negation), or None where
-    a lower parameter kills the term.  ``table``, a list of rows, is
-    optional: a sweep of one spec passes the same one to every call, and
-    the kernel reads its rows and appends the ones a point needs next, each
-    at its own index, so that racing threads store equal rows.  A
-    table-fed call returns the bits of a one-shot call.
-
-    More than ``MAX_PAIRS`` upper or lower pairs raise ValueError, as in
-    the compiled twin, which keeps the columns in fixed arrays.
+    Of term k only ``k*log|z|`` depends on z; the rest is row k: ``(sign,
+    sign at z < 0, acc, log k!)``, acc the signed sum of the term's
+    log-gammas, the signs the floats +1.0 or -1.0 (the second folds in the
+    odd-term flip of z < 0), or None where a lower parameter kills the
+    term.  The optional ``table``, a list of rows shared by a spec's calls,
+    is read and grown a row at a time, each at its own index, so racing
+    threads store equal rows, and a table-fed call has a one-shot call's
+    bits.  More than ``MAX_PAIRS`` pairs a side raise ValueError, as in the
+    compiled twin, which keeps the columns in fixed arrays.
     """
     if len(ua) > MAX_PAIRS or len(lb) > MAX_PAIRS:
         raise ValueError(f"at most {MAX_PAIRS} parameter pairs are supported")
@@ -579,6 +650,29 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
             prev = t
             have_prev = True
     return s, 2.0 * abs(prev), max(cap, 0), 1
+
+
+def wright_row(ua, uA, lb, lB, zs, out, tol, cap, table, image):
+    """The row of ``wright.wright_eval`` (``image`` None: scale 1, power 0) or
+    of an image (prefactor, power, scale, inverse): prefactor * x**power *
+    Psi(scale * x**(+-1)) at x > 0, a point one table-fed ``wright_series``."""
+    n0, append, inf = len(out), out.append, math.inf
+    prefactor, power, scale, inverse = image or (1.0, 0.0, 1.0, False)
+    for x in zs:
+        if image is not None and not 0.0 < x < inf:
+            break
+        z = scale * (1.0 / x if inverse else x)
+        if not -inf < z < inf:
+            break
+        value, err, terms, status = wright_series(ua, uA, lb, lB, z, tol, cap, table)
+        if status or not -inf < value < inf:
+            break
+        try:
+            s = prefactor * x ** power
+        except OverflowError:
+            break
+        append((s * value, abs(s) * err, terms, True))
+    return len(out) - n0
 
 
 def f3_series(a, ap, b, bp, g, x, y, tol, cap):

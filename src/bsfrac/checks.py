@@ -23,7 +23,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from . import __version__ as _version
-from .errors import DomainError, TermCapError, UnknownSuiteError
+from .errors import DomainError, DomainUnsupportedError, TermCapError, UnknownSuiteError
 from .gammacore import _HALF_LN_PI, _U, POLE_TOL, gamma_ratio
 from .msm import (
     FunctionKind,
@@ -721,6 +721,9 @@ def _w_delta_points(run: _Run):
 def _density_norm(dp: PathwayDensityParams) -> float:
     density = _density(dp)
     if dp.regime is Regime.SUB:
+        if dp.support_radius == math.inf:
+            raise DomainUnsupportedError(f"the support radius (a(1-alpha))**(-1/delta) of {dp!r} "
+                                         "is beyond the double range: no interval to integrate")
         half = tanh_sinh(lambda t, da, db: density(t), 0.0, dp.support_radius, tol=1e-9)
     else:
         half = exp_sinh(lambda t, d: density(t), 0.0, 1.0, tol=1e-9)

@@ -138,19 +138,14 @@ class ClosedFormImage(NamedTuple):
         """The row of ``value_at`` (the contract is in ``series``): a point
         is a point of ``wright.wright_row`` at its z, scaled."""
         prefactor, power, spec, arg_scale, inverse = self  # faster than 5 field reads
-        series, (a, A, b, B), rows = _wright_kernel(spec, tol, term_cap)
-        append, inf = out.append, math.inf
-        for x in xs:
-            if not 0.0 < x < inf:
+        row, columns, rows = _wright_kernel(spec, tol, term_cap)
+        i = row(*columns, xs, out, tol, term_cap, rows, (prefactor, power, arg_scale, inverse))
+        if i < len(xs):
+            x = xs[i]
+            if not 0.0 < x < math.inf:
                 raise DomainError(f"images are defined for x > 0, got x={x!r}")
-            z = arg_scale * (1.0 / x if inverse else x)
-            if not -inf < z < inf:
-                _wright_failure(z)
-            value, err, terms, status = series(a, A, b, B, z, tol, term_cap, rows)
-            if status or not -inf < value < inf:
-                _wright_failure(z, value, status, tol, term_cap)
-            scale = prefactor * x ** power
-            append((scale * value, abs(scale) * err, terms, True))
+            _wright_failure(columns, rows, arg_scale * (1.0 / x if inverse else x), tol, term_cap)
+            x ** power  # raises the OverflowError of x**power
         return out
 
 

@@ -247,11 +247,12 @@ def _density(dp: PathwayDensityParams):
     la_max = 709.0 / delta  # |x|**delta is below exp(709) up to log|x| = la_max
     far_la, pow_max = min(200.0, la_max), math.exp(la_max) if la_max < 709.0 else math.inf
     ln_cg, rel_c = _ln_norm_const(dp)  # the bound's log c and its half-width
+    zero_bound = at_zero * _expm1_up(rel_c) if rel_c < math.inf else math.inf  # not 0 * inf
 
     def density(x, bound=False):
         ax = abs(x)
         if ax == 0.0:
-            return (at_zero, at_zero * _expm1_up(rel_c)) if bound else at_zero
+            return (at_zero, zero_bound) if bound else at_zero
         if sub:
             if ax > pow_max and lk + delta * math.log(ax) > 0.0:
                 # k|x|^delta > 1, found in logs where |x|**delta overflows

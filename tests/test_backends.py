@@ -250,6 +250,143 @@ def test_f3_series_agrees(ck):
         assert _close(vp[0], vc[0])
 
 
+def row_calls(rng):
+    """Seeded rows of each row kernel, as (name, arguments before xs, xs,
+    arguments after out), a fresh table standing for [] (None: no table):
+    mixed signs, zeros and the z < 2**-1021 route, S rows whose N goes up
+    and back down, and in half the rows a bad point (not finite, out of
+    the domain, overflowing) in the middle.  Self-contained: the UBSan
+    sweep runs its source in a child."""
+    import math
+
+    tiny = [5e-324, 1e-310, 2.0 ** -1022, math.nextafter(2.0 ** -1021, 0.0), 2.0 ** -1021]
+
+    def xs(lo, hi, edge, bad):
+        row = [rng.uniform(lo, hi) for _ in range(10)] + rng.sample(edge, min(3, len(edge)))
+        rng.shuffle(row)
+        if rng.random() < 0.5:
+            row.insert(rng.randrange(2, len(row) - 1), rng.choice(bad))
+        return row
+
+    calls = []
+    s_bad = [math.inf, -math.inf, math.nan, 800.0]
+    for i, nu in enumerate((-0.75, -0.5, 0.0, 0.25, 2.3, 40.0, rng.uniform(-0.99, 5.0),
+                            rng.uniform(5.0, 90.0), 0.5)):
+        calls.append(("bs_row", (nu,), xs(-60.0, 60.0, [0.0, -0.0] + tiny, s_bad),
+                      (1e-14, (10_000, 10_000, 60)[i % 3], (2.0, 57.5, None, 57.5)[i % 4])))
+    for nu in (0.25, -0.75):  # N goes up and back down, and repeats
+        calls.append(("bs_row", (nu,), [-5.0, -50.0, -200.0, -50.0, -5.0, -200.5, 3.0, -50.25,
+                                        -5.0], (1e-14, 10_000, 57.5)))
+    for struve_type in (0, 1):
+        for _ in range(6):
+            v = rng.choice([0.0, 0.5, -0.5, 2.5, rng.uniform(-0.99, 8.0)])
+            if struve_type and rng.random() < 0.3:
+                v = rng.choice([-1.0, -1.25])
+            units = tuple(rng.uniform(40.0, 90.0) for _ in range(1 + struve_type))
+            calls.append(("bessel_type_row", (v,),
+                          xs(0.0, 40.0, [0.0, -0.0, 1500.0] + tiny, [-1.0, math.inf, math.nan]),
+                          (struve_type, rng.random() < 0.5, 1e-14, rng.choice([10_000, 9]),
+                           rng.choice([units, units, None]), (rng.random(), 0.0, 1, True))))
+    specs = [((0.5, 1.2, 1.9), (0.5, 1.0, 1.0), (1.25, 1.4, 2.0), (0.5, 1.0, 1.0)),
+             ((1.0,), (1.0,), (1.0,), (1.0,)),
+             ((-2.25,), (0.5,), (1.5, 0.3), (1.0, 1.0)),
+             ((0.5, 1.5), (0.5, 1.0), (-1.0, 1.1), (1.0, 1.0))]
+    for cols in specs:
+        for image in (None, (rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0),
+                             rng.uniform(0.2, 3.0), rng.random() < 0.5),
+                      (1.5, 400.0, 0.5, False)):
+            lo, edge = (-8.0, [0.0, -0.0]) if image is None else (0.05, [])
+            bad = [math.inf, math.nan, 900.0] + ([] if image is None else [0.0, -1.0, 1e-300])
+            if image and image[1] == 400.0:
+                bad = [7.0]  # x**400 overflows
+            calls.append(("wright_row", cols, xs(lo, 5.0, edge, bad),
+                          (1e-14, rng.choice([10_000, 10_000, 40]), rng.choice([[], None]),
+                           image)))
+    return calls
+
+
+def run_row(kernels, name, before, xs, after):
+    """The row kernel call's returned index and its out (which starts with
+    a sentinel), then the row of one at each x until the first that it
+    does not finish: (that index, their points)."""
+    kernel = getattr(kernels, name)
+    fresh = [[] if isinstance(a, list) else a for a in after]
+    out = ["sentinel"]
+    returned = kernel(*before, xs, out, *fresh)
+    ones = []
+    for x in xs:
+        one = []
+        fresh = [[] if isinstance(a, list) else a for a in after]
+        if kernel(*before, (x,), one, *fresh) == 0:
+            break
+        ones.append(one[0])
+    return returned, out, len(ones), ones
+
+
+@pytest.mark.parametrize("twin", ["pure", "compiled"])
+def test_row_kernels_match_one_point_calls(ck, twin):
+    # each row kernel, seeded: tuple for tuple by repr, the points of a row
+    # are its rows of one point, and it stops where they first stop, with
+    # the same out; a finished point's value and terms are the one-point
+    # kernel's
+    kernels = pk if twin == "pure" else ck
+    for name, before, xs, after in row_calls(random.Random(2035)):
+        returned, out, stop, ones = run_row(kernels, name, before, xs, after)
+        assert out[0] == "sentinel" and returned == stop == len(out) - 1, (name, before, xs)
+        assert list(map(repr, out[1:])) == list(map(repr, ones)), (name, before, xs)
+        for x, point in zip(xs, ones):
+            if name == "bs_row":
+                want = kernels.bs_series(*before, x, *after[:2])
+            elif name == "wright_row":
+                if after[3] is None:
+                    want = kernels.wright_series(*before, x, *after[:2])
+                else:  # the image's scaling, as msm wrote it
+                    prefactor, power, scale, inverse = after[3]
+                    s = prefactor * x ** power
+                    want = kernels.wright_series(*before, scale * (1.0 / x if inverse else x),
+                                                 *after[:2])
+                    want = (s * want[0], abs(s) * want[1], want[2])
+                assert repr(point[1]) == repr(want[1]), (name, before, x)
+            elif name == "bessel_type_row" and x >= 2.0 ** -1021:
+                struve_type, modified, tol, cap = after[:4]
+                want = (kernels.struve_series if struve_type else kernels.bessel_series)(
+                    *before, x, modified, tol, cap)
+                if not math.isfinite(want[0]):
+                    continue
+            else:
+                continue
+            assert (repr(point[0]), point[2]) == (repr(want[0]), want[2]), (name, before, x)
+
+
+def test_row_kernels_stop_alike_on_both_twins(ck):
+    # the twins stop each seeded row at the same point, with the same term
+    # counts and flags, and values that differ by the ulps of their gamma
+    # functions, amplified where a Wright sum cancels
+    for name, before, xs, after in row_calls(random.Random(2035)):
+        (ip, outp, _, _), (ic, outc, _, _) = (run_row(k, name, before, xs, after) for k in (pk, ck))
+        assert ip == ic, (name, before, xs)
+        for p, c in zip(outp[1:], outc[1:]):
+            assert p[2:] == c[2:], (name, before, xs, p, c)
+            assert repr(p[0]) == repr(c[0]) or _close(p[0], c[0], 1e-8), (name, before, xs, p, c)
+
+
+@pytest.mark.parametrize("name, before, after", [
+    ("bs_row", (0.25,), (1e-14, 10_000, 2.0)),
+    ("bessel_type_row", (0.5,), (0, 0, 1e-14, 10_000, (50.0,), (0.0, 0.0, 1, True))),
+    ("wright_row", ((1.0,), (1.0,), (1.0,), (1.0,)), (1e-14, 10_000, [], None)),
+    ("wright_row", ((1.0,), (1.0,), (1.0,), (1.0,)), (1e-14, 10_000, None, (2.0, 0.5, 1.0, 1))),
+])
+def test_row_kernels_refuse_a_non_number_alike(ck, name, before, after):
+    # an empty row finishes at 0; a non-number ends the row with TypeError
+    # on both twins, out holding the points before it
+    for kernels in (pk, ck):
+        kernel, out = getattr(kernels, name), []
+        assert kernel(*before, [], out, *after) == 0 and out == []
+        with pytest.raises(TypeError):
+            kernel(*before, [1.0, 2.0, "3", 4.0], out, *after)
+        assert len(out) == 2, (kernels, out)
+
+
 def test_compiled_gamma_reconstruction_meets_bound(ck):
     # the accuracy contract must hold for the libm-backed route as well
     import oracles
@@ -314,8 +451,8 @@ def _bs_bound(args, result, twin):
 def _sum_rounding(struve_type, args, result):
     # the J/I and H/L wrappers' rounding bound, on the kernel's sum of |terms|
     v, z = args[:2]
-    order, _, units = series._order_terms(struve_type, v)
-    return series._positive_series_rounding(result[4], result[2], order * math.log(0.5 * z), units)
+    order, units = v + 1.0 if struve_type else v, series._order_units(struve_type, v)
+    return pk._positive_rounding(result[4], result[2], order * math.log(0.5 * z), units)
 
 
 def _bessel_type_bound(struve_type):
@@ -602,7 +739,7 @@ def test_verify_all_report_is_pinned(backend_name, request, tmp_path):
 # calls) must give the bits of the same call made right after a call at
 # another order; and the results must match the pure twin's.
 UBSAN_SWEEP = "".join(inspect.getsource(f) for f in (format_doubles, pole_points,
-                                                    wright_pole_rows)) + f"""
+                                                    wright_pole_rows, row_calls)) + f"""
 OVERFLOW_U, OVERFLOW_VZ = {OVERFLOW_U!r}, {OVERFLOW_VZ!r}
 """ + r"""
 import math, random
@@ -730,6 +867,28 @@ for kc, kp, args in over:
         calls += 1
         assert bits(c) == bits(p) and c[1] == math.inf and c[3] == 0, (kc.__name__, args, c, p)
         assert c[2] <= 2 or math.isfinite(kc(*args, 1e-14, c[2] - 2)[0]), (kc.__name__, args)
+# the row kernels: seeded rows against the pure twin's (the same stop and
+# terms), an empty row, a row that stops at its first point, and a
+# non-number in a row
+for name, before, xs, after in row_calls(random.Random(2035)) * 2:
+    outs = []
+    for kernels in (ck, pk):
+        out = []
+        stop = getattr(kernels, name)(*before, xs, out, *[[] if a == [] else a for a in after])
+        outs.append((stop, [p[2:] for p in out]))
+    calls += 2
+    assert outs[0] == outs[1], (name, before, xs)
+    kernel, after = getattr(ck, name), [[] if a == [] else a for a in after]
+    for row in ([], [math.nan, 1.0], [math.inf]):
+        calls += 1
+        out = []
+        assert kernel(*before, row, out, *after) == 0 and out == [], (name, row)
+    calls += 1
+    out = []
+    try:  # stops at 0.5 (S or J/I/H/L with no units, a capped Wright row) or at None
+        assert kernel(*before, [0.5, None, 1.0], out, *after) == 0 and out == [], (name, before)
+    except TypeError:
+        assert len(out) == 1, (name, before)
 # the 192-bit shifts and the limb products of the CSV fast path
 values = format_doubles(random.Random(29))
 calls += len(values)

@@ -246,6 +246,18 @@ def test_config_takes_zero_density_samples_and_any_int_seed(tmp_path):
     assert (record["status"], record["n_points"]) == ("PASS", 3)
 
 
+def test_density_norm_refuses_a_support_beyond_the_double_range(monkeypatch):
+    # (a(1-alpha))**(-1/delta) = 1e309: the error names the radius, and no
+    # quadrature runs on the infinite interval
+    from bsfrac import DomainUnsupportedError
+    from bsfrac.pathway import PathwayDensityParams
+
+    monkeypatch.setattr(checks, "tanh_sinh", None)
+    dp = PathwayDensityParams(1.0, 1.0, 1.0, 2e-309, 0.5)
+    with pytest.raises(DomainUnsupportedError, match=r"support radius .* beyond the double range"):
+        checks._density_norm(dp)
+
+
 def test_check_errors_are_captured_not_raised(tmp_path):
     # a grid violating operator preconditions must surface as ERROR records
     grid_path = tmp_path / "grids.json"

@@ -673,7 +673,7 @@ def test_sweep_rows_match_eval(function):
 
 
 # a density whose k = a(1-alpha) underflows to 0: its values are 0 with an
-# infinite (or, at x = 0, NaN) bound, which bounds nothing
+# infinite bound, which bounds nothing
 _TINY_K = ("--gamma-shape", "1", "--delta", "1", "--beta-shape", "1", "--a", "5e-324",
            "--pathway-alpha", "0.5")
 # (args, exit code, stdout is empty, stderr line); x <= 0 in an operator
@@ -719,6 +719,14 @@ def test_sweep_error_paths(args, code, no_rows, message):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def test_tiny_k_density_bound_is_inf_at_zero(backend):
+    # the norm constant's log half-width is infinite, and the bound at x = 0
+    # reads inf as at the other points, where it once was 0 * inf = NaN
+    res = _run("table", "density", *_TINY_K, "--x", "0:1:3")
+    assert res.exit_code == 1, res.output
+    assert res.stdout == "x,value,abs_error_est\n0,0,inf\n0.5,0,inf\n1,0,inf\n"
+
+
 @pytest.mark.parametrize("function", ["msm-left", "pathway", "wright", "density", "S", "I",
                                       "J", "H", "L"])
 def test_sweep_builds_once(function, monkeypatch):
@@ -750,7 +758,7 @@ def test_sweep_builds_once(function, monkeypatch):
     counts = []
     # the one point at the end of the range, where S (u > 0) has a rounding term
     for first, count in ((stop, 1), (start, 200)):
-        series._order_terms.cache_clear()
+        series._order_units.cache_clear()
         series._bs_prefactor_units.cache_clear()
         builds.clear()
         assert _run("table", function, "--x", f"{first}:{stop}:{count}", *opts).exit_code == 0

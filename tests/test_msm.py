@@ -354,6 +354,7 @@ def test_image_evaluator_matches_value_at(name, monkeypatch):
     assert got == [_image_outcome(fresh, x) for x in xs]
     kernels = wright.kernels
     monkeypatch.setattr(wright, "kernels", SimpleNamespace(
+        wright_row=lambda *args: kernels.wright_row(*args[:8], None, args[9]),
         wright_series=lambda *args: kernels.wright_series(*args[:7])))
     assert got == [_image_outcome(img.value_at, x) for x in xs]
 

@@ -377,7 +377,7 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
     # the terms leave the double range: each series kernel ends at its first
     # non-finite partial sum (it once ran the whole term cap), and the
     # wrapper returns NaN for J and H, inf for I and L; each J, I, H or L
-    # point, finite or not, takes one kernel call (J and H once took two)
+    # point, finite or not, takes one row-kernel call (J and H once took two)
     from types import SimpleNamespace
 
     from bsfrac import series
@@ -396,7 +396,7 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
         return kernel
 
     monkeypatch.setattr(series, "kernels", SimpleNamespace(
-        bessel_series=counted("bessel_series"), struve_series=counted("struve_series")))
+        bessel_type_row=counted("bessel_type_row")))
     cases = [(fn, name, v, z, modified)
              for fn, name in ((bessel_first_kind, "bessel_series"), (struve, "struve_series"))
              for v in (0.0, 2.5) for z in (712.0, 1500.0) for modified in (0, 1)]

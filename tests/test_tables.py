@@ -203,7 +203,7 @@ SERIES_WRAPPERS = {
 def _fresh_series(evaluate, order, x):
     """``evaluate(order, x)`` on empty per-order caches of the wrappers and,
     for S, an emptied kernel slot."""
-    series._order_terms.cache_clear()
+    series._order_units.cache_clear()
     series._bs_prefactor_units.cache_clear()
     return _fresh(evaluate, order, x)
 
@@ -447,15 +447,15 @@ def test_wright_pole_window_is_left_alone(backend, a, A, k):
 
 
 def test_msm_theorems_build_one_wright_table_per_spec(monkeypatch):
-    # every runner of verify msm-theorems hands kernels.wright_series one
+    # every runner of verify msm-theorems hands kernels.wright_row one
     # term table per distinct spec, however many images and points share it
     calls = []
 
-    def wright_series(*args):
-        calls.append((args[:4], args[7]))  # keeps each table alive for id()
-        return pk.wright_series(*args)
+    def wright_row(*args):
+        calls.append((args[:4], args[8]))  # keeps each table alive for id()
+        return pk.wright_row(*args)
 
-    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_row=wright_row))
     cfg = Config()
     for check_id in SUITES["msm-theorems"]:
         calls.clear()
@@ -484,12 +484,12 @@ def test_theorem_checks_build_each_image_and_spec_once(monkeypatch, check_id, sp
         built.append(spec)
         return spec
 
-    def wright_series(*args):
-        calls.append((args[:4], args[7]))  # keeps each table alive for id()
-        return pk.wright_series(*args)
+    def wright_row(*args):
+        calls.append((args[:4], args[8]))  # keeps each table alive for id()
+        return pk.wright_row(*args)
 
     monkeypatch.setattr(wright.WrightSpec, "__new__", counted_new)
-    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_row=wright_row))
     cfg = Config()
     check = CHECKS[check_id]
     check.runner(cfg, cfg.tolerances[check.tolerance_key])

@@ -52,9 +52,12 @@ def test_install_then_uninstall_restores_everything():
     before = _bsfrac_state()
     tracer.install()
     try:
-        # the CLI's Wright and image rows reach the kernel through the traced proxy
-        wright_series = before[0]["bsfrac.wright"]["kernels"].wright_series
-        assert sys.modules["bsfrac.wright"].kernels.wright_series.__wrapped__ is wright_series
+        # the CLI's Wright and image rows reach the row kernel through the
+        # proxy, untraced; the one-point kernel behind it is traced
+        kernels = before[0]["bsfrac.wright"]["kernels"]
+        proxy = sys.modules["bsfrac.wright"].kernels
+        assert proxy.wright_row is kernels.wright_row
+        assert proxy.wright_series.__wrapped__ is kernels.wright_series
         for args in (["table", "wright", "--upper", "1,1", "--lower", "2,1", "--x", "0:1:3"],
                      ["table", "pathway", "--eta", "0.5", "--a", "1.3", "--pathway-alpha",
                       "0.4", "--rho", "1.1", "--kind", "exp", "--x", "0.5:1:2"]):
@@ -64,14 +67,14 @@ def test_install_then_uninstall_restores_everything():
         tracer.uninstall()
     calls = tracer.summary()["calls"]
     assert calls["wright.wright_eval"] == calls["msm.ClosedFormImage.value_at"] == 0
-    assert calls["kernels.wright_series"] == 5
+    assert calls["kernels.wright_series"] == 0
     assert _bsfrac_state() == before
 
 
 def test_s_sweep_is_traced_at_the_wrapper():
     # a table of S hands its xs to one call of bessel_struve_row, which
-    # calls the traced kernel once a point and no public wrapper: the
-    # row's glue is filed under the CLI, and the kernel's time under kernels
+    # makes one untraced row-kernel call: neither the public wrapper nor the
+    # one-point kernel is called, and the row's time is filed under the CLI
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -80,48 +83,57 @@ def test_s_sweep_is_traced_at_the_wrapper():
     finally:
         tracer.uninstall()
     calls = tracer.summary()["calls"]
-    assert calls["series.bessel_struve_kernel"] == 0
-    assert calls["kernels.bs_series"] == 9
+    assert calls["series.bessel_struve_kernel"] == calls["kernels.bs_series"] == 0
 
 
-# the traced kernel that a 7-point table of each CLI function calls once a
-# point, from its untraced row function, and the number of calls: at x = 0
-# J, I, H and L are exact and call no kernel, and the density has none
+# the row kernel that a 7-point table of each CLI function calls once, from
+# its untraced row function; the density has none
 TABLE_KERNELS = {
-    "S": ("kernels.bs_series", 7),
-    "J": ("kernels.bessel_series", 6),
-    "I": ("kernels.bessel_series", 6),
-    "H": ("kernels.struve_series", 6),
-    "L": ("kernels.struve_series", 6),
-    "wright": ("kernels.wright_series", 7),
-    "msm-left": ("kernels.wright_series", 7),
-    "msm-right": ("kernels.wright_series", 7),
-    "pathway": ("kernels.wright_series", 7),
+    "S": "bs_row",
+    "J": "bessel_type_row",
+    "I": "bessel_type_row",
+    "H": "bessel_type_row",
+    "L": "bessel_type_row",
+    "wright": "wright_row",
+    "msm-left": "wright_row",
+    "msm-right": "wright_row",
+    "pathway": "wright_row",
     "density": None,
 }
-POINT_LAYERS = ("series.", "wright.wright_eval", "msm.ClosedFormImage.value_at")
+ROW_KERNELS = ("bs_row", "bessel_type_row", "wright_row")
+# the one-point series kernels and the public one-point wrappers
+POINT_LAYERS = ("kernels.bs_series", "kernels.wright_series", "kernels.bessel_series",
+                "kernels.struve_series", "series.", "wright.wright_eval",
+                "msm.ClosedFormImage.value_at")
 
 
 @pytest.mark.parametrize("function", sorted(SWEEPS))
 def test_every_table_calls_one_traced_wrapper_a_point(function):
     # a 7-point table reaches its points through one row call of its layer,
-    # never a public one-point wrapper: each point is one call of the traced
-    # kernel wrapper, with no traced L1/L2 span around it, so the tracer
-    # files the rows' per-point glue under the CLI
+    # which makes one call of its row kernel: the tracer sees no one-point
+    # kernel call and no public-wrapper span, and files the row under the
+    # CLI (the test's name is kept from the one-call-a-point contract)
     opts, grid = SWEEPS[function]
     tracer = _load_tracer().Tracer()
     tracer.install()
+    rows = collections.Counter()
+    proxy = sys.modules["bsfrac.series"].kernels  # the tracer's stand-in, dropped on uninstall
+
+    def counted(name, kernel):
+        def row(*args):
+            rows[name] += 1
+            return kernel(*args)
+        return row
+
+    for name in ROW_KERNELS:
+        setattr(proxy, name, counted(name, getattr(proxy, name)))
     try:
         res = run_cli(["table", function, "--x", grid, *opts])
         assert res.exit_code == 0, res.output
     finally:
         tracer.uninstall()
-    names = tracer.names
-    outer = collections.Counter(names[nid] for nid, parent in zip(tracer.name, tracer.parent)
-                                if parent < 0 and names[nid].startswith(("kernels.",
-                                                                         *POINT_LAYERS)))
     want = TABLE_KERNELS[function]
-    assert outer == (collections.Counter({want[0]: want[1]}) if want else {})
+    assert rows == (collections.Counter({want: 1}) if want else {})
     calls = tracer.summary()["calls"]
     assert not any(calls[name] for name in calls if name.startswith(POINT_LAYERS)), calls
 
@@ -132,7 +144,6 @@ HARNESS_LAYERS = {
     "pathway.pathway_quadrature": ("L3", "T7", "T8"),
     # an image's value_at reaches the Wright kernel without wright_eval
     "wright.wright_eval": ("T2", "T4", "T5", "T6", "T8", "W-delta"),
-    "kernels.wright_series": ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "W-delta"),
     "msm.ClosedFormImage.value_at": ("L1", "L2", "L3", "T1", "T2", "T3", "T4", "T5", "T6",
                                      "T7", "T8"),
     "series.bessel_struve_kernel": ("e1", "e2", "r1", "r2"),
@@ -170,3 +181,9 @@ def test_tracer_sees_the_harness():
     for layer, ids in HARNESS_LAYERS.items():
         for cid in ids:
             assert calls[f"checks.{cid}", layer] > 0, (cid, layer)
+    # a point of a public wrapper or an image is a row of one, one untraced
+    # row-kernel call: the series kernels are traced only where a
+    # quadrature integrand calls one at a node
+    parents = {names[tracer.name[parent]] for nid, parent in zip(tracer.name, tracer.parent)
+               if names[nid].startswith(POINT_LAYERS[:4])}
+    assert parents == {"quadrature.integrand"}, parents

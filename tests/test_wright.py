@@ -270,14 +270,20 @@ def test_spec_identity_ignores_rows():
 
 
 def _record_tables(monkeypatch):
-    """Record the table of every kernel call the Wright module makes."""
+    """Record the table of every kernel call the Wright module makes: row
+    calls, and the one-point call that finds a failing point's error."""
     kernels, tables = wright.kernels, []
+
+    def wright_row(*args):
+        tables.append(args[8])
+        return kernels.wright_row(*args)
 
     def wright_series(*args):
         tables.append(args[7])
         return kernels.wright_series(*args)
 
-    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_series=wright_series))
+    monkeypatch.setattr(wright, "kernels", SimpleNamespace(wright_row=wright_row,
+                                                           wright_series=wright_series))
     return tables
 
 
@@ -300,7 +306,7 @@ def test_evaluator_stops_at_the_first_overflowing_term(monkeypatch):
     assert res.exit_code == 1
     assert res.stderr == ("Error: wright at x=-800.0: wright series at z=-800.0 "
                           "exceeds double range\n")
-    assert len(tables) == 1
+    assert len(tables) == 2 and tables[0] is tables[1]  # the row, then its error
     assert k0 - 1 < len(tables[0]) <= k0 + 1
 
 
