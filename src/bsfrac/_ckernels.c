@@ -13,7 +13,12 @@
  * the other entries cost about what reading a table back would.  As in the
  * pure twin, the first non-finite partial sum ends bs_series (u > 0),
  * bessel_series and struve_series, with bound inf and flag 0; those two
- * return their sum of |terms| as a fifth item.
+ * return their sum of |terms| as a fifth item.  Each row kernel (bs_row,
+ * bessel_type_row, wright_row) and its one-point kernel fill a series_out
+ * through the same point function; a row holds its x-free work (the
+ * odd-chain prefactor and b-sequence, the log-gammas of an order, a spec's
+ * columns and rows) in a state struct for the length of the call, and
+ * keeps no static state.
  */
 
 #define PY_SSIZE_T_CLEAN

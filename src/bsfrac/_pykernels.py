@@ -172,7 +172,7 @@ def bs_series(nu, u, tol, cap):
 
 
 def bs_row(nu, us, out, tol, cap, units):
-    """The row of ``series.bessel_struve_kernel``; ``units``: its first odd term's, or None."""
+    """The row of ``series.bessel_struve_kernel`` (``units``: ``_bs_prefactor_units`` or None)."""
     n0, append, inf = len(out), out.append, math.inf
     for u in us:
         if not -inf < u < inf:
@@ -420,7 +420,7 @@ def struve_series(v, z, modified, tol, cap):
 def bessel_type_row(v, zs, out, struve_type, modified, tol, cap, units, at_zero):
     """The J/I or H/L row of ``series.bessel_first_kind`` or ``struve``: z =
     0 gives ``at_zero``; the bound adds the rounding of the sum of |terms|,
-    ``units`` the leading term's gammas' (or None); where 0.5 * z can round
+    ``units`` the ``_order_units`` (or None); where 0.5 * z can round
     the series is its leading term, in logs (not at v = inf).  Past the
     double range I and L are inf, J and H NaN; a J or H value whose whole
     bound reaches |value| is not converged."""
