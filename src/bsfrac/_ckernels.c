@@ -283,12 +283,12 @@ bs_positive(bs_state *st, double u, double tol, int cap, series_out *r)
         e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0));
         o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5));
         k += 1;
-        if (fabs(prev) <= 0.5 * tol * fabs(s) && (e < 0.5 * prev || isinf(s))) {
+        if (fabs(prev) <= 0.5 * tol * fabs(s) && (2.0 * e <= prev || isinf(s))) {
             *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * prev, n, !isinf(s), 0.0};
             return;
         }
         s += e;
-        if (e <= 0.5 * tol * s && (o < 0.5 * e || isinf(s))) {
+        if (e <= 0.5 * tol * s && (2.0 * o <= e || isinf(s))) {
             *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * e, n + 1, !isinf(s), 0.0};
             return;
         }
@@ -463,16 +463,14 @@ bs_series(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 bs_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    double u, tol, units = 0.0;
+    double u, tol, units;
     int cap;
     bs_state st = {.top = -1};
     series_out r;
     Py_ssize_t i = 0, n;
-    PyObject *us, *out, *units_obj, *result = NULL;
-    void *parsed[] = {&st.nu, &us, &out, &tol, &cap, &units_obj};
-    if (parse_args("bs_row", args, nargs, "dOOdiO", parsed) < 0)
-        return NULL;
-    if (units_obj != Py_None && (units = PyFloat_AsDouble(units_obj)) == -1.0 && PyErr_Occurred())
+    PyObject *us, *out, *result = NULL;
+    void *parsed[] = {&st.nu, &us, &out, &tol, &cap, &units};
+    if (parse_args("bs_row", args, nargs, "dOOdid", parsed) < 0)
         return NULL;
     if ((us = row_xs("bs_row", us, out)) == NULL)
         return NULL;
@@ -488,12 +486,9 @@ bs_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             break;
         /* never report convergence the estimate does not support */
         r.flag = r.flag && r.err <= tol * fmax(fabs(r.value), 5e-324);
-        if (u > 0.0) {
-            if (units_obj == Py_None)
-                break;
+        if (u > 0.0)
             r.err += r.value * U * (units + 5.0 * r.terms);
-        }
-        if (append_point(out, r.value, r.err, r.terms, r.flag) < 0)
+        if (append_point(out, r.value, r.err, r.terms, r.flag && r.err < INFINITY) < 0)
             goto done;
     }
     result = PyLong_FromSsize_t(i);
@@ -615,17 +610,14 @@ bessel_type_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
     if (parse_args("bessel_type_row", args, nargs, "dOOiidiOO", parsed) < 0)
         return NULL;
     n_units = struve_type ? 2 : 1;
-    if (units_obj != Py_None) {
-        if (!PyTuple_Check(units_obj) || PyTuple_GET_SIZE(units_obj) != n_units) {
-            PyErr_Format(PyExc_TypeError, "bessel_type_row() units must be None or a tuple of %d",
-                         n_units);
-            return NULL;
-        }
-        for (int j = 0; j < n_units; j++)
-            if ((units[j] = PyFloat_AsDouble(PyTuple_GET_ITEM(units_obj, j))) == -1.0
-                && PyErr_Occurred())
-                return NULL;
+    if (!PyTuple_Check(units_obj) || PyTuple_GET_SIZE(units_obj) != n_units) {
+        PyErr_Format(PyExc_TypeError, "bessel_type_row() units must be a tuple of %d", n_units);
+        return NULL;
     }
+    for (int j = 0; j < n_units; j++)
+        if ((units[j] = PyFloat_AsDouble(PyTuple_GET_ITEM(units_obj, j))) == -1.0
+            && PyErr_Occurred())
+            return NULL;
     if ((zs = row_xs("bessel_type_row", zs, out)) == NULL)
         return NULL;
     bessel_type_lgammas(v, struve_type, la);
@@ -641,11 +633,7 @@ bessel_type_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
                 goto done;
             continue;
         }
-        if (units_obj == Py_None)
-            break;
         if (z < HALF_ROUNDS) {
-            if (isinf(v))
-                break;
             /* log(z/2) without rounding z/2 */
             power = order * (log(z) - LN2);
             value = exp(struve_type ? power - la[0] - la[1] : power - la[0]);
@@ -663,7 +651,7 @@ bessel_type_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nar
         }
         r.err += positive_rounding(r.total, r.terms, order * log(0.5 * z), units, n_units);
         if (append_point(out, r.value, r.err, r.terms,
-                         r.flag && (modified || r.err < fabs(r.value))) < 0)
+                         r.flag && r.err < (modified ? INFINITY : fabs(r.value))) < 0)
             goto done;
     }
     result = PyLong_FromSsize_t(i);
@@ -956,12 +944,12 @@ wright_point(wright_state *w, double z, double tol, int cap, series_out *r)
                 return 0;
             }
         }
-        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && fabs(t) < 0.5 * fabs(prev)) {
+        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && 2.0 * fabs(t) <= fabs(prev)) {
             *r = (series_out){s, 2.0 * fabs(prev), k, 0, 0.0};
             return 0;
         }
         s += t;
-        if (t == 0.0)
+        if (kind == 1)
             have_prev = 0;
         else {
             prev = t;

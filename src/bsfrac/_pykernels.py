@@ -10,9 +10,12 @@ Series evaluators return ``(value, abs_error_est, terms_used, flag)``;
 ``bessel_series`` and ``struve_series`` add the sum of |t| over their
 terms (``value`` when modified).  The shared truncation rule: stop once
 the last added term t has ``|t| <= 0.5 * tol * |sum|`` and the next is
-below ``|t| / 2``, with bound ``2 * |t|`` (a geometric tail).  The
-Bessel-Struve kernel at negative argument sums a fixed number of
-positive terms, with a running bound on their rounding (``_bs_negative``).
+below ``|t| / 2``, with bound ``2 * |t|`` (a geometric tail).  ``bs_series``
+and ``wright_series`` test ``2 * |next| <= |t|``: halving a subnormal t
+can round it to 0, and a term that underflows to 0 counts (only a Wright
+term that a lower pole kills restarts the test).  The Bessel-Struve
+kernel at negative argument sums a fixed number of positive terms, with
+a running bound on their rounding (``_bs_negative``).
 
 A partial sum that is not finite ends ``bs_series`` (at u > 0),
 ``bessel_series`` and ``struve_series`` at once, with that sum, bound inf
@@ -31,11 +34,11 @@ coefficients, in a static one-slot.
 
 A row kernel (``bs_row``, ``bessel_type_row``, ``wright_row``) takes a
 sequence ``xs`` and what its caller derived from the checked x-free
-arguments; it appends each finished point's ``(value, abs_error_est,
-terms_used, converged)`` to the list ``out`` and returns the index of
-the first point it did not finish (``len(xs)`` if none), whose error the
-caller raises.  A point is one one-point kernel call; the compiled twin
-does the x-free work once a call.
+arguments, always an S, J, I, H or L order's finite rounding units; it
+appends each point's ``(value, abs_error_est, terms_used, converged)`` to
+the list ``out`` and returns the index of the first point with no value
+(``len(xs)`` if none), whose error the caller raises.  A point is one
+one-point kernel call; the compiled twin does the x-free work once a call.
 
 ``format_rows`` writes the CLI's CSV rows; the compiled twin finds most
 numbers' digits in exact integer arithmetic, so its bytes are those of
@@ -172,7 +175,7 @@ def bs_series(nu, u, tol, cap):
 
 
 def bs_row(nu, us, out, tol, cap, units):
-    """The row of ``series.bessel_struve_kernel`` (``units``: ``_bs_prefactor_units`` or None)."""
+    """The row of ``series.bessel_struve_kernel``; a point whose bound is inf is not converged."""
     n0, append, inf = len(out), out.append, math.inf
     for u in us:
         if not -inf < u < inf:
@@ -183,10 +186,8 @@ def bs_row(nu, us, out, tol, cap, units):
         # never report convergence the estimate does not support
         converged = bool(ok) and err <= tol * max(abs(value), _ULP0)
         if u > 0.0:
-            if units is None:
-                break
             err += value * _U * (units + 5.0 * terms)
-        append((value, err, terms, converged))
+        append((value, err, terms, converged and err < inf))
     return len(out) - n0
 
 
@@ -219,10 +220,10 @@ def _bs_positive(nu, u, tol, cap, table):
         e *= uu * he / de
         o *= uu * ho / do
         k += 1
-        if abs(prev) <= half_tol * abs(s) and (e < 0.5 * prev or math.isinf(s)):
+        if abs(prev) <= half_tol * abs(s) and (2.0 * e <= prev or math.isinf(s)):
             return (s, math.inf, n, 0) if math.isinf(s) else (s, 2.0 * prev, n, 1)
         s += e
-        if e <= half_tol * s and (o < 0.5 * e or math.isinf(s)):
+        if e <= half_tol * s and (2.0 * o <= e or math.isinf(s)):
             return (s, math.inf, n + 1, 0) if math.isinf(s) else (s, 2.0 * e, n + 1, 1)
         s += o
         prev = o
@@ -420,10 +421,10 @@ def struve_series(v, z, modified, tol, cap):
 def bessel_type_row(v, zs, out, struve_type, modified, tol, cap, units, at_zero):
     """The J/I or H/L row of ``series.bessel_first_kind`` or ``struve``: z =
     0 gives ``at_zero``; the bound adds the rounding of the sum of |terms|,
-    ``units`` the ``_order_units`` (or None); where 0.5 * z can round
-    the series is its leading term, in logs (not at v = inf).  Past the
-    double range I and L are inf, J and H NaN; a J or H value whose whole
-    bound reaches |value| is not converged."""
+    ``units`` the ``_order_units``; where 0.5 * z can round the series
+    is its leading term, in logs.  Past the double range I and L are inf,
+    J and H NaN; a J or H value whose whole bound reaches |value|, or an I
+    or L value whose bound is inf, is not converged."""
     n0, append, inf = len(out), out.append, math.inf
     kernel, order, gamma_args = ((struve_series, v + 1.0, (1.5, v + 1.5)) if struve_type
                                  else (bessel_series, v, (v + 1.0,)))
@@ -433,11 +434,7 @@ def bessel_type_row(v, zs, out, struve_type, modified, tol, cap, units, at_zero)
         if z == 0.0:
             append(at_zero)
             continue
-        if units is None:
-            break
         if z < _HALF_ROUNDS:
-            if v == inf:
-                break
             power = ln_t = order * (math.log(z) - _LN2)  # log(z/2) without rounding z/2
             for a in gamma_args:
                 ln_t -= lgamma_sign(a)[0]
@@ -453,7 +450,7 @@ def bessel_type_row(v, zs, out, struve_type, modified, tol, cap, units, at_zero)
             append((inf if modified else math.nan, inf, terms, False))
             continue
         err += _positive_rounding(total, terms, order * math.log(0.5 * z), units)
-        append((value, err, terms, bool(ok) and (modified or err < abs(value))))
+        append((value, err, terms, bool(ok) and err < (inf if modified else abs(value))))
     return len(out) - n0
 
 
@@ -641,10 +638,10 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
                 t = row[sign] * math.inf
             if not math.isfinite(t):
                 return s + t, math.inf, k + 1, 0
-        if have_prev and abs(prev) <= half_tol * abs(s) and abs(t) < 0.5 * abs(prev):
+        if have_prev and abs(prev) <= half_tol * abs(s) and 2.0 * abs(t) <= abs(prev):
             return s, 2.0 * abs(prev), k, 0
         s += t
-        if t == 0.0:
+        if row is None:
             have_prev = False
         else:
             prev = t

@@ -7,7 +7,9 @@ x's (value, abs_error_est, terms_used, converged) to ``out`` and returns
 ``out``.  It runs the x-free checks and set-up, makes one call of its row
 kernel (the contract is in ``_pykernels``) and raises the error of the
 point the kernel did not finish, ``out`` holding the points before it.
-The one-point function is the row of one point: the two give the same bits.
+The set-up refuses an order whose rounding units are not finite
+(``_bounded``).  The one-point function is the row of one point: the two
+give the same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from ._backend import kernels
 from .errors import DomainError
-from .gammacore import _LGAMMA_ULPS, _U, ln_gamma_signed
+from .gammacore import _LGAMMA_ULPS, _U
 
 DEFAULT_TOL = 1e-14
 TERM_CAP = 10_000
@@ -58,8 +60,8 @@ class SeriesEval(NamedTuple):
     ``abs_error_est`` bounds the discarded tail and the rounding (for the
     Wright series, the tail alone).  When ``converged`` is true the tail
     bound (J, I, H, L and S at u > 0) or the whole bound (S at u < 0) is at
-    most ``tol * |value|``, and for J and H the whole bound is below
-    |value|.  Identical inputs give bit-identical results, whatever was
+    most ``tol * |value|``, and the whole bound is finite, for J and H
+    below |value|.  Identical inputs give bit-identical results, whatever was
     evaluated before.  A NamedTuple, the cheapest immutable record (built
     by ``_series_eval``); read its fields by name, as one may be appended.
     """
@@ -87,7 +89,7 @@ _series_eval = SeriesEval._make
 
 def bessel_struve_kernel(nu: float, u: float, tol: float = DEFAULT_TOL,
                          term_cap: int = TERM_CAP) -> SeriesEval:
-    """Bessel-Struve kernel S_nu(u), entire in u, for nu > -1.
+    """Bessel-Struve kernel S_nu(u), entire in u, for -1 < nu < about 6.77e303.
 
     u = 0 returns exactly 1.  Positive u sums the power series with
     coefficients ``Gamma(nu+1) Gamma((n+1)/2) / (sqrt(pi) n! Gamma(n/2+nu+1))``,
@@ -113,24 +115,29 @@ def bessel_struve_row(nu: float, us, out: list, tol: float = DEFAULT_TOL,
     if not nu > -1.0:
         raise DomainError(f"kernel order must satisfy nu > -1, got {nu!r}")
     check_limits(tol, term_cap)
-    try:
-        units = _bs_prefactor_units(nu)
-    except OverflowError:  # raised below, at the first u > 0 with a finite value
-        units = None
-    i = kernels.bs_row(nu, us, out, tol, term_cap, units)
+    i = kernels.bs_row(nu, us, out, tol, term_cap, _bs_prefactor_units(nu))
     if i < len(us):
         if not -math.inf < us[i] < math.inf:
             raise DomainError("kernel argument must be finite")
-        if math.isfinite(kernels.bs_series(nu, us[i], tol, term_cap)[0]):
-            _bs_prefactor_units(nu)
         raise OverflowError(f"Bessel-Struve series at u={us[i]!r} exceeds double range")
     return out
 
 
 def _gamma_units(a: float) -> float:
     """The relative error, in units of u, of a term that takes Gamma(a), a > 0,
-    through the log-gamma kernel, with room for the operations around it."""
-    return (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, abs(math.lgamma(a))) + a * abs(math.log(a)) + 1.0
+    through the log-gamma kernel, with room for the operations around it (or inf)."""
+    try:
+        lg = math.lgamma(a)
+    except OverflowError:  # a past about 2.6e305
+        return math.inf
+    return (2.0 * _LGAMMA_ULPS + 2.0) * max(1.0, abs(lg)) + a * abs(math.log(a)) + 1.0
+
+
+def _bounded(v: float, units: float) -> None:
+    """Refuse order v where its leading term's rounding ``units`` are not finite, as no
+    bound holds there: S from about 6.77e303, J, I, H and L from about 1.35e304."""
+    if not units < math.inf:
+        raise DomainError(f"order {v!r} is too large: its series' rounding exceeds double range")
 
 
 @lru_cache(maxsize=1)
@@ -141,14 +148,18 @@ def _bs_prefactor_units(nu: float) -> float:
     (within 1u) times u; elsewhere the prefactor takes two log-gammas."""
     if abs(nu) < 90.0 and (2.0 * nu).is_integer():
         return 2.0
-    return _gamma_units(nu + 1.0) + _gamma_units(nu + 1.5) + 2.0
+    units = _gamma_units(nu + 1.0) + _gamma_units(nu + 1.5) + 2.0
+    _bounded(nu, units)
+    return units
 
 
 @lru_cache(maxsize=8)
 def _order_units(struve_type: bool, v: float) -> tuple:
     """The ``_gamma_units`` of the leading term's gamma arguments, v + 1 of
     the J/I series or 3/2 and v + 3/2 of the H/L series, once per order."""
-    return tuple(map(_gamma_units, (1.5, v + 1.5) if struve_type else (v + 1.0,)))
+    units = tuple(map(_gamma_units, (1.5, v + 1.5) if struve_type else (v + 1.0,)))
+    _bounded(v, sum(units))
+    return units
 
 
 def _bessel_type(v: float, zs, out: list, modified: bool, tol: float, term_cap: int,
@@ -156,17 +167,9 @@ def _bessel_type(v: float, zs, out: list, modified: bool, tol: float, term_cap: 
     """The J/I or H/L row (``_pykernels.bessel_type_row``); z = 0 gives
     ``at_zero``."""
     check_limits(tol, term_cap)
-    try:
-        units = _order_units(struve_type, v)
-    except OverflowError:  # raised below, at the first z > 0
-        units = None
-    i = kernels.bessel_type_row(v, zs, out, struve_type, bool(modified), tol, term_cap, units,
-                                at_zero)
-    if i < len(zs):
-        if not 0.0 <= zs[i] < math.inf:
-            raise DomainError("argument must be finite and nonnegative")
-        _order_units(struve_type, v)
-        ln_gamma_signed(v + 1.0)  # v = inf: no log-gamma for the tiny-z route
+    if kernels.bessel_type_row(v, zs, out, struve_type, bool(modified), tol, term_cap,
+                               _order_units(struve_type, v), at_zero) < len(zs):
+        raise DomainError("argument must be finite and nonnegative")
     return out
 
 
@@ -175,7 +178,7 @@ _NO_VALUE = (math.inf, math.inf, 1, False)  # a point where the series is infini
 
 def bessel_first_kind(v: float, z: float, modified: bool = False,
                       tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
-    """J_v(z) (or I_v(z) when modified) by direct series; v > -1, z >= 0."""
+    """J_v(z) (or I_v(z) when modified) by direct series; -1 < v < about 1.35e304, z >= 0."""
     return _series_eval(bessel_first_kind_row(v, (z,), [], modified, tol, term_cap)[0])
 
 
@@ -190,7 +193,7 @@ def bessel_first_kind_row(v: float, zs, out: list, modified: bool = False,
 
 def struve(v: float, z: float, modified: bool = False,
            tol: float = DEFAULT_TOL, term_cap: int = TERM_CAP) -> SeriesEval:
-    """H_v(z) (or L_v(z) when modified) by direct series; v > -3/2, z >= 0."""
+    """H_v(z) (or L_v(z) when modified) by direct series; -3/2 < v < about 1.35e304, z >= 0."""
     return _series_eval(struve_row(v, (z,), [], modified, tol, term_cap)[0])
 
 

@@ -273,7 +273,7 @@ def row_calls(rng):
     for i, nu in enumerate((-0.75, -0.5, 0.0, 0.25, 2.3, 40.0, rng.uniform(-0.99, 5.0),
                             rng.uniform(5.0, 90.0), 0.5)):
         calls.append(("bs_row", (nu,), xs(-60.0, 60.0, [0.0, -0.0] + tiny, s_bad),
-                      (1e-14, (10_000, 10_000, 60)[i % 3], (2.0, 57.5, None, 57.5)[i % 4])))
+                      (1e-14, (10_000, 10_000, 60)[i % 3], (2.0, 57.5, 1e300, 57.5)[i % 4])))
     for nu in (0.25, -0.75):  # N goes up and back down, and repeats
         calls.append(("bs_row", (nu,), [-5.0, -50.0, -200.0, -50.0, -5.0, -200.5, 3.0, -50.25,
                                         -5.0], (1e-14, 10_000, 57.5)))
@@ -286,7 +286,8 @@ def row_calls(rng):
             calls.append(("bessel_type_row", (v,),
                           xs(0.0, 40.0, [0.0, -0.0, 1500.0] + tiny, [-1.0, math.inf, math.nan]),
                           (struve_type, rng.random() < 0.5, 1e-14, rng.choice([10_000, 9]),
-                           rng.choice([units, units, None]), (rng.random(), 0.0, 1, True))))
+                           rng.choice([units, units, (1e300,) * (1 + struve_type)]),
+                           (rng.random(), 0.0, 1, True))))
     specs = [((0.5, 1.2, 1.9), (0.5, 1.0, 1.0), (1.25, 1.4, 2.0), (0.5, 1.0, 1.0)),
              ((1.0,), (1.0,), (1.0,), (1.0,)),
              ((-2.25,), (0.5,), (1.5, 0.3), (1.0, 1.0)),
@@ -385,6 +386,28 @@ def test_row_kernels_refuse_a_non_number_alike(ck, name, before, after):
         with pytest.raises(TypeError):
             kernel(*before, [1.0, 2.0, "3", 4.0], out, *after)
         assert len(out) == 2, (kernels, out)
+
+
+# subnormal arguments: halving a subnormal term can round it to 0, and a
+# term can underflow to 0 (S's odd chain at nu >= 1, the second term of
+# the second spec), and either way the sums must stop after two terms
+SUBNORMALS = (5e-324, -5e-324, 1e-323, -1e-323)
+SUBNORMAL_SPECS = (((0.5, 1.2), (0.5, 1.0), (1.25, 1.9), (0.5, 1.0)),
+                   ((1.0,), (1.0,), (3.0,), (1.0,)))
+
+
+@pytest.mark.parametrize("u", SUBNORMALS)
+def test_kernels_at_a_subnormal_argument_stop_at_once(ck, u):
+    for kernels in (pk, ck):
+        for nu in (-0.75, 0.0, 0.25, 2.3, 10.0):
+            value, err, terms, flag = kernels.bs_series(nu, u, 1e-14, 10_000)
+            assert (value, flag) == (1.0, 1) and err < 1e-14, (kernels, nu, u, err)
+            assert terms == 2 if u > 0.0 else terms < 100, (kernels, nu, u, terms)
+        for spec, first in zip(SUBNORMAL_SPECS, (math.gamma(0.5) * math.gamma(1.2) / (
+                math.gamma(1.25) * math.gamma(1.9)), 0.5)):
+            value, err, terms, status = kernels.wright_series(*spec, u, 1e-14, 10_000)
+            assert (terms, status) == (2, 0) and err <= 1e-323, (kernels, spec, u, err)
+            assert _close(value, first, 1e-14), (kernels, spec, u, value)
 
 
 def test_compiled_gamma_reconstruction_meets_bound(ck):
@@ -534,6 +557,11 @@ def _sweep_calls():
         for modified in (0, 1):
             calls.append(("bessel_series", (v, z, modified, 1e-14, 10_000), bessel))
             calls.append(("struve_series", (v, z, modified, 1e-14, 10_000), struve))
+    for u in SUBNORMALS:
+        for nu in (-0.75, 0.0, 0.25, 2.3, 10.0):
+            calls.append(("bs_series", (nu, u, 1e-14, 10_000), _bs_bound))
+        for spec in SUBNORMAL_SPECS:
+            calls.append(("wright_series", (*spec, u, 1e-14, 10_000), None))
     return calls
 
 
@@ -741,6 +769,7 @@ def test_verify_all_report_is_pinned(backend_name, request, tmp_path):
 UBSAN_SWEEP = "".join(inspect.getsource(f) for f in (format_doubles, pole_points,
                                                     wright_pole_rows, row_calls)) + f"""
 OVERFLOW_U, OVERFLOW_VZ = {OVERFLOW_U!r}, {OVERFLOW_VZ!r}
+SUBNORMALS, SUBNORMAL_SPECS = {SUBNORMALS!r}, {SUBNORMAL_SPECS!r}
 """ + r"""
 import math, random
 from bsfrac import _backend, _ckernels as ck, _pykernels as pk
@@ -867,6 +896,15 @@ for kc, kp, args in over:
         calls += 1
         assert bits(c) == bits(p) and c[1] == math.inf and c[3] == 0, (kc.__name__, args, c, p)
         assert c[2] <= 2 or math.isfinite(kc(*args, 1e-14, c[2] - 2)[0]), (kc.__name__, args)
+# subnormal arguments: the twins stop alike, after two terms
+for u in SUBNORMALS:
+    for nu in (-0.75, 0.0, 0.25, 2.3, 10.0):
+        calls += 1
+        assert bits(ck.bs_series(nu, u, 1e-14, 10000)) == bits(pk.bs_series(nu, u, 1e-14, 10000))
+    for spec in SUBNORMAL_SPECS:
+        calls += 1
+        c, p = (k.wright_series(*spec, u, 1e-14, 10000) for k in (ck, pk))
+        assert c[1:] == p[1:] and c[2:] == (2, 0) and close(c[0], p[0]), (spec, u, c, p)
 # the row kernels: seeded rows against the pure twin's (the same stop and
 # terms), an empty row, a row that stops at its first point, and a
 # non-number in a row
@@ -885,7 +923,7 @@ for name, before, xs, after in row_calls(random.Random(2035)) * 2:
         assert kernel(*before, row, out, *after) == 0 and out == [], (name, row)
     calls += 1
     out = []
-    try:  # stops at 0.5 (S or J/I/H/L with no units, a capped Wright row) or at None
+    try:  # stops at 0.5 (a capped Wright row) or at None
         assert kernel(*before, [0.5, None, 1.0], out, *after) == 0 and out == [], (name, before)
     except TypeError:
         assert len(out) == 1, (name, before)

@@ -727,6 +727,33 @@ def test_tiny_k_density_bound_is_inf_at_zero(backend):
     assert res.stdout == "x,value,abs_error_est\n0,0,inf\n0.5,0,inf\n1,0,inf\n"
 
 
+@pytest.mark.parametrize("args, order", [
+    (("table", "I", "--nu", "1e306", "--x", "0:1:3"), "1e+306"),
+    (("table", "S", "--nu", "1e305", "--x", "0:1:3"), "1e+305"),
+    (("eval", "S", "--nu", "inf", "--x", "0"), "inf"),
+], ids=["I-1e306", "S-1e305", "S-inf"])
+def test_order_past_the_rounding_limit_is_a_usage_error(backend, args, order):
+    # no bound holds where the order's rounding units overflow, even at
+    # x = 0: a usage error, as --nu -2 is
+    res = _run(*args)
+    assert (res.exit_code, res.stdout) == (2, ""), res.output
+    assert res.stderr.splitlines()[-1] == (
+        f"Error: order {order} is too large: its series' rounding exceeds double range")
+
+
+@pytest.mark.parametrize("args, row", [
+    (("eval", "S", "--nu", "0.25", "--x", "5e-324"), "1,5.6908097199081797e-15,2"),
+    (("eval", "wright", "--upper", "0.5,0.5;1.2,1", "--lower", "1.25,0.5;1.9,1",
+      "--x", "5e-324"), "9.8813129168249309e-324,2"),
+], ids=["S", "wright"])
+def test_eval_at_the_smallest_subnormal_stops_after_two_terms(backend, args, row):
+    # the stop tests must not halve the subnormal last term, which rounds
+    # it to 0, below which no term lies
+    res = _run(*args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout.splitlines()[1].endswith(row), res.stdout
+
+
 @pytest.mark.parametrize("function", ["msm-left", "pathway", "wright", "density", "S", "I",
                                       "J", "H", "L"])
 def test_sweep_builds_once(function, monkeypatch):

@@ -420,6 +420,57 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
         assert flag == 1 and r.converged is (z < 40.0), (fn, v, z, r)
 
 
+# (one-point function, its row form, keyword arguments, the order from which
+# the rounding units of the leading term are not finite)
+ORDER_LIMITS = [(bessel_struve_kernel, "bessel_struve_row", {}, 6.77e303)] + [
+    (fn, row, {"modified": modified}, 1.35e304)
+    for fn, row in ((bessel_first_kind, "bessel_first_kind_row"), (struve, "struve_row"))
+    for modified in (False, True)]
+
+
+@pytest.mark.parametrize("fn, row, kwargs, limit", ORDER_LIMITS,
+                         ids=["S", "J", "I", "H", "L"])
+@pytest.mark.parametrize("v", ["past", 1e306, 1.7e308, math.inf])
+def test_order_past_the_rounding_limit_is_refused_before_any_point(fn, row, kwargs, limit, v,
+                                                                  backend):
+    # the leading term's rounding units overflow, so no bound holds: one
+    # DomainError names the order, before any point, even in a row of
+    # only x = 0
+    from bsfrac import series
+
+    v = {6.77e303: 7e303, 1.35e304: 1.4e304}[limit] if v == "past" else v
+    message = f"^order {re.escape(repr(v))} is too large"
+    with pytest.raises(DomainError, match=message):
+        fn(v, 0.0, **kwargs)
+    for xs in ([0.0], [0.0, 1.0, 2.0]):
+        out = []
+        with pytest.raises(DomainError, match=message):
+            getattr(series, row)(v, xs, out, **kwargs)
+        assert out == [], (v, xs)
+
+
+def test_orders_below_the_rounding_limit_never_claim_an_infinite_bound(backend):
+    # seeded: just below each limit the units are finite but near the
+    # double range, so the rounding term (value times units) overflows
+    # for large values, and a point whose bound is inf is not converged
+    rng = random.Random(36)
+    checked = 0
+    for fn, _, kwargs, limit in ORDER_LIMITS:
+        for _ in range(40):
+            v = limit * (1.0 - 10.0 ** -rng.uniform(0.5, 15.0))
+            xs = [0.0, 5e-324, 1e-300, rng.uniform(0.0, 40.0), 10.0 ** rng.uniform(-5.0, 160.0),
+                  10.0 ** rng.uniform(150.0, 154.0), 1.7e308]
+            for x in xs + ([-x for x in xs] if fn is bessel_struve_kernel else []):
+                try:
+                    r = fn(v, x, **kwargs)
+                except OverflowError:  # S past the double range
+                    continue
+                checked += 1
+                if r.converged:
+                    assert math.isfinite(r.value) and math.isfinite(r.abs_error_est), (fn, v, x, r)
+    assert checked > 1000
+
+
 
 class TestGauss2F1:
     """``kernels.hyp2f1_kernel`` on both backends against closed forms and
