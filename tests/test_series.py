@@ -420,25 +420,26 @@ def test_bessel_overflow_ends_the_sum(backend, monkeypatch):
         assert flag == 1 and r.converged is (z < 40.0), (fn, v, z, r)
 
 
-# (one-point function, its row form, keyword arguments, the order from which
-# the rounding units of the leading term are not finite)
-ORDER_LIMITS = [(bessel_struve_kernel, "bessel_struve_row", {}, 6.77e303)] + [
-    (fn, row, {"modified": modified}, 1.35e304)
+# (one-point function, its row form, keyword arguments, an order just below
+# the one from which the rounding units of the leading term are not finite,
+# and an order just past it)
+ORDER_LIMITS = [(bessel_struve_kernel, "bessel_struve_row", {}, 6.77e303, 7e303)] + [
+    (fn, row, {"modified": modified}, 1.35e304, 1.4e304)
     for fn, row in ((bessel_first_kind, "bessel_first_kind_row"), (struve, "struve_row"))
     for modified in (False, True)]
 
 
-@pytest.mark.parametrize("fn, row, kwargs, limit", ORDER_LIMITS,
+@pytest.mark.parametrize("fn, row, kwargs, limit, past", ORDER_LIMITS,
                          ids=["S", "J", "I", "H", "L"])
 @pytest.mark.parametrize("v", ["past", 1e306, 1.7e308, math.inf])
-def test_order_past_the_rounding_limit_is_refused_before_any_point(fn, row, kwargs, limit, v,
-                                                                  backend):
+def test_order_past_the_rounding_limit_is_refused_before_any_point(fn, row, kwargs, limit, past,
+                                                                  v, backend):
     # the leading term's rounding units overflow, so no bound holds: one
     # DomainError names the order, before any point, even in a row of
     # only x = 0
     from bsfrac import series
 
-    v = {6.77e303: 7e303, 1.35e304: 1.4e304}[limit] if v == "past" else v
+    v = past if v == "past" else v
     message = f"^order {re.escape(repr(v))} is too large"
     with pytest.raises(DomainError, match=message):
         fn(v, 0.0, **kwargs)
@@ -455,7 +456,7 @@ def test_orders_below_the_rounding_limit_never_claim_an_infinite_bound(backend):
     # for large values, and a point whose bound is inf is not converged
     rng = random.Random(36)
     checked = 0
-    for fn, _, kwargs, limit in ORDER_LIMITS:
+    for fn, _, kwargs, limit, _ in ORDER_LIMITS:
         for _ in range(40):
             v = limit * (1.0 - 10.0 ** -rng.uniform(0.5, 15.0))
             xs = [0.0, 5e-324, 1e-300, rng.uniform(0.0, 40.0), 10.0 ** rng.uniform(-5.0, 160.0),
