@@ -283,12 +283,14 @@ bs_positive(bs_state *st, double u, double tol, int cap, series_out *r)
         e *= u * u * (k + 0.5) / ((2.0 * k + 1.0) * (2.0 * k + 2.0) * (k + nu + 1.0));
         o *= u * u * (k + 1.0) / ((2.0 * k + 2.0) * (2.0 * k + 3.0) * (k + nu + 1.5));
         k += 1;
-        if (fabs(prev) <= 0.5 * tol * fabs(s) && (2.0 * e <= prev || isinf(s))) {
+        /* e == 0 fails 2 * e < prev only where prev is 0 too: both chains
+           are 0 from here on */
+        if (fabs(prev) <= 0.5 * tol * fabs(s) && (2.0 * e < prev || e == 0.0 || isinf(s))) {
             *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * prev, n, !isinf(s), 0.0};
             return;
         }
         s += e;
-        if (e <= 0.5 * tol * s && (2.0 * o <= e || isinf(s))) {
+        if (e <= 0.5 * tol * s && (2.0 * o < e || isinf(s))) {
             *r = (series_out){s, isinf(s) ? INFINITY : 2.0 * e, n + 1, !isinf(s), 0.0};
             return;
         }
@@ -944,12 +946,12 @@ wright_point(wright_state *w, double z, double tol, int cap, series_out *r)
                 return 0;
             }
         }
-        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && 2.0 * fabs(t) <= fabs(prev)) {
+        if (have_prev && fabs(prev) <= 0.5 * tol * fabs(s) && 2.0 * fabs(t) < fabs(prev)) {
             *r = (series_out){s, 2.0 * fabs(prev), k, 0, 0.0};
             return 0;
         }
         s += t;
-        if (kind == 1)
+        if (t == 0.0)
             have_prev = 0;
         else {
             prev = t;

@@ -11,11 +11,12 @@ Series evaluators return ``(value, abs_error_est, terms_used, flag)``;
 terms (``value`` when modified).  The shared truncation rule: stop once
 the last added term t has ``|t| <= 0.5 * tol * |sum|`` and the next is
 below ``|t| / 2``, with bound ``2 * |t|`` (a geometric tail).  ``bs_series``
-and ``wright_series`` test ``2 * |next| <= |t|``: halving a subnormal t
-can round it to 0, and a term that underflows to 0 counts (only a Wright
-term that a lower pole kills restarts the test).  The Bessel-Struve
-kernel at negative argument sums a fixed number of positive terms, with
-a running bound on their rounding (``_bs_negative``).
+and ``wright_series`` test ``2 * |next| < |t|``, as halving a subnormal t
+can round it to 0.  A Wright term of 0 restarts the test, since later
+terms may be large; S also stops where both its chains' next terms are
+0, as each chain term is the previous one times a finite factor.  The
+Bessel-Struve kernel at negative argument sums a fixed number of
+positive terms, with a running bound on their rounding (``_bs_negative``).
 
 A partial sum that is not finite ends ``bs_series`` (at u > 0),
 ``bessel_series`` and ``struve_series`` at once, with that sum, bound inf
@@ -220,10 +221,12 @@ def _bs_positive(nu, u, tol, cap, table):
         e *= uu * he / de
         o *= uu * ho / do
         k += 1
-        if abs(prev) <= half_tol * abs(s) and (2.0 * e <= prev or math.isinf(s)):
+        # e == 0 fails 2 * e < prev only where prev is 0 too: both chains are
+        # 0 from here on
+        if abs(prev) <= half_tol * abs(s) and (2.0 * e < prev or e == 0.0 or math.isinf(s)):
             return (s, math.inf, n, 0) if math.isinf(s) else (s, 2.0 * prev, n, 1)
         s += e
-        if e <= half_tol * s and (2.0 * o <= e or math.isinf(s)):
+        if e <= half_tol * s and (2.0 * o < e or math.isinf(s)):
             return (s, math.inf, n + 1, 0) if math.isinf(s) else (s, 2.0 * e, n + 1, 1)
         s += o
         prev = o
@@ -638,10 +641,10 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
                 t = row[sign] * math.inf
             if not math.isfinite(t):
                 return s + t, math.inf, k + 1, 0
-        if have_prev and abs(prev) <= half_tol * abs(s) and 2.0 * abs(t) <= abs(prev):
+        if have_prev and abs(prev) <= half_tol * abs(s) and 2.0 * abs(t) < abs(prev):
             return s, 2.0 * abs(prev), k, 0
         s += t
-        if row is None:
+        if t == 0.0:
             have_prev = False
         else:
             prev = t

@@ -32,7 +32,7 @@ from ._backend import kernels
 from .errors import DomainError, DomainUnsupportedError, PreconditionError
 from .gammacore import _HALF_LN_PI, POLE_TOL, gamma_ratio, ln_gamma_signed
 from .series import (_SPECIAL_NU, DEFAULT_TOL, TERM_CAP, SeriesEval, _Checked, _series_eval,
-                     bessel_struve_kernel)
+                     _bs_prefactor_units, bessel_struve_kernel)
 from .wright import WrightSpec, _wright_failure, _wright_kernel
 
 
@@ -285,10 +285,12 @@ def _collapsed(side: Side, p: MsmParams, rho: float) -> _Collapsed:
 
 
 def _kernel_in_range(nu: float, u: float) -> None:
-    """Raise the OverflowError of ``bessel_struve_kernel`` where S_nu(u),
-    at a quadrature's largest kernel argument u, exceeds the double range,
-    an infinite u included, before the integrand is summed at any node.
-    At u <= 0, S_nu decays."""
+    """Raise the errors of ``bessel_struve_kernel`` before the integrand is
+    summed at any node: its DomainError for an order past the rounding
+    limit, whatever the sign of u, and its OverflowError where S_nu(u), at
+    a quadrature's largest kernel argument u, exceeds the double range, an
+    infinite u included.  At u <= 0, S_nu decays."""
+    _bs_prefactor_units(nu)
     if math.isinf(u):
         raise OverflowError(f"Bessel-Struve series at u={u!r} exceeds double range")
     if u > 0.0:
@@ -305,9 +307,10 @@ def msm_quadrature(side: Side, params: MsmParams, kind: FunctionKind,
     is then evaluable at every node), and a 2F1 gap (``_collapsed_gap``)
     away from the integers, where its connection formula has no value.
     Endpoint singularities are driven through the exact node-to-endpoint
-    distances.  Raises OverflowError, as ``bessel_struve_kernel`` does,
-    where the kernel at its largest argument, lam*x (LEFT) or lam/x
-    (RIGHT), exceeds the double range.
+    distances.  Raises DomainError, as ``bessel_struve_kernel`` does, for
+    an order past its rounding limit, and OverflowError where the kernel
+    at its largest argument, lam*x (LEFT) or lam/x (RIGHT), exceeds the
+    double range.
 
     The integrand is built once per integral from ``_collapsed`` and the
     kernel order: the 2F1 factor is left out when the collapse makes it

@@ -74,8 +74,9 @@ def pathway_bs_closed_form(params: PathwayParams, kind: FunctionKind) -> ClosedF
 def pathway_quadrature(params: PathwayParams, kind: FunctionKind, x: float,
                        tol: float = 1e-11) -> SeriesEval:
     """Direct tanh-sinh quadrature of the pathway integral at finite x > 0.
-    Raises OverflowError, as ``bessel_struve_kernel`` does, where the
-    kernel at its largest argument lam*x/cut exceeds the double range."""
+    Raises DomainError, as ``bessel_struve_kernel`` does, for an order
+    past its rounding limit, and OverflowError where the kernel at its
+    largest argument lam*x/cut exceeds the double range."""
     from .quadrature import tanh_sinh  # only here: a cold eval never needs it
     if not 0.0 < x < math.inf:
         raise DomainError(f"the operator is defined for x > 0, got x={x!r}")

@@ -388,26 +388,32 @@ def test_row_kernels_refuse_a_non_number_alike(ck, name, before, after):
         assert len(out) == 2, (kernels, out)
 
 
-# subnormal arguments: halving a subnormal term can round it to 0, and a
-# term can underflow to 0 (S's odd chain at nu >= 1, the second term of
-# the second spec), and either way the sums must stop after two terms
+# subnormal arguments: halving a subnormal last term rounds it to 0, below
+# which no next term lies, so the sums must stop after two terms
 SUBNORMALS = (5e-324, -5e-324, 1e-323, -1e-323)
-SUBNORMAL_SPECS = (((0.5, 1.2), (0.5, 1.0), (1.25, 1.9), (0.5, 1.0)),
-                   ((1.0,), (1.0,), (3.0,), (1.0,)))
+SUBNORMAL_SPECS = (((0.5, 1.2), (0.5, 1.0), (1.25, 1.9), (0.5, 1.0)),)
 
 
 @pytest.mark.parametrize("u", SUBNORMALS)
 def test_kernels_at_a_subnormal_argument_stop_at_once(ck, u):
+    first = math.gamma(0.5) * math.gamma(1.2) / (math.gamma(1.25) * math.gamma(1.9))
     for kernels in (pk, ck):
-        for nu in (-0.75, 0.0, 0.25, 2.3, 10.0):
+        for nu in (-0.75, 0.0, 0.25):  # the odd chain's first term is not 0
             value, err, terms, flag = kernels.bs_series(nu, u, 1e-14, 10_000)
             assert (value, flag) == (1.0, 1) and err < 1e-14, (kernels, nu, u, err)
             assert terms == 2 if u > 0.0 else terms < 100, (kernels, nu, u, terms)
-        for spec, first in zip(SUBNORMAL_SPECS, (math.gamma(0.5) * math.gamma(1.2) / (
-                math.gamma(1.25) * math.gamma(1.9)), 0.5)):
-            value, err, terms, status = kernels.wright_series(*spec, u, 1e-14, 10_000)
-            assert (terms, status) == (2, 0) and err <= 1e-323, (kernels, spec, u, err)
-            assert _close(value, first, 1e-14), (kernels, spec, u, value)
+        value, err, terms, status = kernels.wright_series(*SUBNORMAL_SPECS[0], u, 1e-14, 10_000)
+        assert (terms, status) == (2, 0) and err <= 1e-323, (kernels, u, err)
+        assert _close(value, first, 1e-14), (kernels, u, value)
+
+
+@pytest.mark.parametrize("nu, u", [(2.3, 5e-324), (10.0, 5e-324), (10.0, 1e-323)])
+def test_s_whose_odd_chain_underflows_stops_at_once(ck, nu, u):
+    # u times the odd chain's prefactor rounds to 0, so both chains are 0
+    # after the leading 1: the tail is exactly 0, and S stops there
+    assert u * pk._bs_odd_prefactor(nu) == 0.0
+    for kernels in (pk, ck):
+        assert kernels.bs_series(nu, u, 1e-14, 10_000) == (1.0, 0.0, 2, 1), kernels
 
 
 def test_compiled_gamma_reconstruction_meets_bound(ck):

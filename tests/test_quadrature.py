@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import pytest
 
@@ -354,6 +355,25 @@ def test_kernel_overflow_is_raised_before_integrating(backend, monkeypatch, call
     with pytest.raises(OverflowError) as info:
         call(lam, x)
     assert str(info.value) == f"Bessel-Struve series at u={u!r} exceeds double range"
+
+
+@pytest.mark.parametrize("nu", [7e303, 1e306, 1.7e308])
+@pytest.mark.parametrize("lam", [2.0, -2.0, -1e308])
+def test_order_past_the_rounding_limit_is_refused_before_integrating(backend, monkeypatch,
+                                                                     lam, nu):
+    # the kernel's order check holds whatever the sign of the kernel
+    # argument, and comes before its overflow
+    def entered(*args, **kwargs):
+        raise AssertionError("entered a rule")
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", entered)
+    monkeypatch.setattr(quadrature, "exp_sinh", entered)
+    for call in (lambda: msm_quadrature(Side.LEFT, LEFT, FunctionKind.bs_kernel(1.5, nu, lam), 1.0),
+                 lambda: msm_quadrature(Side.RIGHT, RIGHT, FunctionKind.bs_kernel(-2.0, nu, lam),
+                                        1e-10),
+                 lambda: pathway_quadrature(PATH, FunctionKind.bs_kernel(1.1, nu, lam), 1.0)):
+        with pytest.raises(DomainError, match=f"^order {re.escape(repr(nu))} is too large"):
+            call()
 
 
 def test_an_overflowing_integrand_stops_at_level_0(backend):

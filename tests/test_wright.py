@@ -164,6 +164,20 @@ def test_kernel_stops_at_the_first_overflowing_term():
         wright_eval(spec, 0.5)
 
 
+def test_terms_that_underflow_to_zero_do_not_end_the_sum(backend):
+    # 1Psi1[(1,1);(200,1)] = sum z^k / Gamma(200 + k): its first terms
+    # underflow to 0, later ones do not, so a 0 term restarts the stop test
+    # (a sum of 0 with bound 0 would claim a wrong value); the subnormal
+    # end of the tail stops it at z = 1e3, and z = 1e20 overflows
+    spec = WrightSpec(((1.0, 1.0),), ((200.0, 1.0),))
+    r = wright_eval(spec, 1e3)
+    exact = math.fsum(math.exp(k * math.log(1e3) - math.lgamma(200.0 + k)) for k in range(3000))
+    assert r.converged and abs(r.value - exact) <= max(r.abs_error_est, 1e-12 * exact), (r, exact)
+    assert r.value > 1e-164, r
+    with pytest.raises(OverflowError, match="exceeds double range"):
+        wright_eval(spec, 1e20)
+
+
 def test_negative_slope_rejected():
     with pytest.raises(ValueError):
         WrightSpec(((1.0, -0.5),), ((1.0, 1.0),))
