@@ -18,11 +18,14 @@
  * through the same point function; a row holds its x-free work (the
  * odd-chain prefactor and b-sequence, the log-gammas of an order, a spec's
  * columns and rows) in a state struct for the length of the call, and
- * keeps no static state.
+ * keeps no static state.  density_row and density_point share density_at,
+ * which skips the bound when only the value is asked for and reports the
+ * points where CPython's power or math.exp would raise OverflowError.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
 #include <float.h>
 #include <limits.h>
 #include <math.h>
@@ -488,8 +491,10 @@ bs_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
             break;
         /* never report convergence the estimate does not support */
         r.flag = r.flag && r.err <= tol * fmax(fabs(r.value), 5e-324);
-        if (u > 0.0)
+        if (u > 0.0) {
             r.err += r.value * U * (units + 5.0 * r.terms);
+            r.flag = r.flag && r.err < r.value; /* a bound that reaches the value leaves no digit */
+        }
         if (append_point(out, r.value, r.err, r.terms, r.flag && r.err < INFINITY) < 0)
             goto done;
     }
@@ -922,7 +927,7 @@ static int
 wright_point(wright_state *w, double z, double tol, int cap, series_out *r)
 {
     double row[4] = {0.0, 0.0, 0.0, 0.0}, lnz = z != 0.0 ? log(fabs(z)) : 0.0, s = 0.0;
-    double prev = 0.0, t;
+    double prev = 0.0, lprev = 0.0, lt = 0.0, t;
     int zneg = z < 0.0, have_prev = 0, kind; /* zneg: the row's sign for this z */
     long long k;
     for (k = 0; k < cap; k++) {
@@ -940,7 +945,8 @@ wright_point(wright_state *w, double z, double tol, int cap, series_out *r)
                 *r = (series_out){s, 0.0, k, 0, 0.0};
                 return 0;
             }
-            t = row[zneg] * exp(row[2] + k * lnz - row[3]);
+            lt = row[2] + k * lnz - row[3];
+            t = row[zneg] * exp(lt);
             if (!isfinite(t)) {
                 *r = (series_out){s + t, INFINITY, k + 1, 0, 0.0};
                 return 0;
@@ -951,14 +957,24 @@ wright_point(wright_state *w, double z, double tol, int cap, series_out *r)
             return 0;
         }
         s += t;
-        if (t == 0.0)
-            have_prev = 0;
-        else {
+        if (t != 0.0) {
             prev = t;
             have_prev = 1;
         }
+        else if (kind == 1)
+            have_prev = 0;
+        else { /* t underflowed: the test reads its log lt, prev's being lprev */
+            if (have_prev && prev == 0.0 && s != 0.0 && LN2 + lt < lprev
+                && lprev - log(fabs(s)) <= log(0.5 * tol)) {
+                *r = (series_out){s, 5e-324, k, 0, 0.0};
+                return 0;
+            }
+            prev = 0.0;
+            lprev = lt;
+            have_prev = 1;
+        }
     }
-    *r = (series_out){s, 2.0 * fabs(prev), k, 1, 0.0};
+    *r = (series_out){s, prev != 0.0 || !have_prev ? 2.0 * fabs(prev) : 5e-324, k, 1, 0.0};
     return 0;
 }
 
@@ -1038,6 +1054,235 @@ wright_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 done:
     Py_XDECREF(xs);
     PyMem_Free(w.held);
+    return result;
+}
+
+/* --- pathway density ------------------------------------------------------ */
+
+/* A density's x-free constants, in the order of pathway._density_consts. */
+typedef struct {
+    double sub, limit, c, at_zero, zero_bound, k, expo, power, delta, g1, ln_c, lk, far_la,
+        pow_max, ln_cg, rel_c;
+} density_consts;
+
+/* Read the constants tuple into *d: 0, or -1 with an exception set. */
+static int
+density_init(density_consts *d, const char *name, PyObject *consts)
+{
+    void *fields[] = {&d->sub, &d->limit, &d->c, &d->at_zero, &d->zero_bound, &d->k, &d->expo,
+                      &d->power, &d->delta, &d->g1, &d->ln_c, &d->lk, &d->far_la, &d->pow_max,
+                      &d->ln_cg, &d->rel_c};
+    if (!(PyTuple_Check(consts) && PyTuple_GET_SIZE(consts) == 16)) {
+        PyErr_Format(PyExc_TypeError, "%s() consts must be a tuple of 16 numbers", name);
+        return -1;
+    }
+    return parse_args(name, PySequence_Fast_ITEMS(consts), 16, "dddddddddddddddd", fields);
+}
+
+/* x**y as CPython's float power takes it; sets *ovf where that raises
+ * OverflowError: finite x and y whose pow reports a range error that is
+ * not an underflow to 0. */
+static double
+py_pow(double x, double y, int *ovf)
+{
+    double r;
+    if (!(isfinite(x) && isfinite(y)))
+        return pow(x, y);
+    errno = 0;
+    r = pow(x, y);
+    if (errno == 0 ? isinf(r) : !(errno == ERANGE && r == 0.0))
+        *ovf = 1;
+    return r;
+}
+
+/* Python's min(a, b) and max(a, b): a unless b is below (above) it. */
+static double
+py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+static double
+py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+static double
+exp_up(double v)
+{
+    return v < 709.0 ? exp(v) : INFINITY;
+}
+
+static double
+expm1_up(double v)
+{
+    return v < 709.0 ? expm1(v) : INFINITY;
+}
+
+static const double LN_ULP0 = -744.4400719213812; /* log(5e-324) */
+
+/* The density at x into *value and, unless bound is NULL, its bound into
+ * *bound (_pykernels.density_point): 0, or 1 where the pure twin raises
+ * OverflowError, a power or exp of the value that overflows. */
+static int
+density_at(const density_consts *d, double x, double *value, double *bound)
+{
+    double ax = fabs(x), t = 0.0, base = 0.0, la, lt = 0.0, tail, log_tail = 0.0, log_f, v;
+    double ln_v, up, down, e_t, ln_tail, e_base, r, lb, rnd, grow, shrink, w, ln_p, lowest, tiny;
+    int far = 0, in_logs = 0, ovf = 0;
+    if (ax == 0.0 || (d->sub && ax > d->pow_max && d->lk + d->delta * log(ax) > 0.0)) {
+        /* at 0, or k|x|^delta > 1, found in logs where |x|**delta overflows */
+        *value = ax == 0.0 ? d->at_zero : 0.0;
+        if (bound)
+            *bound = ax == 0.0 ? d->zero_bound : 0.0;
+        return 0;
+    }
+    if (d->sub) {
+        t = d->k * py_pow(ax, d->delta, &ovf);
+        base = 1.0 - t;
+        v = base <= 0.0 ? 0.0 : d->c * py_pow(ax, d->g1, &ovf) * py_pow(base, d->power, &ovf);
+        la = bound ? log(ax) : 0.0;
+    }
+    else {
+        /* the far tail, and a tail below the smallest normal double, in logs */
+        la = log(ax);
+        in_logs = far = la > d->far_la;
+        if (far) {
+            lt = d->lk + d->delta * la;
+            log_tail = d->limit ? -exp(py_min(lt, 709.0)) : d->power * lt;
+        }
+        else {
+            t = d->k * py_pow(ax, d->delta, &ovf);
+            if (d->limit)
+                tail = exp(-t);
+            else {
+                base = 1.0 + t;
+                tail = py_pow(base, d->power, &ovf);
+            }
+            if (!(tail >= DBL_MIN)) {
+                in_logs = 1;
+                log_tail = d->limit ? -t : d->power * log(base);
+            }
+        }
+        if (in_logs) {
+            log_f = d->ln_c + d->g1 * la + log_tail;
+            v = 0.0;
+            if (log_f > -745.0) {
+                v = exp(log_f);
+                ovf |= isinf(v) && isfinite(log_f);
+            }
+        }
+        else
+            v = d->c * py_pow(ax, d->g1, &ovf) * tail;
+    }
+    if (ovf)
+        return 1;
+    *value = v;
+    if (bound == NULL)
+        return 0;
+    ln_v = d->ln_cg + d->g1 * la;
+    /* the two products, and one rounding each of |x|^(gamma-1) and the tail */
+    up = down = d->rel_c + 6.0 * U + U * fabs(d->g1 * la);
+    if (d->limit) {
+        t = exp(py_min(d->lk + d->delta * la, 700.0));
+        ln_v -= t;
+        e_t = 4.0 * U * t * (far ? fabs(d->lk) + d->delta * la + 2.0 : 1.0);
+        up += e_t;
+        down += e_t;
+        ln_tail = t;
+    }
+    else if (far) { /* SUPER: the +1 dropped costs expo/(k|x|^delta) */
+        ln_v += d->power * lt;
+        up = down = d->rel_c + d->expo * exp_up(-lt);
+        ln_tail = d->expo * (fabs(d->lk) + d->delta * la + 1.0);
+    }
+    else {
+        e_base = 5.0 * U * t + U * fabs(base);
+        if (base + e_base <= 0.0) {
+            *bound = 0.0; /* outside the support for certain */
+            return 0;
+        }
+        if (base <= 0.0) {
+            *bound = exp_up(py_max(ln_v + d->expo * log(base + e_base) + up + 1.0, LN_ULP0));
+            return 0;
+        }
+        r = e_base / base;
+        lb = log(base);
+        rnd = 2.0 * U * d->expo * fabs(lb);
+        grow = d->expo * log1p(r);
+        shrink = r < 1.0 ? -d->expo * log1p(-r) : INFINITY;
+        ln_v += d->power * lb;
+        up += (d->sub ? grow : shrink) + rnd;
+        down += (d->sub ? shrink : grow) + rnd;
+        ln_tail = d->expo * lb;
+    }
+    if (in_logs) {
+        w = 2.0 * U + 6.0 * U * (fabs(d->ln_cg) + fabs(d->g1 * la) + ln_tail);
+        up += w;
+        down += w;
+    }
+    if (v == 0.0) {
+        *bound = exp_up(py_max(ln_v + up + 1.0, LN_ULP0));
+        return 0;
+    }
+    ln_p = d->g1 * la;
+    lowest = in_logs ? ln_v
+                     : py_min(py_min(py_min(ln_p, d->ln_cg + ln_p), ln_v - d->ln_cg - ln_p), ln_v);
+    tiny = 4.0 * exp_up(LN_ULP0 - lowest);
+    up += tiny;
+    down += tiny < 1.0 ? -log1p(-tiny) : INFINITY;
+    *bound = fabs(v) * py_max(expm1_up(up), -expm1(-down));
+    return 0;
+}
+
+static PyObject *
+density_point(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    density_consts d;
+    double x, value, bound;
+    int with_bound = 0;
+    if (nargs != 2 && nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "density_point() takes 2 or 3 positional arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (density_init(&d, "density_point", args[0]) < 0)
+        return NULL;
+    x = PyFloat_AsDouble(args[1]);
+    if ((x == -1.0 && PyErr_Occurred()) || (nargs == 3 && (with_bound = PyObject_IsTrue(args[2])) < 0))
+        return NULL;
+    if (density_at(&d, x, &value, with_bound ? &bound : NULL)) {
+        PyErr_SetString(PyExc_OverflowError, "math range error");
+        return NULL;
+    }
+    return with_bound ? Py_BuildValue("(dd)", value, bound) : PyFloat_FromDouble(value);
+}
+
+static PyObject *
+density_row(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    density_consts d;
+    double x, value, bound;
+    Py_ssize_t i = 0, n;
+    PyObject *consts, *xs, *out, *result = NULL;
+    void *parsed[] = {&consts, &xs, &out};
+    if (parse_args("density_row", args, nargs, "OOO", parsed) < 0
+        || density_init(&d, "density_row", consts) < 0
+        || (xs = row_xs("density_row", xs, out)) == NULL)
+        return NULL;
+    for (n = PyTuple_GET_SIZE(xs); i < n; i++) {
+        x = PyFloat_AsDouble(PyTuple_GET_ITEM(xs, i));
+        if (x == -1.0 && PyErr_Occurred())
+            goto done;
+        if (!(-INFINITY < x && x < INFINITY) || density_at(&d, x, &value, &bound))
+            break;
+        if (append_point(out, value, bound, 1, bound < INFINITY) < 0)
+            goto done;
+    }
+    result = PyLong_FromSsize_t(i);
+done:
+    Py_DECREF(xs);
     return result;
 }
 
@@ -1314,6 +1559,8 @@ static PyMethodDef methods[] = {
     FASTCALL(hyp2f1_kernel, "2F1 for quadrature integrands: full real axis z < 1."),
     FASTCALL(wright_series, "Generalized Wright series, terms assembled in log space."),
     FASTCALL(wright_row, "The Wright or image row: (value, bound, terms, True) to out."),
+    FASTCALL(density_point, "The pathway density at x, or (value, bound), from its constants."),
+    FASTCALL(density_row, "The density row: (value, bound, 1, bound < inf) appended to out."),
     FASTCALL(f3_series,
              "Appell F3 double series, row-by-row in the y index; |x|,|y| < 1."),
     FASTCALL(format_rows, "CSV rows of ncols numbers, each as '%.17g' % v."),

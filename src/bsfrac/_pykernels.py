@@ -12,8 +12,10 @@ terms (``value`` when modified).  The shared truncation rule: stop once
 the last added term t has ``|t| <= 0.5 * tol * |sum|`` and the next is
 below ``|t| / 2``, with bound ``2 * |t|`` (a geometric tail).  ``bs_series``
 and ``wright_series`` test ``2 * |next| < |t|``, as halving a subnormal t
-can round it to 0.  A Wright term of 0 restarts the test, since later
-terms may be large; S also stops where both its chains' next terms are
+can round it to 0.  A Wright term that a lower-parameter pole makes 0
+restarts the test, since later terms may be large; one whose exp
+underflowed to 0 is tested by its log, with bound ulp(0) (and never
+against a sum of 0).  S also stops where both its chains' next terms are
 0, as each chain term is the previous one times a finite factor.  The
 Bessel-Struve kernel at negative argument sums a fixed number of
 positive terms, with a running bound on their rounding (``_bs_negative``).
@@ -33,13 +35,17 @@ a call's bits never depend on the calls before it, and threads may
 share a table.  The compiled twin keeps only the 2F1 connection
 coefficients, in a static one-slot.
 
-A row kernel (``bs_row``, ``bessel_type_row``, ``wright_row``) takes a
-sequence ``xs`` and what its caller derived from the checked x-free
-arguments, always an S, J, I, H or L order's finite rounding units; it
-appends each point's ``(value, abs_error_est, terms_used, converged)`` to
-the list ``out`` and returns the index of the first point with no value
-(``len(xs)`` if none), whose error the caller raises.  A point is one
-one-point kernel call; the compiled twin does the x-free work once a call.
+A row kernel (``bs_row``, ``bessel_type_row``, ``wright_row``,
+``density_row``) takes a sequence ``xs`` and what its caller derived from
+the checked x-free arguments (an S, J, I, H or L order's finite rounding
+units, a density's constants); it appends each point's ``(value,
+abs_error_est, terms_used, converged)`` to the list ``out`` and returns
+the index of the first point with no value (``len(xs)`` if none), whose
+error the caller raises.  A point is one one-point kernel call; the
+compiled twin does the x-free work once a call.  The density row stops
+at a non-finite x and where ``density_point`` raises OverflowError, a
+power or exp of the value past the double range; C's ``pow`` and ``exp``
+give inf there, and the compiled twin stops at the same points.
 
 ``format_rows`` writes the CLI's CSV rows; the compiled twin finds most
 numbers' digits in exact integer arithmetic, so its bytes are those of
@@ -59,6 +65,7 @@ _HALF_LN_PI = 0.5723649429247001
 _U = 2.0 ** -53  # unit roundoff
 _TINY = 2.0 ** -1022  # smallest normal double
 _ULP0 = 5e-324  # smallest subnormal: a rounding error below _TINY
+_LN_ULP0 = math.log(_ULP0)
 # below this z, 0.5 * z can round (to zero at the smallest subnormal) and
 # (z/2)**2 underflows, so the J/I and H/L series are their leading term
 _HALF_ROUNDS = 2.0 ** -1021
@@ -176,7 +183,8 @@ def bs_series(nu, u, tol, cap):
 
 
 def bs_row(nu, us, out, tol, cap, units):
-    """The row of ``series.bessel_struve_kernel``; a point whose bound is inf is not converged."""
+    """The row of ``series.bessel_struve_kernel``; a point whose bound is inf,
+    or at u > 0 reaches the value, is not converged."""
     n0, append, inf = len(out), out.append, math.inf
     for u in us:
         if not -inf < u < inf:
@@ -188,6 +196,7 @@ def bs_row(nu, us, out, tol, cap, units):
         converged = bool(ok) and err <= tol * max(abs(value), _ULP0)
         if u > 0.0:
             err += value * _U * (units + 5.0 * terms)
+            converged = converged and err < value  # a bound that reaches the value leaves no digit
         append((value, err, terms, converged and err < inf))
     return len(out) - n0
 
@@ -635,8 +644,9 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
         else:
             if k and z == 0.0:
                 return s, 0.0, k, 0
+            lt = row[2] + k * lnz - row[3]
             try:
-                t = row[sign] * exp(row[2] + k * lnz - row[3])
+                t = row[sign] * exp(lt)
             except OverflowError:
                 t = row[sign] * math.inf
             if not math.isfinite(t):
@@ -644,12 +654,17 @@ def wright_series(ua, uA, lb, lB, z, tol, cap, table=None):
         if have_prev and abs(prev) <= half_tol * abs(s) and 2.0 * abs(t) < abs(prev):
             return s, 2.0 * abs(prev), k, 0
         s += t
-        if t == 0.0:
-            have_prev = False
-        else:
+        if t != 0.0:
             prev = t
             have_prev = True
-    return s, 2.0 * abs(prev), max(cap, 0), 1
+        elif row is None:
+            have_prev = False
+        else:  # t underflowed: the test reads its log lt, prev's being lprev
+            if (have_prev and not prev and s and _LN2 + lt < lprev
+                    and lprev - log(abs(s)) <= log(half_tol)):
+                return s, _ULP0, k, 0
+            prev, lprev, have_prev = 0.0, lt, True
+    return s, 2.0 * abs(prev) if prev or not have_prev else _ULP0, max(cap, 0), 1
 
 
 def wright_row(ua, uA, lb, lB, zs, out, tol, cap, table, image):
@@ -672,6 +687,123 @@ def wright_row(ua, uA, lb, lB, zs, out, tol, cap, table, image):
         except OverflowError:
             break
         append((s * value, abs(s) * err, terms, True))
+    return len(out) - n0
+
+
+def _exp_up(v):
+    return math.exp(v) if v < 709.0 else math.inf
+
+
+def _expm1_up(v):
+    return math.expm1(v) if v < 709.0 else math.inf
+
+
+def density_point(cs, x, bound=False):
+    """The pathway density at x from its x-free constants ``cs`` (see
+    ``pathway._density_consts``), or with ``bound`` (value, bound); raises
+    the OverflowError of a power or exp of the value that overflows."""
+    sub, limit, c, at_zero, zero_bound, k, expo, power, delta, g1, ln_c, lk, far_la, pow_max, \
+        ln_cg, rel_c = cs
+    ax = abs(x)
+    if ax == 0.0:
+        return (at_zero, zero_bound) if bound else at_zero
+    if sub:
+        if ax > pow_max and lk + delta * math.log(ax) > 0.0:
+            # k|x|^delta > 1, found in logs where |x|**delta overflows
+            return (0.0, 0.0) if bound else 0.0
+        t = k * ax ** delta
+        base = 1.0 - t
+        value = 0.0 if base <= 0.0 else c * ax ** g1 * base ** power
+        if not bound:
+            return value
+        la, far, in_logs = math.log(ax), False, False
+    else:
+        # in the far tail, and wherever the tail is below the smallest normal
+        # double, the value is taken in logs: the power prefactor and the
+        # tail must not overflow, or round to zero, apart
+        la = math.log(ax)
+        in_logs = far = la > far_la
+        if far:  # the +1 in the SUPER base is negligible
+            lt = lk + delta * la  # log of k|x|^delta
+            log_tail = -math.exp(min(lt, 709.0)) if limit else power * lt
+        else:
+            t = k * ax ** delta
+            if limit:
+                tail = math.exp(-t)
+            else:
+                base = 1.0 + t
+                tail = base ** power
+            if not tail >= _TINY:
+                in_logs, log_tail = True, -t if limit else power * math.log(base)
+        if in_logs:
+            log_f = ln_c + g1 * la + log_tail
+            value = math.exp(log_f) if log_f > -745.0 else 0.0
+        else:
+            value = c * ax ** g1 * tail
+        if not bound:
+            return value
+    ln_v = ln_cg + g1 * la
+    # the two products, and one rounding each of |x|^(gamma-1) and the tail
+    up = down = rel_c + 6.0 * _U + _U * abs(g1 * la)
+    if limit:
+        t = math.exp(min(lk + delta * la, 700.0))  # k|x|^delta, capped to stay finite
+        ln_v -= t
+        # in the far tail the value takes t from an exp whose argument errs
+        # by about u(|log k| + 2 delta log|x|)
+        e_t = 4.0 * _U * t * (abs(lk) + delta * la + 2.0 if far else 1.0)
+        up += e_t
+        down += e_t
+        ln_tail = t
+    elif far:  # SUPER: the +1 dropped costs expo/(k|x|^delta)
+        ln_v += power * lt
+        up = down = rel_c + expo * _exp_up(-lt)
+        ln_tail = expo * (abs(lk) + delta * la + 1.0)
+    else:
+        e_base = 5.0 * _U * t + _U * abs(base)  # bounds |base - exact base|
+        if base + e_base <= 0.0:
+            return value, 0.0  # outside the support for certain
+        if base <= 0.0:
+            return value, _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0, _LN_ULP0))
+        r, lb = e_base / base, math.log(base)  # at r >= 1 the exact SUB point may be outside
+        rnd = 2.0 * _U * expo * abs(lb)
+        grow, shrink = expo * math.log1p(r), (-expo * math.log1p(-r) if r < 1.0 else math.inf)
+        ln_v += power * lb
+        up += (grow if sub else shrink) + rnd
+        down += (shrink if sub else grow) + rnd
+        ln_tail = expo * lb
+    if in_logs:
+        # only the final exp rounds, but each term of the log sum errs by a
+        # few u of its size; ln_tail bounds the tail's |log|
+        w = 2.0 * _U + 6.0 * _U * (abs(ln_cg) + abs(g1 * la) + ln_tail)
+        up += w
+        down += w
+    if value == 0.0:
+        # underflow: bound the exact value itself; the factor e covers the
+        # rounding of ln_v
+        return value, _exp_up(max(ln_v + up + 1.0, _LN_ULP0))
+    # a factor f rounded in the subnormal range errs by ulp(0)/f relative;
+    # the far SUPER tail rounds only its value
+    ln_p = g1 * la
+    lowest = ln_v if in_logs else min(ln_p, ln_cg + ln_p, ln_v - ln_cg - ln_p, ln_v)
+    tiny = 4.0 * _exp_up(_LN_ULP0 - lowest)
+    up += tiny
+    down += -math.log1p(-tiny) if tiny < 1.0 else math.inf
+    return value, abs(value) * max(_expm1_up(up), -math.expm1(-down))
+
+
+def density_row(cs, xs, out):
+    """The row of the density (``pathway._density_row``): a point is
+    ``density_point(cs, x, True)``, with terms 1 and converged where the
+    bound is finite; it stops at a non-finite x and at an overflow."""
+    n0, append, inf = len(out), out.append, math.inf
+    for x in xs:
+        if not -inf < x < inf:
+            break
+        try:
+            value, bound = density_point(cs, x, True)
+        except OverflowError:
+            break
+        append((value, bound, 1, bound < inf))
     return len(out) - n0
 
 

@@ -111,21 +111,12 @@ def _evaluator(function: str, opts: dict):
     term table.  The operator modules are imported only by the branches
     that use them, so a cold ``eval S`` never loads them."""
     if function == "density":
-        from .pathway import PathwayDensityParams, _check_density_x, _density
+        from .pathway import PathwayDensityParams, _density_consts, _density_row
 
         _require(opts, ["gamma-shape", "delta", "beta-shape", "a", "pathway-alpha"])
-        density = _density(PathwayDensityParams(opts["gamma_shape"], opts["delta"],
-                                                opts["beta_shape"], opts["a"],
-                                                opts["pathway_alpha"]))
-
-        def density_row(xs, out):
-            for x in xs:
-                _check_density_x(x)
-                value, bound = density(x, True)
-                out.append((value, bound, 1, bound < math.inf))  # an infinite bound says nothing
-            return out
-
-        return density_row
+        return partial(_density_row, _density_consts(PathwayDensityParams(
+            opts["gamma_shape"], opts["delta"], opts["beta_shape"], opts["a"],
+            opts["pathway_alpha"])))
     if function == "S":
         _require(opts, ["nu"])
         return partial(bessel_struve_row, opts["nu"])

@@ -12,10 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from functools import partial
 
 from ._backend import kernels
 from .errors import DomainError, PreconditionError
-from .gammacore import _LGAMMA_ULPS, _TINY, _U, gamma_ratio, ln_gamma_signed
+from .gammacore import _LGAMMA_ULPS, _U, gamma_ratio, ln_gamma_signed
 from .msm import (ClosedFormImage, FunctionKind, _check_finite, _GammaTable, _kernel_image,
                   _kernel_in_range, _power_image)
 from .series import TERM_CAP, SeriesEval, _Checked
@@ -206,24 +207,14 @@ def _ln_norm_const(dp: PathwayDensityParams) -> tuple:
     return ln_cg, rel_c
 
 
-_LN_TINY = math.log(math.ulp(0.0))  # a rounding in the subnormal range errs by ulp(0)
-
-
-def _exp_up(v: float) -> float:
-    return math.exp(v) if v < 709.0 else math.inf
-
-
-def _expm1_up(v: float) -> float:
-    return math.expm1(v) if v < 709.0 else math.inf
-
-
-def _density(dp: PathwayDensityParams):
-    """``density(x)``: the density at x, and ``density(x, True)``: (that
-    value, a bound on its distance to the exact density of the double
-    parameters in ``dp``).  The normalizing constant, the regime and its
-    coefficients are computed once; the value alone is the harness's
-    quadrature integrand, and the bound reads the route and intermediates
-    the value took at x.
+def _density_consts(dp: PathwayDensityParams) -> tuple:
+    """The x-free constants of the density, in the order the kernels'
+    ``density_point`` and ``density_row`` read them: the regime flags, the
+    normalizing constant c, the value and bound at x = 0, the base's k,
+    exponent and signed exponent, delta, gamma - 1, log c and log k, the
+    log|x| beyond which the SUPER and LIMIT densities are taken in logs,
+    the |x| beyond which |x|**delta would overflow, and the bound's log c
+    and its half-width.
 
     The bound is a running rounding bound (Higham 2002, chs. 3-4).  Each
     factor of c |x|^(gamma-1) tail carries a log-space half-width: the norm
@@ -237,124 +228,57 @@ def _density(dp: PathwayDensityParams):
     the half-widths allow."""
     c = pathway_norm_const(dp)
     at_zero = c if dp.gamma_shape == 1.0 else (0.0 if dp.gamma_shape > 1.0 else math.inf)
-    sub, limit = dp.regime is Regime.SUB, dp.regime is Regime.LIMIT
-    delta, g1 = dp.delta, dp.gamma_shape - 1.0
+    delta = dp.delta
     k, expo, _, _ = _shape(dp)
-    power = expo if sub else -expo  # the base's exponent
     ln_c, lk = (math.log(v) if v > 0.0 else -math.inf for v in (c, k))
     # beyond log|x| = far_la, 200 or less where |x|**delta would overflow,
     # the SUPER and LIMIT densities are taken in logs; beyond |x| = pow_max,
     # |x|**delta would overflow, and the SUB density decides its support in logs
     la_max = 709.0 / delta  # |x|**delta is below exp(709) up to log|x| = la_max
     far_la, pow_max = min(200.0, la_max), math.exp(la_max) if la_max < 709.0 else math.inf
-    ln_cg, rel_c = _ln_norm_const(dp)  # the bound's log c and its half-width
-    zero_bound = at_zero * _expm1_up(rel_c) if rel_c < math.inf else math.inf  # not 0 * inf
+    ln_cg, rel_c = _ln_norm_const(dp)
+    zero_bound = (at_zero * (math.expm1(rel_c) if rel_c < 709.0 else math.inf)
+                  if rel_c < math.inf else math.inf)  # not 0 * inf
+    sub = dp.regime is Regime.SUB
+    return (sub, dp.regime is Regime.LIMIT, c, at_zero, zero_bound, k, expo,
+            expo if sub else -expo, delta, dp.gamma_shape - 1.0, ln_c, lk, far_la, pow_max,
+            ln_cg, rel_c)
 
-    def density(x, bound=False):
-        ax = abs(x)
-        if ax == 0.0:
-            return (at_zero, zero_bound) if bound else at_zero
-        if sub:
-            if ax > pow_max and lk + delta * math.log(ax) > 0.0:
-                # k|x|^delta > 1, found in logs where |x|**delta overflows
-                return (0.0, 0.0) if bound else 0.0
-            t = k * ax ** delta
-            base = 1.0 - t
-            value = 0.0 if base <= 0.0 else c * ax ** g1 * base ** power
-            if not bound:
-                return value
-            la, far, in_logs = math.log(ax), False, False
-        else:
-            # in the far tail, and wherever the tail is below the smallest
-            # normal double, the value is taken in logs: the power prefactor and
-            # the tail must not overflow, or round to zero, apart
-            la = math.log(ax)
-            in_logs = far = la > far_la
-            if far:  # the +1 in the SUPER base is negligible
-                lt = lk + delta * la  # log of k|x|^delta
-                log_tail = -math.exp(min(lt, 709.0)) if limit else power * lt
-            else:
-                t = k * ax ** delta
-                if limit:
-                    tail = math.exp(-t)
-                else:
-                    base = 1.0 + t
-                    tail = base ** power
-                if not tail >= _TINY:
-                    in_logs, log_tail = True, -t if limit else power * math.log(base)
-            if in_logs:
-                log_f = ln_c + g1 * la + log_tail
-                value = math.exp(log_f) if log_f > -745.0 else 0.0
-            else:
-                value = c * ax ** g1 * tail
-            if not bound:
-                return value
-        ln_v = ln_cg + g1 * la
-        # the two products, and one rounding each of |x|^(gamma-1) and the tail
-        up = down = rel_c + 6.0 * _U + _U * abs(g1 * la)
-        if limit:
-            t = math.exp(min(lk + delta * la, 700.0))  # k|x|^delta, capped to stay finite
-            ln_v -= t
-            # in the far tail the value takes t from an exp whose argument
-            # errs by about u(|log k| + 2 delta log|x|)
-            e_t = 4.0 * _U * t * (abs(lk) + delta * la + 2.0 if far else 1.0)
-            up += e_t
-            down += e_t
-            ln_tail = t
-        elif far:  # SUPER: the +1 dropped costs expo/(k|x|^delta)
-            ln_v += power * lt
-            up = down = rel_c + expo * _exp_up(-lt)
-            ln_tail = expo * (abs(lk) + delta * la + 1.0)
-        else:
-            e_base = 5.0 * _U * t + _U * abs(base)  # bounds |base - exact base|
-            if base + e_base <= 0.0:
-                return value, 0.0  # outside the support for certain
-            if base <= 0.0:
-                return value, _exp_up(max(ln_v + expo * math.log(base + e_base) + up + 1.0,
-                                          _LN_TINY))
-            r, lb = e_base / base, math.log(base)  # at r >= 1 the exact SUB point may be outside
-            rnd = 2.0 * _U * expo * abs(lb)
-            grow, shrink = expo * math.log1p(r), (-expo * math.log1p(-r) if r < 1.0 else math.inf)
-            ln_v += power * lb
-            up += (grow if sub else shrink) + rnd
-            down += (shrink if sub else grow) + rnd
-            ln_tail = expo * lb
-        if in_logs:
-            # only the final exp rounds, but each term of the log sum errs by a
-            # few u of its size; ln_tail bounds the tail's |log|
-            w = 2.0 * _U + 6.0 * _U * (abs(ln_cg) + abs(g1 * la) + ln_tail)
-            up += w
-            down += w
-        if value == 0.0:
-            # underflow: bound the exact value itself; the factor e covers
-            # the rounding of ln_v
-            return value, _exp_up(max(ln_v + up + 1.0, _LN_TINY))
-        # a factor f rounded in the subnormal range errs by ulp(0)/f relative;
-        # the far SUPER tail rounds only its value
-        ln_p = g1 * la
-        lowest = ln_v if in_logs else min(ln_p, ln_cg + ln_p, ln_v - ln_cg - ln_p, ln_v)
-        tiny = 4.0 * _exp_up(_LN_TINY - lowest)
-        up += tiny
-        down += -math.log1p(-tiny) if tiny < 1.0 else math.inf
-        return value, abs(value) * max(_expm1_up(up), -math.expm1(-down))
 
-    return density
+def _density(dp: PathwayDensityParams):
+    """``density(x)``: the density at x, and ``density(x, True)``: (that
+    value, a bound on its distance to the exact density of the double
+    parameters in ``dp``), the kernels' ``density_point`` at the constants
+    of ``_density_consts``; the value alone is the harness's quadrature
+    integrand.  x must be finite."""
+    return partial(kernels.density_point, _density_consts(dp))
+
+
+def _density_row(consts: tuple, xs, out: list) -> list:
+    """The row of the density at ``consts`` (``_density_consts``), as the
+    row forms of ``series`` are: one ``density_row`` kernel call, then the
+    error of the point it did not finish, DomainError for a non-finite x
+    and otherwise the OverflowError of its value."""
+    i = kernels.density_row(consts, xs, out)
+    if i < len(xs):
+        _check_density_x(xs[i])
+        kernels.density_point(consts, xs[i])  # raises its OverflowError
+    return out
 
 
 def pathway_density(dp: PathwayDensityParams, x: float) -> float:
     """Density value at finite x; zero outside the SUB-regime support.
 
-    The normalizing constant and the regime's coefficients are computed
-    once per call here; code that evaluates one density at many points
-    (``checks._density_norm``, and the CLI's ``eval`` and ``table``, which
-    also take each value's bound from the same call) builds ``_density(dp)``
-    once instead."""
+    The x-free constants are computed once per call here; code that
+    evaluates one density at many points (``checks._density_norm``, and
+    the CLI's ``eval`` and ``table``, which also take each value's bound)
+    computes ``_density_consts(dp)`` once instead."""
     _check_density_x(x)
-    return _density(dp)(x)
+    return kernels.density_point(_density_consts(dp), x)
 
 
 def _check_density_x(x: float):
-    """Refuse a NaN or infinite x, which the ``_density`` closure, also the
+    """Refuse a NaN or infinite x, which ``density_point``, also the
     harness's quadrature integrand, does not check."""
     if not -math.inf < x < math.inf:
         raise DomainError(f"the density is defined for finite x, got x={x!r}")

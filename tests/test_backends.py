@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from bsfrac import _pykernels as pk
 from bsfrac import gammacore, series
+from bsfrac.pathway import PathwayDensityParams, _density_consts
 
 TIGHT = 5e-15
 
@@ -303,6 +304,27 @@ def row_calls(rng):
             calls.append(("wright_row", cols, xs(lo, 5.0, edge, bad),
                           (1e-14, rng.choice([10_000, 10_000, 40]), rng.choice([[], None]),
                            image)))
+    # the density in its three regimes: x = 0, the SUB support edge, SUB
+    # points beyond |x|**delta's range (|x| > 3.06e38 in the second: outside
+    # the support, or overflowing between 3.40e38 and 3.46e38), and points
+    # where |x|**(gamma-1) (tiny x at gamma 0.02, x = 5e34 at gamma 10) or
+    # the far SUPER tail's exp (x = 1e87 at k = 9.86e-305) overflows
+    from bsfrac.pathway import PathwayDensityParams, _density_consts
+
+    nonfinite = [math.inf, -math.inf, math.nan]
+    for params, lo, hi, edge, bad in (
+            ((1.5, 1.5, 2.0, 0.8, 0.4), -2.0, 2.0, [0.0, -0.0, 1.6311948504870264, 1.7, 1e300],
+             nonfinite),
+            ((1.0, 8.0, 1.0, 1e-308, 0.5), -3.5e38, 3.5e38, [3.2e38, 1e39, -1e300],
+             [3.42e38, -3.45e38]),
+            ((0.02, 1.0, 1.0, 1.0, 0.5), -2.5, 2.5, [0.0, 1e-300, -1e-320], [5e-324]),
+            ((1.5, 1.5, 2.0, 0.8, 1.6), -8.0, 8.0, [0.0, 1e90, -1e130, 1e250], nonfinite),
+            ((10.0, 1.0, 11.0, 1e-7, 2.0), -1e3, 1e3, [1e30, 1e90, -5e34], [5e34]),
+            ((1.0, 1.0, 3.0, 9.86e-305, 2.0), -10.0, 10.0, [0.0, 1e80, -1e87], [1e100]),
+            ((1.0, 2.0, 0.5, 1.0, 1.0), -5.0, 5.0, [0.0, 50.0, 1e100], nonfinite),
+            ((0.02, 1.0, 1.0, 1.0, 1.0), -5.0, 5.0, [0.0, 1e-300], [5e-324])):
+        calls.append(("density_row", (_density_consts(PathwayDensityParams(*params)),),
+                      xs(lo, hi, edge, bad), ()))
     return calls
 
 
@@ -335,7 +357,15 @@ def test_row_kernels_match_one_point_calls(ck, twin):
         returned, out, stop, ones = run_row(kernels, name, before, xs, after)
         assert out[0] == "sentinel" and returned == stop == len(out) - 1, (name, before, xs)
         assert list(map(repr, out[1:])) == list(map(repr, ones)), (name, before, xs)
+        if name == "density_row" and stop < len(xs) and math.isfinite(xs[stop]):
+            with pytest.raises(OverflowError):  # the value alone overflows there too
+                kernels.density_point(*before, xs[stop])
         for x, point in zip(xs, ones):
+            if name == "density_row":
+                want = kernels.density_point(*before, x, True)
+                assert repr(kernels.density_point(*before, x)) == repr(want[0]), (before, x)
+                assert repr(point) == repr((*want, 1, want[1] < math.inf)), (before, x)
+                continue
             if name == "bs_row":
                 want = kernels.bs_series(*before, x, *after[:2])
             elif name == "wright_row":
@@ -366,6 +396,8 @@ def test_row_kernels_stop_alike_on_both_twins(ck):
     for name, before, xs, after in row_calls(random.Random(2035)):
         (ip, outp, _, _), (ic, outc, _, _) = (run_row(k, name, before, xs, after) for k in (pk, ck))
         assert ip == ic, (name, before, xs)
+        if name == "density_row":  # the same constants go into both: the same bits
+            assert list(map(repr, outp)) == list(map(repr, outc)), (before, xs)
         for p, c in zip(outp[1:], outc[1:]):
             assert p[2:] == c[2:], (name, before, xs, p, c)
             assert repr(p[0]) == repr(c[0]) or _close(p[0], c[0], 1e-8), (name, before, xs, p, c)
@@ -376,6 +408,7 @@ def test_row_kernels_stop_alike_on_both_twins(ck):
     ("bessel_type_row", (0.5,), (0, 0, 1e-14, 10_000, (50.0,), (0.0, 0.0, 1, True))),
     ("wright_row", ((1.0,), (1.0,), (1.0,), (1.0,)), (1e-14, 10_000, [], None)),
     ("wright_row", ((1.0,), (1.0,), (1.0,), (1.0,)), (1e-14, 10_000, None, (2.0, 0.5, 1.0, 1))),
+    ("density_row", (_density_consts(PathwayDensityParams(1.0, 2.0, 1.0, 1.0, 1.6)),), ()),
 ])
 def test_row_kernels_refuse_a_non_number_alike(ck, name, before, after):
     # an empty row finishes at 0; a non-number ends the row with TypeError
@@ -414,6 +447,19 @@ def test_s_whose_odd_chain_underflows_stops_at_once(ck, nu, u):
     assert u * pk._bs_odd_prefactor(nu) == 0.0
     for kernels in (pk, ck):
         assert kernels.bs_series(nu, u, 1e-14, 10_000) == (1.0, 0.0, 2, 1), kernels
+
+
+def test_wright_terms_that_underflow_are_tested_by_their_log(ck):
+    # 1Psi1[(1,1);(3,1)] at z = 5e-324: the term z/6 underflows to 0 while
+    # its log is finite, so the stop test reads the log and the sum stops at
+    # the next term, with bound ulp(0), where it once ran to the term cap;
+    # a sum whose every term underflows stays 0 and is never taken as
+    # converged, and its capped bound is ulp(0), not 0
+    for kernels in (pk, ck):
+        assert kernels.wright_series((1.0,), (1.0,), (3.0,), (1.0,), 5e-324, 1e-14,
+                                     10_000) == (0.5, 5e-324, 2, 0), kernels
+        assert kernels.wright_series((1.0,), (1.0,), (200.0,), (0.0,), -3.0, 1e-14,
+                                     50) == (0.0, 5e-324, 50, 1), kernels
 
 
 def test_compiled_gamma_reconstruction_meets_bound(ck):

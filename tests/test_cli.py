@@ -719,6 +719,18 @@ def test_sweep_error_paths(args, code, no_rows, message):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def test_s_at_an_order_past_1e15_is_not_converged(backend):
+    # nu + 1 and nu + 3/2 round to one double there, so the odd chain's
+    # prefactor loses its factor nu**(-1/2): S_1e18(1000) is about 1.0000006,
+    # the sum 565.19, and its bound, 9.7e7, holds but reaches the value
+    res = _run("eval", "S", "--nu", "1e18", "--x", "1000")
+    assert res.exit_code == 1, res.output
+    assert res.stderr.splitlines() == ["Error: S at x=1000.0 did not converge"]
+    [row] = _csv_rows(res.stdout)
+    value, bound = float(row["value"]), float(row["abs_error_est"])
+    assert abs(value - 1.0000006) <= bound and bound >= value, row
+
+
 def test_tiny_k_density_bound_is_inf_at_zero(backend):
     # the norm constant's log half-width is infinite, and the bound at x = 0
     # reads inf as at the other points, where it once was 0 * inf = NaN

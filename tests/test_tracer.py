@@ -87,7 +87,7 @@ def test_s_sweep_is_traced_at_the_wrapper():
 
 
 # the row kernel that a 7-point table of each CLI function calls once, from
-# its untraced row function; the density has none
+# its untraced row function
 TABLE_KERNELS = {
     "S": "bs_row",
     "J": "bessel_type_row",
@@ -98,9 +98,9 @@ TABLE_KERNELS = {
     "msm-left": "wright_row",
     "msm-right": "wright_row",
     "pathway": "wright_row",
-    "density": None,
+    "density": "density_row",
 }
-ROW_KERNELS = ("bs_row", "bessel_type_row", "wright_row")
+ROW_KERNELS = ("bs_row", "bessel_type_row", "wright_row", "density_row")
 # the one-point series kernels and the public one-point wrappers
 POINT_LAYERS = ("kernels.bs_series", "kernels.wright_series", "kernels.bessel_series",
                 "kernels.struve_series", "series.", "wright.wright_eval",
@@ -132,8 +132,7 @@ def test_every_table_calls_one_traced_wrapper_a_point(function):
         assert res.exit_code == 0, res.output
     finally:
         tracer.uninstall()
-    want = TABLE_KERNELS[function]
-    assert rows == (collections.Counter({want: 1}) if want else {})
+    assert rows == collections.Counter({TABLE_KERNELS[function]: 1})
     calls = tracer.summary()["calls"]
     assert not any(calls[name] for name in calls if name.startswith(POINT_LAYERS)), calls
 
