@@ -757,10 +757,13 @@ def test_order_past_the_rounding_limit_is_a_usage_error(backend, args, order):
     (("eval", "S", "--nu", "0.25", "--x", "5e-324"), "1,5.6908097199081797e-15,2"),
     (("eval", "wright", "--upper", "0.5,0.5;1.2,1", "--lower", "1.25,0.5;1.9,1",
       "--x", "5e-324"), "9.8813129168249309e-324,2"),
-], ids=["S", "wright"])
+    (("eval", "wright", "--upper", "1,1", "--lower", "3,1", "--x", "5e-324"),
+     "0.5,4.9406564584124654e-324,2"),
+], ids=["S", "wright", "wright-underflow"])
 def test_eval_at_the_smallest_subnormal_stops_after_two_terms(backend, args, row):
     # the stop tests must not halve the subnormal last term, which rounds
-    # it to 0, below which no term lies
+    # it to 0, below which no term lies; a term whose exp underflows to 0
+    # (z/6 in the last) is tested by its log, and bounded by ulp(0)
     res = _run(*args)
     assert res.exit_code == 0, res.output
     assert res.stdout.splitlines()[1].endswith(row), res.stdout
